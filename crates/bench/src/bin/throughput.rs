@@ -10,8 +10,8 @@
 //! | `agg_batched`   | its share of an [`Agent::invoke_batch`] call         |
 //! | `join_scalar`   | one happened-before-join invocation via [`Agent::invoke`] |
 //! | `join_batched`  | its share of an [`Agent::invoke_batch`] call         |
-//! | `wire_v5`       | one streaming tuple encoded as a plain v5 report row |
-//! | `wire_v6`       | one streaming tuple inside a v6 columnar block       |
+//! | `wire_raw`      | one streaming tuple as a row-major report row (rows tag 0) |
+//! | `wire_encoded`  | one streaming tuple inside a columnar block (rows tag 2) |
 //!
 //! The **join** pair is the CI-gated one: it runs the paper's canonical
 //! query shape — group keys unpacked from baggage, aggregates computed
@@ -23,7 +23,8 @@
 //! end-to-end through the governed agent entry points — the only
 //! variable is per-event dispatch vs one batched call. The wire
 //! scenarios encode the *same tuples* through the real protocol encoder
-//! at each version.
+//! in the two row encodings an agent chooses between by flush size
+//! ([`pivot_core::agent::ENCODE_MIN_ROWS`]).
 //!
 //! ```text
 //! cargo run -p pivot-bench --bin throughput --release -- \
@@ -32,8 +33,8 @@
 //! ```
 //!
 //! `--enforce` exits non-zero unless batched execution sustains >=2x the
-//! scalar invokes/sec on the join workload AND the v6 wire carries a
-//! streaming tuple in <=1/2 the v5 bytes (the CI gates for this
+//! scalar invokes/sec on the join workload AND a columnar block carries
+//! a streaming tuple in <=1/2 the row-major bytes (the CI gates for this
 //! subsystem).
 
 use std::hint::black_box;
@@ -43,7 +44,7 @@ use std::time::Instant;
 use pivot_baggage::{Baggage, QueryId};
 use pivot_bench::{flag, flag_usize, print_table};
 use pivot_core::{Agent, Frontend, ProcessInfo, Report, ReportRows};
-use pivot_live::proto::{decode_message_versioned, encode_message_v, Message};
+use pivot_live::proto::{decode_message, encode_message, Message};
 use pivot_live::service::define_kv_tracepoints;
 use pivot_model::{EncodedBlock, Tuple, Value};
 use pivot_query::CompiledCode;
@@ -51,7 +52,8 @@ use pivot_query::CompiledCode;
 /// CI gate: batched join invokes/sec must be at least this multiple of
 /// scalar.
 const BATCH_GATE: f64 = 2.0;
-/// CI gate: v5 bytes/tuple must be at least this multiple of v6.
+/// CI gate: row-major bytes/tuple must be at least this multiple of
+/// columnar.
 const WIRE_GATE: f64 = 2.0;
 
 const AGG_QUERY: &str =
@@ -104,11 +106,11 @@ fn main() {
     let batch_ok = batch_speedup >= BATCH_GATE;
 
     let rows = wire_tuples(wire_rows);
-    let v5_bytes = encode_report_bytes(&rows, 5);
-    let v6_bytes = encode_report_bytes(&rows, 6);
-    let v5_per_tuple = v5_bytes as f64 / rows.len() as f64;
-    let v6_per_tuple = v6_bytes as f64 / rows.len() as f64;
-    let wire_ratio = v5_per_tuple / v6_per_tuple;
+    let raw_bytes = encode_report_bytes(ReportRows::Raw(rows.clone()));
+    let col_bytes = encode_report_bytes(ReportRows::RawEncoded(vec![EncodedBlock::encode(&rows)]));
+    let raw_per_tuple = raw_bytes as f64 / rows.len() as f64;
+    let col_per_tuple = col_bytes as f64 / rows.len() as f64;
+    let wire_ratio = raw_per_tuple / col_per_tuple;
     let wire_ok = wire_ratio >= WIRE_GATE;
     let gate_ok = batch_ok && wire_ok;
 
@@ -147,15 +149,15 @@ fn main() {
         &["scenario", "bytes/tuple", "frame bytes", "detail"],
         &[
             vec![
-                "wire_v5".to_owned(),
-                format!("{v5_per_tuple:.2}"),
-                v5_bytes.to_string(),
+                "wire_raw".to_owned(),
+                format!("{raw_per_tuple:.2}"),
+                raw_bytes.to_string(),
                 format!("{} rows, tag-0 row-major", rows.len()),
             ],
             vec![
-                "wire_v6".to_owned(),
-                format!("{v6_per_tuple:.2}"),
-                v6_bytes.to_string(),
+                "wire_encoded".to_owned(),
+                format!("{col_per_tuple:.2}"),
+                col_bytes.to_string(),
                 format!("{} rows, tag-2 columnar blocks", rows.len()),
             ],
         ],
@@ -166,7 +168,7 @@ fn main() {
         pass(batch_ok)
     );
     println!(
-        "v5/v6 wire bytes-per-tuple ratio: {wire_ratio:.2}x (gate >={WIRE_GATE}x: {})",
+        "row-major/columnar wire bytes-per-tuple ratio: {wire_ratio:.2}x (gate >={WIRE_GATE}x: {})",
         pass(wire_ok)
     );
 
@@ -183,10 +185,10 @@ fn main() {
         batch_speedup,
         batch_ok,
         wire_rows: rows.len(),
-        v5_bytes,
-        v6_bytes,
-        v5_per_tuple,
-        v6_per_tuple,
+        raw_bytes,
+        col_bytes,
+        raw_per_tuple,
+        col_per_tuple,
         wire_ratio,
         wire_ok,
         gate_ok,
@@ -224,10 +226,10 @@ struct JsonInputs {
     batch_speedup: f64,
     batch_ok: bool,
     wire_rows: usize,
-    v5_bytes: usize,
-    v6_bytes: usize,
-    v5_per_tuple: f64,
-    v6_per_tuple: f64,
+    raw_bytes: usize,
+    col_bytes: usize,
+    raw_per_tuple: f64,
+    col_per_tuple: f64,
     wire_ratio: f64,
     wire_ok: bool,
     gate_ok: bool,
@@ -263,15 +265,17 @@ fn render_json(j: &JsonInputs) -> String {
     s.push_str(&format!("  \"batch_gate\": {BATCH_GATE},\n"));
     s.push_str(&format!("  \"batch_2x_ok\": {},\n", j.batch_ok));
     s.push_str(&format!("  \"wire_rows\": {},\n", j.wire_rows));
-    s.push_str(&format!("  \"wire_v5_frame_bytes\": {},\n", j.v5_bytes));
-    s.push_str(&format!("  \"wire_v6_frame_bytes\": {},\n", j.v6_bytes));
+    // Key names date from when the two row encodings were wire versions;
+    // kept so BENCH_throughput.json stays comparable across commits.
+    s.push_str(&format!("  \"wire_v5_frame_bytes\": {},\n", j.raw_bytes));
+    s.push_str(&format!("  \"wire_v6_frame_bytes\": {},\n", j.col_bytes));
     s.push_str(&format!(
         "  \"wire_v5_bytes_per_tuple\": {:.3},\n",
-        j.v5_per_tuple
+        j.raw_per_tuple
     ));
     s.push_str(&format!(
         "  \"wire_v6_bytes_per_tuple\": {:.3},\n",
-        j.v6_per_tuple
+        j.col_per_tuple
     ));
     s.push_str(&format!("  \"wire_ratio\": {:.3},\n", j.wire_ratio));
     s.push_str(&format!("  \"wire_gate\": {WIRE_GATE},\n"));
@@ -394,12 +398,11 @@ fn wire_tuples(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-/// Encodes one streaming report carrying `rows` at protocol `version`
-/// through the real encoder and returns the frame payload size. The v6
-/// path ships columnar blocks; asking for v5 transcodes to plain rows —
-/// exactly what a live agent does per peer. Decodes the frame back to
-/// prove the bytes are real.
-fn encode_report_bytes(rows: &[Tuple], version: u8) -> usize {
+/// Encodes one streaming report carrying `rows` through the real encoder
+/// and returns the frame payload size. Decodes the frame back to prove
+/// the bytes are real.
+fn encode_report_bytes(rows: ReportRows) -> usize {
+    let tuples = rows.len();
     let report = Report {
         query: QueryId(1),
         host: "bench".into(),
@@ -408,19 +411,17 @@ fn encode_report_bytes(rows: &[Tuple], version: u8) -> usize {
         incarnation: 0,
         time: 1,
         seq: 0,
-        tuples: rows.len() as u64,
-        emitted_cum: rows.len() as u64,
+        tuples: tuples as u64,
+        emitted_cum: tuples as u64,
         shed_cum: 0,
         truncated_cum: 0,
         throttled: None,
-        rows: ReportRows::RawEncoded(vec![EncodedBlock::encode(rows)]),
+        rows,
     };
-    let payload = encode_message_v(&Message::Report(report), version);
-    let (v, msg) = decode_message_versioned(&payload).expect("bench frame decodes");
-    assert_eq!(v, version.min(pivot_live::proto::PROTO_VERSION));
-    let Message::Report(r) = msg else {
+    let payload = encode_message(&Message::Report(report));
+    let Message::Report(r) = decode_message(&payload).expect("bench frame decodes") else {
         panic!("bench frame is a report");
     };
-    assert_eq!(r.rows.len(), rows.len(), "no tuples lost in transcoding");
+    assert_eq!(r.rows.len(), tuples, "no tuples lost on the wire");
     payload.len()
 }

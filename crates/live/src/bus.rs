@@ -2,11 +2,12 @@
 //!
 //! Reproduces the paper's Figure 2 topology on actual sockets: a central
 //! pub/sub endpoint ([`TcpBusServer`]) owned by the frontend process, and
-//! one [`LiveAgent`] per traced process that connects out, registers with
-//! a `Hello`, applies incoming weave/unweave commands to its local
-//! registry, and streams partial-result reports back on its own reporting
-//! interval. [`LiveFrontend`] bundles a [`pivot_core::Frontend`] with the
-//! server side so installing a query over TCP is one call.
+//! one client connection ([`Uplink`]) per traced process that dials out,
+//! registers, hands incoming weave/unweave commands to its owner, and
+//! carries the owner's reports back. A [`LiveAgent`] is an uplink plus the
+//! process's [`Agent`]; a relay (`pivot_relay::live`) owns the same uplink
+//! toward its parent. [`LiveFrontend`] bundles a [`pivot_core::Frontend`]
+//! with the server side so installing a query over TCP is one call.
 //!
 //! The server implements [`pivot_core::Bus`], making it interchangeable
 //! with [`pivot_core::LocalBus`] and the simulated cluster.
@@ -19,13 +20,14 @@
 //! - **Orderly vs lost.** Both sides send [`Message::Goodbye`] before an
 //!   intentional close. A socket that dies without one is a **lost**
 //!   connection: the server counts it in [`TcpBusServer::peers_lost`], and
-//!   the agent enters [`ConnStatus::Reconnecting`] instead of quietly
-//!   exiting its reader thread.
-//! - **Reconnect.** A [`LiveAgent`] retries with capped exponential
-//!   backoff plus deterministic jitter ([`ReconnectPolicy`]); the agent's
-//!   weave registry, aggregation buffers, and report sequence numbers all
+//!   the uplink enters [`ConnStatus::Reconnecting`] instead of quietly
+//!   exiting its reader thread. A frame that does not decode (wrong
+//!   version byte included) is a lost connection for whoever reads it.
+//! - **Reconnect.** An [`Uplink`] retries with capped exponential backoff
+//!   plus deterministic jitter ([`ReconnectPolicy`]); its owner's weave
+//!   registry, aggregation buffers, and report sequence numbers all
 //!   survive the reconnect, so nothing double-counts.
-//! - **Epoch re-sync.** On every `Hello` the server answers with one
+//! - **Epoch re-sync.** On every registration the server answers with one
 //!   [`Message::Sync`] frame carrying the full installed-query set tagged
 //!   with the current install epoch; [`pivot_core::Agent::sync`]
 //!   reconciles the registry in one step no matter how many commands were
@@ -33,8 +35,9 @@
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -46,43 +49,39 @@ use pivot_core::{
 };
 use pivot_query::CompiledCode;
 
-use crate::frame::{read_frame, write_frame};
-use crate::proto::{
-    decode_message_versioned, encode_message, encode_message_v, Message, MIN_PROTO_VERSION,
-    PROTO_VERSION,
-};
+use crate::frame::{read_frame, write_frame, write_frames};
+use crate::proto::{decode_message, encode_message, Message};
 
-/// Stamps a pre-encoded frame with the version negotiated for one peer.
-///
-/// Valid only for message kinds whose payload is identical across every
-/// supported protocol version — commands, syncs and goodbyes, i.e.
-/// everything the server broadcasts. Reports carry versioned constructs
-/// and must go through [`encode_message_v`] instead.
-fn stamp_version(payload: &mut [u8], peer_version: u8) {
-    payload[0] = peer_version.clamp(MIN_PROTO_VERSION, PROTO_VERSION);
+/// Polls `done` every `step` until it holds or `timeout` elapses; returns
+/// whether it held.
+fn poll_until(timeout: Duration, step: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if done() {
+            return true;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        std::thread::sleep(step.min(left));
+    }
 }
 
-/// One connected agent, from the server's point of view.
+/// One connected client, from the server's point of view.
 struct Peer {
-    writer: Arc<Mutex<TcpStream>>,
-    /// Set once the peer's `Hello` (or `HelloRelay`) arrives.
-    info: Arc<Mutex<Option<ProcessInfo>>>,
-    /// Set if registration came via `HelloRelay`: the peer is a fan-in
-    /// relay speaking for a subtree, not a leaf agent.
-    relay: Arc<AtomicBool>,
-    /// Highest protocol version seen from this peer (max-latched from the
-    /// version byte of every frame it sends, starting at the floor).
-    /// Frames sent back to the peer are stamped with it so a down-level
-    /// agent never receives a frame it cannot decode.
-    version: Arc<AtomicU8>,
+    writer: Mutex<TcpStream>,
+    /// Set once the peer's `Hello` or `HelloRelay` arrives: its identity,
+    /// and whether it is a fan-in relay rather than a leaf agent.
+    registered: Mutex<Option<(ProcessInfo, bool)>>,
 }
 
 struct BusInner {
     addr: SocketAddr,
-    peers: Mutex<Vec<Peer>>,
+    peers: Mutex<Vec<Arc<Peer>>>,
     /// Reports received and not yet drained by the frontend.
     reports: Mutex<Vec<Report>>,
-    /// Retroactive-flush reports (proto v7) received and not yet drained.
+    /// Retroactive-flush reports received and not yet drained.
     retros: Mutex<Vec<RetroReport>>,
     /// Currently installed queries, synced to agents that join (or
     /// rejoin) late — mirrors the simulated cluster weaving installed
@@ -98,15 +97,25 @@ struct BusInner {
     /// Peers that closed with a `Goodbye` (orderly).
     peers_closed: AtomicU64,
     /// Peers whose connection died without a `Goodbye` (crash, kill,
-    /// network fault).
+    /// network fault, undecodable frame).
     peers_lost: AtomicU64,
     shutdown: AtomicBool,
+}
+
+impl BusInner {
+    /// Writes one frame to every peer, dropping those whose connection is
+    /// gone (the write error is the only signal a crashed agent leaves).
+    fn send_all(&self, payload: &[u8]) {
+        self.peers
+            .lock()
+            .retain(|peer| write_frame(&mut *peer.writer.lock(), payload).is_ok());
+    }
 }
 
 /// The frontend side of the TCP bus (the paper's central pub/sub server).
 pub struct TcpBusServer {
     inner: Arc<BusInner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl TcpBusServer {
@@ -135,8 +144,7 @@ impl TcpBusServer {
             inner: Arc::clone(&inner),
             threads: Mutex::new(Vec::new()),
         };
-        let accept_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || accept_loop(&listener, &accept_inner));
+        let handle = std::thread::spawn(move || accept_loop(&listener, &inner));
         server.threads.lock().push(handle);
         Ok(server)
     }
@@ -146,62 +154,52 @@ impl TcpBusServer {
         self.inner.addr
     }
 
-    /// Number of leaf agents that have completed registration (relay
-    /// peers are counted by [`TcpBusServer::relay_count`] instead).
-    pub fn agent_count(&self) -> usize {
+    /// Peers registered as a relay (`relay`) or a leaf agent (`!relay`).
+    fn registered(&self, relay: bool) -> usize {
         self.inner
             .peers
             .lock()
             .iter()
-            .filter(|p| p.info.lock().is_some() && !p.relay.load(Ordering::SeqCst))
+            .filter(|p| p.registered.lock().as_ref().is_some_and(|r| r.1 == relay))
             .count()
+    }
+
+    /// Number of leaf agents that have completed registration (relay
+    /// peers are counted by [`TcpBusServer::relay_count`] instead).
+    pub fn agent_count(&self) -> usize {
+        self.registered(false)
     }
 
     /// Number of fan-in relays that have completed registration (via
     /// `HelloRelay`).
     pub fn relay_count(&self) -> usize {
-        self.inner
-            .peers
-            .lock()
-            .iter()
-            .filter(|p| p.info.lock().is_some() && p.relay.load(Ordering::SeqCst))
-            .count()
+        self.registered(true)
     }
 
     /// Blocks until at least `n` relays have registered or `timeout`
     /// elapses; returns whether the target was reached.
     pub fn wait_for_relays(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.relay_count() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        poll_until(timeout, Duration::from_millis(2), || {
+            self.relay_count() >= n
+        })
     }
 
-    /// Identities of the registered agents.
+    /// Identities of the registered peers.
     pub fn agents(&self) -> Vec<ProcessInfo> {
         self.inner
             .peers
             .lock()
             .iter()
-            .filter_map(|p| p.info.lock().clone())
+            .filter_map(|p| p.registered.lock().as_ref().map(|r| r.0.clone()))
             .collect()
     }
 
     /// Blocks until at least `n` agents have registered or `timeout`
     /// elapses; returns whether the target was reached.
     pub fn wait_for_agents(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.agent_count() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        poll_until(timeout, Duration::from_millis(2), || {
+            self.agent_count() >= n
+        })
     }
 
     /// The current install epoch (see [`Message::Sync`]).
@@ -215,7 +213,8 @@ impl TcpBusServer {
     }
 
     /// Peers whose connection died without a `Goodbye` — crashed or
-    /// killed agents, severed links.
+    /// killed agents, severed links, peers that sent a frame this build
+    /// cannot decode.
     pub fn peers_lost(&self) -> u64 {
         self.inner.peers_lost.load(Ordering::SeqCst)
     }
@@ -231,15 +230,11 @@ impl TcpBusServer {
         *self.inner.installed.lock() = queries.clone();
         *self.inner.budgets.lock() = budgets.clone();
         let epoch = self.inner.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut payload = encode_message(&Message::Sync {
+        self.inner.send_all(&encode_message(&Message::Sync {
             epoch,
             queries,
             budgets,
-        });
-        self.inner.peers.lock().retain(|peer| {
-            stamp_version(&mut payload, peer.version.load(Ordering::SeqCst));
-            write_frame(&mut *peer.writer.lock(), &payload).is_ok()
-        });
+        }));
     }
 
     /// Abruptly severs every live connection *without* a `Goodbye`, while
@@ -262,9 +257,8 @@ impl TcpBusServer {
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.inner.addr);
-        let mut bye = encode_message(&Message::Goodbye);
+        let bye = encode_message(&Message::Goodbye);
         for peer in self.inner.peers.lock().drain(..) {
-            stamp_version(&mut bye, peer.version.load(Ordering::SeqCst));
             let mut w = peer.writer.lock();
             let _ = write_frame(&mut *w, &bye);
             let _ = w.shutdown(Shutdown::Both);
@@ -298,13 +292,8 @@ impl Bus for TcpBusServer {
             }
         }
         self.inner.epoch.fetch_add(1, Ordering::SeqCst);
-        let mut payload = encode_message(&Message::Command(cmd.clone()));
-        // Drop peers whose connection is gone; the write error is the
-        // only signal a crashed agent leaves behind.
-        self.inner.peers.lock().retain(|peer| {
-            stamp_version(&mut payload, peer.version.load(Ordering::SeqCst));
-            write_frame(&mut *peer.writer.lock(), &payload).is_ok()
-        });
+        self.inner
+            .send_all(&encode_message(&Message::Command(cmd.clone())));
     }
 
     fn drain_reports(&self, _now: u64) -> Vec<Report> {
@@ -328,67 +317,39 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<BusInner>) {
         let Ok(write_half) = stream.try_clone() else {
             continue;
         };
-        let peer = Peer {
-            writer: Arc::new(Mutex::new(write_half)),
-            info: Arc::new(Mutex::new(None)),
-            relay: Arc::new(AtomicBool::new(false)),
-            version: Arc::new(AtomicU8::new(MIN_PROTO_VERSION)),
-        };
-        let writer = Arc::clone(&peer.writer);
-        let info = Arc::clone(&peer.info);
-        let relay = Arc::clone(&peer.relay);
-        let version = Arc::clone(&peer.version);
-        let reader_inner = Arc::clone(inner);
-        inner.peers.lock().push(peer);
-        std::thread::spawn(move || {
-            peer_reader(stream, &writer, &info, &relay, &version, &reader_inner);
+        let peer = Arc::new(Peer {
+            writer: Mutex::new(write_half),
+            registered: Mutex::new(None),
         });
+        inner.peers.lock().push(Arc::clone(&peer));
+        let inner = Arc::clone(inner);
+        std::thread::spawn(move || peer_reader(stream, &peer, &inner));
     }
 }
 
-/// Per-connection reader: registers the peer on `Hello` (answering with
-/// an epoch-tagged `Sync` of the full installed-query set), collects its
-/// reports, and exits on `Goodbye`, EOF, or a protocol violation (closing
-/// the connection — malformed frames from live peers are a fault, not
-/// something to silently skip). EOF without a preceding `Goodbye` is
-/// tallied as a *lost* peer, not a clean close.
-fn peer_reader(
-    mut stream: TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-    info: &Arc<Mutex<Option<ProcessInfo>>>,
-    relay: &Arc<AtomicBool>,
-    version: &Arc<AtomicU8>,
-    inner: &Arc<BusInner>,
-) {
+/// Per-connection reader: registers the peer on `Hello`/`HelloRelay`
+/// (answering with an epoch-tagged `Sync` of the full installed-query
+/// set), collects its reports, and exits on `Goodbye`, EOF, or a protocol
+/// violation (closing the connection — malformed or version-skewed frames
+/// from live peers are a fault, not something to silently skip). EOF
+/// without a preceding `Goodbye` is tallied as a *lost* peer, not a clean
+/// close.
+fn peer_reader(mut stream: TcpStream, peer: &Arc<Peer>, inner: &BusInner) {
     let mut orderly = false;
     while let Ok(payload) = read_frame(&mut stream) {
-        let msg = decode_message_versioned(&payload).map(|(v, msg)| {
-            // Every frame advertises the sender's version; max-latch it
-            // so replies (and later broadcasts) speak the peer's dialect.
-            version.fetch_max(v, Ordering::SeqCst);
-            msg
-        });
+        let msg = decode_message(&payload);
+        let is_relay = matches!(msg, Ok(Message::HelloRelay(_)));
         match msg {
-            Ok(msg @ (Message::Hello(_) | Message::HelloRelay(_))) => {
-                let is_relay = matches!(msg, Message::HelloRelay(_));
-                let (Message::Hello(process) | Message::HelloRelay(process)) = msg else {
-                    unreachable!();
-                };
-                relay.store(is_relay, Ordering::SeqCst);
-                *info.lock() = Some(process);
+            Ok(Message::Hello(info) | Message::HelloRelay(info)) => {
+                *peer.registered.lock() = Some((info, is_relay));
                 // One Sync frame converges the newcomer (or the rejoiner)
                 // to the exact installed set at the current epoch.
-                let sync = {
-                    let queries = inner.installed.lock().clone();
-                    let budgets = inner.budgets.lock().clone();
-                    Message::Sync {
-                        epoch: inner.epoch.load(Ordering::SeqCst),
-                        queries,
-                        budgets,
-                    }
-                };
-                let sync = encode_message_v(&sync, version.load(Ordering::SeqCst));
-                if write_frame(&mut *writer.lock(), &sync).is_err() {
+                let sync = encode_message(&Message::Sync {
+                    epoch: inner.epoch.load(Ordering::SeqCst),
+                    queries: inner.installed.lock().clone(),
+                    budgets: inner.budgets.lock().clone(),
+                });
+                if write_frame(&mut *peer.writer.lock(), &sync).is_err() {
                     break;
                 }
             }
@@ -409,14 +370,10 @@ fn peer_reader(
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-    let dead = Arc::as_ptr(writer);
-    inner
-        .peers
-        .lock()
-        .retain(|p| Arc::as_ptr(&p.writer) != dead);
+    inner.peers.lock().retain(|p| !Arc::ptr_eq(p, peer));
 }
 
-/// Connection state of a [`LiveAgent`], distinguishing *orderly* closes
+/// Connection state of an [`Uplink`], distinguishing *orderly* closes
 /// from *lost* connections. Historically the agent's reader treated any
 /// closed socket as a clean shutdown and exited silently; a killed bus or
 /// severed link now surfaces as `Reconnecting`/`Lost` instead.
@@ -441,7 +398,7 @@ impl ConnStatus {
     }
 }
 
-/// Reconnection behaviour of a [`LiveAgent`]: capped exponential backoff
+/// Reconnection behaviour of an [`Uplink`]: capped exponential backoff
 /// with deterministic jitter (drawn from [`pivot_simrt::mix64`], keyed by
 /// `jitter_seed ^ attempt` — never from wall time, so retry schedules are
 /// reproducible given the seed).
@@ -480,9 +437,7 @@ impl ReconnectPolicy {
     }
 
     /// Delay before attempt `attempt` (0-based): `min(base · 2^attempt,
-    /// max)` plus a deterministic jitter in `[0, base]`. Public so the
-    /// relay tier's upstream client retries on the same schedule as a
-    /// leaf agent.
+    /// max)` plus a deterministic jitter in `[0, base]`.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let exp = self
             .base_delay
@@ -497,11 +452,34 @@ impl ReconnectPolicy {
     }
 }
 
-/// State shared by a [`LiveAgent`]'s handle and service threads.
-struct LiveShared {
-    agent: Arc<Agent>,
-    info: ProcessInfo,
+/// The two kinds of frame a server sends a registered client, handed to
+/// the [`Uplink`]'s owner; the uplink deals with everything else itself.
+pub enum Downlink {
+    /// A weave, unweave or budget command.
+    Command(Command),
+    /// The body of a [`Message::Sync`]. [`Uplink::epoch`] shows `epoch`
+    /// once the owner has applied the frame.
+    Sync {
+        epoch: u64,
+        queries: Vec<Arc<CompiledCode>>,
+        budgets: Vec<(QueryId, QueryBudget)>,
+    },
+}
+
+/// The client half of the TCP bus: one registered connection to a
+/// [`TcpBusServer`] that keeps itself alive.
+///
+/// Owns the socket's write half and a reader thread. The reader hands
+/// each [`Downlink`] frame to the owner's handler; if the connection dies
+/// without a `Goodbye` it redials per the [`ReconnectPolicy`] and
+/// re-registers, and the server's answering `Sync` heals whatever was
+/// missed. The owner sends with [`Uplink::send`], and skips sending while
+/// not [`ConnStatus::Connected`] so nothing is written into a dead socket.
+pub struct Uplink {
     addr: SocketAddr,
+    /// The encoded registration frame (`Hello` or `HelloRelay`), sent on
+    /// connect and again on every reconnect.
+    hello: Vec<u8>,
     /// The live write half; replaced in place on reconnect.
     writer: Mutex<TcpStream>,
     status: Mutex<ConnStatus>,
@@ -509,33 +487,223 @@ struct LiveShared {
     epoch: AtomicU64,
     /// Successful reconnections.
     reconnects: AtomicU64,
-    /// Highest protocol version seen from the server this connection
-    /// (max-latched from received frames, reset to the floor on
-    /// reconnect). Reports are encoded at this version, so encoded row
-    /// blocks are transcoded down for a v5 server.
-    peer_version: AtomicU8,
     stop: AtomicBool,
     policy: ReconnectPolicy,
+    /// The reader, and the owner's tick thread if it started one.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl LiveShared {
-    fn set_status(&self, s: ConnStatus) {
-        *self.status.lock() = s;
+impl Uplink {
+    /// Connects to the bus at `addr`, registers with `hello`
+    /// ([`Message::Hello`] for a leaf agent, [`Message::HelloRelay`] for a
+    /// relay), and starts the reader thread.
+    pub fn connect(
+        addr: SocketAddr,
+        hello: &Message,
+        policy: ReconnectPolicy,
+        handler: impl Fn(Downlink) + Send + 'static,
+    ) -> io::Result<Arc<Uplink>> {
+        let hello = encode_message(hello);
+        let (read, writer) = dial(addr, &hello)?;
+        let link = Arc::new(Uplink {
+            addr,
+            hello,
+            writer: Mutex::new(writer),
+            status: Mutex::new(ConnStatus::Connected),
+            epoch: AtomicU64::new(0),
+            reconnects: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            policy,
+            threads: Mutex::new(Vec::new()),
+        });
+        let reader_link = Arc::clone(&link);
+        let reader = std::thread::spawn(move || reader_loop(read, &reader_link, &handler));
+        link.threads.lock().push(reader);
+        Ok(link)
     }
+
+    /// Starts a thread calling `tick` every `interval` until
+    /// [`Uplink::close`] or [`Uplink::abort`], which join it.
+    pub fn every(self: &Arc<Self>, interval: Duration, tick: impl Fn(&Uplink) + Send + 'static) {
+        let link = Arc::clone(self);
+        let ticker = std::thread::spawn(move || {
+            while !link.sleep_unless_stopped(interval) {
+                tick(&link);
+            }
+        });
+        self.threads.lock().push(ticker);
+    }
+
+    /// Current connection status.
+    pub fn status(&self) -> ConnStatus {
+        *self.status.lock()
+    }
+
+    /// The last install epoch observed in a `Sync` frame (0 before the
+    /// first sync arrives).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Successful reconnections so far.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the status is [`ConnStatus::Connected`] and the
+    /// observed epoch reaches `epoch`, or `timeout` elapses; returns
+    /// whether the target was reached. The post-reconnect convergence
+    /// barrier for tests and benches.
+    pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
+        poll_until(timeout, Duration::from_millis(2), || {
+            self.status() == ConnStatus::Connected && self.epoch() >= epoch
+        })
+    }
+
+    /// Writes `frames` (encoded payloads) with one vectored write.
+    pub fn send(&self, frames: &[Vec<u8>]) -> io::Result<()> {
+        write_frames(&mut *self.writer.lock(), frames)
+    }
+
+    /// Sleeps `d` in small slices, returning `true` (and early) once the
+    /// uplink has been closed or aborted — so neither a long tick interval
+    /// nor a reconnect backoff outlives a shutdown.
+    fn sleep_unless_stopped(&self, d: Duration) -> bool {
+        poll_until(d, Duration::from_millis(2), || {
+            self.stop.load(Ordering::SeqCst)
+        })
+    }
+
+    /// Orderly close: announces `Goodbye` (when connected), disconnects
+    /// and joins the threads. The owner flushes first.
+    pub fn close(&self) {
+        self.hang_up(true);
+    }
+
+    /// Kills the connection the way a crashing process would: no
+    /// `Goodbye`, no reconnect; ends [`ConnStatus::Lost`].
+    pub fn abort(&self) {
+        self.hang_up(false);
+    }
+
+    /// Tears the socket down without a `Goodbye` and *without* stopping:
+    /// the reader sees a lost connection and reconnects.
+    pub fn sever(&self) {
+        let _ = self.writer.lock().shutdown(Shutdown::Both);
+    }
+
+    fn hang_up(&self, orderly: bool) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if orderly && self.status() == ConnStatus::Connected {
+            let _ = self.send(&[encode_message(&Message::Goodbye)]);
+        }
+        self.sever();
+        for handle in self.threads.lock().drain(..) {
+            let _ = handle.join();
+        }
+        // Set last: the reader may have noticed the dead socket and
+        // written `Reconnecting` before it saw `stop`.
+        *self.status.lock() = if orderly {
+            ConnStatus::Closed
+        } else {
+            ConnStatus::Lost
+        };
+    }
+}
+
+/// Connects and sends the registration frame; returns (read, write) halves.
+fn dial(addr: SocketAddr, hello: &[u8]) -> io::Result<(TcpStream, TcpStream)> {
+    let read = TcpStream::connect(addr)?;
+    read.set_nodelay(true)?;
+    let mut writer = read.try_clone()?;
+    write_frame(&mut writer, hello)?;
+    Ok((read, writer))
+}
+
+/// Reads one connection until it ends, handing frames to the owner;
+/// returns whether it ended orderly (`Goodbye`) rather than lost.
+fn read_session(read: &mut TcpStream, link: &Uplink, handler: &impl Fn(Downlink)) -> bool {
+    while let Ok(payload) = read_frame(read) {
+        match decode_message(&payload) {
+            Ok(Message::Command(cmd)) => handler(Downlink::Command(cmd)),
+            Ok(Message::Sync {
+                epoch,
+                queries,
+                budgets,
+            }) => {
+                handler(Downlink::Sync {
+                    epoch,
+                    queries,
+                    budgets,
+                });
+                link.epoch.store(epoch, Ordering::SeqCst);
+            }
+            Ok(Message::Goodbye) => return true,
+            // Hello/HelloRelay/Report/Retro flow client→server only;
+            // receiving one here is a protocol violation, treated like a
+            // corrupt or version-skewed frame.
+            Ok(
+                Message::Hello(_) | Message::HelloRelay(_) | Message::Report(_) | Message::Retro(_),
+            )
+            | Err(_) => return false,
+        }
+    }
+    false
+}
+
+/// The reader thread: session loop with reconnection.
+fn reader_loop(mut read: TcpStream, link: &Uplink, handler: &impl Fn(Downlink)) {
+    loop {
+        let orderly = read_session(&mut read, link, handler);
+        if link.stop.load(Ordering::SeqCst) {
+            // Local close()/abort() chooses the final status.
+            return;
+        }
+        if orderly {
+            *link.status.lock() = ConnStatus::Closed;
+            return;
+        }
+        *link.status.lock() = ConnStatus::Reconnecting;
+        let Some(new_read) = reconnect(link) else {
+            // Out of attempts — or stopped, and then `hang_up` overwrites.
+            *link.status.lock() = ConnStatus::Lost;
+            return;
+        };
+        read = new_read;
+        link.reconnects.fetch_add(1, Ordering::SeqCst);
+        *link.status.lock() = ConnStatus::Connected;
+    }
+}
+
+/// Attempts to re-establish the connection per the policy. On success the
+/// write half is replaced and the registration frame re-sent (the server
+/// answers with a `Sync` that reconciles any missed installs).
+fn reconnect(link: &Uplink) -> Option<TcpStream> {
+    for attempt in 0..link.policy.max_attempts {
+        if link.sleep_unless_stopped(link.policy.backoff(attempt)) {
+            return None;
+        }
+        if let Ok((read, writer)) = dial(link.addr, &link.hello) {
+            *link.writer.lock() = writer;
+            return Some(read);
+        }
+    }
+    None
 }
 
 /// A per-process agent connected to the TCP bus.
 ///
-/// Owns the process's [`Agent`] (registry + local aggregation) plus two
-/// service threads: a reader applying incoming weave/unweave commands
-/// (and `Sync` re-syncs) and a reporter flushing partial results every
+/// The process's [`Agent`] (registry + local aggregation) plus an
+/// [`Uplink`] whose reader applies incoming weave/unweave commands and
+/// `Sync` re-syncs to it and whose tick flushes partial results every
 /// `report_interval` (the paper's default is one second; tests use much
-/// shorter). If the connection dies without a `Goodbye`, the reader
-/// reconnects per the [`ReconnectPolicy`]; the agent's registry, buffers,
-/// and report sequence numbers survive, so recovery never double-counts.
+/// shorter). The agent's registry, buffers, and report sequence numbers
+/// survive a reconnect, so recovery never double-counts.
 pub struct LiveAgent {
-    shared: Arc<LiveShared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    agent: Arc<Agent>,
+    link: Arc<Uplink>,
 }
 
 impl LiveAgent {
@@ -558,122 +726,64 @@ impl LiveAgent {
         report_interval: Duration,
         policy: ReconnectPolicy,
     ) -> io::Result<LiveAgent> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         let agent = Arc::new(Agent::new(info.clone()));
-        let writer = stream.try_clone()?;
-        let shared = Arc::new(LiveShared {
-            agent,
-            info,
-            addr,
-            writer: Mutex::new(writer),
-            status: Mutex::new(ConnStatus::Connected),
-            epoch: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            peer_version: AtomicU8::new(MIN_PROTO_VERSION),
-            stop: AtomicBool::new(false),
-            policy,
-        });
-        write_frame(
-            &mut *shared.writer.lock(),
-            &encode_message(&Message::Hello(shared.info.clone())),
-        )?;
-
-        let mut threads = Vec::new();
-        let reader_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            reader_loop(stream, &reader_shared);
-        }));
-
-        let reporter_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            // Interruptible sleep: shutdown() must not wait out a long
-            // reporting interval.
-            while !sleep_unless_stopped(report_interval, &reporter_shared.stop) {
-                flush_if_connected(&reporter_shared);
+        let applied = Arc::clone(&agent);
+        let apply = move |frame| match frame {
+            Downlink::Command(cmd) => applied.apply(&cmd),
+            Downlink::Sync {
+                queries, budgets, ..
+            } => {
+                applied.sync(&queries);
+                applied.sync_budgets(&budgets);
             }
-            // Final flush so short-lived processes still report.
-            flush_if_connected(&reporter_shared);
-        }));
-
-        Ok(LiveAgent {
-            shared,
-            threads: Mutex::new(threads),
-        })
+        };
+        let link = Uplink::connect(addr, &Message::Hello(info), policy, apply)?;
+        let flushed = Arc::clone(&agent);
+        link.every(report_interval, move |link| {
+            flush_if_connected(&flushed, link);
+        });
+        Ok(LiveAgent { agent, link })
     }
 
     /// The process-local agent: invoke tracepoints against it (usually
     /// via [`crate::tracepoint`]).
     pub fn agent(&self) -> &Arc<Agent> {
-        &self.shared.agent
+        &self.agent
     }
 
     /// Current connection status. [`ConnStatus::Lost`] is an error: the
-    /// agent is emitting into buffers nothing will ever drain to the
-    /// frontend.
+    /// agent is emitting into buffers nothing will ever drain.
     pub fn status(&self) -> ConnStatus {
-        *self.shared.status.lock()
+        self.link.status()
     }
 
-    /// The last install epoch observed in a `Sync` frame (0 before the
-    /// first sync arrives).
+    /// The last install epoch observed (see [`Uplink::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
+        self.link.epoch()
     }
 
     /// Successful reconnections so far.
     pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::SeqCst)
+        self.link.reconnects()
     }
 
-    /// The protocol version max-latched from the server's frames on the
-    /// *current* connection (reset to [`MIN_PROTO_VERSION`] on every
-    /// reconnect, since a restarted server may speak an older dialect).
-    pub fn negotiated_version(&self) -> u8 {
-        self.shared.peer_version.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the status is [`ConnStatus::Connected`] and the
-    /// observed epoch reaches `epoch`, or `timeout` elapses; returns
-    /// whether the target was reached. The post-reconnect convergence
-    /// barrier for tests and benches.
+    /// Blocks until connected at install epoch `epoch` or later (see
+    /// [`Uplink::wait_for_epoch`]).
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.status() == ConnStatus::Connected && self.epoch() >= epoch {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.link.wait_for_epoch(epoch, timeout)
     }
 
     /// Flushes partial results to the frontend immediately (when
     /// connected; otherwise tuples keep accumulating locally).
     pub fn flush_now(&self) {
-        flush_if_connected(&self.shared);
+        flush_if_connected(&self.agent, &self.link);
     }
 
     /// Flushes once more, announces `Goodbye`, then disconnects and joins
     /// the service threads (orderly close).
     pub fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if *self.shared.status.lock() == ConnStatus::Connected {
-            flush_reports(&self.shared);
-            let _ = write_frame(
-                &mut *self.shared.writer.lock(),
-                &encode_message(&Message::Goodbye),
-            );
-        }
-        self.shared.set_status(ConnStatus::Closed);
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.flush_now();
+        self.link.close();
     }
 
     /// Kills the connection the way a crashing process would: no final
@@ -681,14 +791,7 @@ impl LiveAgent {
     /// the server tallies a *lost* peer, and this handle ends
     /// [`ConnStatus::Lost`]. A chaos hook for recovery tests and benches.
     pub fn abort(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shared.set_status(ConnStatus::Lost);
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.link.abort();
     }
 }
 
@@ -698,157 +801,22 @@ impl Drop for LiveAgent {
     }
 }
 
-/// Why one read session ended.
-enum SessionEnd {
-    /// The server said `Goodbye`: orderly, do not reconnect.
-    Orderly,
-    /// EOF or protocol violation with no `Goodbye`: the connection is
-    /// lost — exactly the case that used to masquerade as a clean exit.
-    Lost,
-}
-
-/// Reads one connection until it ends; applies commands and `Sync`
-/// re-syncs to the local agent along the way.
-fn read_session(read: &mut TcpStream, shared: &LiveShared) -> SessionEnd {
-    while let Ok(payload) = read_frame(read) {
-        let msg = decode_message_versioned(&payload).map(|(v, msg)| {
-            // The server's frames advertise its version; once a v6 frame
-            // arrives, reports switch to the compact encoded-rows wire.
-            shared.peer_version.fetch_max(v, Ordering::SeqCst);
-            msg
-        });
-        match msg {
-            Ok(Message::Command(cmd)) => shared.agent.apply(&cmd),
-            Ok(Message::Sync {
-                epoch,
-                queries,
-                budgets,
-            }) => {
-                shared.agent.sync(&queries);
-                shared.agent.sync_budgets(&budgets);
-                shared.epoch.store(epoch, Ordering::SeqCst);
-            }
-            Ok(Message::Goodbye) => return SessionEnd::Orderly,
-            // Hello/HelloRelay/Report/Retro flow agent→server only;
-            // receiving one here is a protocol violation, treated like a
-            // corrupt frame.
-            Ok(
-                Message::Hello(_) | Message::HelloRelay(_) | Message::Report(_) | Message::Retro(_),
-            )
-            | Err(_) => return SessionEnd::Lost,
-        }
-    }
-    SessionEnd::Lost
-}
-
-/// The reader thread: session loop with reconnection.
-fn reader_loop(mut read: TcpStream, shared: &Arc<LiveShared>) {
-    loop {
-        let end = read_session(&mut read, shared);
-        if shared.stop.load(Ordering::SeqCst) {
-            // Local shutdown()/abort() already chose the final status.
-            return;
-        }
-        if matches!(end, SessionEnd::Orderly) {
-            shared.set_status(ConnStatus::Closed);
-            return;
-        }
-        shared.set_status(ConnStatus::Reconnecting);
-        match reconnect(shared) {
-            Some(new_read) => {
-                read = new_read;
-                shared.reconnects.fetch_add(1, Ordering::SeqCst);
-                shared.set_status(ConnStatus::Connected);
-            }
-            None => {
-                if !shared.stop.load(Ordering::SeqCst) {
-                    shared.set_status(ConnStatus::Lost);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Attempts to re-establish the connection per the policy. On success the
-/// shared writer is replaced and a fresh `Hello` sent (the server answers
-/// with a `Sync` that reconciles any missed installs).
-fn reconnect(shared: &Arc<LiveShared>) -> Option<TcpStream> {
-    for attempt in 0..shared.policy.max_attempts {
-        if sleep_unless_stopped(shared.policy.backoff(attempt), &shared.stop) {
-            return None;
-        }
-        let Ok(stream) = TcpStream::connect(shared.addr) else {
-            continue;
-        };
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        let Ok(write_half) = stream.try_clone() else {
-            continue;
-        };
-        *shared.writer.lock() = write_half;
-        // Negotiation is per-connection: a restarted server may speak an
-        // older dialect than the previous incarnation.
-        shared
-            .peer_version
-            .store(MIN_PROTO_VERSION, Ordering::SeqCst);
-        let hello = encode_message(&Message::Hello(shared.info.clone()));
-        if write_frame(&mut *shared.writer.lock(), &hello).is_ok() {
-            return Some(stream);
-        }
-    }
-    None
-}
-
-/// Sleeps `d` in small slices, returning `true` (and early) if `stop` is
-/// raised — so shutdown never waits out a long backoff.
-fn sleep_unless_stopped(d: Duration, stop: &AtomicBool) -> bool {
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        if stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2).min(deadline - Instant::now()));
-    }
-    stop.load(Ordering::SeqCst)
-}
-
-fn flush_if_connected(shared: &LiveShared) {
+fn flush_if_connected(agent: &Agent, link: &Uplink) {
     // While disconnected, skip the flush entirely: tuples keep
-    // accumulating in the agent's buffers (and seq numbers are not
-    // consumed), so everything emitted during the outage is delivered
-    // after recovery instead of being written into a dead socket.
-    if *shared.status.lock() != ConnStatus::Connected {
+    // accumulating in the agent's buffers and retro reports in its bounded
+    // pending queue (and seq numbers are not consumed), so everything
+    // emitted during the outage is delivered after recovery instead of
+    // being written into a dead socket.
+    if link.status() != ConnStatus::Connected {
         return;
     }
-    flush_reports(shared);
-}
-
-fn flush_reports(shared: &LiveShared) {
-    // Reports are the one message kind with versioned constructs, so they
-    // are encoded at the server's negotiated version: encoded row blocks
-    // go over the wire as-is to a v6 server and are transcoded to plain
-    // rows for a v5 one.
-    let peer_version = shared.peer_version.load(Ordering::SeqCst);
-    for report in shared.agent.flush(crate::now_nanos()) {
-        let payload = encode_message_v(&Message::Report(report), peer_version);
-        if write_frame(&mut *shared.writer.lock(), &payload).is_err() {
-            break;
-        }
-    }
-    // Retro frames exist only at v7+ and are never down-encoded
-    // (fail-loud skew policy); for a down-level server they stay in the
-    // agent's bounded pending queue, which sheds its oldest under
-    // pressure — same outage discipline as a severed link.
-    if peer_version >= 7 {
-        for retro in shared.agent.drain_retro() {
-            let payload = encode_message_v(&Message::Retro(retro), peer_version);
-            if write_frame(&mut *shared.writer.lock(), &payload).is_err() {
-                break;
-            }
-        }
-    }
+    let reports = agent.flush(crate::now_nanos()).into_iter();
+    let retros = agent.drain_retro().into_iter();
+    let frames: Vec<Vec<u8>> = reports
+        .map(|r| encode_message(&Message::Report(r)))
+        .chain(retros.map(|r| encode_message(&Message::Retro(r))))
+        .collect();
+    let _ = link.send(&frames);
 }
 
 /// A [`Frontend`] wired to a [`TcpBusServer`]: the live counterpart of
@@ -960,17 +928,10 @@ impl LiveFrontend {
         min_rows: usize,
         timeout: Duration,
     ) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
+        poll_until(timeout, Duration::from_millis(5), || {
             self.poll();
-            if self.frontend.results(handle).len() >= min_rows {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+            self.frontend.results(handle).len() >= min_rows
+        })
     }
 
     /// Uninstall by query id, for tests churning many handles.

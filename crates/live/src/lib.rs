@@ -20,8 +20,9 @@
 //!   [`Report`](pivot_core::Report), including full compiled queries), so
 //!   weave commands and partial results cross real process boundaries.
 //! - [`bus`] — the transport: [`bus::TcpBusServer`] (the frontend side of
-//!   the paper's pub/sub server), [`bus::LiveAgent`] (a per-process agent
-//!   with reader + reporter threads), and [`bus::LiveFrontend`] (frontend
+//!   the paper's pub/sub server), [`bus::Uplink`] (the client side: one
+//!   self-reconnecting registered connection), [`bus::LiveAgent`] (a
+//!   per-process agent on an uplink), and [`bus::LiveFrontend`] (frontend
 //!   and TCP bus glued together). All implement / drive the
 //!   [`pivot_core::Bus`] trait shared with `LocalBus` and the simulator.
 //! - [`service`] — a multi-threaded sharded KV demo service with real

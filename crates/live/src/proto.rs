@@ -1,16 +1,14 @@
 //! Binary codec for the bus protocol.
 //!
-//! The TCP bus carries five message kinds between live agents and the
-//! frontend: a `Hello` registering the agent's process identity, the
-//! frontend's weave/unweave [`Command`]s, the agents' partial-result
-//! [`Report`]s, the server's [`Message::Sync`] (the full installed-query
-//! set, version-tagged with the install epoch, sent on every Hello so a
-//! restarted agent converges in one frame), and [`Message::Goodbye`] (the
-//! orderly-shutdown marker that lets the other side distinguish a clean
-//! close from a lost connection). Every payload starts with a protocol
-//! **version byte**
-//! ([`PROTO_VERSION`]); peers speaking a different version are rejected
-//! with a decode error instead of misinterpreting bytes.
+//! One frame payload is `version byte, tag byte, body`. Nine tags carry
+//! the seven [`Message`] kinds: client → server `Hello` (0), `Report` (3),
+//! `HelloRelay` (7) and `Retro` (8); server → client the three
+//! [`Command`]s — `Install` (1), `Uninstall` (2), `SetBudget` (6) — and
+//! `Sync` (4); `Goodbye` (5) either way.
+//!
+//! Peers are built from one tree and speak exactly [`PROTO_VERSION`]: any
+//! other version byte is a decode error on every frame kind, so skew fails
+//! loudly instead of misparsing.
 //!
 //! `Install` ships the query's **lowered bytecode** ([`CompiledCode`]) —
 //! flat register instructions, constant pool, pre-resolved column indices —
@@ -40,40 +38,14 @@ use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{EInst, ExprProg, Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, OutputSpec, TemporalFilter};
 
-/// Wire-protocol version. Bumped to 2 when `Install` switched from
-/// advice-op trees to lowered bytecode; to 3 when `Report` grew the
-/// loss-accounting envelope (procid, incarnation, seq, tuple counters)
-/// and the `Sync`/`Goodbye` messages were added for crash recovery; to 4
-/// when the overload governor added `SetBudget`, budget lists on `Sync`,
-/// and the shed/truncation/throttle fields of the `Report` envelope; to 5
-/// when the relay tier added `HelloRelay` (a registration that marks the
-/// peer as a fan-in relay rather than a leaf agent); to 6 when reports
-/// gained the columnar-block row encoding
-/// ([`pivot_core::ReportRows::RawEncoded`], rows tag 2); to 7 when
-/// retroactive tracing added the [`Message::Retro`] frame (tag 8) and the
-/// `Trigger` bytecode instruction (inst tag 5).
+/// The one wire-protocol version. [`decode_message`] rejects every other
+/// version byte, and nothing else in the crate looks at it: no peer keeps
+/// a record of what the other side speaks. When a version 8 changes a
+/// frame's layout and has to interoperate with 7 during a rolling upgrade,
+/// the range check in `decode_message` is where the accepted window
+/// widens and where the decoded version starts being handed to the body
+/// decoders.
 pub const PROTO_VERSION: u8 = 7;
-
-/// Oldest protocol version this build still speaks. Versions 6 and 7 are
-/// pure extensions of 5 (new tags; no existing construct changed shape),
-/// so v5 frames decode unchanged and a sender can down-encode any
-/// retro-free message to v5. The v7 constructs are deliberately *not*
-/// down-encoded: a `Trigger`-carrying install stamped v6-or-lower and a
-/// `Retro` frame below v7 are both rejected loudly at decode, so mixed
-/// versions fail fast instead of silently losing hindsight semantics
-/// (senders gate on the peer's latched version and simply hold retro
-/// traffic for down-level peers).
-///
-/// Negotiation: every frame's leading version byte doubles as an
-/// advertisement. A receiver starts each peer at `MIN_PROTO_VERSION` and
-/// max-latches the versions it sees from that peer; everything it sends
-/// back goes at `min(PROTO_VERSION, latched peer version)`. A v6 client's
-/// `Hello` (sent at v6) upgrades a v6 server immediately, while a v5
-/// client is answered — and spoken to forever — in v5, with
-/// [`ReportRows::RawEncoded`] transcoded down. Down-level *servers*
-/// require the usual upgrade order (servers before leaves): they reject
-/// an up-level registration loudly, exactly like any other skew.
-pub const MIN_PROTO_VERSION: u8 = 5;
 
 /// Maximum expression nesting the decoder accepts. Honest queries stay in
 /// single digits; the cap keeps a hostile peer from overflowing the stack.
@@ -111,27 +83,15 @@ pub enum Message {
     /// topology-aware servers can report tier shape.
     HelloRelay(ProcessInfo),
     /// Agent → frontend (possibly through relays, which forward it
-    /// opaquely): a retroactive hindsight flush (v7+ only; see
+    /// opaquely): a retroactive hindsight flush (see
     /// [`pivot_core::RetroReport`]).
     Retro(RetroReport),
 }
 
-/// Encodes one message to bytes (the payload of one frame) at the current
-/// protocol version.
+/// Encodes one message to bytes (the payload of one frame).
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    encode_message_v(msg, PROTO_VERSION)
-}
-
-/// Encodes one message at `version` (clamped to the supported range).
-///
-/// Senders pass the peer's negotiated version so an up-level process can
-/// keep talking to a down-level one: the only versioned construct,
-/// [`ReportRows::RawEncoded`], is transcoded to plain raw rows when the
-/// frame must be v5.
-pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
-    let version = version.clamp(MIN_PROTO_VERSION, PROTO_VERSION);
     let mut enc = Encoder::with_capacity(128);
-    enc.put_u8(version);
+    enc.put_u8(PROTO_VERSION);
     match msg {
         Message::Hello(info) => {
             enc.put_u8(0);
@@ -141,7 +101,7 @@ pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
         }
         Message::Command(Command::Install(code)) => {
             enc.put_u8(1);
-            encode_code(code, &mut enc, version);
+            encode_code(code, &mut enc);
         }
         Message::Command(Command::Uninstall(id)) => {
             enc.put_u8(2);
@@ -149,7 +109,7 @@ pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
         }
         Message::Report(report) => {
             enc.put_u8(3);
-            encode_report(report, &mut enc, version);
+            encode_report(report, &mut enc);
         }
         Message::Sync {
             epoch,
@@ -160,7 +120,7 @@ pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
             enc.put_varint(*epoch);
             enc.put_varint(queries.len() as u64);
             for code in queries {
-                encode_code(code, &mut enc, version);
+                encode_code(code, &mut enc);
             }
             enc.put_varint(budgets.len() as u64);
             for (id, budget) in budgets {
@@ -181,10 +141,6 @@ pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
             enc.put_str(&info.procname);
         }
         Message::Retro(report) => {
-            // v7-only: the frame still carries the (clamped) version byte
-            // it was asked for, and a receiver below v7 rejects tag 8 —
-            // callers gate on the peer's latched version so this only
-            // happens under skew, where loud rejection is the contract.
             enc.put_u8(8);
             encode_retro(report, &mut enc);
         }
@@ -192,18 +148,12 @@ pub fn encode_message_v(msg: &Message, version: u8) -> Vec<u8> {
     enc.finish()
 }
 
-/// Decodes one message; trailing garbage, version mismatches, and bytecode
-/// that fails validation are all rejected.
+/// Decodes one message; trailing garbage, any version byte other than
+/// [`PROTO_VERSION`], and bytecode that fails validation are all rejected.
 pub fn decode_message(bytes: &[u8]) -> Result<Message, DecodeError> {
-    decode_message_versioned(bytes).map(|(_, msg)| msg)
-}
-
-/// Like [`decode_message`], but also returns the frame's version byte so
-/// the receiver can max-latch its record of the peer's protocol level.
-pub fn decode_message_versioned(bytes: &[u8]) -> Result<(u8, Message), DecodeError> {
     let mut dec = Decoder::new(bytes);
     let version = dec.take_u8()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(DecodeError::BadTag("protocol version", version));
     }
     let msg = match dec.take_u8()? {
@@ -212,9 +162,9 @@ pub fn decode_message_versioned(bytes: &[u8]) -> Result<(u8, Message), DecodeErr
             procid: dec.take_varint()?,
             procname: dec.take_str()?.to_owned(),
         }),
-        1 => Message::Command(Command::Install(Arc::new(decode_code(&mut dec, version)?))),
+        1 => Message::Command(Command::Install(Arc::new(decode_code(&mut dec)?))),
         2 => Message::Command(Command::Uninstall(QueryId(dec.take_varint()?))),
-        3 => Message::Report(decode_report(&mut dec, version)?),
+        3 => Message::Report(decode_report(&mut dec)?),
         4 => {
             let epoch = dec.take_varint()?;
             let n = dec.take_varint()? as usize;
@@ -222,7 +172,7 @@ pub fn decode_message_versioned(bytes: &[u8]) -> Result<(u8, Message), DecodeErr
             for _ in 0..n {
                 // Each embedded program passes the same validation as a
                 // standalone Install: a hostile Sync is no more powerful.
-                queries.push(Arc::new(decode_code(&mut dec, version)?));
+                queries.push(Arc::new(decode_code(&mut dec)?));
             }
             let n = dec.take_varint()? as usize;
             let mut budgets = Vec::with_capacity(n.min(64));
@@ -246,30 +196,30 @@ pub fn decode_message_versioned(bytes: &[u8]) -> Result<(u8, Message), DecodeErr
             procid: dec.take_varint()?,
             procname: dec.take_str()?.to_owned(),
         }),
-        8 if version >= 7 => Message::Retro(decode_retro(&mut dec)?),
+        8 => Message::Retro(decode_retro(&mut dec)?),
         t => return Err(DecodeError::BadTag("message", t)),
     };
     if !dec.is_empty() {
         return Err(DecodeError::BadTag("message trailing bytes", 0));
     }
-    Ok((version, msg))
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------------
 // Compiled bytecode
 // ---------------------------------------------------------------------------
 
-fn encode_code(code: &CompiledCode, enc: &mut Encoder, version: u8) {
+fn encode_code(code: &CompiledCode, enc: &mut Encoder) {
     enc.put_varint(code.id.0);
     enc.put_str(&code.name);
     encode_output_spec(&code.output, enc);
     enc.put_varint(code.programs.len() as u64);
     for program in &code.programs {
-        encode_bytecode(program, enc, version);
+        encode_bytecode(program, enc);
     }
 }
 
-fn decode_code(dec: &mut Decoder<'_>, version: u8) -> Result<CompiledCode, DecodeError> {
+fn decode_code(dec: &mut Decoder<'_>) -> Result<CompiledCode, DecodeError> {
     let id = QueryId(dec.take_varint()?);
     let name = dec.take_str()?.to_owned();
     let output = Arc::new(decode_output_spec(dec)?);
@@ -277,7 +227,7 @@ fn decode_code(dec: &mut Decoder<'_>, version: u8) -> Result<CompiledCode, Decod
     let n = dec.take_varint()? as usize;
     let mut programs = Vec::with_capacity(n.min(64));
     for _ in 0..n {
-        let code = decode_bytecode(dec, &output, version)?;
+        let code = decode_bytecode(dec, &output)?;
         // Reject anything the VM could not execute safely. Validation at
         // the trust boundary is what lets the VM index registers, pools,
         // and skips unchecked on the hot path.
@@ -297,7 +247,7 @@ fn decode_code(dec: &mut Decoder<'_>, version: u8) -> Result<CompiledCode, Decod
 /// The wire format assumes the canonical [`CompiledCode::lower`] shape in
 /// which every `Emit`'s spec *is* the query's output spec, so the spec is
 /// encoded once at the top level and rehydrated (Arc-shared) on decode.
-fn encode_bytecode(code: &AdviceByteCode, enc: &mut Encoder, version: u8) {
+fn encode_bytecode(code: &AdviceByteCode, enc: &mut Encoder) {
     encode_strs(&code.tracepoints, enc);
     enc.put_varint(u64::from(code.num_regs));
     enc.put_varint(code.consts.len() as u64);
@@ -320,14 +270,13 @@ fn encode_bytecode(code: &AdviceByteCode, enc: &mut Encoder, version: u8) {
     }
     enc.put_varint(code.insts.len() as u64);
     for inst in &code.insts {
-        encode_inst(inst, enc, version);
+        encode_inst(inst, enc);
     }
 }
 
 fn decode_bytecode(
     dec: &mut Decoder<'_>,
     output: &Arc<OutputSpec>,
-    version: u8,
 ) -> Result<AdviceByteCode, DecodeError> {
     let tracepoints = decode_strs(dec)?;
     let num_regs = take_u16(dec)?;
@@ -358,7 +307,7 @@ fn decode_bytecode(
     let n = dec.take_varint()? as usize;
     let mut insts = Vec::with_capacity(n.min(64));
     for _ in 0..n {
-        insts.push(decode_inst(dec, output, version)?);
+        insts.push(decode_inst(dec, output)?);
     }
     Ok(AdviceByteCode {
         tracepoints,
@@ -450,7 +399,7 @@ fn decode_einst(dec: &mut Decoder<'_>) -> Result<EInst, DecodeError> {
     })
 }
 
-fn encode_inst(inst: &Inst, enc: &mut Encoder, _version: u8) {
+fn encode_inst(inst: &Inst, enc: &mut Encoder) {
     match inst {
         Inst::Observe { names } => {
             enc.put_u8(0);
@@ -496,11 +445,6 @@ fn encode_inst(inst: &Inst, enc: &mut Encoder, _version: u8) {
             encode_range(*aggs, enc);
         }
         Inst::Trigger { query, pred } => {
-            // A v7 construct. It is encoded regardless of the frame's
-            // stamped version — the *decoder* rejects it below v7 — so a
-            // Trigger-carrying install can never silently lose its
-            // trigger semantics on a down-level link; it fails loudly
-            // instead and the operator upgrades the stragglers.
             enc.put_u8(5);
             enc.put_varint(query.0);
             match pred {
@@ -514,11 +458,7 @@ fn encode_inst(inst: &Inst, enc: &mut Encoder, _version: u8) {
     }
 }
 
-fn decode_inst(
-    dec: &mut Decoder<'_>,
-    output: &Arc<OutputSpec>,
-    version: u8,
-) -> Result<Inst, DecodeError> {
+fn decode_inst(dec: &mut Decoder<'_>, output: &Arc<OutputSpec>) -> Result<Inst, DecodeError> {
     Ok(match dec.take_u8()? {
         0 => Inst::Observe {
             names: decode_range(dec)?,
@@ -544,7 +484,7 @@ fn decode_inst(
             keys: decode_range(dec)?,
             aggs: decode_range(dec)?,
         },
-        5 if version >= 7 => Inst::Trigger {
+        5 => Inst::Trigger {
             query: QueryId(dec.take_varint()?),
             pred: match dec.take_u8()? {
                 0 => None,
@@ -557,7 +497,7 @@ fn decode_inst(
 }
 
 // ---------------------------------------------------------------------------
-// Retro reports (v7+)
+// Retro reports
 // ---------------------------------------------------------------------------
 
 fn trigger_kind_tag(k: TriggerKind) -> u8 {
@@ -893,7 +833,7 @@ fn decode_budget(dec: &mut Decoder<'_>) -> Result<QueryBudget, DecodeError> {
     })
 }
 
-fn encode_report(r: &Report, enc: &mut Encoder, version: u8) {
+fn encode_report(r: &Report, enc: &mut Encoder) {
     enc.put_varint(r.query.0);
     enc.put_str(&r.host);
     enc.put_varint(r.procid);
@@ -936,7 +876,7 @@ fn encode_report(r: &Report, enc: &mut Encoder, version: u8) {
                 }
             }
         }
-        ReportRows::RawEncoded(blocks) if version >= 6 => {
+        ReportRows::RawEncoded(blocks) => {
             // The blocks' compressed bytes go on the wire as-is — this is
             // the zero-copy path relays exercise on every re-origination.
             enc.put_u8(2);
@@ -945,28 +885,10 @@ fn encode_report(r: &Report, enc: &mut Encoder, version: u8) {
                 b.write_wire(enc);
             }
         }
-        ReportRows::RawEncoded(blocks) => {
-            // Down-level peer: transcode to the v5 plain-rows form. A
-            // block that fails to decode came from a corrupt upstream and
-            // contributes no rows (its tuples stay accounted by the
-            // envelope, exactly as on the frontend's decode path).
-            let mut rows: Vec<Tuple> = Vec::new();
-            for b in blocks {
-                let before = rows.len();
-                if b.decode_into(&mut rows).is_err() {
-                    rows.truncate(before);
-                }
-            }
-            enc.put_u8(0);
-            enc.put_varint(rows.len() as u64);
-            for t in &rows {
-                codec::encode_tuple(t, enc);
-            }
-        }
     }
 }
 
-fn decode_report(dec: &mut Decoder<'_>, version: u8) -> Result<Report, DecodeError> {
+fn decode_report(dec: &mut Decoder<'_>) -> Result<Report, DecodeError> {
     let query = QueryId(dec.take_varint()?);
     let host = dec.take_str()?.to_owned();
     let procid = dec.take_varint()?;
@@ -1021,9 +943,7 @@ fn decode_report(dec: &mut Decoder<'_>, version: u8) -> Result<Report, DecodeErr
             }
             ReportRows::Grouped(groups)
         }
-        // Columnar blocks are a v6 construct; a v5 frame carrying tag 2
-        // is malformed, not merely old.
-        2 if version >= 6 => {
+        2 => {
             let n = dec.take_varint()? as usize;
             let mut blocks = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
@@ -1445,8 +1365,9 @@ mod tests {
     }
 
     /// Every adversarial pass runs over each frame kind on the wire,
-    /// including the crash-recovery frames (v3 Report envelope, Sync,
-    /// Goodbye).
+    /// including the crash-recovery frames (Report envelope, Sync,
+    /// Goodbye), a retro flush, a `Trigger`-carrying install and a
+    /// columnar report.
     fn all_frames() -> Vec<Vec<u8>> {
         let code = q2_code();
         vec![
@@ -1520,17 +1441,17 @@ mod tests {
                     Tuple::from_iter([Value::str("c"), Value::I64(3)]),
                 ]),
             })),
-            // A v6 batched flush: raw rows pre-encoded as columnar blocks.
+            // A batched flush: raw rows pre-encoded as columnar blocks.
             encode_message(&Message::Report(encoded_rows_report())),
-            // v7 constructs: a hindsight flush and a Trigger-carrying
-            // install, so the truncation and skew sweeps cover them.
+            // A hindsight flush and a Trigger-carrying install, so the
+            // truncation and skew sweeps cover them.
             encode_message(&Message::Retro(retro_frame())),
             encode_message(&Message::Command(Command::Install(trigger_code()))),
         ]
     }
 
-    /// A compiled query whose advice carries a `Trigger` op (v7-only
-    /// bytecode inst tag 5).
+    /// A compiled query whose advice carries a `Trigger` op (bytecode
+    /// inst tag 5).
     fn trigger_code() -> Arc<CompiledCode> {
         let mut fe = Frontend::new();
         fe.define("DataNodeMetrics.incrBytesRead", ["delta"]);
@@ -1540,7 +1461,12 @@ mod tests {
                  Where incr.delta > 90 Trigger Select incr.delta",
             )
             .expect("trigger query installs");
-        fe.code(&handle).expect("bytecode available")
+        let code = fe.code(&handle).expect("bytecode available");
+        assert!(
+            code.programs.iter().any(|p| p.triggers()),
+            "the fixture query lowers to a Trigger op"
+        );
+        code
     }
 
     /// A hindsight flush shaped like a real agent's: two ring events
@@ -1572,8 +1498,8 @@ mod tests {
         }
     }
 
-    /// A streaming report whose rows are already in the v6 columnar block
-    /// encoding, shaped like a batched agent flush.
+    /// A streaming report whose rows are already in the columnar block
+    /// encoding (rows tag 2), shaped like a batched agent flush.
     fn encoded_rows_report() -> Report {
         let rows: Vec<Tuple> = (0..64)
             .map(|i| Tuple::from_iter([Value::str("GET"), Value::U64(i), Value::U64(512)]))
@@ -1597,41 +1523,65 @@ mod tests {
 
     #[test]
     fn every_frame_kind_rejects_version_skew() {
-        // The version gate accepts the negotiation window
-        // [MIN_PROTO_VERSION, PROTO_VERSION] and refuses everything else
-        // — a v4 peer or a from-the-future v7 one fails loudly on every
-        // frame kind instead of misparsing. In-window versions must never
-        // produce a *version* error (content-level checks, like the
-        // v6-only rows tag inside a v5 frame, still apply).
+        // Exactly one version byte is spoken. Every other one — older,
+        // newer, zero, 0xFF — fails loudly on every frame kind, including
+        // the retro flush, the Trigger-carrying install and the columnar
+        // report, instead of misparsing or being quietly down-read.
         for bytes in all_frames() {
-            for ok in [MIN_PROTO_VERSION, PROTO_VERSION] {
-                let mut mutated = bytes.clone();
-                mutated[0] = ok;
-                assert!(!matches!(
-                    decode_message(&mutated),
-                    Err(DecodeError::BadTag("protocol version", _))
-                ));
-            }
-            for skew in [MIN_PROTO_VERSION - 1, PROTO_VERSION + 1, 0, 0xFF] {
+            assert_eq!(bytes[0], PROTO_VERSION);
+            assert!(decode_message(&bytes).is_ok());
+            for skew in (0..=u8::MAX).filter(|v| *v != PROTO_VERSION) {
                 let mut mutated = bytes.clone();
                 mutated[0] = skew;
-                assert!(matches!(
-                    decode_message(&mutated),
-                    Err(DecodeError::BadTag("protocol version", _))
-                ));
+                assert!(
+                    matches!(
+                        decode_message(&mutated),
+                        Err(DecodeError::BadTag("protocol version", v)) if v == skew
+                    ),
+                    "version byte {skew} must be refused"
+                );
             }
         }
+    }
+
+    /// FNV-1a (64-bit): enough to pin bytes without a dependency.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn wire_bytes_match_the_v7_golden() {
+        // `(len, fnv1a)` of every frame in `all_frames()` as commit b182c6f
+        // encoded it: a version-7 capture taken by any build since then
+        // decodes today. A deliberate layout change bumps `PROTO_VERSION`
+        // and regenerates this table.
+        const GOLDEN: [(usize, u64); 12] = [
+            (290, 0xa34a_c418_cd95_880b),
+            (3, 0xbf49_d818_5d51_727d),
+            (17, 0x93e4_499e_9cb3_d401),
+            (41, 0x9a6f_5cb2_bd41_3dd0),
+            (309, 0xeeeb_baa5_fe24_da42),
+            (2, 0x0828_5307_b4e2_c159),
+            (18, 0x745f_39da_723c_7e92),
+            (22, 0xc4ae_368c_97c4_bcb0),
+            (51, 0x1085_9b08_7b21_4c79),
+            (111, 0x4777_b0f2_2536_cd07),
+            (101, 0x1b48_ba8a_eb4d_1664),
+            (120, 0x12e6_0882_2342_d091),
+        ];
+        let got: Vec<(usize, u64)> = all_frames().iter().map(|f| (f.len(), fnv1a(f))).collect();
+        assert_eq!(got, GOLDEN);
     }
 
     #[test]
     fn encoded_rows_round_trip_v6() {
         let report = encoded_rows_report();
         let bytes = encode_message(&Message::Report(report.clone()));
-        let (version, Message::Report(back)) = decode_message_versioned(&bytes).expect("decodes")
-        else {
+        let Message::Report(back) = decode_message(&bytes).expect("decodes") else {
             panic!("wrong kind");
         };
-        assert_eq!(version, PROTO_VERSION);
         assert_eq!(back.rows.len(), 64);
         let (ReportRows::RawEncoded(sent), ReportRows::RawEncoded(got)) =
             (&report.rows, &back.rows)
@@ -1648,93 +1598,13 @@ mod tests {
     }
 
     #[test]
-    fn v5_peer_negotiation_transcodes_encoded_rows() {
-        // Sending the same report at v5 (a down-level peer) transcodes
-        // the blocks back to plain rows: nothing is lost, the old decoder
-        // sees a frame it fully understands.
-        let report = encoded_rows_report();
-        let bytes = encode_message_v(&Message::Report(report), MIN_PROTO_VERSION);
-        assert_eq!(bytes[0], MIN_PROTO_VERSION);
-        let (version, Message::Report(back)) = decode_message_versioned(&bytes).expect("decodes")
-        else {
-            panic!("wrong kind");
-        };
-        assert_eq!(version, MIN_PROTO_VERSION);
-        let ReportRows::Raw(rows) = &back.rows else {
-            panic!("expected transcoded raw rows");
-        };
-        assert_eq!(rows.len(), 64);
-        assert_eq!(rows[7].get(1), &Value::U64(7));
-
-        // Out-of-window requests clamp instead of producing frames no
-        // peer could speak.
-        let hello = Message::Hello(ProcessInfo {
-            host: "h".into(),
-            procid: 1,
-            procname: "p".into(),
-        });
-        assert_eq!(encode_message_v(&hello, 0)[0], MIN_PROTO_VERSION);
-        assert_eq!(encode_message_v(&hello, 0xFF)[0], PROTO_VERSION);
-    }
-
-    #[test]
-    fn v5_frame_with_block_tag_is_rejected() {
-        // Tag 2 rows exist only from v6 on; a frame claiming v5 while
-        // carrying them is malformed, not merely old.
-        let mut bytes = encode_message(&Message::Report(encoded_rows_report()));
-        assert_eq!(bytes[0], PROTO_VERSION);
-        bytes[0] = 5;
-        assert!(matches!(
-            decode_message(&bytes),
-            Err(DecodeError::BadTag("report rows", 2))
-        ));
-    }
-
-    #[test]
     fn retro_report_round_trips() {
         let report = retro_frame();
         let bytes = encode_message(&Message::Retro(report.clone()));
-        let (version, Message::Retro(back)) = decode_message_versioned(&bytes).expect("decodes")
-        else {
+        let Message::Retro(back) = decode_message(&bytes).expect("decodes") else {
             panic!("wrong kind");
         };
-        assert_eq!(version, PROTO_VERSION);
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v6_frame_with_retro_tag_is_rejected() {
-        // The Retro frame exists only from v7 on. Senders gate on the
-        // peer's latched version, so a v6-stamped retro frame only occurs
-        // under skew — where the contract is loud rejection, never a
-        // silent drop or misparse.
-        let mut bytes = encode_message(&Message::Retro(retro_frame()));
-        assert_eq!(bytes[0], PROTO_VERSION);
-        bytes[0] = 6;
-        assert!(matches!(
-            decode_message(&bytes),
-            Err(DecodeError::BadTag("message", 8))
-        ));
-    }
-
-    #[test]
-    fn v6_frame_with_trigger_inst_is_rejected() {
-        // A Trigger-carrying install is encoded at face value whatever
-        // the stamped version (never silently stripped); a peer that
-        // decodes it while claiming v6 must reject the inst tag, so
-        // trigger semantics cannot silently vanish on a down-level link.
-        let code = trigger_code();
-        assert!(
-            code.programs.iter().any(|p| p.triggers()),
-            "the fixture query lowers to a Trigger op"
-        );
-        let mut bytes = encode_message(&Message::Command(Command::Install(code)));
-        assert_eq!(bytes[0], PROTO_VERSION);
-        bytes[0] = 6;
-        assert!(matches!(
-            decode_message(&bytes),
-            Err(DecodeError::BadTag("bytecode inst", 5))
-        ));
     }
 
     #[test]

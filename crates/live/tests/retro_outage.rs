@@ -1,13 +1,12 @@
 //! Retro flush across a live outage: hindsight frames obey the same
 //! bounded-outage-buffer discipline as ordinary reports (PR 5). While
-//! the connection is down — or the peer has not yet proven it speaks
-//! v7 — flushed retro reports stay in the agent's bounded pending queue,
-//! shedding oldest-first under pressure; recovery delivers the survivors
-//! with their original ring sequence numbers, never a duplicate.
+//! the connection is down, flushed retro reports stay in the agent's
+//! bounded pending queue, shedding oldest-first under pressure; recovery
+//! delivers the survivors with their original ring sequence numbers,
+//! never a duplicate.
 //!
-//! The server side is a raw [`TcpListener`] (as in `version_latch`) so
-//! the test controls exactly when the connection dies and which version
-//! each server frame advertises.
+//! The server side is a raw [`TcpListener`] so the test controls exactly
+//! when the connection dies.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -15,30 +14,18 @@ use std::time::Duration;
 use pivot_baggage::Baggage;
 use pivot_core::{set_trace, ProcessInfo, RetroReport, TriggerKind};
 use pivot_live::bus::{ConnStatus, LiveAgent, ReconnectPolicy};
-use pivot_live::frame::{read_frame, write_frame};
-use pivot_live::proto::{
-    decode_message_versioned, encode_message_v, Message, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use pivot_live::frame::read_frame;
+use pivot_live::proto::{decode_message, Message};
 use pivot_model::Value;
 
 /// Accepts one connection and consumes its `Hello`.
 fn accept_hello(listener: &TcpListener) -> TcpStream {
     let (mut conn, _) = listener.accept().expect("agent connects");
     let payload = read_frame(&mut conn).expect("hello frame");
-    let (_, Message::Hello(_)) = decode_message_versioned(&payload).expect("hello decodes") else {
+    let Message::Hello(_) = decode_message(&payload).expect("hello decodes") else {
         panic!("first frame is not Hello");
     };
     conn
-}
-
-/// Sends an empty `Sync` stamped with exactly `version`.
-fn send_sync_at(conn: &mut TcpStream, version: u8) {
-    let sync = Message::Sync {
-        epoch: 1,
-        queries: Vec::new(),
-        budgets: Vec::new(),
-    };
-    write_frame(conn, &encode_message_v(&sync, version)).expect("sync frame writes");
 }
 
 /// Polls until `f()` holds or the deadline passes.
@@ -57,20 +44,10 @@ fn read_retro(conn: &mut TcpStream) -> RetroReport {
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout sets");
     let payload = read_frame(conn).expect("retro frame arrives");
-    match decode_message_versioned(&payload) {
-        Ok((_, Message::Retro(report))) => report,
+    match decode_message(&payload) {
+        Ok(Message::Retro(report)) => report,
         other => panic!("expected a Retro frame, got {other:?}"),
     }
-}
-
-/// Asserts no frame arrives on `conn` within a short window.
-fn assert_wire_silent(conn: &mut TcpStream) {
-    conn.set_read_timeout(Some(Duration::from_millis(150)))
-        .expect("timeout sets");
-    assert!(
-        read_frame(conn).is_err(),
-        "no frame should be on the wire yet"
-    );
 }
 
 /// Records one event into the agent's hindsight ring, tagged `request`.
@@ -112,20 +89,12 @@ fn retro_flush_across_outage_is_bounded_and_never_duplicated() {
     inner.set_retro_cap(16);
     inner.set_retro_pending_cap(4);
 
-    // Phase 1: a flush while the peer has only proven the negotiation
-    // floor. Retro frames are v7-only and never down-encoded, so the
-    // report stays in the pending queue — same discipline as an outage.
+    // Phase 1: a report already pending when the session opens drains on
+    // the first flush — nothing waits for the server to speak first.
     record(&agent, 1, 1);
     record(&agent, 1, 2);
     assert!(inner.trigger_retro(TriggerKind::Fault, 1, 3));
-    assert_eq!(agent.negotiated_version(), MIN_PROTO_VERSION);
-    agent.flush_now();
-    assert_wire_silent(&mut conn);
-    assert_eq!(inner.retro_unflushed(), 2, "report still pending");
-
-    // The peer proves v7: the pending report drains on the next flush.
-    send_sync_at(&mut conn, PROTO_VERSION);
-    assert!(wait_until(|| agent.negotiated_version() == PROTO_VERSION));
+    assert_eq!(inner.retro_unflushed(), 2, "report pending");
     agent.flush_now();
     let r = read_retro(&mut conn);
     assert_eq!((r.request, r.seq, r.events.len()), (1, 0, 2));
@@ -154,17 +123,10 @@ fn retro_flush_across_outage_is_bounded_and_never_duplicated() {
     assert_eq!(inner.retro_unflushed(), 3);
     assert_eq!(inner.retro_counters().shed, 2, "oldest report shed");
 
-    // Phase 3: recovery. The latch restarted at the floor, so the
-    // survivor still waits until the *new* session proves v7 — a
-    // restarted server may be older than its previous incarnation.
+    // Phase 3: recovery delivers the survivor on the next flush.
     let mut conn = accept_hello(&listener);
     assert!(wait_until(|| agent.reconnects() == 1));
-    assert_eq!(agent.negotiated_version(), MIN_PROTO_VERSION);
-    agent.flush_now();
-    assert_wire_silent(&mut conn);
-
-    send_sync_at(&mut conn, PROTO_VERSION);
-    assert!(wait_until(|| agent.negotiated_version() == PROTO_VERSION));
+    assert!(wait_until(|| agent.status() == ConnStatus::Connected));
     agent.flush_now();
     let r = read_retro(&mut conn);
     // Request 3's report, with its original ring seq (2): seq 1 was the

@@ -23,30 +23,39 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Command-line mistakes all end the same way: the reason, the usage
+/// line, exit status 2.
+fn usage(why: &str) -> ! {
+    eprintln!(
+        "pivot-relay: {why}\n\
+         usage: pivot-relay --upstream HOST:PORT [--listen HOST:PORT] \
+         [--host NAME] [--procid N] [--flush-ms MS]"
+    );
+    exit(2);
+}
+
+/// The value of numeric flag `name`, or `default` when it is absent.
+fn numeric_flag(args: &[String], name: &str, default: u64) -> u64 {
+    match flag(args, name) {
+        None => default,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("{name} takes a number, got {s:?}"))),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(upstream) = flag(&args, "--upstream") else {
-        eprintln!(
-            "usage: pivot-relay --upstream HOST:PORT [--listen HOST:PORT] \
-             [--host NAME] [--procid N] [--flush-ms MS]"
-        );
-        exit(2);
+        usage("--upstream is required");
     };
-    let upstream = match upstream.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("pivot-relay: bad --upstream address {upstream:?}: {e}");
-            exit(2);
-        }
-    };
+    let upstream = upstream
+        .parse()
+        .unwrap_or_else(|e| usage(&format!("bad --upstream address {upstream:?}: {e}")));
     let listen = flag(&args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_owned());
     let host = flag(&args, "--host").unwrap_or_else(|| "relay".to_owned());
-    let procid = flag(&args, "--procid")
-        .map(|s| s.parse().expect("--procid takes a number"))
-        .unwrap_or(0);
-    let flush_ms = flag(&args, "--flush-ms")
-        .map(|s| s.parse().expect("--flush-ms takes a number"))
-        .unwrap_or(200);
+    let procid = numeric_flag(&args, "--procid", 0);
+    let flush_ms = numeric_flag(&args, "--flush-ms", 200);
 
     let info = ProcessInfo {
         host,

@@ -8,21 +8,20 @@
 //!   the frontend — same `Hello`/`HelloRelay` registration, same
 //!   epoch-tagged `Sync` answer, same reconnect discipline. The tree is
 //!   invisible to leaves.
-//! - **Upstream**, it holds one connection to its parent (another relay
-//!   or the frontend), registered with [`Message::HelloRelay`] so the
-//!   parent can tell tiers apart. Control-plane frames arriving from
+//! - **Upstream**, it holds the same [`Uplink`] a leaf agent does,
+//!   registered with [`Message::HelloRelay`] so the parent (another relay
+//!   or the frontend) can tell tiers apart. Commands arriving from
 //!   upstream are applied to the relay's [`RelayCore`] and re-broadcast
 //!   downstream; `Sync` frames are proxied wholesale via
 //!   [`TcpBusServer::resync`], so epoch re-sync crosses the tier in one
 //!   frame per hop. If the upstream link dies without a `Goodbye` the
-//!   relay reconnects with the same capped-backoff policy a leaf agent
-//!   uses, re-registers, and the answering `Sync` heals both the relay
-//!   and (via `resync`) its whole subtree.
+//!   uplink reconnects and re-registers, and the answering `Sync` heals
+//!   both the relay and (via `resync`) its whole subtree.
 //!
-//! A flusher thread drains downstream reports into the merge windows on
-//! every tick and, while connected, writes the re-originated batch
-//! upstream with one vectored write ([`write_frames`]) — the coalescing
-//! that turns `N` leaf frame streams into one per relay.
+//! The uplink's tick drains downstream reports into the merge windows
+//! every flush interval and, while connected, writes the re-originated batch
+//! upstream with one vectored write — the coalescing that turns `N` leaf
+//! frame streams into one per relay.
 //!
 //! [`RelayServer::crash`] is the chaos hook: it destroys the merge
 //! windows (returning the [`CrashResidue`] for the embedding's
@@ -32,54 +31,77 @@
 //! listener socket.
 
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
 use pivot_core::{Bus, ProcessInfo};
-use pivot_live::bus::{ConnStatus, ReconnectPolicy, TcpBusServer};
-use pivot_live::frame::{read_frame, write_frame, write_frames};
-use pivot_live::proto::{
-    decode_message_versioned, encode_message, encode_message_v, Message, MIN_PROTO_VERSION,
-};
+use pivot_live::bus::{ConnStatus, Downlink, ReconnectPolicy, TcpBusServer, Uplink};
+use pivot_live::proto::{encode_message, Message};
 
 use crate::{CrashResidue, RelayCore, RelayStats};
 
-/// State shared by the [`RelayServer`] handle and its service threads.
-struct UpShared {
+/// The merge core and the downstream server: what upstream frames are
+/// applied to and what the flusher drains.
+#[derive(Clone)]
+struct Tier {
     core: Arc<RelayCore>,
     down: Arc<TcpBusServer>,
-    upstream: SocketAddr,
-    /// The live upstream write half; replaced in place on reconnect.
-    writer: Mutex<TcpStream>,
-    status: Mutex<ConnStatus>,
-    /// Last upstream install epoch observed in a `Sync` frame.
-    epoch: AtomicU64,
-    /// Successful upstream reconnections.
-    reconnects: AtomicU64,
-    /// Highest protocol version seen from the parent this connection
-    /// (max-latched from received frames, reset to the floor on
-    /// reconnect). Re-originated reports are encoded at this version, so
-    /// encoded row blocks are forwarded as-is to a v6 parent and
-    /// transcoded to plain rows for a v5 one.
-    peer_version: AtomicU8,
-    stop: AtomicBool,
-    policy: ReconnectPolicy,
 }
 
-impl UpShared {
-    fn set_status(&self, s: ConnStatus) {
-        *self.status.lock() = s;
+impl Tier {
+    /// Applies one upstream control frame to the core and the subtree.
+    fn apply(&self, frame: Downlink) {
+        match frame {
+            Downlink::Command(cmd) => {
+                // Learn, then proxy: the downstream broadcast caches the
+                // command for late joiners and bumps the subtree's epoch.
+                self.core.observe(&cmd);
+                self.down.broadcast(&cmd);
+            }
+            Downlink::Sync {
+                queries, budgets, ..
+            } => {
+                self.core.sync(&queries);
+                self.down.resync(queries, budgets);
+            }
+        }
+    }
+
+    fn absorb_reports(&self, now: u64) {
+        for r in self.down.drain_reports(now) {
+            self.core.absorb(r);
+        }
+    }
+
+    /// Absorb + (if connected) flush. Absorption always happens so the
+    /// windows keep merging during an upstream outage; flushing into a
+    /// dead socket would consume seqs for frames nothing will deliver, so
+    /// windows and the bounded retro pass-through queue wait instead.
+    fn flush(&self, up: &Uplink) {
+        let now = pivot_live::now_nanos();
+        self.absorb_reports(now);
+        for r in self.down.drain_retro(now) {
+            self.core.absorb_retro(r);
+        }
+        if up.status() != ConnStatus::Connected {
+            return;
+        }
+        let reports = self.core.flush(now).into_iter();
+        let retros = self.core.flush_retro().into_iter();
+        let batch: Vec<Vec<u8>> = reports
+            .map(|r| encode_message(&Message::Report(r)))
+            .chain(retros.map(|r| encode_message(&Message::Retro(r))))
+            .collect();
+        let _ = up.send(&batch);
     }
 }
 
 /// A live fan-in relay process: downstream bus server + one upstream
 /// connection + an in-flight merge core. See the module docs.
 pub struct RelayServer {
-    shared: Arc<UpShared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    tier: Tier,
+    up: Arc<Uplink>,
 }
 
 impl RelayServer {
@@ -110,115 +132,73 @@ impl RelayServer {
         flush_interval: Duration,
         policy: ReconnectPolicy,
     ) -> io::Result<RelayServer> {
-        let down = Arc::new(TcpBusServer::bind(listen)?);
-        let core = Arc::new(RelayCore::new(info));
-        let stream = TcpStream::connect(upstream)?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        let shared = Arc::new(UpShared {
-            core,
-            down,
-            upstream,
-            writer: Mutex::new(writer),
-            status: Mutex::new(ConnStatus::Connected),
-            epoch: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            peer_version: AtomicU8::new(MIN_PROTO_VERSION),
-            stop: AtomicBool::new(false),
-            policy,
-        });
-        write_frame(
-            &mut *shared.writer.lock(),
-            &encode_message(&Message::HelloRelay(shared.core.info().clone())),
-        )?;
-
-        let mut threads = Vec::new();
-        let reader_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            reader_loop(stream, &reader_shared);
-        }));
-        let flusher_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            // Interruptible sleep: shutdown() must not wait out a long
-            // flush interval.
-            while !sleep_unless_stopped(flush_interval, &flusher_shared.stop) {
-                flush_upstream(&flusher_shared);
-            }
-            // Final flush so an orderly shutdown forwards the open window.
-            flush_upstream(&flusher_shared);
-        }));
-
-        Ok(RelayServer {
-            shared,
-            threads: Mutex::new(threads),
-        })
+        let tier = Tier {
+            down: Arc::new(TcpBusServer::bind(listen)?),
+            core: Arc::new(RelayCore::new(info.clone())),
+        };
+        let applied = tier.clone();
+        let up = Uplink::connect(upstream, &Message::HelloRelay(info), policy, move |frame| {
+            applied.apply(frame);
+        })?;
+        let flushed = tier.clone();
+        up.every(flush_interval, move |up| flushed.flush(up));
+        Ok(RelayServer { tier, up })
     }
 
     /// The downstream address agents (or child relays) connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.shared.down.addr()
+        self.tier.down.addr()
     }
 
     /// The downstream bus server (agent/relay counts, epoch, chaos
     /// hooks).
     pub fn downstream(&self) -> &TcpBusServer {
-        &self.shared.down
+        &self.tier.down
     }
 
     /// The relay's accounting core.
     pub fn core(&self) -> &RelayCore {
-        &self.shared.core
+        &self.tier.core
     }
 
     /// Current counters.
     pub fn stats(&self) -> RelayStats {
-        self.shared.core.stats()
+        self.tier.core.stats()
     }
 
     /// Upstream connection status.
     pub fn status(&self) -> ConnStatus {
-        *self.shared.status.lock()
+        self.up.status()
     }
 
     /// Successful upstream reconnections so far.
     pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::SeqCst)
+        self.up.reconnects()
     }
 
     /// The last upstream install epoch observed in a `Sync` frame.
     pub fn upstream_epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
+        self.up.epoch()
     }
 
     /// Blocks until the upstream link is connected and its observed
     /// epoch reaches `epoch`, or `timeout` elapses.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.status() == ConnStatus::Connected && self.upstream_epoch() >= epoch {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.up.wait_for_epoch(epoch, timeout)
     }
 
     /// Absorbs pending downstream reports and flushes the merged windows
     /// upstream immediately (when connected; otherwise the windows keep
     /// accumulating and nothing is lost).
     pub fn flush_now(&self) {
-        flush_upstream(&self.shared);
+        self.tier.flush(&self.up);
     }
 
     /// Absorbs pending downstream reports into the merge windows
     /// *without* flushing upstream — the mid-window state a crash test
     /// needs to stage deterministically (see [`RelayCore::buffered_tuples`]).
     pub fn pull_now(&self) {
-        for r in self.shared.down.drain_reports(pivot_live::now_nanos()) {
-            self.shared.core.absorb(r);
-        }
+        self.tier.absorb_reports(pivot_live::now_nanos());
     }
 
     /// Crashes the relay the way a dying process would, while keeping
@@ -227,12 +207,12 @@ impl RelayServer {
     /// embedding's `crash_lost` books), every downstream connection is
     /// severed without a `Goodbye` (agents reconnect and re-`Sync`
     /// against this listener), and the upstream link is torn down the
-    /// same way so the reader re-registers under the relay's fresh
+    /// same way so the uplink re-registers under the relay's fresh
     /// incarnation and heals the subtree from the answering `Sync`.
     pub fn crash(&self) -> CrashResidue {
-        let residue = self.shared.core.restart();
-        self.shared.down.sever();
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
+        let residue = self.tier.core.restart();
+        self.tier.down.sever();
+        self.up.sever();
         residue
     }
 
@@ -240,22 +220,9 @@ impl RelayServer {
     /// the downstream server (orderly: downstream peers get `Goodbye`s)
     /// and joins the service threads.
     pub fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if *self.shared.status.lock() == ConnStatus::Connected {
-            flush_upstream_inner(&self.shared);
-            let _ = write_frame(
-                &mut *self.shared.writer.lock(),
-                &encode_message(&Message::Goodbye),
-            );
-        }
-        self.shared.set_status(ConnStatus::Closed);
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
-        self.shared.down.shutdown();
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.tier.flush(&self.up);
+        self.up.close();
+        self.tier.down.shutdown();
     }
 }
 
@@ -263,164 +230,4 @@ impl Drop for RelayServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Absorb + (if connected) flush. Absorption always happens so the
-/// windows keep merging during an upstream outage; flushing into a dead
-/// socket would consume seqs for frames nothing will deliver.
-fn flush_upstream(shared: &UpShared) {
-    if *shared.status.lock() != ConnStatus::Connected {
-        let now = pivot_live::now_nanos();
-        for r in shared.down.drain_reports(now) {
-            shared.core.absorb(r);
-        }
-        for r in shared.down.drain_retro(now) {
-            shared.core.absorb_retro(r);
-        }
-        return;
-    }
-    flush_upstream_inner(shared);
-}
-
-fn flush_upstream_inner(shared: &UpShared) {
-    let now = pivot_live::now_nanos();
-    for r in shared.down.drain_reports(now) {
-        shared.core.absorb(r);
-    }
-    for r in shared.down.drain_retro(now) {
-        shared.core.absorb_retro(r);
-    }
-    // Reports carry versioned constructs, so they are encoded at the
-    // parent's negotiated version (see `UpShared::peer_version`).
-    let peer_version = shared.peer_version.load(Ordering::SeqCst);
-    let mut batch: Vec<Vec<u8>> = shared
-        .core
-        .flush(now)
-        .into_iter()
-        .map(|r| encode_message_v(&Message::Report(r), peer_version))
-        .collect();
-    // Retro frames exist only at v7+ and are never down-encoded; for a
-    // down-level parent they stay in the bounded pass-through queue,
-    // which sheds its oldest under pressure.
-    if peer_version >= 7 {
-        batch.extend(
-            shared
-                .core
-                .flush_retro()
-                .into_iter()
-                .map(|r| encode_message_v(&Message::Retro(r), peer_version)),
-        );
-    }
-    if !batch.is_empty() {
-        let _ = write_frames(&mut *shared.writer.lock(), &batch);
-    }
-}
-
-/// The upstream reader: applies control-plane frames to the core and the
-/// downstream subtree, with reconnection on lost links.
-fn reader_loop(mut read: TcpStream, shared: &Arc<UpShared>) {
-    loop {
-        let orderly = read_upstream_session(&mut read, shared);
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        if orderly {
-            shared.set_status(ConnStatus::Closed);
-            return;
-        }
-        shared.set_status(ConnStatus::Reconnecting);
-        match reconnect_upstream(shared) {
-            Some(new_read) => {
-                read = new_read;
-                shared.reconnects.fetch_add(1, Ordering::SeqCst);
-                shared.set_status(ConnStatus::Connected);
-            }
-            None => {
-                if !shared.stop.load(Ordering::SeqCst) {
-                    shared.set_status(ConnStatus::Lost);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Reads one upstream session; returns whether it ended orderly.
-fn read_upstream_session(read: &mut TcpStream, shared: &UpShared) -> bool {
-    while let Ok(payload) = read_frame(read) {
-        let msg = decode_message_versioned(&payload).map(|(v, msg)| {
-            // The parent's frames advertise its version; max-latch it so
-            // re-originated reports speak the parent's dialect.
-            shared.peer_version.fetch_max(v, Ordering::SeqCst);
-            msg
-        });
-        match msg {
-            Ok(Message::Command(cmd)) => {
-                // Learn, then proxy: the downstream broadcast caches the
-                // command for late joiners and bumps the subtree's epoch.
-                shared.core.observe(&cmd);
-                shared.down.broadcast(&cmd);
-            }
-            Ok(Message::Sync {
-                epoch,
-                queries,
-                budgets,
-            }) => {
-                shared.core.sync(&queries);
-                shared.epoch.store(epoch, Ordering::SeqCst);
-                shared.down.resync(queries, budgets);
-            }
-            Ok(Message::Goodbye) => return true,
-            // Hello/HelloRelay/Report/Retro flow toward the frontend only.
-            Ok(
-                Message::Hello(_) | Message::HelloRelay(_) | Message::Report(_) | Message::Retro(_),
-            )
-            | Err(_) => return false,
-        }
-    }
-    false
-}
-
-/// Re-establishes the upstream connection per the policy, re-registering
-/// with a fresh `HelloRelay` (the parent answers with a `Sync` that
-/// heals the relay and, via `resync`, its whole subtree).
-fn reconnect_upstream(shared: &Arc<UpShared>) -> Option<TcpStream> {
-    for attempt in 0..shared.policy.max_attempts {
-        if sleep_unless_stopped(shared.policy.backoff(attempt), &shared.stop) {
-            return None;
-        }
-        let Ok(stream) = TcpStream::connect(shared.upstream) else {
-            continue;
-        };
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        let Ok(write_half) = stream.try_clone() else {
-            continue;
-        };
-        *shared.writer.lock() = write_half;
-        // Negotiation is per-connection: a restarted parent may speak an
-        // older dialect than the previous incarnation.
-        shared
-            .peer_version
-            .store(MIN_PROTO_VERSION, Ordering::SeqCst);
-        let hello = encode_message(&Message::HelloRelay(shared.core.info().clone()));
-        if write_frame(&mut *shared.writer.lock(), &hello).is_ok() {
-            return Some(stream);
-        }
-    }
-    None
-}
-
-/// Sleeps `d` in small slices, returning `true` (and early) if `stop` is
-/// raised.
-fn sleep_unless_stopped(d: Duration, stop: &AtomicBool) -> bool {
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        if stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2).min(deadline - Instant::now()));
-    }
-    stop.load(Ordering::SeqCst)
 }

@@ -220,15 +220,20 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     }
     wait_for_total(&mut fe, &handle, &[&relay], 34);
 
-    // The loss identity holds end-to-end: 44 emitted by the agents,
-    // 34 delivered, 10 destroyed by the relay crash (surfaced as the
-    // residue), 0 unaccounted. Each relay incarnation balances at the
-    // frontend on its own.
+    // The loss identity holds end-to-end against the agents' own ground
+    // truth: 44 emitted, 34 delivered, 10 destroyed by the relay crash
+    // (surfaced as the residue), 0 unaccounted. Each relay incarnation
+    // balances at the frontend on its own.
+    let emitted: u64 = agents
+        .iter()
+        .map(|a| a.agent().emitted_for(handle.id))
+        .sum();
+    assert_eq!(emitted, 44);
     let loss = fe.results(&handle).loss();
     assert_eq!(loss.tuples_delivered, 34);
     assert_eq!(loss.tuples_dropped, 0, "no silent transport loss");
     assert_eq!(
-        44,
+        emitted,
         loss.tuples_delivered + residue.window_tuples + loss.tuples_dropped,
         "emitted == delivered + crash_lost"
     );
