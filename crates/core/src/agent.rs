@@ -8,17 +8,18 @@
 //!
 //! # Hot path
 //!
-//! [`Agent::invoke`] executes lowered [`AdviceByteCode`] through a
-//! thread-local [`Vm`] whose scratch buffers persist across invocations, so
-//! a woven event allocates only for the data it actually produces. Emitted
-//! rows stream straight into the aggregation buffers through an
-//! [`EmitSink`] — no intermediate `Emitted` batch, no per-event clone of
-//! the output spec or schema. The default exports `host` and `procname`
-//! are interned once at construction and the `tracepoint` name once at
-//! weave time.
+//! [`Agent::invoke`] and [`Agent::invoke_batch`] assemble export sets and
+//! share one body that executes lowered [`AdviceByteCode`] through a
+//! thread-local [`Vm`] whose scratch buffers persist across invocations —
+//! a single invocation is a batch of one — so a woven event allocates
+//! only for the data it actually produces. Emitted rows stream straight
+//! into the aggregation buffers through an [`EmitSink`] — no intermediate
+//! `Emitted` batch, no per-event clone of the output spec or schema. The
+//! default exports `host` and `procname` are interned once at
+//! construction and the `tracepoint` name once at weave time.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use crate::governor::{
     QueryBudget, ThrottleReason, ThrottleStats, Throttled, NOMINAL_BYTES_PER_VALUE,
 };
 use crate::retro::{trace_of, RetroCounters, RetroIdent, RetroReport, RetroRing, TriggerKind};
-use crate::tracepoint::{Registry, DEFAULT_EXPORTS};
+use crate::tracepoint::{Registry, Woven, DEFAULT_EXPORTS};
 
 /// Default per-query cap on rows buffered between flushes (and therefore
 /// on outage-time buffering while a live agent is reconnecting). Past the
@@ -78,7 +79,8 @@ pub struct AgentStats {
 /// Rows accumulated for one query between flushes.
 enum Rows {
     Grouped(HashMap<GroupKey, Vec<AggState>>),
-    Streaming(Vec<Tuple>),
+    /// A ring, so shedding the oldest row at the cap is O(1).
+    Streaming(VecDeque<Tuple>),
 }
 
 /// Per-query local aggregation buffer.
@@ -110,7 +112,7 @@ struct Buffer {
 impl Buffer {
     fn new(spec: &Arc<OutputSpec>) -> Buffer {
         let rows = if spec.streaming {
-            Rows::Streaming(Vec::new())
+            Rows::Streaming(VecDeque::new())
         } else {
             Rows::Grouped(HashMap::new())
         };
@@ -268,14 +270,14 @@ impl EmitSink for AgentSink<'_> {
         if let Rows::Streaming(rows) = &mut buf.rows {
             buf.emitted_cum += 1;
             buf.tuples_since_flush += 1;
-            rows.push(row);
+            rows.push_back(row);
             if rows.len() > row_cap {
                 // Shed oldest first: under overload (or a long outage on a
                 // live agent) the freshest rows are the useful ones. The
                 // shed tuple leaves the in-flight delta and joins the
                 // cumulative shed count, keeping
                 // `emitted_cum == delivered + in-flight + shed_cum` exact.
-                rows.remove(0);
+                rows.pop_front();
                 buf.tuples_since_flush -= 1;
                 buf.shed_cum += 1;
                 buf.dirty = true;
@@ -290,26 +292,19 @@ impl EmitSink for AgentSink<'_> {
         key: GroupKey,
         args: &[Value],
     ) {
-        let row_cap = self.row_cap;
-        let buf = self.buf(query, spec);
-        if let Rows::Grouped(groups) = &mut buf.rows {
-            buf.emitted_cum += 1;
-            // Grouped buffers shed by refusing *new* groups past the cap
-            // (a group-key explosion); updates to existing groups fold
-            // into fixed-size aggregation state and are never shed.
-            if groups.len() >= row_cap && !groups.contains_key(&key) {
-                buf.shed_cum += 1;
-                buf.dirty = true;
-                return;
-            }
-            buf.tuples_since_flush += 1;
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| buf.spec.aggs.iter().map(|(f, _)| f.init()).collect());
-            for (st, arg) in states.iter_mut().zip(args) {
+        // This sink folds, so the VM only ever calls `grouped_fold`; a
+        // direct row is a fold of one.
+        let states: Vec<AggState> = spec
+            .aggs
+            .iter()
+            .zip(args)
+            .map(|((f, _), arg)| {
+                let mut st = f.init();
                 st.update(arg);
-            }
-        }
+                st
+            })
+            .collect();
+        self.grouped_fold(query, spec, key, &states, 1);
     }
 
     fn folds_grouped(&self) -> bool {
@@ -317,9 +312,9 @@ impl EmitSink for AgentSink<'_> {
     }
 
     fn trigger(&mut self, query: QueryId) {
-        // At most one firing per query per invocation (the VM already
-        // fires at most once per program run; batch runs fire per
-        // invocation, deduped here at no extra cost for the common case).
+        // At most one firing per query per pass (the VM fires once per
+        // invocation of a batch, deduped here at no extra cost for the
+        // common case).
         if !self.triggers.contains(&query) {
             self.triggers.push(query);
         }
@@ -337,11 +332,14 @@ impl EmitSink for AgentSink<'_> {
         let buf = self.buf(query, spec);
         if let Rows::Grouped(groups) = &mut buf.rows {
             buf.emitted_cum += rows;
-            // Same shed rule as `grouped_row`, decided once for the whole
-            // folded group: either every row of a refused new group is
-            // shed or none is, which is exactly what per-row delivery
-            // would do (the VM delivers new groups in first-seen order,
-            // so the cap trips at the same group boundary).
+            // Grouped buffers shed by refusing *new* groups past the cap
+            // (a group-key explosion); updates to existing groups fold
+            // into fixed-size aggregation state and are never shed. The
+            // rule is decided once for the whole folded group: either
+            // every row of a refused new group is shed or none is, which
+            // is exactly what per-row delivery would do (the VM delivers
+            // new groups in first-seen order, so the cap trips at the
+            // same group boundary).
             if groups.len() >= row_cap && !groups.contains_key(&key) {
                 buf.shed_cum += rows;
                 buf.dirty = true;
@@ -393,6 +391,17 @@ pub struct Agent {
     /// Latency-outlier trigger threshold in nanoseconds (0 = off): a woven
     /// invocation exporting `latency_ns` above it fires a retro flush.
     retro_latency_ns: AtomicU64,
+}
+
+/// What [`Agent::enter`] resolved for one woven invocation (or batch of
+/// them) at a tracepoint.
+struct Site {
+    /// The tracepoint's interned name, for the `tracepoint` export.
+    tracepoint: Value,
+    /// The advice woven there, in weave order.
+    programs: Arc<Vec<Woven>>,
+    /// `(request id, latency outlier seen)` while hindsight is on.
+    retro: Option<(u64, bool)>,
 }
 
 impl Agent {
@@ -813,35 +822,131 @@ impl Agent {
         now: u64,
         exports: &[(&str, Value)],
     ) {
-        if !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
-            return;
-        }
-        // Hindsight recording happens for *every* invocation — woven or
-        // not — so a later trigger can reconstruct the full event stream.
-        // When retro is off this is one relaxed load.
-        let retro_on = self.retro_enabled.load(Ordering::Relaxed);
-        let mut retro_request = 0u64;
-        if retro_on {
-            retro_request = trace_of(baggage).unwrap_or(0);
-            self.retro
-                .lock()
-                .record(tracepoint, now, retro_request, exports);
-        }
-        let Some((tp_value, list)) = self.registry.lookup(tracepoint) else {
-            if !self.registry.is_idle() {
-                self.stats.lock().idle_invocations += 1;
-            }
+        let Some(site) = self.enter(tracepoint, baggage, &[(now, exports)]) else {
             return;
         };
         let mut full: Vec<(&str, Value)> =
             Vec::with_capacity(exports.len() + DEFAULT_EXPORTS.len());
+        self.push_exports(&mut full, site.tracepoint, now, exports);
+        self.run_woven(&site.programs, site.retro, &[&full], baggage, now);
+    }
+
+    /// Invokes `tracepoint` once per `(now, exports)` event in `events`,
+    /// all sharing `baggage` — semantically identical to calling
+    /// [`Agent::invoke`] for each event in order, but each woven program
+    /// runs once over the whole batch
+    /// ([`pivot_query::Vm::run_batch`]), paying interpreter dispatch and
+    /// baggage bookkeeping once per instruction instead of once per
+    /// event × instruction.
+    ///
+    /// Embedding systems use this where invocations naturally arrive in
+    /// bursts against one request context (e.g. a scan loop emitting one
+    /// event per record). Governed queries receive one summed charge per
+    /// batch, stamped at the last event's time, so a breaker can trip at
+    /// batch granularity rather than mid-batch.
+    pub fn invoke_batch(
+        &self,
+        tracepoint: &str,
+        baggage: &mut Baggage,
+        events: &[(u64, &[(&str, Value)])],
+    ) {
+        let Some(site) = self.enter(tracepoint, baggage, events) else {
+            return;
+        };
+        // Materialize every event's full export set back-to-back in one
+        // arena (sized exactly up front, so slices below never move) —
+        // the whole batch costs one allocation instead of one Vec per
+        // event.
+        let total: usize = events
+            .iter()
+            .map(|(_, exports)| exports.len() + DEFAULT_EXPORTS.len())
+            .sum();
+        let mut arena: Vec<(&str, Value)> = Vec::with_capacity(total);
+        for (now, exports) in events {
+            self.push_exports(&mut arena, site.tracepoint.clone(), *now, exports);
+        }
+        let mut rest = arena.as_slice();
+        let batch: Vec<&[(&str, Value)]> = events
+            .iter()
+            .map(|(_, exports)| {
+                let (full, tail) = rest.split_at(exports.len() + DEFAULT_EXPORTS.len());
+                rest = tail;
+                full
+            })
+            .collect();
+        let charge_now = events.last().expect("enter refuses an empty batch").0;
+        self.run_woven(&site.programs, site.retro, &batch, baggage, charge_now);
+    }
+
+    /// The part of an invocation that precedes export assembly: the
+    /// enabled gate, the hindsight record of every event, and the
+    /// registry lookup. `None` when there is no advice to run.
+    fn enter(
+        &self,
+        tracepoint: &str,
+        baggage: &mut Baggage,
+        events: &[(u64, &[(&str, Value)])],
+    ) -> Option<Site> {
+        if events.is_empty() || !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
+            return None;
+        }
+        // Hindsight recording happens for *every* invocation — woven or
+        // not — so a later trigger can reconstruct the full event stream.
+        // When retro is off this is one relaxed load.
+        let mut retro = None;
+        if self.retro_enabled.load(Ordering::Relaxed) {
+            let request = trace_of(baggage).unwrap_or(0);
+            let mut ring = self.retro.lock();
+            for (now, exports) in events {
+                ring.record(tracepoint, *now, request, exports);
+            }
+            retro = Some(request);
+        }
+        let Some((tracepoint, programs)) = self.registry.lookup(tracepoint) else {
+            if !self.registry.is_idle() {
+                self.stats.lock().idle_invocations += events.len() as u64;
+            }
+            return None;
+        };
+        Some(Site {
+            tracepoint,
+            programs,
+            retro: retro.map(|request| {
+                let outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
+                (request, outlier)
+            }),
+        })
+    }
+
+    /// Appends one event's full export set: the defaults, then `exports`.
+    fn push_exports<'e>(
+        &self,
+        full: &mut Vec<(&'e str, Value)>,
+        tracepoint: Value,
+        now: u64,
+        exports: &[(&'e str, Value)],
+    ) {
         full.push(("host", self.host_value.clone()));
         full.push(("timestamp", Value::U64(now)));
         full.push(("procid", Value::U64(self.info.procid)));
         full.push(("procname", self.procname_value.clone()));
-        full.push(("tracepoint", tp_value));
+        full.push(("tracepoint", tracepoint));
         full.extend(exports.iter().cloned());
+    }
 
+    /// The one body every woven invocation runs: each program woven at
+    /// the site executes over `batch` (one full export set per event),
+    /// governed queries are charged, tripped breakers unweave, hindsight
+    /// triggers fire, and the counters advance. `now` stamps the charges
+    /// and the triggers; `retro` is [`Site::retro`].
+    fn run_woven(
+        &self,
+        programs: &[Woven],
+        retro: Option<(u64, bool)>,
+        batch: &[&[(&str, Value)]],
+        baggage: &mut Baggage,
+        now: u64,
+    ) {
         let mut sink = AgentSink {
             buffers: &self.buffers,
             guard: None,
@@ -851,67 +956,57 @@ impl Agent {
         let mut packed = 0u64;
         let mut emitted = 0u64;
         // `tripped` stays empty (no allocation) until a breaker actually
-        // fires, which only the governed branch can do.
+        // fires, which only a governed program can do.
         let mut tripped: Vec<QueryId> = Vec::new();
-        if self.governed.load(Ordering::Relaxed) {
-            // Governed: charge each program's work to its query. The
-            // governors lock is held across the VM loop (lock order:
-            // governors → buffers; the sink takes buffers lazily inside).
-            let mut governors = self.governors.lock();
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    // Programs with no governor entry skip the meter
-                    // bookkeeping entirely; they run exactly as in the
-                    // ungoverned branch below.
-                    let Some(g) = governors.get_mut(&woven.query) else {
-                        let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                        packed += s.packed as u64;
-                        emitted += s.emitted as u64;
-                        continue;
-                    };
-                    let ops0 = vm.ops();
-                    let m0 = baggage.meter();
-                    let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                    let m1 = baggage.meter();
-                    let work = (s.emitted + s.packed) as u64;
-                    let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
-                    if charge_governor(
-                        g,
-                        woven.query,
-                        now,
-                        work,
-                        vm.ops() - ops0,
-                        bytes,
-                        m1.truncated - m0.truncated,
-                    ) {
-                        tripped.push(woven.query);
-                    }
+        // Governed: the governors lock is held across the VM loop (lock
+        // order: governors → buffers; the sink takes buffers lazily
+        // inside). Ungoverned invocations skip the lock entirely.
+        let mut governors = self
+            .governed
+            .load(Ordering::Relaxed)
+            .then(|| self.governors.lock());
+        VM.with(|vm| {
+            let mut vm = vm.borrow_mut();
+            for woven in programs {
+                // Programs with no governor entry skip the meter
+                // bookkeeping entirely.
+                let meter = governors
+                    .as_mut()
+                    .and_then(|g| g.get_mut(&woven.query))
+                    .map(|g| (g, vm.ops(), baggage.meter()));
+                let s = vm.run_batch(&woven.code, batch, baggage, &mut sink);
+                packed += s.packed as u64;
+                emitted += s.emitted as u64;
+                let Some((g, ops0, m0)) = meter else {
+                    continue;
+                };
+                let m1 = baggage.meter();
+                let work = (s.emitted + s.packed) as u64;
+                let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
+                if charge_governor(
+                    g,
+                    woven.query,
+                    now,
+                    work,
+                    vm.ops() - ops0,
+                    bytes,
+                    m1.truncated - m0.truncated,
+                ) {
+                    tripped.push(woven.query);
                 }
-            });
-        } else {
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                }
-            });
-        }
+            }
+        });
+        drop(governors);
         let fired = std::mem::take(&mut sink.triggers);
         drop(sink);
         for query in &tripped {
             self.registry.unweave(*query);
         }
-        if retro_on {
-            let outlier = self.retro_outlier(exports);
-            self.fire_retro(&fired, &tripped, outlier, retro_request, now);
+        if let Some((request, outlier)) = retro {
+            self.fire_retro(&fired, &tripped, outlier, request, now);
         }
         let mut st = self.stats.lock();
-        st.advised_invocations += 1;
+        st.advised_invocations += batch.len() as u64;
         st.tuples_packed += packed;
         st.tuples_emitted += emitted;
     }
@@ -955,170 +1050,6 @@ impl Agent {
         if outlier {
             ring.trigger(TriggerKind::LatencyOutlier, QueryId(0), request, now);
         }
-    }
-
-    /// Invokes `tracepoint` once per `(now, exports)` event in `events`,
-    /// all sharing `baggage` — semantically identical to calling
-    /// [`Agent::invoke`] for each event in order, but woven advice
-    /// executes through the VM's op-major batch path
-    /// ([`pivot_query::Vm::run_batch`]), paying interpreter dispatch and
-    /// baggage bookkeeping once per instruction instead of once per
-    /// event × instruction.
-    ///
-    /// Embedding systems use this where invocations naturally arrive in
-    /// bursts against one request context (e.g. a scan loop emitting one
-    /// event per record). Governed queries receive one summed charge per
-    /// batch, stamped at the last event's time, so a breaker can trip at
-    /// batch granularity rather than mid-batch.
-    pub fn invoke_batch(
-        &self,
-        tracepoint: &str,
-        baggage: &mut Baggage,
-        events: &[(u64, &[(&str, Value)])],
-    ) {
-        if events.is_empty() || !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
-            return;
-        }
-        let retro_on = self.retro_enabled.load(Ordering::Relaxed);
-        let mut retro_request = 0u64;
-        let mut retro_outlier = false;
-        if retro_on {
-            retro_request = trace_of(baggage).unwrap_or(0);
-            let mut ring = self.retro.lock();
-            for (now, exports) in events {
-                ring.record(tracepoint, *now, retro_request, exports);
-            }
-            drop(ring);
-            retro_outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
-        }
-        let Some((tp_value, list)) = self.registry.lookup(tracepoint) else {
-            if !self.registry.is_idle() {
-                self.stats.lock().idle_invocations += events.len() as u64;
-            }
-            return;
-        };
-        // Materialize every event's full export set back-to-back in one
-        // arena (sized exactly up front, so slices below never move) —
-        // the whole batch costs one allocation instead of one Vec per
-        // event; each program then runs over the whole batch.
-        let total: usize = events
-            .iter()
-            .map(|(_, exports)| exports.len() + DEFAULT_EXPORTS.len())
-            .sum();
-        let mut arena: Vec<(&str, Value)> = Vec::with_capacity(total);
-        let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(events.len());
-        for (now, exports) in events {
-            let start = arena.len();
-            arena.push(("host", self.host_value.clone()));
-            arena.push(("timestamp", Value::U64(*now)));
-            arena.push(("procid", Value::U64(self.info.procid)));
-            arena.push(("procname", self.procname_value.clone()));
-            arena.push(("tracepoint", tp_value.clone()));
-            arena.extend(exports.iter().cloned());
-            bounds.push((start, arena.len()));
-        }
-        let batch: Vec<&[(&str, Value)]> = bounds.iter().map(|&(s, e)| &arena[s..e]).collect();
-        let charge_now = events.last().expect("non-empty").0;
-
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        let mut packed = 0u64;
-        let mut emitted = 0u64;
-        let mut tripped: Vec<QueryId> = Vec::new();
-        if self.governed.load(Ordering::Relaxed) {
-            let mut governors = self.governors.lock();
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let Some(g) = governors.get_mut(&woven.query) else {
-                        let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                        packed += s.packed as u64;
-                        emitted += s.emitted as u64;
-                        continue;
-                    };
-                    let ops0 = vm.ops();
-                    let m0 = baggage.meter();
-                    let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                    let m1 = baggage.meter();
-                    let work = (s.emitted + s.packed) as u64;
-                    let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
-                    if charge_governor(
-                        g,
-                        woven.query,
-                        charge_now,
-                        work,
-                        vm.ops() - ops0,
-                        bytes,
-                        m1.truncated - m0.truncated,
-                    ) {
-                        tripped.push(woven.query);
-                    }
-                }
-            });
-        } else {
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                }
-            });
-        }
-        let fired = std::mem::take(&mut sink.triggers);
-        drop(sink);
-        for query in &tripped {
-            self.registry.unweave(*query);
-        }
-        if retro_on {
-            self.fire_retro(&fired, &tripped, retro_outlier, retro_request, charge_now);
-        }
-        let mut st = self.stats.lock();
-        st.advised_invocations += events.len() as u64;
-        st.tuples_packed += packed;
-        st.tuples_emitted += emitted;
-    }
-
-    /// Runs one bytecode program directly (exposed for benches and tests
-    /// that bypass the registry). `exports` must already include the
-    /// default exports.
-    pub fn run_code(
-        &self,
-        code: &AdviceByteCode,
-        exports: &[(&str, Value)],
-        baggage: &mut Baggage,
-    ) -> pivot_query::VmStats {
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        VM.with(|vm| vm.borrow_mut().run(code, exports, baggage, &mut sink))
-    }
-
-    /// Batch twin of [`Agent::run_code`]: runs one bytecode program over
-    /// a whole batch of invocations through [`pivot_query::Vm::run_batch`].
-    /// Every element of `batch` must already include the default exports.
-    pub fn run_code_batch(
-        &self,
-        code: &AdviceByteCode,
-        batch: &[&[(&str, Value)]],
-        baggage: &mut Baggage,
-    ) -> pivot_query::VmStats {
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        VM.with(|vm| vm.borrow_mut().run_batch(code, batch, baggage, &mut sink))
     }
 
     /// Publishes and clears the local partial results (paper Figure 2, Æ).
@@ -1199,13 +1130,14 @@ impl Agent {
                     // (not taking) the buffer keeps its capacity for the
                     // next interval, so steady state stops growing.
                     let blocks = rows
+                        .make_contiguous()
                         .chunks(colblock::MAX_BLOCK_ROWS)
                         .map(EncodedBlock::encode)
                         .collect();
                     rows.clear();
                     ReportRows::RawEncoded(blocks)
                 }
-                Rows::Streaming(rows) => ReportRows::Raw(std::mem::take(rows)),
+                Rows::Streaming(rows) => ReportRows::Raw(std::mem::take(rows).into()),
                 Rows::Grouped(groups) => ReportRows::Grouped(groups.drain().collect()),
             };
             // Sequence numbers are only consumed by reports that actually
@@ -1363,6 +1295,69 @@ mod tests {
 
         // Flush drains.
         assert!(a.flush(2_000_000_000).is_empty());
+    }
+
+    #[test]
+    fn streaming_ring_sheds_oldest_and_keeps_the_newest_cap_in_order() {
+        let query = QueryId(2);
+        let spec = Arc::new(OutputSpec {
+            key_exprs: vec![Expr::field("e.n")],
+            key_names: vec!["e.n".into()],
+            columns: vec![ColumnRef::Key(0)],
+            streaming: true,
+            ..OutputSpec::default()
+        });
+        let (code, notes) = CompiledCode::lower(&CompiledQuery {
+            id: query,
+            name: "stream".into(),
+            text: String::new(),
+            output: Arc::clone(&spec),
+            advice: vec![AdviceProgram {
+                tracepoints: vec!["tp".into()],
+                ops: vec![
+                    AdviceOp::Observe {
+                        alias: "e".into(),
+                        fields: vec!["n".into()],
+                    },
+                    AdviceOp::Emit { query, spec },
+                ],
+            }],
+        });
+        assert!(notes.is_empty(), "unexpected lowering notes: {notes:?}");
+
+        // Below and above ENCODE_MIN_ROWS: a wrapped ring flushes plain
+        // and through the block encoder.
+        for cap in [8u64, 40] {
+            let a = agent();
+            a.set_row_cap(cap as usize);
+            a.install(&code);
+            let pushed = 10 * cap;
+            let mut bag = Baggage::new();
+            for n in 0..pushed {
+                a.invoke("tp", &mut bag, n, &[("n", Value::U64(n))]);
+            }
+            assert_eq!(a.buffered_rows(query), cap as usize);
+
+            let reports = a.flush(1_000);
+            assert_eq!(reports.len(), 1);
+            let r = &reports[0];
+            // The books balance: emitted == delivered here + shed.
+            assert_eq!(
+                (r.tuples, r.shed_cum, r.emitted_cum),
+                (cap, pushed - cap, pushed)
+            );
+            let rows: Vec<Tuple> = match &r.rows {
+                ReportRows::Raw(rows) => rows.clone(),
+                ReportRows::RawEncoded(blocks) => blocks
+                    .iter()
+                    .flat_map(|b| b.decode().expect("own block decodes"))
+                    .collect(),
+                ReportRows::Grouped(_) => panic!("a streaming query reports raw rows"),
+            };
+            let kept: Vec<Value> = rows.iter().map(|t| t.get(0).clone()).collect();
+            let newest: Vec<Value> = (pushed - cap..pushed).map(Value::U64).collect();
+            assert_eq!(kept, newest, "the newest {cap} rows survive, oldest first");
+        }
     }
 
     #[test]

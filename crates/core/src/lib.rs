@@ -34,7 +34,6 @@ pub mod bus;
 pub mod frontend;
 pub mod global;
 pub mod governor;
-pub mod interp;
 pub mod mutation;
 pub mod retro;
 pub mod tracepoint;

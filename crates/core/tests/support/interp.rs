@@ -1,4 +1,4 @@
-//! The advice interpreter.
+//! The tree-walk advice interpreter: test support, not shipped code.
 //!
 //! Executes a straight-line advice program (paper Table 2) against one
 //! tracepoint invocation: observe the exported variables, unpack and
@@ -7,10 +7,10 @@
 //! The interpreter is total: expression evaluation errors drop the affected
 //! tuple instead of failing the carrying request (advice safety, paper §3).
 //!
-//! Production agents execute lowered bytecode through
-//! [`pivot_query::Vm`]; this tree-walking interpreter is kept as the
-//! *differential ground truth* the VM is tested against (and as the
-//! readable reference semantics for Table 2).
+//! Agents execute lowered bytecode through [`pivot_query::Vm`]; this
+//! tree-walking interpreter is the *differential ground truth*
+//! `vm_differential.rs` tests the VM against (and the readable reference
+//! semantics for Table 2). It uses only public `pivot_*` API.
 
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ pub struct InterpStats {
 /// Executes `program` for one tracepoint invocation.
 ///
 /// `exports` supplies the tracepoint's variables (the default exports must
-/// already be included by the caller — [`crate::Agent::invoke`] does this).
+/// already be included by the caller — [`pivot_core::Agent::invoke`] does this).
 /// Packs mutate `baggage`; emits are returned for local aggregation.
 pub fn run(
     program: &AdviceProgram,

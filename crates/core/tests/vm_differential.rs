@@ -4,6 +4,11 @@
 //! tree-walk interpreter's observable behavior bit for bit: emitted rows
 //! (in order), execution stats, and the resulting baggage bytes.
 //!
+//! The VM has one execution loop, driven three ways here: against the
+//! tree-walk reference (`support/interp.rs`) one invocation at a time,
+//! and one-at-a-time against whole-batch, through a per-row sink and a
+//! folding one (which also selects the factorized join).
+//!
 //! Two layers:
 //!
 //! 1. **Program-level** (`random_programs_match_treewalk`): fuzz raw
@@ -20,7 +25,6 @@
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
-use pivot_core::interp::{self, EmitRows};
 use pivot_core::Frontend;
 use pivot_model::AggState;
 use pivot_model::{AggFunc, BinOp, Expr, GroupKey, Schema, Tuple, UnOp, Value};
@@ -29,6 +33,10 @@ use pivot_query::bytecode::lower_program;
 use pivot_query::{CollectSink, EmitSink, TemporalFilter, Vm};
 
 use proptest::prelude::*;
+
+#[path = "support/interp.rs"]
+mod interp;
+use interp::EmitRows;
 
 /// Uniform choice from a fixed list (the vendored proptest shim has no
 /// `prop::sample`).
@@ -271,9 +279,9 @@ fn assert_engines_agree(
     Ok(())
 }
 
-/// An [`EmitSink`] that opts into batch-folded grouped delivery and lands
-/// either delivery style in final per-group accumulator states, so the
-/// scalar per-row path and the batched fold/factorized paths become
+/// An [`EmitSink`] that opts into folded grouped delivery and lands
+/// either delivery style in final per-group accumulator states, so
+/// per-row reference rows and folded/factorized deliveries become
 /// directly comparable.
 #[derive(Default)]
 struct FoldSink {
@@ -352,9 +360,9 @@ impl EmitSink for FoldSink {
     }
 }
 
-/// Batched-vs-scalar VM: [`Vm::run_batch`] must reproduce N sequential
-/// [`Vm::run`]s exactly — rows in order, stats, and baggage — for
-/// arbitrary programs (batchable or not), and, when driven through a
+/// Whole-batch vs one-at-a-time: [`Vm::run_batch`] must reproduce N
+/// sequential [`Vm::run`]s exactly — rows in order, stats, and baggage —
+/// for arbitrary programs (batchable or not), and, when driven through a
 /// folding sink, land identical final aggregation states in identical
 /// first-seen group order.
 fn assert_batch_agrees(
@@ -374,15 +382,15 @@ fn assert_batch_agrees(
     let batch: Vec<&[(&str, Value)]> = batch_exports.iter().map(|e| e.as_slice()).collect();
 
     // Per-row delivery: byte-identical rows in emit order.
-    let mut bag_scalar = bag_seed.clone();
-    let mut sink_scalar = CollectSink::default();
-    let mut scalar = (0usize, 0usize, 0usize);
+    let mut bag_single = bag_seed.clone();
+    let mut sink_single = CollectSink::default();
+    let mut single = (0usize, 0usize, 0usize);
     for exports in &batch {
-        let s = Vm::new().run(&lowered.code, exports, &mut bag_scalar, &mut sink_scalar);
-        scalar = (
-            scalar.0 + s.packed,
-            scalar.1 + s.unpacked,
-            scalar.2 + s.emitted,
+        let s = Vm::new().run(&lowered.code, exports, &mut bag_single, &mut sink_single);
+        single = (
+            single.0 + s.packed,
+            single.1 + s.unpacked,
+            single.2 + s.emitted,
         );
     }
     let mut bag_batch = bag_seed.clone();
@@ -390,59 +398,59 @@ fn assert_batch_agrees(
     let b = Vm::new().run_batch(&lowered.code, &batch, &mut bag_batch, &mut sink_batch);
     prop_assert_eq!(
         (b.packed, b.unpacked, b.emitted),
-        scalar,
+        single,
         "batch stats diverge for {:?}",
         program
     );
     prop_assert_eq!(
         &sink_batch.raw,
-        &sink_scalar.raw,
+        &sink_single.raw,
         "batch streaming rows diverge for {:?}",
         program
     );
     prop_assert_eq!(
         &sink_batch.grouped,
-        &sink_scalar.grouped,
+        &sink_single.grouped,
         "batch grouped rows diverge for {:?}",
         program
     );
     prop_assert_eq!(
         &sink_batch.triggers,
-        &sink_scalar.triggers,
+        &sink_single.triggers,
         "batch trigger firings diverge for {:?}",
         program
     );
     prop_assert_eq!(
         bag_batch.to_bytes(),
-        bag_scalar.to_bytes(),
+        bag_single.to_bytes(),
         "batch baggage diverges for {:?}",
         program
     );
 
     // Folding delivery: identical final accumulators per group.
-    let mut bag_scalar = bag_seed.clone();
-    let mut fold_scalar = FoldSink::default();
+    let mut bag_single = bag_seed.clone();
+    let mut fold_single = FoldSink::default();
     for exports in &batch {
-        Vm::new().run(&lowered.code, exports, &mut bag_scalar, &mut fold_scalar);
+        Vm::new().run(&lowered.code, exports, &mut bag_single, &mut fold_single);
     }
     let mut bag_fold = bag_seed.clone();
     let mut fold_batch = FoldSink::default();
     Vm::new().run_batch(&lowered.code, &batch, &mut bag_fold, &mut fold_batch);
     prop_assert_eq!(
         fold_batch.finished(),
-        fold_scalar.finished(),
+        fold_single.finished(),
         "folded groups diverge for {:?}",
         program
     );
     prop_assert_eq!(
         &fold_batch.raw,
-        &fold_scalar.raw,
+        &fold_single.raw,
         "folding streaming rows diverge for {:?}",
         program
     );
     prop_assert_eq!(
         bag_fold.to_bytes(),
-        bag_scalar.to_bytes(),
+        bag_single.to_bytes(),
         "folding baggage diverges for {:?}",
         program
     );
@@ -464,11 +472,11 @@ proptest! {
         assert_engines_agree(&program, &exports, &seed)?;
     }
 
-    /// ≥1000 random advice programs driven as a batch: the columnar batch
-    /// engine (including its factorized-join and partial-aggregation fast
-    /// paths) must reproduce sequential scalar execution exactly.
+    /// ≥1000 random advice programs driven as a batch: op-major execution
+    /// (including the factorized join and partial aggregation) must
+    /// reproduce one-at-a-time execution exactly.
     #[test]
-    fn random_programs_batch_matches_scalar(
+    fn random_programs_batch_matches_one_at_a_time(
         ops in prop::collection::vec(op_strategy(), 1..6),
         batch in prop::collection::vec(exports_strategy(), 1..5),
         seed in seed_strategy(),
@@ -517,7 +525,9 @@ fn query_strategy() -> impl Strategy<Value = String> {
 }
 
 /// Drives the tree-walk and the VM through the same linear execution of
-/// `query`, comparing emitted rows and final baggage.
+/// `query`, comparing emitted rows and final baggage — the VM twice,
+/// through a per-row sink and through a folding one (what an agent's sink
+/// is, and what lets a compiled join take the factorized shape).
 fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestCaseError> {
     let mut fe = Frontend::new();
     for tp in TRACEPOINTS {
@@ -534,13 +544,13 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
 
     let mut bag_tree = Baggage::new();
     let mut bag_vm = Baggage::new();
-    let mut bag_batch = Baggage::new();
+    let mut bag_fold = Baggage::new();
     let mut tree_raw: Vec<(QueryId, Tuple)> = Vec::new();
     let mut tree_grouped: Vec<(QueryId, GroupKey, Vec<Value>)> = Vec::new();
     let mut sink = CollectSink::default();
-    let mut sink_batch = CollectSink::default();
+    let mut sink_fold = FoldSink::default();
     let mut vm = Vm::new();
-    let mut vm_batch = Vm::new();
+    let mut vm_fold = Vm::new();
 
     let mut tree_triggered = 0usize;
     for (i, &(tp, v)) in events.iter().enumerate() {
@@ -576,11 +586,18 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
                 query,
                 i
             );
-            let bs = vm_batch.run_batch(lowered, &[&exports], &mut bag_batch, &mut sink_batch);
+            let fs = vm_fold.run(lowered, &exports, &mut bag_fold, &mut sink_fold);
             prop_assert_eq!(
-                (bs.packed, bs.unpacked, bs.emitted),
+                (fs.packed, fs.unpacked, fs.emitted),
                 (vs.packed, vs.unpacked, vs.emitted),
-                "batch stats diverge on {} at event {}",
+                "folding stats diverge on {} at event {}",
+                query,
+                i
+            );
+            prop_assert_eq!(
+                vm_fold.ops(),
+                vm.ops(),
+                "folding op metering diverges on {} at event {}",
                 query,
                 i
             );
@@ -599,34 +616,33 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
         "baggage diverges on {}",
         query
     );
+    // The reference rows, folded the way a per-row sink would fold them.
+    let mut tree_fold = FoldSink::default();
+    for (q, key, args) in &tree_grouped {
+        tree_fold.grouped_row(*q, &code.output, key.clone(), args);
+    }
     prop_assert_eq!(
-        &sink_batch.raw,
-        &sink.raw,
-        "batch streaming rows diverge on {}",
+        &sink_fold.raw,
+        &tree_raw,
+        "folding streaming rows diverge on {}",
         query
     );
     prop_assert_eq!(
-        &sink_batch.grouped,
-        &sink.grouped,
-        "batch grouped rows diverge on {}",
+        sink_fold.finished(),
+        tree_fold.finished(),
+        "folded groups diverge on {}",
         query
     );
     prop_assert_eq!(
-        bag_batch.to_bytes(),
-        bag_vm.to_bytes(),
-        "batch baggage diverges on {}",
+        bag_fold.to_bytes(),
+        bag_tree.to_bytes(),
+        "folding baggage diverges on {}",
         query
     );
     prop_assert_eq!(
         tree_triggered,
         sink.triggers.len(),
         "trigger firings diverge on {}",
-        query
-    );
-    prop_assert_eq!(
-        &sink_batch.triggers,
-        &sink.triggers,
-        "batch trigger firings diverge on {}",
         query
     );
     Ok(())

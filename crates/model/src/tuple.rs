@@ -116,7 +116,7 @@ const INLINE_CAP: usize = 4;
 
 /// A positional row of [`Value`]s.
 ///
-/// Short tuples (≤ [`INLINE_CAP`] values — the common case for tracepoint
+/// Short tuples (≤ 4 values — the common case for tracepoint
 /// exports and packed baggage rows) are stored inline without heap
 /// allocation; longer rows spill to a boxed slice.
 pub struct Tuple {

@@ -22,9 +22,11 @@
 //!   into that sink as pre-predicates, skipping one intermediate tuple
 //!   materialization per event.
 //!
-//! The [`Vm`] executes bytecode with reusable scratch buffers: on the
-//! steady-state path it allocates nothing for unwoven or filtered-out
-//! events and only what the emitted rows themselves need otherwise.
+//! The [`Vm`] executes bytecode in one op-major loop ([`Vm::run_batch`];
+//! a single invocation is a batch of one) with reusable scratch buffers:
+//! on the steady-state path it allocates nothing for unwoven or
+//! filtered-out events and only what the emitted rows themselves need
+//! otherwise.
 //!
 //! Lowering preserves the tree-walk interpreter's observable semantics
 //! *exactly* (rows, stats, and resulting baggage); the property tests in
@@ -236,54 +238,43 @@ impl AdviceByteCode {
     }
 
     /// Returns `true` when [`Vm::run_batch`] may execute this program
-    /// op-major over a whole batch of invocations sharing one baggage,
-    /// with results byte-identical to running [`Vm::run`] once per
-    /// invocation in order.
+    /// op-major over a batch of *several* invocations sharing one baggage,
+    /// with results byte-identical to running them one after another.
     ///
     /// Three structural conditions guarantee that:
     ///
     /// - **no slot is both packed and unpacked** anywhere in the program
     ///   — otherwise invocation *i+1*'s unpack would observe invocation
-    ///   *i*'s packs in the scalar order but not in op-major order;
+    ///   *i*'s packs in sequential order but not in op-major order;
     /// - **each slot is packed by at most one instruction** — two packs
-    ///   to one slot interleave per-invocation in scalar order but
+    ///   to one slot interleave per-invocation in sequential order but
     ///   per-op in batch order, observable at retention caps;
-    /// - **at most one `Emit`** — with several, scalar order interleaves
-    ///   each invocation's emits across the sinks while op-major order
-    ///   groups them per op.
+    /// - **at most one `Emit`** — with several, sequential order
+    ///   interleaves each invocation's emits across the sinks while
+    ///   op-major order groups them per op.
     ///
     /// Every program the query compiler produces satisfies all three
     /// (one sink op, pack *or* unpack per slot per side of the join).
-    /// `run_batch` falls back to per-invocation execution otherwise, so
-    /// callers need not check.
+    /// `run_batch` runs any other program as batches of one, so callers
+    /// need not check.
     pub fn batchable(&self) -> bool {
-        let mut packed: Vec<QueryId> = Vec::new();
-        let mut unpacked: Vec<QueryId> = Vec::new();
         let mut emits = 0usize;
-        for inst in &self.insts {
+        self.insts.iter().enumerate().all(|(i, inst)| {
+            let earlier = &self.insts[..i];
             match inst {
-                Inst::Unpack { slot, .. } => {
-                    if packed.contains(slot) {
-                        return false;
-                    }
-                    unpacked.push(*slot);
-                }
-                Inst::Pack { slot, .. } => {
-                    if packed.contains(slot) || unpacked.contains(slot) {
-                        return false;
-                    }
-                    packed.push(*slot);
-                }
+                Inst::Unpack { slot, .. } => !earlier
+                    .iter()
+                    .any(|e| matches!(e, Inst::Pack { slot: s, .. } if s == slot)),
+                Inst::Pack { slot, .. } => !earlier.iter().any(|e| {
+                    matches!(e, Inst::Pack { slot: s, .. } | Inst::Unpack { slot: s, .. } if s == slot)
+                }),
                 Inst::Emit { .. } => {
                     emits += 1;
-                    if emits > 1 {
-                        return false;
-                    }
+                    emits <= 1
                 }
-                _ => {}
+                _ => true,
             }
-        }
-        true
+        })
     }
 }
 
@@ -299,7 +290,7 @@ pub struct VmStats {
     pub emitted: usize,
 }
 
-/// Receives evaluated rows from [`Vm::run`].
+/// Receives evaluated rows from the [`Vm`].
 ///
 /// The VM hands the sink *evaluated* output rows — group keys and
 /// aggregate arguments, or projected streaming rows — so the process-local
@@ -309,7 +300,8 @@ pub trait EmitSink {
     /// One projected row of a streaming (no-aggregate) query.
     fn streaming_row(&mut self, query: QueryId, spec: &Arc<OutputSpec>, row: Tuple);
     /// One `(group key, aggregate arguments)` row of an aggregating query;
-    /// `args` has one value per `spec.aggs` entry.
+    /// `args` has one value per `spec.aggs` entry. Grouped rows arrive
+    /// here only while [`EmitSink::folds_grouped`] is `false`.
     fn grouped_row(
         &mut self,
         query: QueryId,
@@ -317,12 +309,12 @@ pub trait EmitSink {
         key: GroupKey,
         args: &[Value],
     );
-    /// `true` when this sink accepts batch-folded grouped deliveries via
-    /// [`EmitSink::grouped_fold`] instead of one [`EmitSink::grouped_row`]
-    /// call per row.
+    /// `true` when this sink takes grouped rows pre-aggregated, via
+    /// [`EmitSink::grouped_fold`], instead of one
+    /// [`EmitSink::grouped_row`] call per row.
     ///
     /// Opting in trades per-row delivery for the paper's `Combine`
-    /// semantics: [`Vm::run_batch`] pre-aggregates each batch into partial
+    /// semantics: the VM folds each run's grouped rows into partial
     /// [`AggState`]s and the sink merges one partial per distinct group.
     /// The fold applies `update` row-by-row in emit order, so results are
     /// identical for every aggregate whose combine is exact (`COUNT`,
@@ -332,8 +324,8 @@ pub trait EmitSink {
     fn folds_grouped(&self) -> bool {
         false
     }
-    /// A batch-folded grouped delivery: `rows` emitted rows of `key`
-    /// collapsed into one partial accumulator per `spec.aggs` entry.
+    /// A folded grouped delivery: `rows` emitted rows of `key` collapsed
+    /// into one partial accumulator per `spec.aggs` entry.
     ///
     /// Called only when [`EmitSink::folds_grouped`] returns `true`, and at
     /// most once per distinct key per fold window. Distinct keys arrive in
@@ -879,32 +871,35 @@ impl AdviceByteCode {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// The register VM. Holds reusable scratch (register file, tuple buffers)
-/// so steady-state advice execution does not allocate for the machinery
-/// itself — only for the tuples and rows it produces.
+/// The register VM. Holds reusable scratch (register file, tuple buffers,
+/// partial-aggregation state) so steady-state advice execution does not
+/// allocate for the machinery itself — only for the tuples and rows it
+/// produces.
 #[derive(Default)]
 pub struct Vm {
     regs: Vec<Value>,
     tuples: Vec<Tuple>,
+    /// `src[i]` is the invocation index that row `tuples[i]` belongs to.
+    /// Kept in invocation-major (sorted) order.
+    src: Vec<u32>,
+    /// Scratch twins of `tuples` / `src` for ops that rebuild the set.
     joined: Vec<Tuple>,
+    joined_src: Vec<u32>,
     projected: Vec<Tuple>,
     args: Vec<Value>,
-    /// Batched execution only: `src[i]` is the invocation index that row
-    /// `tuples[i]` belongs to. Kept in invocation-major (sorted) order.
-    src: Vec<u32>,
-    /// Batched execution only: scratch twin of `joined` for `src`.
-    joined_src: Vec<u32>,
-    /// Batched execution only: per-batch partial-aggregation scratch for
-    /// sinks that opt into [`EmitSink::grouped_fold`] — `(group key,
-    /// accumulators, rows folded)`, in first-seen order.
-    fold: Vec<(Tuple, Vec<AggState>, u64)>,
+    /// Partial-aggregation scratch for sinks that opt into
+    /// [`EmitSink::grouped_fold`]: `(group key, rows folded)` in
+    /// first-seen order; group `j`'s accumulators are
+    /// `fold_states[j * aggs..][..aggs]`.
+    fold: Vec<(Tuple, u64)>,
+    fold_states: Vec<AggState>,
     ops: u64,
 }
 
-/// Cap on distinct groups held in the batch partial-aggregation scratch
-/// before it flushes to the sink mid-batch. Bounds the linear key scan
-/// under a group-key explosion; a key recurring across windows simply
-/// reaches the sink once per window and is merged there.
+/// Cap on distinct groups held in the partial-aggregation scratch before
+/// it flushes to the sink mid-run. Bounds the linear key scan under a
+/// group-key explosion; a key recurring across windows simply reaches the
+/// sink once per window and is merged there.
 const FOLD_WINDOW: usize = 64;
 
 /// Expression evaluation failed; the affected tuple is dropped (advice
@@ -929,7 +924,7 @@ impl Vm {
         self.ops
     }
 
-    /// Executes `code` for one tracepoint invocation.
+    /// Executes `code` for one tracepoint invocation: a batch of one.
     ///
     /// `exports` supplies the tracepoint's variables (default exports
     /// included by the caller). Packs mutate `baggage`; emitted rows go to
@@ -941,163 +936,28 @@ impl Vm {
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
-        let mut stats = VmStats::default();
-        self.regs.clear();
-        self.regs.resize(code.num_regs as usize, Value::Null);
-        self.tuples.clear();
-        self.tuples.push(Tuple::empty());
-
-        for inst in &code.insts {
-            self.ops += 1;
-            match inst {
-                Inst::Observe { names } => {
-                    let observed: Tuple = code.names[names.0 as usize..names.1 as usize]
-                        .iter()
-                        .map(|f| {
-                            exports
-                                .iter()
-                                .find(|(name, _)| *name == f.as_str())
-                                .map(|(_, v)| v.clone())
-                                .unwrap_or(Value::Null)
-                        })
-                        .collect();
-                    if self.tuples.len() == 1 && self.tuples[0].is_empty() {
-                        // First op of almost every program: the single
-                        // seed tuple takes the observation by move.
-                        self.tuples[0] = observed;
-                    } else {
-                        for t in &mut self.tuples {
-                            *t = t.concat(&observed);
-                        }
-                    }
-                }
-                Inst::Unpack { slot, temporal, .. } => {
-                    let mut unpacked = baggage.unpack(*slot);
-                    if let Some(f) = temporal {
-                        f.apply(&mut unpacked);
-                    }
-                    stats.unpacked += unpacked.len();
-                    // Happened-before join: cross product with the tuples
-                    // packed earlier in this request's execution.
-                    self.joined.clear();
-                    for t in &self.tuples {
-                        for u in &unpacked {
-                            self.joined.push(t.concat(u));
-                        }
-                    }
-                    std::mem::swap(&mut self.tuples, &mut self.joined);
-                }
-                Inst::Filter { pred } => {
-                    let prog = code.exprs[*pred as usize];
-                    self.joined.clear();
-                    for t in self.tuples.drain(..) {
-                        if matches!(eval(code, prog, &t, &mut self.regs), Ok(Value::Bool(true))) {
-                            self.joined.push(t);
-                        }
-                    }
-                    std::mem::swap(&mut self.tuples, &mut self.joined);
-                }
-                Inst::Pack {
-                    slot,
-                    mode,
-                    pre,
-                    exprs,
-                } => {
-                    self.projected.clear();
-                    let mut survivors = 0usize;
-                    for i in 0..self.tuples.len() {
-                        let t = &self.tuples[i];
-                        if !passes_pre(code, *pre, t, &mut self.regs) {
-                            continue;
-                        }
-                        survivors += 1;
-                        if let Ok(p) = project(code, *exprs, t, &mut self.regs) {
-                            self.projected.push(p);
-                        }
-                    }
-                    // When fused predicates drop every tuple, the tree-walk
-                    // stops at the filter and never packs; otherwise it
-                    // packs whatever projections survive (possibly none).
-                    if survivors > 0 {
-                        stats.packed += self.projected.len();
-                        baggage.pack(*slot, mode, self.projected.drain(..));
-                    }
-                }
-                Inst::Trigger { query, pred } => {
-                    let fires = match pred {
-                        None => !self.tuples.is_empty(),
-                        Some(p) => {
-                            let prog = code.exprs[*p as usize];
-                            self.tuples.iter().any(|t| {
-                                matches!(eval(code, prog, t, &mut self.regs), Ok(Value::Bool(true)))
-                            })
-                        }
-                    };
-                    if fires {
-                        sink.trigger(*query);
-                    }
-                }
-                Inst::Emit {
-                    query,
-                    spec,
-                    pre,
-                    keys,
-                    aggs,
-                } => {
-                    for i in 0..self.tuples.len() {
-                        let t = &self.tuples[i];
-                        if !passes_pre(code, *pre, t, &mut self.regs) {
-                            continue;
-                        }
-                        stats.emitted += 1;
-                        if spec.streaming {
-                            if let Ok(row) = project(code, *keys, t, &mut self.regs) {
-                                sink.streaming_row(*query, spec, row);
-                            }
-                        } else {
-                            let Ok(key) = project(code, *keys, t, &mut self.regs) else {
-                                continue;
-                            };
-                            self.args.clear();
-                            for xi in aggs.0..aggs.1 {
-                                let prog = code.exprs[xi as usize];
-                                self.args.push(
-                                    eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null),
-                                );
-                            }
-                            sink.grouped_row(*query, spec, GroupKey(key), &self.args);
-                        }
-                    }
-                }
-            }
-            if self.tuples.is_empty() {
-                // Inner-join semantics: once no tuple survives, later ops
-                // can produce nothing.
-                break;
-            }
-        }
-        self.tuples.clear();
-        stats
+        self.run_batch(code, &[exports], baggage, sink)
     }
 
     /// Executes `code` once per invocation in `batch` against the same
-    /// baggage and sink, returning the summed stats.
+    /// baggage and sink, returning the summed stats: the VM's one
+    /// execution loop.
     ///
-    /// Equivalent to calling [`Vm::run`] for each element of `batch` in
-    /// order — byte-identical emitted rows, packed entries, stats, and
-    /// retired-op counts — but when [`AdviceByteCode::batchable`] holds,
-    /// execution is *op-major*: one dispatch per instruction drives a
-    /// working set holding every invocation's live tuples at once, so the
-    /// interpreter loop overhead (dispatch, unpack materialization,
-    /// baggage bookkeeping) is paid per instruction instead of per
-    /// invocation × instruction. Non-batchable programs transparently
-    /// fall back to the scalar loop.
+    /// Execution is *op-major*: one dispatch per instruction drives a
+    /// working set holding every invocation's live tuples at once, so
+    /// dispatch, unpack materialization and baggage bookkeeping are paid
+    /// per instruction instead of per invocation × instruction. Rows are
+    /// tagged with their invocation index and kept in invocation-major
+    /// order throughout, which makes every order-sensitive effect (pack
+    /// arrival order at retention caps, emit order, per-invocation early
+    /// exit, retired-op counts) equal to running the invocations one
+    /// after another.
     ///
-    /// Rows are tagged with their invocation index and kept in
-    /// invocation-major order throughout, which is what makes
-    /// order-sensitive effects (pack arrival order at retention caps,
-    /// emit order, per-invocation early exit) match the scalar loop
-    /// exactly.
+    /// That equality needs [`AdviceByteCode::batchable`] once a batch
+    /// holds more than one invocation; a program that is not batchable
+    /// runs as `batch.len()` batches of one, in order. A batch of one is
+    /// sound for every program — there is no second invocation to
+    /// reorder against.
     pub fn run_batch(
         &mut self,
         code: &AdviceByteCode,
@@ -1106,23 +966,25 @@ impl Vm {
         sink: &mut impl EmitSink,
     ) -> VmStats {
         let mut stats = VmStats::default();
-        if batch.is_empty() {
-            return stats;
-        }
-        if !code.batchable() {
+        if batch.len() > 1 && !code.batchable() {
             for exports in batch {
-                let s = self.run(code, exports, baggage, sink);
+                let s = self.run_batch(code, std::slice::from_ref(exports), baggage, sink);
                 stats.unpacked += s.unpacked;
                 stats.packed += s.packed;
                 stats.emitted += s.emitted;
             }
             return stats;
         }
-        if let Some(stats) = self.run_factorized(code, batch, baggage, sink) {
+        if batch.is_empty() {
             return stats;
         }
         self.regs.clear();
         self.regs.resize(code.num_regs as usize, Value::Null);
+        if sink.folds_grouped() {
+            if let Some(shape) = factorized_shape(code) {
+                return self.run_factorized(code, &shape, batch, baggage, sink);
+            }
+        }
         self.tuples.clear();
         self.src.clear();
         for i in 0..batch.len() {
@@ -1133,9 +995,9 @@ impl Vm {
         for inst in &code.insts {
             // `src` stays invocation-major, so the live-invocation count
             // is the number of group boundaries. Each live invocation
-            // retires this instruction, matching the scalar loop's
-            // per-invocation `ops` metering (dead invocations broke out
-            // of their scalar run and stopped retiring).
+            // retires this instruction; one whose working set emptied
+            // stopped retiring (inner-join semantics: later ops can
+            // produce nothing for it).
             let mut live = 0usize;
             let mut prev = u32::MAX;
             for &s in &self.src {
@@ -1148,17 +1010,6 @@ impl Vm {
             match inst {
                 Inst::Observe { names } => {
                     let fields = &code.names[names.0 as usize..names.1 as usize];
-                    // Field positions are resolved once against the first
-                    // live invocation's export layout; an invocation whose
-                    // keys match it (one batch comes from one call site,
-                    // so effectively all of them) reads values by direct
-                    // index. A mismatched layout falls back to the scalar
-                    // name scan, preserving first-match semantics exactly.
-                    let first: &[(&str, Value)] = batch[self.src[0] as usize];
-                    let idxs: Vec<Option<usize>> = fields
-                        .iter()
-                        .map(|f| first.iter().position(|(n, _)| *n == f.as_str()))
-                        .collect();
                     let mut r = 0usize;
                     while r < self.tuples.len() {
                         let inv = self.src[r];
@@ -1168,23 +1019,10 @@ impl Vm {
                         }
                         // Built once per live invocation, shared by all of
                         // its rows.
-                        let row = batch[inv as usize];
-                        let observed: Tuple = if same_keys(row, first) {
-                            idxs.iter()
-                                .map(|i| i.map_or(Value::Null, |i| row[i].1.clone()))
-                                .collect()
-                        } else {
-                            fields
-                                .iter()
-                                .map(|f| {
-                                    row.iter()
-                                        .find(|(name, _)| *name == f.as_str())
-                                        .map(|(_, v)| v.clone())
-                                        .unwrap_or(Value::Null)
-                                })
-                                .collect()
-                        };
+                        let observed = observe(fields, batch[inv as usize]);
                         if end - r == 1 && self.tuples[r].is_empty() {
+                            // First op of almost every program: the seed
+                            // tuple takes the observation by move.
                             self.tuples[r] = observed;
                         } else {
                             for t in &mut self.tuples[r..end] {
@@ -1197,14 +1035,16 @@ impl Vm {
                 Inst::Unpack { slot, temporal, .. } => {
                     // One unpack serves every invocation: `batchable`
                     // guarantees no Pack in this program touches `slot`,
-                    // so each invocation's scalar run would have seen the
-                    // same baggage contents here.
+                    // so each invocation would have seen the same baggage
+                    // contents here.
                     let mut view = baggage.unpack_view(*slot);
                     if let Some(f) = temporal {
                         f.apply(view.to_mut());
                     }
                     let unpacked: &[Tuple] = &view;
                     stats.unpacked += unpacked.len() * live;
+                    // Happened-before join: cross product with the tuples
+                    // packed earlier in this request's execution.
                     self.joined.clear();
                     self.joined_src.clear();
                     for (r, t) in self.tuples.iter().enumerate() {
@@ -1251,6 +1091,10 @@ impl Vm {
                             }
                             r += 1;
                         }
+                        // When fused predicates drop every tuple of an
+                        // invocation, the tree-walk stops at the filter
+                        // and never packs; otherwise it packs whatever
+                        // projections survive (possibly none).
                         if survivors > 0 {
                             stats.packed += self.projected.len() - start;
                         }
@@ -1258,17 +1102,15 @@ impl Vm {
                     // One pack call covers every invocation's survivors:
                     // `already_first` reads only inactive instances, which
                     // N sequential packs would not have changed, and rows
-                    // arrive in the same invocation-major order. Skipping
-                    // the call when nothing projected matches the scalar
-                    // empty pack, which stores nothing.
+                    // arrive in the same invocation-major order. An empty
+                    // pack stores nothing, so it is skipped.
                     if !self.projected.is_empty() {
                         baggage.pack(*slot, mode, self.projected.drain(..));
                     }
                 }
                 Inst::Trigger { query, pred } => {
                     // One firing per invocation that has a satisfying live
-                    // tuple; `src` is invocation-major, so firings arrive
-                    // in invocation order (matching N scalar runs).
+                    // tuple, in invocation order.
                     let mut r = 0usize;
                     while r < self.tuples.len() {
                         let inv = self.src[r];
@@ -1300,83 +1142,69 @@ impl Vm {
                     keys,
                     aggs,
                 } => {
-                    // Rows are invocation-major and `batchable` caps the
-                    // program at one Emit, so sink arrival order equals
-                    // the scalar loop's. Projection columns are
-                    // classified once per op: the single-instruction
-                    // field references and literals that dominate key and
-                    // aggregate projections bypass the register machine
-                    // in the row loop.
-                    let key_cols: Vec<FastCol> =
-                        (keys.0..keys.1).map(|xi| classify_col(code, xi)).collect();
-                    let agg_cols: Vec<FastCol> =
-                        (aggs.0..aggs.1).map(|xi| classify_col(code, xi)).collect();
+                    // Rows are invocation-major and `batchable` caps a
+                    // multi-invocation program at one Emit, so sink
+                    // arrival order equals one-at-a-time execution's.
+                    //
                     // Partial aggregation: when the sink opts in, grouped
                     // rows fold into scratch accumulators here and each
                     // distinct group reaches the sink once per window, in
                     // first-seen order (so a capped sink makes the same
                     // keep/shed decision per group as under per-row
                     // delivery). A consecutive run of rows from one join
-                    // usually shares its group, hence the check-last-first
-                    // scan.
+                    // usually shares its group, hence the scan from the
+                    // back.
                     let folding = !spec.streaming && sink.folds_grouped();
+                    let n = spec.aggs.len();
                     for i in 0..self.tuples.len() {
                         let t = &self.tuples[i];
                         if !passes_pre(code, *pre, t, &mut self.regs) {
                             continue;
                         }
                         stats.emitted += 1;
+                        let Ok(key) = project(code, *keys, t, &mut self.regs) else {
+                            continue;
+                        };
                         if spec.streaming {
-                            if let Ok(row) = project_cols(code, &key_cols, t, &mut self.regs) {
-                                sink.streaming_row(*query, spec, row);
+                            sink.streaming_row(*query, spec, key);
+                        } else if !folding {
+                            self.args.clear();
+                            for xi in aggs.0..aggs.1 {
+                                let prog = code.exprs[xi as usize];
+                                self.args.push(
+                                    eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null),
+                                );
                             }
+                            sink.grouped_row(*query, spec, GroupKey(key), &self.args);
                         } else {
-                            let Ok(key) = project_cols(code, &key_cols, t, &mut self.regs) else {
-                                continue;
-                            };
-                            if !folding {
-                                self.args.clear();
-                                for col in &agg_cols {
-                                    self.args.push(
-                                        eval_col(code, col, t, &mut self.regs)
-                                            .unwrap_or(Value::Null),
-                                    );
-                                }
-                                sink.grouped_row(*query, spec, GroupKey(key), &self.args);
-                                continue;
-                            }
-                            let j = match self.fold.iter().rev().position(|(k, _, _)| *k == key) {
-                                Some(rj) => self.fold.len() - 1 - rj,
+                            let j = match self.fold.iter().rposition(|(k, _)| *k == key) {
+                                Some(j) => j,
                                 None => {
                                     if self.fold.len() >= FOLD_WINDOW {
-                                        for (k, states, rows) in self.fold.drain(..) {
-                                            sink.grouped_fold(
-                                                *query,
-                                                spec,
-                                                GroupKey(k),
-                                                &states,
-                                                rows,
-                                            );
-                                        }
+                                        flush_fold(
+                                            &mut self.fold,
+                                            &mut self.fold_states,
+                                            *query,
+                                            spec,
+                                            sink,
+                                        );
                                     }
-                                    let states: Vec<AggState> =
-                                        spec.aggs.iter().map(|(f, _)| f.init()).collect();
-                                    self.fold.push((key, states, 0));
+                                    self.fold_states
+                                        .extend(spec.aggs.iter().map(|(f, _)| f.init()));
+                                    self.fold.push((key, 0));
                                     self.fold.len() - 1
                                 }
                             };
-                            let (_, states, rows) = &mut self.fold[j];
-                            *rows += 1;
-                            for (st, col) in states.iter_mut().zip(&agg_cols) {
-                                let v =
-                                    eval_col(code, col, t, &mut self.regs).unwrap_or(Value::Null);
+                            self.fold[j].1 += 1;
+                            let states = &mut self.fold_states[j * n..(j + 1) * n];
+                            for (st, xi) in states.iter_mut().zip(aggs.0..aggs.1) {
+                                let prog = code.exprs[xi as usize];
+                                let v = eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null);
                                 st.update(&v);
                             }
                         }
                     }
-                    for (k, states, rows) in self.fold.drain(..) {
-                        sink.grouped_fold(*query, spec, GroupKey(k), &states, rows);
-                    }
+                    flush_fold(&mut self.fold, &mut self.fold_states, *query, spec, sink);
                 }
             }
             if self.tuples.is_empty() {
@@ -1390,11 +1218,10 @@ impl Vm {
         stats
     }
 
-    /// Factorized execution of the canonical join-aggregation shape —
-    /// `[Observe, Filter*, Unpack, Emit{grouped}]` where every group-key
-    /// column reads the unpacked side and every aggregate argument reads
-    /// the observed side (the paper's §2 query: `GroupBy cl.procName
-    /// Select cl.procName, SUM(incr.delta)`).
+    /// Factorized execution of the canonical join-aggregation shape (see
+    /// [`factorized_shape`]; the paper's §2 query: `GroupBy cl.procName
+    /// Select cl.procName, SUM(incr.delta)`) into a sink that accepts
+    /// [`EmitSink::grouped_fold`]. Program shape and sink select it.
     ///
     /// The join's cross product is never materialized: all observed rows
     /// fold into *one* partial accumulator set, which is then merged into
@@ -1405,258 +1232,199 @@ impl Vm {
     /// `k` merges of the same partial (`COUNT`/`SUM` scale additively,
     /// `MIN`/`MAX` are idempotent, `AVERAGE`'s ratio is unchanged).
     ///
-    /// Group delivery is in unpacked-tuple order, which is the scalar
+    /// Group delivery is in unpacked-tuple order, which is the generic
     /// loop's first-seen group order, so capped sinks shed the same
-    /// groups. Returns `None` — leaving the generic batch loop to run —
-    /// when the program shape, the expression sides, or the sink
-    /// (which must accept [`EmitSink::grouped_fold`]) do not qualify.
+    /// groups; stats and retired-op counts equal the generic loop's.
     fn run_factorized(
         &mut self,
         code: &AdviceByteCode,
+        shape: &Factorized<'_>,
         batch: &[&[(&str, Value)]],
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
-    ) -> Option<VmStats> {
-        if !sink.folds_grouped() {
-            return None;
-        }
-        let insts = code.insts.as_slice();
-        let Some(Inst::Observe { names }) = insts.first() else {
-            return None;
-        };
-        let mut at = 1;
-        let mut filters: Vec<u32> = Vec::new();
-        while let Some(Inst::Filter { pred }) = insts.get(at) {
-            filters.push(*pred);
-            at += 1;
-        }
-        let Some(Inst::Unpack { slot, temporal, .. }) = insts.get(at) else {
-            return None;
-        };
-        let Some(Inst::Emit {
-            query,
-            spec,
-            pre,
-            keys,
-            aggs,
-        }) = insts.get(at + 1)
-        else {
-            return None;
-        };
-        if insts.len() != at + 2 || spec.streaming {
-            return None;
-        }
-        let w_obs = (names.1 - names.0) as u16;
-        // Filters sit between Observe and Unpack, so lowering resolved
-        // them against the observed schema alone; only the Emit's fused
-        // pre-predicates, keys, and aggregates need side analysis.
-        let pre_ok = (pre.0..pre.1)
-            .all(|xi| matches!(expr_side(code, xi, w_obs), Side::Observed | Side::Neither));
-        let key_ok = (keys.0..keys.1)
-            .all(|xi| matches!(expr_side(code, xi, w_obs), Side::Unpacked | Side::Neither));
-        let agg_ok = (aggs.0..aggs.1)
-            .all(|xi| matches!(expr_side(code, xi, w_obs), Side::Observed | Side::Neither));
-        if !(pre_ok && key_ok && agg_ok) {
-            return None;
-        }
-
+    ) -> VmStats {
         let mut stats = VmStats::default();
-        self.regs.clear();
-        self.regs.resize(code.num_regs as usize, Value::Null);
-
-        let mut view = baggage.unpack_view(*slot);
-        if let Some(f) = temporal {
+        let mut view = baggage.unpack_view(shape.slot);
+        if let Some(f) = shape.temporal {
             f.apply(view.to_mut());
         }
         let unpacked: &[Tuple] = &view;
 
-        // Observed-side pass: resolve field positions once, then fold
-        // every invocation that survives the filters and the
-        // (observed-pure) pre-predicates into one shared partial
-        // accumulator set. Aggregate expressions only load observed
-        // columns, so the observed tuple alone is a valid evaluation
-        // layout (its columns are the concat prefix). Filter metering
-        // mirrors the scalar loop: an invocation retires filters up to
-        // and including its first failing one, then nothing after.
-        let fields = &code.names[names.0 as usize..names.1 as usize];
-        let first: &[(&str, Value)] = batch[0];
-        let idxs: Vec<Option<usize>> = fields
-            .iter()
-            .map(|f| first.iter().position(|(n, _)| *n == f.as_str()))
-            .collect();
-        let agg_cols: Vec<FastCol> = (aggs.0..aggs.1).map(|xi| classify_col(code, xi)).collect();
-        let mut partial: Vec<AggState> = spec.aggs.iter().map(|(f, _)| f.init()).collect();
+        // Observed-side pass: fold every invocation that survives the
+        // filters and the (observed-pure) pre-predicates into one shared
+        // partial accumulator set. Aggregate expressions only load
+        // observed columns, so the observed tuple alone is a valid
+        // evaluation layout (its columns are the concat prefix). Filter
+        // metering mirrors the generic loop: an invocation retires
+        // filters up to and including its first failing one, then
+        // nothing after.
+        self.fold_states
+            .extend(shape.spec.aggs.iter().map(|(f, _)| f.init()));
         let mut filter_retired = 0u64;
         let mut survivors = 0u64;
         let mut contributors = 0u64;
-        for row in batch {
-            let observed: Tuple = if same_keys(row, first) {
-                idxs.iter()
-                    .map(|i| i.map_or(Value::Null, |i| row[i].1.clone()))
-                    .collect()
-            } else {
-                fields
-                    .iter()
-                    .map(|f| {
-                        row.iter()
-                            .find(|(name, _)| *name == f.as_str())
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or(Value::Null)
-                    })
-                    .collect()
-            };
-            let mut dead = false;
-            for pred in &filters {
+        'rows: for row in batch {
+            let observed = observe(shape.fields, row);
+            for filter in shape.filters {
+                let Inst::Filter { pred } = filter else {
+                    continue;
+                };
                 filter_retired += 1;
                 let prog = code.exprs[*pred as usize];
                 if !matches!(
                     eval(code, prog, &observed, &mut self.regs),
                     Ok(Value::Bool(true))
                 ) {
-                    dead = true;
-                    break;
+                    continue 'rows;
                 }
             }
-            if dead {
-                continue;
-            }
             survivors += 1;
-            if unpacked.is_empty() || !passes_pre(code, *pre, &observed, &mut self.regs) {
+            if unpacked.is_empty() || !passes_pre(code, shape.pre, &observed, &mut self.regs) {
                 continue;
             }
             contributors += 1;
-            for (st, col) in partial.iter_mut().zip(&agg_cols) {
-                let v = eval_col(code, col, &observed, &mut self.regs).unwrap_or(Value::Null);
+            for (st, xi) in self.fold_states.iter_mut().zip(shape.aggs.0..shape.aggs.1) {
+                let prog = code.exprs[xi as usize];
+                let v = eval(code, prog, &observed, &mut self.regs).unwrap_or(Value::Null);
                 st.update(&v);
             }
         }
         // Every invocation retires Observe; filter survivors retire
-        // Unpack; with nothing unpacked the scalar loop's working set
-        // then empties and Emit is never reached.
+        // Unpack; with nothing unpacked the working set then empties and
+        // Emit is never reached.
         self.ops += batch.len() as u64 + filter_retired + survivors;
         stats.unpacked += unpacked.len() * survivors as usize;
-        if unpacked.is_empty() || survivors == 0 {
-            return Some(stats);
+        if !unpacked.is_empty() {
+            self.ops += survivors;
+            stats.emitted += contributors as usize * unpacked.len();
         }
-        self.ops += survivors;
-        stats.emitted += contributors as usize * unpacked.len();
-        if contributors == 0 {
-            return Some(stats);
+        if contributors > 0 {
+            // Unpacked-side pass: key expressions only load unpacked
+            // columns, so a Null-padded prefix stands in for the observed
+            // half of the concat layout.
+            let pad: Tuple = std::iter::repeat_with(|| Value::Null)
+                .take(shape.fields.len())
+                .collect();
+            for u in unpacked {
+                let padded = pad.concat(u);
+                let Ok(key) = project(code, shape.keys, &padded, &mut self.regs) else {
+                    continue;
+                };
+                sink.grouped_fold(
+                    shape.query,
+                    shape.spec,
+                    GroupKey(key),
+                    &self.fold_states,
+                    contributors,
+                );
+            }
         }
-
-        // Unpacked-side pass: key expressions only load unpacked columns,
-        // so a Null-padded prefix stands in for the observed half of the
-        // concat layout.
-        let key_cols: Vec<FastCol> = (keys.0..keys.1).map(|xi| classify_col(code, xi)).collect();
-        let pad: Tuple = std::iter::repeat_with(|| Value::Null)
-            .take(w_obs as usize)
-            .collect();
-        for u in unpacked {
-            let padded = pad.concat(u);
-            let Ok(key) = project_cols(code, &key_cols, &padded, &mut self.regs) else {
-                continue;
-            };
-            sink.grouped_fold(*query, spec, GroupKey(key), &partial, contributors);
-        }
-        Some(stats)
+        self.fold_states.clear();
+        stats
     }
 }
 
-/// Which half of an `Observe ++ Unpack` concat layout an expression
-/// reads: observed columns (below `w_obs`), unpacked columns, neither
-/// (constants only), or both.
-#[derive(Clone, Copy, PartialEq)]
-enum Side {
-    Neither,
-    Observed,
-    Unpacked,
-    Mixed,
-}
-
-fn expr_side(code: &AdviceByteCode, xi: u32, w_obs: u16) -> Side {
-    let prog = code.exprs[xi as usize];
-    let mut side = Side::Neither;
-    for inst in &code.einsts[prog.start as usize..(prog.start + prog.len) as usize] {
-        if let EInst::Load { col, .. } = inst {
-            let s = if *col < w_obs {
-                Side::Observed
-            } else {
-                Side::Unpacked
-            };
-            side = match side {
-                Side::Neither => s,
-                cur if cur == s => cur,
-                _ => return Side::Mixed,
-            };
-        }
+/// Hands every group in the partial-aggregation scratch to the sink, in
+/// first-seen order, and empties it.
+fn flush_fold(
+    fold: &mut Vec<(Tuple, u64)>,
+    states: &mut Vec<AggState>,
+    query: QueryId,
+    spec: &Arc<OutputSpec>,
+    sink: &mut impl EmitSink,
+) {
+    let n = spec.aggs.len();
+    for (j, (key, rows)) in fold.drain(..).enumerate() {
+        let partial = &states[j * n..(j + 1) * n];
+        sink.grouped_fold(query, spec, GroupKey(key), partial, rows);
     }
-    side
+    states.clear();
 }
 
-/// `true` when two export slices carry the same key sequence (values may
-/// differ), so a field index resolved against one is valid for the other.
-fn same_keys(a: &[(&str, Value)], b: &[(&str, Value)]) -> bool {
-    // Export slices in one batch overwhelmingly come from one woven call
-    // site, so the key names are usually the *same* string data: a
-    // pointer+length probe per pair skips the content compare.
-    fn same_name(x: &str, y: &str) -> bool {
-        (x.as_ptr() == y.as_ptr() && x.len() == y.len()) || x == y
+/// The parts of a program in the canonical join-aggregation shape —
+/// `[Observe, Filter*, Unpack, Emit{grouped}]` where every group-key
+/// column reads the unpacked side and every aggregate argument and fused
+/// pre-predicate reads the observed side.
+struct Factorized<'a> {
+    fields: &'a [Sym],
+    /// The `Filter` run between `Observe` and `Unpack`. Lowering resolved
+    /// these against the observed schema alone.
+    filters: &'a [Inst],
+    slot: QueryId,
+    temporal: &'a Option<TemporalFilter>,
+    query: QueryId,
+    spec: &'a Arc<OutputSpec>,
+    pre: PoolRange,
+    keys: PoolRange,
+    aggs: PoolRange,
+}
+
+/// Recognizes the shape [`Vm::run_factorized`] executes; `None` leaves
+/// the program to the generic loop. A few slice patterns and one pass
+/// over the Emit's expressions, with no allocation, so it is simply
+/// re-derived per run.
+fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized<'_>> {
+    let (Inst::Observe { names }, rest) = code.insts.split_first()? else {
+        return None;
+    };
+    let filters = rest
+        .iter()
+        .take_while(|i| matches!(i, Inst::Filter { .. }))
+        .count();
+    let (filters, rest) = rest.split_at(filters);
+    let [Inst::Unpack { slot, temporal, .. }, Inst::Emit {
+        query,
+        spec,
+        pre,
+        keys,
+        aggs,
+    }] = rest
+    else {
+        return None;
+    };
+    if spec.streaming {
+        return None;
     }
-    a.len() == b.len()
-        && (std::ptr::eq(a.as_ptr(), b.as_ptr())
-            || a.iter().zip(b).all(|((x, _), (y, _))| same_name(x, y)))
+    // `true` when every column an expression range loads lies on the
+    // wanted half of the `Observe ++ Unpack` concat layout (observed
+    // columns come first); constants read neither half.
+    let w_obs = (names.1 - names.0) as u16;
+    let reads_only = |range: PoolRange, observed: bool| {
+        (range.0..range.1).all(|xi| {
+            let prog = code.exprs[xi as usize];
+            code.einsts[prog.start as usize..(prog.start + prog.len) as usize]
+                .iter()
+                .all(|inst| !matches!(inst, EInst::Load { col, .. } if (*col < w_obs) != observed))
+        })
+    };
+    let qualifies = reads_only(*pre, true) && reads_only(*keys, false) && reads_only(*aggs, true);
+    qualifies.then_some(Factorized {
+        fields: &code.names[names.0 as usize..names.1 as usize],
+        filters,
+        slot: *slot,
+        temporal,
+        query: *query,
+        spec,
+        pre: *pre,
+        keys: *keys,
+        aggs: *aggs,
+    })
 }
 
-/// A per-op classification of one lowered expression for the batch row
-/// loop (see [`Vm::run_batch`]): the single-instruction field references
-/// and constants that dominate key and aggregate projections are executed
-/// by direct tuple/pool access, paying classification once per op instead
-/// of the register machine once per row.
-enum FastCol {
-    /// A lone `Load` whose destination is the result register.
-    Load(u16),
-    /// A lone `Const` whose destination is the result register.
-    Const(u16),
-    /// Anything else: run [`eval`].
-    General(ExprProg),
-}
-
-fn classify_col(code: &AdviceByteCode, xi: u32) -> FastCol {
-    let prog = code.exprs[xi as usize];
-    if prog.len == 1 {
-        match &code.einsts[prog.start as usize] {
-            EInst::Load { dst, col } if *dst == prog.result => return FastCol::Load(*col),
-            EInst::Const { dst, idx } if *dst == prog.result => return FastCol::Const(*idx),
-            _ => {}
-        }
-    }
-    FastCol::General(prog)
-}
-
-/// Evaluates one classified column against `t` — the batch-loop
-/// equivalent of [`eval`] on the expression it was classified from.
-fn eval_col(
-    code: &AdviceByteCode,
-    col: &FastCol,
-    t: &Tuple,
-    regs: &mut [Value],
-) -> Result<Value, EvalFailed> {
-    match col {
-        FastCol::Load(c) => Ok(t.get(*c as usize).clone()),
-        FastCol::Const(i) => Ok(code.consts[*i as usize].clone()),
-        FastCol::General(prog) => eval(code, *prog, t, regs),
-    }
-}
-
-/// [`project`] over classified columns; any evaluation error drops the
-/// whole row.
-fn project_cols(
-    code: &AdviceByteCode,
-    cols: &[FastCol],
-    t: &Tuple,
-    regs: &mut [Value],
-) -> Result<Tuple, EvalFailed> {
-    cols.iter().map(|c| eval_col(code, c, t, regs)).collect()
+/// The tuple one invocation's `Observe` appends: each of `fields` looked
+/// up by name in the invocation's `exports` (first match wins), absent
+/// exports observing `Null`.
+fn observe(fields: &[Sym], exports: &[(&str, Value)]) -> Tuple {
+    fields
+        .iter()
+        .map(|f| {
+            exports
+                .iter()
+                .find(|(name, _)| *name == f.as_str())
+                .map(|(_, v)| v.clone())
+                .unwrap_or(Value::Null)
+        })
+        .collect()
 }
 
 /// Evaluates every predicate in `pre` against `t`; a tuple passes only
@@ -1689,6 +1457,17 @@ fn eval(
     regs: &mut [Value],
 ) -> Result<Value, EvalFailed> {
     let insts = &code.einsts[prog.start as usize..(prog.start + prog.len) as usize];
+    // The lone field references and literals that dominate key and
+    // aggregate projections bypass the register machine.
+    match insts {
+        [EInst::Load { dst, col }] if *dst == prog.result => {
+            return Ok(t.get(*col as usize).clone());
+        }
+        [EInst::Const { dst, idx }] if *dst == prog.result => {
+            return Ok(code.consts[*idx as usize].clone());
+        }
+        _ => {}
+    }
     let mut pc = 0usize;
     while pc < insts.len() {
         match &insts[pc] {
@@ -1951,8 +1730,8 @@ mod tests {
         }
     }
 
-    /// Pack-side program with a retention-capped mode, to exercise the
-    /// single-combined-pack path against per-invocation packs.
+    /// Pack-side program with a retention-capped mode, to exercise one
+    /// combined pack against per-invocation packs.
     fn pack_side(slot: QueryId, mode: PackMode) -> AdviceProgram {
         AdviceProgram {
             tracepoints: vec!["ClientProtocols".into()],
@@ -1968,24 +1747,24 @@ mod tests {
         }
     }
 
-    /// Runs `code` over `batch` twice — once per-invocation with
-    /// [`Vm::run`], once with [`Vm::run_batch`] — against clones of `bag`
-    /// and asserts every observable matches: emitted rows, stats,
-    /// retired-op deltas, and the serialized baggage.
-    fn assert_batch_matches_scalar(
+    /// Runs `code` over `batch` twice — one invocation at a time with
+    /// [`Vm::run`], then as one whole [`Vm::run_batch`] — against clones
+    /// of `bag` and asserts every observable matches: emitted rows,
+    /// stats, retired-op deltas, and the serialized baggage.
+    fn assert_batch_matches_one_at_a_time(
         code: &AdviceByteCode,
         batch: &[&[(&str, Value)]],
         bag: &Baggage,
     ) {
-        let mut bag_scalar = bag.clone();
-        let mut vm_scalar = Vm::new();
-        let mut sink_scalar = CollectSink::default();
-        let mut scalar = VmStats::default();
+        let mut bag_single = bag.clone();
+        let mut vm_single = Vm::new();
+        let mut sink_single = CollectSink::default();
+        let mut single = VmStats::default();
         for exports in batch {
-            let s = vm_scalar.run(code, exports, &mut bag_scalar, &mut sink_scalar);
-            scalar.unpacked += s.unpacked;
-            scalar.packed += s.packed;
-            scalar.emitted += s.emitted;
+            let s = vm_single.run(code, exports, &mut bag_single, &mut sink_single);
+            single.unpacked += s.unpacked;
+            single.packed += s.packed;
+            single.emitted += s.emitted;
         }
 
         let mut bag_batch = bag.clone();
@@ -1995,30 +1774,30 @@ mod tests {
 
         assert_eq!(
             (batched.unpacked, batched.packed, batched.emitted),
-            (scalar.unpacked, scalar.packed, scalar.emitted),
+            (single.unpacked, single.packed, single.emitted),
             "stats diverge"
         );
         assert_eq!(
             vm_batch.ops(),
-            vm_scalar.ops(),
+            vm_single.ops(),
             "retired-op metering diverges"
         );
-        assert_eq!(sink_batch.raw, sink_scalar.raw, "streaming rows diverge");
+        assert_eq!(sink_batch.raw, sink_single.raw, "streaming rows diverge");
         assert_eq!(
-            sink_batch.grouped, sink_scalar.grouped,
+            sink_batch.grouped, sink_single.grouped,
             "grouped rows diverge"
         );
         assert_eq!(
             bag_batch.to_bytes(),
-            bag_scalar.to_bytes(),
+            bag_single.to_bytes(),
             "baggage bytes diverge"
         );
     }
 
-    /// An [`EmitSink`] that opts into batch-folded grouped delivery and
+    /// An [`EmitSink`] that opts into folded grouped delivery and
     /// aggregates either delivery style into final per-group states, so
-    /// the scalar per-row path and the batch fold path land in one
-    /// comparable representation.
+    /// however the rows were windowed they land in one comparable
+    /// representation.
     #[derive(Default)]
     struct FoldSink {
         raw: Vec<(QueryId, Tuple)>,
@@ -2098,26 +1877,25 @@ mod tests {
         }
     }
 
-    /// Folding twin of [`assert_batch_matches_scalar`]: the batch run's
-    /// sink accepts [`EmitSink::grouped_fold`] (exercising the factorized
-    /// join path and the generic batch fold when the program qualifies),
-    /// and the final per-group accumulators — in first-seen group order —
-    /// plus row counts, stats, op metering, and baggage must all match
-    /// the scalar per-row run.
-    fn assert_batch_matches_scalar_folding(
+    /// Folding twin of [`assert_batch_matches_one_at_a_time`]: both runs'
+    /// sinks accept [`EmitSink::grouped_fold`] (exercising the factorized
+    /// join and the generic loop's fold when the program qualifies), and
+    /// the final per-group accumulators — in first-seen group order —
+    /// plus row counts, stats, op metering, and baggage must all match.
+    fn assert_batch_matches_one_at_a_time_folding(
         code: &AdviceByteCode,
         batch: &[&[(&str, Value)]],
         bag: &Baggage,
     ) {
-        let mut bag_scalar = bag.clone();
-        let mut vm_scalar = Vm::new();
-        let mut sink_scalar = FoldSink::default();
-        let mut scalar = VmStats::default();
+        let mut bag_single = bag.clone();
+        let mut vm_single = Vm::new();
+        let mut sink_single = FoldSink::default();
+        let mut single = VmStats::default();
         for exports in batch {
-            let s = vm_scalar.run(code, exports, &mut bag_scalar, &mut sink_scalar);
-            scalar.unpacked += s.unpacked;
-            scalar.packed += s.packed;
-            scalar.emitted += s.emitted;
+            let s = vm_single.run(code, exports, &mut bag_single, &mut sink_single);
+            single.unpacked += s.unpacked;
+            single.packed += s.packed;
+            single.emitted += s.emitted;
         }
 
         let mut bag_batch = bag.clone();
@@ -2127,29 +1905,29 @@ mod tests {
 
         assert_eq!(
             (batched.unpacked, batched.packed, batched.emitted),
-            (scalar.unpacked, scalar.packed, scalar.emitted),
+            (single.unpacked, single.packed, single.emitted),
             "stats diverge"
         );
         assert_eq!(
             vm_batch.ops(),
-            vm_scalar.ops(),
+            vm_single.ops(),
             "retired-op metering diverges"
         );
-        assert_eq!(sink_batch.raw, sink_scalar.raw, "streaming rows diverge");
+        assert_eq!(sink_batch.raw, sink_single.raw, "streaming rows diverge");
         assert_eq!(
             sink_batch.finished(),
-            sink_scalar.finished(),
+            sink_single.finished(),
             "folded groups diverge"
         );
         assert_eq!(
             bag_batch.to_bytes(),
-            bag_scalar.to_bytes(),
+            bag_single.to_bytes(),
             "baggage bytes diverge"
         );
     }
 
     #[test]
-    fn factorized_join_matches_scalar() {
+    fn factorized_join_matches_one_at_a_time() {
         // The canonical shape with a fan-out join: three packed client
         // tuples, two sharing a group key (so one group receives the
         // shared partial twice), a filtered-out row, and a row with a
@@ -2172,7 +1950,7 @@ mod tests {
             &[("delta", Value::I64(2))],
             &[("other", Value::I64(1))],
         ];
-        assert_batch_matches_scalar_folding(&emitter, &batch, &bag);
+        assert_batch_matches_one_at_a_time_folding(&emitter, &batch, &bag);
     }
 
     #[test]
@@ -2182,7 +1960,7 @@ mod tests {
         // Nothing packed: every invocation dies at the unpack.
         let batch: Vec<&[(&str, Value)]> =
             vec![&[("delta", Value::I64(1))], &[("delta", Value::I64(2))]];
-        assert_batch_matches_scalar_folding(&emitter, &batch, &Baggage::new());
+        assert_batch_matches_one_at_a_time_folding(&emitter, &batch, &Baggage::new());
         // Everything filtered out before the join.
         let mut bag = Baggage::new();
         bag.pack(
@@ -2192,13 +1970,13 @@ mod tests {
         );
         let dead: Vec<&[(&str, Value)]> =
             vec![&[("delta", Value::I64(400))], &[("delta", Value::I64(500))]];
-        assert_batch_matches_scalar_folding(&emitter, &dead, &bag);
+        assert_batch_matches_one_at_a_time_folding(&emitter, &dead, &bag);
     }
 
     #[test]
     fn factorized_bails_on_observed_side_keys() {
         // GroupBy over an *observed* column: the factorization condition
-        // fails and the generic batch fold must still match scalar.
+        // fails and the generic loop's fold must still match.
         let slot = QueryId(300);
         let program = AdviceProgram {
             tracepoints: vec!["DataNodeMetrics.incrBytesRead".into()],
@@ -2241,7 +2019,7 @@ mod tests {
             &[("delta", Value::I64(7))],
             &[("delta", Value::I64(9))],
         ];
-        assert_batch_matches_scalar_folding(&code, &batch, &bag);
+        assert_batch_matches_one_at_a_time_folding(&code, &batch, &bag);
     }
 
     #[test]
@@ -2262,7 +2040,7 @@ mod tests {
         });
         assert!(!lower_program(&hazard).code.batchable());
 
-        // Two Emits: scalar order interleaves per invocation.
+        // Two Emits: sequential order interleaves per invocation.
         let mut two_emits = emit_side(slot);
         let emit = two_emits.ops.last().cloned().expect("emit op");
         two_emits.ops.push(emit);
@@ -2295,7 +2073,14 @@ mod tests {
             &[("delta", Value::I64(2))],
             &[("other", Value::I64(1))],
         ];
-        assert_batch_matches_scalar(&emitter, &batch, &bag);
+        assert_batch_matches_one_at_a_time(&emitter, &batch, &bag);
+
+        // And the empty batch is a no-op.
+        let mut vm = Vm::new();
+        let mut sink = CollectSink::default();
+        let stats = vm.run_batch(&emitter, &[], &mut bag.clone(), &mut sink);
+        assert_eq!((stats.unpacked, stats.packed, stats.emitted), (0, 0, 0));
+        assert_eq!(vm.ops(), 0);
     }
 
     #[test]
@@ -2317,15 +2102,15 @@ mod tests {
                 .map(|n| [("procName", Value::str(n))])
                 .collect();
             let batch: Vec<&[(&str, Value)]> = exports.iter().map(|e| e.as_slice()).collect();
-            assert_batch_matches_scalar(&packer, &batch, &Baggage::new());
+            assert_batch_matches_one_at_a_time(&packer, &batch, &Baggage::new());
         }
     }
 
     #[test]
     fn run_batch_falls_back_for_non_batchable_programs() {
-        // Pack-then-unpack on one slot: not batchable, so run_batch must
-        // take the scalar fallback — invocation i+1 sees invocation i's
-        // pack, which the equivalence harness verifies.
+        // Pack-then-unpack on one slot: not batchable, so run_batch runs
+        // n batches of one, in order — invocation i+1 sees invocation
+        // i's pack.
         let slot = QueryId(300);
         let mut program = pack_side(slot, PackMode::All);
         program.ops.push(AdviceOp::Unpack {
@@ -2350,26 +2135,16 @@ mod tests {
             [("procName", Value::str("b"))],
         ];
         let batch: Vec<&[(&str, Value)]> = exports.iter().map(|e| e.as_slice()).collect();
-        assert_batch_matches_scalar(&code, &batch, &Baggage::new());
-    }
+        assert_batch_matches_one_at_a_time(&code, &batch, &Baggage::new());
 
-    #[test]
-    fn run_batch_of_one_equals_run() {
-        let slot = QueryId(300);
-        let code = lower_program(&emit_side(slot)).code;
-        let mut bag = Baggage::new();
-        bag.pack(
-            slot,
-            &PackMode::All,
-            [Tuple::from_iter([Value::str("HGet")])],
-        );
-        let batch: Vec<&[(&str, Value)]> = vec![&[("delta", Value::I64(7))]];
-        assert_batch_matches_scalar(&code, &batch, &bag);
-        // And the empty batch is a no-op.
-        let mut vm = Vm::new();
+        // Op-major order would have both invocations unpack both packs
+        // (a, b, a, b).
         let mut sink = CollectSink::default();
-        let stats = vm.run_batch(&code, &[], &mut bag.clone(), &mut sink);
-        assert_eq!((stats.unpacked, stats.packed, stats.emitted), (0, 0, 0));
-        assert_eq!(vm.ops(), 0);
+        Vm::new().run_batch(&code, &batch, &mut Baggage::new(), &mut sink);
+        let emitted: Vec<&Value> = sink.raw.iter().map(|(_, row)| row.get(0)).collect();
+        assert_eq!(
+            emitted,
+            [&Value::str("a"), &Value::str("a"), &Value::str("b")]
+        );
     }
 }

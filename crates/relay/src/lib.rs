@@ -45,7 +45,7 @@
 //!   hiding that would fake the books. Duplicate frames at-or-after the
 //!   baseline are suppressed exactly like the frontend suppresses them.
 //!
-//! A relay crash loses its open window; [`Relay::restart`] surfaces that
+//! A relay crash loses its open window; [`RelayCore::restart`] surfaces that
 //! as a [`CrashResidue`] the embedding folds into its `crash_lost`
 //! ground truth, takes a fresh incarnation (so the frontend never
 //! confuses the new stream with the old), and re-baselines every source

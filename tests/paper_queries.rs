@@ -175,3 +175,81 @@ fn union_sources_and_where_filters() {
         "expected HDFS-phase IO rows: {rows:?}"
     );
 }
+
+/// FNV-1a, the digest the golden below is stated in.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Q1–Q7 installed together on one seeded stack: the result rows and the
+/// advice-execution counters of every agent are a pure function of the
+/// seed, so their digest pins the engine's results byte for byte. A
+/// change that moves it changed what queries return (or how often advice
+/// ran), not just how fast.
+#[test]
+fn q1_through_q7_results_and_agent_stats_match_the_golden() {
+    let stack = stack_with_clients();
+    let queries = [
+        "From incr In DataNodeMetrics.incrBytesRead
+         GroupBy incr.host Select incr.host, SUM(incr.delta)",
+        "From incr In DataNodeMetrics.incrBytesRead
+         Join cl In First(ClientProtocols) On cl -> incr
+         GroupBy cl.procName Select cl.procName, SUM(incr.delta)",
+        "From dnop In DN.DataTransferProtocol
+         GroupBy dnop.host Select dnop.host, COUNT",
+        "From getloc In NN.GetBlockLocations
+         Join st In StressTest.DoNextOp On st -> getloc
+         GroupBy st.host, getloc.src Select st.host, getloc.src, COUNT",
+        "From getloc In NN.GetBlockLocations
+         Join st In StressTest.DoNextOp On st -> getloc
+         GroupBy st.host, getloc.replicas
+         Select st.host, getloc.replicas, COUNT",
+        "From DNop In DN.DataTransferProtocol
+         Join st In StressTest.DoNextOp On st -> DNop
+         GroupBy st.host, DNop.host Select st.host, DNop.host, COUNT",
+        "From DNop In DN.DataTransferProtocol
+         Join getloc In NN.GetBlockLocations On getloc -> DNop
+         Join st In StressTest.DoNextOp On st -> getloc
+         Where st.host != DNop.host
+         GroupBy DNop.host, getloc.replicas
+         Select DNop.host, getloc.replicas, COUNT",
+    ];
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|q| stack.install(q).expect("paper query compiles"))
+        .collect();
+    stack.run_for_secs(10.0);
+
+    let mut text = String::new();
+    for (i, h) in handles.iter().enumerate() {
+        let rows = stack.results(h).rows();
+        assert!(!rows.is_empty(), "Q{} returned nothing", i + 1);
+        for r in rows {
+            text.push_str(&format!("Q{} {:?}\n", i + 1, r.values));
+        }
+    }
+    // Server agents by name (client agents are reachable only through
+    // the cluster-wide totals, which close the list).
+    let mut agents = vec![&stack.hdfs.namenode.agent, &stack.yarn.rm_agent];
+    agents.extend(stack.hdfs.datanodes.iter().map(|d| &d.agent));
+    agents.extend(stack.hbase.regionservers.iter().map(|r| &r.agent));
+    agents.extend(stack.yarn.nodemanagers.iter().map(|n| &n.agent));
+    for a in agents {
+        let info = a.info();
+        text.push_str(&format!(
+            "{}/{} {:?}\n",
+            info.host,
+            info.procname,
+            a.stats()
+        ));
+    }
+    text.push_str(&format!("total {:?}\n", stack.cluster.agent_totals()));
+    // Generated on the commit before scalar invoke became a batch of one.
+    assert_eq!(
+        fnv64(text.as_bytes()),
+        0x51fe_0546_8f11_4c1c,
+        "Q1-Q7 results or agent counters moved; they now read:\n{text}"
+    );
+}
