@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use pivot_bench::{flag, flag_usize, print_table};
 use pivot_chaos::sim::run_kv;
 use pivot_chaos::FaultConfig;
-use pivot_core::ProcessInfo;
+use pivot_core::{Ledger, ProcessInfo};
 use pivot_live::service::define_kv_tracepoints;
 use pivot_live::{ConnStatus, LiveAgent, LiveFrontend, ReconnectPolicy};
 
@@ -194,14 +194,13 @@ struct SimSummary {
     duplicated: u64,
     delayed: u64,
     crashes: u64,
-    emitted: u64,
-    delivered: u64,
+    /// Every seed's books, summed.
+    books: Ledger,
     balanced: bool,
 }
 
 /// Deterministic fault-injection sweep: aggregate injector activity over
-/// `seeds` seed-derived schedules and check the accounting identity
-/// `emitted == delivered + dropped + crash_lost` held for all of them.
+/// `seeds` seed-derived schedules and check each run's `Ledger` balanced.
 fn sim_summary(seeds: u64) -> SimSummary {
     let mut s = SimSummary {
         seeds,
@@ -209,19 +208,17 @@ fn sim_summary(seeds: u64) -> SimSummary {
         duplicated: 0,
         delayed: 0,
         crashes: 0,
-        emitted: 0,
-        delivered: 0,
+        books: Ledger::default(),
         balanced: true,
     };
     for seed in 0..seeds {
         let out = run_kv(seed, FaultConfig::for_seed(seed), 128);
-        s.dropped += out.chaos.reports_dropped;
-        s.duplicated += out.chaos.reports_duplicated;
-        s.delayed += out.chaos.reports_delayed;
+        s.dropped += out.chaos.reports.dropped;
+        s.duplicated += out.chaos.reports.duplicated;
+        s.delayed += out.chaos.reports.delayed;
         s.crashes += out.crashes;
-        s.emitted += out.emitted;
-        s.delivered += out.loss.tuples_delivered;
-        s.balanced &= out.balanced();
+        s.books += out.books;
+        s.balanced &= out.books.balance().is_ok();
     }
     s
 }
@@ -272,8 +269,8 @@ fn render_json(
         sim.duplicated,
         sim.delayed,
         sim.crashes,
-        sim.emitted,
-        sim.delivered,
+        sim.books.produced,
+        sim.books.delivered,
         sim.balanced
     ));
     s.push_str("}\n");

@@ -2,9 +2,9 @@
 //! unpack all, serialize, and deserialize, as a function of the number of
 //! 8-byte tuples already in the baggage (1–256).
 //!
-//! This binary prints quick timing-loop results; for statistically robust
-//! numbers run the criterion bench: `cargo bench -p pivot-bench --bench
-//! baggage`.
+//! This binary prints quick timing-loop results; the same operations on
+//! a live request path, with run-to-run spreads, are the `baggage.*_ns`
+//! per-layer metrics of a traced `benchmark/` run (`-- --trace 1`).
 //!
 //! ```text
 //! cargo run -p pivot-bench --bin fig10 --release -- [--iters 2000]

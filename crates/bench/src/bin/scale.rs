@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use pivot_baggage::Baggage;
 use pivot_bench::{flag, flag_usize, print_table};
-use pivot_core::{Agent, Bus, Frontend, LocalBus, ProcessInfo, QueryHandle};
+use pivot_core::{Agent, Bus, Frontend, Ledger, LocalBus, ProcessInfo, QueryHandle};
 use pivot_model::Value;
 use pivot_relay::{FanIn, Relay};
 
@@ -192,8 +192,13 @@ fn run_on<B: Bus>(
     }
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let loss = fe.results(handle).loss();
+    let mut books = Ledger::from(loss);
+    for agent in agents {
+        books += Ledger::of_agent(agent, &[handle.id]);
+    }
     assert_eq!(
-        loss.tuples_dropped, 0,
+        books.balance(),
+        Ok(()),
         "a lossless transport stays lossless"
     );
     assert_eq!(

@@ -1,24 +1,32 @@
 //! Fault-injecting bus middleware.
 //!
-//! [`ChaosBus`] wraps any [`Bus`] and applies a [`FaultPlan`] to the
-//! frames crossing it: report frames can be dropped, duplicated, or held
-//! for later (delays double as partitions and limplock); command frames
-//! can be duplicated or held, never dropped. Everything the injector does
-//! is tallied in [`ChaosStats`], whose `tuples_dropped` is the ground
-//! truth the frontend's per-query loss accounting is checked against.
+//! [`ChaosBus`] is a [`SchedBus`] whose policy is a [`FaultPlan`]: report
+//! frames can be dropped, duplicated, or held for later (delays double as
+//! partitions and limplock); command frames can be duplicated or held,
+//! never dropped. Everything the injector does is tallied in
+//! [`ChaosStats`], whose report-lane `payload_dropped` is the ground truth
+//! the frontend's per-query loss accounting is checked against.
 //!
 //! The delivery *mechanics* — pending frames, release deadlines, the
 //! tallies themselves — live in [`pivot_core::SchedBus`]; this module
 //! only contributes the policy: [`PlanScheduler`] turns the seeded fault
 //! PRF into a [`pivot_core::Scheduler`].
 
-use pivot_core::{Bus, Command, Frontend, Report, RetroReport, SchedBus, Scheduler, Verdict};
+use pivot_core::{Command, Report, RetroReport, SchedBus, Scheduler, Verdict};
 
 use crate::plan::FaultPlan;
 
 /// What the injector did, cumulatively (the chaos-facing name for the
 /// shared [`pivot_core::DeliveryStats`] tallies).
 pub use pivot_core::DeliveryStats as ChaosStats;
+
+/// A [`pivot_core::Bus`] wrapper that injects the faults a [`FaultPlan`]
+/// schedules: `ChaosBus::new(inner, PlanScheduler::new(plan))`.
+///
+/// Works over any transport — [`pivot_core::LocalBus`], the simulated
+/// cluster's `Rc<Cluster>`, or a live `Arc<TcpBusServer>` — because it
+/// only touches the `Bus` trait surface.
+pub type ChaosBus<B> = SchedBus<B, PlanScheduler>;
 
 /// Stable identity of a reporting process for fault-schedule keying:
 /// a hash of `(host, procid)`. Deliberately excludes the agent
@@ -36,6 +44,18 @@ pub fn source_key(host: &str, procid: u64) -> u64 {
 /// stateless [`FaultPlan`], keyed by frame identity.
 pub struct PlanScheduler {
     plan: FaultPlan,
+}
+
+impl PlanScheduler {
+    /// The policy scheduling faults from `plan`.
+    pub fn new(plan: FaultPlan) -> PlanScheduler {
+        PlanScheduler { plan }
+    }
+
+    /// The fault schedule.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
 }
 
 impl Scheduler for PlanScheduler {
@@ -60,94 +80,15 @@ impl Scheduler for PlanScheduler {
     }
 }
 
-/// A [`Bus`] wrapper that injects the faults a [`FaultPlan`] schedules.
-///
-/// Works over any transport — [`pivot_core::LocalBus`], the simulated
-/// cluster's `Rc<Cluster>`, or a live `Arc<TcpBusServer>` — because it
-/// only touches the `Bus` trait surface.
-pub struct ChaosBus<B> {
-    bus: SchedBus<B, PlanScheduler>,
-}
-
-impl<B> ChaosBus<B> {
-    /// Wraps `inner`, scheduling faults from `plan`.
-    pub fn new(inner: B, plan: FaultPlan) -> ChaosBus<B> {
-        ChaosBus {
-            bus: SchedBus::new(inner, PlanScheduler { plan }),
-        }
-    }
-
-    /// The wrapped bus.
-    pub fn inner(&self) -> &B {
-        self.bus.inner()
-    }
-
-    /// The wrapped bus, mutably (e.g. to register/unregister agents on a
-    /// `LocalBus` when the harness crashes and restarts them).
-    pub fn inner_mut(&mut self) -> &mut B {
-        self.bus.inner_mut()
-    }
-
-    /// The fault schedule.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.bus.scheduler().plan
-    }
-
-    /// A snapshot of the injection tallies.
-    pub fn stats(&self) -> ChaosStats {
-        self.bus.stats()
-    }
-
-    /// Turns injection on or off. While disabled the bus is a transparent
-    /// pass-through (pending frames still release on drain).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.bus.set_enabled(enabled);
-    }
-
-    /// Marks every held frame due immediately, so the next drain delivers
-    /// it regardless of the clock.
-    pub fn release_pending(&self) {
-        self.bus.release_pending();
-    }
-
-    /// Frames currently held for later delivery (reports, commands).
-    pub fn pending(&self) -> (usize, usize) {
-        self.bus.pending()
-    }
-}
-
-impl<B: Bus> ChaosBus<B> {
-    /// End-of-run convergence: stop injecting, release every held frame,
-    /// and pump the final reports into `frontend`. After this, everything
-    /// the plan did not *drop* has been delivered.
-    pub fn settle_into(&self, now: u64, frontend: &mut Frontend) {
-        self.bus.settle_into(now, frontend);
-    }
-}
-
-impl<B: Bus> Bus for ChaosBus<B> {
-    fn broadcast(&self, cmd: &Command) {
-        self.bus.broadcast(cmd);
-    }
-
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        self.bus.drain_reports(now)
-    }
-
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        self.bus.drain_retro(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::FaultConfig;
-    use pivot_core::LocalBus;
+    use pivot_core::{Bus, LocalBus};
 
     #[test]
     fn disabled_bus_is_transparent() {
-        let chaos = ChaosBus::new(LocalBus::new(), FaultPlan::from_seed(3));
+        let chaos = ChaosBus::new(LocalBus::new(), PlanScheduler::new(FaultPlan::from_seed(3)));
         chaos.set_enabled(false);
         assert!(chaos.drain_reports(0).is_empty());
         assert_eq!(chaos.stats(), ChaosStats::default());
@@ -162,10 +103,11 @@ mod tests {
 
     #[test]
     fn off_plan_passes_everything_but_counts_frames() {
-        let chaos = ChaosBus::new(LocalBus::new(), FaultPlan::new(1, FaultConfig::off()));
+        let plan = FaultPlan::new(1, FaultConfig::off());
+        let chaos = ChaosBus::new(LocalBus::new(), PlanScheduler::new(plan));
         chaos.broadcast(&Command::Uninstall(pivot_baggage::QueryId(9)));
         let st = chaos.stats();
-        assert_eq!(st.commands_seen, 1);
-        assert_eq!(st.commands_duplicated + st.commands_delayed, 0);
+        assert_eq!(st.commands.seen, 1);
+        assert_eq!(st.commands.duplicated + st.commands.delayed, 0);
     }
 }

@@ -204,39 +204,8 @@ impl FaultPlan {
     }
 
     /// The fate of report frame `(source, query, seq)` flushed at `now`.
-    ///
-    /// Partition and limplock compose with the per-frame roll: a partition
-    /// holds everything until its window closes (so `Drop` stays `Drop`
-    /// but deliveries become delays), and a limping source pays a constant
-    /// extra delay on every delivered frame.
     pub fn report_verdict(&self, source: u64, query: u64, seq: u64, now: u64) -> Verdict {
-        let r = self.roll(STREAM_REPORT, source, query, seq);
-        let pick = (r % 1000) as u32;
-        let c = &self.cfg;
-        let mut verdict = if pick < c.drop_per_mille {
-            Verdict::Drop
-        } else if pick < c.drop_per_mille + c.dup_per_mille {
-            Verdict::Duplicate
-        } else if pick < c.drop_per_mille + c.dup_per_mille + c.delay_per_mille {
-            Verdict::Delay(c.delay_ns * (1 + (r >> 32) % 4))
-        } else {
-            Verdict::Deliver
-        };
-        if let Some(hold) = self.partitioned(source, now) {
-            verdict = match verdict {
-                Verdict::Drop => Verdict::Drop,
-                Verdict::Delay(d) => Verdict::Delay(d.max(hold)),
-                Verdict::Deliver | Verdict::Duplicate => Verdict::Delay(hold),
-            };
-        }
-        if self.limping(source) {
-            verdict = match verdict {
-                Verdict::Deliver => Verdict::Delay(c.limp_delay_ns),
-                Verdict::Delay(d) => Verdict::Delay(d + c.limp_delay_ns),
-                v => v,
-            };
-        }
-        verdict
+        self.frame_verdict(self.roll(STREAM_REPORT, source, query, seq), source, now)
     }
 
     /// The fate of retro-flush frame `(source, seq)` crossing the bus at
@@ -245,7 +214,16 @@ impl FaultPlan {
     /// partition and limplock state — a partitioned source's retro
     /// frames are held with everything else.
     pub fn retro_verdict(&self, source: u64, seq: u64, now: u64) -> Verdict {
-        let r = self.roll(STREAM_RETRO, source, seq, 0);
+        self.frame_verdict(self.roll(STREAM_RETRO, source, seq, 0), source, now)
+    }
+
+    /// Turns one frame's PRF draw `r` into its fate.
+    ///
+    /// Partition and limplock compose with the per-frame roll: a partition
+    /// holds everything until its window closes (so `Drop` stays `Drop`
+    /// but deliveries become delays), and a limping source pays a constant
+    /// extra delay on every delivered frame.
+    fn frame_verdict(&self, r: u64, source: u64, now: u64) -> Verdict {
         let pick = (r % 1000) as u32;
         let c = &self.cfg;
         let mut verdict = if pick < c.drop_per_mille {

@@ -8,36 +8,25 @@
 //! re-syncs the installed-query set through [`pivot_core::Agent::sync`],
 //! exactly mirroring the live runtime's epoch re-sync after reconnect.
 //!
-//! Every run returns a [`RunOutcome`] whose accounting identity
-//!
-//! ```text
-//! emitted == loss.tuples_delivered + chaos.tuples_dropped + crash_lost
-//! ```
-//!
-//! must balance exactly: each emitted tuple was either delivered to the
-//! frontend, dropped on the report path (and tallied by the injector), or
-//! died unflushed in a crash (and tallied by the harness).
-//!
-//! [`run_kv_overload`] extends the scenario with the overload fault
-//! family — tracepoint storms and group-key explosions from
-//! [`FaultConfig::overload_for_seed`] — under tight explicit
-//! [`QueryBudget`]s and small row caps, and its [`OverloadOutcome`]
-//! extends the identity with the governor's ledger:
-//!
-//! ```text
-//! emitted == delivered + chaos.tuples_dropped + crash_lost + governor_shed
-//! ```
+//! Every run returns an outcome holding the run's [`Ledger`] — agents'
+//! ground-truth counters over every incarnation, the frontend's
+//! deliveries, the injector's drops, and what died unflushed in each
+//! crash ([`Ledger::bury`]) — and `books.balance()` must hold exactly
+//! (the identity and its terms: DESIGN.md §5k). [`run_kv_overload`] adds
+//! tracepoint storms and group-key explosions under tight
+//! [`QueryBudget`]s and small row caps, which exercises the `shed` term;
+//! [`run_kv_retro`] keeps a second ledger for hindsight events.
 
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, QueryId};
 use pivot_core::{
-    set_trace, Agent, Bus, Frontend, LocalBus, LossStats, ProcessInfo, QueryBudget, ResultRow,
-    RetroLossStats, Throttled, TriggerKind,
+    set_trace, Agent, Bus, Frontend, Ledger, LocalBus, LossStats, ProcessInfo, QueryBudget,
+    QueryHandle, ResultRow, RetroLossStats, Throttled, TriggerKind,
 };
 use pivot_model::Value;
 
-use crate::bus::{source_key, ChaosBus, ChaosStats};
+use crate::bus::{source_key, ChaosBus, ChaosStats, PlanScheduler};
 use crate::plan::{FaultConfig, FaultPlan};
 
 /// The workload query: per-request execution counts and bytes, joined
@@ -56,6 +45,180 @@ pub const STEP_NS: u64 = 1_000_000;
 /// opportunity).
 pub const FLUSH_EVERY: u64 = 16;
 
+/// The fault-schedule source keys of the harness's two processes
+/// `(client, shard)` — exposed so tests can fingerprint plans over the
+/// exact sources the workload uses.
+pub fn kv_sources() -> (u64, u64) {
+    (source_key("kv-client", 1), source_key("kv-server", 2))
+}
+
+fn shard_info() -> ProcessInfo {
+    ProcessInfo {
+        host: "kv-server".into(),
+        procid: 2,
+        procname: "KvShard".into(),
+    }
+}
+
+/// The shard-side export set of the `k`-th execute event.
+fn put(k: u64) -> [(&'static str, Value); 3] {
+    [
+        ("shard", Value::U64(k % 4)),
+        ("op", Value::str("put")),
+        ("bytes", Value::I64((k % 97) as i64 + 1)),
+    ]
+}
+
+/// The "RPC" to the shard: baggage crosses the process boundary by
+/// serialization, as it would on a real wire.
+fn rpc(bag: &mut Baggage) -> Baggage {
+    Baggage::from_bytes(&bag.to_bytes())
+}
+
+/// The two-process scenario every harness drives — frontend, client and
+/// shard agents, one fault-injecting bus — and the run's books.
+struct Stage {
+    fe: Frontend,
+    client: Arc<Agent>,
+    shard: Arc<Agent>,
+    chaos: ChaosBus<LocalBus>,
+    handles: Vec<QueryHandle>,
+    queries: Vec<QueryId>,
+    /// Harness tuning (row caps, ring sizes), re-applied to every fresh
+    /// incarnation the way a supervisor would.
+    tune: fn(&Agent),
+    books: Ledger,
+    retro_books: Ledger,
+    crashes: u64,
+}
+
+impl Stage {
+    /// Installs `queries` (the first `budgets.len()` of them budgeted),
+    /// registers both agents and broadcasts the commands through the
+    /// fault schedule `(seed, cfg)`.
+    fn new(
+        seed: u64,
+        cfg: FaultConfig,
+        queries: &[&str],
+        budgets: &[QueryBudget],
+        tune: fn(&Agent),
+    ) -> Stage {
+        let mut fe = Frontend::new();
+        fe.define("KvClient.issueRequest", ["client", "op", "key"]);
+        fe.define("KvShard.execute", ["shard", "op", "bytes"]);
+        let handles: Vec<QueryHandle> = queries
+            .iter()
+            .map(|q| fe.install(q).expect("harness query compiles"))
+            .collect();
+        for (handle, budget) in handles.iter().zip(budgets) {
+            fe.set_budget(handle, *budget);
+        }
+        let client = Arc::new(Agent::new(ProcessInfo {
+            host: "kv-client".into(),
+            procid: 1,
+            procname: "KvClient".into(),
+        }));
+        let shard = Arc::new(Agent::new(shard_info()));
+        let mut bus = LocalBus::new();
+        for agent in [&client, &shard] {
+            tune(agent);
+            bus.register(Arc::clone(agent));
+        }
+        let plan = FaultPlan::new(seed, cfg);
+        let chaos = ChaosBus::new(bus, PlanScheduler::new(plan));
+        for cmd in fe.drain_commands() {
+            Bus::broadcast(&chaos, &cmd);
+        }
+        Stage {
+            fe,
+            client,
+            shard,
+            chaos,
+            queries: handles.iter().map(|h| h.id).collect(),
+            handles,
+            tune,
+            books: Ledger::default(),
+            retro_books: Ledger::default(),
+            crashes: 0,
+        }
+    }
+
+    fn plan(&self) -> &FaultPlan {
+        self.chaos.scheduler().plan()
+    }
+
+    /// The client tracepoint of request `key`, packing into `bag`.
+    fn issue(&self, bag: &mut Baggage, now: u64, key: &str) {
+        self.client.invoke(
+            "KvClient.issueRequest",
+            bag,
+            now,
+            &[
+                ("client", Value::str("client-0")),
+                ("op", Value::str("put")),
+                ("key", Value::str(key)),
+            ],
+        );
+    }
+
+    /// Ends request `i`. At a flush boundary the schedule may kill the
+    /// shard mid-interval — `last_words` runs on the dying incarnation,
+    /// then it is buried: its counters are its last word and whatever it
+    /// had not flushed is lost for good. The replacement (same process
+    /// identity, fresh incarnation) re-syncs the installed queries and
+    /// budgets from the frontend, mirroring the live epoch re-sync.
+    fn end_request(&mut self, i: u64, now: u64, last_words: impl FnOnce(&Agent)) {
+        if !(i + 1).is_multiple_of(FLUSH_EVERY) {
+            return;
+        }
+        if self
+            .plan()
+            .should_crash(kv_sources().1, (i + 1) / FLUSH_EVERY)
+        {
+            self.crashes += 1;
+            last_words(&self.shard);
+            let (tuples, retro) = Ledger::bury(&self.shard, &self.queries, now);
+            self.books += tuples;
+            self.retro_books += retro;
+            self.chaos.inner_mut().unregister(&self.shard);
+            let fresh = Arc::new(Agent::new(shard_info()));
+            (self.tune)(&fresh);
+            fresh.sync(&self.fe.installed());
+            fresh.sync_budgets(&self.fe.budgets());
+            self.chaos.inner_mut().register(Arc::clone(&fresh));
+            self.shard = fresh;
+        }
+        self.chaos.pump_into(now, &mut self.fe);
+    }
+
+    /// Convergence — stop injecting, release held frames, final flush —
+    /// then closes both books: the survivors' counters (sealing their
+    /// rings: unclaimed events become `sampled_out`), the injector's
+    /// drops and the frontend's deliveries join the buried incarnations'.
+    /// Returns the per-query loss views and the injector's tallies.
+    fn settle(&mut self, requests: u64) -> (Vec<LossStats>, ChaosStats) {
+        self.chaos
+            .settle_into((requests + 2) * STEP_NS, &mut self.fe);
+        for agent in [&self.shard, &self.client] {
+            self.books += Ledger::of_agent(agent, &self.queries);
+            self.retro_books += Ledger::from(agent.retro_seal());
+        }
+        let stats = self.chaos.stats();
+        self.books += Ledger::from(stats.reports);
+        self.retro_books += Ledger::from(stats.retro);
+        let loss: Vec<LossStats> = self
+            .handles
+            .iter()
+            .map(|h| self.fe.results(h).loss())
+            .collect();
+        for l in &loss {
+            self.books += Ledger::from(*l);
+        }
+        self.retro_books += Ledger::from(self.fe.retro_loss());
+        (loss, stats)
+    }
+}
+
 /// Everything observable about one harness run. Two runs of the same
 /// `(seed, config, requests)` must compare equal — the determinism
 /// regression test relies on `PartialEq` here.
@@ -67,36 +230,10 @@ pub struct RunOutcome {
     pub loss: LossStats,
     /// The injector's tallies.
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over every shard/client agent
-    /// incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
+    /// The run's tuple books, ground truth on the `produced` side.
+    pub books: Ledger,
     /// Agent crash/restart cycles the schedule triggered.
     pub crashes: u64,
-}
-
-impl RunOutcome {
-    /// Whether the loss-accounting identity balances exactly (see the
-    /// module docs).
-    pub fn balanced(&self) -> bool {
-        self.emitted == self.loss.tuples_delivered + self.chaos.tuples_dropped + self.crash_lost
-    }
-}
-
-fn shard_info() -> ProcessInfo {
-    ProcessInfo {
-        host: "kv-server".into(),
-        procid: 2,
-        procname: "KvShard".into(),
-    }
-}
-
-/// The fault-schedule source keys of the harness's two processes
-/// `(client, shard)` — exposed so tests can fingerprint plans over the
-/// exact sources the workload uses.
-pub fn kv_sources() -> (u64, u64) {
-    (source_key("kv-client", 1), source_key("kv-server", 2))
 }
 
 /// Runs `requests` KV operations under the fault schedule `(seed, cfg)`
@@ -120,107 +257,31 @@ pub fn run_kv_burst(
     burst: u64,
     batched: bool,
 ) -> RunOutcome {
-    let plan = FaultPlan::new(seed, cfg);
-    let mut fe = Frontend::new();
-    fe.define("KvClient.issueRequest", ["client", "op", "key"]);
-    fe.define("KvShard.execute", ["shard", "op", "bytes"]);
-    let handle = fe.install(KV_QUERY).expect("chaos harness query compiles");
-    let qid = handle.id;
-
-    let client = Arc::new(Agent::new(ProcessInfo {
-        host: "kv-client".into(),
-        procid: 1,
-        procname: "KvClient".into(),
-    }));
-    let mut shard = Arc::new(Agent::new(shard_info()));
-    let (_, shard_src) = kv_sources();
-
-    let mut bus = LocalBus::new();
-    bus.register(Arc::clone(&client));
-    bus.register(Arc::clone(&shard));
-    let mut chaos = ChaosBus::new(bus, plan);
-    for cmd in fe.drain_commands() {
-        Bus::broadcast(&chaos, &cmd);
-    }
-
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
-    let mut crashes = 0u64;
-
+    let mut st = Stage::new(seed, cfg, &[KV_QUERY], &[], |_| {});
     for i in 0..requests {
         let now = (i + 1) * STEP_NS;
-        let key = format!("req-{i:05}");
         let mut bag = Baggage::new();
-        client.invoke(
-            "KvClient.issueRequest",
-            &mut bag,
-            now,
-            &[
-                ("client", Value::str("client-0")),
-                ("op", Value::str("put")),
-                ("key", Value::str(&key)),
-            ],
-        );
-        // "RPC" to the shard: baggage crosses the process boundary by
-        // serialization, as it would on a real wire.
-        let bytes = bag.to_bytes();
-        let mut remote = Baggage::from_bytes(&bytes);
-        let events: Vec<[(&str, Value); 3]> = (0..burst)
-            .map(|j| {
-                let k = i * burst + j;
-                [
-                    ("shard", Value::U64(k % 4)),
-                    ("op", Value::str("put")),
-                    ("bytes", Value::I64((k % 97) as i64 + 1)),
-                ]
-            })
-            .collect();
+        st.issue(&mut bag, now, &format!("req-{i:05}"));
+        let mut remote = rpc(&mut bag);
+        let events: Vec<_> = (0..burst).map(|j| put(i * burst + j)).collect();
         if batched {
             let ev: Vec<(u64, &[(&str, Value)])> =
                 events.iter().map(|e| (now, e.as_slice())).collect();
-            shard.invoke_batch("KvShard.execute", &mut remote, &ev);
+            st.shard.invoke_batch("KvShard.execute", &mut remote, &ev);
         } else {
             for e in &events {
-                shard.invoke("KvShard.execute", &mut remote, now, e);
+                st.shard.invoke("KvShard.execute", &mut remote, now, e);
             }
         }
-
-        if (i + 1) % FLUSH_EVERY == 0 {
-            let step = (i + 1) / FLUSH_EVERY;
-            if chaos.plan().should_crash(shard_src, step) {
-                // The shard process dies mid-interval: its cumulative
-                // emission counter is the last word of this incarnation,
-                // and whatever it had not flushed is lost for good.
-                crashes += 1;
-                emitted += shard.emitted_for(qid);
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
-                chaos.inner_mut().unregister(&shard);
-                // Restart: fresh incarnation, same process identity. The
-                // replacement re-syncs the full installed-query set from
-                // the frontend (the epoch re-sync path).
-                let fresh = Arc::new(Agent::new(shard_info()));
-                fresh.sync(&fe.installed());
-                chaos.inner_mut().register(Arc::clone(&fresh));
-                shard = fresh;
-            }
-            chaos.pump_into(now, &mut fe);
-        }
+        st.end_request(i, now, |_| {});
     }
-
-    // Convergence: stop injecting, release held frames, final flush.
-    chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
-    emitted += shard.emitted_for(qid) + client.emitted_for(qid);
-
-    let res = fe.results(&handle);
+    let (loss, chaos) = st.settle(requests);
     RunOutcome {
-        rows: res.rows(),
-        loss: res.loss(),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
-        crashes,
+        rows: st.fe.results(&st.handles[0]).rows(),
+        loss: loss[0],
+        chaos,
+        books: st.books,
+        crashes: st.crashes,
     }
 }
 
@@ -251,14 +312,9 @@ pub struct OverloadOutcome {
     pub throttles: (Vec<Throttled>, Vec<Throttled>),
     /// The injector's tallies.
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over both queries and every
-    /// agent incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
-    /// Tuples the governor shed at the row-capped buffers, ground truth
-    /// summed over agents, queries, and incarnations.
-    pub governor_shed: u64,
+    /// The run's tuple books over both queries, ground truth on the
+    /// `produced` side; `shed` is what the governor's row caps discarded.
+    pub books: Ledger,
     /// Packed tuples dropped by the `PackMode::All` hard cap.
     pub truncated: u64,
     /// Circuit-breaker trips, ground truth summed over agents, queries,
@@ -271,20 +327,6 @@ pub struct OverloadOutcome {
     pub max_buffered: usize,
 }
 
-impl OverloadOutcome {
-    /// The extended loss identity: every emitted tuple was either
-    /// delivered to the frontend, dropped in transit (injector tally),
-    /// lost unflushed in a crash, or shed by the governor's row caps.
-    pub fn balanced(&self) -> bool {
-        self.emitted
-            == self.loss.0.tuples_delivered
-                + self.loss.1.tuples_delivered
-                + self.chaos.tuples_dropped
-                + self.crash_lost
-                + self.governor_shed
-    }
-}
-
 /// Runs `requests` steps of the overload workload — tracepoint storms,
 /// group-key explosions, tight explicit budgets, small row caps — under
 /// the fault schedule `(seed, cfg)` and returns the converged outcome.
@@ -292,193 +334,85 @@ impl OverloadOutcome {
 /// actually storms; with [`FaultConfig::off`] the run is a plain (if
 /// tightly budgeted) KV workload.
 pub fn run_kv_overload(seed: u64, cfg: FaultConfig, requests: u64) -> OverloadOutcome {
-    let plan = FaultPlan::new(seed, cfg);
-    let mut fe = Frontend::new();
-    fe.define("KvClient.issueRequest", ["client", "op", "key"]);
-    fe.define("KvShard.execute", ["shard", "op", "bytes"]);
-    let grouped = fe
-        .install(KV_QUERY)
-        .expect("overload grouped query compiles");
-    let stream = fe
-        .install(KV_STREAM_QUERY)
-        .expect("overload stream query compiles");
     // Tight explicit budgets, windowed at a quarter of the flush
     // interval so trip → backoff → re-arm cycles complete within a run:
     // the grouped query trips on tuple floods (group-key explosions),
     // the streaming one on storm bursts. Ops/bytes rails are set high —
     // they are exercised by unit tests; here tuples are the story.
-    fe.set_budget(
-        &grouped,
-        QueryBudget {
-            tuples_per_window: 24,
-            ops_per_window: 1_000_000,
-            bytes_per_window: 1_000_000,
-            window_ns: 4 * STEP_NS,
-            backoff_base_windows: 1,
-            max_backoff_doublings: 3,
-        },
+    let budget = |tuples: u64, rail: u64| QueryBudget {
+        tuples_per_window: tuples,
+        ops_per_window: rail,
+        bytes_per_window: rail,
+        window_ns: 4 * STEP_NS,
+        backoff_base_windows: 1,
+        max_backoff_doublings: 3,
+    };
+    let mut st = Stage::new(
+        seed,
+        cfg,
+        &[KV_QUERY, KV_STREAM_QUERY],
+        &[budget(24, 1_000_000), budget(400, 4_000_000)],
+        |agent| agent.set_row_cap(OVERLOAD_ROW_CAP),
     );
-    fe.set_budget(
-        &stream,
-        QueryBudget {
-            tuples_per_window: 400,
-            ops_per_window: 4_000_000,
-            bytes_per_window: 4_000_000,
-            window_ns: 4 * STEP_NS,
-            backoff_base_windows: 1,
-            max_backoff_doublings: 3,
-        },
-    );
-    let queries: [QueryId; 2] = [grouped.id, stream.id];
-
-    let client = Arc::new(Agent::new(ProcessInfo {
-        host: "kv-client".into(),
-        procid: 1,
-        procname: "KvClient".into(),
-    }));
-    client.set_row_cap(OVERLOAD_ROW_CAP);
-    let mut shard = Arc::new(Agent::new(shard_info()));
-    shard.set_row_cap(OVERLOAD_ROW_CAP);
+    let queries = st.queries.clone();
     let (_, shard_src) = kv_sources();
-
-    let mut bus = LocalBus::new();
-    bus.register(Arc::clone(&client));
-    bus.register(Arc::clone(&shard));
-    let mut chaos = ChaosBus::new(bus, plan);
-    for cmd in fe.drain_commands() {
-        Bus::broadcast(&chaos, &cmd);
-    }
-
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
-    let mut governor_shed = 0u64;
-    let mut truncated = 0u64;
-    let mut trips = 0u64;
-    let mut crashes = 0u64;
+    // Governor tallies outside the ledger; a dying incarnation's are its
+    // last word too.
+    let (mut truncated, mut trips) = (0u64, 0u64);
+    let mut tally = |agent: &Agent| {
+        for &q in &queries {
+            truncated += agent.truncated_for(q);
+            trips += u64::from(agent.trips_for(q));
+        }
+    };
     let mut max_buffered = 0usize;
 
     for i in 0..requests {
         let now = (i + 1) * STEP_NS;
-        let burst = chaos.plan().storm_burst(shard_src, i);
-        if chaos.plan().explodes(shard_src, i) {
+        let burst = st.plan().storm_burst(shard_src, i);
+        if st.plan().explodes(shard_src, i) {
             // Group-key explosion: a flood of one-shot requests with
             // distinct keys. The floor keeps every explosion wider than
             // [`OVERLOAD_ROW_CAP`], so each one both trips the grouped
             // budget and forces the grouped buffer to refuse new groups.
-            let width = u64::from(burst.max(80));
-            for j in 0..width {
-                let key = format!("xk-{i:05}-{j:03}");
+            for j in 0..u64::from(burst.max(80)) {
                 let mut bag = Baggage::new();
-                client.invoke(
-                    "KvClient.issueRequest",
-                    &mut bag,
-                    now,
-                    &[
-                        ("client", Value::str("client-0")),
-                        ("op", Value::str("put")),
-                        ("key", Value::str(&key)),
-                    ],
-                );
-                let bytes = bag.to_bytes();
-                let mut remote = Baggage::from_bytes(&bytes);
-                shard.invoke(
-                    "KvShard.execute",
-                    &mut remote,
-                    now,
-                    &[
-                        ("shard", Value::U64(j % 4)),
-                        ("op", Value::str("put")),
-                        ("bytes", Value::I64((j % 97) as i64 + 1)),
-                    ],
-                );
+                st.issue(&mut bag, now, &format!("xk-{i:05}-{j:03}"));
+                st.shard
+                    .invoke("KvShard.execute", &mut rpc(&mut bag), now, &put(j));
             }
         } else {
             // Ordinary request — or a tracepoint storm when `burst > 1`:
             // the client tracepoint fires `burst` times on one request,
             // every firing packing into the same baggage, so the
             // `PackMode::All` hard cap engages past its limit.
-            let key = format!("req-{i:05}");
             let mut bag = Baggage::new();
             for _ in 0..burst {
-                client.invoke(
-                    "KvClient.issueRequest",
-                    &mut bag,
-                    now,
-                    &[
-                        ("client", Value::str("client-0")),
-                        ("op", Value::str("put")),
-                        ("key", Value::str(&key)),
-                    ],
-                );
+                st.issue(&mut bag, now, &format!("req-{i:05}"));
             }
-            let bytes = bag.to_bytes();
-            let mut remote = Baggage::from_bytes(&bytes);
-            shard.invoke(
-                "KvShard.execute",
-                &mut remote,
-                now,
-                &[
-                    ("shard", Value::U64(i % 4)),
-                    ("op", Value::str("put")),
-                    ("bytes", Value::I64((i % 97) as i64 + 1)),
-                ],
-            );
+            st.shard
+                .invoke("KvShard.execute", &mut rpc(&mut bag), now, &put(i));
         }
-        for q in queries {
-            max_buffered = max_buffered.max(shard.buffered_rows(q));
+        for &q in &queries {
+            max_buffered = max_buffered.max(st.shard.buffered_rows(q));
         }
-
-        if (i + 1) % FLUSH_EVERY == 0 {
-            let step = (i + 1) / FLUSH_EVERY;
-            if chaos.plan().should_crash(shard_src, step) {
-                // The dying incarnation's governor tallies are its last
-                // word — fold them into the ground truth before the
-                // restart resets every counter.
-                crashes += 1;
-                for q in queries {
-                    emitted += shard.emitted_for(q);
-                    governor_shed += shard.shed_for(q);
-                    truncated += shard.truncated_for(q);
-                    trips += u64::from(shard.trips_for(q));
-                }
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
-                chaos.inner_mut().unregister(&shard);
-                // Restart: the replacement re-syncs the query set *and*
-                // the budget set, mirroring the live epoch re-sync.
-                let fresh = Arc::new(Agent::new(shard_info()));
-                fresh.set_row_cap(OVERLOAD_ROW_CAP);
-                fresh.sync(&fe.installed());
-                fresh.sync_budgets(&fe.budgets());
-                chaos.inner_mut().register(Arc::clone(&fresh));
-                shard = fresh;
-            }
-            chaos.pump_into(now, &mut fe);
-        }
+        st.end_request(i, now, &mut tally);
     }
 
-    chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
-    for q in queries {
-        emitted += shard.emitted_for(q) + client.emitted_for(q);
-        governor_shed += shard.shed_for(q) + client.shed_for(q);
-        truncated += shard.truncated_for(q) + client.truncated_for(q);
-        trips += u64::from(shard.trips_for(q)) + u64::from(client.trips_for(q));
-    }
-
-    let gres = fe.results(&grouped);
-    let sres = fe.results(&stream);
+    let (loss, chaos) = st.settle(requests);
+    tally(&st.shard);
+    tally(&st.client);
+    let gres = st.fe.results(&st.handles[0]);
+    let sres = st.fe.results(&st.handles[1]);
     OverloadOutcome {
         grouped_rows: gres.rows(),
-        loss: (gres.loss(), sres.loss()),
+        loss: (loss[0], loss[1]),
         throttles: (gres.throttles(), sres.throttles()),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
-        governor_shed,
+        chaos,
+        books: st.books,
         truncated,
         trips,
-        crashes,
+        crashes: st.crashes,
         max_buffered,
     }
 }
@@ -515,24 +449,17 @@ pub struct RetroOutcome {
     pub retro: RetroLossStats,
     /// The injector's tallies (retro frames included).
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over both queries and every
-    /// agent incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
+    /// The run's tuple books over both queries, ground truth on the
+    /// `produced` side.
+    pub books: Ledger,
+    /// The run's hindsight books: every raw event recorded into any ring
+    /// was delivered inside a retro report, dropped in transit,
+    /// overwritten (or sealed) before a trigger wanted it, shed from a
+    /// bounded pending queue, or died — ring-resident or
+    /// flushed-but-undrained — with a crashing incarnation.
+    pub retro_books: Ledger,
     /// Agent crash/restart cycles the schedule triggered.
     pub crashes: u64,
-    /// Ground-truth raw events recorded into retro rings, summed over
-    /// every agent incarnation.
-    pub retro_recorded: u64,
-    /// Ground-truth events overwritten (or sealed) in rings before any
-    /// trigger claimed them.
-    pub retro_sampled_out: u64,
-    /// Ground-truth events shed from bounded pending-report queues.
-    pub retro_shed: u64,
-    /// Ground-truth events (ring-resident or flushed-but-undrained) that
-    /// died with a crashing agent incarnation.
-    pub retro_crash_lost: u64,
     /// Retro reports that reached the trigger query's results.
     pub advice_reports: usize,
     /// Retro reports from non-query triggers (latency outliers, fault
@@ -541,31 +468,6 @@ pub struct RetroOutcome {
     /// Largest ring occupancy observed on any agent at any step —
     /// bounded recording means this never exceeds [`RETRO_RING_CAP`].
     pub max_ring: usize,
-}
-
-impl RetroOutcome {
-    /// The ordinary tuple identity, summed over both installed queries.
-    pub fn balanced(&self) -> bool {
-        self.emitted
-            == self.loss.0.tuples_delivered
-                + self.loss.1.tuples_delivered
-                + self.chaos.tuples_dropped
-                + self.crash_lost
-    }
-
-    /// The extended hindsight identity: every raw event recorded into any
-    /// ring was either delivered to the frontend inside a retro report,
-    /// dropped in transit (injector tally), overwritten before a trigger
-    /// wanted it, shed from a bounded pending queue, or died with a
-    /// crashing incarnation. Exact — no slack term.
-    pub fn retro_balanced(&self) -> bool {
-        self.retro_recorded
-            == self.retro.events_delivered
-                + self.chaos.retro_events_dropped
-                + self.retro_sampled_out
-                + self.retro_shed
-                + self.retro_crash_lost
-    }
 }
 
 /// Runs `requests` KV operations with hindsight recording on — a
@@ -577,67 +479,22 @@ impl RetroOutcome {
 /// The crash choreography is deliberately adversarial to the retro path:
 /// the harness fires the fault trigger first and *then* kills the shard,
 /// so the flushed report dies in the pending queue and its events must
-/// come back out of `retro_crash_lost`, not vanish.
+/// come back out of the retro books' `crash_lost`, not vanish.
 pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome {
-    let plan = FaultPlan::new(seed, cfg);
-    let mut fe = Frontend::new();
-    fe.define("KvClient.issueRequest", ["client", "op", "key"]);
-    fe.define("KvShard.execute", ["shard", "op", "bytes"]);
-    let grouped = fe.install(KV_QUERY).expect("retro harness query compiles");
-    let trigger = fe
-        .install(KV_TRIGGER_QUERY)
-        .expect("retro trigger query compiles");
-    let queries: [QueryId; 2] = [grouped.id, trigger.id];
-
-    let client = Arc::new(Agent::new(ProcessInfo {
-        host: "kv-client".into(),
-        procid: 1,
-        procname: "KvClient".into(),
-    }));
-    let mut shard = Arc::new(Agent::new(shard_info()));
-    let (_, shard_src) = kv_sources();
-
-    let mut bus = LocalBus::new();
-    bus.register(Arc::clone(&client));
-    bus.register(Arc::clone(&shard));
-    let mut chaos = ChaosBus::new(bus, plan);
-    for cmd in fe.drain_commands() {
-        Bus::broadcast(&chaos, &cmd);
-    }
-    // Installing KV_TRIGGER_QUERY switched retro on; tighten the rings so
-    // wraparound (`sampled_out`) happens within a run.
-    for a in [&client, &shard] {
-        a.set_retro_cap(RETRO_RING_CAP);
-        a.set_retro_latency_threshold(RETRO_LATENCY_THRESHOLD);
-    }
-
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
-    let mut crashes = 0u64;
-    let mut retro_recorded = 0u64;
-    let mut retro_sampled_out = 0u64;
-    let mut retro_shed = 0u64;
-    let mut retro_crash_lost = 0u64;
+    // Installing KV_TRIGGER_QUERY switches retro on; the rings are
+    // tightened so wraparound (`sampled_out`) happens within a run.
+    let mut st = Stage::new(seed, cfg, &[KV_QUERY, KV_TRIGGER_QUERY], &[], |agent| {
+        agent.set_retro_cap(RETRO_RING_CAP);
+        agent.set_retro_latency_threshold(RETRO_LATENCY_THRESHOLD);
+    });
     let mut max_ring = 0usize;
 
     for i in 0..requests {
         let now = (i + 1) * STEP_NS;
-        let key = format!("req-{i:05}");
         let mut bag = Baggage::new();
         // Request ingress: stamp the trace id the rings correlate on.
         set_trace(&mut bag, i + 1);
-        client.invoke(
-            "KvClient.issueRequest",
-            &mut bag,
-            now,
-            &[
-                ("client", Value::str("client-0")),
-                ("op", Value::str("put")),
-                ("key", Value::str(&key)),
-            ],
-        );
-        let bytes = bag.to_bytes();
-        let mut remote = Baggage::from_bytes(&bytes);
+        st.issue(&mut bag, now, &format!("req-{i:05}"));
         // A fixed cadence of latency spikes drives the outlier trigger;
         // bytes > 90 (seven residues mod 97) drives the advice trigger.
         let latency = if i % 29 == 11 {
@@ -645,84 +502,31 @@ pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome 
         } else {
             RETRO_LATENCY_THRESHOLD / 100
         };
-        shard.invoke(
-            "KvShard.execute",
-            &mut remote,
-            now,
-            &[
-                ("shard", Value::U64(i % 4)),
-                ("op", Value::str("put")),
-                ("bytes", Value::I64((i % 97) as i64 + 1)),
-                ("latency_ns", Value::U64(latency)),
-            ],
-        );
+        let mut exports = put(i).to_vec();
+        exports.push(("latency_ns", Value::U64(latency)));
+        st.shard
+            .invoke("KvShard.execute", &mut rpc(&mut bag), now, &exports);
         max_ring = max_ring
-            .max(shard.retro_buffered())
-            .max(client.retro_buffered());
-
-        if (i + 1) % FLUSH_EVERY == 0 {
-            let step = (i + 1) / FLUSH_EVERY;
-            if chaos.plan().should_crash(shard_src, step) {
-                crashes += 1;
-                // The fault site asks for hindsight, then the process dies
-                // before the report drains: those events are crash loss.
-                shard.trigger_retro(TriggerKind::Fault, 0, now);
-                for q in queries {
-                    emitted += shard.emitted_for(q);
-                }
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
-                let rc = shard.retro_counters();
-                retro_recorded += rc.recorded;
-                retro_sampled_out += rc.sampled_out;
-                retro_shed += rc.shed;
-                retro_crash_lost += shard.retro_unflushed();
-                chaos.inner_mut().unregister(&shard);
-                let fresh = Arc::new(Agent::new(shard_info()));
-                // The epoch re-sync re-arms retro (the trigger query is
-                // still installed); ring tuning is harness config and is
-                // re-applied the way a supervisor would.
-                fresh.sync(&fe.installed());
-                fresh.set_retro_cap(RETRO_RING_CAP);
-                fresh.set_retro_latency_threshold(RETRO_LATENCY_THRESHOLD);
-                chaos.inner_mut().register(Arc::clone(&fresh));
-                shard = fresh;
-            }
-            chaos.pump_into(now, &mut fe);
-        }
+            .max(st.shard.retro_buffered())
+            .max(st.client.retro_buffered());
+        // The fault site asks for hindsight, then the process dies before
+        // the report drains: those events are crash loss.
+        st.end_request(i, now, |dying| {
+            dying.trigger_retro(TriggerKind::Fault, 0, now);
+        });
     }
 
-    chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
-    for q in queries {
-        emitted += shard.emitted_for(q) + client.emitted_for(q);
-    }
-    // Graceful end-of-life for the surviving incarnations: everything
-    // deliverable has drained through `settle_into`; sealing accounts the
-    // leftovers (unclaimed ring events become `sampled_out`).
-    for a in [&shard, &client] {
-        let rc = a.retro_seal();
-        retro_recorded += rc.recorded;
-        retro_sampled_out += rc.sampled_out;
-        retro_shed += rc.shed;
-    }
-
-    let gres = fe.results(&grouped);
-    let tres = fe.results(&trigger);
+    let (loss, chaos) = st.settle(requests);
     RetroOutcome {
-        rows: gres.rows(),
-        loss: (gres.loss(), tres.loss()),
-        retro: fe.retro_loss(),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
-        crashes,
-        retro_recorded,
-        retro_sampled_out,
-        retro_shed,
-        retro_crash_lost,
-        advice_reports: tres.retro().len(),
-        orphan_reports: fe.retro_orphans().len(),
+        rows: st.fe.results(&st.handles[0]).rows(),
+        loss: (loss[0], loss[1]),
+        retro: st.fe.retro_loss(),
+        chaos,
+        books: st.books,
+        retro_books: st.retro_books,
+        crashes: st.crashes,
+        advice_reports: st.fe.results(&st.handles[1]).retro().len(),
+        orphan_reports: st.fe.retro_orphans().len(),
         max_ring,
     }
 }
@@ -735,12 +539,12 @@ mod tests {
     fn fault_free_run_is_exact() {
         let out = run_kv(0, FaultConfig::off(), 128);
         assert_eq!(out.rows.len(), 128);
-        assert_eq!(out.emitted, 128);
+        assert_eq!(out.books.produced, 128);
         assert_eq!(out.loss.tuples_delivered, 128);
         assert_eq!(out.loss.tuples_dropped, 0);
         assert_eq!(out.loss.reports_missed, 0);
         assert_eq!(out.crashes, 0);
-        assert!(out.balanced());
+        assert_eq!(out.books.balance(), Ok(()));
         // COUNT == 1 and SUM(bytes) == the scripted value for each request.
         for (i, row) in out.rows.iter().enumerate() {
             assert_eq!(row.values[0], Value::str(format!("req-{i:05}")));
@@ -752,18 +556,18 @@ mod tests {
     #[test]
     fn overload_off_run_is_exact_and_bounded() {
         let out = run_kv_overload(0, FaultConfig::off(), 128);
-        assert!(out.balanced(), "identity violated: {out:?}");
+        assert_eq!(out.books.balance(), Ok(()), "{out:?}");
         // No storms, no explosions, no crashes: one request per step
         // never reaches a budget rail or a row cap, so the governor is
         // pure observation and the run is exact.
         assert_eq!(out.crashes, 0);
-        assert_eq!(out.crash_lost, 0);
-        assert_eq!(out.chaos.tuples_dropped, 0);
+        assert_eq!(out.books.crash_lost, 0);
+        assert_eq!(out.books.dropped, 0);
         assert_eq!(out.trips, 0);
         assert_eq!(out.truncated, 0);
-        assert_eq!(out.governor_shed, 0);
+        assert_eq!(out.books.shed, 0);
         // One grouped + one streaming tuple per request.
-        assert_eq!(out.emitted, 256);
+        assert_eq!(out.books.produced, 256);
         assert_eq!(out.grouped_rows.len(), 128);
         // Buffers drain every flush, so at most one interval's rows are
         // ever resident — far below the cap without a storm.
@@ -778,13 +582,13 @@ mod tests {
     #[test]
     fn retro_fault_free_run_is_exact() {
         let out = run_kv_retro(0, FaultConfig::off(), 256);
-        assert!(out.balanced(), "tuple identity violated: {out:?}");
-        assert!(out.retro_balanced(), "retro identity violated: {out:?}");
+        assert_eq!(out.books.balance(), Ok(()), "tuples: {out:?}");
+        assert_eq!(out.retro_books.balance(), Ok(()), "retro: {out:?}");
         assert_eq!(out.crashes, 0);
-        assert_eq!(out.retro_crash_lost, 0);
-        assert_eq!(out.chaos.retro_events_dropped, 0);
+        assert_eq!(out.retro_books.crash_lost, 0);
+        assert_eq!(out.retro_books.dropped, 0);
         // Two agents, one recorded raw event each per request.
-        assert_eq!(out.retro_recorded, 2 * 256);
+        assert_eq!(out.retro_books.produced, 2 * 256);
         // Both trigger families fired and their reports arrived: advice
         // triggers route to the trigger query, latency outliers are
         // query-unscoped and land in the orphan pool.
@@ -795,18 +599,14 @@ mod tests {
         // Bounded recording: the ring never outgrew its cap, and the
         // overwritten remainder is accounted as sampled_out, not lost.
         assert!(out.max_ring <= RETRO_RING_CAP, "{out:?}");
-        assert!(out.retro_sampled_out > 0);
-        assert_eq!(
-            out.retro_recorded,
-            out.retro.events_delivered + out.retro_sampled_out + out.retro_shed
-        );
+        assert!(out.retro_books.sampled_out > 0);
     }
 
     #[test]
     fn retro_chaotic_run_balances() {
         let out = run_kv_retro(7, FaultConfig::for_seed(7), 256);
-        assert!(out.balanced(), "tuple identity violated: {out:?}");
-        assert!(out.retro_balanced(), "retro identity violated: {out:?}");
+        assert_eq!(out.books.balance(), Ok(()), "tuples: {out:?}");
+        assert_eq!(out.retro_books.balance(), Ok(()), "retro: {out:?}");
         assert!(out.max_ring <= RETRO_RING_CAP);
     }
 
@@ -814,7 +614,7 @@ mod tests {
     fn chaotic_run_balances_and_is_a_subset() {
         let baseline = run_kv(11, FaultConfig::off(), 256);
         let out = run_kv(11, FaultConfig::for_seed(11), 256);
-        assert!(out.balanced(), "accounting identity violated: {out:?}");
+        assert_eq!(out.books.balance(), Ok(()), "{out:?}");
         for row in &out.rows {
             assert!(
                 baseline.rows.contains(row),

@@ -2,13 +2,8 @@
 //!
 //! The batched Vm path changes *how* woven advice executes and when the
 //! agent's buffers fold — never what is emitted, delivered, dropped, or
-//! lost. This sweep re-proves the accounting identity
-//!
-//! ```text
-//! emitted == delivered + chaos.tuples_dropped + crash_lost
-//! ```
-//!
-//! with each request's shard burst driven through `Agent::invoke_batch`,
+//! lost. This sweep re-proves the loss identity (DESIGN.md §5k) with each
+//! request's shard burst driven through `Agent::invoke_batch`,
 //! and pins the stronger property that the batched run's *entire
 //! converged outcome* — surviving rows, loss books, injector tallies,
 //! crash counts — equals the per-event `invoke` run of the identical
@@ -46,8 +41,9 @@ fn seed_list() -> Vec<u64> {
 fn batched_fault_free_baseline_matches_scalar() {
     let scalar = run_kv_burst(0, FaultConfig::off(), REQUESTS, BURST, false);
     let batched = run_kv_burst(0, FaultConfig::off(), REQUESTS, BURST, true);
-    assert!(scalar.balanced() && batched.balanced());
-    assert_eq!(scalar.emitted, REQUESTS * BURST);
+    assert_eq!(scalar.books.balance(), Ok(()));
+    assert_eq!(batched.books.balance(), Ok(()));
+    assert_eq!(scalar.books.produced, REQUESTS * BURST);
     assert_eq!(scalar, batched, "fault-free outcomes diverge");
 }
 
@@ -58,14 +54,10 @@ fn batched_sweep_balances_and_matches_scalar() {
     for &seed in &seeds {
         let cfg = FaultConfig::for_seed(seed);
         let batched = run_kv_burst(seed, cfg, REQUESTS, BURST, true);
-        assert!(
-            batched.balanced(),
-            "CHAOS_SEED={seed}: batched identity violated: emitted={} delivered={} \
-             dropped={} crash_lost={}",
-            batched.emitted,
-            batched.loss.tuples_delivered,
-            batched.chaos.tuples_dropped,
-            batched.crash_lost
+        assert_eq!(
+            batched.books.balance(),
+            Ok(()),
+            "CHAOS_SEED={seed}: batched identity violated"
         );
 
         let scalar = run_kv_burst(seed, cfg, REQUESTS, BURST, false);
@@ -73,7 +65,7 @@ fn batched_sweep_balances_and_matches_scalar() {
             scalar, batched,
             "CHAOS_SEED={seed}: batched outcome diverges from per-event invoke"
         );
-        if batched.chaos.tuples_dropped > 0 || batched.crashes > 0 {
+        if batched.books.dropped > 0 || batched.crashes > 0 {
             faulty_runs += 1;
         }
     }

@@ -8,8 +8,7 @@
 //! 2. Differential correctness: every row that survives the faults equals
 //!    the fault-free baseline row for the same request id (faults may lose
 //!    results, never corrupt them).
-//! 3. The loss-accounting identity balances exactly:
-//!    `emitted == delivered + dropped_by_injector + lost_in_crashes`.
+//! 3. The run's `Ledger` balances exactly (DESIGN.md §5k).
 //! 4. Duplicate suppression and gap detection agree with what the
 //!    injector actually did.
 //!
@@ -42,7 +41,7 @@ fn seed_list() -> Vec<u64> {
 fn chaos_sweep_holds_all_invariants() {
     let baseline = run_kv(0, FaultConfig::off(), REQUESTS);
     assert_eq!(baseline.rows.len(), REQUESTS as usize);
-    assert!(baseline.balanced());
+    assert_eq!(baseline.books.balance(), Ok(()));
 
     let seeds = seed_list();
     let mut faulty_runs = 0u64;
@@ -50,14 +49,10 @@ fn chaos_sweep_holds_all_invariants() {
         let out = run_kv(seed, FaultConfig::for_seed(seed), REQUESTS);
 
         // (3) Exact tuple conservation.
-        assert!(
-            out.balanced(),
-            "CHAOS_SEED={seed}: accounting identity violated: emitted={} delivered={} \
-             injector_dropped={} crash_lost={}",
-            out.emitted,
-            out.loss.tuples_delivered,
-            out.chaos.tuples_dropped,
-            out.crash_lost,
+        assert_eq!(
+            out.books.balance(),
+            Ok(()),
+            "CHAOS_SEED={seed}: accounting identity violated"
         );
 
         // (2) Surviving rows match the fault-free run, joined on request id.
@@ -72,32 +67,32 @@ fn chaos_sweep_holds_all_invariants() {
 
         // (4a) Every injected duplicate — and nothing else — is suppressed.
         assert_eq!(
-            out.loss.reports_duplicate, out.chaos.reports_duplicated,
+            out.loss.reports_duplicate, out.chaos.reports.duplicated,
             "CHAOS_SEED={seed}: duplicate suppression disagrees with the injector"
         );
         // (4b) A sequence gap can only come from a frame the injector
         // destroyed (delays are all released before the run converges).
         assert!(
-            out.loss.reports_missed <= out.chaos.reports_dropped,
+            out.loss.reports_missed <= out.chaos.reports.dropped,
             "CHAOS_SEED={seed}: {} reports missed but only {} dropped",
             out.loss.reports_missed,
-            out.chaos.reports_dropped,
+            out.chaos.reports.dropped,
         );
         // (4c) Degradation flags fire iff something was actually lost.
-        if out.chaos.reports_dropped == 0 && out.crashes == 0 {
+        if out.chaos.reports.dropped == 0 && out.crashes == 0 {
             assert_eq!(
-                out.loss.tuples_delivered, out.emitted,
+                out.loss.tuples_delivered, out.books.produced,
                 "CHAOS_SEED={seed}: lossless schedule lost tuples"
             );
         }
         if out.loss.is_degraded() {
             assert!(
-                out.chaos.reports_dropped > 0 || out.crashes > 0,
+                out.chaos.reports.dropped > 0 || out.crashes > 0,
                 "CHAOS_SEED={seed}: degraded without any destructive fault"
             );
         }
 
-        if out.chaos.reports_dropped + out.chaos.reports_delayed + out.crashes > 0 {
+        if out.chaos.reports.dropped + out.chaos.reports.delayed + out.crashes > 0 {
             faulty_runs += 1;
         }
     }
@@ -123,7 +118,7 @@ fn heavy_loss_still_balances() {
     let mut detected = 0;
     for seed in 0..32u64 {
         let out = run_kv(seed, cfg, REQUESTS);
-        assert!(out.balanced(), "CHAOS_SEED={seed}: {out:?}");
+        assert_eq!(out.books.balance(), Ok(()), "CHAOS_SEED={seed}: {out:?}");
         detected += u64::from(out.loss.is_degraded());
     }
     // The frontend's loss view is a lower bound: an incarnation whose

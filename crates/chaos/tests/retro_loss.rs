@@ -45,7 +45,8 @@ fn seed_list() -> Vec<u64> {
 #[test]
 fn retro_sweep_identity_is_exact() {
     let baseline = run_kv_retro(0, FaultConfig::off(), REQUESTS);
-    assert!(baseline.balanced() && baseline.retro_balanced());
+    assert_eq!(baseline.books.balance(), Ok(()));
+    assert_eq!(baseline.retro_books.balance(), Ok(()));
 
     let seeds = seed_list();
     let mut faulty_runs = 0u64;
@@ -56,21 +57,16 @@ fn retro_sweep_identity_is_exact() {
         let out = run_kv_retro(seed, FaultConfig::for_seed(seed), REQUESTS);
 
         // (2) Exact event conservation across the hindsight path.
-        assert!(
-            out.retro_balanced(),
-            "CHAOS_SEED={seed}: retro identity violated: recorded={} delivered={} \
-             injector_dropped={} sampled_out={} shed={} crash_lost={}",
-            out.retro_recorded,
-            out.retro.events_delivered,
-            out.chaos.retro_events_dropped,
-            out.retro_sampled_out,
-            out.retro_shed,
-            out.retro_crash_lost,
+        assert_eq!(
+            out.retro_books.balance(),
+            Ok(()),
+            "CHAOS_SEED={seed}: retro identity violated"
         );
 
         // (3) The ordinary tuple identity survives retro being on.
-        assert!(
-            out.balanced(),
+        assert_eq!(
+            out.books.balance(),
+            Ok(()),
             "CHAOS_SEED={seed}: tuple identity violated with retro on: {out:?}"
         );
 
@@ -78,12 +74,12 @@ fn retro_sweep_identity_is_exact() {
         // suppressed exactly the duplicates the injector created, and
         // accepted exactly the frames the injector did not destroy.
         assert_eq!(
-            out.retro.reports_duplicate, out.chaos.retro_duplicated,
+            out.retro.reports_duplicate, out.chaos.retro.duplicated,
             "CHAOS_SEED={seed}: retro dedup disagrees with the injector"
         );
         assert_eq!(
             out.retro.reports_accepted,
-            out.chaos.retro_seen - out.chaos.retro_dropped,
+            out.chaos.retro.seen - out.chaos.retro.dropped,
             "CHAOS_SEED={seed}: accepted retro reports != frames the injector let through"
         );
 
@@ -106,12 +102,12 @@ fn retro_sweep_identity_is_exact() {
         }
 
         faulty_runs +=
-            u64::from(out.chaos.reports_dropped + out.chaos.reports_delayed + out.crashes > 0);
+            u64::from(out.chaos.reports.dropped + out.chaos.reports.delayed + out.crashes > 0);
         crashed_runs += u64::from(out.crashes > 0);
         retro_faulted_runs += u64::from(
-            out.chaos.retro_dropped + out.chaos.retro_delayed + out.chaos.retro_duplicated > 0,
+            out.chaos.retro.dropped + out.chaos.retro.delayed + out.chaos.retro.duplicated > 0,
         );
-        retro_crash_lost_runs += u64::from(out.retro_crash_lost > 0);
+        retro_crash_lost_runs += u64::from(out.retro_books.crash_lost > 0);
     }
     // The sweep must actually exercise the interesting regimes, not
     // vacuously pass: most seeds inject faults, and a healthy share hit
@@ -155,10 +151,14 @@ fn retro_heavy_loss_still_balances() {
     let mut retro_crash_lost_somewhere = false;
     for seed in 0..32u64 {
         let out = run_kv_retro(seed, cfg, REQUESTS);
-        assert!(out.balanced(), "CHAOS_SEED={seed}: {out:?}");
-        assert!(out.retro_balanced(), "CHAOS_SEED={seed}: {out:?}");
-        retro_dropped_somewhere |= out.chaos.retro_events_dropped > 0;
-        retro_crash_lost_somewhere |= out.retro_crash_lost > 0;
+        assert_eq!(out.books.balance(), Ok(()), "CHAOS_SEED={seed}: {out:?}");
+        assert_eq!(
+            out.retro_books.balance(),
+            Ok(()),
+            "CHAOS_SEED={seed}: {out:?}"
+        );
+        retro_dropped_somewhere |= out.retro_books.dropped > 0;
+        retro_crash_lost_somewhere |= out.retro_books.crash_lost > 0;
     }
     assert!(
         retro_dropped_somewhere && retro_crash_lost_somewhere,

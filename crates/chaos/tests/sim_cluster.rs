@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use pivot_baggage::Baggage;
-use pivot_chaos::{ChaosBus, FaultConfig, FaultPlan};
+use pivot_chaos::{ChaosBus, FaultConfig, FaultPlan, PlanScheduler};
 use pivot_core::Bus;
 use pivot_hadoop::{Cluster, ClusterConfig};
 use pivot_model::Value;
@@ -29,7 +29,8 @@ fn chaos_wraps_the_simulated_cluster() {
 
     // Route the install through a fault-free chaos wrapper around the
     // cluster itself, then pump reports back out through the same wrapper.
-    let chaos = ChaosBus::new(Rc::clone(&cluster), FaultPlan::new(7, FaultConfig::off()));
+    let plan = FaultPlan::new(7, FaultConfig::off());
+    let chaos = ChaosBus::new(Rc::clone(&cluster), PlanScheduler::new(plan));
     let cmds = cluster.frontend.borrow_mut().drain_commands();
     for cmd in &cmds {
         Bus::broadcast(&chaos, cmd);

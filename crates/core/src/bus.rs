@@ -62,37 +62,15 @@ pub trait Bus {
     }
 }
 
-// Shared handles forward to the underlying bus, so embeddings that hand
-// out `Rc<Cluster>` / `Arc<TcpBusServer>` handles can still be wrapped by
-// bus middleware such as `pivot-chaos`'s fault injector.
-impl<B: Bus + ?Sized> Bus for std::rc::Rc<B> {
-    fn broadcast(&self, cmd: &Command) {
-        (**self).broadcast(cmd);
-    }
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        (**self).drain_reports(now)
-    }
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        (**self).drain_retro(now)
-    }
-}
-
-impl<B: Bus + ?Sized> Bus for Arc<B> {
-    fn broadcast(&self, cmd: &Command) {
-        (**self).broadcast(cmd);
-    }
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        (**self).drain_reports(now)
-    }
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        (**self).drain_retro(now)
-    }
-}
-
-// Boxed buses make heterogeneous topologies expressible — e.g. the relay
-// tier's fan-in over subtrees that mix plain, scheduled, and chaos-wrapped
-// links under one `Vec<Box<dyn Bus>>`.
-impl<B: Bus + ?Sized> Bus for Box<B> {
+// Handles forward to the underlying bus: embeddings that hand out
+// `Rc<Cluster>` / `Arc<TcpBusServer>` can still be wrapped by bus
+// middleware such as `pivot-chaos`'s fault injector, and `Box<dyn Bus>`
+// makes heterogeneous topologies expressible (the relay tier's fan-in
+// over subtrees that mix plain, scheduled and chaos-wrapped links).
+impl<P: std::ops::Deref> Bus for P
+where
+    P::Target: Bus,
+{
     fn broadcast(&self, cmd: &Command) {
         (**self).broadcast(cmd);
     }
@@ -275,7 +253,7 @@ pub fn flush_agents(agents: &[Arc<crate::Agent>], now: u64) -> Vec<Report> {
 pub enum Verdict {
     /// Deliver normally.
     Deliver,
-    /// Silently discard (tallied in [`DeliveryStats`]).
+    /// Silently discard (tallied in [`LaneStats`]).
     Drop,
     /// Deliver two copies.
     Duplicate,
@@ -321,39 +299,63 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// What a [`SchedBus`] did to the frames that crossed it, cumulatively.
+/// What happened to the frames of one lane of a [`SchedBus`], cumulatively.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct LaneStats {
+    /// Frames that crossed the lane.
+    pub seen: u64,
+    /// Frames discarded.
+    pub dropped: u64,
+    /// Frames delivered twice.
+    pub duplicated: u64,
+    /// Frames held for later delivery.
+    pub delayed: u64,
+    /// What the dropped frames carried — tuples on the report lane,
+    /// buffered events on the retro lane, nothing on the command lane:
+    /// the link-side ground truth for a [`Ledger`](crate::Ledger)'s
+    /// `dropped` term.
+    pub payload_dropped: u64,
+}
+
+impl LaneStats {
+    /// The one place a [`Verdict`] is applied: tallies it and says what
+    /// to do with the frame — `(copies to deliver now, hold for)`. On a
+    /// severed link nothing can be delivered now, so deliveries and
+    /// duplicates become holds that release after restore.
+    fn tally(&mut self, verdict: Verdict, severed: bool, payload: u64) -> (usize, Option<u64>) {
+        self.seen += 1;
+        let verdict = match verdict {
+            Verdict::Deliver | Verdict::Duplicate if severed => Verdict::Delay(0),
+            v => v,
+        };
+        match verdict {
+            Verdict::Deliver => (1, None),
+            Verdict::Drop => {
+                self.dropped += 1;
+                self.payload_dropped += payload;
+                (0, None)
+            }
+            Verdict::Duplicate => {
+                self.duplicated += 1;
+                (2, None)
+            }
+            Verdict::Delay(d) => {
+                self.delayed += 1;
+                (0, Some(d))
+            }
+        }
+    }
+}
+
+/// What a [`SchedBus`] did to the frames that crossed it, per lane.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct DeliveryStats {
-    /// Report frames that crossed the bus.
-    pub reports_seen: u64,
-    /// Report frames discarded.
-    pub reports_dropped: u64,
-    /// Report frames delivered twice.
-    pub reports_duplicated: u64,
-    /// Report frames held for later delivery.
-    pub reports_delayed: u64,
-    /// Tuples carried by dropped report frames (the bus-side ground
-    /// truth for the frontend's `tuples_dropped`).
-    pub tuples_dropped: u64,
-    /// Command frames that crossed the bus.
-    pub commands_seen: u64,
-    /// Command frames discarded.
-    pub commands_dropped: u64,
-    /// Command frames delivered twice.
-    pub commands_duplicated: u64,
-    /// Command frames held for later delivery.
-    pub commands_delayed: u64,
-    /// Retro report frames that crossed the bus.
-    pub retro_seen: u64,
-    /// Retro report frames discarded.
-    pub retro_dropped: u64,
-    /// Retro report frames delivered twice.
-    pub retro_duplicated: u64,
-    /// Retro report frames held for later delivery.
-    pub retro_delayed: u64,
-    /// Buffered events carried by dropped retro frames (the bus-side
-    /// ground truth for the frontend's retro `dropped` term).
-    pub retro_events_dropped: u64,
+    /// Report frames (payload: tuples).
+    pub reports: LaneStats,
+    /// Retroactive-flush report frames (payload: buffered events).
+    pub retro: LaneStats,
+    /// Command frames (no payload).
+    pub commands: LaneStats,
 }
 
 /// A frame currently held by a [`SchedBus`], exposed to
@@ -372,14 +374,117 @@ pub enum HeldFrame<'a> {
     Retro(&'a RetroReport),
 }
 
-struct PendingReport {
-    release: u64,
-    report: Report,
+/// What a [`Lane`] needs to know about the frames it carries.
+trait Frame: Clone {
+    /// What a drop of this frame destroys.
+    fn payload(&self) -> u64;
+    fn verdict(&self, sched: &impl Scheduler, now: u64) -> Verdict;
 }
 
-struct PendingRetro {
-    release: u64,
-    report: RetroReport,
+impl Frame for Report {
+    fn payload(&self) -> u64 {
+        self.tuples
+    }
+    fn verdict(&self, sched: &impl Scheduler, now: u64) -> Verdict {
+        sched.report_verdict(self, now)
+    }
+}
+
+impl Frame for RetroReport {
+    fn payload(&self) -> u64 {
+        self.events.len() as u64
+    }
+    fn verdict(&self, sched: &impl Scheduler, now: u64) -> Verdict {
+        sched.retro_verdict(self, now)
+    }
+}
+
+/// One direction-of-travel through a [`SchedBus`]: the frames it holds
+/// (with release deadlines) and its tallies. Reports and retro reports
+/// each ride one.
+struct Lane<T> {
+    held: Vec<(u64, T)>,
+    stats: LaneStats,
+}
+
+impl<T> Default for Lane<T> {
+    fn default() -> Lane<T> {
+        Lane {
+            held: Vec::new(),
+            stats: LaneStats::default(),
+        }
+    }
+}
+
+impl<T: Frame> Lane<T> {
+    /// Admits one frame at `now`: immediately deliverable copies go to
+    /// `out`, a delayed frame is held.
+    fn admit(
+        &mut self,
+        frame: T,
+        sched: &impl Scheduler,
+        severed: bool,
+        now: u64,
+        out: &mut Vec<T>,
+    ) {
+        if severed && crate::mutation::silent_reader_exit() {
+            // Seeded mutation (PR 4's silent reader-exit bug): the link is
+            // down and the frame vanishes with no loss tally anywhere —
+            // exactly the unaccounted loss the explorer's identity check
+            // must catch. Compiled out without the `mutations` feature.
+            self.stats.seen += 1;
+            return;
+        }
+        let verdict = frame.verdict(sched, now);
+        match self.stats.tally(verdict, severed, frame.payload()) {
+            (_, Some(d)) => self.held.push((now.saturating_add(d), frame)),
+            (copies, None) => out.extend(std::iter::repeat_n(frame, copies)),
+        }
+    }
+
+    /// One drain at `now`: held frames that are due (none while severed),
+    /// then `fresh` ones — admitted, or passed straight through while the
+    /// bus is disabled.
+    fn drain(
+        &mut self,
+        fresh: Vec<T>,
+        sched: &impl Scheduler,
+        (disabled, severed): (bool, bool),
+        now: u64,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        if !severed {
+            let mut i = 0;
+            while i < self.held.len() {
+                if self.held[i].0 <= now {
+                    out.push(self.held.swap_remove(i).1);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if disabled {
+            out.extend(fresh);
+        } else {
+            for frame in fresh {
+                self.admit(frame, sched, severed, now, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Marks held frames matching `pred` due immediately; returns how
+    /// many matched.
+    fn release_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> usize {
+        let mut n = 0;
+        for (release, frame) in &mut self.held {
+            if pred(frame) {
+                *release = 0;
+                n += 1;
+            }
+        }
+        n
+    }
 }
 
 struct PendingCommand {
@@ -393,10 +498,10 @@ struct PendingCommand {
 
 #[derive(Default)]
 struct SchedShared {
-    pending_reports: Vec<PendingReport>,
-    pending_retro: Vec<PendingRetro>,
+    reports: Lane<Report>,
+    retro: Lane<RetroReport>,
     pending_cmds: Vec<PendingCommand>,
-    stats: DeliveryStats,
+    commands: LaneStats,
     cmd_index: u64,
     disabled: bool,
     severed: bool,
@@ -444,7 +549,12 @@ impl<B, S> SchedBus<B, S> {
 
     /// A snapshot of the delivery tallies.
     pub fn stats(&self) -> DeliveryStats {
-        self.shared.lock().stats
+        let sh = self.shared.lock();
+        DeliveryStats {
+            reports: sh.reports.stats,
+            retro: sh.retro.stats,
+            commands: sh.commands,
+        }
     }
 
     /// Turns scheduling on or off. While disabled the bus is a transparent
@@ -464,19 +574,8 @@ impl<B, S> SchedBus<B, S> {
     /// chosen frame per transition.
     pub fn release_where(&self, mut pred: impl FnMut(&HeldFrame) -> bool) -> usize {
         let mut sh = self.shared.lock();
-        let mut n = 0;
-        for p in &mut sh.pending_reports {
-            if pred(&HeldFrame::Report(&p.report)) {
-                p.release = 0;
-                n += 1;
-            }
-        }
-        for p in &mut sh.pending_retro {
-            if pred(&HeldFrame::Retro(&p.report)) {
-                p.release = 0;
-                n += 1;
-            }
-        }
+        let mut n = sh.reports.release_where(|r| pred(&HeldFrame::Report(r)));
+        n += sh.retro.release_where(|r| pred(&HeldFrame::Retro(r)));
         for p in &mut sh.pending_cmds {
             if pred(&HeldFrame::Command {
                 index: p.index,
@@ -494,7 +593,7 @@ impl<B, S> SchedBus<B, S> {
     pub fn pending(&self) -> (usize, usize) {
         let sh = self.shared.lock();
         (
-            sh.pending_reports.len() + sh.pending_retro.len(),
+            sh.reports.held.len() + sh.retro.held.len(),
             sh.pending_cmds.len(),
         )
     }
@@ -530,100 +629,12 @@ impl<B, S: Scheduler> SchedBus<B, S> {
         let mut sh = self.shared.lock();
         if sh.disabled {
             out.push(report);
-            return out;
+        } else {
+            let severed = sh.severed;
+            sh.reports
+                .admit(report, &self.sched, severed, now, &mut out);
         }
-        self.admit_report(&mut sh, report, now, &mut out);
         out
-    }
-
-    /// Admits one externally produced retro report through the scheduler
-    /// (the retro analogue of [`SchedBus::offer_report`]).
-    pub fn offer_retro(&self, report: RetroReport, now: u64) -> Vec<RetroReport> {
-        let mut out = Vec::new();
-        let mut sh = self.shared.lock();
-        if sh.disabled {
-            out.push(report);
-            return out;
-        }
-        self.admit_retro(&mut sh, report, now, &mut out);
-        out
-    }
-
-    fn admit_retro(
-        &self,
-        sh: &mut SchedShared,
-        r: RetroReport,
-        now: u64,
-        out: &mut Vec<RetroReport>,
-    ) {
-        sh.stats.retro_seen += 1;
-        let mut verdict = self.sched.retro_verdict(&r, now);
-        if sh.severed {
-            // Same outage buffering as ordinary reports: a dead link
-            // cannot deliver now, so deliveries become holds.
-            verdict = match verdict {
-                Verdict::Deliver | Verdict::Duplicate => Verdict::Delay(0),
-                v => v,
-            };
-        }
-        match verdict {
-            Verdict::Deliver => out.push(r),
-            Verdict::Drop => {
-                sh.stats.retro_dropped += 1;
-                sh.stats.retro_events_dropped += r.events.len() as u64;
-            }
-            Verdict::Duplicate => {
-                sh.stats.retro_duplicated += 1;
-                out.push(r.clone());
-                out.push(r);
-            }
-            Verdict::Delay(d) => {
-                sh.stats.retro_delayed += 1;
-                sh.pending_retro.push(PendingRetro {
-                    release: now.saturating_add(d),
-                    report: r,
-                });
-            }
-        }
-    }
-
-    fn admit_report(&self, sh: &mut SchedShared, r: Report, now: u64, out: &mut Vec<Report>) {
-        sh.stats.reports_seen += 1;
-        if sh.severed && crate::mutation::silent_reader_exit() {
-            // Seeded mutation (PR 4's silent reader-exit bug): the link is
-            // down and the frame vanishes with no loss tally anywhere —
-            // exactly the unaccounted loss the explorer's identity check
-            // must catch. Compiled out without the `mutations` feature.
-            return;
-        }
-        let mut verdict = self.sched.report_verdict(&r, now);
-        if sh.severed {
-            // A dead link cannot deliver now: deliveries and duplicates
-            // become holds that release after restore.
-            verdict = match verdict {
-                Verdict::Deliver | Verdict::Duplicate => Verdict::Delay(0),
-                v => v,
-            };
-        }
-        match verdict {
-            Verdict::Deliver => out.push(r),
-            Verdict::Drop => {
-                sh.stats.reports_dropped += 1;
-                sh.stats.tuples_dropped += r.tuples;
-            }
-            Verdict::Duplicate => {
-                sh.stats.reports_duplicated += 1;
-                out.push(r.clone());
-                out.push(r);
-            }
-            Verdict::Delay(d) => {
-                sh.stats.reports_delayed += 1;
-                sh.pending_reports.push(PendingReport {
-                    release: now.saturating_add(d),
-                    report: r,
-                });
-            }
-        }
     }
 }
 
@@ -642,48 +653,34 @@ impl<B: Bus, S: Scheduler> SchedBus<B, S> {
 impl<B: Bus, S: Scheduler> Bus for SchedBus<B, S> {
     fn broadcast(&self, cmd: &Command) {
         let mut sh = self.shared.lock();
-        if sh.disabled {
-            drop(sh);
+        let copies = if sh.disabled {
+            1
+        } else {
+            let index = sh.cmd_index;
+            sh.cmd_index += 1;
+            let verdict = self.sched.command_verdict(index, cmd);
+            let severed = sh.severed;
+            match sh.commands.tally(verdict, severed, 0) {
+                (copies, None) => copies,
+                (_, Some(delay)) => {
+                    sh.pending_cmds.push(PendingCommand {
+                        index,
+                        delay,
+                        release: None,
+                        cmd: cmd.clone(),
+                    });
+                    0
+                }
+            }
+        };
+        drop(sh);
+        for _ in 0..copies {
             self.inner.broadcast(cmd);
-            return;
-        }
-        sh.stats.commands_seen += 1;
-        let idx = sh.cmd_index;
-        sh.cmd_index += 1;
-        let mut verdict = self.sched.command_verdict(idx, cmd);
-        if sh.severed {
-            verdict = match verdict {
-                Verdict::Deliver | Verdict::Duplicate => Verdict::Delay(0),
-                v => v,
-            };
-        }
-        match verdict {
-            Verdict::Deliver => {
-                drop(sh);
-                self.inner.broadcast(cmd);
-            }
-            Verdict::Drop => sh.stats.commands_dropped += 1,
-            Verdict::Duplicate => {
-                sh.stats.commands_duplicated += 1;
-                drop(sh);
-                self.inner.broadcast(cmd);
-                self.inner.broadcast(cmd);
-            }
-            Verdict::Delay(d) => {
-                sh.stats.commands_delayed += 1;
-                sh.pending_cmds.push(PendingCommand {
-                    index: idx,
-                    delay: d,
-                    release: None,
-                    cmd: cmd.clone(),
-                });
-            }
         }
     }
 
     fn drain_reports(&self, now: u64) -> Vec<Report> {
         let mut sh = self.shared.lock();
-        let mut out = Vec::new();
         if !sh.severed {
             // Release due commands before draining, so a late install
             // weaves before this round's flush rather than after it.
@@ -700,49 +697,16 @@ impl<B: Bus, S: Scheduler> Bus for SchedBus<B, S> {
             for cmd in &due_cmds {
                 self.inner.broadcast(cmd);
             }
-
-            let mut i = 0;
-            while i < sh.pending_reports.len() {
-                if sh.pending_reports[i].release <= now {
-                    out.push(sh.pending_reports.swap_remove(i).report);
-                } else {
-                    i += 1;
-                }
-            }
         }
-
         let fresh = self.inner.drain_reports(now);
-        if sh.disabled {
-            out.extend(fresh);
-            return out;
-        }
-        for r in fresh {
-            self.admit_report(&mut sh, r, now, &mut out);
-        }
-        out
+        let mode = (sh.disabled, sh.severed);
+        sh.reports.drain(fresh, &self.sched, mode, now)
     }
 
     fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
         let mut sh = self.shared.lock();
-        let mut out = Vec::new();
-        if !sh.severed {
-            let mut i = 0;
-            while i < sh.pending_retro.len() {
-                if sh.pending_retro[i].release <= now {
-                    out.push(sh.pending_retro.swap_remove(i).report);
-                } else {
-                    i += 1;
-                }
-            }
-        }
         let fresh = self.inner.drain_retro(now);
-        if sh.disabled {
-            out.extend(fresh);
-            return out;
-        }
-        for r in fresh {
-            self.admit_retro(&mut sh, r, now, &mut out);
-        }
-        out
+        let mode = (sh.disabled, sh.severed);
+        sh.retro.drain(fresh, &self.sched, mode, now)
     }
 }

@@ -14,6 +14,7 @@ use pivot_query::{
 
 use crate::bus::{Command, Report, ReportRows};
 use crate::governor::{QueryBudget, Throttled};
+use crate::ledger::{Seen, SeqWindow, SourceKey};
 use crate::retro::RetroReport;
 use crate::tracepoint::TracepointDef;
 
@@ -82,45 +83,13 @@ impl LossStats {
 /// Loss tracking for one reporting agent incarnation.
 #[derive(Clone, Default, Debug)]
 struct SourceTrack {
-    /// Every sequence number below this has been received.
-    next_contig: u64,
-    /// Received sequence numbers at or above `next_contig` (out-of-order
-    /// arrivals awaiting their predecessors).
-    pending: std::collections::BTreeSet<u64>,
-    accepted: u64,
+    window: SeqWindow,
     duplicates: u64,
     delivered_tuples: u64,
     emitted_cum: u64,
     shed_cum: u64,
     truncated_cum: u64,
 }
-
-impl SourceTrack {
-    /// Records `seq`; returns `false` when it is a duplicate.
-    fn record(&mut self, seq: u64) -> bool {
-        if seq < self.next_contig || !self.pending.insert(seq) {
-            self.duplicates += 1;
-            return false;
-        }
-        while self.pending.remove(&self.next_contig) {
-            self.next_contig += 1;
-        }
-        self.accepted += 1;
-        true
-    }
-
-    /// Sequence numbers known to exist (some later seq arrived) but never
-    /// received.
-    fn missed(&self) -> u64 {
-        match self.pending.iter().next_back() {
-            Some(max) => (max + 1 - self.next_contig) - self.pending.len() as u64,
-            None => 0,
-        }
-    }
-}
-
-/// Identity of one reporting agent incarnation.
-type SourceKey = (String, u64, u64);
 
 /// Retro-flush loss accounting, aggregated over every reporting agent
 /// (see [`Frontend::retro_loss`]).
@@ -158,7 +127,7 @@ pub struct RetroLossStats {
 /// the frontend rather than inside one query's results.
 #[derive(Clone, Default, Debug)]
 struct RetroTrack {
-    seen: std::collections::BTreeSet<u64>,
+    window: SeqWindow,
     duplicates: u64,
     delivered_events: u64,
     recorded_cum: u64,
@@ -202,11 +171,12 @@ impl QueryResults {
     fn absorb(&mut self, report: Report) {
         let track = self
             .sources
-            .entry((report.host.clone(), report.procid, report.incarnation))
+            .entry((report.host, report.procid, report.incarnation))
             .or_default();
-        if !track.record(report.seq) {
+        if track.window.record(report.seq) != Seen::Fresh {
             // A duplicated report frame: merging it again would double
             // count every aggregate, so it is suppressed here.
+            track.duplicates += 1;
             return;
         }
         track.delivered_tuples += report.tuples;
@@ -255,9 +225,9 @@ impl QueryResults {
     pub fn loss(&self) -> LossStats {
         let mut loss = LossStats::default();
         for track in self.sources.values() {
-            loss.reports_accepted += track.accepted;
+            loss.reports_accepted += track.window.accepted();
             loss.reports_duplicate += track.duplicates;
-            loss.reports_missed += track.missed();
+            loss.reports_missed += track.window.missed();
             loss.tuples_delivered += track.delivered_tuples;
             loss.tuples_emitted += track.emitted_cum;
             loss.tuples_shed += track.shed_cum;
@@ -620,7 +590,7 @@ impl Frontend {
         track.recorded_cum = track.recorded_cum.max(report.recorded_cum);
         track.sampled_out_cum = track.sampled_out_cum.max(report.sampled_out_cum);
         track.shed_cum = track.shed_cum.max(report.shed_cum);
-        if !track.seen.insert(report.seq) {
+        if track.window.record(report.seq) != Seen::Fresh {
             track.duplicates += 1;
             return;
         }
@@ -643,7 +613,7 @@ impl Frontend {
     pub fn retro_loss(&self) -> RetroLossStats {
         let mut loss = RetroLossStats::default();
         for track in self.retro_sources.values() {
-            loss.reports_accepted += track.seen.len() as u64;
+            loss.reports_accepted += track.window.accepted();
             loss.reports_duplicate += track.duplicates;
             loss.events_delivered += track.delivered_events;
             loss.events_recorded += track.recorded_cum;
@@ -728,18 +698,7 @@ impl Frontend {
                 .sources
                 .iter()
                 .map(|((host, procid, inc), t)| {
-                    format!(
-                        "{host}/{procid}/{}:{}|{:?}|{}|{}|{}|{}|{}|{}",
-                        remap_incarnation(*inc),
-                        t.next_contig,
-                        t.pending,
-                        t.accepted,
-                        t.duplicates,
-                        t.delivered_tuples,
-                        t.emitted_cum,
-                        t.shed_cum,
-                        t.truncated_cum,
-                    )
+                    format!("{host}/{procid}/{}:{t:?}", remap_incarnation(*inc))
                 })
                 .collect();
             tracks.sort_unstable();
@@ -772,16 +731,7 @@ impl Frontend {
             .retro_sources
             .iter()
             .map(|((host, procid, inc), t)| {
-                format!(
-                    "{host}/{procid}/{}:{}|{}|{}|{}|{}|{}",
-                    remap_incarnation(*inc),
-                    t.seen.len(),
-                    t.duplicates,
-                    t.delivered_events,
-                    t.recorded_cum,
-                    t.sampled_out_cum,
-                    t.shed_cum,
-                )
+                format!("{host}/{procid}/{}:{t:?}", remap_incarnation(*inc))
             })
             .collect();
         retro_tracks.sort_unstable();

@@ -34,17 +34,19 @@ pub mod bus;
 pub mod frontend;
 pub mod global;
 pub mod governor;
+pub mod ledger;
 pub mod mutation;
 pub mod retro;
 pub mod tracepoint;
 
 pub use agent::{Agent, ProcessInfo};
 pub use bus::{
-    Bus, Command, DeliveryStats, FifoScheduler, HeldFrame, LocalBus, Report, ReportRows, SchedBus,
-    Scheduler, Verdict,
+    Bus, Command, DeliveryStats, FifoScheduler, HeldFrame, LaneStats, LocalBus, Report, ReportRows,
+    SchedBus, Scheduler, Verdict,
 };
 pub use frontend::{Frontend, LossStats, QueryHandle, QueryResults, ResultRow, RetroLossStats};
 pub use governor::{QueryBudget, ThrottleReason, ThrottleStats, Throttled};
+pub use ledger::{Imbalance, Ledger, Seen, SeqWindow, SourceKey};
 pub use retro::{
     set_trace, trace_of, RetroCounters, RetroEvent, RetroReport, TriggerKind, TRACE_SLOT,
 };

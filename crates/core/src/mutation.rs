@@ -7,8 +7,7 @@
 //! - [`Mutation::SilentReaderExit`] — the report path of a severed link
 //!   silently discards frames with no loss tally (the PR 4 bug: a dead
 //!   reader connection swallowed reports that agents kept sending),
-//!   violating the loss identity
-//!   `emitted == delivered + dropped + crash_lost + governor_shed`.
+//!   violating the loss identity ([`crate::Ledger::balance`]).
 //! - [`Mutation::SyncUnthrottle`] — `Agent::install` skips the
 //!   open-breaker guard, so a duplicated install or an epoch re-sync
 //!   re-weaves advice whose circuit breaker is mid-backoff (the PR 5

@@ -15,25 +15,22 @@
 //!
 //! # Loss accounting
 //!
-//! Hindsight data is still accounted data. Every recorded event ends in
-//! exactly one bucket, extending the loss identity of the report path:
-//!
-//! ```text
-//! recorded == delivered + dropped + stale + crash_lost + shed + sampled_out
-//! ```
+//! Hindsight data is still accounted data: every recorded event ends in
+//! exactly one bucket of a [`Ledger`] (the identity and who owns which
+//! term: DESIGN.md §5k). The ring owns two of them:
 //!
 //! - `sampled_out`: overwritten in the ring before any trigger wanted it
 //!   (the deliberate, bounded loss that makes the ring affordable);
 //! - `shed`: flushed by a trigger but evicted from the bounded pending
-//!   queue before the transport drained it;
-//! - `dropped` / `stale` / `crash_lost` / `delivered`: the transport-side
-//!   fates, tallied by the same machinery that accounts ordinary reports.
+//!   queue before the transport drained it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::{Sym, Tuple, Value};
+
+use crate::ledger::Ledger;
 
 /// The reserved baggage slot carrying the request's trace id.
 ///
@@ -160,7 +157,14 @@ impl RetroCounters {
     /// reports count as `flushed` — their onward fate is the transport's
     /// ledger, not the ring's).
     pub fn balanced_with(&self, in_ring: u64) -> bool {
-        self.recorded == self.flushed + self.sampled_out + self.shed + in_ring
+        // From the ring's side, flushed is delivered (to the transport)
+        // and the resident events are what a crash now would lose.
+        let held = Ledger {
+            delivered: self.flushed,
+            crash_lost: in_ring,
+            ..Ledger::from(*self)
+        };
+        held.balance().is_ok()
     }
 }
 

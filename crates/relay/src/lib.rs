@@ -20,13 +20,12 @@
 //! # Envelope re-origination
 //!
 //! Loss accounting must keep balancing through the tree: the frontend's
-//! identity `emitted == delivered + governor_shed + dropped` (per
-//! source), and the harness-level
-//! `emitted == delivered + dropped + crash_lost + governor_shed`. A
-//! relay therefore *re-originates* the envelope: upstream reports carry
-//! the relay's own (host, procid, incarnation, seq) identity, and its
-//! cumulative counters are sums of **baseline-relative deltas** over the
-//! downstream sources it has heard from:
+//! per-source view (`LossStats`) and the harness-level [`Ledger`]
+//! (DESIGN.md §5k). A relay therefore *re-originates* the envelope:
+//! upstream reports carry the relay's own (host, procid, incarnation,
+//! seq) identity, and its cumulative counters are sums of
+//! **baseline-relative deltas** over the downstream sources it has heard
+//! from:
 //!
 //! - On first contact with a source (first report `r` accepted), the
 //!   relay baselines `emitted_cum = r.emitted_cum - r.tuples`,
@@ -46,8 +45,8 @@
 //!   baseline are suppressed exactly like the frontend suppresses them.
 //!
 //! A relay crash loses its open window; [`RelayCore::restart`] surfaces that
-//! as a [`CrashResidue`] the embedding folds into its `crash_lost`
-//! ground truth, takes a fresh incarnation (so the frontend never
+//! as a [`CrashResidue`] whose [`books`](CrashResidue::books) are the
+//! ledger's `crash_lost`, takes a fresh incarnation (so the frontend never
 //! confuses the new stream with the old), and re-baselines every source
 //! on next contact.
 //!
@@ -62,7 +61,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pivot_baggage::QueryId;
-use pivot_core::{Bus, Command, ProcessInfo, Report, ReportRows, RetroReport, Throttled};
+use pivot_core::{
+    Bus, Command, Ledger, ProcessInfo, Report, ReportRows, RetroReport, Seen, SeqWindow, SourceKey,
+    Throttled,
+};
 use pivot_model::{colblock, AggState, EncodedBlock, GroupKey, Tuple};
 use pivot_query::{merge_grouped, OutputSpec};
 
@@ -115,6 +117,17 @@ pub struct RelayStats {
     pub retro_events_shed: u64,
 }
 
+impl RelayStats {
+    /// The relay's terms of the `(tuple, retro)` loss books: tuples it
+    /// refused as stale, hindsight events its bounded queue shed.
+    pub fn books(&self) -> (Ledger, Ledger) {
+        let (mut tuples, mut retro) = (Ledger::default(), Ledger::default());
+        tuples.stale = self.tuples_stale;
+        retro.shed = self.retro_events_shed;
+        (tuples, retro)
+    }
+}
+
 /// Cap on events queued in a relay's retro pass-through queue; oldest
 /// frames shed first under pressure (same bounded-outage discipline as
 /// the agent's pending queue).
@@ -132,15 +145,21 @@ pub struct CrashResidue {
     pub retro_events: u64,
 }
 
-/// Per-downstream-source (host, procid, incarnation) tracking.
+impl CrashResidue {
+    /// The crash's terms of the `(tuple, retro)` loss books.
+    pub fn books(&self) -> (Ledger, Ledger) {
+        let (mut tuples, mut retro) = (Ledger::default(), Ledger::default());
+        tuples.crash_lost = self.window_tuples;
+        retro.crash_lost = self.retro_events;
+        (tuples, retro)
+    }
+}
+
+/// Per-downstream-source tracking.
 struct SourceState {
-    /// The seq this relay incarnation first accepted from the source;
-    /// anything earlier is stale (see [`RelayStats::tuples_stale`]).
-    baseline_seq: u64,
-    /// Every seq in `baseline_seq..next_contig` has been received.
-    next_contig: u64,
-    /// Received seqs at or above `next_contig` (out-of-order arrivals).
-    pending: BTreeSet<u64>,
+    /// Opens at the seq this relay incarnation first accepted from the
+    /// source; anything earlier is stale (see [`RelayStats::tuples_stale`]).
+    window: SeqWindow,
     /// Stale seqs already counted, so a duplicated stale frame is not
     /// double-tallied. Bounded by the frames in flight at a restart.
     stale_seen: BTreeSet<u64>,
@@ -181,7 +200,7 @@ struct QueryWindow {
     cum_truncated: u64,
     /// Whether anything (rows or counters) changed since the last flush.
     dirty: bool,
-    sources: HashMap<(String, u64, u64), SourceState>,
+    sources: HashMap<SourceKey, SourceState>,
 }
 
 impl QueryWindow {
@@ -216,7 +235,7 @@ struct CoreState {
     /// books, so a late transport duplicate of it must stay refused or
     /// its events would be double-counted (once as residue, once as
     /// delivered).
-    retro_seen: HashMap<(String, u64, u64), BTreeSet<u64>>,
+    retro_seen: HashMap<SourceKey, SeqWindow>,
     stats: RelayStats,
 }
 
@@ -294,30 +313,29 @@ impl RelayCore {
             .or_insert_with(QueryWindow::new);
         let key = (report.host, report.procid, report.incarnation);
         let src = window.sources.entry(key).or_insert_with(|| SourceState {
-            baseline_seq: report.seq,
-            next_contig: report.seq,
-            pending: BTreeSet::new(),
+            window: SeqWindow::starting_at(report.seq),
             stale_seen: BTreeSet::new(),
             emitted_latest: report.emitted_cum.saturating_sub(report.tuples),
             shed_latest: report.shed_cum,
             truncated_latest: report.truncated_cum,
         });
-        if report.seq < src.baseline_seq {
-            // Overtaken by a relay restart: this incarnation's books open
-            // at the baseline, and tuples from before it can no longer be
-            // accounted anywhere. Surface the loss instead of hiding it.
-            st.stats.reports_stale += 1;
-            if src.stale_seen.insert(report.seq) {
-                st.stats.tuples_stale += report.tuples;
+        match src.window.record(report.seq) {
+            Seen::Stale => {
+                // Overtaken by a relay restart: this incarnation's books
+                // open at the baseline, and tuples from before it can no
+                // longer be accounted anywhere. Surface the loss instead
+                // of hiding it.
+                st.stats.reports_stale += 1;
+                if src.stale_seen.insert(report.seq) {
+                    st.stats.tuples_stale += report.tuples;
+                }
+                return;
             }
-            return;
-        }
-        if report.seq < src.next_contig || !src.pending.insert(report.seq) {
-            st.stats.reports_duplicate += 1;
-            return;
-        }
-        while src.pending.remove(&src.next_contig) {
-            src.next_contig += 1;
+            Seen::Duplicate => {
+                st.stats.reports_duplicate += 1;
+                return;
+            }
+            Seen::Fresh => {}
         }
         // Max-latch the cumulative counters and roll the deltas into the
         // window's running sums (reports can arrive out of order, so a
@@ -389,7 +407,7 @@ impl RelayCore {
             );
             let mut groups: Vec<(GroupKey, Vec<AggState>)> = window.groups.drain().collect();
             // Deterministic frame content regardless of hash order.
-            groups.sort_unstable_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
+            groups.sort_by_cached_key(|(key, _)| format!("{key:?}"));
             let rows = if streaming {
                 if window.raw_blocks.is_empty() {
                     ReportRows::Raw(std::mem::take(&mut window.raw))
@@ -466,7 +484,7 @@ impl RelayCore {
     pub fn absorb_retro(&self, report: RetroReport) {
         let st = &mut *self.state.lock();
         let key = (report.host.clone(), report.procid, report.incarnation);
-        if !st.retro_seen.entry(key).or_default().insert(report.seq) {
+        if st.retro_seen.entry(key).or_default().record(report.seq) != Seen::Fresh {
             st.stats.retro_duplicate += 1;
             return;
         }

@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use pivot_baggage::Baggage;
-use pivot_core::{ProcessInfo, QueryHandle};
+use pivot_core::{Ledger, ProcessInfo, QueryHandle};
 use pivot_live::{tracepoint, ConnStatus, LiveAgent, LiveFrontend};
 use pivot_model::Value;
 use pivot_relay::live::RelayServer;
@@ -221,21 +221,21 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     wait_for_total(&mut fe, &handle, &[&relay], 34);
 
     // The loss identity holds end-to-end against the agents' own ground
-    // truth: 44 emitted, 34 delivered, 10 destroyed by the relay crash
+    // truth: 44 produced, 34 delivered, 10 destroyed by the relay crash
     // (surfaced as the residue), 0 unaccounted. Each relay incarnation
     // balances at the frontend on its own.
-    let emitted: u64 = agents
-        .iter()
-        .map(|a| a.agent().emitted_for(handle.id))
-        .sum();
-    assert_eq!(emitted, 44);
     let loss = fe.results(&handle).loss();
-    assert_eq!(loss.tuples_delivered, 34);
     assert_eq!(loss.tuples_dropped, 0, "no silent transport loss");
+    let mut books = Ledger::from(loss);
+    for agent in &agents {
+        books += Ledger::of_agent(agent.agent(), &[handle.id]);
+    }
+    books += residue.books().0;
+    books += relay.stats().books().0;
+    assert_eq!(books.balance(), Ok(()));
     assert_eq!(
-        emitted,
-        loss.tuples_delivered + residue.window_tuples + loss.tuples_dropped,
-        "emitted == delivered + crash_lost"
+        (books.produced, books.delivered, books.crash_lost),
+        (44, 34, 10)
     );
 
     for agent in &agents {

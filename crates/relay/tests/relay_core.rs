@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use pivot_baggage::Baggage;
-use pivot_core::{Agent, Bus, Frontend, LocalBus, ProcessInfo, QueryHandle, Report};
+use pivot_core::{Agent, Bus, Frontend, Ledger, LocalBus, ProcessInfo, QueryHandle, Report};
 use pivot_model::Value;
 use pivot_relay::{FanIn, Relay, RelayCore};
 
@@ -233,7 +233,11 @@ fn stale_frame_after_relay_restart_surfaces_as_loss() {
     );
     // The harness-level ground truth: everything the agent emitted is
     // either delivered or explicitly surfaced as stale loss.
-    assert_eq!(4, loss.tuples_delivered + stats.tuples_stale);
+    let mut books = Ledger::of_agent(&agent, &[handle.id]);
+    books += Ledger::from(loss);
+    books += stats.books().0;
+    assert_eq!(books.balance(), Ok(()));
+    assert_eq!((books.produced, books.stale), (4, 2));
 }
 
 /// A relay crash destroys the open (absorbed but unflushed) window; the
@@ -269,8 +273,12 @@ fn crash_residue_accounts_the_open_window() {
     let loss = fe.results(&handle).loss();
     assert_eq!(total(&fe, &handle), 2);
     assert_eq!(loss.tuples_dropped, 0, "the new incarnation balances");
-    // Ground truth: 5 emitted = 2 delivered + 3 crash-lost residue.
-    assert_eq!(5, loss.tuples_delivered + residue.window_tuples);
+    // Ground truth: 5 emitted, 2 delivered, 3 crash-lost residue.
+    let mut books = Ledger::of_agent(&agent, &[handle.id]);
+    books += Ledger::from(loss);
+    books += residue.books().0;
+    assert_eq!(books.balance(), Ok(()));
+    assert_eq!((books.produced, books.crash_lost), (5, 3));
 }
 
 /// Governor `Throttled` notices from below are forwarded one per
@@ -418,4 +426,60 @@ fn retro_duplicate_suppressed_across_restart() {
     let out = core.flush_retro();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].seq, 1);
+}
+
+/// Any `u64` survives `decode_report`, so a hostile or corrupted frame can
+/// carry `seq == u64::MAX`. Both receivers must stay total: no overflow
+/// panic in the frontend's gap arithmetic, no wrapped `next_contig` in the
+/// relay turning every later frame from that source stale.
+#[test]
+fn seq_at_u64_max_neither_panics_nor_poisons_the_source() {
+    use pivot_live::proto::{decode_message, encode_message, Message};
+
+    let (mut fe, handle) = frontend_with_query();
+    let core = RelayCore::new(relay_info(0));
+    core.sync(&fe.installed());
+    let agent = fresh_agent(&fe, 0);
+
+    let through_the_wire = |mut report: Report, seq: u64| {
+        report.seq = seq;
+        match decode_message(&encode_message(&Message::Report(report))) {
+            Ok(Message::Report(r)) => r,
+            other => panic!("a report frame decodes as a report: {other:?}"),
+        }
+    };
+
+    invoke(&agent, MS, "a", 1);
+    let hostile = through_the_wire(flush_one(&agent, MS), u64::MAX);
+    assert_eq!(hostile.seq, u64::MAX);
+    invoke(&agent, 2 * MS, "a", 1);
+    let next = flush_one(&agent, 2 * MS);
+
+    // Frontend: the untrackable seq is refused as a duplicate; `loss()`
+    // neither panics nor reports 2^64 - 1 missed frames.
+    fe.accept(hostile.clone());
+    fe.accept(next.clone());
+    let loss = fe.results(&handle).loss();
+    assert_eq!(loss.reports_duplicate, 1);
+    assert_eq!(loss.reports_accepted, 1);
+    assert_eq!(loss.reports_missed, 1, "only seq 0, which never arrived");
+
+    // Relay, first contact at the top of the seq space: the source's
+    // window opens at u64::MAX and must not wrap to 0.
+    core.absorb(hostile.clone());
+    core.absorb(next.clone());
+    let stats = core.stats();
+    assert_eq!(stats.reports_duplicate, 1, "the hostile frame");
+    assert_eq!(stats.reports_stale, 1, "seq 1 precedes that baseline");
+
+    // Relay, hostile frame mid-stream: later frames still flow.
+    let core = RelayCore::new(relay_info(1));
+    core.sync(&fe.installed());
+    core.absorb(next);
+    core.absorb(hostile);
+    invoke(&agent, 3 * MS, "a", 1);
+    core.absorb(flush_one(&agent, 3 * MS));
+    let stats = core.stats();
+    assert_eq!((stats.reports_in, stats.reports_duplicate), (2, 1));
+    assert_eq!(stats.reports_stale, 0, "the source is not poisoned");
 }

@@ -2,12 +2,10 @@
 //! 10 leaf relays → 1 root relay → frontend) with seeded chaos on every
 //! link, relay crashes mid-window at both tiers, and governor-style shed
 //! at the leaves. The acceptance bar is the *exact* ground-truth loss
-//! identity across the whole run:
-//!
-//! ```text
-//! Σ agent emitted == fe delivered + Σ link dropped + Σ relay stale
-//!                  + Σ crash residue + Σ agent shed
-//! ```
+//! identity across the whole run: a [`Ledger`] fed by every agent
+//! (produced, shed), every link (dropped), every relay (stale, crash
+//! residue) and the frontend (delivered) must `balance()`, and so must
+//! its hindsight twin.
 //!
 //! Every tuple an agent ever emitted lands in exactly one bucket; nothing
 //! leaks through the tree even when relays die with open windows and the
@@ -25,10 +23,10 @@
 use std::sync::Arc;
 
 use pivot_baggage::Baggage;
-use pivot_chaos::{ChaosBus, FaultConfig, FaultPlan};
-use pivot_core::{Agent, Bus, Frontend, LocalBus, ProcessInfo, QueryHandle, TriggerKind};
+use pivot_chaos::{ChaosBus, FaultConfig, FaultPlan, PlanScheduler};
+use pivot_core::{Agent, Bus, Frontend, Ledger, LocalBus, ProcessInfo, QueryHandle, TriggerKind};
 use pivot_model::Value;
-use pivot_relay::{FanIn, Relay};
+use pivot_relay::{CrashResidue, FanIn, Relay};
 
 const MS: u64 = 1_000_000;
 const LEAVES: usize = 10;
@@ -82,9 +80,10 @@ fn build_tree(seed: u64, agents: &mut Vec<Arc<Agent>>) -> Tree {
             agents.push(Arc::clone(&agent));
             bus.register(agent);
         }
-        let below = ChaosBus::new(bus, root_plan.derive(li as u64));
+        let below = ChaosBus::new(bus, PlanScheduler::new(root_plan.derive(li as u64)));
         let leaf = Relay::new(below, relay_info(li as u64));
-        leaves.push(ChaosBus::new(leaf, root_plan.derive(1_000 + li as u64)));
+        let above = PlanScheduler::new(root_plan.derive(1_000 + li as u64));
+        leaves.push(ChaosBus::new(leaf, above));
     }
     Relay::new(FanIn::new(leaves), relay_info(99))
 }
@@ -136,47 +135,35 @@ fn release_all(root: &Tree) {
 }
 
 /// Quiesce-then-crash for a leaf: settle the agent-facing link into the
-/// open window (and the retro queue), then kill the relay. Returns the
-/// (window tuples, retro events) destroyed.
-fn crash_leaf(root: &Tree, li: usize, t: u64) -> (u64, u64) {
+/// open window (and the retro queue), then kill the relay. Returns what
+/// the crash destroyed.
+fn crash_leaf(root: &Tree, li: usize, t: u64) -> CrashResidue {
     let leaf = root.inner().children()[li].inner();
     leaf.inner().release_pending();
     leaf.pull(t);
     leaf.pull_retro(t);
-    let residue = leaf.core().restart();
-    (residue.window_tuples, residue.retro_events)
+    leaf.core().restart()
 }
 
 /// Quiesce-then-crash for the root: settle every leaf-facing link into
 /// the root window (and the retro queue), then kill it.
-fn crash_root(root: &Tree, t: u64) -> (u64, u64) {
+fn crash_root(root: &Tree, t: u64) -> CrashResidue {
     for child in root.inner().children() {
         child.release_pending();
     }
     root.pull(t);
     root.pull_retro(t);
-    let residue = root.core().restart();
-    (residue.window_tuples, residue.retro_events)
+    root.core().restart()
 }
 
 struct SweepOutcome {
-    delivered: u64,
-    dropped: u64,
-    stale: u64,
-    residue: u64,
-    shed: u64,
-    emitted: u64,
+    /// Tuple books, ground truth (agent counters) on the `produced` side.
+    books: Ledger,
+    /// Hindsight books, ground truth (`recorded` from agent seals) on the
+    /// `produced` side.
+    retro: Ledger,
     frames_fe: u64,
     agent_frames: u64,
-    /// The extended identity's hindsight terms, ground truth on the left
-    /// (`recorded` from agent seals) and the buckets on the right.
-    retro_recorded: u64,
-    retro_delivered: u64,
-    retro_dropped: u64,
-    retro_sampled_out: u64,
-    retro_shed: u64,
-    retro_relay_shed: u64,
-    retro_residue: u64,
 }
 
 fn run_sweep(seed: u64) -> SweepOutcome {
@@ -229,8 +216,13 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         assert!(agent.registry().has_query(sq.id));
     }
 
-    let mut residue = 0u64;
-    let mut retro_residue = 0u64;
+    let mut books = Ledger::default();
+    let mut retro = Ledger::default();
+    let mut bury = |residue: CrashResidue| {
+        let (tuples, events) = residue.books();
+        books += tuples;
+        retro += events;
+    };
     for round in 0..ROUNDS {
         for (i, agent) in agents.iter().enumerate() {
             let gkey = if i % 2 == 0 { "g0" } else { "g1" };
@@ -262,23 +254,32 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         // into the victim's window (quiesce) and then destroyed with it —
         // retro frames included, so the hindsight residue term is real.
         if round == 3 {
-            let (lost, retro_lost) = crash_leaf(&root, 2, t);
-            assert!(lost > 0, "leaf crash destroyed an open window");
-            assert!(retro_lost > 0, "leaf crash destroyed queued retro frames");
-            residue += lost;
-            retro_residue += retro_lost;
+            let lost = crash_leaf(&root, 2, t);
+            assert!(
+                lost.window_tuples > 0,
+                "leaf crash destroyed an open window"
+            );
+            assert!(
+                lost.retro_events > 0,
+                "leaf crash destroyed queued retro frames"
+            );
+            bury(lost);
         }
         if round == 5 {
-            let (lost, retro_lost) = crash_root(&root, t);
-            assert!(lost > 0, "root crash destroyed an open window");
-            residue += lost;
-            retro_residue += retro_lost;
+            let lost = crash_root(&root, t);
+            assert!(
+                lost.window_tuples > 0,
+                "root crash destroyed an open window"
+            );
+            bury(lost);
         }
         if round == 7 {
-            let (lost, retro_lost) = crash_leaf(&root, 6, t);
-            assert!(lost > 0, "second leaf crash destroyed an open window");
-            residue += lost;
-            retro_residue += retro_lost;
+            let lost = crash_leaf(&root, 6, t);
+            assert!(
+                lost.window_tuples > 0,
+                "second leaf crash destroyed an open window"
+            );
+            bury(lost);
         }
         frames_fe += drain_into(&root, &mut fe, t);
         t += ROUND_NS;
@@ -311,32 +312,30 @@ fn run_sweep(seed: u64) -> SweepOutcome {
     }
     assert_eq!(root.core().buffered_tuples(), 0, "root window flushed");
 
-    let mut dropped = 0u64;
-    let mut stale = root.core().stats().tuples_stale;
+    // Every relay's refusals and sheds, every link's drops.
     let mut agent_frames = 0u64;
-    let mut retro_dropped = 0u64;
-    let mut retro_relay_shed = root.core().stats().retro_events_shed;
+    let leaves = root.inner().children().iter().map(|c| c.inner().core());
+    for core in leaves.chain([root.core()]) {
+        let (tuples, events) = core.stats().books();
+        books += tuples;
+        retro += events;
+    }
     for child in root.inner().children() {
-        dropped += child.stats().tuples_dropped;
-        dropped += child.inner().inner().stats().tuples_dropped;
-        stale += child.inner().core().stats().tuples_stale;
+        for link in [child.stats(), child.inner().inner().stats()] {
+            books += Ledger::from(link.reports);
+            retro += Ledger::from(link.retro);
+        }
         agent_frames += child.inner().core().stats().reports_in;
-        retro_dropped += child.stats().retro_events_dropped;
-        retro_dropped += child.inner().inner().stats().retro_events_dropped;
-        retro_relay_shed += child.inner().core().stats().retro_events_shed;
     }
 
     // Graceful end-of-life for the hindsight rings: everything
     // deliverable drained above; sealing accounts the leftovers
     // (unclaimed ring events become `sampled_out`).
-    let mut retro_recorded = 0u64;
-    let mut retro_sampled_out = 0u64;
-    let mut retro_shed = 0u64;
     for agent in &retro_agents {
-        let rc = agent.retro_seal();
-        retro_recorded += rc.recorded;
-        retro_sampled_out += rc.sampled_out;
-        retro_shed += rc.shed;
+        retro += Ledger::from(agent.retro_seal());
+    }
+    for agent in &agents {
+        books += Ledger::of_agent(agent, &[gq.id, sq.id]);
     }
 
     let loss_g = fe.results(&gq).loss();
@@ -360,28 +359,14 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         "every delivered raw row survives the hops"
     );
 
+    books += Ledger::from(loss_g);
+    books += Ledger::from(loss_s);
+    retro += Ledger::from(fe.retro_loss());
     SweepOutcome {
-        delivered: loss_g.tuples_delivered + loss_s.tuples_delivered,
-        dropped,
-        stale,
-        residue,
-        shed: agents
-            .iter()
-            .map(|a| a.shed_for(gq.id) + a.shed_for(sq.id))
-            .sum(),
-        emitted: agents
-            .iter()
-            .map(|a| a.emitted_for(gq.id) + a.emitted_for(sq.id))
-            .sum(),
+        books,
+        retro,
         frames_fe,
         agent_frames,
-        retro_recorded,
-        retro_delivered: fe.retro_loss().events_delivered,
-        retro_dropped,
-        retro_sampled_out,
-        retro_shed,
-        retro_relay_shed,
-        retro_residue,
     }
 }
 
@@ -396,50 +381,28 @@ fn thousand_agent_sweep_balances_exactly() {
     let mut total_retro_dropped = 0u64;
     for seed in [0x51ee9, 0xb0b5, 0x7a11] {
         let o = run_sweep(seed);
-        assert_eq!(
-            o.emitted,
-            o.delivered + o.dropped + o.stale + o.residue + o.shed,
-            "seed {seed:#x}: emitted {} != delivered {} + dropped {} + stale {} \
-             + residue {} + shed {}",
-            o.emitted,
-            o.delivered,
-            o.dropped,
-            o.stale,
-            o.residue,
-            o.shed,
-        );
+        assert_eq!(o.books.balance(), Ok(()), "seed {seed:#x}: tuples");
         // The extended hindsight identity through both relay hops: every
         // raw event recorded into any ring lands in exactly one bucket.
-        assert_eq!(
-            o.retro_recorded,
-            o.retro_delivered
-                + o.retro_dropped
-                + o.retro_sampled_out
-                + o.retro_shed
-                + o.retro_relay_shed
-                + o.retro_residue,
-            "seed {seed:#x}: retro recorded {} != delivered {} + dropped {} \
-             + sampled_out {} + shed {} + relay_shed {} + residue {}",
-            o.retro_recorded,
-            o.retro_delivered,
-            o.retro_dropped,
-            o.retro_sampled_out,
-            o.retro_shed,
-            o.retro_relay_shed,
-            o.retro_residue,
-        );
-        assert!(o.residue > 0, "seed {seed:#x}: crashes hit open windows");
-        assert!(o.shed > 0, "seed {seed:#x}: the shed term is exercised");
+        assert_eq!(o.retro.balance(), Ok(()), "seed {seed:#x}: retro");
         assert!(
-            o.retro_delivered > 0,
+            o.books.crash_lost > 0,
+            "seed {seed:#x}: crashes hit open windows"
+        );
+        assert!(
+            o.books.shed > 0,
+            "seed {seed:#x}: the shed term is exercised"
+        );
+        assert!(
+            o.retro.delivered > 0,
             "seed {seed:#x}: hindsight data reached the frontend"
         );
         assert!(
-            o.retro_sampled_out > 0,
+            o.retro.sampled_out > 0,
             "seed {seed:#x}: ring wraparound is exercised at scale"
         );
         assert!(
-            o.retro_residue > 0,
+            o.retro.crash_lost > 0,
             "seed {seed:#x}: relay crashes destroyed queued retro frames"
         );
         assert!(
@@ -448,8 +411,8 @@ fn thousand_agent_sweep_balances_exactly() {
             o.agent_frames,
             o.frames_fe
         );
-        total_dropped += o.dropped;
-        total_retro_dropped += o.retro_dropped;
+        total_dropped += o.books.dropped;
+        total_retro_dropped += o.retro.dropped;
     }
     assert!(total_dropped > 0, "the sweep exercised real transport loss");
     assert!(
