@@ -1,5 +1,6 @@
 //! The baggage container.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use pivot_itc::Stamp;
@@ -12,22 +13,102 @@ use crate::QueryId;
 
 /// The decoded representation: one active instance per branch plus the
 /// inactive instances inherited from earlier branch points.
+///
+/// Only the active instance is ever packed into. An instance is frozen
+/// when [`Baggage::split`] retires it, and from then on every branch that
+/// descends from the split holds the *same* allocation: splitting and
+/// joining move reference counts, never tuples. The one writer a retired
+/// instance can still meet is [`Baggage::clear_query`], which copies it
+/// first if another handle shares it.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct Live {
     pub(crate) active: Instance,
-    pub(crate) inactive: Vec<Instance>,
+    pub(crate) inactive: Retired,
 }
 
 impl Live {
     fn new() -> Live {
         Live {
             active: Instance::new(Stamp::seed()),
-            inactive: Vec::new(),
+            inactive: Retired::default(),
         }
     }
 
+    /// Decodes a lazily adopted buffer. A malformed baggage (corruption
+    /// in transit) degrades to empty rather than failing the carrying
+    /// request.
+    fn adopt(bytes: &[u8]) -> Live {
+        wire::decode(bytes).unwrap_or_else(|_| Live::new())
+    }
+
     fn is_empty(&self) -> bool {
-        self.active.is_empty() && self.inactive.iter().all(Instance::is_empty)
+        self.active.is_empty() && self.inactive.iter().all(|i| i.is_empty())
+    }
+
+    /// Every visible instance in causal order: retired (oldest first),
+    /// then the active one.
+    fn instances(&self) -> impl Iterator<Item = &Instance> {
+        self.inactive
+            .iter()
+            .map(|i| &**i)
+            .chain(std::iter::once(&self.active))
+    }
+}
+
+/// The retired instances of one baggage, oldest first.
+///
+/// The first [`Retired::INLINE`] sit in the handle itself, so the request
+/// paths measured in DESIGN.md §5l — one retired instance alive at a
+/// time — branch and join without allocating a list.
+#[derive(Clone, Default, PartialEq, Debug)]
+pub(crate) struct Retired {
+    /// Filled front to back; `tail` is used only once these are full.
+    head: [Option<Arc<Instance>>; Retired::INLINE],
+    tail: Vec<Arc<Instance>>,
+}
+
+impl Retired {
+    const INLINE: usize = 2;
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Instance>> {
+        self.head.iter().flatten().chain(&self.tail)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub(crate) fn push(&mut self, instance: Arc<Instance>) {
+        match self.head.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(instance),
+            None => self.tail.push(instance),
+        }
+    }
+
+    /// Whether this exact allocation, or after a wire hop an equal copy
+    /// of it, is already held.
+    fn holds(&self, instance: &Arc<Instance>) -> bool {
+        self.iter()
+            .any(|mine| Arc::ptr_eq(mine, instance) || mine == instance)
+    }
+
+    /// Drops `query` from every instance (copying an instance another
+    /// handle shares) and forgets the instances left empty.
+    fn clear_query(&mut self, query: QueryId) {
+        let mut kept = Retired::default();
+        for mut instance in std::mem::take(self).into_instances() {
+            if instance.entries.contains_key(&query) {
+                Arc::make_mut(&mut instance).entries.remove(&query);
+            }
+            if !instance.is_empty() {
+                kept.push(instance);
+            }
+        }
+        *self = kept;
+    }
+
+    fn into_instances(self) -> impl Iterator<Item = Arc<Instance>> {
+        self.head.into_iter().flatten().chain(self.tail)
     }
 }
 
@@ -119,10 +200,17 @@ impl Default for Baggage {
 
 impl PartialEq for Baggage {
     fn eq(&self, other: &Baggage) -> bool {
-        // Compare decoded forms; clone to avoid requiring &mut.
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.ensure_live() == b.ensure_live()
+        // Compare decoded forms, decoding aside only a side that is still
+        // lazy (`eq` has no `&mut` to cache the result through).
+        fn decoded(bag: &Baggage) -> Cow<'_, Live> {
+            match &bag.live {
+                Some(live) => Cow::Borrowed(live),
+                None => Cow::Owned(Live::adopt(
+                    bag.bytes.as_ref().expect("live or bytes must be set"),
+                )),
+            }
+        }
+        decoded(self) == decoded(other)
     }
 }
 
@@ -187,7 +275,7 @@ impl Baggage {
         let bytes: Arc<[u8]> = if live.is_empty() {
             Arc::from(&[][..])
         } else {
-            Arc::from(wire::encode(live).into_boxed_slice())
+            Arc::from(wire::encode(live))
         };
         self.bytes = Some(Arc::clone(&bytes));
         bytes
@@ -202,10 +290,7 @@ impl Baggage {
     pub(crate) fn ensure_live(&mut self) -> &mut Live {
         if self.live.is_none() {
             let bytes = self.bytes.as_ref().expect("live or bytes set");
-            // A malformed baggage (corruption in transit) degrades to empty
-            // rather than failing the carrying request.
-            let live = wire::decode(bytes).unwrap_or_else(|_| Live::new());
-            self.live = Some(live);
+            self.live = Some(Live::adopt(bytes));
         }
         self.live.as_mut().expect("just set")
     }
@@ -275,9 +360,7 @@ impl Baggage {
         // matching entry — never allocates; only the multi-instance slow
         // path collects.
         let mut it = live
-            .inactive
-            .iter()
-            .chain(std::iter::once(&live.active))
+            .instances()
             .filter_map(|i| i.entries.get(&query))
             .filter(|e| !e.is_empty());
         let Some(first) = it.next() else {
@@ -298,19 +381,19 @@ impl Baggage {
         found.push(first);
         found.extend(rest);
         Unpacked::Owned(match first.mode() {
-            PackMode::GroupAgg { .. } => {
-                let mut merged = Entry::new(&first.mode());
+            mode @ PackMode::GroupAgg { .. } => {
+                let mut merged = Entry::new(mode);
                 for e in &found {
                     merged.merge(e);
                 }
                 merged.tuples()
             }
-            PackMode::First(n) => {
+            &PackMode::First(n) => {
                 let mut out: Vec<Tuple> = found.iter().flat_map(|e| e.tuples()).collect();
                 out.truncate(n);
                 out
             }
-            PackMode::Recent(n) => {
+            &PackMode::Recent(n) => {
                 let all: Vec<Tuple> = found.iter().flat_map(|e| e.tuples()).collect();
                 let skip = all.len().saturating_sub(n.max(1));
                 all[skip..].to_vec()
@@ -321,20 +404,16 @@ impl Baggage {
 
     /// Returns how many tuples are currently retained for `query`.
     pub fn tuple_count(&mut self, query: QueryId) -> usize {
-        let live = self.ensure_live();
-        live.inactive
-            .iter()
-            .chain(std::iter::once(&live.active))
+        self.ensure_live()
+            .instances()
             .map(|i| i.count_for(query))
             .sum()
     }
 
     /// Returns the total number of retained tuples across all queries.
     pub fn total_tuples(&mut self) -> usize {
-        let live = self.ensure_live();
-        live.inactive
-            .iter()
-            .chain(std::iter::once(&live.active))
+        self.ensure_live()
+            .instances()
             .flat_map(|i| i.entries.values())
             .map(Entry::len)
             .sum()
@@ -356,20 +435,18 @@ impl Baggage {
         // each other and from any ancestor.
         s1.event();
         s2.event();
-        let retired = std::mem::replace(&mut live.active, Instance::new(s1));
-        let mut other_inactive = live.inactive.clone();
+        let mut retired = std::mem::replace(&mut live.active, Instance::new(s1));
         if !retired.is_empty() {
-            let mut retired = retired;
-            // Anonymize the retired instance's identity: both copies carry
-            // the identical peek stamp, making post-join dedup exact.
+            // Anonymize the retired instance's identity: once copies of
+            // it cross the wire they carry the identical peek stamp,
+            // making post-join dedup exact.
             retired.stamp = retired.stamp.peek();
-            live.inactive.push(retired.clone());
-            other_inactive.push(retired);
+            live.inactive.push(Arc::new(retired));
         }
         Baggage {
             live: Some(Live {
                 active: Instance::new(s2),
-                inactive: other_inactive,
+                inactive: live.inactive.clone(),
             }),
             bytes: None,
             meter: PackMeter::default(),
@@ -384,7 +461,8 @@ impl Baggage {
     pub fn join(&mut self, mut other: Baggage) {
         self.ensure_live();
         self.touch();
-        let other_live = other.ensure_live().clone();
+        other.ensure_live();
+        let other_live = other.live.expect("ensured");
         // Fold the joining branch's pack costs into this handle so the
         // request's total is preserved across joins, and count any tuples
         // the All-cap truncates while the actives merge.
@@ -393,10 +471,10 @@ impl Baggage {
         self.meter.truncated += other.meter.truncated;
         let live = self.live.as_mut().expect("ensured");
         live.active.stamp = live.active.stamp.join(&other_live.active.stamp);
-        self.meter.truncated += live.active.merge_entries(&other_live.active) as u64;
-        for inst in other_live.inactive {
-            if !live.inactive.contains(&inst) {
-                live.inactive.push(inst);
+        self.meter.truncated += live.active.merge_entries(other_live.active) as u64;
+        for instance in other_live.inactive.into_instances() {
+            if !live.inactive.holds(&instance) {
+                live.inactive.push(instance);
             }
         }
     }
@@ -407,10 +485,7 @@ impl Baggage {
         self.touch();
         let live = self.live.as_mut().expect("ensured");
         live.active.entries.remove(&query);
-        for i in &mut live.inactive {
-            i.entries.remove(&query);
-        }
-        live.inactive.retain(|i| !i.is_empty());
+        live.inactive.clear_query(query);
     }
 }
 

@@ -108,10 +108,8 @@ pub enum Entry {
     },
     /// Grouped partial aggregates under [`PackMode::GroupAgg`].
     Grouped {
-        /// Number of leading group-key fields.
-        key_len: usize,
-        /// One aggregator per value column.
-        aggs: Vec<AggFunc>,
+        /// The grouping mode (always [`PackMode::GroupAgg`]).
+        mode: PackMode,
         /// Insertion-ordered groups: key → per-column states.
         groups: Vec<(GroupKey, Vec<AggState>)>,
     },
@@ -121,9 +119,8 @@ impl Entry {
     /// Creates an empty entry for `mode`.
     pub fn new(mode: &PackMode) -> Entry {
         match mode {
-            PackMode::GroupAgg { key_len, aggs } => Entry::Grouped {
-                key_len: *key_len,
-                aggs: aggs.clone(),
+            PackMode::GroupAgg { .. } => Entry::Grouped {
+                mode: mode.clone(),
                 groups: Vec::new(),
             },
             other => Entry::Tuples {
@@ -193,11 +190,10 @@ impl Entry {
             }
             Entry::Tuples { .. } => unreachable!("grouped mode in Tuples"),
             Entry::Grouped {
-                key_len,
-                aggs,
+                mode: PackMode::GroupAgg { key_len, aggs },
                 groups,
             } => {
-                let key = GroupKey::project(&tuple, &(0..*key_len).collect::<Vec<_>>());
+                let key = GroupKey((0..*key_len).map(|i| tuple.get(i).clone()).collect());
                 let states = match groups.iter_mut().find(|(k, _)| *k == key) {
                     Some((_, states)) => states,
                     None => {
@@ -209,6 +205,7 @@ impl Entry {
                     st.update(tuple.get(*key_len + i));
                 }
             }
+            Entry::Grouped { .. } => unreachable!("plain mode in Grouped"),
         }
         0
     }
@@ -245,8 +242,7 @@ impl Entry {
             }
             (
                 Entry::Grouped {
-                    key_len: _,
-                    aggs,
+                    mode: PackMode::GroupAgg { aggs, .. },
                     groups,
                 },
                 Entry::Grouped {
@@ -323,13 +319,9 @@ impl Entry {
     }
 
     /// Returns the entry's pack mode.
-    pub fn mode(&self) -> PackMode {
+    pub fn mode(&self) -> &PackMode {
         match self {
-            Entry::Tuples { mode, .. } => mode.clone(),
-            Entry::Grouped { key_len, aggs, .. } => PackMode::GroupAgg {
-                key_len: *key_len,
-                aggs: aggs.clone(),
-            },
+            Entry::Tuples { mode, .. } | Entry::Grouped { mode, .. } => mode,
         }
     }
 
@@ -360,7 +352,7 @@ impl Entry {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Entry, DecodeError> {
         let mode = PackMode::decode(dec)?;
         match mode {
-            PackMode::GroupAgg { key_len, aggs } => {
+            PackMode::GroupAgg { .. } => {
                 let n = dec.take_varint()? as usize;
                 let mut groups = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -372,11 +364,7 @@ impl Entry {
                     }
                     groups.push((key, states));
                 }
-                Ok(Entry::Grouped {
-                    key_len,
-                    aggs,
-                    groups,
-                })
+                Ok(Entry::Grouped { mode, groups })
             }
             mode => {
                 let n = dec.take_varint()? as usize;

@@ -58,13 +58,13 @@ impl Instance {
 
     /// Merges the entries of `other` into `self` (rejoining branches).
     /// Returns the number of tuples truncated by the `All`-mode hard cap.
-    pub fn merge_entries(&mut self, other: &Instance) -> usize {
+    pub fn merge_entries(&mut self, other: Instance) -> usize {
         let mut truncated = 0;
-        for (q, entry) in &other.entries {
-            match self.entries.get_mut(q) {
-                Some(mine) => truncated += mine.merge(entry),
+        for (q, entry) in other.entries {
+            match self.entries.get_mut(&q) {
+                Some(mine) => truncated += mine.merge(&entry),
                 None => {
-                    self.entries.insert(*q, entry.clone());
+                    self.entries.insert(q, entry);
                 }
             }
         }

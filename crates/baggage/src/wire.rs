@@ -11,9 +11,11 @@
 //! malformed buffer returns an error and the caller degrades to an empty
 //! baggage rather than failing the request.
 
+use std::sync::Arc;
+
 use pivot_itc::{DecodeError, Decoder, Encoder, Stamp};
 
-use crate::bag::Live;
+use crate::bag::{Live, Retired};
 use crate::entry::Entry;
 use crate::instance::Instance;
 use crate::QueryId;
@@ -25,7 +27,7 @@ pub(crate) fn encode(live: &Live) -> Vec<u8> {
     enc.put_u8(VERSION);
     enc.put_varint(1 + live.inactive.len() as u64);
     encode_instance(&live.active, &mut enc);
-    for inst in &live.inactive {
+    for inst in live.inactive.iter() {
         encode_instance(inst, &mut enc);
     }
     enc.finish()
@@ -51,9 +53,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Live, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     let active = decode_instance(&mut dec)?;
-    let mut inactive = Vec::with_capacity((count - 1).min(64));
+    let mut inactive = Retired::default();
     for _ in 1..count {
-        inactive.push(decode_instance(&mut dec)?);
+        inactive.push(Arc::new(decode_instance(&mut dec)?));
     }
     Ok(Live { active, inactive })
 }
@@ -78,20 +80,22 @@ mod tests {
 
     #[test]
     fn live_round_trip_with_branches() {
+        let mut retired = Instance::new(Stamp::seed().peek());
+        retired.pack(
+            QueryId(9),
+            &PackMode::Recent(2),
+            Tuple::from_iter([Value::U64(42)]),
+            0,
+        );
         let mut live = Live {
             active: Instance::new(Stamp::seed()),
-            inactive: vec![Instance::new(Stamp::seed().peek())],
+            inactive: Retired::default(),
         };
+        live.inactive.push(Arc::new(retired));
         live.active.pack(
             QueryId(3),
             &PackMode::All,
             Tuple::from_iter([Value::str("x"), Value::I64(1)]),
-            0,
-        );
-        live.inactive[0].pack(
-            QueryId(9),
-            &PackMode::Recent(2),
-            Tuple::from_iter([Value::U64(42)]),
             0,
         );
         let bytes = encode(&live);
@@ -103,7 +107,7 @@ mod tests {
     fn wrong_version_rejected() {
         let mut live = Live {
             active: Instance::new(Stamp::seed()),
-            inactive: vec![],
+            inactive: Retired::default(),
         };
         live.active.pack(
             QueryId(1),
@@ -120,7 +124,7 @@ mod tests {
     fn truncation_rejected() {
         let mut live = Live {
             active: Instance::new(Stamp::seed()),
-            inactive: vec![],
+            inactive: Retired::default(),
         };
         live.active.pack(
             QueryId(1),

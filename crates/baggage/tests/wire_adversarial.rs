@@ -111,3 +111,108 @@ fn lazy_path_degrades_where_strict_path_errors() {
     let mut lazy = Baggage::from_bytes(&garbage);
     assert!(lazy.unpack(QueryId(1)).is_empty());
 }
+
+/// A baggage holding one `All` tuple under the given raw stamp bytes.
+fn bag_bytes_with_stamp(stamp: &[u8]) -> Vec<u8> {
+    let mut bag = Baggage::new();
+    bag.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 1)]);
+    let own = bag.to_bytes();
+    // version, instance count, then the seed stamp `1;0` = [1, 0, 0].
+    assert_eq!(own[..5], [1, 1, 1, 0, 0]);
+    let mut bytes = vec![1, 1];
+    bytes.extend_from_slice(stamp);
+    bytes.extend_from_slice(&own[5..]);
+    bytes
+}
+
+fn assert_refused(bytes: &[u8]) {
+    assert!(Baggage::try_from_bytes(bytes).is_err());
+    let mut lazy = Baggage::from_bytes(bytes);
+    assert!(lazy.is_empty(), "the request path degrades to empty");
+    assert_eq!(lazy.to_bytes().len(), bytes.len(), "and forwards untouched");
+}
+
+// The two tests below run on the harness's default 2 MiB test threads: a
+// decoder that followed the nesting would overflow them and abort the
+// process instead of failing.
+#[test]
+fn nesting_past_the_bound_is_refused_not_followed() {
+    // The reproduced header: 100 000 nested identity nodes in 100 KB.
+    let mut id_bomb = vec![1u8, 1];
+    id_bomb.extend(std::iter::repeat_n(2u8, 100_000));
+    assert_refused(&id_bomb);
+    // The same through the event tree, behind a well-formed identity.
+    let mut event_bomb = vec![1u8, 1, 1];
+    event_bomb.extend(std::iter::repeat_n([1u8, 0], 100_000).flatten());
+    assert_refused(&event_bomb);
+    // Complete, well-formed trees one level past the bound.
+    let too_deep = 1025;
+    let mut id = vec![2u8; too_deep];
+    id.push(1);
+    id.extend(vec![0u8; too_deep]);
+    id.extend([0, 0]);
+    assert_refused(&bag_bytes_with_stamp(&id));
+    let mut event = vec![1u8];
+    event.extend(std::iter::repeat_n([1u8, 0, 0, 1], too_deep).flatten());
+    event.extend([0, 0]);
+    assert_refused(&bag_bytes_with_stamp(&event));
+}
+
+#[test]
+fn the_deepest_accepted_stamp_is_safe_to_operate_on() {
+    // Identity and event trees both 1024 levels deep: the identity owns
+    // the innermost left sliver, the event tree has one more event at
+    // every level on the way down to it.
+    let depth = 1024;
+    let mut stamp = vec![2u8; depth];
+    stamp.push(1);
+    stamp.extend(vec![0u8; depth]);
+    stamp.extend(std::iter::repeat_n([1u8, 0], depth).flatten());
+    stamp.extend([0, 1]);
+    stamp.extend(std::iter::repeat_n([0u8, 0], depth).flatten());
+    let bytes = bag_bytes_with_stamp(&stamp);
+    let mut bag = Baggage::try_from_bytes(&bytes).expect("at the bound, not past it");
+    assert_eq!(bag.to_bytes()[..], bytes[..], "already in normal form");
+    // Every recursive kernel walk, at full depth: fork + event (fill and
+    // grow) on both halves, join of the deep halves, peek on retirement.
+    let mut side = bag.split();
+    let mut inner = side.split();
+    inner.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 2)]);
+    side.join(inner);
+    bag.join(side);
+    assert_eq!(bag.tuple_count(QueryId(1)), 2);
+    // Forking took the identity one level past what a peer accepts.
+    let mut deeper = bag.split();
+    deeper.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 3)]);
+    assert!(Baggage::try_from_bytes(&deeper.to_bytes()).is_err());
+}
+
+#[test]
+fn event_counters_that_overflow_are_refused_in_every_profile() {
+    // The reproduced header: event tree (u64::MAX, 1, 1). Unchecked, its
+    // normal form adds 1 to u64::MAX — a panic under debug assertions, a
+    // silent wrap to a stamp that breaks `leq` without them.
+    let header = [
+        0x01, 0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00,
+        0x01, 0x00, 0x01, 0x00,
+    ];
+    assert_refused(&header);
+    // Spread over two levels so no single counter is out of range:
+    // (2^62, (2^62 - 1, 0, 1), 0) sums to 2^63 at its deepest leaf.
+    let mut event = vec![1u8];
+    event.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
+    event.push(1);
+    event.extend([0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f]);
+    event.extend([0, 0, 0, 1, 0, 0]);
+    let mut stamp = vec![1u8];
+    stamp.extend(&event);
+    assert_refused(&bag_bytes_with_stamp(&stamp));
+    // One event fewer is the largest history there is, and it works.
+    let last = stamp.len() - 3;
+    stamp[last] = 0;
+    let at_the_limit = bag_bytes_with_stamp(&stamp);
+    let mut bag = Baggage::try_from_bytes(&at_the_limit).expect("2^63 - 1 fits");
+    let side = bag.split();
+    bag.join(side);
+    assert_eq!(bag.tuple_count(QueryId(1)), 1);
+}

@@ -9,6 +9,14 @@
 
 use std::fmt;
 
+/// Deepest identity or event tree [`crate::Stamp::decode`] accepts.
+///
+/// The kernel walks trees recursively, so nesting is what a hostile header
+/// could turn into stack: at this bound the deepest walk needs about
+/// 128 KiB of a 2 MiB thread stack, and it is sixteen times the deepest
+/// tree anything in this repository builds (a chain of 64 unjoined forks).
+pub(crate) const MAX_DEPTH: usize = 1024;
+
 /// An append-only byte sink.
 #[derive(Default)]
 pub struct Encoder {
@@ -31,6 +39,11 @@ impl Encoder {
     /// Appends a raw byte.
     pub fn put_u8(&mut self, b: u8) {
         self.buf.push(b);
+    }
+
+    /// Appends bytes as they are (no length prefix).
+    pub(crate) fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
 
     /// Appends an unsigned LEB128 varint.
@@ -90,10 +103,14 @@ pub enum DecodeError {
     Truncated,
     /// A tag byte had an unexpected value; carries the context and the tag.
     BadTag(&'static str, u8),
-    /// A varint exceeded 64 bits.
+    /// A varint exceeded 64 bits, or ITC event counters summed past the
+    /// 63 bits a stamp keeps.
     VarintOverflow,
     /// A byte string was not valid UTF-8 where a string was required.
     BadUtf8,
+    /// An ITC identity or event tree was nested deeper than any stamp this
+    /// implementation produces.
+    TooDeep,
 }
 
 impl fmt::Display for DecodeError {
@@ -103,8 +120,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(what, tag) => {
                 write!(f, "bad tag {tag:#04x} while decoding {what}")
             }
-            DecodeError::VarintOverflow => write!(f, "varint overflows u64"),
+            DecodeError::VarintOverflow => write!(f, "integer overflows its range"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string"),
+            DecodeError::TooDeep => write!(f, "itc tree nested too deeply"),
         }
     }
 }

@@ -27,6 +27,7 @@
 //! assert!(joined.id().is_whole());
 //! ```
 
+mod buf;
 mod encode;
 mod event;
 mod id;

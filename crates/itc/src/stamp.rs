@@ -26,7 +26,7 @@ impl Stamp {
     /// Returns the seed stamp `(1, 0)` owned by the request root.
     pub fn seed() -> Stamp {
         Stamp {
-            id: Id::One,
+            id: Id::one(),
             event: Event::zero(),
         }
     }
@@ -68,7 +68,7 @@ impl Stamp {
     /// without consuming identity space.
     pub fn peek(&self) -> Stamp {
         Stamp {
-            id: Id::Zero,
+            id: Id::zero(),
             event: self.event.clone(),
         }
     }

@@ -174,5 +174,5 @@ fn id_depth_grows_logarithmically_under_balanced_forks() {
     for s in &stamps {
         assert!(s.id().depth() <= 7, "depth {}", s.id().depth());
     }
-    let _ = Id::One; // silence unused import when features change
+    let _ = Id::one(); // silence unused import when features change
 }

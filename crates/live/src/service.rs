@@ -551,6 +551,37 @@ mod tests {
     }
 
     #[test]
+    fn hostile_baggage_header_closes_the_connection_not_the_process() {
+        let server = KvServer::start(1, test_agent("kvserver")).expect("server starts");
+        // 100 000 nested ITC identity nodes in a 100 KB header (far under
+        // `MAX_FRAME`), and an event tree whose counters overflow: both
+        // used to take the handler thread down — the first with it the
+        // process, by stack overflow — instead of failing the decode.
+        let mut nested = vec![1u8, 1];
+        nested.extend(std::iter::repeat_n(2u8, 100_000));
+        let overflowing = [
+            0x01, 0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            0x00, 0x01, 0x00, 0x01, 0x00,
+        ];
+        for header in [&nested[..], &overflowing[..]] {
+            let request = encode_request(header, &KvOp::Get { key: "k".into() });
+            assert!(decode_request(&request).is_err());
+            let mut conn = TcpStream::connect(server.addr()).expect("connects");
+            conn.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout set");
+            write_frame(&mut conn, &request).expect("write ok");
+            assert!(
+                read_frame(&mut conn).is_err(),
+                "server closes rather than answering a hostile header"
+            );
+        }
+        // The server is still there for the next client.
+        let mut client = KvClient::connect(server.addr()).expect("client connects");
+        assert!(!client.get("k").expect("get ok").hit);
+        server.shutdown();
+    }
+
+    #[test]
     fn load_gen_drives_traffic() {
         let server = KvServer::start(2, test_agent("kvserver")).expect("server starts");
         let gen = LoadGen::start(server.addr(), 3, test_agent("kvclient")).expect("load starts");

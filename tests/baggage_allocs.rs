@@ -1,0 +1,114 @@
+//! Allocation counts on the baggage branch/join path.
+//!
+//! A request crosses a branch or join point at every thread and channel
+//! edge (paper §5), tracing on or off, so that path must not pay the
+//! allocator: ITC stamps live in inline buffers and retired instances are
+//! shared by reference count. This binary installs a counting global
+//! allocator (per thread, so the harness's other threads do not
+//! interfere) and pins the counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use pivot_tracing::baggage::{Baggage, PackMode, QueryId};
+use pivot_tracing::model::{Tuple, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a bump of a const-initialised, destructor-free thread-local counter,
+// which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns how many times this thread asked for memory.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const Q: QueryId = QueryId(1);
+
+#[test]
+fn empty_baggage_branches_and_joins_without_allocating() {
+    // The shapes `benchmark/src/svc.rs::request` goes through: a scope's
+    // baggage splits, the half joins a fresh seed baggage in the worker's
+    // scope, that splits again and the half joins back — over and over on
+    // one long-lived baggage, so its stamp reaches its steady-state size.
+    let mut server = Baggage::new();
+    for round in 0..32 {
+        let (n, branch) = allocations(|| server.split());
+        assert_eq!(n, 0, "split allocated in round {round}");
+        let mut shard = Baggage::new();
+        let (n, ()) = allocations(|| shard.join(branch));
+        assert_eq!(n, 0, "join into a fresh scope allocated in round {round}");
+        let (n, reply) = allocations(|| shard.split());
+        assert_eq!(n, 0, "reply split allocated in round {round}");
+        let (n, ()) = allocations(|| server.join(reply));
+        assert_eq!(n, 0, "join back allocated in round {round}");
+    }
+    assert!(server.is_empty());
+}
+
+#[test]
+fn a_packed_tuple_is_retired_once_and_never_copied() {
+    let client: Arc<str> = Arc::from("client-17");
+    let mut server = Baggage::new();
+    server.pack(
+        Q,
+        &PackMode::First(1),
+        [Tuple::from_iter([Value::Str(Arc::clone(&client))])],
+    );
+    assert_eq!(Arc::strong_count(&client), 2, "ours and the packed tuple's");
+
+    // Retiring the active instance is the one allocation: the `Arc` both
+    // branches then share.
+    let (n, branch) = allocations(|| server.split());
+    assert!(n <= 1, "split allocated {n} times");
+    assert_eq!(Arc::strong_count(&client), 2, "split copied the tuple");
+
+    let mut shard = Baggage::new();
+    let (n, ()) = allocations(|| shard.join(branch));
+    assert_eq!(n, 0, "join into a fresh scope allocated");
+    assert_eq!(shard.unpack_view(Q).len(), 1);
+
+    // Nothing was packed since, so nothing is retired this time.
+    let (n, reply) = allocations(|| shard.split());
+    assert_eq!(n, 0, "reply split allocated");
+    let (n, ()) = allocations(|| server.join(reply));
+    assert_eq!(n, 0, "join back allocated");
+    assert_eq!(Arc::strong_count(&client), 2, "join copied the tuple");
+    assert_eq!(server.tuple_count(Q), 1, "the shared instance deduplicated");
+
+    // A copy that crossed the wire is a different allocation with equal
+    // contents: it still deduplicates, by value.
+    let bytes = server.to_bytes();
+    let hop = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
+    server.join(hop);
+    assert_eq!(server.tuple_count(Q), 1);
+}
