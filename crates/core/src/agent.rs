@@ -8,32 +8,38 @@
 //!
 //! # Hot path
 //!
-//! [`Agent::invoke`] and [`Agent::invoke_batch`] assemble export sets and
-//! share one body that executes lowered [`AdviceByteCode`] through a
-//! thread-local [`Vm`] whose scratch buffers persist across invocations —
-//! a single invocation is a batch of one — so a woven event allocates
-//! only for the data it actually produces. Emitted rows stream straight
-//! into the aggregation buffers through an [`EmitSink`] — no intermediate
-//! `Emitted` batch, no per-event clone of the output spec or schema. The
-//! default exports `host` and `procname` are interned once at
-//! construction and the `tracepoint` name once at weave time.
+//! What an event needs to know about its tracepoint was settled when the
+//! advice was woven: [`Agent::invoke`] — a batch of one through
+//! [`Agent::invoke_batch`] — makes one registry lookup for the site's
+//! plan (`crate::tracepoint::SitePlan`: per program the run shape, where
+//! each `Observe` column comes from, and the index of the query's state
+//! slot) and runs each program through a thread-local [`Vm`] whose
+//! scratch persists across invocations. No export set is assembled: the
+//! VM asks for the columns a program observes and gets the agent's
+//! default exports or the caller's, by position. Emitted rows go straight
+//! into the aggregation buffers through an [`EmitSink`] under one lock per
+//! invocation. A woven event therefore allocates only for the data it
+//! actually produces — a new group's accumulators, a packed tuple's
+//! retirement — which `tests/invoke_allocs.rs` pins at zero for the five
+//! queries of the benchmark's `svc_5q_retro` shard site.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use pivot_baggage::{Baggage, QueryId};
 use pivot_model::{colblock, intern, AggState, EncodedBlock, GroupKey, Tuple, Value};
-use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, OutputSpec, Vm};
+use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, Exports, OutputSpec, Vm};
 
 use crate::bus::{Command, Report, ReportRows};
 use crate::governor::{
     QueryBudget, ThrottleReason, ThrottleStats, Throttled, NOMINAL_BYTES_PER_VALUE,
 };
+use crate::hash::SeededMap;
 use crate::retro::{trace_of, RetroCounters, RetroIdent, RetroReport, RetroRing, TriggerKind};
-use crate::tracepoint::{Registry, Woven, DEFAULT_EXPORTS};
+use crate::tracepoint::{names_match, Col, Layout, Planned, Registry, SitePlan};
 
 /// Default per-query cap on rows buffered between flushes (and therefore
 /// on outage-time buffering while a live agent is reconnecting). Past the
@@ -78,7 +84,7 @@ pub struct AgentStats {
 
 /// Rows accumulated for one query between flushes.
 enum Rows {
-    Grouped(HashMap<GroupKey, Vec<AggState>>),
+    Grouped(SeededMap<GroupKey, Vec<AggState>>),
     /// A ring, so shedding the oldest row at the cap is O(1).
     Streaming(VecDeque<Tuple>),
 }
@@ -114,7 +120,7 @@ impl Buffer {
         let rows = if spec.streaming {
             Rows::Streaming(VecDeque::new())
         } else {
-            Rows::Grouped(HashMap::new())
+            Rows::Grouped(SeededMap::default())
         };
         Buffer {
             spec: Arc::clone(spec),
@@ -127,35 +133,35 @@ impl Buffer {
             dirty: false,
         }
     }
-}
 
-/// Hasher for the `QueryId`-keyed governor map: one multiply-xorshift
-/// mix instead of SipHash. The map is probed once per woven program on
-/// every governed invocation, the keys are process-local small integers,
-/// and no untrusted input reaches it, so HashDoS resistance buys nothing
-/// here and the default hasher's ~20ns per probe is pure hot-path tax.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; `QueryId` hashes through `write_u64`.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    /// Counts `rows` emitted rows of group `key` and returns the
+    /// accumulators they fold into, or `None` when the row cap sheds them.
+    ///
+    /// Grouped buffers shed by refusing *new* groups past the cap (a
+    /// group-key explosion); updates to existing groups fold into
+    /// fixed-size aggregation state and are never shed. A folded delivery
+    /// is decided as a whole — every row of a refused new group is shed —
+    /// which is what row-by-row delivery does too, since groups arrive in
+    /// first-seen order either way.
+    fn group(&mut self, key: GroupKey, rows: u64, row_cap: usize) -> Option<&mut Vec<AggState>> {
+        let Rows::Grouped(groups) = &mut self.rows else {
+            return None;
+        };
+        self.emitted_cum += rows;
+        if groups.len() >= row_cap && !groups.contains_key(&key) {
+            self.shed_cum += rows;
+            self.dirty = true;
+            return None;
         }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
+        self.tuples_since_flush += rows;
+        let spec = &self.spec;
+        Some(
+            groups
+                .entry(key)
+                .or_insert_with(|| spec.aggs.iter().map(|(f, _)| f.init()).collect()),
+        )
     }
 }
-
-type IdHashMap<V> = HashMap<QueryId, V, std::hash::BuildHasherDefault<IdHasher>>;
 
 /// Per-query governor state: the budget, the current window's charges,
 /// the breaker, and the retained advice programs for re-arm.
@@ -240,26 +246,87 @@ thread_local! {
     static VM: RefCell<Vm> = RefCell::new(Vm::new());
 }
 
+/// What the agent keeps for one query id it has been told about: the
+/// aggregation buffer and the governor entry.
+struct QuerySlot {
+    query: QueryId,
+    buffer: Option<Buffer>,
+    gov: Option<GovernorState>,
+}
+
+/// Every query's slot, in first-seen order. Slots are appended and never
+/// removed (uninstalling clears `gov`; a buffer keeps its loss envelope
+/// for good), so the index a woven program's plan carries is a handle
+/// that no later weave, unweave or re-sync can invalidate.
+#[derive(Default)]
+struct Queries(Vec<QuerySlot>);
+
+impl Queries {
+    /// `query`'s slot index, appended on first sight. A scan: weave-time
+    /// and getter paths only, over as many queries as were ever installed.
+    fn slot(&mut self, query: QueryId) -> usize {
+        self.0
+            .iter()
+            .position(|s| s.query == query)
+            .unwrap_or_else(|| {
+                self.0.push(QuerySlot {
+                    query,
+                    buffer: None,
+                    gov: None,
+                });
+                self.0.len() - 1
+            })
+    }
+
+    fn buffer(&self, query: QueryId) -> Option<&Buffer> {
+        self.0.iter().find(|s| s.query == query)?.buffer.as_ref()
+    }
+
+    fn gov(&self, query: QueryId) -> Option<&GovernorState> {
+        self.0.iter().find(|s| s.query == query)?.gov.as_ref()
+    }
+
+    /// Drops the governor entry of every query `keep` rejects.
+    fn retain_govs(&mut self, keep: impl Fn(QueryId) -> bool) {
+        for s in self.0.iter_mut().filter(|s| !keep(s.query)) {
+            s.gov = None;
+        }
+    }
+}
+
 /// Streams VM emits into the agent's aggregation buffers.
 ///
-/// The buffer lock is taken lazily on the first emitted row, so advice that
-/// only packs (or drops everything) never touches the buffer mutex.
+/// The query-state lock is taken at most once per invocation: up front
+/// when a governor has to meter the run, otherwise lazily on the first
+/// emitted row, so advice that only packs (or drops everything) never
+/// touches it.
 struct AgentSink<'a> {
-    buffers: &'a Mutex<HashMap<QueryId, Buffer>>,
-    guard: Option<MutexGuard<'a, HashMap<QueryId, Buffer>>>,
+    queries: &'a Mutex<Queries>,
+    guard: Option<MutexGuard<'a, Queries>>,
+    /// The running program's state slot, from its plan.
+    slot: usize,
     /// Per-query bound on buffered rows (see [`DEFAULT_ROW_CAP`]).
     row_cap: usize,
     /// Queries whose `Trigger` advice fired during this VM pass. The
-    /// agent drains them after the VM loop (outside the buffer locks)
-    /// and fires the retro ring once per query.
+    /// agent drains them after the VM loop (outside the state lock) and
+    /// fires the retro ring once per query.
     triggers: Vec<QueryId>,
 }
 
-impl<'a> AgentSink<'a> {
+impl AgentSink<'_> {
     fn buf(&mut self, query: QueryId, spec: &Arc<OutputSpec>) -> &mut Buffer {
-        let buffers = self.buffers;
-        let guard = self.guard.get_or_insert_with(|| buffers.lock());
-        guard.entry(query).or_insert_with(|| Buffer::new(spec))
+        let queries = self.queries;
+        let guard = self.guard.get_or_insert_with(|| queries.lock());
+        // A program emits for the query that owns it; one that names
+        // another query's id finds that query's slot the slow way.
+        let slot = if guard.0[self.slot].query == query {
+            self.slot
+        } else {
+            guard.slot(query)
+        };
+        guard.0[slot]
+            .buffer
+            .get_or_insert_with(|| Buffer::new(spec))
     }
 }
 
@@ -292,19 +359,12 @@ impl EmitSink for AgentSink<'_> {
         key: GroupKey,
         args: &[Value],
     ) {
-        // This sink folds, so the VM only ever calls `grouped_fold`; a
-        // direct row is a fold of one.
-        let states: Vec<AggState> = spec
-            .aggs
-            .iter()
-            .zip(args)
-            .map(|((f, _), arg)| {
-                let mut st = f.init();
+        let row_cap = self.row_cap;
+        if let Some(states) = self.buf(query, spec).group(key, 1, row_cap) {
+            for (st, arg) in states.iter_mut().zip(args) {
                 st.update(arg);
-                st
-            })
-            .collect();
-        self.grouped_fold(query, spec, key, &states, 1);
+            }
+        }
     }
 
     fn folds_grouped(&self) -> bool {
@@ -329,30 +389,65 @@ impl EmitSink for AgentSink<'_> {
         rows: u64,
     ) {
         let row_cap = self.row_cap;
-        let buf = self.buf(query, spec);
-        if let Rows::Grouped(groups) = &mut buf.rows {
-            buf.emitted_cum += rows;
-            // Grouped buffers shed by refusing *new* groups past the cap
-            // (a group-key explosion); updates to existing groups fold
-            // into fixed-size aggregation state and are never shed. The
-            // rule is decided once for the whole folded group: either
-            // every row of a refused new group is shed or none is, which
-            // is exactly what per-row delivery would do (the VM delivers
-            // new groups in first-seen order, so the cap trips at the
-            // same group boundary).
-            if groups.len() >= row_cap && !groups.contains_key(&key) {
-                buf.shed_cum += rows;
-                buf.dirty = true;
-                return;
-            }
-            buf.tuples_since_flush += rows;
-            let into = groups
-                .entry(key)
-                .or_insert_with(|| buf.spec.aggs.iter().map(|(f, _)| f.init()).collect());
+        if let Some(into) = self.buf(query, spec).group(key, rows, row_cap) {
             for (st, partial) in into.iter_mut().zip(states) {
                 st.merge(partial);
             }
         }
+    }
+}
+
+/// One woven program's view of the events of an invocation: the column
+/// source its `Observe` reads, answering from what the site's plan
+/// resolved instead of from an assembled export list.
+struct SiteExports<'a> {
+    agent: &'a Agent,
+    site: &'a SitePlan,
+    program: &'a Planned,
+    events: &'a [(u64, &'a [(&'a str, Value)])],
+    /// Where the program's columns sit in the caller's list, when every
+    /// event matches the site's remembered layout.
+    pos: Option<&'a [usize]>,
+}
+
+impl Exports for SiteExports<'_> {
+    fn invocations(&self) -> usize {
+        self.events.len()
+    }
+
+    fn get(&self, inv: usize, col: usize, name: &str) -> Value {
+        let (now, exports) = self.events[inv];
+        match self.program.cols[col] {
+            Col::Host => self.agent.host_value.clone(),
+            Col::Timestamp => Value::U64(now),
+            Col::Procid => Value::U64(self.agent.info.procid),
+            Col::Procname => self.agent.procname_value.clone(),
+            Col::Tracepoint => self.site.name.clone(),
+            Col::Caller => match self.pos {
+                Some(pos) => exports
+                    .get(pos[col])
+                    .map_or(Value::Null, |(_, v)| v.clone()),
+                None => pivot_query::bytecode::lookup(exports, name),
+            },
+        }
+    }
+}
+
+/// [`AgentStats`] as the invoke path advances it: relaxed counters, so
+/// an event takes no lock for them.
+#[derive(Default)]
+struct Counters {
+    idle_invocations: AtomicU64,
+    advised_invocations: AtomicU64,
+    tuples_packed: AtomicU64,
+    tuples_emitted: AtomicU64,
+    rows_reported: AtomicU64,
+}
+
+/// Adds `n` to a statistic; most events leave most of them alone.
+fn bump(counter: &AtomicU64, n: u64) {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -371,19 +466,20 @@ pub struct Agent {
     procname_value: Value,
     incarnation: u64,
     registry: Registry,
-    buffers: Mutex<HashMap<QueryId, Buffer>>,
-    /// Overload-governor state, keyed by query. Lock order: `governors`
-    /// before `buffers` (invoke charges, then the sink buffers lazily).
-    governors: Mutex<IdHashMap<GovernorState>>,
+    /// Aggregation buffers and overload-governor state, one slot per
+    /// query. Lock order: `queries` before the registry's map (a flush
+    /// re-arms by weaving); an invocation releases the registry before it
+    /// takes this.
+    queries: Mutex<Queries>,
     /// `true` iff any governor entry has a finite budget; lets ungoverned
-    /// invocations skip the governors lock entirely.
+    /// invocations leave `queries` alone until their first emitted row.
     governed: AtomicBool,
     /// Per-query bound on buffered rows between flushes.
     row_cap: AtomicUsize,
-    stats: Mutex<AgentStats>,
+    stats: Counters,
     enabled: std::sync::atomic::AtomicBool,
     /// The hindsight ring (see [`crate::retro`]). Lock order: taken alone,
-    /// never while holding `governors` or `buffers`.
+    /// never while holding `queries`.
     retro: Mutex<RetroRing>,
     /// Gate on the whole retro path: when `false` (the default), invoke
     /// pays exactly one relaxed load and records nothing.
@@ -391,17 +487,6 @@ pub struct Agent {
     /// Latency-outlier trigger threshold in nanoseconds (0 = off): a woven
     /// invocation exporting `latency_ns` above it fires a retro flush.
     retro_latency_ns: AtomicU64,
-}
-
-/// What [`Agent::enter`] resolved for one woven invocation (or batch of
-/// them) at a tracepoint.
-struct Site {
-    /// The tracepoint's interned name, for the `tracepoint` export.
-    tracepoint: Value,
-    /// The advice woven there, in weave order.
-    programs: Arc<Vec<Woven>>,
-    /// `(request id, latency outlier seen)` while hindsight is on.
-    retro: Option<(u64, bool)>,
 }
 
 impl Agent {
@@ -420,11 +505,10 @@ impl Agent {
             info,
             incarnation,
             registry: Registry::new(),
-            buffers: Mutex::new(HashMap::new()),
-            governors: Mutex::new(IdHashMap::default()),
+            queries: Mutex::new(Queries::default()),
             governed: AtomicBool::new(false),
             row_cap: AtomicUsize::new(DEFAULT_ROW_CAP),
-            stats: Mutex::new(AgentStats::default()),
+            stats: Counters::default(),
             enabled: std::sync::atomic::AtomicBool::new(true),
             retro: Mutex::new(retro),
             retro_enabled: AtomicBool::new(false),
@@ -458,7 +542,14 @@ impl Agent {
 
     /// Returns a snapshot of the counters.
     pub fn stats(&self) -> AgentStats {
-        *self.stats.lock()
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        AgentStats {
+            idle_invocations: read(&self.stats.idle_invocations),
+            advised_invocations: read(&self.stats.advised_invocations),
+            tuples_packed: read(&self.stats.tuples_packed),
+            tuples_emitted: read(&self.stats.tuples_emitted),
+            rows_reported: read(&self.stats.rows_reported),
+        }
     }
 
     /// Applies a frontend command (weave / unweave / budget).
@@ -467,9 +558,9 @@ impl Agent {
             Command::Install(code) => self.install(code),
             Command::Uninstall(id) => {
                 self.registry.unweave(*id);
-                let mut governors = self.governors.lock();
-                governors.remove(id);
-                self.recompute_governed(&governors);
+                let mut queries = self.queries.lock();
+                queries.retain_govs(|q| q != *id);
+                self.recompute_governed(&queries);
             }
             Command::SetBudget(id, budget) => self.set_budget(*id, *budget),
         }
@@ -493,27 +584,31 @@ impl Agent {
         if code.programs.iter().any(|p| p.triggers()) {
             self.retro_enabled.store(true, Ordering::Relaxed);
         }
-        {
-            let mut governors = self.governors.lock();
-            if let Some(g) = governors.get_mut(&code.id) {
+        let slot = {
+            let mut queries = self.queries.lock();
+            let slot = queries.slot(code.id);
+            let state = &mut queries.0[slot];
+            if let Some(g) = &mut state.gov {
                 g.programs = code.programs.clone();
                 g.spec = Some(Arc::clone(&code.output));
                 if g.open_until.is_some() && !crate::mutation::sync_unthrottle() {
                     return;
                 }
             }
-        }
+            // A no-op for a query that is already woven: it got its
+            // buffer when it first was.
+            if code.programs.iter().any(|p| p.emits()) {
+                state
+                    .buffer
+                    .get_or_insert_with(|| Buffer::new(&code.output));
+            }
+            slot
+        };
         if self.registry.has_query(code.id) {
             return;
         }
-        if code.programs.iter().any(|p| p.emits()) {
-            self.buffers
-                .lock()
-                .entry(code.id)
-                .or_insert_with(|| Buffer::new(&code.output));
-        }
         for program in &code.programs {
-            self.registry.weave(code.id, Arc::clone(program));
+            self.registry.weave(code.id, slot, program);
         }
     }
 
@@ -521,86 +616,81 @@ impl Agent {
     /// captures the query's currently woven programs so a later trip can
     /// re-weave exactly what it unwove.
     pub fn set_budget(&self, query: QueryId, budget: QueryBudget) {
-        let mut governors = self.governors.lock();
-        let g = governors.entry(query).or_default();
-        g.budget = budget;
-        if g.programs.is_empty() {
-            g.programs = self.registry.programs_for(query);
-        }
-        if g.spec.is_none() {
-            // Lock order: governors before buffers.
-            g.spec = self.buffers.lock().get(&query).map(|b| Arc::clone(&b.spec));
-        }
-        self.recompute_governed(&governors);
+        let mut queries = self.queries.lock();
+        self.budget(&mut queries, query, budget);
+        self.recompute_governed(&queries);
     }
 
     /// Replaces the whole budget set (the epoch re-sync path, alongside
     /// [`Agent::sync`]). Queries absent from `budgets` lose their governor
     /// entry; an open breaker for a still-budgeted query stays open.
     pub fn sync_budgets(&self, budgets: &[(QueryId, QueryBudget)]) {
-        let mut governors = self.governors.lock();
-        governors.retain(|q, _| budgets.iter().any(|(bq, _)| bq == q));
+        let mut queries = self.queries.lock();
+        queries.retain_govs(|q| budgets.iter().any(|(bq, _)| *bq == q));
         for (query, budget) in budgets {
-            let g = governors.entry(*query).or_default();
-            g.budget = *budget;
-            if g.programs.is_empty() {
-                g.programs = self.registry.programs_for(*query);
-            }
-            if g.spec.is_none() {
-                g.spec = self.buffers.lock().get(query).map(|b| Arc::clone(&b.spec));
-            }
+            self.budget(&mut queries, *query, *budget);
         }
-        self.recompute_governed(&governors);
+        self.recompute_governed(&queries);
     }
 
-    fn recompute_governed(&self, governors: &IdHashMap<GovernorState>) {
-        let any = governors.values().any(|g| !g.budget.is_unlimited());
+    fn budget(&self, queries: &mut Queries, query: QueryId, budget: QueryBudget) {
+        let slot = queries.slot(query);
+        let state = &mut queries.0[slot];
+        let g = state.gov.get_or_insert_with(GovernorState::default);
+        g.budget = budget;
+        if g.programs.is_empty() {
+            g.programs = self.registry.programs_for(query);
+        }
+        if g.spec.is_none() {
+            g.spec = state.buffer.as_ref().map(|b| Arc::clone(&b.spec));
+        }
+    }
+
+    fn recompute_governed(&self, queries: &Queries) {
+        let any = queries
+            .0
+            .iter()
+            .any(|s| s.gov.as_ref().is_some_and(|g| !g.budget.is_unlimited()));
         self.governed.store(any, Ordering::Relaxed);
     }
 
     /// Returns the budget currently set for `query`, if any.
     pub fn budget_for(&self, query: QueryId) -> Option<QueryBudget> {
-        self.governors.lock().get(&query).map(|g| g.budget)
+        self.queries.lock().gov(query).map(|g| g.budget)
     }
 
     /// Returns `true` while `query`'s circuit breaker is open (advice
     /// unwoven, awaiting its backoff deadline).
     pub fn is_tripped(&self, query: QueryId) -> bool {
-        self.governors
-            .lock()
-            .get(&query)
-            .is_some_and(|g| g.open_until.is_some())
+        let queries = self.queries.lock();
+        queries.gov(query).is_some_and(|g| g.open_until.is_some())
     }
 
     /// Lifetime breaker trips for `query` on this agent.
     pub fn trips_for(&self, query: QueryId) -> u32 {
-        self.governors.lock().get(&query).map_or(0, |g| g.trips)
+        self.queries.lock().gov(query).map_or(0, |g| g.trips)
     }
 
     /// Cumulative tuples shed from `query`'s bounded buffer (emitted but
     /// never delivered).
     pub fn shed_for(&self, query: QueryId) -> u64 {
-        self.buffers.lock().get(&query).map_or(0, |b| b.shed_cum)
+        self.queries.lock().buffer(query).map_or(0, |b| b.shed_cum)
     }
 
     /// Cumulative tuples truncated by the baggage `All`-cap while running
     /// `query`'s advice on this agent.
     pub fn truncated_for(&self, query: QueryId) -> u64 {
-        self.governors
-            .lock()
-            .get(&query)
-            .map_or(0, |g| g.truncated_cum)
+        let queries = self.queries.lock();
+        queries.gov(query).map_or(0, |g| g.truncated_cum)
     }
 
     /// Rows currently buffered for `query` (bounded by the row cap).
     pub fn buffered_rows(&self, query: QueryId) -> usize {
-        self.buffers
-            .lock()
-            .get(&query)
-            .map_or(0, |b| match &b.rows {
-                Rows::Streaming(rows) => rows.len(),
-                Rows::Grouped(groups) => groups.len(),
-            })
+        let queries = self.queries.lock();
+        queries.buffer(query).map_or(0, |b| match &b.rows {
+            Rows::Streaming(rows) => rows.len(),
+            Rows::Grouped(groups) => groups.len(),
+        })
     }
 
     /// Overrides the per-query buffered-row cap (minimum 1).
@@ -700,12 +790,13 @@ impl Agent {
             let _ = write!(s, "w{}:{};", q.0, self.registry.programs_for(q).len());
         }
         {
-            // Lock order: governors before buffers.
-            let governors = self.governors.lock();
-            let mut ids: Vec<QueryId> = governors.keys().copied().collect();
-            ids.sort_unstable_by_key(|q| q.0);
-            for q in ids {
-                let g = &governors[&q];
+            let queries = self.queries.lock();
+            let mut slots: Vec<&QuerySlot> = queries.0.iter().collect();
+            slots.sort_unstable_by_key(|slot| slot.query.0);
+            for (q, g) in slots
+                .iter()
+                .filter_map(|t| Some((t.query, t.gov.as_ref()?)))
+            {
                 let _ = write!(
                     s,
                     "g{}:{:?}|{}|{}|{}|{}|{:?}|{}|{:?}|{}|{};",
@@ -722,11 +813,10 @@ impl Agent {
                     g.programs.len(),
                 );
             }
-            let buffers = self.buffers.lock();
-            let mut ids: Vec<QueryId> = buffers.keys().copied().collect();
-            ids.sort_unstable_by_key(|q| q.0);
-            for q in ids {
-                let b = &buffers[&q];
+            for (q, b) in slots
+                .iter()
+                .filter_map(|t| Some((t.query, t.buffer.as_ref()?)))
+            {
                 let _ = write!(
                     s,
                     "b{}:{}|{}|{}|{}|{}|{};",
@@ -795,9 +885,9 @@ impl Agent {
             self.registry.unweave(stale);
         }
         {
-            let mut governors = self.governors.lock();
-            governors.retain(|q, _| keep.contains(q));
-            self.recompute_governed(&governors);
+            let mut queries = self.queries.lock();
+            queries.retain_govs(|q| keep.contains(&q));
+            self.recompute_governed(&queries);
         }
         for code in installed {
             self.install(code);
@@ -807,14 +897,17 @@ impl Agent {
     /// Cumulative tuples emitted for `query` by this agent (the ground
     /// truth the frontend's loss accounting reconciles against).
     pub fn emitted_for(&self, query: QueryId) -> u64 {
-        self.buffers.lock().get(&query).map_or(0, |b| b.emitted_cum)
+        let queries = self.queries.lock();
+        queries.buffer(query).map_or(0, |b| b.emitted_cum)
     }
 
-    /// Invokes `tracepoint` with `exports`, running any woven advice.
+    /// Invokes `tracepoint` with `exports`, running any woven advice: a
+    /// batch of one.
     ///
     /// `now` is the current time in nanoseconds (virtual time under the
     /// simulator); it supplies the default `timestamp` export. Returns
-    /// immediately — with one atomic load — when nothing is woven.
+    /// after three relaxed loads when nothing is woven and hindsight is
+    /// off.
     pub fn invoke(
         &self,
         tracepoint: &str,
@@ -822,21 +915,15 @@ impl Agent {
         now: u64,
         exports: &[(&str, Value)],
     ) {
-        let Some(site) = self.enter(tracepoint, baggage, &[(now, exports)]) else {
-            return;
-        };
-        let mut full: Vec<(&str, Value)> =
-            Vec::with_capacity(exports.len() + DEFAULT_EXPORTS.len());
-        self.push_exports(&mut full, site.tracepoint, now, exports);
-        self.run_woven(&site.programs, site.retro, &[&full], baggage, now);
+        self.invoke_batch(tracepoint, baggage, &[(now, exports)]);
     }
 
     /// Invokes `tracepoint` once per `(now, exports)` event in `events`,
     /// all sharing `baggage` — semantically identical to calling
     /// [`Agent::invoke`] for each event in order, but each woven program
     /// runs once over the whole batch
-    /// ([`pivot_query::Vm::run_batch`]), paying interpreter dispatch and
-    /// baggage bookkeeping once per instruction instead of once per
+    /// ([`pivot_query::Vm::run_planned`]), paying interpreter dispatch
+    /// and baggage bookkeeping once per instruction instead of once per
     /// event × instruction.
     ///
     /// Embedding systems use this where invocations naturally arrive in
@@ -844,112 +931,64 @@ impl Agent {
     /// event per record). Governed queries receive one summed charge per
     /// batch, stamped at the last event's time, so a breaker can trip at
     /// batch granularity rather than mid-batch.
+    ///
+    /// In order: the enabled gate; one registry lookup for the site's
+    /// plan; the hindsight record of every event — woven or not, so a
+    /// later trigger can reconstruct the full stream (one relaxed load
+    /// when retro is off); then, where advice is woven, each program over
+    /// the batch, the governor charges, the unweave of what tripped, the
+    /// hindsight triggers and the counters.
     pub fn invoke_batch(
         &self,
         tracepoint: &str,
         baggage: &mut Baggage,
         events: &[(u64, &[(&str, Value)])],
     ) {
-        let Some(site) = self.enter(tracepoint, baggage, events) else {
+        let (Some(&(_, first)), Some(&(now, _))) = (events.first(), events.last()) else {
             return;
         };
-        // Materialize every event's full export set back-to-back in one
-        // arena (sized exactly up front, so slices below never move) —
-        // the whole batch costs one allocation instead of one Vec per
-        // event.
-        let total: usize = events
-            .iter()
-            .map(|(_, exports)| exports.len() + DEFAULT_EXPORTS.len())
-            .sum();
-        let mut arena: Vec<(&str, Value)> = Vec::with_capacity(total);
-        for (now, exports) in events {
-            self.push_exports(&mut arena, site.tracepoint.clone(), *now, exports);
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
         }
-        let mut rest = arena.as_slice();
-        let batch: Vec<&[(&str, Value)]> = events
-            .iter()
-            .map(|(_, exports)| {
-                let (full, tail) = rest.split_at(exports.len() + DEFAULT_EXPORTS.len());
-                rest = tail;
-                full
-            })
-            .collect();
-        let charge_now = events.last().expect("enter refuses an empty batch").0;
-        self.run_woven(&site.programs, site.retro, &batch, baggage, charge_now);
-    }
-
-    /// The part of an invocation that precedes export assembly: the
-    /// enabled gate, the hindsight record of every event, and the
-    /// registry lookup. `None` when there is no advice to run.
-    fn enter(
-        &self,
-        tracepoint: &str,
-        baggage: &mut Baggage,
-        events: &[(u64, &[(&str, Value)])],
-    ) -> Option<Site> {
-        if events.is_empty() || !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
-            return None;
-        }
-        // Hindsight recording happens for *every* invocation — woven or
-        // not — so a later trigger can reconstruct the full event stream.
-        // When retro is off this is one relaxed load.
-        let mut retro = None;
-        if self.retro_enabled.load(Ordering::Relaxed) {
+        let site = self.registry.lookup(tracepoint);
+        // The first event under a plan teaches it the caller's export
+        // list; one check per later event then stands in for a name
+        // search per observed column.
+        let layout = site.as_deref().and_then(|site| {
+            let layout = site.layout.get_or_init(|| {
+                let mut ring = self.retro.lock();
+                let shape = ring.shape_for(tracepoint, first);
+                Layout::new(site, Arc::clone(ring.shape_names(shape)), shape)
+            });
+            let known = |(_, e): &(u64, &[(&str, Value)])| names_match(&layout.names, e);
+            events.iter().all(known).then_some(layout)
+        });
+        let retro = self.retro_enabled.load(Ordering::Relaxed).then(|| {
             let request = trace_of(baggage).unwrap_or(0);
             let mut ring = self.retro.lock();
-            for (now, exports) in events {
-                ring.record(tracepoint, *now, request, exports);
+            for (time, exports) in events {
+                let shape = match layout {
+                    Some(layout) => layout.shape,
+                    None => ring.shape_for(tracepoint, exports),
+                };
+                ring.record(shape, *time, request, exports);
             }
-            retro = Some(request);
-        }
-        let Some((tracepoint, programs)) = self.registry.lookup(tracepoint) else {
+            request
+        });
+        let Some(site) = site.as_deref() else {
             if !self.registry.is_idle() {
-                self.stats.lock().idle_invocations += events.len() as u64;
+                bump(&self.stats.idle_invocations, events.len() as u64);
             }
-            return None;
+            return;
         };
-        Some(Site {
-            tracepoint,
-            programs,
-            retro: retro.map(|request| {
-                let outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
-                (request, outlier)
-            }),
-        })
-    }
 
-    /// Appends one event's full export set: the defaults, then `exports`.
-    fn push_exports<'e>(
-        &self,
-        full: &mut Vec<(&'e str, Value)>,
-        tracepoint: Value,
-        now: u64,
-        exports: &[(&'e str, Value)],
-    ) {
-        full.push(("host", self.host_value.clone()));
-        full.push(("timestamp", Value::U64(now)));
-        full.push(("procid", Value::U64(self.info.procid)));
-        full.push(("procname", self.procname_value.clone()));
-        full.push(("tracepoint", tracepoint));
-        full.extend(exports.iter().cloned());
-    }
-
-    /// The one body every woven invocation runs: each program woven at
-    /// the site executes over `batch` (one full export set per event),
-    /// governed queries are charged, tripped breakers unweave, hindsight
-    /// triggers fire, and the counters advance. `now` stamps the charges
-    /// and the triggers; `retro` is [`Site::retro`].
-    fn run_woven(
-        &self,
-        programs: &[Woven],
-        retro: Option<(u64, bool)>,
-        batch: &[&[(&str, Value)]],
-        baggage: &mut Baggage,
-        now: u64,
-    ) {
+        let governed = self.governed.load(Ordering::Relaxed);
         let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
+            queries: &self.queries,
+            // Governed: the lock is held across the VM loop, which charges
+            // after every program.
+            guard: governed.then(|| self.queries.lock()),
+            slot: 0,
             row_cap: self.row_cap.load(Ordering::Relaxed),
             triggers: Vec::new(),
         };
@@ -958,26 +997,24 @@ impl Agent {
         // `tripped` stays empty (no allocation) until a breaker actually
         // fires, which only a governed program can do.
         let mut tripped: Vec<QueryId> = Vec::new();
-        // Governed: the governors lock is held across the VM loop (lock
-        // order: governors → buffers; the sink takes buffers lazily
-        // inside). Ungoverned invocations skip the lock entirely.
-        let mut governors = self
-            .governed
-            .load(Ordering::Relaxed)
-            .then(|| self.governors.lock());
         VM.with(|vm| {
             let mut vm = vm.borrow_mut();
-            for woven in programs {
-                // Programs with no governor entry skip the meter
-                // bookkeeping entirely.
-                let meter = governors
-                    .as_mut()
-                    .and_then(|g| g.get_mut(&woven.query))
-                    .map(|g| (g, vm.ops(), baggage.meter()));
-                let s = vm.run_batch(&woven.code, batch, baggage, &mut sink);
+            for (i, program) in site.programs.iter().enumerate() {
+                sink.slot = program.slot;
+                let batch = SiteExports {
+                    agent: self,
+                    site,
+                    program,
+                    events,
+                    pos: layout.map(|l| &l.pos[i][..]),
+                };
+                let (ops0, m0) = (vm.ops(), baggage.meter());
+                let s = vm.run_planned(&program.run, &batch, baggage, &mut sink);
                 packed += s.packed as u64;
                 emitted += s.emitted as u64;
-                let Some((g, ops0, m0)) = meter else {
+                // Programs with no governor entry skip the meter.
+                let slots = sink.guard.as_mut().filter(|_| governed);
+                let Some(g) = slots.and_then(|q| q.0[program.slot].gov.as_mut()) else {
                     continue;
                 };
                 let m1 = baggage.meter();
@@ -985,30 +1022,29 @@ impl Agent {
                 let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
                 if charge_governor(
                     g,
-                    woven.query,
+                    program.query,
                     now,
                     work,
                     vm.ops() - ops0,
                     bytes,
                     m1.truncated - m0.truncated,
                 ) {
-                    tripped.push(woven.query);
+                    tripped.push(program.query);
                 }
             }
         });
-        drop(governors);
         let fired = std::mem::take(&mut sink.triggers);
         drop(sink);
         for query in &tripped {
             self.registry.unweave(*query);
         }
-        if let Some((request, outlier)) = retro {
+        if let Some(request) = retro {
+            let outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
             self.fire_retro(&fired, &tripped, outlier, request, now);
         }
-        let mut st = self.stats.lock();
-        st.advised_invocations += batch.len() as u64;
-        st.tuples_packed += packed;
-        st.tuples_emitted += emitted;
+        bump(&self.stats.advised_invocations, events.len() as u64);
+        bump(&self.stats.tuples_packed, packed);
+        bump(&self.stats.tuples_emitted, emitted);
     }
 
     /// Whether `exports` crosses the latency-outlier trigger threshold.
@@ -1062,62 +1098,40 @@ impl Agent {
     /// forcing a row-less report when necessary so the frontend always
     /// hears about a trip or a truncation.
     pub fn flush(&self, now: u64) -> Vec<Report> {
-        // Governor pre-pass, then buffers: the two locks are never held
-        // together here (re-arming re-weaves through the registry).
-        let mut throttles: Vec<Throttled> = Vec::new();
-        let mut truncations: Vec<(QueryId, u64)> = Vec::new();
-        let mut pending_specs: Vec<(QueryId, Arc<OutputSpec>)> = Vec::new();
-        {
-            let mut governors = self.governors.lock();
-            for (query, g) in governors.iter_mut() {
-                if let Some(until) = g.open_until {
-                    if now >= until {
-                        // Re-arm: fresh window, advice re-woven. `trips`
-                        // is kept so a re-trip backs off longer.
-                        g.open_until = None;
-                        g.window_start = now;
-                        g.tuples = 0;
-                        g.ops = 0;
-                        g.bytes = 0;
-                        for program in &g.programs {
-                            self.registry.weave(*query, Arc::clone(program));
-                        }
-                    }
-                }
-                if let Some(t) = g.pending.take() {
-                    if let Some(spec) = &g.spec {
-                        pending_specs.push((*query, Arc::clone(spec)));
-                    }
-                    throttles.push(t);
-                }
-                if g.truncated_cum > 0 {
-                    truncations.push((*query, g.truncated_cum));
-                }
-            }
-        }
-        let mut buffers = self.buffers.lock();
-        // A throttled query that never emitted here still needs a buffer
-        // to carry the trip's envelope out.
-        for (query, spec) in pending_specs {
-            buffers.entry(query).or_insert_with(|| Buffer::new(&spec));
-        }
         let mut out = Vec::new();
-        for (query, buf) in buffers.iter_mut() {
-            let throttled = throttles
-                .iter()
-                .position(|t| t.query == *query)
-                .map(|i| throttles.swap_remove(i));
-            let truncated_cum = truncations
-                .iter()
-                .find(|(q, _)| q == query)
-                .map_or(buf.truncated_sent, |(_, n)| *n);
-            let has_rows = !matches!(
-                &buf.rows,
-                Rows::Streaming(rows) if rows.is_empty()
-            ) && !matches!(
-                &buf.rows,
-                Rows::Grouped(groups) if groups.is_empty()
-            );
+        let mut queries = self.queries.lock();
+        for (slot, state) in queries.0.iter_mut().enumerate() {
+            let mut throttled = None;
+            let mut truncated_cum = None;
+            if let Some(g) = &mut state.gov {
+                if g.open_until.is_some_and(|until| now >= until) {
+                    // Re-arm: fresh window, advice re-woven. `trips` is
+                    // kept so a re-trip backs off longer.
+                    g.open_until = None;
+                    g.window_start = now;
+                    g.tuples = 0;
+                    g.ops = 0;
+                    g.bytes = 0;
+                    for program in &g.programs {
+                        self.registry.weave(state.query, slot, program);
+                    }
+                }
+                throttled = g.pending.take();
+                if let (Some(_), None, Some(spec)) = (&throttled, &state.buffer, &g.spec) {
+                    // A throttled query that never emitted here still
+                    // needs a buffer to carry the trip's envelope out.
+                    state.buffer = Some(Buffer::new(spec));
+                }
+                truncated_cum = Some(g.truncated_cum).filter(|n| *n > 0);
+            }
+            let Some(buf) = &mut state.buffer else {
+                continue;
+            };
+            let truncated_cum = truncated_cum.unwrap_or(buf.truncated_sent);
+            let has_rows = match &buf.rows {
+                Rows::Streaming(rows) => !rows.is_empty(),
+                Rows::Grouped(groups) => !groups.is_empty(),
+            };
             // Skip only when there is truly nothing to say: no rows, no
             // new shed/truncation counts, no trip to report.
             if !has_rows && !buf.dirty && truncated_cum == buf.truncated_sent && throttled.is_none()
@@ -1147,8 +1161,9 @@ impl Agent {
             buf.seq += 1;
             buf.dirty = false;
             buf.truncated_sent = truncated_cum;
+            bump(&self.stats.rows_reported, rows.len() as u64);
             out.push(Report {
-                query: *query,
+                query: state.query,
                 host: self.info.host.clone(),
                 procid: self.info.procid,
                 procname: self.info.procname.clone(),
@@ -1162,10 +1177,6 @@ impl Agent {
                 throttled,
                 rows,
             });
-        }
-        let mut st = self.stats.lock();
-        for r in &out {
-            st.rows_reported += r.rows.len() as u64;
         }
         out
     }

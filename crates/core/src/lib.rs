@@ -34,6 +34,7 @@ pub mod bus;
 pub mod frontend;
 pub mod global;
 pub mod governor;
+mod hash;
 pub mod ledger;
 pub mod mutation;
 pub mod retro;

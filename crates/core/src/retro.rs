@@ -31,6 +31,7 @@ use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::{Sym, Tuple, Value};
 
 use crate::ledger::Ledger;
+use crate::tracepoint::names_match;
 
 /// The reserved baggage slot carrying the request's trace id.
 ///
@@ -214,9 +215,8 @@ pub struct RetroRing {
     /// steady-state recording allocates only when an export set outgrows
     /// every spare.
     spare: Vec<Vec<Value>>,
-    /// Interned name vectors keyed by `(tracepoint, arity)`; validated on
-    /// every hit (same shape key, different names → rebuilt), so the
-    /// cache is a pure accelerator, never a source of wrong names.
+    /// Every `(tracepoint, export names)` shape seen, append-only, so a
+    /// shape id stays valid for the ring's life.
     shapes: Vec<NameShape>,
     /// Flushed reports awaiting a transport drain, bounded by
     /// `pending_cap` total events.
@@ -280,20 +280,19 @@ impl RetroRing {
         }
     }
 
-    /// Looks up (or builds) the cached shape — interned tracepoint value
-    /// plus shared name vector — for this export set. The hit path is a
-    /// short scan validated with string compares (the cache is a pure
-    /// accelerator, never a source of wrong names); only a miss — the
-    /// first event of a new shape — pays the global intern lock.
-    fn shape_for(&mut self, tracepoint: &str, exports: &[(&str, Value)]) -> u32 {
-        if let Some(i) = self.shapes.iter().position(|s| {
-            s.tracepoint.as_str() == tracepoint
-                && s.names.len() == exports.len()
-                && s.names
-                    .iter()
-                    .zip(exports)
-                    .all(|(n, (e, _))| n.as_str() == *e)
-        }) {
+    /// Looks up (or builds) the shape — interned tracepoint value plus
+    /// shared name vector — of this export set. A hit is a short scan
+    /// validated with string compares (never a source of wrong names);
+    /// only a miss — the first event of a new shape — pays the global
+    /// intern lock. A woven site asks once and keeps the id in its plan
+    /// (`crate::tracepoint::Layout`); only events at unwoven tracepoints
+    /// come here every time.
+    pub(crate) fn shape_for(&mut self, tracepoint: &str, exports: &[(&str, Value)]) -> u32 {
+        if let Some(i) = self
+            .shapes
+            .iter()
+            .position(|s| s.tracepoint.as_str() == tracepoint && names_match(&s.names, exports))
+        {
             return i as u32;
         }
         let tp_sym = Sym::from(tracepoint);
@@ -304,6 +303,11 @@ impl RetroRing {
             names: Arc::new(exports.iter().map(|(n, _)| Sym::from(*n)).collect()),
         });
         (self.shapes.len() - 1) as u32
+    }
+
+    /// The export names of a shape [`RetroRing::shape_for`] returned.
+    pub(crate) fn shape_names(&self, shape: u32) -> &Arc<Vec<Sym>> {
+        &self.shapes[shape as usize].names
     }
 
     /// Materializes the public event for a slot a trigger claimed.
@@ -318,9 +322,16 @@ impl RetroRing {
         }
     }
 
-    /// Records one invocation; `request` is the trace id (0 = none).
-    pub fn record(&mut self, tracepoint: &str, time: u64, request: u64, exports: &[(&str, Value)]) {
-        let shape = self.shape_for(tracepoint, exports);
+    /// Records one invocation of shape `shape` (from
+    /// [`RetroRing::shape_for`], for these export names); `request` is the
+    /// trace id (0 = none).
+    pub(crate) fn record(
+        &mut self,
+        shape: u32,
+        time: u64,
+        request: u64,
+        exports: &[(&str, Value)],
+    ) {
         self.recorded_cum += 1;
         if self.ring.len() >= self.cap {
             // Steady state: overwrite the oldest slot in place, reusing
@@ -457,6 +468,11 @@ impl RetroRing {
 mod tests {
     use super::*;
 
+    fn rec(r: &mut RetroRing, tp: &str, time: u64, request: u64, exports: &[(&str, Value)]) {
+        let shape = r.shape_for(tp, exports);
+        r.record(shape, time, request, exports);
+    }
+
     fn ring() -> RetroRing {
         RetroRing::new(RetroIdent {
             host: "host-A".into(),
@@ -486,7 +502,7 @@ mod tests {
         let mut r = ring();
         r.set_cap(3);
         for i in 0..5 {
-            r.record("T", i, 1, &[("x", Value::I64(i as i64))]);
+            rec(&mut r, "T", i, 1, &[("x", Value::I64(i as i64))]);
         }
         assert_eq!(r.buffered(), 3);
         let c = r.counters();
@@ -498,9 +514,9 @@ mod tests {
     #[test]
     fn trigger_drains_only_the_matching_request() {
         let mut r = ring();
-        r.record("T", 0, 1, &[]);
-        r.record("T", 1, 2, &[]);
-        r.record("T", 2, 1, &[]);
+        rec(&mut r, "T", 0, 1, &[]);
+        rec(&mut r, "T", 1, 2, &[]);
+        rec(&mut r, "T", 2, 1, &[]);
         assert!(r.trigger(TriggerKind::Advice, QueryId(9), 1, 10));
         let reports = r.drain();
         assert_eq!(reports.len(), 1);
@@ -515,7 +531,7 @@ mod tests {
     #[test]
     fn second_trigger_on_drained_ring_is_suppressed() {
         let mut r = ring();
-        r.record("T", 0, 1, &[]);
+        rec(&mut r, "T", 0, 1, &[]);
         assert!(r.trigger(TriggerKind::Advice, QueryId(9), 1, 10));
         assert!(!r.trigger(TriggerKind::Breaker, QueryId(9), 1, 10));
         assert_eq!(r.drain().len(), 1);
@@ -524,8 +540,8 @@ mod tests {
     #[test]
     fn uncorrelated_trigger_takes_everything() {
         let mut r = ring();
-        r.record("T", 0, 1, &[]);
-        r.record("T", 1, 2, &[]);
+        rec(&mut r, "T", 0, 1, &[]);
+        rec(&mut r, "T", 1, 2, &[]);
         assert!(r.trigger(TriggerKind::Fault, QueryId(0), 0, 10));
         let reports = r.drain();
         assert_eq!(reports[0].events.len(), 2);
@@ -538,7 +554,7 @@ mod tests {
         r.set_pending_cap(3);
         for round in 0..3u64 {
             for i in 0..2 {
-                r.record("T", i, round + 1, &[]);
+                rec(&mut r, "T", i, round + 1, &[]);
             }
             assert!(r.trigger(TriggerKind::Advice, QueryId(1), round + 1, 10));
         }
@@ -553,8 +569,8 @@ mod tests {
     #[test]
     fn seal_accounts_every_leftover() {
         let mut r = ring();
-        r.record("T", 0, 1, &[]);
-        r.record("T", 1, 2, &[]);
+        rec(&mut r, "T", 0, 1, &[]);
+        rec(&mut r, "T", 1, 2, &[]);
         r.trigger(TriggerKind::Advice, QueryId(1), 1, 5);
         // One event pending, one still in the ring; seal without draining.
         let c = r.seal();
@@ -568,23 +584,41 @@ mod tests {
     #[test]
     fn name_cache_is_validated_not_trusted() {
         let mut r = ring();
-        r.record("T", 0, 1, &[("a", Value::I64(1)), ("b", Value::I64(2))]);
+        rec(
+            &mut r,
+            "T",
+            0,
+            1,
+            &[("a", Value::I64(1)), ("b", Value::I64(2))],
+        );
         // Same tracepoint and arity, different names: must not inherit.
-        r.record("T", 1, 1, &[("c", Value::I64(3)), ("d", Value::I64(4))]);
+        rec(
+            &mut r,
+            "T",
+            1,
+            1,
+            &[("c", Value::I64(3)), ("d", Value::I64(4))],
+        );
         r.trigger(TriggerKind::Advice, QueryId(1), 1, 2);
         let reports = r.drain();
         let evs = &reports[0].events;
         assert_eq!(evs[0].names[0].as_str(), "a");
         assert_eq!(evs[1].names[0].as_str(), "c");
         // Same shape again: shared Arc with the first.
-        r.record("T", 2, 1, &[("a", Value::I64(5)), ("b", Value::I64(6))]);
+        rec(
+            &mut r,
+            "T",
+            2,
+            1,
+            &[("a", Value::I64(5)), ("b", Value::I64(6))],
+        );
     }
 
     #[test]
     fn sequence_numbers_are_consecutive() {
         let mut r = ring();
         for i in 0..3u64 {
-            r.record("T", i, i + 1, &[]);
+            rec(&mut r, "T", i, i + 1, &[]);
             r.trigger(TriggerKind::Advice, QueryId(1), i + 1, i);
         }
         let seqs: Vec<u64> = r.drain().iter().map(|p| p.seq).collect();

@@ -1,13 +1,14 @@
 //! Tracepoint definitions and the per-process weave registry.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use pivot_baggage::QueryId;
-use pivot_model::{intern, Value};
-use pivot_query::AdviceByteCode;
+use pivot_model::{intern, Sym, Value};
+use pivot_query::{AdviceByteCode, RunPlan};
+
+use crate::hash::SeededMap;
 
 /// The variables every tracepoint exports in addition to its declared ones
 /// (paper §3): host, timestamp, process id, process name, and the
@@ -52,23 +53,105 @@ impl TracepointDef {
     }
 }
 
-/// One woven bytecode program tagged with the query that owns it.
-#[derive(Clone, Debug)]
-pub struct Woven {
-    /// The owning query (used for unweaving).
-    pub query: QueryId,
-    /// The lowered advice to run.
-    pub code: Arc<AdviceByteCode>,
+/// Where one `Observe` column of a woven program reads from, settled when
+/// the program is woven: defaults come first in an export set and the
+/// first match wins, so a name among [`DEFAULT_EXPORTS`] can only ever
+/// mean the default, which the agent supplies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Col {
+    Host,
+    Timestamp,
+    Procid,
+    Procname,
+    Tracepoint,
+    /// One of the caller's exports, found by name — or, while the call
+    /// matches the site's remembered [`Layout`], at its position there.
+    Caller,
 }
 
-/// Registry slot for one tracepoint: the woven programs plus an interned
-/// `Value` of the tracepoint's own name, built once at weave time so every
-/// invocation reuses it for the `tracepoint` default export instead of
-/// allocating a fresh string.
+impl Col {
+    fn of(name: &str) -> Col {
+        match name {
+            "host" => Col::Host,
+            "timestamp" => Col::Timestamp,
+            "procid" => Col::Procid,
+            "procname" => Col::Procname,
+            "tracepoint" => Col::Tracepoint,
+            _ => Col::Caller,
+        }
+    }
+}
+
+/// One woven program and what weaving settled about it.
 #[derive(Clone, Debug)]
-struct WeaveEntry {
-    name: Value,
-    list: Arc<Vec<Woven>>,
+pub(crate) struct Planned {
+    /// The owning query (used for unweaving).
+    pub query: QueryId,
+    /// The agent's per-query state slot: buffer and governor entry.
+    pub slot: usize,
+    /// The advice with its run shape.
+    pub run: RunPlan,
+    /// One entry per name in the program's `Observe` pool.
+    pub cols: Vec<Col>,
+}
+
+/// The caller's export list as a site first saw it, and where each
+/// caller-side column sits in it. Tracepoints export a fixed list, so
+/// this is learned from the first event and an event that differs (an
+/// exact name-by-name check) simply resolves by name instead.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// The remembered names, shared with the hindsight ring's shape.
+    pub names: Arc<Vec<Sym>>,
+    /// That shape's id in the ring.
+    pub shape: u32,
+    /// Per program of the site, per column: the first position in `names`
+    /// carrying the column's name, or out of range.
+    pub pos: Vec<Vec<usize>>,
+}
+
+impl Layout {
+    /// Resolves every column of `site`'s programs against `names`.
+    pub fn new(site: &SitePlan, names: Arc<Vec<Sym>>, shape: u32) -> Layout {
+        let find = |want: &Sym| names.iter().position(|n| n == want).unwrap_or(usize::MAX);
+        let columns = |p: &Planned| p.run.code().names.iter().map(find).collect();
+        let pos = site.programs.iter().map(columns).collect();
+        Layout { names, shape, pos }
+    }
+}
+
+/// Name-by-name equality of a remembered export list and a live one: when
+/// it holds for a [`Layout`]'s names, every position in the layout is
+/// exact.
+pub(crate) fn names_match(names: &[Sym], exports: &[(&str, Value)]) -> bool {
+    names.len() == exports.len()
+        && names
+            .iter()
+            .zip(exports)
+            .all(|(n, (e, _))| n.as_str() == *e)
+}
+
+/// Everything a woven invocation needs to know about its tracepoint,
+/// resolved when advice is woven or unwoven there and published as one
+/// `Arc`: an event does one lookup and runs.
+#[derive(Debug)]
+pub(crate) struct SitePlan {
+    /// The tracepoint's interned name, for the `tracepoint` export.
+    pub name: Value,
+    /// The advice woven here, in weave order.
+    pub programs: Vec<Planned>,
+    /// Set by the first event to arrive under this plan.
+    pub layout: OnceLock<Layout>,
+}
+
+impl SitePlan {
+    fn new(name: Value, programs: Vec<Planned>) -> SitePlan {
+        SitePlan {
+            name,
+            programs,
+            layout: OnceLock::new(),
+        }
+    }
 }
 
 /// The per-process registry mapping tracepoints to woven advice.
@@ -80,7 +163,7 @@ struct WeaveEntry {
 #[derive(Default)]
 pub struct Registry {
     woven_count: AtomicUsize,
-    map: RwLock<HashMap<String, WeaveEntry>>,
+    map: RwLock<SeededMap<String, Arc<SitePlan>>>,
 }
 
 impl Registry {
@@ -89,18 +172,14 @@ impl Registry {
         Registry::default()
     }
 
-    /// Returns the advice woven at `tracepoint` together with the interned
-    /// tracepoint-name `Value`, or `None` cheaply when the whole registry
-    /// is empty. Both halves are reference-counted clones.
+    /// Returns the plan of `tracepoint`, or `None` cheaply when the whole
+    /// registry is empty: one read lock, one probe, one reference count.
     #[inline]
-    pub fn lookup(&self, tracepoint: &str) -> Option<(Value, Arc<Vec<Woven>>)> {
-        if self.woven_count.load(Ordering::Relaxed) == 0 {
+    pub(crate) fn lookup(&self, tracepoint: &str) -> Option<Arc<SitePlan>> {
+        if self.is_idle() {
             return None;
         }
-        self.map
-            .read()
-            .get(tracepoint)
-            .map(|e| (e.name.clone(), Arc::clone(&e.list)))
+        self.map.read().get(tracepoint).cloned()
     }
 
     /// Returns `true` if nothing is woven anywhere.
@@ -109,45 +188,44 @@ impl Registry {
         self.woven_count.load(Ordering::Relaxed) == 0
     }
 
-    /// Weaves `code` (owned by `query`) into each of its tracepoints.
-    pub fn weave(&self, query: QueryId, code: Arc<AdviceByteCode>) {
+    /// Weaves `code` (owned by `query`, whose agent state lives in `slot`)
+    /// into each of its tracepoints, replacing their plans.
+    pub(crate) fn weave(&self, query: QueryId, slot: usize, code: &Arc<AdviceByteCode>) {
+        let cols = code.names.iter().map(|n| Col::of(n)).collect();
+        let planned = Planned {
+            query,
+            slot,
+            run: RunPlan::new(Arc::clone(code)),
+            cols,
+        };
         let mut map = self.map.write();
         for tp in &code.tracepoints {
-            let entry = map.entry(tp.clone()).or_insert_with(|| WeaveEntry {
-                name: Value::Str(intern(tp)),
-                list: Arc::new(Vec::new()),
-            });
-            let mut list = entry.list.as_ref().clone();
-            list.push(Woven {
-                query,
-                code: Arc::clone(&code),
-            });
+            let (name, mut programs) = match map.get(tp) {
+                Some(site) => (site.name.clone(), site.programs.clone()),
+                None => (Value::Str(intern(tp)), Vec::new()),
+            };
+            programs.push(planned.clone());
+            map.insert(tp.clone(), Arc::new(SitePlan::new(name, programs)));
             self.woven_count.fetch_add(1, Ordering::Relaxed);
-            entry.list = Arc::new(list);
         }
     }
 
     /// Removes every advice program owned by `query`.
     pub fn unweave(&self, query: QueryId) {
         let mut map = self.map.write();
-        map.retain(|_, entry| {
-            let before = entry.list.len();
-            let list: Vec<Woven> = entry
-                .list
+        map.retain(|_, site| {
+            let kept: Vec<Planned> = site
+                .programs
                 .iter()
-                .filter(|w| w.query != query)
+                .filter(|p| p.query != query)
                 .cloned()
                 .collect();
-            let removed = before - list.len();
+            let removed = site.programs.len() - kept.len();
             if removed > 0 {
                 self.woven_count.fetch_sub(removed, Ordering::Relaxed);
+                *site = Arc::new(SitePlan::new(site.name.clone(), kept));
             }
-            if list.is_empty() {
-                false
-            } else {
-                entry.list = Arc::new(list);
-                true
-            }
+            !site.programs.is_empty()
         });
     }
 
@@ -162,7 +240,7 @@ impl Registry {
         self.map
             .read()
             .values()
-            .any(|entry| entry.list.iter().any(|w| w.query == query))
+            .any(|site| site.programs.iter().any(|p| p.query == query))
     }
 
     /// Returns the distinct advice programs woven for `query` (weave-time
@@ -172,10 +250,10 @@ impl Registry {
     pub fn programs_for(&self, query: QueryId) -> Vec<Arc<AdviceByteCode>> {
         let map = self.map.read();
         let mut out: Vec<Arc<AdviceByteCode>> = Vec::new();
-        for entry in map.values() {
-            for w in entry.list.iter().filter(|w| w.query == query) {
-                if !out.iter().any(|p| Arc::ptr_eq(p, &w.code)) {
-                    out.push(Arc::clone(&w.code));
+        for site in map.values() {
+            for p in site.programs.iter().filter(|p| p.query == query) {
+                if !out.iter().any(|c| Arc::ptr_eq(c, p.run.code())) {
+                    out.push(Arc::clone(p.run.code()));
                 }
             }
         }
@@ -188,7 +266,7 @@ impl Registry {
         let map = self.map.read();
         let mut ids: Vec<QueryId> = map
             .values()
-            .flat_map(|entry| entry.list.iter().map(|w| w.query))
+            .flat_map(|site| site.programs.iter().map(|p| p.query))
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -218,16 +296,16 @@ mod tests {
         let reg = Registry::new();
         assert!(reg.is_idle());
         assert!(reg.lookup("tp").is_none());
-        reg.weave(QueryId(1), program(&["tp", "tp2"]));
+        reg.weave(QueryId(1), 0, &program(&["tp", "tp2"]));
         assert_eq!(reg.woven_count(), 2);
-        let (name, list) = reg.lookup("tp").unwrap();
-        assert_eq!(name, Value::str("tp"));
-        assert_eq!(list.len(), 1);
-        reg.weave(QueryId(2), program(&["tp"]));
-        assert_eq!(reg.lookup("tp").unwrap().1.len(), 2);
+        let site = reg.lookup("tp").unwrap();
+        assert_eq!(site.name, Value::str("tp"));
+        assert_eq!(site.programs.len(), 1);
+        reg.weave(QueryId(2), 1, &program(&["tp"]));
+        assert_eq!(reg.lookup("tp").unwrap().programs.len(), 2);
         reg.unweave(QueryId(1));
         assert_eq!(reg.woven_count(), 1);
-        assert_eq!(reg.lookup("tp").unwrap().1.len(), 1);
+        assert_eq!(reg.lookup("tp").unwrap().programs.len(), 1);
         assert!(reg.lookup("tp2").is_none());
         reg.unweave(QueryId(2));
         assert!(reg.is_idle());
@@ -241,5 +319,9 @@ mod tests {
         assert!(all.contains(&"timestamp".to_owned()));
         assert!(all.contains(&"delta".to_owned()));
         assert_eq!(all.len(), 6);
+        assert!(DEFAULT_EXPORTS
+            .iter()
+            .all(|d| !matches!(Col::of(d), Col::Caller)));
+        assert!(matches!(Col::of("delta"), Col::Caller));
     }
 }

@@ -661,3 +661,645 @@ proptest! {
         check_query_engines(&query, &events)?;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Agent-level: a plan-resolved `Agent::invoke` ≡ the named-slice `Vm::run`
+// ≡ the tree-walk, whatever the caller's export list looks like.
+// ---------------------------------------------------------------------------
+//
+// An agent resolves each `Observe` column when advice is woven — to one of
+// its own default exports, or to a position in the caller's export list as
+// the site first saw it — and a call whose list differs falls back to the
+// name search. The reference below assembles the full named export set
+// (defaults first, then the caller's list, verbatim) and hands it to the
+// named-slice VM entry and to the oracle. The lists are hostile on
+// purpose: rotated between consecutive calls, names duplicated, names
+// missing, caller names equal to a default. Between calls the paper-query
+// run also unweaves, re-weaves, trips and re-arms, and the reference only
+// runs what a model of the registry says is woven — so advice run from a
+// stale plan shows up as a divergence.
+
+use pivot_core::bus::{Command, Report, ReportRows};
+use pivot_core::{Agent, ProcessInfo, QueryBudget, Throttled, DEFAULT_EXPORTS};
+use pivot_query::CompiledCode;
+
+const HOST: &str = "host-A";
+const PROCNAME: &str = "proc";
+const PROCID: u64 = 7;
+
+fn planned_agent() -> Agent {
+    Agent::new(ProcessInfo {
+        host: HOST.into(),
+        procid: PROCID,
+        procname: PROCNAME.into(),
+    })
+}
+
+/// The export set `Agent::invoke` presents to advice at `tracepoint`:
+/// the defaults, then the caller's list as given.
+fn full_exports<'a>(
+    tracepoint: &str,
+    now: u64,
+    caller: &[(&'a str, Value)],
+) -> Vec<(&'a str, Value)> {
+    let mut full = vec![
+        ("host", Value::str(HOST)),
+        ("timestamp", Value::U64(now)),
+        ("procid", Value::U64(PROCID)),
+        ("procname", Value::str(PROCNAME)),
+        ("tracepoint", Value::str(tracepoint)),
+    ];
+    full.extend(caller.iter().cloned());
+    full
+}
+
+/// How one call's export list deviates from the tracepoint's declared one.
+#[derive(Clone, Debug)]
+struct Mutation {
+    /// Rotate the list left by this much.
+    rotate: usize,
+    /// Repeat entry `.0`'s name with value `.1`, in front (`.2`) or behind.
+    dup: Option<(usize, Value, bool)>,
+    /// Leave this entry out.
+    drop: Option<usize>,
+    /// Export `DEFAULT_EXPORTS[.0]` from the caller's side too.
+    shadow: Option<usize>,
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    let maybe = |s: BoxedStrategy<usize>| prop_oneof![Just(None), s.prop_map(Some)];
+    (
+        0usize..4,
+        prop_oneof![
+            Just(None),
+            ((0usize..4), value_strategy(), prop::bool::ANY).prop_map(Some)
+        ],
+        maybe((0usize..4).boxed()),
+        maybe((0usize..5).boxed()),
+    )
+        .prop_map(|(rotate, dup, drop, shadow)| Mutation {
+            rotate,
+            dup,
+            drop,
+            shadow,
+        })
+}
+
+fn mutate(declared: &[&'static str], values: &[Value], m: &Mutation) -> Vec<(&'static str, Value)> {
+    let mut list: Vec<(&'static str, Value)> = declared
+        .iter()
+        .zip(values.iter().cycle())
+        .map(|(n, v)| (*n, v.clone()))
+        .collect();
+    if let (Some(i), false) = (m.drop, list.is_empty()) {
+        list.remove(i % list.len());
+    }
+    if let (Some((i, v, front)), false) = (&m.dup, list.is_empty()) {
+        let name = list[i % list.len()].0;
+        let at = if *front { 0 } else { list.len() };
+        list.insert(at, (name, v.clone()));
+    }
+    if let Some(k) = m.shadow {
+        list.insert(0, (DEFAULT_EXPORTS[k], Value::str("from-the-caller")));
+    }
+    if !list.is_empty() {
+        let by = m.rotate % list.len();
+        list.rotate_left(by);
+    }
+    list
+}
+
+/// What an agent's reports add up to, in the terms a [`FoldSink`] keeps.
+#[derive(Default)]
+struct Reported {
+    raw: Vec<(QueryId, Tuple)>,
+    groups: Vec<(QueryId, GroupKey, Vec<AggState>)>,
+    tuples: Vec<(QueryId, u64)>,
+    throttles: Vec<Throttled>,
+}
+
+impl Reported {
+    fn absorb(&mut self, reports: Vec<Report>) {
+        for r in reports {
+            self.tuples.push((r.query, r.tuples));
+            self.throttles.extend(r.throttled);
+            match r.rows {
+                ReportRows::Raw(rows) => self.raw.extend(rows.into_iter().map(|t| (r.query, t))),
+                ReportRows::RawEncoded(blocks) => {
+                    for b in blocks {
+                        let rows = b.decode().expect("own block decodes");
+                        self.raw.extend(rows.into_iter().map(|t| (r.query, t)));
+                    }
+                }
+                ReportRows::Grouped(groups) => {
+                    for (key, states) in groups {
+                        match self
+                            .groups
+                            .iter_mut()
+                            .find(|(q, k, _)| *q == r.query && *k == key)
+                        {
+                            Some((_, _, into)) => {
+                                for (st, p) in into.iter_mut().zip(&states) {
+                                    st.merge(p);
+                                }
+                            }
+                            None => self.groups.push((r.query, key, states)),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn tuples_of(&self, query: QueryId) -> u64 {
+        let of = self.tuples.iter().filter(|(q, _)| *q == query);
+        of.map(|(_, n)| n).sum()
+    }
+
+    /// Finished groups, in an order independent of any hash map's.
+    fn finished(&self) -> Vec<(QueryId, GroupKey, Vec<Value>)> {
+        let mut out: Vec<(QueryId, GroupKey, Vec<Value>)> = self
+            .groups
+            .iter()
+            .map(|(q, k, states)| (*q, k.clone(), states.iter().map(AggState::finish).collect()))
+            .collect();
+        out.sort_by_key(|e| format!("{e:?}"));
+        out
+    }
+}
+
+fn sorted_groups(sink: &FoldSink) -> Vec<(QueryId, GroupKey, Vec<Value>)> {
+    let mut out: Vec<(QueryId, GroupKey, Vec<Value>)> = sink
+        .finished()
+        .into_iter()
+        .map(|(q, k, v, _)| (q, k, v))
+        .collect();
+    out.sort_by_key(|e| format!("{e:?}"));
+    out
+}
+
+/// Folds the oracle's emits the way a per-row sink would.
+fn fold_emits(into: &mut FoldSink, emits: &[interp::Emitted]) {
+    for e in emits {
+        match interp::emit_rows(e) {
+            EmitRows::Raw(rows) => into.raw.extend(rows.into_iter().map(|t| (e.query, t))),
+            EmitRows::Grouped(rows) => {
+                for (k, a) in rows {
+                    into.grouped_row(e.query, &e.spec, k, &a);
+                }
+            }
+        }
+    }
+}
+
+/// A budget nothing here can reach: metering on, no trips.
+fn generous() -> QueryBudget {
+    QueryBudget {
+        ops_per_window: 1 << 40,
+        ..QueryBudget::unlimited()
+    }
+}
+
+/// A budget the next retired instruction exceeds.
+fn exhausted() -> QueryBudget {
+    QueryBudget {
+        ops_per_window: 0,
+        ..QueryBudget::unlimited()
+    }
+}
+
+/// Far past any backoff deadline the runs below can set.
+const LATER: u64 = u64::MAX / 2;
+
+/// Property programs: one random program woven at `T`, a run of calls with
+/// mutated export lists, then a breaker trip that reports the window's
+/// retired-op and tuple totals.
+fn check_program_through_an_agent(
+    program: &AdviceProgram,
+    calls: &[(Vec<Value>, Mutation)],
+    seed: &[Vec<Value>],
+) -> Result<(), TestCaseError> {
+    const Q: QueryId = QueryId(7);
+    let lowered = Arc::new(lower_program(program).code);
+    // The agent buffers under the query's output spec; with several
+    // `Emit`s of different specs only the packs, stats and ops compare.
+    let emits: Vec<&Arc<OutputSpec>> = program
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            AdviceOp::Emit { spec, .. } => Some(spec),
+            _ => None,
+        })
+        .collect();
+    let compare_rows = emits.len() <= 1;
+    let code = CompiledCode {
+        id: Q,
+        name: "fuzzed".into(),
+        programs: vec![Arc::clone(&lowered)],
+        output: emits.first().map(|s| Arc::clone(s)).unwrap_or_default(),
+    };
+    // Budgeted before it is installed, so the governor knows the output
+    // spec and can report a trip even when the program never emits.
+    let agent = planned_agent();
+    agent.set_budget(Q, generous());
+    agent.install(&code);
+
+    let mut bag_tree = Baggage::new();
+    if !seed.is_empty() {
+        bag_tree.pack(
+            QueryId(100),
+            &PackMode::All,
+            seed.iter().map(|t| t.iter().cloned().collect::<Tuple>()),
+        );
+    }
+    let mut bag_vm = bag_tree.clone();
+    let mut bag_agent = bag_tree.clone();
+    let mut vm = Vm::new();
+    let mut sink = FoldSink::default();
+    let mut tree = FoldSink::default();
+    let (mut packed, mut emitted, mut bytes) = (0u64, 0u64, 0u64);
+
+    for (i, (values, mutation)) in calls.iter().enumerate() {
+        // The last call runs under the exhausted budget and trips.
+        if i + 1 == calls.len() {
+            agent.set_budget(Q, exhausted());
+        }
+        let now = i as u64;
+        let caller = mutate(&["a", "b", "c"], values, mutation);
+        let full = full_exports("T", now, &caller);
+
+        let (emits, ts) = interp::run(program, &full, &mut bag_tree);
+        fold_emits(&mut tree, &emits);
+        let values_before = bag_vm.meter().values;
+        let vs = vm.run(&lowered, &full, &mut bag_vm, &mut sink);
+        bytes += (bag_vm.meter().values - values_before) * 12;
+        packed += vs.packed as u64;
+        emitted += vs.emitted as u64;
+        prop_assert_eq!((ts.packed, ts.emitted), (vs.packed, vs.emitted));
+
+        agent.invoke("T", &mut bag_agent, now, &caller);
+        prop_assert_eq!(
+            bag_agent.to_bytes(),
+            bag_vm.to_bytes(),
+            "agent baggage diverges at call {} with {:?} for {:?}",
+            i,
+            caller,
+            program
+        );
+        prop_assert_eq!(bag_vm.to_bytes(), bag_tree.to_bytes());
+    }
+
+    let stats = agent.stats();
+    prop_assert_eq!(
+        (stats.tuples_packed, stats.tuples_emitted),
+        (packed, emitted),
+        "agent stats diverge for {:?}",
+        program
+    );
+    // Every call retired at least the program's first instruction, so the
+    // exhausted budget tripped, and unwove the advice.
+    prop_assert!(agent.is_tripped(Q));
+    let mut idle = bag_agent.clone();
+    agent.invoke("T", &mut idle, 99, &[("a", Value::I64(1))]);
+    prop_assert_eq!(idle.to_bytes(), bag_agent.to_bytes(), "unwoven advice ran");
+    prop_assert_eq!(agent.stats().tuples_emitted, emitted);
+
+    let mut reported = Reported::default();
+    reported.absorb(agent.flush(LATER));
+    prop_assert_eq!(reported.throttles.len(), 1);
+    let trip = reported.throttles[0].stats;
+    prop_assert_eq!(
+        (trip.ops, trip.tuples, trip.bytes),
+        (vm.ops(), packed + emitted, bytes),
+        "the governor's meter diverges for {:?}",
+        program
+    );
+    if compare_rows {
+        prop_assert_eq!(&reported.raw, &sink.raw, "streaming rows for {:?}", program);
+        prop_assert_eq!(&sink.raw, &tree.raw);
+        prop_assert_eq!(
+            reported.finished(),
+            sorted_groups(&sink),
+            "groups for {:?}",
+            program
+        );
+        prop_assert_eq!(sorted_groups(&sink), sorted_groups(&tree));
+    }
+    Ok(())
+}
+
+/// The paper's Q1–Q7 (`examples/queries/`) and a streaming filter, over
+/// the Hadoop tracepoints they name.
+const PAPER_QUERIES: [&str; 8] = [
+    "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host \
+     Select incr.host, SUM(incr.delta)",
+    "From incr In DataNodeMetrics.incrBytesRead \
+     Join cl In First(ClientProtocols) On cl -> incr \
+     GroupBy cl.procName Select cl.procName, SUM(incr.delta)",
+    "From dnop In DN.DataTransferProtocol GroupBy dnop.host Select dnop.host, COUNT",
+    "From getloc In NN.GetBlockLocations Join st In StressTest.DoNextOp On st -> getloc \
+     GroupBy st.host, getloc.src Select st.host, getloc.src, COUNT",
+    "From getloc In NN.GetBlockLocations Join st In StressTest.DoNextOp On st -> getloc \
+     GroupBy st.host, getloc.replicas Select st.host, getloc.replicas, COUNT",
+    "From DNop In DN.DataTransferProtocol Join st In StressTest.DoNextOp On st -> DNop \
+     GroupBy st.host, DNop.host Select st.host, DNop.host, COUNT",
+    "From DNop In DN.DataTransferProtocol \
+     Join getloc In NN.GetBlockLocations On getloc -> DNop \
+     Join st In StressTest.DoNextOp On st -> getloc \
+     Where st.host != DNop.host \
+     GroupBy DNop.host, getloc.replicas Select DNop.host, getloc.replicas, COUNT",
+    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 1 \
+     Select incr.delta, incr.procname, incr.tracepoint",
+];
+
+const PAPER_TRACEPOINTS: [(&str, &[&str]); 5] = [
+    ("ClientProtocols", &["procName"]),
+    ("StressTest.DoNextOp", &["op"]),
+    ("NN.GetBlockLocations", &["src", "replicas", "lockNanos"]),
+    ("DN.DataTransferProtocol", &["op", "size"]),
+    ("DataNodeMetrics.incrBytesRead", &["delta"]),
+];
+
+/// One step of a paper-query run.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A tracepoint fires on the current request.
+    Event(usize, Vec<Value>, Mutation),
+    /// The next event starts from empty baggage.
+    NewRequest,
+    Uninstall(usize),
+    Install(usize),
+    /// The query's next retired instruction trips its breaker.
+    Exhaust(usize),
+    /// A flush late enough to re-arm every open breaker.
+    Flush,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let q = || 0usize..PAPER_QUERIES.len();
+    let event = || {
+        (
+            0usize..PAPER_TRACEPOINTS.len(),
+            prop::collection::vec(value_strategy(), 1..4),
+            mutation_strategy(),
+        )
+            .prop_map(|(tp, values, m)| Step::Event(tp, values, m))
+    };
+    prop_oneof![
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        Just(Step::NewRequest),
+        q().prop_map(Step::Uninstall),
+        q().prop_map(Step::Install),
+        q().prop_map(Step::Exhaust),
+        Just(Step::Flush),
+    ]
+}
+
+/// What the reference believes about one query's governor entry.
+#[derive(Clone, Copy, Default)]
+struct GovModel {
+    exhausted: bool,
+    open: bool,
+    tuples: u64,
+    ops: u64,
+    bytes: u64,
+    trips: u32,
+    /// A trip the next flush reports — unless an uninstall drops the
+    /// entry first.
+    pending: Option<Throttled>,
+}
+
+fn check_paper_queries_through_an_agent(steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut fe = Frontend::new();
+    for (name, exports) in PAPER_TRACEPOINTS {
+        fe.define(name, exports.iter().copied());
+    }
+    let agent = planned_agent();
+    let mut queries = Vec::new();
+    for text in PAPER_QUERIES {
+        let handle = fe.install(text).expect("the paper's queries install");
+        let cq = fe.compiled(&handle).expect("compiled form");
+        let code = fe.code(&handle).expect("lowered form");
+        agent.install(&code);
+        agent.set_budget(code.id, generous());
+        queries.push((cq, code));
+    }
+    // The reference's registry: woven queries in weave order. Its
+    // governors: an entry per budgeted query.
+    let mut woven: Vec<usize> = (0..queries.len()).collect();
+    let mut govs: Vec<Option<GovModel>> = vec![Some(GovModel::default()); queries.len()];
+    let mut expected_trips: Vec<Throttled> = Vec::new();
+
+    let mut bag_tree = Baggage::new();
+    let mut bag_vm = Baggage::new();
+    let mut bag_agent = Baggage::new();
+    let mut vm = Vm::new();
+    let mut sink = FoldSink::default();
+    let mut tree = FoldSink::default();
+    let mut reported = Reported::default();
+    let (mut packed, mut emitted) = (0u64, 0u64);
+
+    for (now, step) in steps.iter().enumerate() {
+        let now = now as u64;
+        match step {
+            Step::NewRequest => {
+                bag_tree = Baggage::new();
+                bag_vm = Baggage::new();
+                bag_agent = Baggage::new();
+            }
+            Step::Uninstall(q) => {
+                agent.apply(&Command::Uninstall(queries[*q].1.id));
+                woven.retain(|w| w != q);
+                govs[*q] = None;
+            }
+            Step::Install(q) => {
+                agent.install(&queries[*q].1);
+                if !govs[*q].is_some_and(|g| g.open) && !woven.contains(q) {
+                    woven.push(*q);
+                }
+            }
+            Step::Exhaust(q) => {
+                agent.set_budget(queries[*q].1.id, exhausted());
+                govs[*q].get_or_insert_with(GovModel::default).exhausted = true;
+            }
+            Step::Flush => {
+                reported.absorb(agent.flush(LATER));
+                for (q, gov) in govs.iter_mut().enumerate() {
+                    expected_trips.extend(gov.as_mut().and_then(|g| g.pending.take()));
+                    if let Some(g) = gov.as_mut().filter(|g| g.open) {
+                        *g = GovModel {
+                            exhausted: g.exhausted,
+                            trips: g.trips,
+                            ..GovModel::default()
+                        };
+                        woven.push(q);
+                    }
+                }
+            }
+            Step::Event(tp, values, mutation) => {
+                let (name, declared) = PAPER_TRACEPOINTS[*tp];
+                let caller = mutate(declared, values, mutation);
+                let full = full_exports(name, now, &caller);
+                let mut tripped = Vec::new();
+                for &q in &woven {
+                    let (cq, code) = &queries[q];
+                    for (prog, lowered) in cq.advice.iter().zip(&code.programs) {
+                        if !prog.tracepoints.iter().any(|t| t == name) {
+                            continue;
+                        }
+                        let (emits, ts) = interp::run(prog, &full, &mut bag_tree);
+                        fold_emits(&mut tree, &emits);
+                        let (ops0, values0) = (vm.ops(), bag_vm.meter().values);
+                        let vs = vm.run(lowered, &full, &mut bag_vm, &mut sink);
+                        prop_assert_eq!((ts.packed, ts.emitted), (vs.packed, vs.emitted));
+                        packed += vs.packed as u64;
+                        emitted += vs.emitted as u64;
+                        // The governor's charge, program by program; a
+                        // breaker that is already open takes no more.
+                        let Some(g) = govs[q].as_mut().filter(|g| !g.open) else {
+                            continue;
+                        };
+                        g.tuples += (vs.packed + vs.emitted) as u64;
+                        g.ops += vm.ops() - ops0;
+                        g.bytes += (bag_vm.meter().values - values0) * 12;
+                        if g.exhausted && g.ops > 0 {
+                            g.open = true;
+                            g.trips += 1;
+                            tripped.push(q);
+                            g.pending = Some(Throttled {
+                                query: code.id,
+                                reason: pivot_core::ThrottleReason::Ops,
+                                stats: pivot_core::ThrottleStats {
+                                    tuples: g.tuples,
+                                    ops: g.ops,
+                                    bytes: g.bytes,
+                                    trips: g.trips,
+                                },
+                            });
+                        }
+                    }
+                }
+                woven.retain(|q| !tripped.contains(q));
+
+                agent.invoke(name, &mut bag_agent, now, &caller);
+                prop_assert_eq!(
+                    bag_agent.to_bytes(),
+                    bag_vm.to_bytes(),
+                    "agent baggage diverges at step {} ({} with {:?})",
+                    now,
+                    name,
+                    caller
+                );
+                prop_assert_eq!(bag_vm.to_bytes(), bag_tree.to_bytes());
+                let stats = agent.stats();
+                prop_assert_eq!(
+                    (stats.tuples_packed, stats.tuples_emitted),
+                    (packed, emitted),
+                    "agent stats diverge at step {} ({} with {:?})",
+                    now,
+                    name,
+                    caller
+                );
+            }
+        }
+    }
+    reported.absorb(agent.flush(LATER));
+    expected_trips.extend(govs.iter().flatten().filter_map(|g| g.pending));
+
+    let by_query = |t: &Throttled| (t.query, t.stats.trips);
+    reported.throttles.sort_by_key(by_query);
+    expected_trips.sort_by_key(by_query);
+    prop_assert_eq!(
+        &reported.throttles,
+        &expected_trips,
+        "breaker trips diverge"
+    );
+    prop_assert_eq!(&reported.raw, &sink.raw, "streaming rows diverge");
+    prop_assert_eq!(&sink.raw, &tree.raw);
+    prop_assert_eq!(reported.finished(), sorted_groups(&sink), "groups diverge");
+    prop_assert_eq!(sorted_groups(&sink), sorted_groups(&tree));
+    for (_, code) in &queries {
+        let rows = sink.raw.iter().filter(|(q, _)| *q == code.id).count() as u64;
+        let folded = sink.finished().into_iter().filter(|g| g.0 == code.id);
+        let folded: u64 = folded.map(|g| g.3).sum();
+        prop_assert_eq!(reported.tuples_of(code.id), rows + folded);
+        prop_assert_eq!(agent.emitted_for(code.id), rows + folded);
+    }
+    Ok(())
+}
+
+/// The remembered layout is the first call's; a reordered second call must
+/// miss it, a third call in the first order must hit it again, and a
+/// duplicated name must resolve to its first occurrence either way.
+#[test]
+fn a_reordered_call_misses_the_remembered_position() {
+    let mut fe = Frontend::new();
+    fe.define("S", ["x", "y"]);
+    let handle = fe
+        .install("From s In S GroupBy s.x Select s.x, SUM(s.y)")
+        .expect("installs");
+    let agent = planned_agent();
+    agent.install(&fe.code(&handle).expect("code"));
+    let mut bag = Baggage::new();
+    let (x, y) = (Value::I64(1), Value::I64(10));
+    agent.invoke("S", &mut bag, 0, &[("x", x.clone()), ("y", y.clone())]);
+    agent.invoke("S", &mut bag, 1, &[("y", y.clone()), ("x", x.clone())]);
+    agent.invoke("S", &mut bag, 2, &[("x", x.clone()), ("y", y.clone())]);
+    // Same shape as the first call, but `x` now also appears later: the
+    // first occurrence wins, as in a name search.
+    agent.invoke(
+        "S",
+        &mut bag,
+        3,
+        &[("x", x.clone()), ("y", y), ("x", Value::I64(2))],
+    );
+    // `y` missing: Null, which SUM ignores.
+    agent.invoke("S", &mut bag, 4, &[("x", x.clone())]);
+    let mut reported = Reported::default();
+    reported.absorb(agent.flush(10));
+    assert_eq!(
+        reported.finished(),
+        vec![(
+            handle.id,
+            GroupKey(Tuple::from_iter([x])),
+            vec![Value::I64(40)]
+        )]
+    );
+    assert_eq!(reported.tuples_of(handle.id), 5);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The property programs, through an agent's plan.
+    #[test]
+    fn random_programs_through_an_agent_match_the_named_entry_and_the_oracle(
+        ops in prop::collection::vec(op_strategy(), 1..6),
+        calls in prop::collection::vec(
+            (prop::collection::vec(value_strategy(), 3..4), mutation_strategy()),
+            1..5,
+        ),
+        seed in seed_strategy(),
+    ) {
+        let program = AdviceProgram { tracepoints: vec!["T".to_owned()], ops };
+        check_program_through_an_agent(&program, &calls, &seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Q1–Q7 through an agent's plan, with weaves, unweaves, trips and
+    /// re-arms between calls.
+    #[test]
+    fn paper_queries_through_an_agent_match_the_named_entry_and_the_oracle(
+        steps in prop::collection::vec(step_strategy(), 1..60),
+    ) {
+        check_paper_queries_through_an_agent(&steps)?;
+    }
+}

@@ -22,11 +22,13 @@
 //!   into that sink as pre-predicates, skipping one intermediate tuple
 //!   materialization per event.
 //!
-//! The [`Vm`] executes bytecode in one op-major loop ([`Vm::run_batch`];
-//! a single invocation is a batch of one) with reusable scratch buffers:
-//! on the steady-state path it allocates nothing for unwoven or
-//! filtered-out events and only what the emitted rows themselves need
-//! otherwise.
+//! The [`Vm`] executes bytecode in one op-major loop (a single invocation
+//! is a batch of one) with reusable scratch buffers: on the steady-state
+//! path it allocates nothing for unwoven or filtered-out events and only
+//! what the emitted rows themselves need otherwise. The loop has two ways
+//! in — [`Vm::run`] / [`Vm::run_batch`] over named export lists, and
+//! [`Vm::run_planned`] for a caller that kept a [`RunPlan`] from weave
+//! time — and reads exported variables through one seam, [`Exports`].
 //!
 //! Lowering preserves the tree-walk interpreter's observable semantics
 //! *exactly* (rows, stats, and resulting baggage); the property tests in
@@ -237,7 +239,7 @@ impl AdviceByteCode {
         self.insts.iter().any(|i| matches!(i, Inst::Trigger { .. }))
     }
 
-    /// Returns `true` when [`Vm::run_batch`] may execute this program
+    /// Returns `true` when the [`Vm`] may execute this program
     /// op-major over a batch of *several* invocations sharing one baggage,
     /// with results byte-identical to running them one after another.
     ///
@@ -255,8 +257,8 @@ impl AdviceByteCode {
     ///
     /// Every program the query compiler produces satisfies all three
     /// (one sink op, pack *or* unpack per slot per side of the join).
-    /// `run_batch` runs any other program as batches of one, so callers
-    /// need not check.
+    /// The VM runs any other program as batches of one, so callers need
+    /// not check.
     pub fn batchable(&self) -> bool {
         let mut emits = 0usize;
         self.insts.iter().enumerate().all(|(i, inst)| {
@@ -300,8 +302,8 @@ pub trait EmitSink {
     /// One projected row of a streaming (no-aggregate) query.
     fn streaming_row(&mut self, query: QueryId, spec: &Arc<OutputSpec>, row: Tuple);
     /// One `(group key, aggregate arguments)` row of an aggregating query;
-    /// `args` has one value per `spec.aggs` entry. Grouped rows arrive
-    /// here only while [`EmitSink::folds_grouped`] is `false`.
+    /// `args` has one value per `spec.aggs` entry. Every grouped row the
+    /// generic loop emits arrives here, in emit order.
     fn grouped_row(
         &mut self,
         query: QueryId,
@@ -309,17 +311,16 @@ pub trait EmitSink {
         key: GroupKey,
         args: &[Value],
     );
-    /// `true` when this sink takes grouped rows pre-aggregated, via
-    /// [`EmitSink::grouped_fold`], instead of one
-    /// [`EmitSink::grouped_row`] call per row.
+    /// `true` when this sink also accepts [`EmitSink::grouped_fold`],
+    /// which lets a program in the canonical join-aggregation shape run
+    /// factorized ([`Vm::run_planned`]).
     ///
-    /// Opting in trades per-row delivery for the paper's `Combine`
-    /// semantics: the VM folds each run's grouped rows into partial
-    /// [`AggState`]s and the sink merges one partial per distinct group.
-    /// The fold applies `update` row-by-row in emit order, so results are
-    /// identical for every aggregate whose combine is exact (`COUNT`,
-    /// integer `SUM`, `MIN`, `MAX`); float sums may differ from per-row
-    /// delivery in the last bit, exactly as relay-tier partial
+    /// Opting in trades per-row delivery of that one shape for the
+    /// paper's `Combine`: the observed rows fold into one partial
+    /// [`AggState`] set that the sink merges once per joined group.
+    /// Results are identical for every aggregate whose combine is exact
+    /// (`COUNT`, integer `SUM`, `MIN`, `MAX`); float sums may differ from
+    /// per-row delivery in the last bit, exactly as relay-tier partial
     /// aggregation already may.
     fn folds_grouped(&self) -> bool {
         false
@@ -327,11 +328,11 @@ pub trait EmitSink {
     /// A folded grouped delivery: `rows` emitted rows of `key` collapsed
     /// into one partial accumulator per `spec.aggs` entry.
     ///
-    /// Called only when [`EmitSink::folds_grouped`] returns `true`, and at
-    /// most once per distinct key per fold window. Distinct keys arrive in
-    /// first-seen (emit) order, so a sink that caps its group count makes
-    /// the same keep/shed decision per group as it would under per-row
-    /// delivery.
+    /// Called only when [`EmitSink::folds_grouped`] returns `true`, once
+    /// per unpacked tuple of a factorized join, in unpacked order — the
+    /// generic loop's first-seen group order, so a sink that caps its
+    /// group count makes the same keep/shed decision per group as it
+    /// would under per-row delivery.
     fn grouped_fold(
         &mut self,
         query: QueryId,
@@ -871,6 +872,75 @@ impl AdviceByteCode {
 // Execution
 // ---------------------------------------------------------------------------
 
+/// Where `Observe` reads a batch's exported variables from — the one
+/// seam between the VM and whoever assembled the invocations. A slice of
+/// named export lists resolves each column by name ([`lookup`]); an agent
+/// answers from positions it resolved when the advice was woven.
+pub trait Exports {
+    /// Number of invocations in the batch.
+    fn invocations(&self) -> usize;
+    /// What invocation `inv` exports under `name`, which is
+    /// `code.names[col]` of the program being run; `Null` when absent.
+    fn get(&self, inv: usize, col: usize, name: &str) -> Value;
+}
+
+impl Exports for [&[(&str, Value)]] {
+    fn invocations(&self) -> usize {
+        self.len()
+    }
+    fn get(&self, inv: usize, _col: usize, name: &str) -> Value {
+        lookup(self[inv], name)
+    }
+}
+
+/// One invocation of a batch, presented as a batch of one.
+struct One<'a, X: ?Sized>(&'a X, usize);
+
+impl<X: Exports + ?Sized> Exports for One<'_, X> {
+    fn invocations(&self) -> usize {
+        1
+    }
+    fn get(&self, _inv: usize, col: usize, name: &str) -> Value {
+        self.0.get(self.1, col, name)
+    }
+}
+
+/// The value `exports` carries under `name`: first match wins, absent
+/// names read `Null`.
+pub fn lookup(exports: &[(&str, Value)], name: &str) -> Value {
+    exports
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map_or(Value::Null, |(_, v)| v.clone())
+}
+
+/// A program together with everything about *how* to run it that depends
+/// on the program alone — decided once, when advice is woven, instead of
+/// once per event: whether it has the factorized join shape and whether a
+/// multi-invocation batch may run op-major.
+#[derive(Clone, Debug)]
+pub struct RunPlan {
+    code: Arc<AdviceByteCode>,
+    shape: Option<Factorized>,
+    batchable: bool,
+}
+
+impl RunPlan {
+    /// Plans `code`.
+    pub fn new(code: Arc<AdviceByteCode>) -> RunPlan {
+        RunPlan {
+            shape: factorized_shape(&code),
+            batchable: code.batchable(),
+            code,
+        }
+    }
+
+    /// The planned program.
+    pub fn code(&self) -> &Arc<AdviceByteCode> {
+        &self.code
+    }
+}
+
 /// The register VM. Holds reusable scratch (register file, tuple buffers,
 /// partial-aggregation state) so steady-state advice execution does not
 /// allocate for the machinery itself — only for the tuples and rows it
@@ -887,20 +957,10 @@ pub struct Vm {
     joined_src: Vec<u32>,
     projected: Vec<Tuple>,
     args: Vec<Value>,
-    /// Partial-aggregation scratch for sinks that opt into
-    /// [`EmitSink::grouped_fold`]: `(group key, rows folded)` in
-    /// first-seen order; group `j`'s accumulators are
-    /// `fold_states[j * aggs..][..aggs]`.
-    fold: Vec<(Tuple, u64)>,
+    /// The factorized join's one partial accumulator set.
     fold_states: Vec<AggState>,
     ops: u64,
 }
-
-/// Cap on distinct groups held in the partial-aggregation scratch before
-/// it flushes to the sink mid-run. Bounds the linear key scan under a
-/// group-key explosion; a key recurring across windows simply reaches the
-/// sink once per window and is merged there.
-const FOLD_WINDOW: usize = 64;
 
 /// Expression evaluation failed; the affected tuple is dropped (advice
 /// safety: errors never propagate to the carrying request).
@@ -939,9 +999,62 @@ impl Vm {
         self.run_batch(code, &[exports], baggage, sink)
     }
 
-    /// Executes `code` once per invocation in `batch` against the same
-    /// baggage and sink, returning the summed stats: the VM's one
-    /// execution loop.
+    /// Executes `code` once per named export list in `batch` against the
+    /// same baggage and sink, returning the summed stats. The named-slice
+    /// entry: what [`RunPlan`] would hold is derived here, per call.
+    pub fn run_batch(
+        &mut self,
+        code: &AdviceByteCode,
+        batch: &[&[(&str, Value)]],
+        baggage: &mut Baggage,
+        sink: &mut impl EmitSink,
+    ) -> VmStats {
+        let batchable = batch.len() <= 1 || code.batchable();
+        let shape = factorized_shape(code);
+        self.exec(code, shape.as_ref(), batchable, batch, baggage, sink)
+    }
+
+    /// Executes a planned program once per invocation in `batch`: the
+    /// entry for callers that wove the advice and kept its [`RunPlan`].
+    pub fn run_planned(
+        &mut self,
+        plan: &RunPlan,
+        batch: &(impl Exports + ?Sized),
+        baggage: &mut Baggage,
+        sink: &mut impl EmitSink,
+    ) -> VmStats {
+        let (code, shape) = (&*plan.code, plan.shape.as_ref());
+        self.exec(code, shape, plan.batchable, batch, baggage, sink)
+    }
+
+    /// Both entries' common body. A batch of one is sound for every
+    /// program — there is no second invocation to reorder against — and a
+    /// program that is not [`AdviceByteCode::batchable`] runs a longer
+    /// batch as that many batches of one, in order.
+    fn exec<X: Exports + ?Sized>(
+        &mut self,
+        code: &AdviceByteCode,
+        shape: Option<&Factorized>,
+        batchable: bool,
+        batch: &X,
+        baggage: &mut Baggage,
+        sink: &mut impl EmitSink,
+    ) -> VmStats {
+        let n = batch.invocations();
+        if n <= 1 || batchable {
+            return self.exec_ops(code, shape, batch, baggage, sink);
+        }
+        let mut stats = VmStats::default();
+        for i in 0..n {
+            let s = self.exec_ops(code, shape, &One(batch, i), baggage, sink);
+            stats.unpacked += s.unpacked;
+            stats.packed += s.packed;
+            stats.emitted += s.emitted;
+        }
+        stats
+    }
+
+    /// The VM's one execution loop.
     ///
     /// Execution is *op-major*: one dispatch per instruction drives a
     /// working set holding every invocation's live tuples at once, so
@@ -952,42 +1065,31 @@ impl Vm {
     /// arrival order at retention caps, emit order, per-invocation early
     /// exit, retired-op counts) equal to running the invocations one
     /// after another.
-    ///
-    /// That equality needs [`AdviceByteCode::batchable`] once a batch
-    /// holds more than one invocation; a program that is not batchable
-    /// runs as `batch.len()` batches of one, in order. A batch of one is
-    /// sound for every program — there is no second invocation to
-    /// reorder against.
-    pub fn run_batch(
+    fn exec_ops<X: Exports + ?Sized>(
         &mut self,
         code: &AdviceByteCode,
-        batch: &[&[(&str, Value)]],
+        shape: Option<&Factorized>,
+        batch: &X,
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
         let mut stats = VmStats::default();
-        if batch.len() > 1 && !code.batchable() {
-            for exports in batch {
-                let s = self.run_batch(code, std::slice::from_ref(exports), baggage, sink);
-                stats.unpacked += s.unpacked;
-                stats.packed += s.packed;
-                stats.emitted += s.emitted;
-            }
+        let n = batch.invocations();
+        if n == 0 {
             return stats;
         }
-        if batch.is_empty() {
-            return stats;
+        // Grow-only: an expression writes every register before reading
+        // it and `eval` moves its result out, so what an earlier program
+        // left behind is never observed.
+        if self.regs.len() < code.num_regs as usize {
+            self.regs.resize(code.num_regs as usize, Value::Null);
         }
-        self.regs.clear();
-        self.regs.resize(code.num_regs as usize, Value::Null);
-        if sink.folds_grouped() {
-            if let Some(shape) = factorized_shape(code) {
-                return self.run_factorized(code, &shape, batch, baggage, sink);
-            }
+        if let Some(shape) = shape.filter(|_| sink.folds_grouped()) {
+            return self.run_factorized(code, shape, batch, baggage, sink);
         }
         self.tuples.clear();
         self.src.clear();
-        for i in 0..batch.len() {
+        for i in 0..n {
             self.tuples.push(Tuple::empty());
             self.src.push(i as u32);
         }
@@ -1009,7 +1111,6 @@ impl Vm {
             self.ops += live as u64;
             match inst {
                 Inst::Observe { names } => {
-                    let fields = &code.names[names.0 as usize..names.1 as usize];
                     let mut r = 0usize;
                     while r < self.tuples.len() {
                         let inv = self.src[r];
@@ -1019,7 +1120,7 @@ impl Vm {
                         }
                         // Built once per live invocation, shared by all of
                         // its rows.
-                        let observed = observe(fields, batch[inv as usize]);
+                        let observed = observe(code, *names, batch, inv as usize);
                         if end - r == 1 && self.tuples[r].is_empty() {
                             // First op of almost every program: the seed
                             // tuple takes the observation by move.
@@ -1145,19 +1246,12 @@ impl Vm {
                     // Rows are invocation-major and `batchable` caps a
                     // multi-invocation program at one Emit, so sink
                     // arrival order equals one-at-a-time execution's.
-                    //
-                    // Partial aggregation: when the sink opts in, grouped
-                    // rows fold into scratch accumulators here and each
-                    // distinct group reaches the sink once per window, in
-                    // first-seen order (so a capped sink makes the same
-                    // keep/shed decision per group as under per-row
-                    // delivery). A consecutive run of rows from one join
-                    // usually shares its group, hence the scan from the
-                    // back.
-                    let folding = !spec.streaming && sink.folds_grouped();
-                    let n = spec.aggs.len();
-                    for i in 0..self.tuples.len() {
-                        let t = &self.tuples[i];
+                    // Every row goes straight to the sink: a sink that
+                    // aggregates does so under whatever it already holds
+                    // for the run, with its own index on the group key —
+                    // a scratch fold here would only be a second,
+                    // linearly scanned, copy of that index.
+                    for t in &self.tuples {
                         if !passes_pre(code, *pre, t, &mut self.regs) {
                             continue;
                         }
@@ -1167,44 +1261,16 @@ impl Vm {
                         };
                         if spec.streaming {
                             sink.streaming_row(*query, spec, key);
-                        } else if !folding {
-                            self.args.clear();
-                            for xi in aggs.0..aggs.1 {
-                                let prog = code.exprs[xi as usize];
-                                self.args.push(
-                                    eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null),
-                                );
-                            }
-                            sink.grouped_row(*query, spec, GroupKey(key), &self.args);
-                        } else {
-                            let j = match self.fold.iter().rposition(|(k, _)| *k == key) {
-                                Some(j) => j,
-                                None => {
-                                    if self.fold.len() >= FOLD_WINDOW {
-                                        flush_fold(
-                                            &mut self.fold,
-                                            &mut self.fold_states,
-                                            *query,
-                                            spec,
-                                            sink,
-                                        );
-                                    }
-                                    self.fold_states
-                                        .extend(spec.aggs.iter().map(|(f, _)| f.init()));
-                                    self.fold.push((key, 0));
-                                    self.fold.len() - 1
-                                }
-                            };
-                            self.fold[j].1 += 1;
-                            let states = &mut self.fold_states[j * n..(j + 1) * n];
-                            for (st, xi) in states.iter_mut().zip(aggs.0..aggs.1) {
-                                let prog = code.exprs[xi as usize];
-                                let v = eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null);
-                                st.update(&v);
-                            }
+                            continue;
                         }
+                        self.args.clear();
+                        for xi in aggs.0..aggs.1 {
+                            let prog = code.exprs[xi as usize];
+                            self.args
+                                .push(eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null));
+                        }
+                        sink.grouped_row(*query, spec, GroupKey(key), &self.args);
                     }
-                    flush_fold(&mut self.fold, &mut self.fold_states, *query, spec, sink);
                 }
             }
             if self.tuples.is_empty() {
@@ -1235,14 +1301,18 @@ impl Vm {
     /// Group delivery is in unpacked-tuple order, which is the generic
     /// loop's first-seen group order, so capped sinks shed the same
     /// groups; stats and retired-op counts equal the generic loop's.
-    fn run_factorized(
+    fn run_factorized<X: Exports + ?Sized>(
         &mut self,
         code: &AdviceByteCode,
-        shape: &Factorized<'_>,
-        batch: &[&[(&str, Value)]],
+        shape: &Factorized,
+        batch: &X,
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
+        let Some(Inst::Emit { query, spec, .. }) = code.insts.last() else {
+            unreachable!("a factorized shape ends in its program's Emit");
+        };
+        let filters = &code.insts[1..1 + shape.filters];
         let mut stats = VmStats::default();
         let mut view = baggage.unpack_view(shape.slot);
         if let Some(f) = shape.temporal {
@@ -1259,13 +1329,14 @@ impl Vm {
         // filters up to and including its first failing one, then
         // nothing after.
         self.fold_states
-            .extend(shape.spec.aggs.iter().map(|(f, _)| f.init()));
+            .extend(spec.aggs.iter().map(|(f, _)| f.init()));
         let mut filter_retired = 0u64;
         let mut survivors = 0u64;
         let mut contributors = 0u64;
-        'rows: for row in batch {
-            let observed = observe(shape.fields, row);
-            for filter in shape.filters {
+        let n = batch.invocations();
+        'rows: for inv in 0..n {
+            let observed = observe(code, shape.names, batch, inv);
+            for filter in filters {
                 let Inst::Filter { pred } = filter else {
                     continue;
                 };
@@ -1292,7 +1363,7 @@ impl Vm {
         // Every invocation retires Observe; filter survivors retire
         // Unpack; with nothing unpacked the working set then empties and
         // Emit is never reached.
-        self.ops += batch.len() as u64 + filter_retired + survivors;
+        self.ops += n as u64 + filter_retired + survivors;
         stats.unpacked += unpacked.len() * survivors as usize;
         if !unpacked.is_empty() {
             self.ops += survivors;
@@ -1303,20 +1374,14 @@ impl Vm {
             // columns, so a Null-padded prefix stands in for the observed
             // half of the concat layout.
             let pad: Tuple = std::iter::repeat_with(|| Value::Null)
-                .take(shape.fields.len())
+                .take((shape.names.1 - shape.names.0) as usize)
                 .collect();
             for u in unpacked {
                 let padded = pad.concat(u);
                 let Ok(key) = project(code, shape.keys, &padded, &mut self.regs) else {
                     continue;
                 };
-                sink.grouped_fold(
-                    shape.query,
-                    shape.spec,
-                    GroupKey(key),
-                    &self.fold_states,
-                    contributors,
-                );
+                sink.grouped_fold(*query, spec, GroupKey(key), &self.fold_states, contributors);
             }
         }
         self.fold_states.clear();
@@ -1324,46 +1389,29 @@ impl Vm {
     }
 }
 
-/// Hands every group in the partial-aggregation scratch to the sink, in
-/// first-seen order, and empties it.
-fn flush_fold(
-    fold: &mut Vec<(Tuple, u64)>,
-    states: &mut Vec<AggState>,
-    query: QueryId,
-    spec: &Arc<OutputSpec>,
-    sink: &mut impl EmitSink,
-) {
-    let n = spec.aggs.len();
-    for (j, (key, rows)) in fold.drain(..).enumerate() {
-        let partial = &states[j * n..(j + 1) * n];
-        sink.grouped_fold(query, spec, GroupKey(key), partial, rows);
-    }
-    states.clear();
-}
-
-/// The parts of a program in the canonical join-aggregation shape —
-/// `[Observe, Filter*, Unpack, Emit{grouped}]` where every group-key
+/// Where the parts of a program in the canonical join-aggregation shape
+/// sit — `[Observe, Filter*, Unpack, Emit{grouped}]` where every group-key
 /// column reads the unpacked side and every aggregate argument and fused
-/// pre-predicate reads the observed side.
-struct Factorized<'a> {
-    fields: &'a [Sym],
-    /// The `Filter` run between `Observe` and `Unpack`. Lowering resolved
-    /// these against the observed schema alone.
-    filters: &'a [Inst],
+/// pre-predicate reads the observed side. Indices and copies only, so a
+/// [`RunPlan`] can keep it beside the code it was derived from.
+#[derive(Clone, Copy, Debug)]
+struct Factorized {
+    /// The `Observe`'s range in the name pool.
+    names: PoolRange,
+    /// Length of the `Filter` run between `Observe` and `Unpack`.
+    /// Lowering resolved these against the observed schema alone.
+    filters: usize,
     slot: QueryId,
-    temporal: &'a Option<TemporalFilter>,
-    query: QueryId,
-    spec: &'a Arc<OutputSpec>,
+    temporal: Option<TemporalFilter>,
     pre: PoolRange,
     keys: PoolRange,
     aggs: PoolRange,
 }
 
 /// Recognizes the shape [`Vm::run_factorized`] executes; `None` leaves
-/// the program to the generic loop. A few slice patterns and one pass
-/// over the Emit's expressions, with no allocation, so it is simply
-/// re-derived per run.
-fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized<'_>> {
+/// the program to the generic loop. Called when a [`RunPlan`] is built
+/// and by the named-slice entry, which has no plan to keep it in.
+fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized> {
     let (Inst::Observe { names }, rest) = code.insts.split_first()? else {
         return None;
     };
@@ -1371,14 +1419,13 @@ fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized<'_>> {
         .iter()
         .take_while(|i| matches!(i, Inst::Filter { .. }))
         .count();
-    let (filters, rest) = rest.split_at(filters);
     let [Inst::Unpack { slot, temporal, .. }, Inst::Emit {
-        query,
         spec,
         pre,
         keys,
         aggs,
-    }] = rest
+        ..
+    }] = &rest[filters..]
     else {
         return None;
     };
@@ -1399,31 +1446,26 @@ fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized<'_>> {
     };
     let qualifies = reads_only(*pre, true) && reads_only(*keys, false) && reads_only(*aggs, true);
     qualifies.then_some(Factorized {
-        fields: &code.names[names.0 as usize..names.1 as usize],
+        names: *names,
         filters,
         slot: *slot,
-        temporal,
-        query: *query,
-        spec,
+        temporal: *temporal,
         pre: *pre,
         keys: *keys,
         aggs: *aggs,
     })
 }
 
-/// The tuple one invocation's `Observe` appends: each of `fields` looked
-/// up by name in the invocation's `exports` (first match wins), absent
-/// exports observing `Null`.
-fn observe(fields: &[Sym], exports: &[(&str, Value)]) -> Tuple {
-    fields
-        .iter()
-        .map(|f| {
-            exports
-                .iter()
-                .find(|(name, _)| *name == f.as_str())
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Null)
-        })
+/// The tuple invocation `inv`'s `Observe` appends: each name in the pool
+/// range `names`, asked of the batch's column source.
+fn observe<X: Exports + ?Sized>(
+    code: &AdviceByteCode,
+    names: PoolRange,
+    batch: &X,
+    inv: usize,
+) -> Tuple {
+    (names.0 as usize..names.1 as usize)
+        .map(|col| batch.get(inv, col, code.names[col].as_str()))
         .collect()
 }
 
@@ -1879,7 +1921,7 @@ mod tests {
 
     /// Folding twin of [`assert_batch_matches_one_at_a_time`]: both runs'
     /// sinks accept [`EmitSink::grouped_fold`] (exercising the factorized
-    /// join and the generic loop's fold when the program qualifies), and
+    /// join when the program qualifies, per-row delivery otherwise), and
     /// the final per-group accumulators — in first-seen group order —
     /// plus row counts, stats, op metering, and baggage must all match.
     fn assert_batch_matches_one_at_a_time_folding(
@@ -1976,7 +2018,7 @@ mod tests {
     #[test]
     fn factorized_bails_on_observed_side_keys() {
         // GroupBy over an *observed* column: the factorization condition
-        // fails and the generic loop's fold must still match.
+        // fails and the generic loop's per-row delivery must still match.
         let slot = QueryId(300);
         let program = AdviceProgram {
             tracepoints: vec!["DataNodeMetrics.incrBytesRead".into()],
