@@ -217,7 +217,7 @@ fn sim_summary(seeds: u64) -> SimSummary {
         s.duplicated += out.chaos.reports.duplicated;
         s.delayed += out.chaos.reports.delayed;
         s.crashes += out.crashes;
-        s.books += out.books;
+        s.books += &out.books;
         s.balanced &= out.books.balance().is_ok();
     }
     s

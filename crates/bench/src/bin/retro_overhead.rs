@@ -28,7 +28,7 @@
 //! ```
 //!
 //! `--enforce` exits non-zero unless both gates hold: ring recording adds
-//! at most 5% (plus a small absolute grace) to the woven invoke path, and
+//! at most one record's price (an absolute bound) to the woven invoke path, and
 //! with retro *off* — the default — an unwoven tracepoint stays inside
 //! the inactive-tracepoint budget, i.e. the hindsight machinery costs ~0
 //! until an operator turns it on. The `unwoven_retro_on` row is reported
@@ -46,12 +46,13 @@ use pivot_live::service::define_kv_tracepoints;
 use pivot_model::Value;
 use pivot_query::CompiledCode;
 
-/// Gate 1: woven retro-on mean cost <= retro-off mean × this …
-const GATE_WOVEN_RATIO: f64 = 1.05;
-/// … plus this absolute grace (one ring record is tens of nanoseconds;
-/// a pure ratio on a sub-microsecond op punishes fast baselines with
-/// what is really timer and scheduler noise).
-const GATE_WOVEN_GRACE_NS: f64 = 40.0;
+/// Gate 1: woven retro-on mean cost <= retro-off mean + this. One ring
+/// record costs ≈80-90 ns whatever is woven, so the bound is on the
+/// record, not on a ratio to the invoke it rides on: this is what the
+/// former "5 % + 40 ns" allowed at the ≈1280 ns five-query invoke it was
+/// set against (64 + 40), kept now that the invoke costs ≈520 ns and 5 %
+/// of it no longer covers an unchanged record.
+const GATE_WOVEN_RECORD_NS: f64 = 105.0;
 /// Gate 2: unwoven invoke with retro off (the default) stays inside the
 /// inactive-tracepoint budget — the same 50 ns ceiling the live-overhead
 /// bench enforces, now with the retro gate check on the path.
@@ -131,7 +132,7 @@ fn main() {
         },
     ];
 
-    let gate_woven = woven_on <= woven_off * GATE_WOVEN_RATIO + GATE_WOVEN_GRACE_NS;
+    let gate_woven = woven_on - woven_off <= GATE_WOVEN_RECORD_NS;
     let gate_unwoven_off = unwoven_off <= GATE_UNWOVEN_OFF_NS;
     let gate_ok = gate_woven && gate_unwoven_off;
 
@@ -151,9 +152,9 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!(
-        "\nwoven recording overhead: {:.1}% (gate <= {:.0}% + {GATE_WOVEN_GRACE_NS}ns grace: {})",
+        "\nwoven recording overhead: {:.1} ns, {:.1}% (gate <= {GATE_WOVEN_RECORD_NS} ns: {})",
+        woven_on - woven_off,
         (woven_on / woven_off - 1.0) * 100.0,
-        (GATE_WOVEN_RATIO - 1.0) * 100.0,
         if gate_woven { "PASS" } else { "FAIL" }
     );
     println!(
@@ -208,9 +209,8 @@ fn render_json(
     s.push_str(&format!("  \"threads\": {threads},\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"unix_nanos\": {},\n", pivot_live::now_nanos()));
-    s.push_str(&format!("  \"gate_woven_ratio\": {GATE_WOVEN_RATIO},\n"));
     s.push_str(&format!(
-        "  \"gate_woven_grace_ns\": {GATE_WOVEN_GRACE_NS},\n"
+        "  \"gate_woven_record_ns\": {GATE_WOVEN_RECORD_NS},\n"
     ));
     s.push_str(&format!(
         "  \"gate_unwoven_off_ns\": {GATE_UNWOVEN_OFF_NS},\n"

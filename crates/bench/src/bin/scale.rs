@@ -194,7 +194,7 @@ fn run_on<B: Bus>(
     let loss = fe.results(handle).loss();
     let mut books = Ledger::from(loss);
     for agent in agents {
-        books += Ledger::of_agent(agent, &[handle.id]);
+        books += &Ledger::of_agent(agent, &[handle.id]);
     }
     assert_eq!(
         books.balance(),

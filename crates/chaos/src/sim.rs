@@ -178,8 +178,8 @@ impl Stage {
             self.crashes += 1;
             last_words(&self.shard);
             let (tuples, retro) = Ledger::bury(&self.shard, &self.queries, now);
-            self.books += tuples;
-            self.retro_books += retro;
+            self.books += &tuples;
+            self.retro_books += &retro;
             self.chaos.inner_mut().unregister(&self.shard);
             let fresh = Arc::new(Agent::new(shard_info()));
             (self.tune)(&fresh);
@@ -200,21 +200,21 @@ impl Stage {
         self.chaos
             .settle_into((requests + 2) * STEP_NS, &mut self.fe);
         for agent in [&self.shard, &self.client] {
-            self.books += Ledger::of_agent(agent, &self.queries);
-            self.retro_books += Ledger::from(agent.retro_seal());
+            self.books += &Ledger::of_agent(agent, &self.queries);
+            self.retro_books += &Ledger::from(agent.retro_seal());
         }
         let stats = self.chaos.stats();
-        self.books += Ledger::from(stats.reports);
-        self.retro_books += Ledger::from(stats.retro);
+        self.books += &Ledger::from(stats.reports);
+        self.retro_books += &Ledger::from(stats.retro);
         let loss: Vec<LossStats> = self
             .handles
             .iter()
             .map(|h| self.fe.results(h).loss())
             .collect();
         for l in &loss {
-            self.books += Ledger::from(*l);
+            self.books += &Ledger::from(*l);
         }
-        self.retro_books += Ledger::from(self.fe.retro_loss());
+        self.retro_books += &Ledger::from(self.fe.retro_loss());
         (loss, stats)
     }
 }

@@ -16,13 +16,16 @@
 //! slot) and runs each program through a thread-local [`Vm`] whose
 //! scratch persists across invocations. No export set is assembled: the
 //! VM asks for the columns a program observes and gets the agent's
-//! default exports or the caller's, by position. Emitted rows go straight
-//! into the aggregation buffers through an [`EmitSink`] under one lock per
-//! invocation. A woven event therefore allocates only for the data it
-//! actually produces — a new group's accumulators, a packed tuple's
-//! retirement — which `tests/invoke_allocs.rs` pins at zero for the five
-//! queries of the benchmark's `svc_5q_retro` shard site.
+//! default exports or the caller's, by position and by reference.
+//! Emitted rows go straight into the aggregation buffers through an
+//! [`EmitSink`] under one lock per invocation; a grouped row's key is
+//! read where the caller keeps it and cloned only when its group is
+//! born. A woven event therefore allocates only for the data it actually
+//! produces — a new group's accumulators, a packed tuple's retirement —
+//! which `tests/invoke_allocs.rs` pins at zero for the five queries of
+//! the benchmark's `svc_5q_retro` shard site.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +33,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use pivot_baggage::{Baggage, QueryId};
-use pivot_model::{colblock, intern, AggState, EncodedBlock, GroupKey, Tuple, Value};
+use pivot_model::value::NULL;
+use pivot_model::{colblock, intern, AggState, Cols, EncodedBlock, GroupKey, Tuple, Value};
 use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, Exports, OutputSpec, Vm};
 
 use crate::bus::{Command, Report, ReportRows};
@@ -134,8 +138,8 @@ impl Buffer {
         }
     }
 
-    /// Counts `rows` emitted rows of group `key` and returns the
-    /// accumulators they fold into, or `None` when the row cap sheds them.
+    /// Counts `rows` emitted rows of group `key` and hands `fold` the
+    /// accumulators they fold into, unless the row cap sheds them.
     ///
     /// Grouped buffers shed by refusing *new* groups past the cap (a
     /// group-key explosion); updates to existing groups fold into
@@ -143,23 +147,31 @@ impl Buffer {
     /// is decided as a whole — every row of a refused new group is shed —
     /// which is what row-by-row delivery does too, since groups arrive in
     /// first-seen order either way.
-    fn group(&mut self, key: GroupKey, rows: u64, row_cap: usize) -> Option<&mut Vec<AggState>> {
+    ///
+    /// One probe with the key as the VM reads it; the key is cloned into
+    /// the map only when its group is born.
+    fn group(
+        &mut self,
+        key: &dyn Cols,
+        rows: u64,
+        row_cap: usize,
+        fold: impl FnOnce(&mut [AggState]),
+    ) {
         let Rows::Grouped(groups) = &mut self.rows else {
-            return None;
+            return;
         };
         self.emitted_cum += rows;
-        if groups.len() >= row_cap && !groups.contains_key(&key) {
+        if let Some(states) = groups.get_mut(key) {
+            fold(states);
+        } else if groups.len() >= row_cap {
             self.shed_cum += rows;
             self.dirty = true;
-            return None;
+            return;
+        } else {
+            let fresh = self.spec.aggs.iter().map(|(f, _)| f.init()).collect();
+            fold(groups.entry(GroupKey(key.to_tuple())).or_insert(fresh));
         }
         self.tuples_since_flush += rows;
-        let spec = &self.spec;
-        Some(
-            groups
-                .entry(key)
-                .or_insert_with(|| spec.aggs.iter().map(|(f, _)| f.init()).collect()),
-        )
     }
 }
 
@@ -356,15 +368,15 @@ impl EmitSink for AgentSink<'_> {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
-        args: &[Value],
+        key: &dyn Cols,
+        args: &dyn Cols,
     ) {
         let row_cap = self.row_cap;
-        if let Some(states) = self.buf(query, spec).group(key, 1, row_cap) {
-            for (st, arg) in states.iter_mut().zip(args) {
-                st.update(arg);
+        self.buf(query, spec).group(key, 1, row_cap, |states| {
+            for (st, i) in states.iter_mut().zip(0..args.width()) {
+                st.update(&args.col(i));
             }
-        }
+        });
     }
 
     fn folds_grouped(&self) -> bool {
@@ -384,16 +396,16 @@ impl EmitSink for AgentSink<'_> {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
+        key: &dyn Cols,
         states: &[AggState],
         rows: u64,
     ) {
         let row_cap = self.row_cap;
-        if let Some(into) = self.buf(query, spec).group(key, rows, row_cap) {
+        self.buf(query, spec).group(key, rows, row_cap, |into| {
             for (st, partial) in into.iter_mut().zip(states) {
                 st.merge(partial);
             }
-        }
+        });
     }
 }
 
@@ -415,21 +427,19 @@ impl Exports for SiteExports<'_> {
         self.events.len()
     }
 
-    fn get(&self, inv: usize, col: usize, name: &str) -> Value {
+    fn get(&self, inv: usize, col: usize, name: &str) -> Cow<'_, Value> {
         let (now, exports) = self.events[inv];
-        match self.program.cols[col] {
-            Col::Host => self.agent.host_value.clone(),
-            Col::Timestamp => Value::U64(now),
-            Col::Procid => Value::U64(self.agent.info.procid),
-            Col::Procname => self.agent.procname_value.clone(),
-            Col::Tracepoint => self.site.name.clone(),
+        Cow::Borrowed(match self.program.cols[col] {
+            Col::Host => &self.agent.host_value,
+            Col::Timestamp => return Cow::Owned(Value::U64(now)),
+            Col::Procid => return Cow::Owned(Value::U64(self.agent.info.procid)),
+            Col::Procname => &self.agent.procname_value,
+            Col::Tracepoint => &self.site.name,
             Col::Caller => match self.pos {
-                Some(pos) => exports
-                    .get(pos[col])
-                    .map_or(Value::Null, |(_, v)| v.clone()),
+                Some(pos) => exports.get(pos[col]).map_or(&NULL, |(_, v)| v),
                 None => pivot_query::bytecode::lookup(exports, name),
             },
-        }
+        })
     }
 }
 
@@ -915,7 +925,35 @@ impl Agent {
         now: u64,
         exports: &[(&str, Value)],
     ) {
-        self.invoke_batch(tracepoint, baggage, &[(now, exports)]);
+        self.invoke_at(tracepoint, baggage, || now, exports);
+    }
+
+    /// [`Agent::invoke`] for a caller whose clock costs something to read:
+    /// `clock` is called — once — only when this event has a use for the
+    /// time, which is when hindsight records it, a governor's window is
+    /// charged, or advice woven here observes `timestamp`. An unwoven
+    /// tracepoint, or one whose programs never look at the time, leaves
+    /// the clock alone.
+    pub fn invoke_at(
+        &self,
+        tracepoint: &str,
+        baggage: &mut Baggage,
+        clock: impl FnOnce() -> u64,
+        exports: &[(&str, Value)],
+    ) {
+        let Some((site, governed, retro)) = self.enter(tracepoint) else {
+            return;
+        };
+        let timed = retro || site.as_deref().is_some_and(|s| governed || s.stamped);
+        let now = if timed { clock() } else { 0 };
+        self.run(
+            tracepoint,
+            site,
+            governed,
+            retro,
+            baggage,
+            &[(now, exports)],
+        );
     }
 
     /// Invokes `tracepoint` once per `(now, exports)` event in `events`,
@@ -931,26 +969,50 @@ impl Agent {
     /// event per record). Governed queries receive one summed charge per
     /// batch, stamped at the last event's time, so a breaker can trip at
     /// batch granularity rather than mid-batch.
-    ///
-    /// In order: the enabled gate; one registry lookup for the site's
-    /// plan; the hindsight record of every event — woven or not, so a
-    /// later trigger can reconstruct the full stream (one relaxed load
-    /// when retro is off); then, where advice is woven, each program over
-    /// the batch, the governor charges, the unweave of what tripped, the
-    /// hindsight triggers and the counters.
     pub fn invoke_batch(
         &self,
         tracepoint: &str,
         baggage: &mut Baggage,
         events: &[(u64, &[(&str, Value)])],
     ) {
+        if events.is_empty() {
+            return;
+        }
+        if let Some((site, governed, retro)) = self.enter(tracepoint) {
+            self.run(tracepoint, site, governed, retro, baggage, events);
+        }
+    }
+
+    /// The enabled gate, then what decides the rest of an event, each read
+    /// once: the site's plan (one registry lookup), whether some governor
+    /// meters the run, whether hindsight is recording.
+    fn enter(&self, tracepoint: &str) -> Option<(Option<Arc<SitePlan>>, bool, bool)> {
+        self.enabled.load(Ordering::Relaxed).then(|| {
+            (
+                self.registry.lookup(tracepoint),
+                self.governed.load(Ordering::Relaxed),
+                self.retro_enabled.load(Ordering::Relaxed),
+            )
+        })
+    }
+
+    /// What every entry does with its (non-empty) events once it is in.
+    /// In order: the hindsight record of every event — woven or not, so a
+    /// later trigger can reconstruct the full stream; then, where advice
+    /// is woven, each program over the batch, the governor charges, the
+    /// unweave of what tripped, the hindsight triggers and the counters.
+    fn run(
+        &self,
+        tracepoint: &str,
+        site: Option<Arc<SitePlan>>,
+        governed: bool,
+        retro: bool,
+        baggage: &mut Baggage,
+        events: &[(u64, &[(&str, Value)])],
+    ) {
         let (Some(&(_, first)), Some(&(now, _))) = (events.first(), events.last()) else {
             return;
         };
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let site = self.registry.lookup(tracepoint);
         // The first event under a plan teaches it the caller's export
         // list; one check per later event then stands in for a name
         // search per observed column.
@@ -963,7 +1025,7 @@ impl Agent {
             let known = |(_, e): &(u64, &[(&str, Value)])| names_match(&layout.names, e);
             events.iter().all(known).then_some(layout)
         });
-        let retro = self.retro_enabled.load(Ordering::Relaxed).then(|| {
+        let retro = retro.then(|| {
             let request = trace_of(baggage).unwrap_or(0);
             let mut ring = self.retro.lock();
             for (time, exports) in events {
@@ -982,7 +1044,6 @@ impl Agent {
             return;
         };
 
-        let governed = self.governed.load(Ordering::Relaxed);
         let mut sink = AgentSink {
             queries: &self.queries,
             // Governed: the lock is held across the VM loop, which charges

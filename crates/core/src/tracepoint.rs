@@ -140,14 +140,19 @@ pub(crate) struct SitePlan {
     pub name: Value,
     /// The advice woven here, in weave order.
     pub programs: Vec<Planned>,
+    /// Some program here observes `timestamp`: an event needs the time
+    /// even when nothing else (governor, hindsight) asks for it.
+    pub stamped: bool,
     /// Set by the first event to arrive under this plan.
     pub layout: OnceLock<Layout>,
 }
 
 impl SitePlan {
     fn new(name: Value, programs: Vec<Planned>) -> SitePlan {
+        let stamps = |p: &Planned| p.cols.iter().any(|c| matches!(c, Col::Timestamp));
         SitePlan {
             name,
+            stamped: programs.iter().any(stamps),
             programs,
             layout: OnceLock::new(),
         }

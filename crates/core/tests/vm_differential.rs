@@ -27,10 +27,10 @@ use std::sync::Arc;
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_core::Frontend;
 use pivot_model::AggState;
-use pivot_model::{AggFunc, BinOp, Expr, GroupKey, Schema, Tuple, UnOp, Value};
+use pivot_model::{AggFunc, BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
 use pivot_query::advice::{AdviceOp, AdviceProgram, ColumnRef, OutputSpec};
 use pivot_query::bytecode::lower_program;
-use pivot_query::{CollectSink, EmitSink, TemporalFilter, Vm};
+use pivot_query::{CollectSink, EmitSink, Vm};
 
 use proptest::prelude::*;
 
@@ -38,175 +38,9 @@ use proptest::prelude::*;
 mod interp;
 use interp::EmitRows;
 
-/// Uniform choice from a fixed list (the vendored proptest shim has no
-/// `prop::sample`).
-fn select<T: Clone + std::fmt::Debug + 'static>(items: Vec<T>) -> BoxedStrategy<T> {
-    let n = items.len();
-    (0..n).prop_map(move |i| items[i].clone()).boxed()
-}
-
-/// Field names used in generated expressions: a mix of resolvable,
-/// suffix-matching, ambiguous, and unknown references.
-const FIELD_NAMES: [&str; 8] = ["x.a", "x.b", "x.c", "a", "b", "c", "x.zz", "nope"];
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        (0i64..5).prop_map(Value::I64),
-        (0u64..5).prop_map(Value::U64),
-        prop::bool::ANY.prop_map(Value::Bool),
-        select(vec!["s", "t"]).prop_map(Value::str),
-        Just(Value::Null),
-    ]
-}
-
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        select(FIELD_NAMES.to_vec()).prop_map(Expr::field),
-        value_strategy().prop_map(Expr::Lit),
-    ];
-    leaf.prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            (prop::bool::ANY, inner.clone()).prop_map(|(neg, e)| Expr::Unary(
-                if neg { UnOp::Neg } else { UnOp::Not },
-                Box::new(e)
-            )),
-            (
-                select(vec![
-                    BinOp::Add,
-                    BinOp::Sub,
-                    BinOp::Mul,
-                    BinOp::Div,
-                    BinOp::Eq,
-                    BinOp::Ne,
-                    BinOp::Lt,
-                    BinOp::Gt,
-                    BinOp::And,
-                    BinOp::Or,
-                ]),
-                inner.clone(),
-                inner
-            )
-                .prop_map(|(op, a, b)| Expr::Binary(op, Box::new(a), Box::new(b))),
-        ]
-    })
-}
-
-fn agg_strategy() -> impl Strategy<Value = AggFunc> {
-    select(vec![
-        AggFunc::Count,
-        AggFunc::Sum,
-        AggFunc::Min,
-        AggFunc::Max,
-        AggFunc::Average,
-    ])
-}
-
-fn temporal_strategy() -> impl Strategy<Value = Option<TemporalFilter>> {
-    prop_oneof![
-        Just(None),
-        (1usize..3).prop_map(|n| Some(TemporalFilter::First(n))),
-        (1usize..3).prop_map(|n| Some(TemporalFilter::MostRecent(n))),
-    ]
-}
-
-fn op_strategy() -> impl Strategy<Value = AdviceOp> {
-    prop_oneof![
-        // Observe under alias `x` or `y`; `zz` exports Null.
-        (
-            select(vec!["x", "y"]),
-            prop::collection::vec(select(vec!["a", "b", "c", "zz"]), 0..4)
-        )
-            .prop_map(|(alias, fields)| AdviceOp::Observe {
-                alias: alias.to_owned(),
-                fields: fields.into_iter().map(str::to_owned).collect(),
-            }),
-        // Unpack the seeded slot (100) or a possibly-written slot (200).
-        (select(vec![100u64, 200]), (1usize..3), temporal_strategy()).prop_map(
-            |(slot, width, post_filter)| AdviceOp::Unpack {
-                slot: QueryId(slot),
-                schema: Schema::new((0..width).map(|i| format!("u{i}"))),
-                post_filter,
-            }
-        ),
-        expr_strategy().prop_map(|pred| AdviceOp::Filter { pred }),
-        (
-            prop::collection::vec(expr_strategy(), 1..3),
-            0usize..4,
-            1usize..3,
-            0usize..3,
-            prop::collection::vec(agg_strategy(), 0..3),
-        )
-            .prop_map(|(exprs, mode_sel, n, key_seed, aggs)| {
-                let width = exprs.len();
-                let mode = match mode_sel {
-                    0 => PackMode::All,
-                    1 => PackMode::First(n),
-                    2 => PackMode::Recent(n),
-                    _ => {
-                        // A well-formed grouped pack covers every column:
-                        // key_len keys + one aggregator per value column.
-                        let key_len = key_seed.min(width);
-                        let mut aggs: Vec<AggFunc> =
-                            aggs.into_iter().take(width - key_len).collect();
-                        while aggs.len() < width - key_len {
-                            aggs.push(AggFunc::Count);
-                        }
-                        PackMode::GroupAgg { key_len, aggs }
-                    }
-                };
-                let names = (0..exprs.len()).map(|i| format!("p{i}")).collect();
-                AdviceOp::Pack {
-                    slot: QueryId(200),
-                    mode,
-                    exprs,
-                    names,
-                }
-            }),
-        // Trigger with an optional (possibly ill-typed) predicate: the
-        // fire-at-most-once-per-invocation rule must match between
-        // engines even when the predicate errors on some tuples.
-        prop_oneof![Just(None), expr_strategy().prop_map(Some)].prop_map(|pred| {
-            AdviceOp::Trigger {
-                query: QueryId(7),
-                pred,
-            }
-        }),
-        (
-            prop::collection::vec(expr_strategy(), 0..3),
-            prop::collection::vec((agg_strategy(), expr_strategy()), 0..3)
-        )
-            .prop_map(|(keys, aggs)| {
-                let columns = (0..keys.len())
-                    .map(ColumnRef::Key)
-                    .chain((0..aggs.len()).map(ColumnRef::Agg))
-                    .collect();
-                let spec = OutputSpec {
-                    key_names: (0..keys.len()).map(|i| format!("k{i}")).collect(),
-                    agg_names: (0..aggs.len()).map(|i| format!("g{i}")).collect(),
-                    streaming: aggs.is_empty(),
-                    key_exprs: keys,
-                    aggs,
-                    columns,
-                    ..OutputSpec::default()
-                };
-                AdviceOp::Emit {
-                    query: QueryId(7),
-                    spec: Arc::new(spec),
-                }
-            }),
-    ]
-}
-
-/// Exports visible at the fuzzed tracepoint (`zz` deliberately absent).
-fn exports_strategy() -> impl Strategy<Value = Vec<(&'static str, Value)>> {
-    (value_strategy(), value_strategy(), value_strategy())
-        .prop_map(|(a, b, c)| vec![("a", a), ("b", b), ("c", c)])
-}
-
-/// Pre-seeded baggage contents for slot 100.
-fn seed_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
-    prop::collection::vec(prop::collection::vec(value_strategy(), 1..3), 0..4)
-}
+#[path = "support/programs.rs"]
+mod programs;
+use programs::*;
 
 /// Runs both engines on identical inputs and asserts identical rows,
 /// stats, and baggage.
@@ -295,8 +129,9 @@ impl FoldSink {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
+        key: &dyn Cols,
     ) -> &mut (QueryId, GroupKey, Vec<AggState>, u64) {
+        let key = GroupKey(key.to_tuple());
         if let Some(i) = self
             .groups
             .iter()
@@ -332,13 +167,13 @@ impl EmitSink for FoldSink {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
-        args: &[Value],
+        key: &dyn Cols,
+        args: &dyn Cols,
     ) {
         let (_, _, states, rows) = self.slot(query, spec, key);
         *rows += 1;
-        for (st, arg) in states.iter_mut().zip(args) {
-            st.update(arg);
+        for (st, i) in states.iter_mut().zip(0..args.width()) {
+            st.update(&args.col(i));
         }
     }
     fn folds_grouped(&self) -> bool {
@@ -348,7 +183,7 @@ impl EmitSink for FoldSink {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
+        key: &dyn Cols,
         partial: &[AggState],
         rows: u64,
     ) {
@@ -619,7 +454,7 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
     // The reference rows, folded the way a per-row sink would fold them.
     let mut tree_fold = FoldSink::default();
     for (q, key, args) in &tree_grouped {
-        tree_fold.grouped_row(*q, &code.output, key.clone(), args);
+        tree_fold.grouped_row(*q, &code.output, &key.0, &Tuple::new(args.clone()));
     }
     prop_assert_eq!(
         &sink_fold.raw,
@@ -845,7 +680,7 @@ fn fold_emits(into: &mut FoldSink, emits: &[interp::Emitted]) {
             EmitRows::Raw(rows) => into.raw.extend(rows.into_iter().map(|t| (e.query, t))),
             EmitRows::Grouped(rows) => {
                 for (k, a) in rows {
-                    into.grouped_row(e.query, &e.spec, k, &a);
+                    into.grouped_row(e.query, &e.spec, &k.0, &Tuple::new(a));
                 }
             }
         }
@@ -987,38 +822,6 @@ fn check_program_through_an_agent(
     }
     Ok(())
 }
-
-/// The paper's Q1–Q7 (`examples/queries/`) and a streaming filter, over
-/// the Hadoop tracepoints they name.
-const PAPER_QUERIES: [&str; 8] = [
-    "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host \
-     Select incr.host, SUM(incr.delta)",
-    "From incr In DataNodeMetrics.incrBytesRead \
-     Join cl In First(ClientProtocols) On cl -> incr \
-     GroupBy cl.procName Select cl.procName, SUM(incr.delta)",
-    "From dnop In DN.DataTransferProtocol GroupBy dnop.host Select dnop.host, COUNT",
-    "From getloc In NN.GetBlockLocations Join st In StressTest.DoNextOp On st -> getloc \
-     GroupBy st.host, getloc.src Select st.host, getloc.src, COUNT",
-    "From getloc In NN.GetBlockLocations Join st In StressTest.DoNextOp On st -> getloc \
-     GroupBy st.host, getloc.replicas Select st.host, getloc.replicas, COUNT",
-    "From DNop In DN.DataTransferProtocol Join st In StressTest.DoNextOp On st -> DNop \
-     GroupBy st.host, DNop.host Select st.host, DNop.host, COUNT",
-    "From DNop In DN.DataTransferProtocol \
-     Join getloc In NN.GetBlockLocations On getloc -> DNop \
-     Join st In StressTest.DoNextOp On st -> getloc \
-     Where st.host != DNop.host \
-     GroupBy DNop.host, getloc.replicas Select DNop.host, getloc.replicas, COUNT",
-    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 1 \
-     Select incr.delta, incr.procname, incr.tracepoint",
-];
-
-const PAPER_TRACEPOINTS: [(&str, &[&str]); 5] = [
-    ("ClientProtocols", &["procName"]),
-    ("StressTest.DoNextOp", &["op"]),
-    ("NN.GetBlockLocations", &["src", "replicas", "lockNanos"]),
-    ("DN.DataTransferProtocol", &["op", "size"]),
-    ("DataNodeMetrics.incrBytesRead", &["delta"]),
-];
 
 /// One step of a paper-query run.
 #[derive(Clone, Debug)]
@@ -1302,4 +1105,457 @@ proptest! {
     ) {
         check_paper_queries_through_an_agent(&steps)?;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Borrowed ≡ owned ≡ oracle, on the edges of the borrowed-row design.
+// ---------------------------------------------------------------------------
+//
+// The VM reads observed columns where the caller keeps them and clones a
+// value only for what outlives the row: a join's suffix, a pack's
+// projection, a kept streaming row, the key of a group being born. The
+// programs below sit on the seams of that — the same export observed
+// twice, a key column that is also an argument, computed keys and
+// arguments beside borrowed ones, `Unpack` on both sides of an `Observe`,
+// filters that drop every row — and the batches hand every invocation a
+// different export list. Each runs four ways: the tree-walk oracle and the
+// named-slice `Vm::run` one event at a time over the assembled export set,
+// a plan-resolved `Agent::invoke` per event, and one `Agent::invoke_batch`;
+// at row caps 1, 2 and none.
+
+fn observe(alias: &str, fields: &[&str]) -> AdviceOp {
+    AdviceOp::Observe {
+        alias: alias.into(),
+        fields: fields.iter().map(|f| (*f).to_owned()).collect(),
+    }
+}
+
+fn unpack_as(names: &[&str]) -> AdviceOp {
+    AdviceOp::Unpack {
+        slot: QueryId(100),
+        schema: Schema::new(names.iter().copied()),
+        post_filter: None,
+    }
+}
+
+fn emit(keys: Vec<Expr>, aggs: Vec<(AggFunc, Expr)>) -> AdviceOp {
+    let columns = (0..keys.len())
+        .map(ColumnRef::Key)
+        .chain((0..aggs.len()).map(ColumnRef::Agg))
+        .collect();
+    AdviceOp::Emit {
+        query: QueryId(7),
+        spec: Arc::new(OutputSpec {
+            key_names: (0..keys.len()).map(|i| format!("k{i}")).collect(),
+            agg_names: (0..aggs.len()).map(|i| format!("g{i}")).collect(),
+            streaming: aggs.is_empty(),
+            key_exprs: keys,
+            aggs,
+            columns,
+            ..OutputSpec::default()
+        }),
+    }
+}
+
+fn edge_programs() -> Vec<(&'static str, Vec<AdviceOp>)> {
+    let f = Expr::field;
+    let plus_one = |e: Expr| Expr::bin(BinOp::Add, e, Expr::lit(1));
+    let never = || AdviceOp::Filter {
+        pred: Expr::bin(BinOp::Gt, f("x.a"), Expr::lit(1_000_000)),
+    };
+    vec![
+        (
+            "the same export observed twice",
+            vec![
+                observe("x", &["a", "a", "b"]),
+                emit(vec![f("x.a")], vec![(AggFunc::Sum, f("x.b"))]),
+            ],
+        ),
+        (
+            "a key column that is also an argument",
+            vec![
+                observe("x", &["a", "b"]),
+                emit(
+                    vec![f("x.a")],
+                    vec![
+                        (AggFunc::Sum, f("x.a")),
+                        (AggFunc::Max, f("x.a")),
+                        (AggFunc::Count, Expr::Lit(Value::Null)),
+                    ],
+                ),
+            ],
+        ),
+        (
+            "computed keys and arguments beside borrowed ones",
+            vec![
+                observe("x", &["a", "b", "c"]),
+                emit(
+                    vec![f("x.c"), plus_one(f("x.a")), Expr::lit(3)],
+                    vec![
+                        (AggFunc::Sum, Expr::bin(BinOp::Mul, f("x.b"), Expr::lit(2))),
+                        (AggFunc::Min, f("x.b")),
+                        // Fails on strings: the argument reads Null.
+                        (AggFunc::Sum, Expr::Unary(UnOp::Neg, Box::new(f("x.c")))),
+                    ],
+                ),
+            ],
+        ),
+        (
+            "a computed key that can fail drops the row",
+            vec![
+                observe("x", &["a", "c"]),
+                emit(
+                    vec![Expr::Unary(UnOp::Neg, Box::new(f("x.c"))), f("x.a")],
+                    vec![(AggFunc::Count, Expr::Lit(Value::Null))],
+                ),
+            ],
+        ),
+        (
+            "defaults beside caller columns",
+            vec![
+                observe("x", &["host", "timestamp", "procid", "a", "tracepoint"]),
+                emit(
+                    vec![f("x.host"), f("x.tracepoint"), f("x.a")],
+                    vec![
+                        (AggFunc::Max, f("x.timestamp")),
+                        (AggFunc::Sum, f("x.procid")),
+                    ],
+                ),
+            ],
+        ),
+        (
+            "a streaming row keeps borrowed, repeated and computed columns",
+            vec![
+                observe("x", &["a", "b"]),
+                emit(
+                    vec![f("x.b"), f("x.a"), f("x.b"), plus_one(f("x.a"))],
+                    vec![],
+                ),
+            ],
+        ),
+        (
+            "a filter that drops every row",
+            vec![
+                observe("x", &["a"]),
+                never(),
+                observe("y", &["b"]),
+                emit(vec![f("y.b")], vec![]),
+            ],
+        ),
+        (
+            "a fused filter that drops every row",
+            vec![
+                observe("x", &["a", "b"]),
+                never(),
+                emit(
+                    vec![f("x.b")],
+                    vec![(AggFunc::Count, Expr::Lit(Value::Null))],
+                ),
+            ],
+        ),
+        (
+            "unpack before and after observe, grouped",
+            vec![
+                unpack_as(&["p0", "p1"]),
+                observe("x", &["a"]),
+                unpack_as(&["q0"]),
+                observe("y", &["b", "a"]),
+                emit(
+                    vec![f("p0"), f("x.a"), f("q0")],
+                    vec![(AggFunc::Sum, f("y.b")), (AggFunc::Max, f("p1"))],
+                ),
+            ],
+        ),
+        (
+            "unpack before and after observe, streaming, filtered in between",
+            vec![
+                unpack_as(&["p0"]),
+                observe("x", &["a", "b"]),
+                AdviceOp::Filter {
+                    pred: Expr::bin(BinOp::Ne, f("x.a"), f("p0")),
+                },
+                unpack_as(&["q0", "q1"]),
+                emit(vec![f("q1"), f("x.b"), f("p0"), f("x.a")], vec![]),
+            ],
+        ),
+        (
+            "observe, then join, then pack what both sides carry",
+            vec![
+                observe("x", &["a", "b"]),
+                unpack_as(&["p0"]),
+                AdviceOp::Pack {
+                    slot: QueryId(200),
+                    mode: PackMode::All,
+                    exprs: vec![f("x.b"), f("p0"), plus_one(f("x.a"))],
+                    names: vec!["r0".into(), "r1".into(), "r2".into()],
+                },
+            ],
+        ),
+        (
+            "the factorized join",
+            vec![
+                observe("x", &["a", "b"]),
+                unpack_as(&["p0"]),
+                emit(
+                    vec![f("p0")],
+                    vec![
+                        (AggFunc::Sum, f("x.a")),
+                        (AggFunc::Count, Expr::Lit(Value::Null)),
+                    ],
+                ),
+            ],
+        ),
+    ]
+}
+
+/// Export lists that differ from one invocation of a batch to the next:
+/// values, order, a repeated name, a missing name, a caller-side `host`.
+fn edge_batch() -> Vec<Vec<(&'static str, Value)>> {
+    let s = Value::str;
+    vec![
+        vec![("a", Value::I64(1)), ("b", Value::I64(10)), ("c", s("s"))],
+        vec![("a", Value::I64(1)), ("b", Value::I64(20)), ("c", s("s"))],
+        vec![
+            ("b", Value::U64(5)),
+            ("a", Value::I64(2)),
+            ("c", Value::I64(4)),
+        ],
+        vec![
+            ("a", s("t")),
+            ("a", Value::I64(9)),
+            ("b", Value::I64(1)),
+            ("c", s("t")),
+        ],
+        vec![("b", Value::I64(7)), ("c", Value::Bool(true))],
+        vec![
+            ("host", s("from-the-caller")),
+            ("a", Value::I64(2)),
+            ("b", Value::I64(3)),
+            ("c", s("s")),
+        ],
+        vec![("a", Value::I64(1)), ("b", Value::I64(30)), ("c", s("s"))],
+    ]
+}
+
+/// What a buffer capped at `cap` rows keeps of `tree`'s rows, and how many
+/// tuples it sheds: a grouped buffer refuses groups past the cap, a
+/// streaming one keeps the newest.
+fn capped(tree: &FoldSink, cap: usize) -> (FoldSink, u64) {
+    let mut kept = FoldSink::default();
+    let mut shed = 0u64;
+    for (q, key, states, rows) in &tree.groups {
+        if kept.groups.len() < cap {
+            kept.groups.push((*q, key.clone(), states.clone(), *rows));
+        } else {
+            shed += rows;
+        }
+    }
+    let drop = tree.raw.len().saturating_sub(cap);
+    shed += drop as u64;
+    kept.raw = tree.raw[drop..].to_vec();
+    (kept, shed)
+}
+
+fn check_edge(what: &str, ops: &[AdviceOp], cap: Option<usize>, batched: bool) {
+    const Q: QueryId = QueryId(7);
+    let program = AdviceProgram {
+        tracepoints: vec!["T".to_owned()],
+        ops: ops.to_vec(),
+    };
+    let lowered = Arc::new(lower_program(&program).code);
+    lowered.validate().expect("lowered bytecode validates");
+    let output = ops.iter().find_map(|op| match op {
+        AdviceOp::Emit { spec, .. } => Some(Arc::clone(spec)),
+        _ => None,
+    });
+    let code = CompiledCode {
+        id: Q,
+        name: "edge".into(),
+        programs: vec![Arc::clone(&lowered)],
+        output: output.unwrap_or_default(),
+    };
+    let agent = planned_agent();
+    agent.set_budget(Q, generous());
+    agent.install(&code);
+    if let Some(cap) = cap {
+        agent.set_row_cap(cap);
+    }
+
+    let mut bag_tree = Baggage::new();
+    bag_tree.pack(
+        QueryId(100),
+        &PackMode::All,
+        [
+            Tuple::from_iter([Value::I64(1), Value::str("u")]),
+            Tuple::from_iter([Value::I64(2)]),
+        ],
+    );
+    let mut bag_vm = bag_tree.clone();
+    let mut bag_agent = bag_tree.clone();
+    let mut vm = Vm::new();
+    let mut sink = FoldSink::default();
+    let mut tree = FoldSink::default();
+    let (mut packed, mut emitted, mut bytes) = (0u64, 0u64, 0u64);
+
+    let batch = edge_batch();
+    for (i, caller) in batch.iter().enumerate() {
+        let full = full_exports("T", i as u64, caller);
+        let (emits, ts) = interp::run(&program, &full, &mut bag_tree);
+        fold_emits(&mut tree, &emits);
+        let values_before = bag_vm.meter().values;
+        let vs = vm.run(&lowered, &full, &mut bag_vm, &mut sink);
+        bytes += (bag_vm.meter().values - values_before) * 12;
+        assert_eq!(
+            (ts.packed, ts.unpacked, ts.emitted),
+            (vs.packed, vs.unpacked, vs.emitted),
+            "{what}: stats at event {i}"
+        );
+        packed += vs.packed as u64;
+        emitted += vs.emitted as u64;
+    }
+    assert_eq!(bag_vm.to_bytes(), bag_tree.to_bytes(), "{what}: baggage");
+    assert_eq!(sink.raw, tree.raw, "{what}: streaming rows");
+    assert_eq!(sink.finished(), tree.finished(), "{what}: groups");
+
+    // The agent, tripping on its last call so the governor's meter — ops,
+    // tuples, bytes — rides out on the flush.
+    if batched {
+        agent.set_budget(Q, exhausted());
+        let events: Vec<(u64, &[(&str, Value)])> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (i as u64, e.as_slice()))
+            .collect();
+        agent.invoke_batch("T", &mut bag_agent, &events);
+    } else {
+        for (i, caller) in batch.iter().enumerate() {
+            if i + 1 == batch.len() {
+                agent.set_budget(Q, exhausted());
+            }
+            agent.invoke("T", &mut bag_agent, i as u64, caller);
+        }
+    }
+    assert_eq!(
+        bag_agent.to_bytes(),
+        bag_tree.to_bytes(),
+        "{what}: agent baggage"
+    );
+    let stats = agent.stats();
+    assert_eq!(
+        (stats.tuples_packed, stats.tuples_emitted),
+        (packed, emitted),
+        "{what}: agent stats"
+    );
+    let (kept, shed) = capped(&tree, cap.unwrap_or(usize::MAX));
+    assert_eq!(agent.shed_for(Q), shed, "{what}: shed at cap {cap:?}");
+    // Rows that reached the sink: an emitted row whose key fails does not.
+    let sunk = tree.raw.len() as u64 + tree.groups.iter().map(|g| g.3).sum::<u64>();
+    assert_eq!(agent.emitted_for(Q), sunk, "{what}: rows sunk");
+
+    let mut reported = Reported::default();
+    reported.absorb(agent.flush(LATER));
+    assert_eq!(reported.throttles.len(), 1, "{what}: one trip");
+    let trip = reported.throttles[0].stats;
+    assert_eq!(
+        (trip.ops, trip.tuples, trip.bytes),
+        (vm.ops(), packed + emitted, bytes),
+        "{what}: the governor's meter"
+    );
+    assert_eq!(reported.raw, kept.raw, "{what}: reported streaming rows");
+    assert_eq!(
+        reported.finished(),
+        sorted_groups(&kept),
+        "{what}: reported groups"
+    );
+    assert_eq!(reported.tuples_of(Q), sunk - shed, "{what}: delivered");
+}
+
+#[test]
+fn borrowed_rows_match_owned_rows_and_the_oracle_on_the_seams() {
+    for (what, ops) in edge_programs() {
+        for cap in [None, Some(1), Some(2)] {
+            for batched in [false, true] {
+                check_edge(what, &ops, cap, batched);
+            }
+        }
+    }
+}
+
+/// An [`EmitSink`] that notes, while each grouped row is being delivered,
+/// how many owners the watched string has.
+struct Watch {
+    of: Arc<str>,
+    during: Vec<usize>,
+}
+
+impl EmitSink for Watch {
+    fn streaming_row(&mut self, _: QueryId, _: &Arc<OutputSpec>, _: Tuple) {}
+    fn grouped_row(&mut self, _: QueryId, _: &Arc<OutputSpec>, key: &dyn Cols, args: &dyn Cols) {
+        assert!(key.width() + args.width() > 0);
+        self.during.push(Arc::strong_count(&self.of));
+    }
+}
+
+/// A program without `Unpack` or `Pack` builds no tuple: while a row is
+/// with the sink, a string key has the owners it had before the run — and
+/// afterwards one more per group *born*, none for a row that found its
+/// group.
+#[test]
+fn a_string_key_is_cloned_once_per_group_born_and_never_per_row() {
+    let mut fe = Frontend::new();
+    fe.define("S", ["k", "v"]);
+    let handle = fe
+        .install("From s In S GroupBy s.k Select s.k, COUNT, SUM(s.v), MAX(s.k)")
+        .expect("installs");
+    let code = fe.code(&handle).expect("code");
+    let keys: Vec<Arc<str>> = (0..3).map(|i| Arc::from(format!("key-{i}"))).collect();
+    let exports: Vec<[(&str, Value); 2]> = (0..12)
+        .map(|i| {
+            [
+                ("k", Value::Str(Arc::clone(&keys[i % 3]))),
+                ("v", Value::U64(i as u64)),
+            ]
+        })
+        .collect();
+    let held: Vec<usize> = keys.iter().map(Arc::strong_count).collect();
+    assert_eq!(held, [5, 5, 5]);
+
+    // The VM alone, named-slice entry, one batch.
+    let batch: Vec<&[(&str, Value)]> = exports.iter().map(|e| e.as_slice()).collect();
+    let mut watch = Watch {
+        of: Arc::clone(&keys[0]),
+        during: Vec::new(),
+    };
+    let program = code.programs.last().expect("one program");
+    let stats = Vm::new().run_batch(program, &batch, &mut Baggage::new(), &mut watch);
+    assert_eq!(stats.emitted, 12);
+    assert_eq!(
+        watch.during,
+        [held[0] + 1; 12],
+        "only the watch itself was added"
+    );
+    drop(watch);
+
+    // Through an agent: the first batch bears three groups, the second
+    // finds them, a flush hands the keys to the reports.
+    let agent = planned_agent();
+    agent.install(&code);
+    let events: Vec<(u64, &[(&str, Value)])> = batch.iter().map(|e| (1, *e)).collect();
+    let owners = || -> Vec<usize> { keys.iter().map(Arc::strong_count).collect() };
+    agent.invoke_batch("S", &mut Baggage::new(), &events);
+    // One for the group's key, one for the MAX accumulator that holds it.
+    assert_eq!(owners(), [7, 7, 7]);
+    agent.invoke_batch("S", &mut Baggage::new(), &events);
+    for (i, e) in exports.iter().enumerate() {
+        agent.invoke("S", &mut Baggage::new(), i as u64, e);
+    }
+    assert_eq!(
+        owners(),
+        [7, 7, 7],
+        "rows that found their group cloned nothing"
+    );
+    let reports = agent.flush(10);
+    assert_eq!(owners(), [7, 7, 7]);
+    drop(reports);
+    assert_eq!(owners(), held);
 }

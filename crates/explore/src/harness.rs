@@ -500,7 +500,7 @@ impl Execution {
         let queries: Vec<QueryId> = self.handle.iter().map(|h| h.id).collect();
         // Flushed at the moment of death but never offered to the bus:
         // those tuples are the ground truth for `crash_lost`.
-        self.dead += Ledger::bury(&old, &queries, now).0;
+        self.dead += &Ledger::bury(&old, &queries, now).0;
         let agent = fresh_agent(slot);
         self.links[slot].gen += 1;
         self.incarnations
@@ -589,10 +589,10 @@ impl Execution {
     pub fn terminal_check(&self) -> Option<(Invariant, String)> {
         let handle = self.handle.as_ref()?;
         let mut books = self.dead;
-        books += Ledger::from(self.fe.results(handle).loss());
+        books += &Ledger::from(self.fe.results(handle).loss());
         for link in &self.links {
-            books += Ledger::of_agent(&link.agent(), &[handle.id]);
-            books += Ledger::from(link.bus.stats().reports);
+            books += &Ledger::of_agent(&link.agent(), &[handle.id]);
+            books += &Ledger::from(link.bus.stats().reports);
         }
         let imbalance = books.balance().err()?;
         Some((Invariant::LossIdentity, imbalance.to_string()))

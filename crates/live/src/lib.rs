@@ -68,10 +68,13 @@ pub fn now_nanos() -> u64 {
 /// or the thread-local — the paper's requirement that inactive
 /// tracepoints cost (near) nothing on the hot path (Table 5's "unwoven"
 /// row). With hindsight on every call reaches the agent: the ring
-/// records unwoven tracepoints too.
+/// records unwoven tracepoints too. The wall clock is read only for an
+/// event that uses the time ([`Agent::invoke_at`]): not at a tracepoint
+/// with nothing woven in a process that has advice elsewhere, nor for
+/// ungoverned advice that never observes `timestamp`.
 pub fn tracepoint(agent: &Agent, name: &str, exports: &[(&str, Value)]) {
     if agent.registry().is_idle() && !agent.retro_on() {
         return;
     }
-    ctx::with_baggage(|bag| agent.invoke(name, bag, now_nanos(), exports));
+    ctx::with_baggage(|bag| agent.invoke_at(name, bag, now_nanos, exports));
 }

@@ -26,5 +26,5 @@ pub use agg::{AggFunc, AggState};
 pub use colblock::EncodedBlock;
 pub use expr::{BinOp, EvalError, Expr, UnOp};
 pub use intern::{intern, Sym};
-pub use tuple::{GroupKey, Row, Schema, Tuple};
+pub use tuple::{Cols, GroupKey, Row, Schema, Tuple};
 pub use value::Value;

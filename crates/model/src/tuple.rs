@@ -1,10 +1,12 @@
 //! Tuples, schemas, and grouping keys.
 
+use std::borrow::{Borrow, Cow};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::intern::intern;
-use crate::value::Value;
+use crate::value::{Value, NULL};
 
 /// A field-name schema shared by all tuples of one dataset.
 ///
@@ -162,7 +164,6 @@ impl Tuple {
 
     /// Returns the value at `idx`, or `Null` when out of range.
     pub fn get(&self, idx: usize) -> &Value {
-        static NULL: Value = Value::Null;
         self.values().get(idx).unwrap_or(&NULL)
     }
 
@@ -203,12 +204,21 @@ impl Default for Tuple {
 impl Clone for Tuple {
     fn clone(&self) -> Tuple {
         match &self.repr {
-            Repr::Inline { len, vals } => Tuple {
-                repr: Repr::Inline {
-                    len: *len,
-                    vals: vals.clone(),
-                },
-            },
+            // Value by value up to `len`: the rest of the array is `Null`
+            // already, and a derived array clone copies all four slots
+            // through the stack.
+            Repr::Inline { len, vals } => {
+                let mut out = null_array();
+                for (to, from) in out.iter_mut().zip(&vals[..*len as usize]) {
+                    *to = from.clone();
+                }
+                Tuple {
+                    repr: Repr::Inline {
+                        len: *len,
+                        vals: out,
+                    },
+                }
+            }
             Repr::Heap(b) => Tuple {
                 repr: Repr::Heap(b.clone()),
             },
@@ -224,13 +234,67 @@ impl PartialEq for Tuple {
 
 impl Eq for Tuple {}
 
-impl std::hash::Hash for Tuple {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash the logical value sequence so inline and heap tuples with
-        // equal contents collide.
-        self.values().hash(state);
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The logical value sequence, so inline and heap tuples with equal
+        // contents collide — and through the one function a borrowed
+        // [`Cols`] view hashes with, so a view finds the key it would
+        // become.
+        hash_cols(self, state);
     }
 }
+
+/// A row presented column by column, each value read where it already is:
+/// the borrowed form of a [`Tuple`]. The advice VM hands its sinks group
+/// keys and aggregate arguments this way, so a row that folds into an
+/// existing group clones nothing; a map keyed by [`GroupKey`] is probed
+/// with `&dyn Cols` directly (`GroupKey: Borrow<dyn Cols>`).
+pub trait Cols {
+    /// Number of columns.
+    fn width(&self) -> usize;
+    /// Column `i` (`i < width()`): borrowed wherever the value is stored,
+    /// owned only for a scalar computed on the spot.
+    fn col(&self, i: usize) -> Cow<'_, Value>;
+}
+
+fn hash_cols<C: Cols + ?Sized, H: Hasher>(cols: &C, state: &mut H) {
+    state.write_usize(cols.width());
+    for i in 0..cols.width() {
+        cols.col(i).hash(state);
+    }
+}
+
+impl Cols for Tuple {
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        Cow::Borrowed(self.get(i))
+    }
+}
+
+impl dyn Cols + '_ {
+    /// Clones the columns into an owned tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        (0..self.width())
+            .map(|i| self.col(i).into_owned())
+            .collect()
+    }
+}
+
+impl Hash for dyn Cols + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_cols(self, state);
+    }
+}
+
+impl PartialEq for dyn Cols + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.width() == other.width() && (0..self.width()).all(|i| self.col(i) == other.col(i))
+    }
+}
+
+impl Eq for dyn Cols + '_ {}
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -301,6 +365,12 @@ impl GroupKey {
     /// Builds a key by projecting `tuple` onto `indices`.
     pub fn project(tuple: &Tuple, indices: &[usize]) -> GroupKey {
         GroupKey(tuple.project(indices))
+    }
+}
+
+impl<'a> Borrow<dyn Cols + 'a> for GroupKey {
+    fn borrow(&self) -> &(dyn Cols + 'a) {
+        &self.0
     }
 }
 
@@ -387,6 +457,20 @@ mod tests {
         assert_eq!(c.len(), 8);
         assert_eq!(c.get(7), &Value::I64(7));
         assert_eq!(c.project(&[7, 0]).values(), &[Value::I64(7), Value::I64(0)]);
+    }
+
+    #[test]
+    fn clone_owns_each_value_once_in_either_representation() {
+        for n in 0..(INLINE_CAP + 3) {
+            let s: Arc<str> = Arc::from("k");
+            let t: Tuple = (0..n).map(|_| Value::Str(s.clone())).collect();
+            let c = t.clone();
+            assert_eq!(c, t);
+            assert_eq!(c.len(), n);
+            assert_eq!(Arc::strong_count(&s), 1 + 2 * n);
+            drop(t);
+            assert_eq!(c.values(), &vec![Value::Str(s.clone()); n][..]);
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub enum Value {
     Agg(Arc<crate::agg::AggState>),
 }
 
+/// `Null`, for whoever hands out `&Value` and has to answer for a column
+/// that is not there.
+pub static NULL: Value = Value::Null;
+
 impl Value {
     /// Builds a string value.
     pub fn str(s: impl AsRef<str>) -> Value {

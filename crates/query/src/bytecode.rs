@@ -38,12 +38,14 @@
 //! bounds-checks every register, constant, and skip so a decoded program
 //! can never make the VM index out of range.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::expr::{eval_binary, eval_unary};
-use pivot_model::{AggState, BinOp, Expr, GroupKey, Schema, Sym, Tuple, UnOp, Value};
+use pivot_model::value::NULL;
+use pivot_model::{AggState, BinOp, Cols, Expr, GroupKey, Schema, Sym, Tuple, UnOp, Value};
 
 use crate::advice::{AdviceOp, AdviceProgram, CompiledQuery, OutputSpec};
 use crate::ast::TemporalFilter;
@@ -297,19 +299,21 @@ pub struct VmStats {
 /// The VM hands the sink *evaluated* output rows — group keys and
 /// aggregate arguments, or projected streaming rows — so the process-local
 /// aggregator updates its states in place without ever cloning specs or
-/// re-evaluating expressions.
+/// re-evaluating expressions. A streaming row is the sink's to keep; a
+/// grouped row arrives as [`Cols`] views that read each value where it
+/// is, so the sink clones a key only for a group it had not seen.
 pub trait EmitSink {
     /// One projected row of a streaming (no-aggregate) query.
     fn streaming_row(&mut self, query: QueryId, spec: &Arc<OutputSpec>, row: Tuple);
     /// One `(group key, aggregate arguments)` row of an aggregating query;
-    /// `args` has one value per `spec.aggs` entry. Every grouped row the
+    /// `args` has one column per `spec.aggs` entry. Every grouped row the
     /// generic loop emits arrives here, in emit order.
     fn grouped_row(
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
-        args: &[Value],
+        key: &dyn Cols,
+        args: &dyn Cols,
     );
     /// `true` when this sink also accepts [`EmitSink::grouped_fold`],
     /// which lets a program in the canonical join-aggregation shape run
@@ -337,7 +341,7 @@ pub trait EmitSink {
         &mut self,
         query: QueryId,
         spec: &Arc<OutputSpec>,
-        key: GroupKey,
+        key: &dyn Cols,
         states: &[AggState],
         rows: u64,
     ) {
@@ -371,10 +375,12 @@ impl EmitSink for CollectSink {
         &mut self,
         query: QueryId,
         _spec: &Arc<OutputSpec>,
-        key: GroupKey,
-        args: &[Value],
+        key: &dyn Cols,
+        args: &dyn Cols,
     ) {
-        self.grouped.push((query, key, args.to_vec()));
+        let args = (0..args.width()).map(|i| args.col(i).into_owned());
+        self.grouped
+            .push((query, GroupKey(key.to_tuple()), args.collect()));
     }
     fn trigger(&mut self, query: QueryId) {
         self.triggers.push(query);
@@ -881,15 +887,18 @@ pub trait Exports {
     fn invocations(&self) -> usize;
     /// What invocation `inv` exports under `name`, which is
     /// `code.names[col]` of the program being run; `Null` when absent.
-    fn get(&self, inv: usize, col: usize, name: &str) -> Value;
+    /// Borrowed from wherever the caller keeps it — the VM reads observed
+    /// columns in place — and owned only for a scalar the source computes
+    /// on the spot (an agent's `timestamp`).
+    fn get(&self, inv: usize, col: usize, name: &str) -> Cow<'_, Value>;
 }
 
 impl Exports for [&[(&str, Value)]] {
     fn invocations(&self) -> usize {
         self.len()
     }
-    fn get(&self, inv: usize, _col: usize, name: &str) -> Value {
-        lookup(self[inv], name)
+    fn get(&self, inv: usize, _col: usize, name: &str) -> Cow<'_, Value> {
+        Cow::Borrowed(lookup(self[inv], name))
     }
 }
 
@@ -900,29 +909,31 @@ impl<X: Exports + ?Sized> Exports for One<'_, X> {
     fn invocations(&self) -> usize {
         1
     }
-    fn get(&self, _inv: usize, col: usize, name: &str) -> Value {
+    fn get(&self, _inv: usize, col: usize, name: &str) -> Cow<'_, Value> {
         self.0.get(self.1, col, name)
     }
 }
 
 /// The value `exports` carries under `name`: first match wins, absent
 /// names read `Null`.
-pub fn lookup(exports: &[(&str, Value)], name: &str) -> Value {
+pub fn lookup<'a>(exports: &'a [(&str, Value)], name: &str) -> &'a Value {
     exports
         .iter()
         .find(|(n, _)| *n == name)
-        .map_or(Value::Null, |(_, v)| v.clone())
+        .map_or(&NULL, |(_, v)| v)
 }
 
 /// A program together with everything about *how* to run it that depends
 /// on the program alone — decided once, when advice is woven, instead of
-/// once per event: whether it has the factorized join shape and whether a
-/// multi-invocation batch may run op-major.
+/// once per event: whether it has the factorized join shape, whether a
+/// multi-invocation batch may run op-major, and which of its expressions
+/// are read in place.
 #[derive(Clone, Debug)]
 pub struct RunPlan {
     code: Arc<AdviceByteCode>,
     shape: Option<Factorized>,
     batchable: bool,
+    slots: Vec<Slot>,
 }
 
 impl RunPlan {
@@ -931,6 +942,7 @@ impl RunPlan {
         RunPlan {
             shape: factorized_shape(&code),
             batchable: code.batchable(),
+            slots: Slot::all(&code).collect(),
             code,
         }
     }
@@ -941,22 +953,121 @@ impl RunPlan {
     }
 }
 
-/// The register VM. Holds reusable scratch (register file, tuple buffers,
+/// The working set: every invocation's live rows at once, kept in
+/// invocation-major order. A row is its invocation's index plus whatever
+/// it owns: the columns observed before any join are read from the
+/// batch's [`Exports`] in place (`prefix` names them, the same for every
+/// row), and only what an `Unpack` joined on — and anything observed
+/// after that — is copied, into the row's `suffix`.
+#[derive(Default)]
+struct Rows {
+    /// `src[r]` is the invocation row `r` belongs to.
+    src: Vec<u32>,
+    /// Name-pool index of each column the rows read from the batch.
+    prefix: Vec<u32>,
+    /// `suffix[r]` is what row `r` owns, after its borrowed columns; left
+    /// empty until the first join gives the rows something to own.
+    suffix: Vec<Tuple>,
+}
+
+impl Rows {
+    /// Live row `r`.
+    fn row<'a, X: ?Sized>(&'a self, pass: &'a Pass<'a, X>, r: usize) -> Row<'a, X> {
+        Row {
+            pass,
+            prefix: &self.prefix,
+            inv: self.src[r] as usize,
+            suffix: self.suffix.get(r).map_or(&[], Tuple::values),
+        }
+    }
+}
+
+/// One run of a program over a batch: what a [`RunPlan`] holds, borrowed,
+/// and the batch every row reads from.
+struct Pass<'a, X: ?Sized> {
+    code: &'a AdviceByteCode,
+    shape: Option<&'a Factorized>,
+    /// `slots[xi]` is how `code.exprs[xi]` gets its value.
+    slots: &'a [Slot],
+    batch: &'a X,
+}
+
+/// How one lowered expression gets its value, decoded once per run. The
+/// lone field references and literals that dominate key and aggregate
+/// projections are read in place, never through the register machine.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    /// `[Load]`: this column of the row.
+    Load(u16),
+    /// `[Const]`: this entry of the constant pool.
+    Const(u16),
+    /// Anything else has to run.
+    Run,
+}
+
+impl Slot {
+    /// One per entry of `code.exprs`.
+    fn all(code: &AdviceByteCode) -> impl Iterator<Item = Slot> + '_ {
+        code.exprs.iter().map(|prog| {
+            match &code.einsts[prog.start as usize..(prog.start + prog.len) as usize] {
+                [EInst::Load { dst, col }] if *dst == prog.result => Slot::Load(*col),
+                [EInst::Const { dst, idx }] if *dst == prog.result => Slot::Const(*idx),
+                _ => Slot::Run,
+            }
+        })
+    }
+}
+
+/// One row as expressions and sinks read it — the accessor both
+/// [`Vm::exec_ops`] and [`Vm::run_factorized`] go through.
+struct Row<'a, X: ?Sized> {
+    pass: &'a Pass<'a, X>,
+    prefix: &'a [u32],
+    inv: usize,
+    suffix: &'a [Value],
+}
+
+/// The expressions of one pool range over one row, as a sink reads them:
+/// a lone field reference or literal straight from where the value is,
+/// one that had to run from its position in `ran` ([`Row::fill`]).
+struct Projected<'a, X: ?Sized> {
+    row: &'a Row<'a, X>,
+    range: PoolRange,
+    ran: &'a [Value],
+}
+
+impl<X: Exports + ?Sized> Cols for Projected<'_, X> {
+    fn width(&self) -> usize {
+        (self.range.1 - self.range.0) as usize
+    }
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        match self.row.pass.slots[self.range.0 as usize + i] {
+            Slot::Run => Cow::Borrowed(&self.ran[i]),
+            lone => self.row.read(lone),
+        }
+    }
+}
+
+/// The register VM. Holds reusable scratch (register file, working set,
 /// partial-aggregation state) so steady-state advice execution does not
 /// allocate for the machinery itself — only for the tuples and rows it
 /// produces.
 #[derive(Default)]
 pub struct Vm {
     regs: Vec<Value>,
-    tuples: Vec<Tuple>,
-    /// `src[i]` is the invocation index that row `tuples[i]` belongs to.
-    /// Kept in invocation-major (sorted) order.
-    src: Vec<u32>,
-    /// Scratch twins of `tuples` / `src` for ops that rebuild the set.
+    rows: Rows,
+    /// Scratch twins of `rows.suffix` / `rows.src` for the join, which
+    /// rebuilds the set.
     joined: Vec<Tuple>,
     joined_src: Vec<u32>,
     projected: Vec<Tuple>,
-    args: Vec<Value>,
+    /// Where the named-slice entry, which has no [`RunPlan`], derives
+    /// the program's [`Slot`]s.
+    slots: Vec<Slot>,
+    /// Per emitted row: what its key and argument expressions that had to
+    /// run came to ([`Row::fill`]).
+    key_vals: Vec<Value>,
+    arg_vals: Vec<Value>,
     /// The factorized join's one partial accumulator set.
     fold_states: Vec<AggState>,
     ops: u64,
@@ -1011,7 +1122,18 @@ impl Vm {
     ) -> VmStats {
         let batchable = batch.len() <= 1 || code.batchable();
         let shape = factorized_shape(code);
-        self.exec(code, shape.as_ref(), batchable, batch, baggage, sink)
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        slots.extend(Slot::all(code));
+        let pass = Pass {
+            code,
+            shape: shape.as_ref(),
+            slots: &slots,
+            batch,
+        };
+        let stats = self.exec(&pass, batchable, baggage, sink);
+        self.slots = slots;
+        stats
     }
 
     /// Executes a planned program once per invocation in `batch`: the
@@ -1023,8 +1145,13 @@ impl Vm {
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
-        let (code, shape) = (&*plan.code, plan.shape.as_ref());
-        self.exec(code, shape, plan.batchable, batch, baggage, sink)
+        let pass = Pass {
+            code: &plan.code,
+            shape: plan.shape.as_ref(),
+            slots: &plan.slots,
+            batch,
+        };
+        self.exec(&pass, plan.batchable, baggage, sink)
     }
 
     /// Both entries' common body. A batch of one is sound for every
@@ -1033,20 +1160,24 @@ impl Vm {
     /// batch as that many batches of one, in order.
     fn exec<X: Exports + ?Sized>(
         &mut self,
-        code: &AdviceByteCode,
-        shape: Option<&Factorized>,
+        pass: &Pass<'_, X>,
         batchable: bool,
-        batch: &X,
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
-        let n = batch.invocations();
+        let n = pass.batch.invocations();
         if n <= 1 || batchable {
-            return self.exec_ops(code, shape, batch, baggage, sink);
+            return self.exec_ops(pass, baggage, sink);
         }
         let mut stats = VmStats::default();
         for i in 0..n {
-            let s = self.exec_ops(code, shape, &One(batch, i), baggage, sink);
+            let one = Pass {
+                code: pass.code,
+                shape: pass.shape,
+                slots: pass.slots,
+                batch: &One(pass.batch, i),
+            };
+            let s = self.exec_ops(&one, baggage, sink);
             stats.unpacked += s.unpacked;
             stats.packed += s.packed;
             stats.emitted += s.emitted;
@@ -1057,7 +1188,7 @@ impl Vm {
     /// The VM's one execution loop.
     ///
     /// Execution is *op-major*: one dispatch per instruction drives a
-    /// working set holding every invocation's live tuples at once, so
+    /// working set holding every invocation's live rows at once, so
     /// dispatch, unpack materialization and baggage bookkeeping are paid
     /// per instruction instead of per invocation × instruction. Rows are
     /// tagged with their invocation index and kept in invocation-major
@@ -1065,15 +1196,19 @@ impl Vm {
     /// arrival order at retention caps, emit order, per-invocation early
     /// exit, retired-op counts) equal to running the invocations one
     /// after another.
+    ///
+    /// Values are read where they are ([`Rows`]) and cloned in three
+    /// places only: the suffix a join gives each row it produces, the
+    /// tuple a `Pack` projects, and what a sink keeps of an emitted row —
+    /// a streaming row, or the key of a group it had not seen.
     fn exec_ops<X: Exports + ?Sized>(
         &mut self,
-        code: &AdviceByteCode,
-        shape: Option<&Factorized>,
-        batch: &X,
+        pass: &Pass<'_, X>,
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
         let mut stats = VmStats::default();
+        let (code, batch) = (pass.code, pass.batch);
         let n = batch.invocations();
         if n == 0 {
             return stats;
@@ -1084,53 +1219,53 @@ impl Vm {
         if self.regs.len() < code.num_regs as usize {
             self.regs.resize(code.num_regs as usize, Value::Null);
         }
-        if let Some(shape) = shape.filter(|_| sink.folds_grouped()) {
-            return self.run_factorized(code, shape, batch, baggage, sink);
+        if let Some(shape) = pass.shape.filter(|_| sink.folds_grouped()) {
+            return self.run_factorized(pass, shape, baggage, sink);
         }
-        self.tuples.clear();
-        self.src.clear();
-        for i in 0..n {
-            self.tuples.push(Tuple::empty());
-            self.src.push(i as u32);
-        }
+        let Vm {
+            regs,
+            rows,
+            joined,
+            joined_src,
+            projected,
+            key_vals,
+            arg_vals,
+            ops,
+            ..
+        } = self;
+        rows.src.clear();
+        rows.src.extend(0..n as u32);
+        rows.prefix.clear();
+        rows.suffix.clear();
+        // Invocations that still have a row. `src` stays invocation-major,
+        // so this is its number of distinct values; only `Filter` and
+        // `Unpack` can change it. Each live invocation retires the next
+        // instruction; one whose working set emptied stopped retiring
+        // (inner-join semantics: later ops can produce nothing for it).
+        let mut live = n;
 
         for inst in &code.insts {
-            // `src` stays invocation-major, so the live-invocation count
-            // is the number of group boundaries. Each live invocation
-            // retires this instruction; one whose working set emptied
-            // stopped retiring (inner-join semantics: later ops can
-            // produce nothing for it).
-            let mut live = 0usize;
-            let mut prev = u32::MAX;
-            for &s in &self.src {
-                if s != prev {
-                    live += 1;
-                    prev = s;
-                }
-            }
-            self.ops += live as u64;
+            *ops += live as u64;
             match inst {
+                Inst::Observe { names } if rows.suffix.is_empty() => {
+                    // Nothing is copied: the rows now also read these
+                    // columns of their invocation's exports.
+                    rows.prefix.extend(names.0..names.1);
+                }
                 Inst::Observe { names } => {
+                    // After a join the rows own their tail, so the
+                    // observation is appended by value: built once per
+                    // live invocation, shared by all of its rows.
                     let mut r = 0usize;
-                    while r < self.tuples.len() {
-                        let inv = self.src[r];
-                        let mut end = r;
-                        while end < self.tuples.len() && self.src[end] == inv {
-                            end += 1;
+                    while r < rows.src.len() {
+                        let inv = rows.src[r];
+                        let observed: Tuple = (names.0 as usize..names.1 as usize)
+                            .map(|name| pass.exported(inv as usize, name).into_owned())
+                            .collect();
+                        while r < rows.src.len() && rows.src[r] == inv {
+                            rows.suffix[r] = rows.suffix[r].concat(&observed);
+                            r += 1;
                         }
-                        // Built once per live invocation, shared by all of
-                        // its rows.
-                        let observed = observe(code, *names, batch, inv as usize);
-                        if end - r == 1 && self.tuples[r].is_empty() {
-                            // First op of almost every program: the seed
-                            // tuple takes the observation by move.
-                            self.tuples[r] = observed;
-                        } else {
-                            for t in &mut self.tuples[r..end] {
-                                *t = t.concat(&observed);
-                            }
-                        }
-                        r = end;
                     }
                 }
                 Inst::Unpack { slot, temporal, .. } => {
@@ -1145,30 +1280,45 @@ impl Vm {
                     let unpacked: &[Tuple] = &view;
                     stats.unpacked += unpacked.len() * live;
                     // Happened-before join: cross product with the tuples
-                    // packed earlier in this request's execution.
-                    self.joined.clear();
-                    self.joined_src.clear();
-                    for (r, t) in self.tuples.iter().enumerate() {
+                    // packed earlier in this request's execution. Each
+                    // produced row owns its copy of the unpacked tuple.
+                    joined.clear();
+                    joined_src.clear();
+                    for (r, &inv) in rows.src.iter().enumerate() {
                         for u in unpacked {
-                            self.joined.push(t.concat(u));
-                            self.joined_src.push(self.src[r]);
+                            joined.push(match rows.suffix.get(r) {
+                                Some(t) => t.concat(u),
+                                None => u.clone(),
+                            });
+                            joined_src.push(inv);
                         }
                     }
-                    std::mem::swap(&mut self.tuples, &mut self.joined);
-                    std::mem::swap(&mut self.src, &mut self.joined_src);
+                    std::mem::swap(&mut rows.suffix, joined);
+                    std::mem::swap(&mut rows.src, joined_src);
+                    if unpacked.is_empty() {
+                        live = 0;
+                    }
                 }
                 Inst::Filter { pred } => {
-                    let prog = code.exprs[*pred as usize];
-                    self.joined.clear();
-                    self.joined_src.clear();
-                    for (r, t) in self.tuples.drain(..).enumerate() {
-                        if matches!(eval(code, prog, &t, &mut self.regs), Ok(Value::Bool(true))) {
-                            self.joined.push(t);
-                            self.joined_src.push(self.src[r]);
+                    let (mut kept, mut prev) = (0usize, u32::MAX);
+                    live = 0;
+                    for r in 0..rows.src.len() {
+                        if !rows.row(pass, r).holds(*pred, regs) {
+                            continue;
                         }
+                        let inv = rows.src[r];
+                        if inv != prev {
+                            live += 1;
+                            prev = inv;
+                        }
+                        rows.src[kept] = inv;
+                        if !rows.suffix.is_empty() {
+                            rows.suffix.swap(kept, r);
+                        }
+                        kept += 1;
                     }
-                    std::mem::swap(&mut self.tuples, &mut self.joined);
-                    std::mem::swap(&mut self.src, &mut self.joined_src);
+                    rows.src.truncate(kept);
+                    rows.suffix.truncate(kept);
                 }
                 Inst::Pack {
                     slot,
@@ -1176,18 +1326,18 @@ impl Vm {
                     pre,
                     exprs,
                 } => {
-                    self.projected.clear();
+                    projected.clear();
                     let mut r = 0usize;
-                    while r < self.tuples.len() {
-                        let inv = self.src[r];
-                        let start = self.projected.len();
+                    while r < rows.src.len() {
+                        let inv = rows.src[r];
+                        let start = projected.len();
                         let mut survivors = 0usize;
-                        while r < self.tuples.len() && self.src[r] == inv {
-                            let t = &self.tuples[r];
-                            if passes_pre(code, *pre, t, &mut self.regs) {
+                        while r < rows.src.len() && rows.src[r] == inv {
+                            let row = rows.row(pass, r);
+                            if row.passes(*pre, regs) {
                                 survivors += 1;
-                                if let Ok(p) = project(code, *exprs, t, &mut self.regs) {
-                                    self.projected.push(p);
+                                if let Some(p) = row.project(*exprs, regs) {
+                                    projected.push(p);
                                 }
                             }
                             r += 1;
@@ -1197,7 +1347,7 @@ impl Vm {
                         // and never packs; otherwise it packs whatever
                         // projections survive (possibly none).
                         if survivors > 0 {
-                            stats.packed += self.projected.len() - start;
+                            stats.packed += projected.len() - start;
                         }
                     }
                     // One pack call covers every invocation's survivors:
@@ -1205,30 +1355,19 @@ impl Vm {
                     // N sequential packs would not have changed, and rows
                     // arrive in the same invocation-major order. An empty
                     // pack stores nothing, so it is skipped.
-                    if !self.projected.is_empty() {
-                        baggage.pack(*slot, mode, self.projected.drain(..));
+                    if !projected.is_empty() {
+                        baggage.pack(*slot, mode, projected.drain(..));
                     }
                 }
                 Inst::Trigger { query, pred } => {
                     // One firing per invocation that has a satisfying live
                     // tuple, in invocation order.
                     let mut r = 0usize;
-                    while r < self.tuples.len() {
-                        let inv = self.src[r];
+                    while r < rows.src.len() {
+                        let inv = rows.src[r];
                         let mut fires = false;
-                        while r < self.tuples.len() && self.src[r] == inv {
-                            if !fires {
-                                fires = match pred {
-                                    None => true,
-                                    Some(p) => {
-                                        let prog = code.exprs[*p as usize];
-                                        matches!(
-                                            eval(code, prog, &self.tuples[r], &mut self.regs),
-                                            Ok(Value::Bool(true))
-                                        )
-                                    }
-                                };
-                            }
+                        while r < rows.src.len() && rows.src[r] == inv {
+                            fires = fires || pred.is_none_or(|p| rows.row(pass, r).holds(p, regs));
                             r += 1;
                         }
                         if fires {
@@ -1251,36 +1390,41 @@ impl Vm {
                     // for the run, with its own index on the group key —
                     // a scratch fold here would only be a second,
                     // linearly scanned, copy of that index.
-                    for t in &self.tuples {
-                        if !passes_pre(code, *pre, t, &mut self.regs) {
+                    key_vals.resize((keys.1 - keys.0) as usize, Value::Null);
+                    arg_vals.resize((aggs.1 - aggs.0) as usize, Value::Null);
+                    for r in 0..rows.src.len() {
+                        let row = rows.row(pass, r);
+                        if !row.passes(*pre, regs) {
                             continue;
                         }
                         stats.emitted += 1;
-                        let Ok(key) = project(code, *keys, t, &mut self.regs) else {
-                            continue;
-                        };
                         if spec.streaming {
-                            sink.streaming_row(*query, spec, key);
+                            // The sink keeps the row: the one clone of
+                            // each value it is made of.
+                            if let Some(kept) = row.project(*keys, regs) {
+                                sink.streaming_row(*query, spec, kept);
+                            }
                             continue;
                         }
-                        self.args.clear();
-                        for xi in aggs.0..aggs.1 {
-                            let prog = code.exprs[xi as usize];
-                            self.args
-                                .push(eval(code, prog, t, &mut self.regs).unwrap_or(Value::Null));
+                        // A failed key drops the row; a failed aggregate
+                        // argument reads `Null`.
+                        if !row.fill(*keys, regs, key_vals) {
+                            continue;
                         }
-                        sink.grouped_row(*query, spec, GroupKey(key), &self.args);
+                        row.fill(*aggs, regs, arg_vals);
+                        let (key, args) = (row.cols(*keys, key_vals), row.cols(*aggs, arg_vals));
+                        sink.grouped_row(*query, spec, &key, &args);
                     }
                 }
             }
-            if self.tuples.is_empty() {
+            if rows.src.is_empty() {
                 // Every invocation's working set is empty; no later op can
                 // produce anything for any of them.
                 break;
             }
         }
-        self.tuples.clear();
-        self.src.clear();
+        rows.src.clear();
+        rows.suffix.clear();
         stats
     }
 
@@ -1303,15 +1447,23 @@ impl Vm {
     /// groups; stats and retired-op counts equal the generic loop's.
     fn run_factorized<X: Exports + ?Sized>(
         &mut self,
-        code: &AdviceByteCode,
+        pass: &Pass<'_, X>,
         shape: &Factorized,
-        batch: &X,
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
+        let code = pass.code;
         let Some(Inst::Emit { query, spec, .. }) = code.insts.last() else {
             unreachable!("a factorized shape ends in its program's Emit");
         };
+        let Vm {
+            regs,
+            rows,
+            key_vals,
+            fold_states,
+            ops,
+            ..
+        } = self;
         let filters = &code.insts[1..1 + shape.filters];
         let mut stats = VmStats::default();
         let mut view = baggage.unpack_view(shape.slot);
@@ -1319,72 +1471,74 @@ impl Vm {
             f.apply(view.to_mut());
         }
         let unpacked: &[Tuple] = &view;
+        // Both sides read rows of the `Observe ++ Unpack` layout through
+        // the generic loop's accessor: the observed columns in place, an
+        // unpacked tuple as the suffix.
+        rows.prefix.clear();
+        rows.prefix.extend(shape.names.0..shape.names.1);
+        let prefix = &rows.prefix[..];
+        let row = |inv, suffix| Row {
+            pass,
+            prefix,
+            inv,
+            suffix,
+        };
 
         // Observed-side pass: fold every invocation that survives the
         // filters and the (observed-pure) pre-predicates into one shared
         // partial accumulator set. Aggregate expressions only load
-        // observed columns, so the observed tuple alone is a valid
-        // evaluation layout (its columns are the concat prefix). Filter
-        // metering mirrors the generic loop: an invocation retires
-        // filters up to and including its first failing one, then
-        // nothing after.
-        self.fold_states
-            .extend(spec.aggs.iter().map(|(f, _)| f.init()));
+        // observed columns, so a row with nothing joined on is a valid
+        // evaluation layout. Filter metering mirrors the generic loop: an
+        // invocation retires filters up to and including its first
+        // failing one, then nothing after.
+        fold_states.extend(spec.aggs.iter().map(|(f, _)| f.init()));
         let mut filter_retired = 0u64;
         let mut survivors = 0u64;
         let mut contributors = 0u64;
-        let n = batch.invocations();
+        let n = pass.batch.invocations();
         'rows: for inv in 0..n {
-            let observed = observe(code, shape.names, batch, inv);
+            let observed = row(inv, &[]);
             for filter in filters {
                 let Inst::Filter { pred } = filter else {
                     continue;
                 };
                 filter_retired += 1;
-                let prog = code.exprs[*pred as usize];
-                if !matches!(
-                    eval(code, prog, &observed, &mut self.regs),
-                    Ok(Value::Bool(true))
-                ) {
+                if !observed.holds(*pred, regs) {
                     continue 'rows;
                 }
             }
             survivors += 1;
-            if unpacked.is_empty() || !passes_pre(code, shape.pre, &observed, &mut self.regs) {
+            if unpacked.is_empty() || !observed.passes(shape.pre, regs) {
                 continue;
             }
             contributors += 1;
-            for (st, xi) in self.fold_states.iter_mut().zip(shape.aggs.0..shape.aggs.1) {
-                let prog = code.exprs[xi as usize];
-                let v = eval(code, prog, &observed, &mut self.regs).unwrap_or(Value::Null);
-                st.update(&v);
+            for (st, xi) in fold_states.iter_mut().zip(shape.aggs.0..shape.aggs.1) {
+                st.update(observed.eval(xi, regs).as_deref().unwrap_or(&NULL));
             }
         }
         // Every invocation retires Observe; filter survivors retire
         // Unpack; with nothing unpacked the working set then empties and
         // Emit is never reached.
-        self.ops += n as u64 + filter_retired + survivors;
+        *ops += n as u64 + filter_retired + survivors;
         stats.unpacked += unpacked.len() * survivors as usize;
         if !unpacked.is_empty() {
-            self.ops += survivors;
+            *ops += survivors;
             stats.emitted += contributors as usize * unpacked.len();
         }
         if contributors > 0 {
             // Unpacked-side pass: key expressions only load unpacked
-            // columns, so a Null-padded prefix stands in for the observed
-            // half of the concat layout.
-            let pad: Tuple = std::iter::repeat_with(|| Value::Null)
-                .take((shape.names.1 - shape.names.0) as usize)
-                .collect();
+            // columns, so whichever invocation stands behind the observed
+            // half of the layout is never read.
+            key_vals.resize((shape.keys.1 - shape.keys.0) as usize, Value::Null);
             for u in unpacked {
-                let padded = pad.concat(u);
-                let Ok(key) = project(code, shape.keys, &padded, &mut self.regs) else {
-                    continue;
-                };
-                sink.grouped_fold(*query, spec, GroupKey(key), &self.fold_states, contributors);
+                let joined = row(0, u.values());
+                if joined.fill(shape.keys, regs, key_vals) {
+                    let key = joined.cols(shape.keys, key_vals);
+                    sink.grouped_fold(*query, spec, &key, fold_states, contributors);
+                }
             }
         }
-        self.fold_states.clear();
+        fold_states.clear();
         stats
     }
 }
@@ -1456,98 +1610,132 @@ fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized> {
     })
 }
 
-/// The tuple invocation `inv`'s `Observe` appends: each name in the pool
-/// range `names`, asked of the batch's column source.
-fn observe<X: Exports + ?Sized>(
-    code: &AdviceByteCode,
-    names: PoolRange,
-    batch: &X,
-    inv: usize,
-) -> Tuple {
-    (names.0 as usize..names.1 as usize)
-        .map(|col| batch.get(inv, col, code.names[col].as_str()))
-        .collect()
-}
-
-/// Evaluates every predicate in `pre` against `t`; a tuple passes only
-/// when all evaluate to `Ok(Bool(true))`.
-fn passes_pre(code: &AdviceByteCode, pre: PoolRange, t: &Tuple, regs: &mut [Value]) -> bool {
-    (pre.0..pre.1).all(|xi| {
-        let prog = code.exprs[xi as usize];
-        matches!(eval(code, prog, t, regs), Ok(Value::Bool(true)))
-    })
-}
-
-/// Projects `t` through the expressions in `range`; any evaluation error
-/// drops the whole row.
-fn project(
-    code: &AdviceByteCode,
-    range: PoolRange,
-    t: &Tuple,
-    regs: &mut [Value],
-) -> Result<Tuple, EvalFailed> {
-    (range.0..range.1)
-        .map(|xi| eval(code, code.exprs[xi as usize], t, regs))
-        .collect()
-}
-
-/// Runs one lowered expression over `t`.
-fn eval(
-    code: &AdviceByteCode,
-    prog: ExprProg,
-    t: &Tuple,
-    regs: &mut [Value],
-) -> Result<Value, EvalFailed> {
-    let insts = &code.einsts[prog.start as usize..(prog.start + prog.len) as usize];
-    // The lone field references and literals that dominate key and
-    // aggregate projections bypass the register machine.
-    match insts {
-        [EInst::Load { dst, col }] if *dst == prog.result => {
-            return Ok(t.get(*col as usize).clone());
-        }
-        [EInst::Const { dst, idx }] if *dst == prog.result => {
-            return Ok(code.consts[*idx as usize].clone());
-        }
-        _ => {}
+impl<'a, X: Exports + ?Sized> Pass<'a, X> {
+    /// What invocation `inv` exports under `code.names[name]`.
+    fn exported(&self, inv: usize, name: usize) -> Cow<'a, Value> {
+        self.batch.get(inv, name, self.code.names[name].as_str())
     }
-    let mut pc = 0usize;
-    while pc < insts.len() {
-        match &insts[pc] {
-            EInst::Load { dst, col } => {
-                regs[*dst as usize] = t.get(*col as usize).clone();
-            }
-            EInst::Const { dst, idx } => {
-                regs[*dst as usize] = code.consts[*idx as usize].clone();
-            }
-            EInst::Unary { dst, op, src } => {
-                let v = eval_unary(*op, &regs[*src as usize]).map_err(|_| EvalFailed)?;
-                regs[*dst as usize] = v;
-            }
-            EInst::Binary { dst, op, lhs, rhs } => {
-                let v = eval_binary(*op, &regs[*lhs as usize], &regs[*rhs as usize])
-                    .map_err(|_| EvalFailed)?;
-                regs[*dst as usize] = v;
-            }
-            EInst::CoerceBool { dst, src } => match regs[*src as usize] {
-                Value::Bool(b) => regs[*dst as usize] = Value::Bool(b),
-                _ => return Err(EvalFailed),
+}
+
+impl<'a, X: Exports + ?Sized> Row<'a, X> {
+    /// What a lone expression reads, where it is: a column of the joined
+    /// layout (`Null` past its end) or a literal.
+    fn read(&self, lone: Slot) -> Cow<'a, Value> {
+        let stored = match lone {
+            Slot::Load(col) => match self.prefix.get(col as usize) {
+                Some(&name) => return self.pass.exported(self.inv, name as usize),
+                None => self.suffix.get(col as usize - self.prefix.len()),
             },
-            EInst::SkipIfBool { src, when, skip } => {
-                if regs[*src as usize] == Value::Bool(*when) {
-                    pc += *skip as usize;
-                }
-            }
-            EInst::Fail => return Err(EvalFailed),
-        }
-        pc += 1;
+            Slot::Const(idx) => self.pass.code.consts.get(idx as usize),
+            Slot::Run => None,
+        };
+        Cow::Borrowed(stored.unwrap_or(&NULL))
     }
-    // Take the result by move: registers are written before read within an
-    // expression (stack-disciplined allocation), so leaving Null behind is
-    // invisible to subsequent evaluations.
-    Ok(std::mem::replace(
-        &mut regs[prog.result as usize],
-        Value::Null,
-    ))
+
+    /// The value of expression `xi`: a reference for a lone one, the
+    /// register machine's result otherwise.
+    fn eval(&self, xi: u32, regs: &mut [Value]) -> Result<Cow<'a, Value>, EvalFailed> {
+        match self.pass.slots[xi as usize] {
+            Slot::Run => self.run(xi, regs).map(Cow::Owned),
+            lone => Ok(self.read(lone)),
+        }
+    }
+
+    /// `true` when expression `xi` evaluates to `Bool(true)`; anything
+    /// else — another value, a failure — does not hold (advice safety).
+    fn holds(&self, xi: u32, regs: &mut [Value]) -> bool {
+        matches!(self.eval(xi, regs).as_deref(), Ok(Value::Bool(true)))
+    }
+
+    /// A row passes only when every predicate in `pre` holds.
+    fn passes(&self, pre: PoolRange, regs: &mut [Value]) -> bool {
+        (pre.0..pre.1).all(|xi| self.holds(xi, regs))
+    }
+
+    /// Projects the row through the expressions in `range` into a tuple of
+    /// its own; any evaluation error drops the whole row.
+    fn project(&self, range: PoolRange, regs: &mut [Value]) -> Option<Tuple> {
+        // Collected as plain values with the failure on the side: a
+        // `Result<Tuple, _>` collect costs more than the projection.
+        let mut ok = true;
+        let value = |xi| match self.eval(xi, regs) {
+            Ok(v) => v.into_owned(),
+            Err(EvalFailed) => {
+                ok = false;
+                Value::Null
+            }
+        };
+        let projected: Tuple = (range.0..range.1).map(value).collect();
+        ok.then_some(projected)
+    }
+
+    /// Runs the expressions of `range` that have to run, each leaving its
+    /// value — `Null` for a failure — at its position in `ran`; `false`
+    /// when one failed.
+    fn fill(&self, range: PoolRange, regs: &mut [Value], ran: &mut [Value]) -> bool {
+        let mut ok = true;
+        for (xi, val) in (range.0..range.1).zip(ran) {
+            if let Slot::Run = self.pass.slots[xi as usize] {
+                *val = self.run(xi, regs).unwrap_or_else(|_| {
+                    ok = false;
+                    Value::Null
+                });
+            }
+        }
+        ok
+    }
+
+    /// The expressions of `range` over this row for a sink to read, after
+    /// [`Row::fill`] left in `ran` what had to run.
+    fn cols<'r>(&'r self, range: PoolRange, ran: &'r [Value]) -> Projected<'r, X> {
+        let row = self;
+        Projected { row, range, ran }
+    }
+
+    /// Runs expression `xi` on the register machine.
+    fn run(&self, xi: u32, regs: &mut [Value]) -> Result<Value, EvalFailed> {
+        let code = self.pass.code;
+        let prog = code.exprs[xi as usize];
+        let insts = &code.einsts[prog.start as usize..(prog.start + prog.len) as usize];
+        let mut pc = 0usize;
+        while pc < insts.len() {
+            match &insts[pc] {
+                EInst::Load { dst, col } => {
+                    regs[*dst as usize] = self.read(Slot::Load(*col)).into_owned();
+                }
+                EInst::Const { dst, idx } => {
+                    regs[*dst as usize] = code.consts[*idx as usize].clone();
+                }
+                EInst::Unary { dst, op, src } => {
+                    let v = eval_unary(*op, &regs[*src as usize]).map_err(|_| EvalFailed)?;
+                    regs[*dst as usize] = v;
+                }
+                EInst::Binary { dst, op, lhs, rhs } => {
+                    let v = eval_binary(*op, &regs[*lhs as usize], &regs[*rhs as usize])
+                        .map_err(|_| EvalFailed)?;
+                    regs[*dst as usize] = v;
+                }
+                EInst::CoerceBool { dst, src } => match regs[*src as usize] {
+                    Value::Bool(b) => regs[*dst as usize] = Value::Bool(b),
+                    _ => return Err(EvalFailed),
+                },
+                EInst::SkipIfBool { src, when, skip } => {
+                    if regs[*src as usize] == Value::Bool(*when) {
+                        pc += *skip as usize;
+                    }
+                }
+                EInst::Fail => return Err(EvalFailed),
+            }
+            pc += 1;
+        }
+        // Take the result by move: registers are written before read within
+        // an expression (stack-disciplined allocation), so leaving Null
+        // behind is invisible to subsequent evaluations.
+        Ok(std::mem::replace(
+            &mut regs[prog.result as usize],
+            Value::Null,
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -1852,8 +2040,9 @@ mod tests {
             &mut self,
             query: QueryId,
             spec: &Arc<OutputSpec>,
-            key: GroupKey,
+            key: &dyn Cols,
         ) -> &mut (QueryId, GroupKey, Vec<AggState>, u64) {
+            let key = GroupKey(key.to_tuple());
             if let Some(i) = self
                 .groups
                 .iter()
@@ -1891,13 +2080,13 @@ mod tests {
             &mut self,
             query: QueryId,
             spec: &Arc<OutputSpec>,
-            key: GroupKey,
-            args: &[Value],
+            key: &dyn Cols,
+            args: &dyn Cols,
         ) {
             let (_, _, states, rows) = self.slot(query, spec, key);
             *rows += 1;
-            for (st, arg) in states.iter_mut().zip(args) {
-                st.update(arg);
+            for (st, i) in states.iter_mut().zip(0..args.width()) {
+                st.update(&args.col(i));
             }
         }
         fn folds_grouped(&self) -> bool {
@@ -1907,7 +2096,7 @@ mod tests {
             &mut self,
             query: QueryId,
             spec: &Arc<OutputSpec>,
-            key: GroupKey,
+            key: &dyn Cols,
             partial: &[AggState],
             rows: u64,
         ) {

@@ -228,10 +228,10 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     assert_eq!(loss.tuples_dropped, 0, "no silent transport loss");
     let mut books = Ledger::from(loss);
     for agent in &agents {
-        books += Ledger::of_agent(agent.agent(), &[handle.id]);
+        books += &Ledger::of_agent(agent.agent(), &[handle.id]);
     }
-    books += residue.books().0;
-    books += relay.stats().books().0;
+    books += &residue.books().0;
+    books += &relay.stats().books().0;
     assert_eq!(books.balance(), Ok(()));
     assert_eq!(
         (books.produced, books.delivered, books.crash_lost),

@@ -234,8 +234,8 @@ fn stale_frame_after_relay_restart_surfaces_as_loss() {
     // The harness-level ground truth: everything the agent emitted is
     // either delivered or explicitly surfaced as stale loss.
     let mut books = Ledger::of_agent(&agent, &[handle.id]);
-    books += Ledger::from(loss);
-    books += stats.books().0;
+    books += &Ledger::from(loss);
+    books += &stats.books().0;
     assert_eq!(books.balance(), Ok(()));
     assert_eq!((books.produced, books.stale), (4, 2));
 }
@@ -275,8 +275,8 @@ fn crash_residue_accounts_the_open_window() {
     assert_eq!(loss.tuples_dropped, 0, "the new incarnation balances");
     // Ground truth: 5 emitted, 2 delivered, 3 crash-lost residue.
     let mut books = Ledger::of_agent(&agent, &[handle.id]);
-    books += Ledger::from(loss);
-    books += residue.books().0;
+    books += &Ledger::from(loss);
+    books += &residue.books().0;
     assert_eq!(books.balance(), Ok(()));
     assert_eq!((books.produced, books.crash_lost), (5, 3));
 }

@@ -220,8 +220,8 @@ fn run_sweep(seed: u64) -> SweepOutcome {
     let mut retro = Ledger::default();
     let mut bury = |residue: CrashResidue| {
         let (tuples, events) = residue.books();
-        books += tuples;
-        retro += events;
+        books += &tuples;
+        retro += &events;
     };
     for round in 0..ROUNDS {
         for (i, agent) in agents.iter().enumerate() {
@@ -317,13 +317,13 @@ fn run_sweep(seed: u64) -> SweepOutcome {
     let leaves = root.inner().children().iter().map(|c| c.inner().core());
     for core in leaves.chain([root.core()]) {
         let (tuples, events) = core.stats().books();
-        books += tuples;
-        retro += events;
+        books += &tuples;
+        retro += &events;
     }
     for child in root.inner().children() {
         for link in [child.stats(), child.inner().inner().stats()] {
-            books += Ledger::from(link.reports);
-            retro += Ledger::from(link.retro);
+            books += &Ledger::from(link.reports);
+            retro += &Ledger::from(link.retro);
         }
         agent_frames += child.inner().core().stats().reports_in;
     }
@@ -332,10 +332,10 @@ fn run_sweep(seed: u64) -> SweepOutcome {
     // deliverable drained above; sealing accounts the leftovers
     // (unclaimed ring events become `sampled_out`).
     for agent in &retro_agents {
-        retro += Ledger::from(agent.retro_seal());
+        retro += &Ledger::from(agent.retro_seal());
     }
     for agent in &agents {
-        books += Ledger::of_agent(agent, &[gq.id, sq.id]);
+        books += &Ledger::of_agent(agent, &[gq.id, sq.id]);
     }
 
     let loss_g = fe.results(&gq).loss();
@@ -359,9 +359,9 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         "every delivered raw row survives the hops"
     );
 
-    books += Ledger::from(loss_g);
-    books += Ledger::from(loss_s);
-    retro += Ledger::from(fe.retro_loss());
+    books += &Ledger::from(loss_g);
+    books += &Ledger::from(loss_s);
+    retro += &Ledger::from(fe.retro_loss());
     SweepOutcome {
         books,
         retro,
