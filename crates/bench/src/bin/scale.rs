@@ -185,7 +185,7 @@ fn run_on<B: Bus>(
     for round in 0..rounds {
         let now = (round as u64 + 1) * MS;
         drive_round(agents, now);
-        for r in bus.drain_reports(now) {
+        for r in bus.drain(now).reports {
             fe_frames += 1;
             fe.accept(r);
         }

@@ -90,7 +90,7 @@ mod tests {
     fn disabled_bus_is_transparent() {
         let chaos = ChaosBus::new(LocalBus::new(), PlanScheduler::new(FaultPlan::from_seed(3)));
         chaos.set_enabled(false);
-        assert!(chaos.drain_reports(0).is_empty());
+        assert!(chaos.drain(0).reports.is_empty());
         assert_eq!(chaos.stats(), ChaosStats::default());
     }
 

@@ -844,14 +844,7 @@ impl Agent {
                             let _ = write!(s, "r{t:?};");
                         }
                     }
-                    Rows::Grouped(groups) => {
-                        let mut lines: Vec<String> =
-                            groups.iter().map(|(k, a)| format!("{k:?}={a:?}")).collect();
-                        lines.sort_unstable();
-                        for l in lines {
-                            let _ = write!(s, "r{l};");
-                        }
-                    }
+                    Rows::Grouped(groups) => crate::write_groups(&mut s, groups),
                 }
             }
         }

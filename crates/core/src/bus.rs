@@ -35,31 +35,33 @@ pub trait Bus {
     /// Broadcasts a frontend command to every connected agent.
     fn broadcast(&self, cmd: &Command);
 
-    /// Collects the reports currently addressed to the frontend.
+    /// Collects what is currently addressed to the frontend, both lanes.
     ///
     /// `now` is the flush timestamp for transports that flush agents on
     /// demand; transports whose agents self-report on their own clocks
     /// (e.g. over TCP) ignore it.
-    fn drain_reports(&self, now: u64) -> Vec<Report>;
+    fn drain(&self, now: u64) -> Drained;
 
-    /// Collects the retroactive-flush reports currently addressed to the
-    /// frontend. Transports predating retroactive tracing carry none, so
-    /// the default is empty. `now` serves the same role as in
-    /// [`Bus::drain_reports`].
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        let _ = now;
-        Vec::new()
-    }
-
-    /// Drains pending reports (and retro reports) into `frontend`.
+    /// Drains both lanes into `frontend`.
     fn pump_into(&self, now: u64, frontend: &mut crate::Frontend) {
-        for report in self.drain_reports(now) {
+        let Drained { reports, retro } = self.drain(now);
+        for report in reports {
             frontend.accept(report);
         }
-        for retro in self.drain_retro(now) {
+        for retro in retro {
             frontend.accept_retro(retro);
         }
     }
+}
+
+/// One [`Bus::drain`]: the report lane and the retroactive-flush lane. A
+/// transport that carries no hindsight leaves `retro` empty.
+#[derive(Default, Debug)]
+pub struct Drained {
+    /// Reports, in delivery order.
+    pub reports: Vec<Report>,
+    /// Retroactive-flush reports, in delivery order.
+    pub retro: Vec<RetroReport>,
 }
 
 // Handles forward to the underlying bus: embeddings that hand out
@@ -74,11 +76,8 @@ where
     fn broadcast(&self, cmd: &Command) {
         (**self).broadcast(cmd);
     }
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        (**self).drain_reports(now)
-    }
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        (**self).drain_retro(now)
+    fn drain(&self, now: u64) -> Drained {
+        (**self).drain(now)
     }
 }
 
@@ -225,12 +224,11 @@ impl Bus for LocalBus {
         broadcast_to_agents(&self.agents, cmd);
     }
 
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        flush_agents(&self.agents, now)
-    }
-
-    fn drain_retro(&self, _now: u64) -> Vec<RetroReport> {
-        self.agents.iter().flat_map(|a| a.drain_retro()).collect()
+    fn drain(&self, now: u64) -> Drained {
+        Drained {
+            reports: flush_agents(&self.agents, now),
+            retro: self.agents.iter().flat_map(|a| a.drain_retro()).collect(),
+        }
     }
 }
 
@@ -623,7 +621,7 @@ impl<B, S: Scheduler> SchedBus<B, S> {
     /// the inner bus had drained it at `now`. Returns any immediately
     /// deliverable copies. Harnesses that flush agents themselves (the
     /// interleaving explorer) use this instead of routing flushes through
-    /// [`Bus::drain_reports`].
+    /// [`Bus::drain`].
     pub fn offer_report(&self, report: Report, now: u64) -> Vec<Report> {
         let mut out = Vec::new();
         let mut sh = self.shared.lock();
@@ -679,7 +677,7 @@ impl<B: Bus, S: Scheduler> Bus for SchedBus<B, S> {
         }
     }
 
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
+    fn drain(&self, now: u64) -> Drained {
         let mut sh = self.shared.lock();
         if !sh.severed {
             // Release due commands before draining, so a late install
@@ -698,15 +696,11 @@ impl<B: Bus, S: Scheduler> Bus for SchedBus<B, S> {
                 self.inner.broadcast(cmd);
             }
         }
-        let fresh = self.inner.drain_reports(now);
+        let fresh = self.inner.drain(now);
         let mode = (sh.disabled, sh.severed);
-        sh.reports.drain(fresh, &self.sched, mode, now)
-    }
-
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        let mut sh = self.shared.lock();
-        let fresh = self.inner.drain_retro(now);
-        let mode = (sh.disabled, sh.severed);
-        sh.retro.drain(fresh, &self.sched, mode, now)
+        Drained {
+            reports: sh.reports.drain(fresh.reports, &self.sched, mode, now),
+            retro: sh.retro.drain(fresh.retro, &self.sched, mode, now),
+        }
     }
 }

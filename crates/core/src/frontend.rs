@@ -179,7 +179,7 @@ impl QueryResults {
             track.duplicates += 1;
             return;
         }
-        track.delivered_tuples += report.tuples;
+        sat(&mut track.delivered_tuples, report.tuples);
         track.emitted_cum = track.emitted_cum.max(report.emitted_cum);
         track.shed_cum = track.shed_cum.max(report.shed_cum);
         track.truncated_cum = track.truncated_cum.max(report.truncated_cum);
@@ -225,13 +225,13 @@ impl QueryResults {
     pub fn loss(&self) -> LossStats {
         let mut loss = LossStats::default();
         for track in self.sources.values() {
-            loss.reports_accepted += track.window.accepted();
-            loss.reports_duplicate += track.duplicates;
-            loss.reports_missed += track.window.missed();
-            loss.tuples_delivered += track.delivered_tuples;
-            loss.tuples_emitted += track.emitted_cum;
-            loss.tuples_shed += track.shed_cum;
-            loss.tuples_truncated += track.truncated_cum;
+            sat(&mut loss.reports_accepted, track.window.accepted());
+            sat(&mut loss.reports_duplicate, track.duplicates);
+            sat(&mut loss.reports_missed, track.window.missed());
+            sat(&mut loss.tuples_delivered, track.delivered_tuples);
+            sat(&mut loss.tuples_emitted, track.emitted_cum);
+            sat(&mut loss.tuples_shed, track.shed_cum);
+            sat(&mut loss.tuples_truncated, track.truncated_cum);
         }
         loss.tuples_dropped = loss
             .tuples_emitted
@@ -251,33 +251,14 @@ impl QueryResults {
     /// Returns the merged-over-all-time rows in `Select` order, sorted by
     /// key for determinism.
     pub fn rows(&self) -> Vec<ResultRow> {
-        let mut out: Vec<ResultRow> = self
-            .cumulative
-            .iter()
-            .map(|(key, states)| ResultRow {
-                time: 0,
-                values: layout(&self.spec, key, states),
-            })
-            .collect();
-        sort_rows(&mut out);
-        out
+        sorted_rows(&self.spec, &self.cumulative, 0)
     }
 
     /// Returns per-interval rows: `(time, rows)` in time order.
     pub fn series(&self) -> Vec<(u64, Vec<ResultRow>)> {
         self.intervals
             .iter()
-            .map(|(t, groups)| {
-                let mut rows: Vec<ResultRow> = groups
-                    .iter()
-                    .map(|(key, states)| ResultRow {
-                        time: *t,
-                        values: layout(&self.spec, key, states),
-                    })
-                    .collect();
-                sort_rows(&mut rows);
-                (*t, rows)
-            })
+            .map(|(t, groups)| (*t, sorted_rows(&self.spec, groups, *t)))
             .collect()
     }
 
@@ -320,16 +301,28 @@ fn layout(spec: &OutputSpec, key: &GroupKey, states: &[AggState]) -> Vec<Value> 
         .collect()
 }
 
-fn sort_rows(rows: &mut [ResultRow]) {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.values.iter().zip(&b.values) {
-            match x.compare(y) {
-                Some(std::cmp::Ordering::Equal) | None => continue,
-                Some(ord) => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+/// `*sum += n`, saturating: the envelope counters of a decoded frame are
+/// whatever `u64`s a peer sent, and the books must neither wrap nor panic.
+fn sat(sum: &mut u64, n: u64) {
+    *sum = sum.saturating_add(n);
+}
+
+/// One group map as output rows stamped `time`, in the value order
+/// (DESIGN.md §5) of their `Select` columns.
+fn sorted_rows(
+    spec: &OutputSpec,
+    groups: &HashMap<GroupKey, Vec<AggState>>,
+    time: u64,
+) -> Vec<ResultRow> {
+    let mut rows: Vec<ResultRow> = groups
+        .iter()
+        .map(|(key, states)| ResultRow {
+            time,
+            values: layout(spec, key, states),
+        })
+        .collect();
+    rows.sort_unstable_by(|a, b| a.values.cmp(&b.values));
+    rows
 }
 
 /// Errors surfaced by [`Frontend::install`].
@@ -613,12 +606,12 @@ impl Frontend {
     pub fn retro_loss(&self) -> RetroLossStats {
         let mut loss = RetroLossStats::default();
         for track in self.retro_sources.values() {
-            loss.reports_accepted += track.window.accepted();
-            loss.reports_duplicate += track.duplicates;
-            loss.events_delivered += track.delivered_events;
-            loss.events_recorded += track.recorded_cum;
-            loss.events_sampled_out += track.sampled_out_cum;
-            loss.events_shed += track.shed_cum;
+            sat(&mut loss.reports_accepted, track.window.accepted());
+            sat(&mut loss.reports_duplicate, track.duplicates);
+            sat(&mut loss.events_delivered, track.delivered_events);
+            sat(&mut loss.events_recorded, track.recorded_cum);
+            sat(&mut loss.events_sampled_out, track.sampled_out_cum);
+            sat(&mut loss.events_shed, track.shed_cum);
         }
         loss.events_outstanding = loss
             .events_recorded
@@ -676,70 +669,57 @@ impl Frontend {
         for id in ids {
             let res = &self.results[&id];
             let _ = write!(s, "R{}:", id.0);
-            let mut groups: Vec<String> = res
-                .cumulative
-                .iter()
-                .map(|(k, a)| format!("{k:?}={a:?}"))
-                .collect();
-            groups.sort_unstable();
-            for g in groups {
-                let _ = write!(s, "g{g};");
-            }
+            crate::write_groups(&mut s, &res.cumulative);
             for (t, row) in &res.raw {
                 let _ = write!(s, "w{t}:{row:?};");
             }
             for (t, groups) in res.intervals.iter() {
-                let mut lines: Vec<String> =
-                    groups.iter().map(|(k, a)| format!("{k:?}={a:?}")).collect();
-                lines.sort_unstable();
-                let _ = write!(s, "i{t}:{lines:?};");
+                let _ = write!(s, "i{t}:");
+                crate::write_groups(&mut s, groups);
             }
-            let mut tracks: Vec<String> = res
-                .sources
-                .iter()
-                .map(|((host, procid, inc), t)| {
-                    format!("{host}/{procid}/{}:{t:?}", remap_incarnation(*inc))
-                })
-                .collect();
-            tracks.sort_unstable();
-            for t in tracks {
-                let _ = write!(s, "s{t};");
-            }
+            write_tracks(&mut s, 's', &res.sources, remap_incarnation);
             let _ = write!(s, "t{:?};", res.throttles());
-            let mut retro: Vec<String> = res
+            // A source's ring seq names a retro report once (the dedup
+            // above), so this order has no ties.
+            let mut retro: Vec<(&str, u64, u64, &RetroReport)> = res
                 .retro
                 .iter()
-                .map(|r| {
-                    format!(
-                        "{}/{}/{}:{}:{:?}:{}:{}",
-                        r.host,
-                        r.procid,
-                        remap_incarnation(r.incarnation),
-                        r.seq,
-                        r.kind,
-                        r.request,
-                        r.events.len(),
-                    )
-                })
+                .map(|r| (&*r.host, r.procid, remap_incarnation(r.incarnation), r))
                 .collect();
-            retro.sort_unstable();
-            for r in retro {
-                let _ = write!(s, "x{r};");
+            retro.sort_unstable_by_key(|&(host, procid, inc, r)| (host, procid, inc, r.seq));
+            for (host, procid, inc, r) in retro {
+                let _ = write!(
+                    s,
+                    "x{host}/{procid}/{inc}:{}:{:?}:{}:{};",
+                    r.seq,
+                    r.kind,
+                    r.request,
+                    r.events.len(),
+                );
             }
         }
-        let mut retro_tracks: Vec<String> = self
-            .retro_sources
-            .iter()
-            .map(|((host, procid, inc), t)| {
-                format!("{host}/{procid}/{}:{t:?}", remap_incarnation(*inc))
-            })
-            .collect();
-        retro_tracks.sort_unstable();
-        for t in retro_tracks {
-            let _ = write!(s, "X{t};");
-        }
+        write_tracks(&mut s, 'X', &self.retro_sources, remap_incarnation);
         let _ = write!(s, "O{};", self.retro_orphans.len());
         crate::fnv64(s.as_bytes())
+    }
+}
+
+/// Writes one digest line per source, in `(host, procid, remapped
+/// incarnation)` order.
+fn write_tracks<T: fmt::Debug>(
+    s: &mut String,
+    tag: char,
+    sources: &HashMap<SourceKey, T>,
+    remap_incarnation: &mut dyn FnMut(u64) -> u64,
+) {
+    use std::fmt::Write as _;
+    let mut tracks: Vec<(&str, u64, u64, &T)> = sources
+        .iter()
+        .map(|((host, procid, inc), t)| (&**host, *procid, remap_incarnation(*inc), t))
+        .collect();
+    tracks.sort_unstable_by_key(|&(host, procid, inc, _)| (host, procid, inc));
+    for (host, procid, inc, t) in tracks {
+        let _ = write!(s, "{tag}{host}/{procid}/{inc}:{t:?};");
     }
 }
 

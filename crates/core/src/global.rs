@@ -352,14 +352,6 @@ pub fn evaluate(query: &Query, resolver: &dyn Resolver, log: &TraceLog) -> Vec<V
     } else {
         raw
     };
-    rows.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b) {
-            match x.compare(y) {
-                Some(std::cmp::Ordering::Equal) | None => continue,
-                Some(ord) => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    rows.sort_unstable();
     rows
 }

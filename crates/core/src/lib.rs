@@ -42,8 +42,8 @@ pub mod tracepoint;
 
 pub use agent::{Agent, ProcessInfo};
 pub use bus::{
-    Bus, Command, DeliveryStats, FifoScheduler, HeldFrame, LaneStats, LocalBus, Report, ReportRows,
-    SchedBus, Scheduler, Verdict,
+    Bus, Command, DeliveryStats, Drained, FifoScheduler, HeldFrame, LaneStats, LocalBus, Report,
+    ReportRows, SchedBus, Scheduler, Verdict,
 };
 pub use frontend::{Frontend, LossStats, QueryHandle, QueryResults, ResultRow, RetroLossStats};
 pub use governor::{QueryBudget, ThrottleReason, ThrottleStats, Throttled};
@@ -61,4 +61,18 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Writes one digest line per group in key order — the one order,
+/// `pivot_model::Value`'s `Ord` — so hash order never reaches a digest.
+pub(crate) fn write_groups<S>(
+    s: &mut String,
+    groups: &std::collections::HashMap<pivot_model::GroupKey, Vec<pivot_model::AggState>, S>,
+) {
+    use std::fmt::Write as _;
+    let mut groups: Vec<_> = groups.iter().collect();
+    groups.sort_unstable_by_key(|&(key, _)| key);
+    for (key, states) in groups {
+        let _ = write!(s, "g{key:?}={states:?};");
+    }
 }

@@ -14,13 +14,17 @@
 //!   being masked by the successor's fresh counters.
 //!
 //! The chaos suite covers these paths under random seeds; these tests
-//! pin the exact semantics deterministically.
+//! pin the exact semantics deterministically — and, last, that the
+//! envelope's counters, which a peer controls as it controls `seq`,
+//! saturate the books rather than overflow them.
 
 use std::sync::Arc;
 
 use pivot_baggage::Baggage;
-use pivot_core::{Agent, Frontend, ProcessInfo, QueryHandle, Report};
-use pivot_model::Value;
+use pivot_core::{
+    Agent, Frontend, ProcessInfo, QueryHandle, Report, ReportRows, RetroReport, TriggerKind,
+};
+use pivot_model::{AggState, GroupKey, Value};
 
 const QUERY: &str = "From e In Exec GroupBy e.k Select e.k, SUM(e.v)";
 const MS: u64 = 1_000_000;
@@ -190,4 +194,59 @@ fn crashed_incarnation_loss_stays_visible_past_the_restart() {
          by the successor's smaller cumulative counters"
     );
     assert!(fe.results(&handle).loss().is_degraded());
+}
+
+/// `decode_report` accepts any `u64` in the envelope: frames claiming
+/// `u64::MAX` of everything saturate the books, per source and summed
+/// over sources, where `+=` panicked (dev) or wrapped (release).
+#[test]
+fn hostile_envelope_counters_saturate() {
+    let mut fe = Frontend::new();
+    fe.define("Exec", ["k", "v"]);
+    let handle = fe
+        .install("From e In Exec Select COUNT")
+        .expect("query installs");
+    for (procid, seq) in [(1, 0), (2, 0), (2, 1)] {
+        fe.accept(Report {
+            query: handle.id,
+            host: "evil".into(),
+            procid,
+            procname: "peer".into(),
+            incarnation: 1,
+            time: 0,
+            seq,
+            tuples: u64::MAX,
+            emitted_cum: u64::MAX,
+            shed_cum: u64::MAX,
+            truncated_cum: u64::MAX,
+            throttled: None,
+            rows: ReportRows::Grouped(vec![(GroupKey::default(), vec![AggState::Count(u64::MAX)])]),
+        });
+        fe.accept_retro(RetroReport {
+            host: "evil".into(),
+            procid,
+            procname: "peer".into(),
+            incarnation: 1,
+            time: 0,
+            seq,
+            query: handle.id,
+            kind: TriggerKind::Fault,
+            request: 0,
+            events: Vec::new(),
+            recorded_cum: u64::MAX,
+            sampled_out_cum: u64::MAX,
+            shed_cum: u64::MAX,
+        });
+    }
+    let loss = fe.results(&handle).loss();
+    assert_eq!(loss.reports_accepted, 3);
+    assert_eq!(loss.tuples_delivered, u64::MAX);
+    assert_eq!(loss.tuples_emitted, u64::MAX);
+    assert_eq!(loss.tuples_shed, u64::MAX);
+    assert_eq!(loss.tuples_dropped, 0);
+    assert_eq!(fe.results(&handle).rows()[0].values, [Value::U64(u64::MAX)]);
+    let retro = fe.retro_loss();
+    assert_eq!(retro.events_recorded, u64::MAX);
+    assert_eq!(retro.events_sampled_out, u64::MAX);
+    assert_eq!(retro.events_outstanding, 0);
 }

@@ -7,7 +7,7 @@
 //! scripted workload step — and checks the protocol invariants after
 //! every transition.
 //!
-//! The agents never flush through [`Bus::drain_reports`]; the harness
+//! The agents never flush through [`Bus::drain`]; the harness
 //! flushes them at script steps and admits the reports through
 //! [`SchedBus::offer_report`], so report frames only ever move when the
 //! explorer picks their transition. The virtual clock advances only on
@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 
 use pivot_baggage::{Baggage, QueryId};
 use pivot_core::{
-    Agent, Bus, Command, Frontend, HeldFrame, Ledger, ProcessInfo, QueryHandle, Report, SchedBus,
-    Scheduler, Verdict,
+    Agent, Bus, Command, Drained, Frontend, HeldFrame, Ledger, ProcessInfo, QueryHandle, Report,
+    SchedBus, Scheduler, Verdict,
 };
 use pivot_model::Value;
 use pivot_query::CompiledCode;
@@ -57,8 +57,8 @@ impl Bus for AgentPort {
     fn broadcast(&self, cmd: &Command) {
         self.cell.lock().unwrap().apply(cmd);
     }
-    fn drain_reports(&self, _now: u64) -> Vec<Report> {
-        Vec::new()
+    fn drain(&self, _now: u64) -> Drained {
+        Drained::default()
     }
 }
 
@@ -329,7 +329,7 @@ impl Execution {
                 debug_assert_eq!(released, 1);
                 // The drain broadcasts the released command into the
                 // agent; AgentPort's drain contributes nothing fresh.
-                let stray = self.links[link].bus.drain_reports(self.now());
+                let stray = self.links[link].bus.drain(self.now()).reports;
                 for r in stray {
                     self.fe.accept(r);
                 }
@@ -350,7 +350,7 @@ impl Execution {
                     HeldFrame::Command { .. } | HeldFrame::Retro(_) => false,
                 });
                 debug_assert_eq!(released, 1);
-                let reports = self.links[link].bus.drain_reports(self.now());
+                let reports = self.links[link].bus.drain(self.now()).reports;
                 for r in reports {
                     self.fe.accept(r);
                 }

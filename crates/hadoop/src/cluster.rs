@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use pivot_core::frontend::InstallError;
-use pivot_core::{Agent, Bus, Command, Frontend, ProcessInfo, QueryHandle, Report};
+use pivot_core::{Agent, Bus, Command, Drained, Frontend, ProcessInfo, QueryHandle};
 use pivot_simrt::{join2, Clock, Counter, FifoResource, Nanos, SimRt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -291,9 +291,12 @@ impl Bus for Cluster {
         pivot_core::bus::broadcast_to_agents(&agents, cmd);
     }
 
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
+    fn drain(&self, now: u64) -> Drained {
         let agents = self.agents.borrow().clone();
-        pivot_core::bus::flush_agents(&agents, now)
+        Drained {
+            reports: pivot_core::bus::flush_agents(&agents, now),
+            ..Drained::default()
+        }
     }
 }
 

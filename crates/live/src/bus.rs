@@ -44,8 +44,8 @@ use parking_lot::Mutex;
 use pivot_baggage::QueryId;
 use pivot_core::frontend::InstallError;
 use pivot_core::{
-    Agent, Bus, Command, Frontend, ProcessInfo, QueryBudget, QueryHandle, QueryResults, Report,
-    RetroReport, TracepointDef,
+    Agent, Bus, Command, Drained, Frontend, ProcessInfo, QueryBudget, QueryHandle, QueryResults,
+    TracepointDef,
 };
 use pivot_query::CompiledCode;
 
@@ -79,10 +79,9 @@ struct Peer {
 struct BusInner {
     addr: SocketAddr,
     peers: Mutex<Vec<Arc<Peer>>>,
-    /// Reports received and not yet drained by the frontend.
-    reports: Mutex<Vec<Report>>,
-    /// Retroactive-flush reports received and not yet drained.
-    retros: Mutex<Vec<RetroReport>>,
+    /// Reports and retroactive-flush reports received and not yet
+    /// drained by the frontend.
+    inbox: Mutex<Drained>,
     /// Currently installed queries, synced to agents that join (or
     /// rejoin) late — mirrors the simulated cluster weaving installed
     /// queries into new processes.
@@ -131,8 +130,7 @@ impl TcpBusServer {
         let inner = Arc::new(BusInner {
             addr: listener.local_addr()?,
             peers: Mutex::new(Vec::new()),
-            reports: Mutex::new(Vec::new()),
-            retros: Mutex::new(Vec::new()),
+            inbox: Mutex::new(Drained::default()),
             installed: Mutex::new(Vec::new()),
             budgets: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
@@ -296,12 +294,8 @@ impl Bus for TcpBusServer {
             .send_all(&encode_message(&Message::Command(cmd.clone())));
     }
 
-    fn drain_reports(&self, _now: u64) -> Vec<Report> {
-        std::mem::take(&mut *self.inner.reports.lock())
-    }
-
-    fn drain_retro(&self, _now: u64) -> Vec<RetroReport> {
-        std::mem::take(&mut *self.inner.retros.lock())
+    fn drain(&self, _now: u64) -> Drained {
+        std::mem::take(&mut *self.inner.inbox.lock())
     }
 }
 
@@ -353,8 +347,8 @@ fn peer_reader(mut stream: TcpStream, peer: &Arc<Peer>, inner: &BusInner) {
                     break;
                 }
             }
-            Ok(Message::Report(report)) => inner.reports.lock().push(report),
-            Ok(Message::Retro(report)) => inner.retros.lock().push(report),
+            Ok(Message::Report(report)) => inner.inbox.lock().reports.push(report),
+            Ok(Message::Retro(report)) => inner.inbox.lock().retro.push(report),
             Ok(Message::Goodbye) => {
                 orderly = true;
                 break;

@@ -7,6 +7,7 @@
 //! `merge` implements the paper's `Combine` function (Table 3): e.g. the
 //! combiner of `COUNT` is `SUM`, and `AVERAGE` merges `(sum, count)` pairs.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::codec;
@@ -14,7 +15,7 @@ use crate::value::Value;
 use pivot_itc::{DecodeError, Decoder, Encoder};
 
 /// An aggregation function named in a query.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AggFunc {
     /// Number of tuples.
     Count,
@@ -154,16 +155,14 @@ impl AggState {
                 }
             }
             AggState::Min(cur) => {
-                if !v.is_null()
-                    && (cur.is_null() || matches!(v.compare(cur), Some(std::cmp::Ordering::Less)))
+                if !v.is_null() && (cur.is_null() || matches!(v.compare(cur), Some(Ordering::Less)))
                 {
                     *cur = v.clone();
                 }
             }
             AggState::Max(cur) => {
                 if !v.is_null()
-                    && (cur.is_null()
-                        || matches!(v.compare(cur), Some(std::cmp::Ordering::Greater)))
+                    && (cur.is_null() || matches!(v.compare(cur), Some(Ordering::Greater)))
                 {
                     *cur = v.clone();
                 }
@@ -183,24 +182,24 @@ impl AggState {
     /// Mismatched variants (protocol corruption) leave `self` unchanged.
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
+            // Partial counts arrive in decoded frames: any `u64`.
+            (AggState::Count(a), AggState::Count(b)) => *a = a.saturating_add(*b),
             (AggState::Sum(a), AggState::Sum(b)) => a.merge(*b),
             (AggState::Min(a), AggState::Min(b))
                 if a.is_null()
-                    || (!b.is_null() && matches!(b.compare(a), Some(std::cmp::Ordering::Less))) =>
+                    || (!b.is_null() && matches!(b.compare(a), Some(Ordering::Less))) =>
             {
                 *a = b.clone();
             }
             (AggState::Max(a), AggState::Max(b))
                 if a.is_null()
-                    || (!b.is_null()
-                        && matches!(b.compare(a), Some(std::cmp::Ordering::Greater))) =>
+                    || (!b.is_null() && matches!(b.compare(a), Some(Ordering::Greater))) =>
             {
                 *a = b.clone();
             }
             (AggState::Average { sum, count }, AggState::Average { sum: s2, count: c2 }) => {
                 *sum += s2;
-                *count += c2;
+                *count = count.saturating_add(*c2);
             }
             _ => {}
         }
@@ -219,6 +218,25 @@ impl AggState {
                     Value::F64(sum / *count as f64)
                 }
             }
+        }
+    }
+
+    /// A total order over accumulators, for [`Value`]'s `Ord`: by
+    /// function, then by what was accumulated — an integral sum below a
+    /// float one, floats by [`f64::total_cmp`]. (`==` stays field-wise
+    /// IEEE, as `f64` keeps both.)
+    pub(crate) fn total_cmp(&self, other: &AggState) -> Ordering {
+        use AggState::*;
+        match (self, other) {
+            (Count(a), Count(b)) => a.cmp(b),
+            (Sum(Num::I(a)), Sum(Num::I(b))) => a.cmp(b),
+            (Sum(Num::F(a)), Sum(Num::F(b))) => a.total_cmp(b),
+            (Sum(a), Sum(b)) => matches!(a, Num::F(_)).cmp(&matches!(b, Num::F(_))),
+            (Min(a), Min(b)) | (Max(a), Max(b)) => a.cmp(b),
+            (Average { sum: a, count: m }, Average { sum: b, count: n }) => {
+                a.total_cmp(b).then(m.cmp(n))
+            }
+            _ => self.func().cmp(&other.func()),
         }
     }
 

@@ -261,8 +261,8 @@ pub fn eval_unary(op: UnOp, v: &Value) -> Result<Value, EvalError> {
 pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
-        Eq => Ok(Value::Bool(l.loose_eq(r))),
-        Ne => Ok(Value::Bool(!l.loose_eq(r))),
+        Eq => Ok(Value::Bool(l == r)),
+        Ne => Ok(Value::Bool(l != r)),
         Lt | Le | Gt | Ge => {
             let ord = l.compare(r).ok_or(EvalError::TypeMismatch {
                 op: op.symbol(),

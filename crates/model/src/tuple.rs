@@ -1,6 +1,7 @@
 //! Tuples, schemas, and grouping keys.
 
 use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -234,6 +235,18 @@ impl PartialEq for Tuple {
 
 impl Eq for Tuple {}
 
+impl Ord for Tuple {
+    fn cmp(&self, other: &Tuple) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl PartialOrd for Tuple {
+    fn partial_cmp(&self, other: &Tuple) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Hash for Tuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // The logical value sequence, so inline and heap tuples with equal
@@ -295,6 +308,23 @@ impl PartialEq for dyn Cols + '_ {
 }
 
 impl Eq for dyn Cols + '_ {}
+
+/// Lexicographic by [`Value`]'s order, a prefix first: a view sorts where
+/// the tuple it would become sorts.
+impl Ord for dyn Cols + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (0..self.width().min(other.width()))
+            .map(|i| self.col(i).cmp(&other.col(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.width().cmp(&other.width()))
+    }
+}
+
+impl PartialOrd for dyn Cols + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -358,7 +388,7 @@ impl Row for (&Schema, &Tuple) {
 }
 
 /// A hashable grouping key: the projection of a tuple onto `GroupBy` fields.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct GroupKey(pub Tuple);
 
 impl GroupKey {

@@ -110,62 +110,84 @@ impl Value {
         }
     }
 
-    /// Compares two values for query semantics.
-    ///
-    /// Numerics compare by magnitude regardless of representation; strings
-    /// compare lexicographically; `Null` compares equal to `Null` and less
-    /// than everything else; mismatched types are unordered.
-    pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Some(Ordering::Equal),
-            (Null, _) => Some(Ordering::Less),
-            (_, Null) => Some(Ordering::Greater),
-            (Bool(a), Bool(b)) => Some(a.cmp(b)),
-            (Str(a), Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                // Compare exactly where both are integral; via f64 otherwise.
-                match (a, b) {
-                    (I64(x), I64(y)) => Some(x.cmp(y)),
-                    (U64(x), U64(y)) => Some(x.cmp(y)),
-                    (I64(x), U64(y)) => Some(cmp_i64_u64(*x, *y)),
-                    (U64(x), I64(y)) => Some(cmp_i64_u64(*y, *x).reverse()),
-                    _ => a.as_f64()?.partial_cmp(&b.as_f64()?),
-                }
-            }
-            _ => None,
+    /// Where this value's class ranks in the total order:
+    /// `Null < Bool < numeric < Str < Agg`.
+    fn class(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::I64(_) | Value::U64(_) | Value::F64(_) => 2,
+            Value::Str(_) => 3,
+            Value::Agg(_) => 4,
         }
     }
 
-    /// Returns `true` if the values are equal under query semantics.
-    pub fn loose_eq(&self, other: &Value) -> bool {
-        self.compare(other) == Some(Ordering::Equal)
+    /// Compares two values for query semantics: the total order ([`Ord`])
+    /// restricted to one class. `Null` is less than everything else;
+    /// otherwise values of different classes (a string and a number) are
+    /// unordered.
+    pub fn compare(&self, other: &Value) -> Option<Ordering> {
+        (self.class() == other.class() || self.is_null() || other.is_null())
+            .then(|| self.cmp(other))
     }
 }
 
-fn cmp_i64_u64(a: i64, b: u64) -> Ordering {
-    if a < 0 {
-        Ordering::Less
-    } else {
-        (a as u64).cmp(&b)
+/// The one comparison of numerics across representations. Exact: an
+/// integer is never rounded through `f64`, so `I64(2^53 + 1)` is above
+/// `F64(2^53)`. Total: a NaN ranks by its sign beyond the infinities, as
+/// [`f64::total_cmp`] ranks it among floats, and an integer zero ties with
+/// `+0.0`, which leaves `-0.0` directly below every zero.
+fn cmp_numeric(a: &Value, b: &Value) -> Ordering {
+    let int = |v: &Value| match *v {
+        Value::I64(i) => i128::from(i),
+        Value::U64(u) => i128::from(u),
+        _ => unreachable!("a float is matched before an operand is read as an integer"),
+    };
+    match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.total_cmp(y),
+        (Value::F64(_), _) => cmp_numeric(b, a).reverse(),
+        // Every integer stands where zero stands against a NaN.
+        (_, Value::F64(y)) if y.is_nan() => 0f64.total_cmp(y),
+        (_, Value::F64(y)) => {
+            // The cast saturates, which keeps every float beyond the
+            // integers' range on its side of them; when the integral parts
+            // tie, `n` is exactly a float and the fraction (or the sign of
+            // zero) decides.
+            let n = int(a);
+            n.cmp(&(y.trunc() as i128))
+                .then_with(|| (n as f64).total_cmp(y))
+        }
+        _ => int(a).cmp(&int(b)),
+    }
+}
+
+/// The total order every tier sorts by (DESIGN.md §5): class rank, then
+/// within a class booleans `false < true`, numerics by `cmp_numeric`,
+/// strings bytewise, aggregation states by `AggState::total_cmp`.
+impl Ord for Value {
+    fn cmp(&self, other: &Value) -> Ordering {
+        use Value::*;
+        match (self, other) {
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (I64(a), I64(b)) => a.cmp(b),
+            (U64(a), U64(b)) => a.cmp(b),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Agg(a), Agg(b)) => a.total_cmp(b),
+            _ if self.is_numeric() && other.is_numeric() => cmp_numeric(self, other),
+            _ => self.class().cmp(&other.class()),
+        }
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Value) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl PartialEq for Value {
     fn eq(&self, other: &Value) -> bool {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => true,
-            (Bool(a), Bool(b)) => a == b,
-            (I64(a), I64(b)) => a == b,
-            (U64(a), U64(b)) => a == b,
-            (F64(a), F64(b)) => a.to_bits() == b.to_bits(),
-            (Str(a), Str(b)) => a == b,
-            (Agg(a), Agg(b)) => a == b,
-            // Cross-representation numeric equality.
-            (a, b) if a.is_numeric() && b.is_numeric() => a.compare(b) == Some(Ordering::Equal),
-            _ => false,
-        }
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -173,54 +195,44 @@ impl Eq for Value {}
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Numerics hash via a canonical form so cross-representation
-        // equal values hash identically.
+        // A numeric that is an integer hashes as that integer whatever
+        // holds it — sign, then the low 64 bits, which `i64::MIN..=u64::MAX`
+        // fits — so values equal across representations hash alike.
+        let mut int = |i: i128| {
+            state.write_u8(if i < 0 { 2 } else { 3 });
+            state.write_u64(i as u64);
+        };
         match self {
             Value::Null => state.write_u8(0),
             Value::Bool(b) => {
                 state.write_u8(1);
                 state.write_u8(*b as u8);
             }
-            Value::I64(v) => hash_numeric(state, *v as f64, Some(*v)),
-            Value::U64(v) => {
-                if let Ok(i) = i64::try_from(*v) {
-                    hash_numeric(state, *v as f64, Some(i));
-                } else {
-                    hash_numeric(state, *v as f64, None);
-                    state.write_u64(*v);
-                }
-            }
+            Value::I64(v) => int(i128::from(*v)),
+            Value::U64(v) => int(i128::from(*v)),
             Value::F64(v) => {
-                if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v <= i64::MAX as f64 {
-                    hash_numeric(state, *v, Some(*v as i64));
+                // Bit-exact round trip: not for a fraction, a NaN, an
+                // infinity or `-0.0`, none of which equals an integer.
+                let i = *v as i128;
+                if (i as f64).to_bits() == v.to_bits()
+                    && (i128::from(i64::MIN)..=i128::from(u64::MAX)).contains(&i)
+                {
+                    int(i);
                 } else {
-                    hash_numeric(state, *v, None);
+                    state.write_u8(4);
+                    state.write_u64(v.to_bits());
                 }
             }
             Value::Str(s) => {
-                state.write_u8(3);
+                state.write_u8(5);
                 state.write(s.as_bytes());
             }
             // Aggregation states never appear in group keys; hash via the
             // finished value so the impl stays total.
             Value::Agg(s) => {
-                state.write_u8(4);
+                state.write_u8(6);
                 s.finish().hash(state);
             }
-        }
-    }
-}
-
-fn hash_numeric<H: std::hash::Hasher>(state: &mut H, f: f64, i: Option<i64>) {
-    state.write_u8(2);
-    match i {
-        Some(i) => {
-            state.write_u8(0);
-            state.write_i64(i);
-        }
-        None => {
-            state.write_u8(1);
-            state.write_u64(f.to_bits());
         }
     }
 }
@@ -293,14 +305,6 @@ impl From<Arc<str>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-
-    fn hash_of(v: &Value) -> u64 {
-        let mut h = DefaultHasher::new();
-        v.hash(&mut h);
-        h.finish()
-    }
 
     #[test]
     fn cross_representation_numeric_equality() {
@@ -308,12 +312,6 @@ mod tests {
         assert_eq!(Value::I64(5), Value::F64(5.0));
         assert_ne!(Value::I64(5), Value::F64(5.5));
         assert_ne!(Value::I64(-1), Value::U64(u64::MAX));
-    }
-
-    #[test]
-    fn equal_numerics_hash_equal() {
-        assert_eq!(hash_of(&Value::I64(5)), hash_of(&Value::U64(5)));
-        assert_eq!(hash_of(&Value::I64(5)), hash_of(&Value::F64(5.0)));
     }
 
     #[test]
@@ -340,11 +338,5 @@ mod tests {
         assert_eq!(Value::str("x").to_string(), "x");
         assert_eq!(Value::Null.to_string(), "null");
         assert_eq!(Value::F64(1.5).to_string(), "1.5");
-    }
-
-    #[test]
-    fn nan_is_self_equal_via_bits() {
-        let nan = Value::F64(f64::NAN);
-        assert_eq!(nan, nan.clone());
     }
 }

@@ -424,20 +424,13 @@ impl LowerCtx {
     }
 
     /// Interns `v` in the constant pool with *representation-exact*
-    /// equality: `I64(5)` and `U64(5)` compare loosely equal but behave
-    /// differently under arithmetic, so they must not collapse (nor may
-    /// `F64(0.0)` and `F64(-0.0)`).
+    /// equality: `I64(5)` and `U64(5)` are equal but behave differently
+    /// under arithmetic, so they must not collapse. (Within one
+    /// representation `==` is exact already: floats are equal bit for bit.)
     fn const_idx(&mut self, v: &Value) -> u16 {
-        let same_repr = |a: &Value, b: &Value| -> bool {
-            if std::mem::discriminant(a) != std::mem::discriminant(b) {
-                return false;
-            }
-            match (a, b) {
-                (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
-                _ => a == b,
-            }
-        };
-        if let Some(i) = self.consts.iter().position(|c| same_repr(c, v)) {
+        let same_repr =
+            |c: &Value| std::mem::discriminant(c) == std::mem::discriminant(v) && c == v;
+        if let Some(i) = self.consts.iter().position(same_repr) {
             return i as u16;
         }
         self.consts.push(v.clone());

@@ -62,8 +62,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pivot_baggage::QueryId;
 use pivot_core::{
-    Bus, Command, Ledger, ProcessInfo, Report, ReportRows, RetroReport, Seen, SeqWindow, SourceKey,
-    Throttled,
+    Bus, Command, Drained, Ledger, ProcessInfo, Report, ReportRows, RetroReport, Seen, SeqWindow,
+    SourceKey, Throttled,
 };
 use pivot_model::{colblock, AggState, EncodedBlock, GroupKey, Tuple};
 use pivot_query::{merge_grouped, OutputSpec};
@@ -155,6 +155,13 @@ impl CrashResidue {
     }
 }
 
+/// `*sum += n`, saturating: the envelope counters of a downstream frame
+/// are whatever `u64`s a peer sent, and the books must not wrap or panic
+/// on them.
+fn sat(sum: &mut u64, n: u64) {
+    *sum = sum.saturating_add(n);
+}
+
 /// Per-downstream-source tracking.
 struct SourceState {
     /// Opens at the seq this relay incarnation first accepted from the
@@ -237,6 +244,14 @@ struct CoreState {
     /// delivered).
     retro_seen: HashMap<SourceKey, SeqWindow>,
     stats: RelayStats,
+}
+
+impl CoreState {
+    /// Tuples absorbed but unflushed, across all windows.
+    fn window_tuples(&self) -> u64 {
+        let open = self.windows.values().map(|w| w.window_tuples);
+        open.fold(0, u64::saturating_add)
+    }
 }
 
 /// The transport-agnostic heart of a relay: absorb downstream reports
@@ -327,7 +342,7 @@ impl RelayCore {
                 // of hiding it.
                 st.stats.reports_stale += 1;
                 if src.stale_seen.insert(report.seq) {
-                    st.stats.tuples_stale += report.tuples;
+                    sat(&mut st.stats.tuples_stale, report.tuples);
                 }
                 return;
             }
@@ -346,10 +361,10 @@ impl RelayCore {
         src.emitted_latest += d_emitted;
         src.shed_latest += d_shed;
         src.truncated_latest += d_trunc;
-        window.cum_emitted += d_emitted;
-        window.cum_shed += d_shed;
-        window.cum_truncated += d_trunc;
-        window.window_tuples += report.tuples;
+        sat(&mut window.cum_emitted, d_emitted);
+        sat(&mut window.cum_shed, d_shed);
+        sat(&mut window.cum_truncated, d_trunc);
+        sat(&mut window.window_tuples, report.tuples);
         if let Some(t) = report.throttled {
             window.pending_throttles.push_back(t);
         }
@@ -383,7 +398,7 @@ impl RelayCore {
         }
         window.dirty = true;
         st.stats.reports_in += 1;
-        st.stats.tuples_in += report.tuples;
+        sat(&mut st.stats.tuples_in, report.tuples);
     }
 
     /// Flushes every dirty window: one re-originated upstream report per
@@ -406,8 +421,8 @@ impl RelayCore {
                 |s| s.streaming,
             );
             let mut groups: Vec<(GroupKey, Vec<AggState>)> = window.groups.drain().collect();
-            // Deterministic frame content regardless of hash order.
-            groups.sort_by_cached_key(|(key, _)| format!("{key:?}"));
+            // Frame content in key order, whatever the hash order was.
+            groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
             let rows = if streaming {
                 if window.raw_blocks.is_empty() {
                     ReportRows::Raw(std::mem::take(&mut window.raw))
@@ -465,7 +480,7 @@ impl RelayCore {
                 };
                 window.seq += 1;
                 st.stats.reports_out += 1;
-                st.stats.tuples_out += report.tuples;
+                sat(&mut st.stats.tuples_out, report.tuples);
                 out.push(report);
             }
         }
@@ -499,6 +514,16 @@ impl RelayCore {
         }
     }
 
+    /// Absorbs one downstream [`Bus::drain`], both lanes.
+    pub fn absorb_all(&self, drained: Drained) {
+        for r in drained.reports {
+            self.absorb(r);
+        }
+        for r in drained.retro {
+            self.absorb_retro(r);
+        }
+    }
+
     /// Drains the retro pass-through queue for upstream forwarding.
     pub fn flush_retro(&self) -> Vec<RetroReport> {
         let st = &mut *self.state.lock();
@@ -517,12 +542,7 @@ impl RelayCore {
     /// Tuples currently absorbed but unflushed, across all windows (what
     /// a crash right now would destroy).
     pub fn buffered_tuples(&self) -> u64 {
-        self.state
-            .lock()
-            .windows
-            .values()
-            .map(|w| w.window_tuples)
-            .sum()
+        self.state.lock().window_tuples()
     }
 
     /// Simulates a relay crash + restart: the open windows (and their
@@ -534,7 +554,7 @@ impl RelayCore {
     /// post-crash epoch re-sync.
     pub fn restart(&self) -> CrashResidue {
         let st = &mut *self.state.lock();
-        let window_tuples: u64 = st.windows.values().map(|w| w.window_tuples).sum();
+        let window_tuples = st.window_tuples();
         st.windows.clear();
         let retro_events = st.retro_events;
         st.retro.clear();
@@ -576,21 +596,12 @@ impl<B: Bus> Relay<B> {
         &self.inner
     }
 
-    /// Pulls downstream reports into the merge windows *without*
-    /// flushing upstream — the mid-window state a crash test needs.
+    /// Pulls downstream reports into the merge windows and retro frames
+    /// into the pass-through queue *without* flushing upstream — the
+    /// mid-window, mid-queue state a crash test needs (what is pulled dies
+    /// in the [`CrashResidue`]).
     pub fn pull(&self, now: u64) {
-        for r in self.inner.drain_reports(now) {
-            self.core.absorb(r);
-        }
-    }
-
-    /// Pulls downstream retro frames into the pass-through queue
-    /// *without* flushing upstream — the mid-queue state a crash test
-    /// needs (the queued events die in the [`CrashResidue`]).
-    pub fn pull_retro(&self, now: u64) {
-        for r in self.inner.drain_retro(now) {
-            self.core.absorb_retro(r);
-        }
+        self.core.absorb_all(self.inner.drain(now));
     }
 }
 
@@ -603,17 +614,14 @@ impl<B: Bus> Bus for Relay<B> {
     }
 
     /// One upstream drain = absorb everything downstream produced, then
-    /// flush the merged windows.
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
+    /// flush the merged windows; retro frames pass through verbatim (no
+    /// re-origination; see [`RelayCore::absorb_retro`]).
+    fn drain(&self, now: u64) -> Drained {
         self.pull(now);
-        self.core.flush(now)
-    }
-
-    /// Retro frames pass through verbatim (no re-origination; see
-    /// [`RelayCore::absorb_retro`]).
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        self.pull_retro(now);
-        self.core.flush_retro()
+        Drained {
+            reports: self.core.flush(now),
+            retro: self.core.flush_retro(),
+        }
     }
 }
 
@@ -641,17 +649,12 @@ impl<B: Bus> Bus for FanIn<B> {
             c.broadcast(cmd);
         }
     }
-    fn drain_reports(&self, now: u64) -> Vec<Report> {
-        let mut out = Vec::new();
+    fn drain(&self, now: u64) -> Drained {
+        let mut out = Drained::default();
         for c in &self.children {
-            out.extend(c.drain_reports(now));
-        }
-        out
-    }
-    fn drain_retro(&self, now: u64) -> Vec<RetroReport> {
-        let mut out = Vec::new();
-        for c in &self.children {
-            out.extend(c.drain_retro(now));
+            let Drained { reports, retro } = c.drain(now);
+            out.reports.extend(reports);
+            out.retro.extend(retro);
         }
         out
     }

@@ -68,10 +68,9 @@ impl Tier {
         }
     }
 
-    fn absorb_reports(&self, now: u64) {
-        for r in self.down.drain_reports(now) {
-            self.core.absorb(r);
-        }
+    /// Absorbs what downstream has delivered, both lanes.
+    fn absorb(&self, now: u64) {
+        self.core.absorb_all(self.down.drain(now));
     }
 
     /// Absorb + (if connected) flush. Absorption always happens so the
@@ -80,10 +79,7 @@ impl Tier {
     /// windows and the bounded retro pass-through queue wait instead.
     fn flush(&self, up: &Uplink) {
         let now = pivot_live::now_nanos();
-        self.absorb_reports(now);
-        for r in self.down.drain_retro(now) {
-            self.core.absorb_retro(r);
-        }
+        self.absorb(now);
         if up.status() != ConnStatus::Connected {
             return;
         }
@@ -194,11 +190,11 @@ impl RelayServer {
         self.tier.flush(&self.up);
     }
 
-    /// Absorbs pending downstream reports into the merge windows
-    /// *without* flushing upstream — the mid-window state a crash test
-    /// needs to stage deterministically (see [`RelayCore::buffered_tuples`]).
+    /// Absorbs pending downstream frames (reports into the merge windows,
+    /// retro frames into the pass-through queue) *without* flushing — the
+    /// mid-window state a crash test stages (see [`RelayCore::buffered_tuples`]).
     pub fn pull_now(&self) {
-        self.tier.absorb_reports(pivot_live::now_nanos());
+        self.tier.absorb(pivot_live::now_nanos());
     }
 
     /// Crashes the relay the way a dying process would, while keeping

@@ -86,7 +86,7 @@ fn relay_fans_in_and_merges() {
             invoke(agent, MS, "a", 1);
         }
     }
-    let reports = relay.drain_reports(2 * MS);
+    let reports = relay.drain(2 * MS).reports;
     assert_eq!(
         reports.len(),
         1,
@@ -139,7 +139,7 @@ fn two_hop_tree_balances_exactly() {
             expect += v;
         }
     }
-    let reports = root.drain_reports(2 * MS);
+    let reports = root.drain(2 * MS).reports;
     assert_eq!(reports.len(), 1, "eight agents, two hops, one frame");
     for r in reports {
         fe.accept(r);
@@ -482,4 +482,45 @@ fn seq_at_u64_max_neither_panics_nor_poisons_the_source() {
     let stats = core.stats();
     assert_eq!((stats.reports_in, stats.reports_duplicate), (2, 1));
     assert_eq!(stats.reports_stale, 0, "the source is not poisoned");
+}
+
+/// The envelope's counters are as unchecked as its seq: downstream
+/// frames claiming `u64::MAX` tuples saturate the relay's window, its
+/// cumulative sums and its stats — and the frontend's books behind it —
+/// where `+=` panicked (dev) or wrapped (release).
+#[test]
+fn hostile_envelope_counters_saturate_through_the_hop() {
+    let (mut fe, handle) = frontend_with_query();
+    let core = RelayCore::new(relay_info(0));
+    core.sync(&fe.installed());
+    let absorb_hostile = |slot: u64| {
+        let agent = fresh_agent(&fe, slot);
+        invoke(&agent, MS, "a", 1);
+        let mut hostile = flush_one(&agent, MS);
+        hostile.tuples = u64::MAX;
+        hostile.emitted_cum = u64::MAX;
+        core.absorb(hostile);
+    };
+
+    absorb_hostile(0);
+    absorb_hostile(1);
+    assert_eq!(core.buffered_tuples(), u64::MAX);
+    assert_eq!(core.stats().tuples_in, u64::MAX);
+    let mut upstream = core.flush(2 * MS);
+    assert_eq!(upstream.len(), 1);
+    assert_eq!(upstream[0].tuples, u64::MAX);
+    assert_eq!(upstream[0].emitted_cum, u64::MAX);
+
+    // A second window as large: `tuples_out` meets the ceiling too.
+    absorb_hostile(2);
+    upstream.extend(core.flush(3 * MS));
+    assert_eq!(core.stats().tuples_out, u64::MAX);
+
+    for r in upstream {
+        fe.accept(r);
+    }
+    assert_eq!(total(&fe, &handle), 3, "the rows themselves are honest");
+    let loss = fe.results(&handle).loss();
+    assert_eq!(loss.tuples_delivered, u64::MAX);
+    assert_eq!(loss.tuples_dropped, 0);
 }

@@ -115,12 +115,12 @@ fn invoke_round_batched(agent: &Agent, now: u64, gkey: &str) {
 /// One full pull through the tree into the frontend; returns how many
 /// frames the frontend actually received (the fan-in numerator).
 fn drain_into(root: &Tree, fe: &mut Frontend, t: u64) -> u64 {
-    let reports = root.drain_reports(t);
-    let n = reports.len() as u64;
-    for r in reports {
+    let drained = root.drain(t);
+    let n = drained.reports.len() as u64;
+    for r in drained.reports {
         fe.accept(r);
     }
-    for r in root.drain_retro(t) {
+    for r in drained.retro {
         fe.accept_retro(r);
     }
     n
@@ -141,7 +141,6 @@ fn crash_leaf(root: &Tree, li: usize, t: u64) -> CrashResidue {
     let leaf = root.inner().children()[li].inner();
     leaf.inner().release_pending();
     leaf.pull(t);
-    leaf.pull_retro(t);
     leaf.core().restart()
 }
 
@@ -152,7 +151,6 @@ fn crash_root(root: &Tree, t: u64) -> CrashResidue {
         child.release_pending();
     }
     root.pull(t);
-    root.pull_retro(t);
     root.core().restart()
 }
 
