@@ -4,8 +4,8 @@
 //! no jumps, no loops, so termination is structural). This pass checks
 //! the *inter*-program structure the runtime relies on at weave time:
 //! every `Unpack` must read a slot some causally earlier program packed
-//! with the same tuple width, the `Emit` layout must be internally
-//! consistent with its `OutputSpec`, and nothing is dead — a pack no
+//! with the same tuple width, a streaming `Emit` carries no aggregates,
+//! and nothing is dead — a pack no
 //! later stage consumes never reaches an `Emit` and only bloats baggage.
 //!
 //! The pass runs on [`CompiledCode`] — the exact artifact agents execute
@@ -25,7 +25,6 @@
 use std::collections::{HashMap, HashSet};
 
 use pivot_baggage::{PackMode, QueryId};
-use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{EInst, Inst};
 use pivot_query::{AdviceOp, CompiledCode, CompiledQuery};
 
@@ -110,33 +109,10 @@ pub(crate) fn check(code: &CompiledCode, notes: &[String], diags: &mut Vec<Diagn
                     packed.insert(*slot, (width, false));
                 }
                 Inst::Emit { spec, .. } => {
+                    // That the emit's ranges are as wide as the spec's
+                    // name lists, and its columns inside them, is
+                    // `validate`'s to say (above).
                     emits += 1;
-                    if spec.key_exprs.len() != spec.key_names.len()
-                        || spec.aggs.len() != spec.agg_names.len()
-                    {
-                        diags.push(Diagnostic::error(
-                            Code::DataflowError,
-                            format!(
-                                "emit at `{at}`: column name count does \
-                                 not match expression count"
-                            ),
-                        ));
-                    }
-                    for c in &spec.columns {
-                        let (label, idx, len) = match c {
-                            ColumnRef::Key(i) => ("key", *i, spec.key_exprs.len()),
-                            ColumnRef::Agg(i) => ("aggregate", *i, spec.aggs.len()),
-                        };
-                        if idx >= len {
-                            diags.push(Diagnostic::error(
-                                Code::DataflowError,
-                                format!(
-                                    "emit at `{at}` selects {label} \
-                                     {idx} but only {len} exist"
-                                ),
-                            ));
-                        }
-                    }
                     if spec.streaming && !spec.aggs.is_empty() {
                         diags.push(Diagnostic::error(
                             Code::DataflowError,

@@ -10,8 +10,8 @@
 //! | `agg_batched`   | its share of an [`Agent::invoke_batch`] call         |
 //! | `join_scalar`   | one happened-before-join invocation via [`Agent::invoke`] |
 //! | `join_batched`  | its share of an [`Agent::invoke_batch`] call         |
-//! | `wire_raw`      | one streaming tuple as a row-major report row (rows tag 0) |
-//! | `wire_encoded`  | one streaming tuple inside a columnar block (rows tag 2) |
+//! | `wire_raw`      | one streaming tuple inside a row-major block         |
+//! | `wire_encoded`  | one streaming tuple inside a columnar block          |
 //!
 //! The **join** pair is the CI-gated one: it runs the paper's canonical
 //! query shape — group keys unpacked from baggage, aggregates computed
@@ -23,8 +23,9 @@
 //! end-to-end through the governed agent entry points — the only
 //! variable is per-event dispatch vs one batched call. The wire
 //! scenarios encode the *same tuples* through the real protocol encoder
-//! in the two row encodings an agent chooses between by flush size
-//! ([`pivot_core::agent::ENCODE_MIN_ROWS`]).
+//! in the two layouts a block has: column-major, which a uniform batch
+//! gets, and row-major, which a ragged one falls back to (one empty row
+//! appended to the batch is what sends it down that path here).
 //!
 //! ```text
 //! cargo run -p pivot-bench --bin throughput --release -- \
@@ -106,8 +107,10 @@ fn main() {
     let batch_ok = batch_speedup >= BATCH_GATE;
 
     let rows = wire_tuples(wire_rows);
-    let raw_bytes = encode_report_bytes(ReportRows::Raw(rows.clone()));
-    let col_bytes = encode_report_bytes(ReportRows::RawEncoded(vec![EncodedBlock::encode(&rows)]));
+    let mut ragged = rows.clone();
+    ragged.push(Tuple::empty());
+    let raw_bytes = encode_report_bytes(&ragged);
+    let col_bytes = encode_report_bytes(&rows);
     let raw_per_tuple = raw_bytes as f64 / rows.len() as f64;
     let col_per_tuple = col_bytes as f64 / rows.len() as f64;
     let wire_ratio = raw_per_tuple / col_per_tuple;
@@ -152,13 +155,13 @@ fn main() {
                 "wire_raw".to_owned(),
                 format!("{raw_per_tuple:.2}"),
                 raw_bytes.to_string(),
-                format!("{} rows, tag-0 row-major", rows.len()),
+                format!("{} rows, one row-major block", rows.len()),
             ],
             vec![
                 "wire_encoded".to_owned(),
                 format!("{col_per_tuple:.2}"),
                 col_bytes.to_string(),
-                format!("{} rows, tag-2 columnar blocks", rows.len()),
+                format!("{} rows, one columnar block", rows.len()),
             ],
         ],
     );
@@ -265,7 +268,7 @@ fn render_json(j: &JsonInputs) -> String {
     s.push_str(&format!("  \"batch_gate\": {BATCH_GATE},\n"));
     s.push_str(&format!("  \"batch_2x_ok\": {},\n", j.batch_ok));
     s.push_str(&format!("  \"wire_rows\": {},\n", j.wire_rows));
-    // Key names date from when the two row encodings were wire versions;
+    // Key names date from when the two row layouts were wire versions;
     // kept so BENCH_throughput.json stays comparable across commits.
     s.push_str(&format!("  \"wire_v5_frame_bytes\": {},\n", j.raw_bytes));
     s.push_str(&format!("  \"wire_v6_frame_bytes\": {},\n", j.col_bytes));
@@ -398,16 +401,16 @@ fn wire_tuples(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-/// Encodes one streaming report carrying `rows` through the real encoder
-/// and returns the frame payload size. Decodes the frame back to prove
-/// the bytes are real.
-fn encode_report_bytes(rows: ReportRows) -> usize {
+/// Encodes one streaming report carrying `rows` as one block through the
+/// real encoder and returns the frame payload size. Decodes the frame
+/// back to prove the bytes are real.
+fn encode_report_bytes(rows: &[Tuple]) -> usize {
     let tuples = rows.len();
+    let rows = ReportRows::RawEncoded(vec![EncodedBlock::encode(rows)]);
     let report = Report {
         query: QueryId(1),
         host: "bench".into(),
         procid: 7,
-        procname: "kvserver".into(),
         incarnation: 0,
         time: 1,
         seq: 0,
@@ -415,7 +418,7 @@ fn encode_report_bytes(rows: ReportRows) -> usize {
         emitted_cum: tuples as u64,
         shed_cum: 0,
         truncated_cum: 0,
-        throttled: None,
+        throttled: vec![],
         rows,
     };
     let payload = encode_message(&Message::Report(report));

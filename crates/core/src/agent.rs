@@ -52,14 +52,6 @@ use crate::tracepoint::{names_match, Col, Layout, Planned, Registry, SitePlan};
 /// shed count rides the loss envelope as `shed_cum`.
 pub const DEFAULT_ROW_CAP: usize = 65_536;
 
-/// Streaming flushes at or above this many buffered rows leave the agent
-/// already in the columnar block encoding
-/// ([`ReportRows::RawEncoded`]), so the wire layer ships compressed
-/// bytes and relays coalesce without decoding. Below the threshold the
-/// fixed block framing is not worth it and rows ship as plain
-/// [`ReportRows::Raw`].
-pub const ENCODE_MIN_ROWS: usize = 32;
-
 /// Identity of the process an agent runs in.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProcessInfo {
@@ -168,7 +160,7 @@ impl Buffer {
             self.dirty = true;
             return;
         } else {
-            let fresh = self.spec.aggs.iter().map(|(f, _)| f.init()).collect();
+            let fresh = self.spec.aggs.iter().map(|f| f.init()).collect();
             fold(groups.entry(GroupKey(key.to_tuple())).or_insert(fresh));
         }
         self.tuples_since_flush += rows;
@@ -506,7 +498,6 @@ impl Agent {
         let retro = RetroRing::new(RetroIdent {
             host: info.host.clone(),
             procid: info.procid,
-            procname: info.procname.clone(),
             incarnation,
         });
         Agent {
@@ -546,6 +537,7 @@ impl Agent {
     }
 
     /// Returns the weave registry (exposed for tests and benches).
+    #[inline]
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -722,6 +714,7 @@ impl Agent {
     }
 
     /// Whether hindsight recording is currently on.
+    #[inline]
     pub fn retro_on(&self) -> bool {
         self.retro_enabled.load(Ordering::Relaxed)
     }
@@ -1193,10 +1186,12 @@ impl Agent {
                 continue;
             }
             let rows = match &mut buf.rows {
-                Rows::Streaming(rows) if rows.len() >= ENCODE_MIN_ROWS => {
-                    // Large streaming batches flush pre-encoded; clearing
-                    // (not taking) the buffer keeps its capacity for the
-                    // next interval, so steady state stops growing.
+                Rows::Streaming(rows) => {
+                    // Streaming rows leave as encoded blocks (none for an
+                    // empty buffer), so the wire layer ships bytes and
+                    // relays coalesce without decoding. Clearing (not
+                    // taking) the buffer keeps its capacity for the next
+                    // interval, so steady state stops growing.
                     let blocks = rows
                         .make_contiguous()
                         .chunks(colblock::MAX_BLOCK_ROWS)
@@ -1205,7 +1200,6 @@ impl Agent {
                     rows.clear();
                     ReportRows::RawEncoded(blocks)
                 }
-                Rows::Streaming(rows) => ReportRows::Raw(std::mem::take(rows).into()),
                 Rows::Grouped(groups) => ReportRows::Grouped(groups.drain().collect()),
             };
             // Sequence numbers are only consumed by reports that actually
@@ -1220,7 +1214,6 @@ impl Agent {
                 query: state.query,
                 host: self.info.host.clone(),
                 procid: self.info.procid,
-                procname: self.info.procname.clone(),
                 incarnation: self.incarnation,
                 time: now,
                 seq,
@@ -1228,7 +1221,7 @@ impl Agent {
                 emitted_cum: buf.emitted_cum,
                 shed_cum: buf.shed_cum,
                 truncated_cum,
-                throttled,
+                throttled: throttled.into_iter().collect(),
                 rows,
             });
         }
@@ -1255,9 +1248,8 @@ mod tests {
     fn q2_like() -> CompiledQuery {
         let slot = QueryId(256 + 1);
         let spec = Arc::new(OutputSpec {
-            key_exprs: vec![Expr::field("cl.procName")],
             key_names: vec!["cl.procName".into()],
-            aggs: vec![(AggFunc::Sum, Expr::field("incr.delta"))],
+            aggs: vec![AggFunc::Sum],
             agg_names: vec!["SUM(incr.delta)".into()],
             columns: vec![ColumnRef::Key(0), ColumnRef::Agg(0)],
             streaming: false,
@@ -1299,6 +1291,8 @@ mod tests {
                         AdviceOp::Emit {
                             query: QueryId(1),
                             spec,
+                            keys: vec![Expr::field("cl.procName")],
+                            aggs: vec![Expr::field("incr.delta")],
                         },
                     ],
                 },
@@ -1366,7 +1360,6 @@ mod tests {
     fn streaming_ring_sheds_oldest_and_keeps_the_newest_cap_in_order() {
         let query = QueryId(2);
         let spec = Arc::new(OutputSpec {
-            key_exprs: vec![Expr::field("e.n")],
             key_names: vec!["e.n".into()],
             columns: vec![ColumnRef::Key(0)],
             streaming: true,
@@ -1384,14 +1377,19 @@ mod tests {
                         alias: "e".into(),
                         fields: vec!["n".into()],
                     },
-                    AdviceOp::Emit { query, spec },
+                    AdviceOp::Emit {
+                        query,
+                        spec,
+                        keys: vec![Expr::field("e.n")],
+                        aggs: vec![],
+                    },
                 ],
             }],
         });
         assert!(notes.is_empty(), "unexpected lowering notes: {notes:?}");
 
-        // Below and above ENCODE_MIN_ROWS: a wrapped ring flushes plain
-        // and through the block encoder.
+        // Either ring wraps ten times over and flushes, through the block
+        // encoder, in ring order.
         for cap in [8u64, 40] {
             let a = agent();
             a.set_row_cap(cap as usize);
@@ -1411,14 +1409,13 @@ mod tests {
                 (r.tuples, r.shed_cum, r.emitted_cum),
                 (cap, pushed - cap, pushed)
             );
-            let rows: Vec<Tuple> = match &r.rows {
-                ReportRows::Raw(rows) => rows.clone(),
-                ReportRows::RawEncoded(blocks) => blocks
-                    .iter()
-                    .flat_map(|b| b.decode().expect("own block decodes"))
-                    .collect(),
-                ReportRows::Grouped(_) => panic!("a streaming query reports raw rows"),
+            let ReportRows::RawEncoded(blocks) = &r.rows else {
+                panic!("a streaming query reports raw rows");
             };
+            let rows: Vec<Tuple> = blocks
+                .iter()
+                .flat_map(|b| b.decode().expect("own block decodes"))
+                .collect();
             let kept: Vec<Value> = rows.iter().map(|t| t.get(0).clone()).collect();
             let newest: Vec<Value> = (pushed - cap..pushed).map(Value::U64).collect();
             assert_eq!(kept, newest, "the newest {cap} rows survive, oldest first");

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use pivot_baggage::QueryId;
-use pivot_model::{AggState, EncodedBlock, GroupKey, Tuple};
+use pivot_model::{AggState, EncodedBlock, GroupKey};
 use pivot_query::CompiledCode;
 
 use crate::retro::RetroReport;
@@ -85,8 +85,8 @@ where
 ///
 /// `Install` carries the *lowered* bytecode ([`CompiledCode`]), not the
 /// advice-op tree: agents execute exactly the artifact the frontend
-/// verified, and the wire protocol serializes flat instructions instead of
-/// expression trees.
+/// verified, and the wire protocol serializes flat instructions and the
+/// result's shape — no expression tree crosses it.
 #[derive(Clone, Debug)]
 pub enum Command {
     /// Weave this query's lowered advice bytecode.
@@ -112,8 +112,6 @@ pub struct Report {
     pub host: String,
     /// Reporting process id (with `host`, the agent's stable identity).
     pub procid: u64,
-    /// Reporting process name.
-    pub procname: String,
     /// Agent incarnation: distinguishes a restarted agent (whose `seq`
     /// restarts at 0) from duplicated frames of the previous life.
     pub incarnation: u64,
@@ -135,8 +133,9 @@ pub struct Report {
     /// on this incarnation (never emitted; informational, so the frontend
     /// can distinguish governor truncation from transport drops).
     pub truncated_cum: u64,
-    /// A circuit-breaker trip that occurred since the previous flush.
-    pub throttled: Option<crate::governor::Throttled>,
+    /// Circuit-breaker trips since the previous flush: at most one from
+    /// an agent, every one a relay heard in the window it re-originates.
+    pub throttled: Vec<crate::governor::Throttled>,
     /// The partial rows.
     pub rows: ReportRows,
 }
@@ -144,19 +143,18 @@ pub struct Report {
 /// Rows inside a report.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ReportRows {
-    /// Raw rows of a streaming (non-aggregating) query.
-    Raw(Vec<Tuple>),
     /// Partially aggregated groups.
     Grouped(Vec<(GroupKey, Vec<AggState>)>),
-    /// Raw rows of a streaming query, already in the columnar block
-    /// encoding ([`pivot_model::EncodedBlock`]).
+    /// Raw rows of a streaming (non-aggregating) query, as encoded
+    /// blocks ([`pivot_model::EncodedBlock`]: column-major for a uniform
+    /// batch, row-major for a single row or a ragged one).
     ///
-    /// Agents flush large streaming batches in this form so the wire
-    /// layer ships (and relays re-originate) the compressed bytes
-    /// without re-encoding — or, on the relay path, without decoding at
-    /// all. Only the frontend materializes tuples. Each block's row
-    /// count is trusted for accounting (it is validated at wire decode);
-    /// the payload is validated when the frontend decodes it.
+    /// Agents flush streaming rows in this form so the wire layer ships
+    /// (and relays re-originate) the encoded bytes without re-encoding —
+    /// or, on the relay path, without decoding at all. Only the frontend
+    /// materializes tuples. Each block's row count is trusted for
+    /// accounting (it is validated at wire decode); the payload is
+    /// validated when the frontend decodes it.
     RawEncoded(Vec<EncodedBlock>),
 }
 
@@ -164,7 +162,6 @@ impl ReportRows {
     /// Number of rows carried.
     pub fn len(&self) -> usize {
         match self {
-            ReportRows::Raw(r) => r.len(),
             ReportRows::Grouped(g) => g.len(),
             ReportRows::RawEncoded(blocks) => blocks.iter().map(EncodedBlock::rows).sum(),
         }

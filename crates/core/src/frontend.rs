@@ -9,7 +9,8 @@ use pivot_baggage::QueryId;
 use pivot_model::{AggState, GroupKey, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::{
-    compile, CompileError, CompiledCode, CompiledQuery, Options, OutputSpec, Query, Resolver,
+    compile, merge_grouped, CompileError, CompiledCode, CompiledQuery, Options, OutputSpec, Query,
+    Resolver,
 };
 
 use crate::bus::{Command, Report, ReportRows};
@@ -179,30 +180,24 @@ impl QueryResults {
             track.duplicates += 1;
             return;
         }
-        sat(&mut track.delivered_tuples, report.tuples);
+        let mut delivered = report.tuples;
         track.emitted_cum = track.emitted_cum.max(report.emitted_cum);
         track.shed_cum = track.shed_cum.max(report.shed_cum);
         track.truncated_cum = track.truncated_cum.max(report.truncated_cum);
-        if let Some(t) = report.throttled {
-            self.throttles.push(t);
-        }
+        self.throttles.extend(report.throttled);
         match report.rows {
-            ReportRows::Raw(rows) => {
-                for r in rows {
-                    self.raw.push((report.time, r));
-                }
-            }
             ReportRows::RawEncoded(blocks) => {
-                // Columnar blocks from batched agent flushes (possibly
-                // relayed without ever being decoded in between) are
-                // materialized only here. A block that fails to decode is
-                // dropped whole: its rows were counted as delivered by
-                // the envelope above, so the loss identity is unaffected
-                // and corruption shows up as missing rows, not a panic.
+                // Blocks (possibly relayed without ever being decoded in
+                // between) are materialized only here. One that fails to
+                // decode is dropped whole and the rows its header claimed
+                // leave `delivered`, so they fall into `tuples_dropped`:
+                // corruption shows up as a degraded query, not a panic
+                // and not a silently short result.
                 let mut decoded: Vec<Tuple> = Vec::new();
                 for block in &blocks {
                     if block.decode_into(&mut decoded).is_err() {
                         decoded.clear();
+                        delivered = delivered.saturating_sub(block.rows() as u64);
                     }
                     for r in decoded.drain(..) {
                         self.raw.push((report.time, r));
@@ -212,11 +207,12 @@ impl QueryResults {
             ReportRows::Grouped(rows) => {
                 let interval = self.intervals.entry(report.time).or_default();
                 for (key, states) in rows {
-                    merge_into(&mut self.cumulative, &self.spec, key.clone(), &states);
-                    merge_into(interval, &self.spec, key, &states);
+                    merge_grouped(&mut self.cumulative, key.clone(), &states);
+                    merge_grouped(interval, key, &states);
                 }
             }
         }
+        sat(&mut track.delivered_tuples, delivered);
     }
 
     /// Returns the query's loss accounting, aggregated over all reporting
@@ -285,11 +281,6 @@ impl QueryResults {
         self.len() == 0
     }
 }
-
-// The shared grouped-aggregate fold (`pivot_query::merge_grouped`): the
-// same merge the relay tier applies in flight, so a report folded once at
-// a relay and once here lands on identical totals.
-use pivot_query::merge_grouped as merge_into;
 
 fn layout(spec: &OutputSpec, key: &GroupKey, states: &[AggState]) -> Vec<Value> {
     spec.columns

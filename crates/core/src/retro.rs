@@ -109,8 +109,6 @@ pub struct RetroReport {
     pub host: String,
     /// Originating process id.
     pub procid: u64,
-    /// Originating process name.
-    pub procname: String,
     /// Originating agent incarnation (same dedup role as on `Report`).
     pub incarnation: u64,
     /// Trigger time (nanoseconds).
@@ -177,8 +175,6 @@ pub struct RetroIdent {
     pub host: String,
     /// Process id.
     pub procid: u64,
-    /// Process name.
-    pub procname: String,
     /// Agent incarnation.
     pub incarnation: u64,
 }
@@ -389,7 +385,6 @@ impl RetroRing {
         self.pending.push(RetroReport {
             host: self.ident.host.clone(),
             procid: self.ident.procid,
-            procname: self.ident.procname.clone(),
             incarnation: self.ident.incarnation,
             time: now,
             seq,
@@ -477,7 +472,6 @@ mod tests {
         RetroRing::new(RetroIdent {
             host: "host-A".into(),
             procid: 7,
-            procname: "DataNode".into(),
             incarnation: 1,
         })
     }

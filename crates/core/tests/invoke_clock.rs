@@ -64,8 +64,9 @@ fn the_clock_is_read_only_for_an_event_that_uses_the_time() {
     // The advice that asked for the time got the clock's reading.
     let reports = agent.flush(9);
     let report = reports.iter().find(|r| r.query == stamped.id);
-    match &report.expect("the streaming query emitted").rows {
-        ReportRows::Raw(rows) => assert_eq!(rows[0].get(0), &Value::U64(7)),
-        _ => panic!("one streaming row ships plain"),
-    }
+    let ReportRows::RawEncoded(blocks) = &report.expect("the streaming query emitted").rows else {
+        panic!("a streaming query reports blocks");
+    };
+    let rows = blocks[0].decode().expect("own block decodes");
+    assert_eq!(rows[0].get(0), &Value::U64(7));
 }

@@ -16,7 +16,9 @@
 //! The chaos suite covers these paths under random seeds; these tests
 //! pin the exact semantics deterministically — and, last, that the
 //! envelope's counters, which a peer controls as it controls `seq`,
-//! saturate the books rather than overflow them.
+//! saturate the books rather than overflow them, and that a block whose
+//! header the envelope was believed on is `dropped`, not `delivered`,
+//! when its payload turns out not to decode.
 
 use std::sync::Arc;
 
@@ -24,7 +26,8 @@ use pivot_baggage::Baggage;
 use pivot_core::{
     Agent, Frontend, ProcessInfo, QueryHandle, Report, ReportRows, RetroReport, TriggerKind,
 };
-use pivot_model::{AggState, GroupKey, Value};
+use pivot_itc::{Decoder, Encoder};
+use pivot_model::{AggState, EncodedBlock, GroupKey, Tuple, Value};
 
 const QUERY: &str = "From e In Exec GroupBy e.k Select e.k, SUM(e.v)";
 const MS: u64 = 1_000_000;
@@ -211,7 +214,6 @@ fn hostile_envelope_counters_saturate() {
             query: handle.id,
             host: "evil".into(),
             procid,
-            procname: "peer".into(),
             incarnation: 1,
             time: 0,
             seq,
@@ -219,13 +221,12 @@ fn hostile_envelope_counters_saturate() {
             emitted_cum: u64::MAX,
             shed_cum: u64::MAX,
             truncated_cum: u64::MAX,
-            throttled: None,
+            throttled: vec![],
             rows: ReportRows::Grouped(vec![(GroupKey::default(), vec![AggState::Count(u64::MAX)])]),
         });
         fe.accept_retro(RetroReport {
             host: "evil".into(),
             procid,
-            procname: "peer".into(),
             incarnation: 1,
             time: 0,
             seq,
@@ -249,4 +250,54 @@ fn hostile_envelope_counters_saturate() {
     assert_eq!(retro.events_recorded, u64::MAX);
     assert_eq!(retro.events_sampled_out, u64::MAX);
     assert_eq!(retro.events_outstanding, 0);
+}
+
+/// A relay forwards blocks without parsing them, so corruption inside a
+/// payload surfaces only when the frontend materializes. The rows the
+/// bad block's header claimed must then leave `delivered` — or the books
+/// balance over a result that is silently short.
+#[test]
+fn a_block_that_does_not_decode_is_dropped_not_delivered() {
+    let mut fe = Frontend::new();
+    fe.define("Exec", ["k", "v"]);
+    let handle = fe
+        .install("From e In Exec Select e.v")
+        .expect("streaming query installs");
+    let rows = |range: std::ops::Range<u64>| -> Vec<Tuple> {
+        range.map(|i| Tuple::from_iter([Value::U64(i)])).collect()
+    };
+    let good = EncodedBlock::encode(&rows(0..3));
+    // The second block as a corrupted link would hand it on: the header
+    // still says five rows, the payload's first byte — its kind tag — no
+    // longer names a layout.
+    let bad = EncodedBlock::encode(&rows(3..8));
+    let mut enc = Encoder::new();
+    bad.write_wire(&mut enc);
+    let mut wire = enc.finish();
+    let payload_at = wire.len() - bad.encoded_len();
+    wire[payload_at] ^= 0xff;
+    let bad = EncodedBlock::read_wire(&mut Decoder::new(&wire)).expect("the header is intact");
+    assert_eq!(bad.rows(), 5);
+    assert!(bad.decode().is_err());
+
+    fe.accept(Report {
+        query: handle.id,
+        host: "host-0".into(),
+        procid: 7,
+        incarnation: 1,
+        time: 7,
+        seq: 0,
+        tuples: 8,
+        emitted_cum: 8,
+        shed_cum: 0,
+        truncated_cum: 0,
+        throttled: vec![],
+        rows: ReportRows::RawEncoded(vec![good, bad]),
+    });
+    let res = fe.results(&handle);
+    let got: Vec<&Tuple> = res.raw_rows().iter().map(|(_, row)| row).collect();
+    assert_eq!(got, rows(0..3).iter().collect::<Vec<_>>());
+    let loss = res.loss();
+    assert_eq!((loss.tuples_delivered, loss.tuples_dropped), (3, 5));
+    assert!(loss.is_degraded());
 }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use pivot_baggage::Baggage;
-use pivot_model::{GroupKey, Schema, Tuple, Value};
+use pivot_model::{Expr, GroupKey, Schema, Tuple, Value};
 use pivot_query::{AdviceOp, AdviceProgram, OutputSpec};
 
 /// One `Emit` outcome handed to the process-local aggregator.
@@ -25,6 +25,10 @@ pub struct Emitted {
     pub query: pivot_baggage::QueryId,
     /// The query's output spec (key/agg layout; shared, never deep-cloned).
     pub spec: Arc<OutputSpec>,
+    /// The emit's key expressions (the projected row when streaming).
+    pub keys: Vec<Expr>,
+    /// The emit's aggregate argument expressions.
+    pub aggs: Vec<Expr>,
     /// Joined tuples that reached the `Emit`, with their schema.
     pub schema: Schema,
     /// The tuples themselves.
@@ -128,7 +132,12 @@ pub fn run(
                     stats.triggered += 1;
                 }
             }
-            AdviceOp::Emit { query, spec } => {
+            AdviceOp::Emit {
+                query,
+                spec,
+                keys,
+                aggs,
+            } => {
                 stats.emitted += tuples.len();
                 // On the (overwhelmingly common) final op, hand off the
                 // buffers instead of cloning them.
@@ -143,6 +152,8 @@ pub fn run(
                 emits.push(Emitted {
                     query: *query,
                     spec: Arc::clone(spec),
+                    keys: keys.clone(),
+                    aggs: aggs.clone(),
                     schema: batch_schema,
                     tuples: batch,
                 });
@@ -166,8 +177,7 @@ pub fn emit_rows(e: &Emitted) -> EmitRows {
             .iter()
             .filter_map(|t| {
                 let row = (&e.schema, t);
-                e.spec
-                    .key_exprs
+                e.keys
                     .iter()
                     .map(|k| k.eval(&row).ok())
                     .collect::<Option<Tuple>>()
@@ -179,8 +189,7 @@ pub fn emit_rows(e: &Emitted) -> EmitRows {
     for t in &e.tuples {
         let row = (&e.schema, t);
         let Some(key) = e
-            .spec
-            .key_exprs
+            .keys
             .iter()
             .map(|k| k.eval(&row).ok())
             .collect::<Option<Tuple>>()
@@ -188,10 +197,9 @@ pub fn emit_rows(e: &Emitted) -> EmitRows {
             continue;
         };
         let args: Vec<Value> = e
-            .spec
             .aggs
             .iter()
-            .map(|(_, arg)| arg.eval(&row).unwrap_or(Value::Null))
+            .map(|arg| arg.eval(&row).unwrap_or(Value::Null))
             .collect();
         out.push((GroupKey(key), args));
     }
@@ -238,9 +246,8 @@ mod tests {
             ],
         };
         let spec = Arc::new(OutputSpec {
-            key_exprs: vec![Expr::field("cl.procName")],
             key_names: vec!["cl.procName".into()],
-            aggs: vec![(AggFunc::Sum, Expr::field("incr.delta"))],
+            aggs: vec![AggFunc::Sum],
             agg_names: vec!["SUM(incr.delta)".into()],
             columns: vec![ColumnRef::Key(0), ColumnRef::Agg(0)],
             streaming: false,
@@ -258,6 +265,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec,
+                    keys: vec![Expr::field("cl.procName")],
+                    aggs: vec![Expr::field("incr.delta")],
                 },
             ],
         };
@@ -295,6 +304,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec::default()),
+                    keys: vec![],
+                    aggs: vec![],
                 },
             ],
         };
@@ -339,7 +350,6 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec {
-                        key_exprs: vec![Expr::field("e.x"), Expr::field("e.ghost")],
                         key_names: vec!["e.x".into(), "e.ghost".into()],
                         aggs: vec![],
                         agg_names: vec![],
@@ -347,6 +357,8 @@ mod tests {
                         streaming: true,
                         ..OutputSpec::default()
                     }),
+                    keys: vec![Expr::field("e.x"), Expr::field("e.ghost")],
+                    aggs: vec![],
                 },
             ],
         };
@@ -399,6 +411,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec::default()),
+                    keys: vec![],
+                    aggs: vec![],
                 },
             ],
         };
@@ -427,7 +441,6 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec {
-                        key_exprs: vec![Expr::field("p.x")],
                         key_names: vec!["p.x".into()],
                         aggs: vec![],
                         agg_names: vec![],
@@ -435,6 +448,8 @@ mod tests {
                         streaming: true,
                         ..OutputSpec::default()
                     }),
+                    keys: vec![Expr::field("p.x")],
+                    aggs: vec![],
                 },
             ],
         };

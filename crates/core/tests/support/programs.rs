@@ -155,18 +155,20 @@ pub fn op_strategy() -> impl Strategy<Value = AdviceOp> {
                     .map(ColumnRef::Key)
                     .chain((0..aggs.len()).map(ColumnRef::Agg))
                     .collect();
+                let (funcs, aggs): (Vec<AggFunc>, Vec<Expr>) = aggs.into_iter().unzip();
                 let spec = OutputSpec {
                     key_names: (0..keys.len()).map(|i| format!("k{i}")).collect(),
                     agg_names: (0..aggs.len()).map(|i| format!("g{i}")).collect(),
                     streaming: aggs.is_empty(),
-                    key_exprs: keys,
-                    aggs,
+                    aggs: funcs,
                     columns,
                     ..OutputSpec::default()
                 };
                 AdviceOp::Emit {
                     query: QueryId(7),
                     spec: Arc::new(spec),
+                    keys,
+                    aggs,
                 }
             }),
     ]

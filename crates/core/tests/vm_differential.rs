@@ -139,7 +139,7 @@ impl FoldSink {
         {
             return &mut self.groups[i];
         }
-        let states = spec.aggs.iter().map(|(f, _)| f.init()).collect();
+        let states = spec.aggs.iter().map(|f| f.init()).collect();
         self.groups.push((query, key, states, 0));
         self.groups.last_mut().expect("just pushed")
     }
@@ -619,7 +619,6 @@ impl Reported {
             self.tuples.push((r.query, r.tuples));
             self.throttles.extend(r.throttled);
             match r.rows {
-                ReportRows::Raw(rows) => self.raw.extend(rows.into_iter().map(|t| (r.query, t))),
                 ReportRows::RawEncoded(blocks) => {
                     for b in blocks {
                         let rows = b.decode().expect("own block decodes");
@@ -1143,17 +1142,19 @@ fn emit(keys: Vec<Expr>, aggs: Vec<(AggFunc, Expr)>) -> AdviceOp {
         .map(ColumnRef::Key)
         .chain((0..aggs.len()).map(ColumnRef::Agg))
         .collect();
+    let (funcs, aggs): (Vec<AggFunc>, Vec<Expr>) = aggs.into_iter().unzip();
     AdviceOp::Emit {
         query: QueryId(7),
         spec: Arc::new(OutputSpec {
             key_names: (0..keys.len()).map(|i| format!("k{i}")).collect(),
             agg_names: (0..aggs.len()).map(|i| format!("g{i}")).collect(),
             streaming: aggs.is_empty(),
-            key_exprs: keys,
-            aggs,
+            aggs: funcs,
             columns,
             ..OutputSpec::default()
         }),
+        keys,
+        aggs,
     }
 }
 

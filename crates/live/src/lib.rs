@@ -76,5 +76,13 @@ pub fn tracepoint(agent: &Agent, name: &str, exports: &[(&str, Value)]) {
     if agent.registry().is_idle() && !agent.retro_on() {
         return;
     }
+    invoke_here(agent, name, exports);
+}
+
+/// The woven half of [`tracepoint`], out of line so the idle half is the
+/// two loads and a return, with no frame to set up for a call it will not
+/// make.
+#[inline(never)]
+fn invoke_here(agent: &Agent, name: &str, exports: &[(&str, Value)]) {
     ctx::with_baggage(|bag| agent.invoke_at(name, bag, now_nanos, exports));
 }

@@ -24,21 +24,21 @@ fn info() -> ProcessInfo {
 }
 
 /// `msg` as a build one version behind would have stamped it.
-fn stamped_6(msg: &Message) -> Vec<u8> {
+fn stamped_7(msg: &Message) -> Vec<u8> {
     let mut payload = encode_message(msg);
     assert_eq!(payload[0], PROTO_VERSION);
-    payload[0] = 6;
+    payload[0] = 7;
     payload
 }
 
 #[test]
 fn skewed_frames_end_the_connection_as_lost_on_both_sides() {
-    // Server side: a peer registering at version 6 gets no `Sync`, only a
+    // Server side: a peer registering at version 7 gets no `Sync`, only a
     // closed socket, and is counted lost — never registered, never
     // "closed orderly".
     let server = TcpBusServer::start().expect("server starts");
     let mut old_peer = TcpStream::connect(server.addr()).expect("raw peer connects");
-    write_frame(&mut old_peer, &stamped_6(&Message::Hello(info()))).expect("hello writes");
+    write_frame(&mut old_peer, &stamped_7(&Message::Hello(info()))).expect("hello writes");
     old_peer
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout sets");
@@ -48,7 +48,7 @@ fn skewed_frames_end_the_connection_as_lost_on_both_sides() {
     assert_eq!((server.peers_lost(), server.peers_closed()), (1, 0));
     assert_eq!(server.agent_count(), 0);
 
-    // Client side: a server answering `Hello` at version 6. The agent
+    // Client side: a server answering `Hello` at version 7. The agent
     // drops the session instead of applying the frame or carrying on.
     let listener = TcpListener::bind("127.0.0.1:0").expect("listener binds");
     let agent = LiveAgent::connect_with(
@@ -72,7 +72,7 @@ fn skewed_frames_end_the_connection_as_lost_on_both_sides() {
         queries: Vec::new(),
         budgets: Vec::new(),
     };
-    write_frame(&mut conn, &stamped_6(&sync)).expect("sync writes");
+    write_frame(&mut conn, &stamped_7(&sync)).expect("sync writes");
     for _ in 0..600 {
         if agent.status() != ConnStatus::Connected {
             break;

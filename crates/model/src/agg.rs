@@ -289,8 +289,8 @@ impl AggState {
             0 => AggState::Count(dec.take_varint()?),
             1 => AggState::Sum(Num::I(i128::from(dec.take_varint_i64()?))),
             2 => AggState::Sum(Num::F(dec.take_f64()?)),
-            3 => AggState::Min(codec::decode_value(dec)?),
-            4 => AggState::Max(codec::decode_value(dec)?),
+            3 => AggState::Min(codec::decode_scalar(dec)?),
+            4 => AggState::Max(codec::decode_scalar(dec)?),
             5 => AggState::Average {
                 sum: dec.take_f64()?,
                 count: dec.take_varint()?,

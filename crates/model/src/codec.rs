@@ -42,7 +42,24 @@ pub fn encode_value(v: &Value, enc: &mut Encoder) {
 
 /// Decodes one value.
 pub fn decode_value(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
-    Ok(match dec.take_u8()? {
+    match dec.take_u8()? {
+        7 => Ok(Value::Agg(Arc::new(crate::agg::AggState::decode(dec)?))),
+        tag => scalar(tag, dec),
+    }
+}
+
+/// Decodes one value that is not an accumulator — what an accumulator
+/// itself holds (an extremum is an observed value; `AggState::update`
+/// merges accumulators, it never stores one). Decoding a value therefore
+/// never calls itself, and a hostile frame cannot nest it deeper than the
+/// reader's stack.
+pub(crate) fn decode_scalar(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
+    let tag = dec.take_u8()?;
+    scalar(tag, dec)
+}
+
+fn scalar(tag: u8, dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
+    Ok(match tag {
         0 => Value::Null,
         1 => Value::Bool(false),
         2 => Value::Bool(true),
@@ -50,7 +67,6 @@ pub fn decode_value(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
         4 => Value::U64(dec.take_varint()?),
         5 => Value::F64(dec.take_f64()?),
         6 => Value::Str(Arc::from(dec.take_str()?)),
-        7 => Value::Agg(Arc::new(crate::agg::AggState::decode(dec)?)),
         t => return Err(DecodeError::BadTag("value", t)),
     })
 }
@@ -121,6 +137,20 @@ mod tests {
         assert_eq!(bytes, vec![0]);
         let mut dec = Decoder::new(&bytes);
         assert_eq!(decode_tuple(&mut dec).unwrap(), Tuple::empty());
+    }
+
+    #[test]
+    fn an_accumulator_inside_an_accumulator_is_refused_not_followed() {
+        // Agg(Min(Agg(Min(…)))): honest encoders cannot produce it, and
+        // following it would recurse once per two bytes of input.
+        let bytes: Vec<u8> = std::iter::repeat_n([7u8, 3], 100_000).flatten().collect();
+        assert!(matches!(
+            decode_value(&mut Decoder::new(&bytes)),
+            Err(DecodeError::BadTag("value", 7))
+        ));
+        // One level is what travels: a partial state inside a tuple.
+        let min = Value::Agg(Arc::new(crate::agg::AggState::Min(Value::I64(-3))));
+        assert_eq!(round_trip(min.clone()), min);
     }
 
     #[test]

@@ -170,7 +170,9 @@ fn encode_track(rows: &[Tuple], col: usize, enc: &mut Encoder) {
     let mut all_u64 = true;
     for (i, t) in rows.iter().enumerate() {
         let v = t.get(col);
-        if i > 0 && v != rows[i - 1].get(col) {
+        // A run repeats a value exactly as it is held: `I64(5)` next to
+        // `U64(5)` are `==` and would decode as two of the first.
+        if i > 0 && !v.same_repr(rows[i - 1].get(col)) {
             runs += 1;
         }
         all_i64 &= matches!(v, Value::I64(_));
@@ -186,7 +188,7 @@ fn encode_track(rows: &[Tuple], col: usize, enc: &mut Encoder) {
         while start < n {
             let v = rows[start].get(col);
             let mut end = start + 1;
-            while end < n && rows[end].get(col) == v {
+            while end < n && rows[end].get(col).same_repr(v) {
                 end += 1;
             }
             enc.put_varint((end - start) as u64);

@@ -130,6 +130,23 @@ impl Value {
         (self.class() == other.class() || self.is_null() || other.is_null())
             .then(|| self.cmp(other))
     }
+
+    /// Representation-exact equality: the same variant holding an equal
+    /// value. `==` follows the value order, under which `I64(5)`, `U64(5)`
+    /// and `F64(5.0)` are one number; a codec that must hand back what it
+    /// was given, and a constant pool whose entries behave differently
+    /// under arithmetic, ask this instead.
+    pub fn same_repr(&self, other: &Value) -> bool {
+        use crate::agg::AggState::{Max, Min};
+        match (self, other) {
+            // An extremum holds a value of its own.
+            (Value::Agg(a), Value::Agg(b)) => match (&**a, &**b) {
+                (Min(x), Min(y)) | (Max(x), Max(y)) => x.same_repr(y),
+                _ => self == other,
+            },
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other) && self == other,
+        }
+    }
 }
 
 /// The one comparison of numerics across representations. Exact: an

@@ -28,16 +28,17 @@ pub enum ColumnRef {
     Agg(usize),
 }
 
-/// The shape of a query's emitted results.
+/// The shape of a query's emitted results: what every tier that holds,
+/// merges or tabulates them needs to know. How a row is *computed* — the
+/// key and aggregate-argument expressions — belongs to the emitting
+/// advice ([`AdviceOp::Emit`]) and never leaves the compiler.
 #[derive(Clone, Debug, Default)]
 pub struct OutputSpec {
-    /// Grouping key expressions (explicit `GroupBy` plus non-aggregate
-    /// select items).
-    pub key_exprs: Vec<Expr>,
-    /// Display names for the keys.
+    /// Display names for the grouping keys (explicit `GroupBy` plus
+    /// non-aggregate select items).
     pub key_names: Vec<String>,
-    /// Aggregates: function and argument expression.
-    pub aggs: Vec<(AggFunc, Expr)>,
+    /// The aggregates' functions, one per accumulator of a group.
+    pub aggs: Vec<AggFunc>,
     /// Display names for the aggregates.
     pub agg_names: Vec<String>,
     /// Output row layout in `Select` order.
@@ -54,8 +55,7 @@ pub struct OutputSpec {
 // participate in spec equality.
 impl PartialEq for OutputSpec {
     fn eq(&self, other: &OutputSpec) -> bool {
-        self.key_exprs == other.key_exprs
-            && self.key_names == other.key_names
+        self.key_names == other.key_names
             && self.aggs == other.aggs
             && self.agg_names == other.agg_names
             && self.columns == other.columns
@@ -134,13 +134,18 @@ pub enum AdviceOp {
         /// Optional predicate over the emit-stage schema.
         pred: Option<Expr>,
     },
-    /// Evaluate the output spec on each tuple and hand the result to the
-    /// process-local aggregator.
+    /// Project each tuple through `keys` and `aggs` and hand the result
+    /// to the process-local aggregator.
     Emit {
         /// The query whose results these are.
         query: QueryId,
         /// The query's output shape (shared, never cloned per event).
         spec: Arc<OutputSpec>,
+        /// Grouping key expressions, one per `spec.key_names` entry (the
+        /// projected row of a streaming query).
+        keys: Vec<Expr>,
+        /// Aggregate argument expressions, one per `spec.aggs` entry.
+        aggs: Vec<Expr>,
     },
 }
 

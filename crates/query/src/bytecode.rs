@@ -425,12 +425,9 @@ impl LowerCtx {
 
     /// Interns `v` in the constant pool with *representation-exact*
     /// equality: `I64(5)` and `U64(5)` are equal but behave differently
-    /// under arithmetic, so they must not collapse. (Within one
-    /// representation `==` is exact already: floats are equal bit for bit.)
+    /// under arithmetic, so they must not collapse.
     fn const_idx(&mut self, v: &Value) -> u16 {
-        let same_repr =
-            |c: &Value| std::mem::discriminant(c) == std::mem::discriminant(v) && c == v;
-        if let Some(i) = self.consts.iter().position(same_repr) {
+        if let Some(i) = self.consts.iter().position(|c| c.same_repr(v)) {
             return i as u16;
         }
         self.consts.push(v.clone());
@@ -619,11 +616,15 @@ pub fn lower_program(program: &AdviceProgram) -> Lowered {
                     pred,
                 });
             }
-            AdviceOp::Emit { query, spec } => {
+            AdviceOp::Emit {
+                query,
+                spec,
+                keys,
+                aggs,
+            } => {
                 let pre = fused_predicates(&mut cx, program, fused_from, i, &schema);
-                let keys = cx.lower_expr_list(&spec.key_exprs, &schema, "a Select key");
-                let agg_exprs: Vec<Expr> = spec.aggs.iter().map(|(_, e)| e.clone()).collect();
-                let aggs = cx.lower_expr_list(&agg_exprs, &schema, "an aggregate argument");
+                let keys = cx.lower_expr_list(keys, &schema, "a Select key");
+                let aggs = cx.lower_expr_list(aggs, &schema, "an aggregate argument");
                 insts.push(Inst::Emit {
                     query: *query,
                     spec: spec.clone(),
@@ -839,8 +840,11 @@ impl AdviceByteCode {
                     if !expr_range_ok(*pre) || !expr_range_ok(*keys) || !expr_range_ok(*aggs) {
                         return err(format!("inst {ii}: emit expr range out of bounds"));
                     }
-                    if (keys.1 - keys.0) as usize != spec.key_exprs.len()
-                        || (aggs.1 - aggs.0) as usize != spec.aggs.len()
+                    // One row shape, stated twice — by the ranges that
+                    // compute it and by the spec that names it.
+                    if (keys.1 - keys.0) as usize != spec.key_names.len()
+                        || (aggs.1 - aggs.0) as usize != spec.agg_names.len()
+                        || spec.aggs.len() != spec.agg_names.len()
                     {
                         return err(format!("inst {ii}: emit ranges do not match its spec"));
                     }
@@ -854,11 +858,6 @@ impl AdviceByteCode {
                         if !ok {
                             return err(format!("inst {ii}: emit spec column out of range"));
                         }
-                    }
-                    if spec.key_names.len() != spec.key_exprs.len()
-                        || spec.agg_names.len() != spec.aggs.len()
-                    {
-                        return err(format!("inst {ii}: emit spec name/expr arity mismatch"));
                     }
                 }
             }
@@ -1484,7 +1483,7 @@ impl Vm {
         // evaluation layout. Filter metering mirrors the generic loop: an
         // invocation retires filters up to and including its first
         // failing one, then nothing after.
-        fold_states.extend(spec.aggs.iter().map(|(f, _)| f.init()));
+        fold_states.extend(spec.aggs.iter().map(|f| f.init()));
         let mut filter_retired = 0u64;
         let mut survivors = 0u64;
         let mut contributors = 0u64;
@@ -1783,9 +1782,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec {
-                        key_exprs: vec![Expr::field("cl.procName")],
                         key_names: vec!["cl.procName".into()],
-                        aggs: vec![(AggFunc::Sum, Expr::field("incr.delta"))],
+                        aggs: vec![AggFunc::Sum],
                         agg_names: vec!["SUM(incr.delta)".into()],
                         columns: vec![
                             crate::advice::ColumnRef::Key(0),
@@ -1794,6 +1792,8 @@ mod tests {
                         streaming: false,
                         ..OutputSpec::default()
                     }),
+                    keys: vec![Expr::field("cl.procName")],
+                    aggs: vec![Expr::field("incr.delta")],
                 },
             ],
         };
@@ -1937,9 +1937,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec {
-                        key_exprs: vec![Expr::field("cl.procName")],
                         key_names: vec!["cl.procName".into()],
-                        aggs: vec![(AggFunc::Sum, Expr::field("incr.delta"))],
+                        aggs: vec![AggFunc::Sum],
                         agg_names: vec!["SUM(incr.delta)".into()],
                         columns: vec![
                             crate::advice::ColumnRef::Key(0),
@@ -1948,6 +1947,8 @@ mod tests {
                         streaming: false,
                         ..OutputSpec::default()
                     }),
+                    keys: vec![Expr::field("cl.procName")],
+                    aggs: vec![Expr::field("incr.delta")],
                 },
             ],
         }
@@ -2043,7 +2044,7 @@ mod tests {
             {
                 return &mut self.groups[i];
             }
-            let states = spec.aggs.iter().map(|(f, _)| f.init()).collect();
+            let states = spec.aggs.iter().map(|f| f.init()).collect();
             self.groups.push((query, key, states, 0));
             self.groups.last_mut().expect("just pushed")
         }
@@ -2214,9 +2215,8 @@ mod tests {
                 AdviceOp::Emit {
                     query: QueryId(1),
                     spec: Arc::new(OutputSpec {
-                        key_exprs: vec![Expr::field("incr.delta")],
                         key_names: vec!["incr.delta".into()],
-                        aggs: vec![(AggFunc::Count, Expr::lit(1))],
+                        aggs: vec![AggFunc::Count],
                         agg_names: vec!["COUNT".into()],
                         columns: vec![
                             crate::advice::ColumnRef::Key(0),
@@ -2225,6 +2225,8 @@ mod tests {
                         streaming: false,
                         ..OutputSpec::default()
                     }),
+                    keys: vec![Expr::field("incr.delta")],
+                    aggs: vec![Expr::lit(1)],
                 },
             ],
         };
@@ -2345,12 +2347,13 @@ mod tests {
         program.ops.push(AdviceOp::Emit {
             query: QueryId(1),
             spec: Arc::new(OutputSpec {
-                key_exprs: vec![Expr::field("packed.procName")],
                 key_names: vec!["packed.procName".into()],
                 columns: vec![crate::advice::ColumnRef::Key(0)],
                 streaming: true,
                 ..OutputSpec::default()
             }),
+            keys: vec![Expr::field("packed.procName")],
+            aggs: vec![],
         });
         let code = lower_program(&program).code;
         assert!(!code.batchable());

@@ -638,7 +638,8 @@ impl<'r> Builder<'r> {
         // before successors read them in the unoptimized flow-through.
         for idx in (0..self.nodes.len()).rev() {
             if idx == sink {
-                sinks[idx] = Some(StageSink::Emit);
+                // Set below, once aggregation pushdown has settled what
+                // the emit projects.
                 continue;
             }
             let node = &self.nodes[idx];
@@ -748,7 +749,7 @@ impl<'r> Builder<'r> {
         }
 
         // Aggregation pushdown at the final boundary (optimized only).
-        let mut out_aggs = aggs.clone();
+        let mut out_aggs: Vec<Expr> = aggs.iter().map(|(_, e)| e.clone()).collect();
         let mut out_keys = key_exprs.clone();
         if self.optimize && has_aggs && self.nodes[sink].preds.len() == 1 {
             let p = self.nodes[sink].preds[0];
@@ -831,7 +832,7 @@ impl<'r> Builder<'r> {
                     all_exprs.push(subst(e));
                     all_names.push(col.clone());
                     // The emit now combines the travelling state.
-                    out_aggs[i] = (*f, Expr::Field(col));
+                    out_aggs[i] = Expr::Field(col);
                 }
                 // Rewrite pushed keys at the emit to reference the packed
                 // column by name.
@@ -853,10 +854,13 @@ impl<'r> Builder<'r> {
             }
         }
 
-        let output = OutputSpec {
-            key_exprs: out_keys,
-            key_names,
+        sinks[sink] = Some(StageSink::Emit {
+            keys: out_keys,
             aggs: out_aggs,
+        });
+        let output = OutputSpec {
+            key_names,
+            aggs: aggs.iter().map(|(f, _)| *f).collect(),
             agg_names,
             columns,
             streaming: !has_aggs,
@@ -999,7 +1003,7 @@ fn lower(plan: QueryPlan, name: &str, text: &str, id: QueryId) -> CompiledQuery 
                         names: names.clone(),
                     });
                 }
-                StageSink::Emit => {
+                StageSink::Emit { keys, aggs } => {
                     if let Some(pred) = &plan.trigger {
                         // A constant-true predicate (the bare `Trigger`
                         // form) lowers to an unconditional trigger.
@@ -1012,6 +1016,8 @@ fn lower(plan: QueryPlan, name: &str, text: &str, id: QueryId) -> CompiledQuery 
                     ops.push(AdviceOp::Emit {
                         query: id,
                         spec: output.clone(),
+                        keys: keys.clone(),
+                        aggs: aggs.clone(),
                     });
                 }
             }

@@ -10,28 +10,32 @@
 //! it again to merge *in flight*, before reports ever reach the
 //! frontend. Both call this one helper so the two tiers cannot drift.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pivot_model::{AggState, GroupKey};
 
-use crate::advice::OutputSpec;
-
 /// Folds one partial group (`key`, `states`) into `map`.
 ///
-/// A previously unseen key starts from `spec`'s initial aggregate states
-/// (the identity of the merge), so merging a partial into an empty map
-/// reproduces the partial exactly — the property that makes relay
-/// windows transparent to the frontend's totals.
+/// A previously unseen key takes the partial as it is — every initial
+/// aggregate state is the identity of the merge, so starting from one
+/// would change nothing — which makes merging into an empty map
+/// reproduce the partial exactly: the property that keeps relay windows
+/// transparent to the frontend's totals, and lets a tier fold partials of
+/// a query whose shape it has not been told.
 pub fn merge_grouped(
     map: &mut HashMap<GroupKey, Vec<AggState>>,
-    spec: &OutputSpec,
     key: GroupKey,
     states: &[AggState],
 ) {
-    let mine = map
-        .entry(key)
-        .or_insert_with(|| spec.aggs.iter().map(|(f, _)| f.init()).collect());
-    for (m, s) in mine.iter_mut().zip(states) {
-        m.merge(s);
+    match map.entry(key) {
+        Entry::Occupied(mut mine) => {
+            for (m, s) in mine.get_mut().iter_mut().zip(states) {
+                m.merge(s);
+            }
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(states.to_vec());
+        }
     }
 }

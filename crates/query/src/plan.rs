@@ -40,8 +40,16 @@ pub enum StageSink {
         /// Packed column names.
         names: Vec<String>,
     },
-    /// Emit for global aggregation (final stage only).
-    Emit,
+    /// Project through `keys` and `aggs` and emit for global aggregation
+    /// (final stage only).
+    Emit {
+        /// Grouping key expressions, one per name in the plan's
+        /// [`OutputSpec::key_names`].
+        keys: Vec<Expr>,
+        /// Aggregate argument expressions, one per [`OutputSpec::aggs`]
+        /// entry.
+        aggs: Vec<Expr>,
+    },
 }
 
 /// One stage of a query plan.
@@ -82,7 +90,7 @@ impl QueryPlan {
             .iter()
             .map(|s| match &s.sink {
                 StageSink::Pack { names, .. } => names.len(),
-                StageSink::Emit => 0,
+                StageSink::Emit { .. } => 0,
             })
             .sum()
     }

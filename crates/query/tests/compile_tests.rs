@@ -129,7 +129,7 @@ fn q2_compiles_to_paper_advice_a1_a2() {
         AdviceOp::Emit { spec, .. } => {
             assert_eq!(spec.key_names, vec!["cl.procName"]);
             assert_eq!(spec.aggs.len(), 1);
-            assert_eq!(spec.aggs[0].0, AggFunc::Sum);
+            assert_eq!(spec.aggs[0], AggFunc::Sum);
             assert_eq!(spec.column_names(), vec!["cl.procName", "SUM(incr.delta)"]);
         }
         op => panic!("unexpected {op:?}"),
@@ -361,7 +361,7 @@ fn select_columns_follow_select_order() {
 #[test]
 fn hidden_group_keys_group_but_do_not_display() {
     let cq = compile_ok("From e In RPCs GroupBy e.user Select SUM(e.cost)");
-    assert_eq!(cq.output.key_exprs.len(), 1);
+    assert_eq!(cq.output.key_names.len(), 1);
     assert_eq!(cq.output.columns, vec![ColumnRef::Agg(0)]);
 }
 

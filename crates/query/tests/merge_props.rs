@@ -3,8 +3,8 @@
 //! by the frontend and the relay tier) is associative and commutative
 //! for every aggregate function — `COUNT`, `SUM`, `MIN`, `MAX`,
 //! `AVERAGE` — across group-key unions, and each function's `init()`
-//! state is the merge identity (what makes the relay's spec-less
-//! fallback and vacant-insert path sound).
+//! state is the merge identity (what lets the merge hand a vacant key
+//! the partial as it is, without being told the query's shape).
 //!
 //! Numeric values are kept dyadic (small integers, and floats offset by
 //! exactly 0.5) so float addition is exact and the float/integer
@@ -83,7 +83,7 @@ fn build(spec: &OutputSpec, obs: &[(usize, V)]) -> Partial {
     for (g, v) in obs {
         let states = map
             .entry(key(*g))
-            .or_insert_with(|| spec.aggs.iter().map(|(f, _)| f.init()).collect());
+            .or_insert_with(|| spec.aggs.iter().map(|f| f.init()).collect());
         for s in states.iter_mut() {
             s.update(v);
         }
@@ -94,18 +94,18 @@ fn build(spec: &OutputSpec, obs: &[(usize, V)]) -> Partial {
 /// Folds `from` into `into` through the shared merge, in a deterministic
 /// group order (the merge itself must not care, and the commutativity
 /// property checks exactly that at the partial level).
-fn fold(spec: &OutputSpec, into: &mut Partial, from: &Partial) {
+fn fold(into: &mut Partial, from: &Partial) {
     let mut entries: Vec<_> = from.iter().collect();
     entries.sort_by_key(|(k, _)| format!("{k:?}"));
     for (k, states) in entries {
-        merge_grouped(into, spec, k.clone(), states);
+        merge_grouped(into, k.clone(), states);
     }
 }
 
-fn merged(spec: &OutputSpec, parts: &[&Partial]) -> Partial {
+fn merged(parts: &[&Partial]) -> Partial {
     let mut out = Partial::new();
     for p in parts {
-        fold(spec, &mut out, p);
+        fold(&mut out, p);
     }
     out
 }
@@ -118,7 +118,7 @@ proptest! {
     fn grouped_merge_is_commutative((oa, ob) in (partial(), partial())) {
         let spec = spec();
         let (a, b) = (build(&spec, &oa), build(&spec, &ob));
-        prop_assert_eq!(merged(&spec, &[&a, &b]), merged(&spec, &[&b, &a]));
+        prop_assert_eq!(merged(&[&a, &b]), merged(&[&b, &a]));
     }
 
     /// (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c): the relay tier may fold partials in
@@ -127,8 +127,8 @@ proptest! {
     fn grouped_merge_is_associative((oa, ob, oc) in (partial(), partial(), partial())) {
         let spec = spec();
         let (a, b, c) = (build(&spec, &oa), build(&spec, &ob), build(&spec, &oc));
-        let left = merged(&spec, &[&merged(&spec, &[&a, &b]), &c]);
-        let right = merged(&spec, &[&a, &merged(&spec, &[&b, &c])]);
+        let left = merged(&[&merged(&[&a, &b]), &c]);
+        let right = merged(&[&a, &merged(&[&b, &c])]);
         prop_assert_eq!(left, right);
     }
 
@@ -140,9 +140,9 @@ proptest! {
     fn init_is_the_merge_identity(obs in partial()) {
         let spec = spec();
         let a = build(&spec, &obs);
-        prop_assert_eq!(&merged(&spec, &[&a]), &a);
+        prop_assert_eq!(&merged(&[&a]), &a);
         for states in a.values() {
-            for (s, (f, _)) in states.iter().zip(&spec.aggs) {
+            for (s, f) in states.iter().zip(&spec.aggs) {
                 let mut left = s.clone();
                 left.merge(&f.init());
                 prop_assert_eq!(&left, s, "s ⊕ init == s for {:?}", f);
@@ -151,6 +151,27 @@ proptest! {
                 prop_assert_eq!(&right, s, "init ⊕ s == s for {:?}", f);
             }
         }
+    }
+
+    /// A key first seen mid-fold takes the partial as it is, and lands
+    /// where the spec-initialised fold (every new group born from
+    /// `init()`, then merged) would have put it.
+    #[test]
+    fn a_vacant_key_takes_the_partial_as_if_born_from_init((oa, ob) in (partial(), partial())) {
+        let spec = spec();
+        let (a, b) = (build(&spec, &oa), build(&spec, &ob));
+        let mut from_init = Partial::new();
+        for part in [&a, &b] {
+            for (k, states) in part {
+                let mine = from_init
+                    .entry(k.clone())
+                    .or_insert_with(|| spec.aggs.iter().map(|f| f.init()).collect());
+                for (m, s) in mine.iter_mut().zip(states) {
+                    m.merge(s);
+                }
+            }
+        }
+        prop_assert_eq!(merged(&[&a, &b]), from_init);
     }
 
     /// The merged key set is exactly the union of the inputs' key sets:
@@ -164,7 +185,7 @@ proptest! {
             .chain(b.keys())
             .map(|k| format!("{k:?}"))
             .collect();
-        let got: BTreeSet<String> = merged(&spec, &[&a, &b])
+        let got: BTreeSet<String> = merged(&[&a, &b])
             .keys()
             .map(|k| format!("{k:?}"))
             .collect();

@@ -65,7 +65,7 @@ use pivot_core::{
     Bus, Command, Drained, Ledger, ProcessInfo, Report, ReportRows, RetroReport, Seen, SeqWindow,
     SourceKey, Throttled,
 };
-use pivot_model::{colblock, AggState, EncodedBlock, GroupKey, Tuple};
+use pivot_model::{AggState, EncodedBlock, GroupKey};
 use pivot_query::{merge_grouped, OutputSpec};
 
 /// Incarnation numbers for relays, distinct per restart within a
@@ -181,23 +181,24 @@ struct SourceState {
 }
 
 /// One query's in-flight merge window plus its upstream stream state.
+#[derive(Default)]
 struct QueryWindow {
     /// Output shape, learned from the `Install` command passing through.
+    /// The merge does not need it; it only says which empty body a
+    /// row-less frame carries.
     spec: Option<Arc<OutputSpec>>,
     /// The partially merged groups of the open window.
     groups: HashMap<GroupKey, Vec<AggState>>,
-    /// Coalesced raw rows of streaming queries.
-    raw: Vec<Tuple>,
-    /// Coalesced pre-encoded row blocks of streaming queries, forwarded
-    /// at the encoded-bytes level: the relay never decodes them, it just
+    /// Coalesced row blocks of streaming queries, forwarded at the
+    /// encoded-bytes level: the relay never decodes them, it just
     /// re-originates the accumulated blocks upstream (row counts come
     /// from the wire-validated block headers).
     raw_blocks: Vec<EncodedBlock>,
     /// Tuples absorbed into the open window (the next report's `tuples`).
     window_tuples: u64,
-    /// Circuit-breaker trips heard from below, forwarded one per
-    /// upstream report (the envelope has one `throttled` slot).
-    pending_throttles: VecDeque<Throttled>,
+    /// Circuit-breaker trips heard from below since the last flush; they
+    /// all ride the window's one upstream frame.
+    throttles: Vec<Throttled>,
     /// Next upstream seq for this query, per relay incarnation.
     seq: u64,
     /// Running baseline-relative sums over `sources` (kept incrementally
@@ -208,25 +209,6 @@ struct QueryWindow {
     /// Whether anything (rows or counters) changed since the last flush.
     dirty: bool,
     sources: HashMap<SourceKey, SourceState>,
-}
-
-impl QueryWindow {
-    fn new() -> QueryWindow {
-        QueryWindow {
-            spec: None,
-            groups: HashMap::new(),
-            raw: Vec::new(),
-            raw_blocks: Vec::new(),
-            window_tuples: 0,
-            pending_throttles: VecDeque::new(),
-            seq: 0,
-            cum_emitted: 0,
-            cum_shed: 0,
-            cum_truncated: 0,
-            dirty: false,
-            sources: HashMap::new(),
-        }
-    }
 }
 
 struct CoreState {
@@ -301,10 +283,7 @@ impl RelayCore {
     pub fn observe(&self, cmd: &Command) {
         if let Command::Install(code) = cmd {
             let mut st = self.state.lock();
-            st.windows
-                .entry(code.id)
-                .or_insert_with(QueryWindow::new)
-                .spec = Some(Arc::clone(&code.output));
+            st.windows.entry(code.id).or_default().spec = Some(Arc::clone(&code.output));
         }
     }
 
@@ -322,10 +301,7 @@ impl RelayCore {
     /// else merges.
     pub fn absorb(&self, report: Report) {
         let st = &mut *self.state.lock();
-        let window = st
-            .windows
-            .entry(report.query)
-            .or_insert_with(QueryWindow::new);
+        let window = st.windows.entry(report.query).or_default();
         let key = (report.host, report.procid, report.incarnation);
         let src = window.sources.entry(key).or_insert_with(|| SourceState {
             window: SeqWindow::starting_at(report.seq),
@@ -365,34 +341,12 @@ impl RelayCore {
         sat(&mut window.cum_shed, d_shed);
         sat(&mut window.cum_truncated, d_trunc);
         sat(&mut window.window_tuples, report.tuples);
-        if let Some(t) = report.throttled {
-            window.pending_throttles.push_back(t);
-        }
+        window.throttles.extend(report.throttled);
         match report.rows {
-            ReportRows::Raw(rows) => window.raw.extend(rows),
             ReportRows::RawEncoded(blocks) => window.raw_blocks.extend(blocks),
             ReportRows::Grouped(rows) => {
-                if let Some(spec) = &window.spec {
-                    for (key, states) in rows {
-                        merge_grouped(&mut window.groups, spec, key, &states);
-                    }
-                } else {
-                    // Shape not learned yet (reports raced ahead of the
-                    // install on this link): fold without the init row.
-                    // Equivalent because every init state is the merge
-                    // identity (pinned by the merge property tests).
-                    for (key, states) in rows {
-                        match window.groups.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                for (m, s) in e.get_mut().iter_mut().zip(&states) {
-                                    m.merge(s);
-                                }
-                            }
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(states);
-                            }
-                        }
-                    }
+                for (key, states) in rows {
+                    merge_grouped(&mut window.groups, key, &states);
                 }
             }
         }
@@ -402,87 +356,50 @@ impl RelayCore {
     }
 
     /// Flushes every dirty window: one re-originated upstream report per
-    /// query (plus row-less extras when more than one throttle is
-    /// pending), in query-id order for determinism.
+    /// query, in query-id order for determinism.
     pub fn flush(&self, now: u64) -> Vec<Report> {
         let st = &mut *self.state.lock();
         let mut out = Vec::new();
         let mut qids: Vec<QueryId> = st.windows.keys().copied().collect();
         qids.sort_unstable_by_key(|q| q.0);
         for qid in qids {
-            let incarnation = st.incarnation;
             let window = st.windows.get_mut(&qid).expect("window exists");
-            if !window.dirty && window.pending_throttles.is_empty() {
+            if !window.dirty {
                 continue;
             }
-            let streaming = window.spec.as_ref().map_or(
-                window.groups.is_empty()
-                    && !(window.raw.is_empty() && window.raw_blocks.is_empty()),
-                |s| s.streaming,
-            );
-            let mut groups: Vec<(GroupKey, Vec<AggState>)> = window.groups.drain().collect();
-            // Frame content in key order, whatever the hash order was.
-            groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+            // The spec says which body the query reports in; where the
+            // `Install` did not come this way, the rows themselves do.
+            let streaming = window
+                .spec
+                .as_ref()
+                .map_or(!window.raw_blocks.is_empty(), |s| s.streaming);
             let rows = if streaming {
-                if window.raw_blocks.is_empty() {
-                    ReportRows::Raw(std::mem::take(&mut window.raw))
-                } else {
-                    // Encoded coalescing: re-originate the accumulated
-                    // blocks untouched; any plain rows that arrived in the
-                    // same window ride along as one extra block so the
-                    // upstream frame stays single-variant.
-                    let mut blocks = std::mem::take(&mut window.raw_blocks);
-                    for chunk in window.raw.chunks(colblock::MAX_BLOCK_ROWS) {
-                        blocks.push(EncodedBlock::encode(chunk));
-                    }
-                    window.raw.clear();
-                    ReportRows::RawEncoded(blocks)
-                }
+                ReportRows::RawEncoded(std::mem::take(&mut window.raw_blocks))
             } else {
+                let mut groups: Vec<(GroupKey, Vec<AggState>)> = window.groups.drain().collect();
+                // Frame content in key order, whatever the hash order was.
+                groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
                 ReportRows::Grouped(groups)
             };
-            // The first report of the flush carries the window's rows and
-            // tuples; any further pending throttles ride out on row-less
-            // extras (each consuming one upstream seq), because the
-            // envelope has exactly one `throttled` slot.
-            let mut head = Some((window.window_tuples, rows));
-            window.window_tuples = 0;
+            let report = Report {
+                query: qid,
+                host: self.info.host.clone(),
+                procid: self.info.procid,
+                incarnation: st.incarnation,
+                time: now,
+                seq: window.seq,
+                tuples: std::mem::take(&mut window.window_tuples),
+                emitted_cum: window.cum_emitted,
+                shed_cum: window.cum_shed,
+                truncated_cum: window.cum_truncated,
+                throttled: std::mem::take(&mut window.throttles),
+                rows,
+            };
+            window.seq += 1;
             window.dirty = false;
-            loop {
-                let throttled = window.pending_throttles.pop_front();
-                if head.is_none() && throttled.is_none() {
-                    break;
-                }
-                let (tuples, rows) = head.take().unwrap_or_else(|| {
-                    (
-                        0,
-                        if streaming {
-                            ReportRows::Raw(Vec::new())
-                        } else {
-                            ReportRows::Grouped(Vec::new())
-                        },
-                    )
-                });
-                let report = Report {
-                    query: qid,
-                    host: self.info.host.clone(),
-                    procid: self.info.procid,
-                    procname: self.info.procname.clone(),
-                    incarnation,
-                    time: now,
-                    seq: window.seq,
-                    tuples,
-                    emitted_cum: window.cum_emitted,
-                    shed_cum: window.cum_shed,
-                    truncated_cum: window.cum_truncated,
-                    throttled,
-                    rows,
-                };
-                window.seq += 1;
-                st.stats.reports_out += 1;
-                sat(&mut st.stats.tuples_out, report.tuples);
-                out.push(report);
-            }
+            st.stats.reports_out += 1;
+            sat(&mut st.stats.tuples_out, report.tuples);
+            out.push(report);
         }
         out
     }

@@ -281,11 +281,10 @@ fn crash_residue_accounts_the_open_window() {
     assert_eq!((books.produced, books.crash_lost), (5, 3));
 }
 
-/// Governor `Throttled` notices from below are forwarded one per
-/// upstream report (the envelope has one slot); extras ride out on
-/// row-less frames, each consuming an upstream seq.
+/// Every governor `Throttled` notice heard from below rides the window's
+/// one upstream frame: no row-less extras, no upstream seq spent on them.
 #[test]
-fn throttles_forward_one_per_upstream_report() {
+fn every_throttle_heard_rides_the_windows_one_frame() {
     let (fe, _handle) = frontend_with_query();
     let core = RelayCore::new(relay_info(0));
     core.sync(&fe.installed());
@@ -295,7 +294,7 @@ fn throttles_forward_one_per_upstream_report() {
         let agent = fresh_agent(&fe, slot);
         invoke(&agent, MS, "a", 1);
         let mut frame = flush_one(&agent, MS);
-        frame.throttled = Some(pivot_core::Throttled {
+        frame.throttled = vec![pivot_core::Throttled {
             query: frame.query,
             reason: pivot_core::ThrottleReason::Tuples,
             stats: pivot_core::ThrottleStats {
@@ -304,22 +303,22 @@ fn throttles_forward_one_per_upstream_report() {
                 bytes: 60,
                 trips: 1 + slot as u32,
             },
-        });
+        }];
         frames.push(frame);
     }
     for f in frames {
         core.absorb(f);
     }
     let out = core.flush(2 * MS);
-    assert_eq!(out.len(), 2, "two throttles need two envelopes");
-    assert!(out.iter().all(|r| r.throttled.is_some()));
-    assert_eq!(out[0].tuples, 2, "head report carries the window");
-    assert_eq!(out[1].tuples, 0, "extra is row-less");
-    assert_eq!((out[0].seq, out[1].seq), (0, 1));
+    assert_eq!(out.len(), 1, "one dirty window, one frame");
+    let trips: Vec<u32> = out[0].throttled.iter().map(|t| t.stats.trips).collect();
+    assert_eq!(trips, [1, 2], "both trips, in the order they were heard");
+    assert_eq!((out[0].tuples, out[0].seq), (2, 0));
+    assert!(core.flush(3 * MS).is_empty(), "nothing left over to flush");
 }
 
 /// Grouped rows racing ahead of the Install on a link still merge
-/// correctly: the spec-less fallback folds identically because every
+/// correctly: the one fold never asks the spec, because every
 /// aggregate's init state is the merge identity.
 #[test]
 fn specless_merge_matches_spec_merge() {
@@ -380,7 +379,6 @@ fn retro_duplicate_suppressed_across_restart() {
         RetroReport {
             host: "host-0".into(),
             procid: 7,
-            procname: "worker".into(),
             incarnation: 1,
             time: MS,
             seq,
