@@ -1,9 +1,11 @@
 //! Shared output helpers for the figure/table harness binaries.
 //!
-//! Each binary under `src/bin/` regenerates one of the paper's figures or
-//! tables (see DESIGN.md §4 for the index) and prints the same rows or
-//! series the paper reports. Criterion microbenches live under
-//! `benches/`.
+//! Each `fig*`, `table5` and `ablation` binary under `src/bin/`
+//! regenerates one of the paper's figures or tables (see DESIGN.md §4 for
+//! the index) in virtual time and prints the same rows or series the
+//! paper reports. Wall-clock cost is measured in one place, the
+//! `benchmark/` package `BENCHMARK.json` names; `src/bin/gate.rs` checks
+//! same-run ratios over that benchmark's traced output.
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -927,12 +927,4 @@ impl LiveFrontend {
             self.frontend.results(handle).len() >= min_rows
         })
     }
-
-    /// Uninstall by query id, for tests churning many handles.
-    pub fn uninstall_id(&mut self, id: QueryId, name: &str) {
-        self.uninstall(&QueryHandle {
-            id,
-            name: name.to_owned(),
-        });
-    }
 }

@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 
-use pivot_model::{AggState, EncodedBlock, Tuple, Value as V};
+use pivot_itc::Encoder;
+use pivot_model::{codec, AggState, EncodedBlock, Tuple, Value as V};
 use proptest::prelude::*;
 
 /// Variant-exact equality, written out so it does not lean on the helper
@@ -105,6 +106,35 @@ fn zeros_and_nan_payloads_keep_their_bits() {
         nan(0xfff8_0000_0000_0001),
         nan(0xfff8_0000_0000_0001),
     ]);
+}
+
+/// The batch the columnar tracks exist for — an op string that mostly
+/// repeats, timestamps that count up, small varying sizes — takes at most
+/// half the bytes the row codec spends on the same rows tuple by tuple.
+/// Bytes are a function of the rows alone, so this needs no timer.
+#[test]
+fn a_regular_streaming_batch_is_at_most_half_its_row_codec_bytes() {
+    let rows: Vec<Tuple> = (0..4096u64)
+        .map(|i| {
+            Tuple::from_iter([
+                V::str(if i % 19 == 0 { "PUT" } else { "GET" }),
+                V::U64(1_722_000_000_000_000_000 + i * 1_379),
+                V::U64(64 + i % 512),
+            ])
+        })
+        .collect();
+    let mut row_wise = Encoder::new();
+    for t in &rows {
+        codec::encode_tuple(t, &mut row_wise);
+    }
+    let row_wise = row_wise.finish().len();
+    let block = EncodedBlock::encode(&rows);
+    assert!(
+        block.encoded_len() * 2 <= row_wise,
+        "block {} B, row codec {row_wise} B",
+        block.encoded_len()
+    );
+    assert_eq!(block.decode().expect("own block decodes"), rows);
 }
 
 proptest! {
