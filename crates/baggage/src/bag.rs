@@ -1,9 +1,10 @@
 //! The baggage container.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::Arc;
 
-use pivot_itc::Stamp;
+use pivot_itc::{Encoder, Stamp};
 use pivot_model::Tuple;
 
 use crate::entry::{Entry, PackMode};
@@ -27,6 +28,7 @@ pub(crate) struct Live {
 }
 
 impl Live {
+    #[inline]
     fn new() -> Live {
         Live {
             active: Instance::new(Stamp::seed()),
@@ -41,12 +43,14 @@ impl Live {
         wire::decode(bytes).unwrap_or_else(|_| Live::new())
     }
 
+    #[inline]
     fn is_empty(&self) -> bool {
         self.active.is_empty() && self.inactive.iter().all(|i| i.is_empty())
     }
 
     /// Every visible instance in causal order: retired (oldest first),
     /// then the active one.
+    #[inline]
     fn instances(&self) -> impl Iterator<Item = &Instance> {
         self.inactive
             .iter()
@@ -70,14 +74,17 @@ pub(crate) struct Retired {
 impl Retired {
     const INLINE: usize = 2;
 
+    #[inline]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Instance>> {
         self.head.iter().flatten().chain(&self.tail)
     }
 
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.iter().count()
     }
 
+    #[inline]
     pub(crate) fn push(&mut self, instance: Arc<Instance>) {
         match self.head.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => *slot = Some(instance),
@@ -145,6 +152,7 @@ pub enum Unpacked<'a> {
 impl std::ops::Deref for Unpacked<'_> {
     type Target = [Tuple];
 
+    #[inline]
     fn deref(&self) -> &[Tuple] {
         match self {
             Unpacked::Borrowed(s) => s,
@@ -175,6 +183,18 @@ impl Unpacked<'_> {
     }
 }
 
+thread_local! {
+    /// What [`Baggage::to_bytes`] hands out for an empty baggage — the
+    /// header of every request no query packs into. Per thread, so it is
+    /// allocated once and its reference count is not a cache line every
+    /// worker's requests write.
+    static EMPTY: Arc<[u8]> = Arc::from([]);
+    /// Where [`Baggage::to_bytes`] encodes before it copies into the one
+    /// exactly sized allocation the caller shares; kept so the next
+    /// encoding on this thread does not allocate it again.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// A per-request container for packed tuples (paper Table 4).
 ///
 /// See the [crate documentation](crate) for the full model. `Baggage` is
@@ -193,6 +213,7 @@ pub struct Baggage {
 }
 
 impl Default for Baggage {
+    #[inline]
     fn default() -> Baggage {
         Baggage::new()
     }
@@ -216,6 +237,7 @@ impl PartialEq for Baggage {
 
 impl Baggage {
     /// Creates an empty baggage for a new request.
+    #[inline]
     pub fn new() -> Baggage {
         Baggage {
             live: Some(Live::new()),
@@ -229,6 +251,7 @@ impl Baggage {
     /// Decoding happens lazily on the first [`Baggage::pack`],
     /// [`Baggage::unpack`], [`Baggage::split`], or [`Baggage::join`]. Empty
     /// input yields an empty baggage.
+    #[inline]
     pub fn from_bytes(bytes: &[u8]) -> Baggage {
         if bytes.is_empty() {
             return Baggage::new();
@@ -249,6 +272,7 @@ impl Baggage {
     /// untrusted peers (the live TCP runtime) instead want corruption
     /// *surfaced*, so the connection can be closed and the fault counted
     /// rather than silently dropping query state.
+    #[inline]
     pub fn try_from_bytes(bytes: &[u8]) -> Result<Baggage, pivot_itc::DecodeError> {
         if bytes.is_empty() {
             return Ok(Baggage::new());
@@ -272,34 +296,52 @@ impl Baggage {
             return Arc::clone(bytes);
         }
         let live = self.live.as_ref().expect("live or bytes must be set");
-        let bytes: Arc<[u8]> = if live.is_empty() {
-            Arc::from(&[][..])
-        } else {
-            Arc::from(wire::encode(live))
-        };
+        if live.is_empty() {
+            // Not cached in the handle: a second call finds the baggage
+            // empty as cheaply as it would find cached bytes.
+            return EMPTY.with(Arc::clone);
+        }
+        let bytes: Arc<[u8]> = SCRATCH.with(|scratch| {
+            let mut enc = Encoder::reusing(scratch.take());
+            wire::encode(live, &mut enc);
+            let buf = enc.finish();
+            let bytes = Arc::from(&buf[..]);
+            scratch.set(buf);
+            bytes
+        });
         self.bytes = Some(Arc::clone(&bytes));
         bytes
     }
 
     /// Returns the serialized size in bytes without caching side effects
     /// beyond the internal encode cache.
+    #[inline]
     pub fn serialized_len(&mut self) -> usize {
         self.to_bytes().len()
     }
 
+    #[inline]
     pub(crate) fn ensure_live(&mut self) -> &mut Live {
         if self.live.is_none() {
-            let bytes = self.bytes.as_ref().expect("live or bytes set");
-            self.live = Some(Live::adopt(bytes));
+            self.adopt();
         }
         self.live.as_mut().expect("just set")
     }
 
+    /// The first access after [`Baggage::from_bytes`].
+    #[inline(never)]
+    fn adopt(&mut self) {
+        let bytes = self.bytes.as_ref().expect("live or bytes set");
+        self.live = Some(Live::adopt(bytes));
+    }
+
+    #[inline]
     fn touch(&mut self) {
         self.bytes = None;
     }
 
     /// Returns `true` if nothing is packed anywhere in this baggage.
+    #[inline]
     pub fn is_empty(&mut self) -> bool {
         self.ensure_live().is_empty()
     }
@@ -331,6 +373,7 @@ impl Baggage {
     }
 
     /// Returns this handle's pack-cost counters (see [`PackMeter`]).
+    #[inline]
     pub fn meter(&self) -> PackMeter {
         self.meter
     }
@@ -340,6 +383,7 @@ impl Baggage {
     ///
     /// Grouped entries come back as `(key…, Value::Agg(state)…)` rows whose
     /// partial states downstream aggregation must combine.
+    #[inline]
     pub fn unpack(&mut self, query: QueryId) -> Vec<Tuple> {
         self.unpack_view(query).into_owned()
     }

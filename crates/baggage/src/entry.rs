@@ -37,6 +37,7 @@ pub enum PackMode {
 }
 
 impl PackMode {
+    #[inline]
     fn tag(&self) -> u8 {
         match self {
             PackMode::All => 0,
@@ -117,6 +118,7 @@ pub enum Entry {
 
 impl Entry {
     /// Creates an empty entry for `mode`.
+    #[inline]
     pub fn new(mode: &PackMode) -> Entry {
         match mode {
             PackMode::GroupAgg { .. } => Entry::Grouped {
@@ -131,6 +133,7 @@ impl Entry {
     }
 
     /// Returns `true` if nothing has been packed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         match self {
             Entry::Tuples { tuples, .. } => tuples.is_empty(),
@@ -139,6 +142,7 @@ impl Entry {
     }
 
     /// Returns the number of retained tuples / groups.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             Entry::Tuples { tuples, .. } => tuples.len(),
@@ -311,6 +315,7 @@ impl Entry {
     /// Because packing already enforces each bounded mode's limit per
     /// entry, a *single* entry's slice is exactly its unpack result; this
     /// is the zero-copy fast path behind [`crate::Baggage::unpack_view`].
+    #[inline]
     pub fn tuple_slice(&self) -> Option<&[Tuple]> {
         match self {
             Entry::Tuples { tuples, .. } => Some(tuples),
@@ -319,6 +324,7 @@ impl Entry {
     }
 
     /// Returns the entry's pack mode.
+    #[inline]
     pub fn mode(&self) -> &PackMode {
         match self {
             Entry::Tuples { mode, .. } | Entry::Grouped { mode, .. } => mode,

@@ -24,6 +24,7 @@ pub struct Instance {
 
 impl Instance {
     /// Creates an empty instance with the given stamp.
+    #[inline]
     pub fn new(stamp: Stamp) -> Instance {
         Instance {
             stamp,
@@ -32,6 +33,7 @@ impl Instance {
     }
 
     /// Returns `true` if no query has packed anything here.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.values().all(Entry::is_empty)
     }
@@ -52,6 +54,7 @@ impl Instance {
     }
 
     /// Returns the number of tuples visible for `query` in this instance.
+    #[inline]
     pub fn count_for(&self, query: QueryId) -> usize {
         self.entries.get(&query).map_or(0, Entry::len)
     }

@@ -22,15 +22,13 @@ use crate::QueryId;
 
 const VERSION: u8 = 1;
 
-pub(crate) fn encode(live: &Live) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(64);
+pub(crate) fn encode(live: &Live, enc: &mut Encoder) {
     enc.put_u8(VERSION);
     enc.put_varint(1 + live.inactive.len() as u64);
-    encode_instance(&live.active, &mut enc);
+    encode_instance(&live.active, enc);
     for inst in live.inactive.iter() {
-        encode_instance(inst, &mut enc);
+        encode_instance(inst, enc);
     }
-    enc.finish()
 }
 
 fn encode_instance(inst: &Instance, enc: &mut Encoder) {
@@ -77,6 +75,12 @@ mod tests {
     use super::*;
     use crate::entry::PackMode;
     use pivot_model::{Tuple, Value};
+
+    fn encode(live: &Live) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        super::encode(live, &mut enc);
+        enc.finish()
+    }
 
     #[test]
     fn live_round_trip_with_branches() {

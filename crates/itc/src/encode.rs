@@ -25,72 +25,101 @@ pub struct Encoder {
 
 impl Encoder {
     /// Creates an empty encoder.
+    #[inline]
     pub fn new() -> Encoder {
         Encoder::default()
     }
 
     /// Creates an encoder with pre-reserved capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Encoder {
         Encoder {
             buf: Vec::with_capacity(cap),
         }
     }
 
+    /// Creates an empty encoder that writes into `buf`'s allocation, for a
+    /// caller that keeps one buffer across encodings.
+    #[inline]
+    pub fn reusing(mut buf: Vec<u8>) -> Encoder {
+        buf.clear();
+        Encoder { buf }
+    }
+
     /// Appends a raw byte.
+    #[inline]
     pub fn put_u8(&mut self, b: u8) {
         self.buf.push(b);
     }
 
     /// Appends bytes as they are (no length prefix).
+    #[inline]
     pub(crate) fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
     /// Appends an unsigned LEB128 varint.
-    pub fn put_varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
+    ///
+    /// Tags, lengths, query ids and event counts are almost always below
+    /// 128: that byte is written in the caller, anything longer by a loop
+    /// that stays out of line.
+    #[inline]
+    pub fn put_varint(&mut self, v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+        } else {
+            self.put_long_varint(v);
         }
     }
 
+    #[inline(never)]
+    fn put_long_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a signed integer using zigzag encoding.
+    #[inline]
     pub fn put_varint_i64(&mut self, v: i64) {
         self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Appends an IEEE-754 double, little endian.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a length-prefixed byte slice.
+    #[inline]
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
         self.buf.extend_from_slice(b);
     }
 
     /// Appends a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
 
     /// Returns the number of bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Returns `true` if nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Consumes the encoder and returns the encoded bytes.
+    #[inline]
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -137,29 +166,54 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
     /// Returns `true` if all input has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
     /// Returns the number of bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+        // Spelled as a `match`: through `ok_or_else(..)?` one decoder in
+        // `pivot_live` kept a 93-byte copy out of line.
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(truncated()),
+        }
     }
 
     /// Reads an unsigned LEB128 varint.
+    ///
+    /// The one-byte case is decided in the caller; a continuation bit, or
+    /// the end of the input, goes to a loop that stays out of line.
+    #[inline]
     pub fn take_varint(&mut self) -> Result<u64, DecodeError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.take_long_varint(),
+        }
+    }
+
+    #[inline(never)]
+    fn take_long_varint(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -176,37 +230,53 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a zigzag-encoded signed integer.
+    #[inline]
     pub fn take_varint_i64(&mut self) -> Result<i64, DecodeError> {
         let v = self.take_varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
     /// Reads an IEEE-754 double.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64, DecodeError> {
-        if self.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
+        let rest = self.buf.get(self.pos..);
+        let bytes = rest.and_then(|rest| rest.first_chunk());
+        let v = f64::from_le_bytes(*bytes.ok_or_else(truncated)?);
         self.pos += 8;
-        Ok(f64::from_le_bytes(bytes))
+        Ok(v)
     }
 
     /// Reads a length-prefixed byte slice.
+    #[inline]
     pub fn take_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.take_varint()? as usize;
-        if self.remaining() < len {
-            return Err(DecodeError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + len];
+        let rest = self.buf.get(self.pos..);
+        let split = rest.and_then(|rest| rest.split_at_checked(len));
+        let (out, _) = split.ok_or_else(truncated)?;
         self.pos += len;
         Ok(out)
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn take_str(&mut self) -> Result<&'a str, DecodeError> {
-        std::str::from_utf8(self.take_bytes()?).map_err(|_| DecodeError::BadUtf8)
+        std::str::from_utf8(self.take_bytes()?).map_err(|_| bad_utf8())
     }
+}
+
+/// The refusals of the inlined readers are built out of line, so a caller
+/// carries one cold call per refusal and the compiler lays the accepting
+/// path out straight.
+#[cold]
+#[inline(never)]
+fn truncated() -> DecodeError {
+    DecodeError::Truncated
+}
+
+#[cold]
+#[inline(never)]
+fn bad_utf8() -> DecodeError {
+    DecodeError::BadUtf8
 }
 
 #[cfg(test)]

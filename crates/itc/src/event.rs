@@ -32,6 +32,7 @@ fn is_node(cell: u64) -> bool {
 }
 
 impl Cell for u64 {
+    #[inline]
     fn branches(self) -> bool {
         is_node(self)
     }
@@ -89,6 +90,7 @@ fn close(out: &mut Cells, at: usize, right: usize) {
 
 impl Event {
     /// Returns the zero event tree.
+    #[inline]
     pub fn zero() -> Event {
         Event(Cells::of(leaf(0)))
     }
@@ -112,6 +114,7 @@ impl Event {
     }
 
     /// Returns the minimum event count witnessed anywhere.
+    #[inline]
     pub fn min(&self) -> u64 {
         // Normal form keeps a zero base under every node, so the root's
         // count is the minimum.
@@ -125,11 +128,13 @@ impl Event {
 
     /// Returns `true` if `self` is causally dominated by `other`
     /// (every position witnessed no more events in `self` than in `other`).
+    #[inline]
     pub fn leq(&self, other: &Event) -> bool {
         leq_at(&self.0, &mut 0, 0, &other.0, &mut 0, 0)
     }
 
     /// Merges two event trees, taking the pointwise maximum (ITC *join*).
+    #[inline]
     pub fn join(&self, other: &Event) -> Event {
         let mut out = Cells::new();
         join_at(&self.0, &mut 0, 0, &other.0, &mut 0, 0, 0, &mut out);
@@ -152,6 +157,7 @@ impl Event {
     }
 
     /// Encodes this event tree into `enc`.
+    #[inline]
     pub fn encode(&self, enc: &mut Encoder) {
         for &cell in self.0.iter() {
             enc.put_u8(u8::from(is_node(cell)));
@@ -167,6 +173,7 @@ impl Event {
     /// [`DecodeError::VarintOverflow`] if the counts along some path sum
     /// past 63 bits; [`DecodeError::TooDeep`] if the tree nests deeper
     /// than the kernel's recursion is prepared to follow.
+    #[inline]
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Event, DecodeError> {
         let mut out = Cells::new();
         decode_at(dec, &mut out, 0)?;

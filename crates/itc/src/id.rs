@@ -42,6 +42,7 @@ impl fmt::Display for OverlapError {
 impl std::error::Error for OverlapError {}
 
 impl Cell for u8 {
+    #[inline]
     fn branches(self) -> bool {
         self == NODE
     }
@@ -61,11 +62,13 @@ fn close(out: &mut Cells, at: usize) {
 
 impl Id {
     /// Returns the seed identity that owns the entire interval.
+    #[inline]
     pub fn one() -> Id {
         Id(Cells::of(ONE))
     }
 
     /// Returns the anonymous identity that owns nothing.
+    #[inline]
     pub fn zero() -> Id {
         Id(Cells::of(ZERO))
     }
@@ -79,16 +82,19 @@ impl Id {
         Id(out)
     }
 
+    #[inline]
     pub(crate) fn cells(&self) -> &[u8] {
         &self.0
     }
 
     /// Returns `true` if this identity owns nothing (is anonymous).
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.0[0] == ZERO
     }
 
     /// Returns `true` if this identity owns the whole interval.
+    #[inline]
     pub fn is_whole(&self) -> bool {
         self.0[0] == ONE
     }
@@ -143,6 +149,7 @@ impl Id {
     /// Returns [`OverlapError`] if the identities overlap — summing
     /// overlapping identities would forge ownership and indicates a
     /// protocol violation.
+    #[inline]
     pub fn sum(&self, other: &Id) -> Result<Id, OverlapError> {
         let mut out = Cells::new();
         sum_at(&self.0, &mut 0, &other.0, &mut 0, &mut out)?;
@@ -160,6 +167,7 @@ impl Id {
     }
 
     /// Encodes this identity into `enc`.
+    #[inline]
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_raw(&self.0);
     }
@@ -174,6 +182,7 @@ impl Id {
     ///
     /// [`DecodeError::Truncated`], [`DecodeError::BadTag`] or
     /// [`DecodeError::TooDeep`].
+    #[inline]
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Id, DecodeError> {
         let mut out = Cells::new();
         decode_at(dec, &mut out, 0)?;

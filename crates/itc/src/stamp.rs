@@ -24,6 +24,7 @@ pub struct Stamp {
 
 impl Stamp {
     /// Returns the seed stamp `(1, 0)` owned by the request root.
+    #[inline]
     pub fn seed() -> Stamp {
         Stamp {
             id: Id::one(),
@@ -32,16 +33,19 @@ impl Stamp {
     }
 
     /// Builds a stamp from parts.
+    #[inline]
     pub fn new(id: Id, event: Event) -> Stamp {
         Stamp { id, event }
     }
 
     /// Returns this stamp's identity tree.
+    #[inline]
     pub fn id(&self) -> &Id {
         &self.id
     }
 
     /// Returns this stamp's event tree.
+    #[inline]
     pub fn event_tree(&self) -> &Event {
         &self.event
     }
@@ -79,6 +83,7 @@ impl Stamp {
     ///
     /// Panics if the stamp is anonymous (identity zero) — anonymous stamps
     /// cannot witness events; this indicates misuse of [`Stamp::peek`].
+    #[inline]
     pub fn event(&mut self) {
         assert!(!self.id.is_zero(), "anonymous stamps cannot witness events");
         self.event = self.event.event(&self.id);
@@ -98,22 +103,26 @@ impl Stamp {
     }
 
     /// Returns `true` if this stamp causally precedes-or-equals `other`.
+    #[inline]
     pub fn leq(&self, other: &Stamp) -> bool {
         self.event.leq(&other.event)
     }
 
     /// Returns `true` if the two stamps are concurrent (mutually unordered).
+    #[inline]
     pub fn concurrent(&self, other: &Stamp) -> bool {
         !self.leq(other) && !other.leq(self)
     }
 
     /// Encodes this stamp into `enc`.
+    #[inline]
     pub fn encode(&self, enc: &mut Encoder) {
         self.id.encode(enc);
         self.event.encode(enc);
     }
 
     /// Decodes a stamp from `dec`.
+    #[inline]
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Stamp, DecodeError> {
         let id = Id::decode(dec)?;
         let event = Event::decode(dec)?;

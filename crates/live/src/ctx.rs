@@ -27,6 +27,7 @@ thread_local! {
 /// This is how live tracepoints reach the request context: advice packs
 /// into and unpacks from whatever baggage is attached to the invoking
 /// thread.
+#[inline]
 pub fn with_baggage<R>(f: impl FnOnce(&mut Baggage) -> R) -> R {
     CURRENT.with(|c| f(&mut c.borrow_mut()))
 }
@@ -44,6 +45,7 @@ pub struct BaggageScope {
 }
 
 /// Makes `bag` the current thread's baggage until the returned scope ends.
+#[inline]
 pub fn attach(bag: Baggage) -> BaggageScope {
     let prev = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), bag));
     BaggageScope {
@@ -55,6 +57,7 @@ pub fn attach(bag: Baggage) -> BaggageScope {
 impl BaggageScope {
     /// Ends the scope, returning the (possibly advice-mutated) baggage
     /// that was attached.
+    #[inline]
     pub fn detach(mut self) -> Baggage {
         let prev = self.prev.take().expect("scope detached once");
         CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
@@ -62,6 +65,7 @@ impl BaggageScope {
 }
 
 impl Drop for BaggageScope {
+    #[inline]
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {
             CURRENT.with(|c| *c.borrow_mut() = prev);
@@ -72,16 +76,19 @@ impl Drop for BaggageScope {
 /// Splits the current thread's baggage for a branching execution
 /// (paper §5): tuples packed by the branch stay invisible to this thread
 /// until the branch's baggage is [`merge`]d back.
+#[inline]
 pub fn branch() -> Baggage {
     with_baggage(Baggage::split)
 }
 
 /// Joins baggage from a finished branch into the current thread's.
+#[inline]
 pub fn merge(bag: Baggage) {
     with_baggage(|b| b.join(bag));
 }
 
 /// Serializes the current thread's baggage (for an outgoing RPC header).
+#[inline]
 pub fn snapshot_bytes() -> Arc<[u8]> {
     with_baggage(Baggage::to_bytes)
 }
@@ -89,6 +96,7 @@ pub fn snapshot_bytes() -> Arc<[u8]> {
 /// Replaces the current thread's baggage with the one returned in an RPC
 /// response: the callee's execution is a causal extension of the
 /// caller's, so its baggage supersedes the snapshot sent out.
+#[inline]
 pub fn adopt_bytes(bytes: &[u8]) {
     with_baggage(|b| *b = Baggage::from_bytes(bytes));
 }

@@ -43,6 +43,7 @@ impl AggFunc {
     }
 
     /// Returns a fresh accumulator for this function.
+    #[inline]
     pub fn init(self) -> AggState {
         match self {
             AggFunc::Count => AggState::Count(0),
@@ -54,6 +55,7 @@ impl AggFunc {
     }
 
     /// Returns the query-language spelling of this function.
+    #[inline]
     pub fn name(self) -> &'static str {
         match self {
             AggFunc::Count => "COUNT",
@@ -206,6 +208,7 @@ impl AggState {
     }
 
     /// Finalizes the accumulator into a result value.
+    #[inline]
     pub fn finish(&self) -> Value {
         match self {
             AggState::Count(c) => Value::U64(*c),
@@ -241,6 +244,7 @@ impl AggState {
     }
 
     /// Returns which function this accumulator belongs to.
+    #[inline]
     pub fn func(&self) -> AggFunc {
         match self {
             AggState::Count(_) => AggFunc::Count,

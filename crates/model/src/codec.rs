@@ -8,10 +8,11 @@ use std::sync::Arc;
 
 use pivot_itc::{DecodeError, Decoder, Encoder};
 
-use crate::tuple::Tuple;
+use crate::tuple::{null_array, Tuple, INLINE_CAP};
 use crate::value::Value;
 
 /// Encodes one value.
+#[inline]
 pub fn encode_value(v: &Value, enc: &mut Encoder) {
     match v {
         Value::Null => enc.put_u8(0),
@@ -41,6 +42,7 @@ pub fn encode_value(v: &Value, enc: &mut Encoder) {
 }
 
 /// Decodes one value.
+#[inline]
 pub fn decode_value(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
     match dec.take_u8()? {
         7 => Ok(Value::Agg(Arc::new(crate::agg::AggState::decode(dec)?))),
@@ -53,6 +55,7 @@ pub fn decode_value(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
 /// merges accumulators, it never stores one). Decoding a value therefore
 /// never calls itself, and a hostile frame cannot nest it deeper than the
 /// reader's stack.
+#[inline]
 pub(crate) fn decode_scalar(dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
     let tag = dec.take_u8()?;
     scalar(tag, dec)
@@ -72,6 +75,7 @@ fn scalar(tag: u8, dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
 }
 
 /// Encodes one tuple as a length-prefixed run of values.
+#[inline]
 pub fn encode_tuple(t: &Tuple, enc: &mut Encoder) {
     enc.put_varint(t.len() as u64);
     for v in t.values() {
@@ -79,9 +83,18 @@ pub fn encode_tuple(t: &Tuple, enc: &mut Encoder) {
     }
 }
 
-/// Decodes one tuple.
+/// Decodes one tuple. A row the inline representation holds is decoded
+/// in place; a longer one through a `Vec` the claimed length sizes only up
+/// to 1024 values.
 pub fn decode_tuple(dec: &mut Decoder<'_>) -> Result<Tuple, DecodeError> {
     let n = dec.take_varint()? as usize;
+    if n <= INLINE_CAP {
+        let mut vals = null_array();
+        for slot in &mut vals[..n] {
+            *slot = decode_value(dec)?;
+        }
+        return Ok(Tuple::from_inline(n, vals));
+    }
     let mut values = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         values.push(decode_value(dec)?);

@@ -115,7 +115,7 @@ impl fmt::Debug for Schema {
 /// Values stored inline before a tuple spills to the heap. Paper queries
 /// observe a handful of exports per tracepoint, so nearly every tuple on
 /// the hot path fits inline and costs no allocation.
-const INLINE_CAP: usize = 4;
+pub(crate) const INLINE_CAP: usize = 4;
 
 /// A positional row of [`Value`]s.
 ///
@@ -131,7 +131,8 @@ enum Repr {
     Heap(Box<[Value]>),
 }
 
-fn null_array() -> [Value; INLINE_CAP] {
+#[inline]
+pub(crate) fn null_array() -> [Value; INLINE_CAP] {
     std::array::from_fn(|_| Value::Null)
 }
 
@@ -148,27 +149,45 @@ impl Tuple {
         }
     }
 
+    /// The first `len` of `vals`, which holds `Null` from there on: for a
+    /// producer that fills the inline representation in place.
+    #[inline]
+    pub(crate) fn from_inline(len: usize, vals: [Value; INLINE_CAP]) -> Tuple {
+        debug_assert!(vals[len..].iter().all(Value::is_null));
+        Tuple {
+            repr: Repr::Inline {
+                len: len as u8,
+                vals,
+            },
+        }
+    }
+
     /// Returns the empty tuple.
+    #[inline]
     pub fn empty() -> Tuple {
         Tuple::default()
     }
 
     /// Number of values.
+    #[inline]
     pub fn len(&self) -> usize {
         self.values().len()
     }
 
     /// Returns `true` if the tuple has no values.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.values().is_empty()
     }
 
     /// Returns the value at `idx`, or `Null` when out of range.
+    #[inline]
     pub fn get(&self, idx: usize) -> &Value {
         self.values().get(idx).unwrap_or(&NULL)
     }
 
     /// Returns all values.
+    #[inline]
     pub fn values(&self) -> &[Value] {
         match &self.repr {
             Repr::Inline { len, vals } => &vals[..*len as usize],
@@ -192,13 +211,9 @@ impl Tuple {
 }
 
 impl Default for Tuple {
+    #[inline]
     fn default() -> Tuple {
-        Tuple {
-            repr: Repr::Inline {
-                len: 0,
-                vals: null_array(),
-            },
-        }
+        Tuple::from_inline(0, null_array())
     }
 }
 
@@ -213,12 +228,7 @@ impl Clone for Tuple {
                 for (to, from) in out.iter_mut().zip(&vals[..*len as usize]) {
                     *to = from.clone();
                 }
-                Tuple {
-                    repr: Repr::Inline {
-                        len: *len,
-                        vals: out,
-                    },
-                }
+                Tuple::from_inline(*len as usize, out)
             }
             Repr::Heap(b) => Tuple {
                 repr: Repr::Heap(b.clone()),
@@ -228,6 +238,7 @@ impl Clone for Tuple {
 }
 
 impl PartialEq for Tuple {
+    #[inline]
     fn eq(&self, other: &Tuple) -> bool {
         self.values() == other.values()
     }
@@ -236,12 +247,14 @@ impl PartialEq for Tuple {
 impl Eq for Tuple {}
 
 impl Ord for Tuple {
+    #[inline]
     fn cmp(&self, other: &Tuple) -> Ordering {
         self.values().cmp(other.values())
     }
 }
 
 impl PartialOrd for Tuple {
+    #[inline]
     fn partial_cmp(&self, other: &Tuple) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -278,9 +291,11 @@ fn hash_cols<C: Cols + ?Sized, H: Hasher>(cols: &C, state: &mut H) {
 }
 
 impl Cols for Tuple {
+    #[inline]
     fn width(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn col(&self, i: usize) -> Cow<'_, Value> {
         Cow::Borrowed(self.get(i))
     }
@@ -346,14 +361,7 @@ impl FromIterator<Value> for Tuple {
         let mut len = 0usize;
         loop {
             match it.next() {
-                None => {
-                    return Tuple {
-                        repr: Repr::Inline {
-                            len: len as u8,
-                            vals,
-                        },
-                    }
-                }
+                None => return Tuple::from_inline(len, vals),
                 Some(v) if len < INLINE_CAP => {
                     vals[len] = v;
                     len += 1;
@@ -393,12 +401,14 @@ pub struct GroupKey(pub Tuple);
 
 impl GroupKey {
     /// Builds a key by projecting `tuple` onto `indices`.
+    #[inline]
     pub fn project(tuple: &Tuple, indices: &[usize]) -> GroupKey {
         GroupKey(tuple.project(indices))
     }
 }
 
 impl<'a> Borrow<dyn Cols + 'a> for GroupKey {
+    #[inline]
     fn borrow(&self) -> &(dyn Cols + 'a) {
         &self.0
     }

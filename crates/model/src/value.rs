@@ -40,11 +40,13 @@ pub static NULL: Value = Value::Null;
 
 impl Value {
     /// Builds a string value.
+    #[inline]
     pub fn str(s: impl AsRef<str>) -> Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
     /// Returns a short name for this value's type.
+    #[inline]
     pub fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
@@ -58,6 +60,7 @@ impl Value {
     }
 
     /// Returns the aggregation state if this is an [`Value::Agg`].
+    #[inline]
     pub fn as_agg(&self) -> Option<&crate::agg::AggState> {
         match self {
             Value::Agg(s) => Some(s),
@@ -66,16 +69,19 @@ impl Value {
     }
 
     /// Returns `true` if this value is [`Value::Null`].
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
     /// Returns `true` for numeric values.
+    #[inline]
     pub fn is_numeric(&self) -> bool {
         matches!(self, Value::I64(_) | Value::U64(_) | Value::F64(_))
     }
 
     /// Coerces a numeric value to `f64`.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::I64(v) => Some(*v as f64),
@@ -86,6 +92,7 @@ impl Value {
     }
 
     /// Coerces an integral value to `i64` (no float truncation).
+    #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::I64(v) => Some(*v),
@@ -95,6 +102,7 @@ impl Value {
     }
 
     /// Returns the string contents if this is a string value.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
@@ -103,6 +111,7 @@ impl Value {
     }
 
     /// Returns the boolean if this is a boolean value.
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
@@ -112,6 +121,7 @@ impl Value {
 
     /// Where this value's class ranks in the total order:
     /// `Null < Bool < numeric < Str < Agg`.
+    #[inline]
     fn class(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -126,6 +136,7 @@ impl Value {
     /// restricted to one class. `Null` is less than everything else;
     /// otherwise values of different classes (a string and a number) are
     /// unordered.
+    #[inline]
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         (self.class() == other.class() || self.is_null() || other.is_null())
             .then(|| self.cmp(other))
@@ -197,12 +208,14 @@ impl Ord for Value {
 }
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Value) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Value) -> bool {
         self.cmp(other) == Ordering::Equal
     }
@@ -269,51 +282,61 @@ impl fmt::Display for Value {
 }
 
 impl From<bool> for Value {
+    #[inline]
     fn from(v: bool) -> Value {
         Value::Bool(v)
     }
 }
 impl From<i64> for Value {
+    #[inline]
     fn from(v: i64) -> Value {
         Value::I64(v)
     }
 }
 impl From<i32> for Value {
+    #[inline]
     fn from(v: i32) -> Value {
         Value::I64(v as i64)
     }
 }
 impl From<u64> for Value {
+    #[inline]
     fn from(v: u64) -> Value {
         Value::U64(v)
     }
 }
 impl From<u32> for Value {
+    #[inline]
     fn from(v: u32) -> Value {
         Value::U64(v as u64)
     }
 }
 impl From<usize> for Value {
+    #[inline]
     fn from(v: usize) -> Value {
         Value::U64(v as u64)
     }
 }
 impl From<f64> for Value {
+    #[inline]
     fn from(v: f64) -> Value {
         Value::F64(v)
     }
 }
 impl From<&str> for Value {
+    #[inline]
     fn from(v: &str) -> Value {
         Value::str(v)
     }
 }
 impl From<String> for Value {
+    #[inline]
     fn from(v: String) -> Value {
         Value::Str(Arc::from(v.as_str()))
     }
 }
 impl From<Arc<str>> for Value {
+    #[inline]
     fn from(v: Arc<str>) -> Value {
         Value::Str(v)
     }

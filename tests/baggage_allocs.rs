@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use pivot_tracing::baggage::{Baggage, PackMode, QueryId};
 use pivot_tracing::model::{Tuple, Value};
+use pivot_tracing::query::CompiledQuery;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -74,4 +75,58 @@ fn a_packed_tuple_is_retired_once_and_never_copied() {
     let hop = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
     server.join(hop);
     assert_eq!(server.tuple_count(Q), 1);
+}
+
+#[test]
+fn an_empty_header_crosses_an_edge_without_allocating() {
+    // What `svc_unwoven` does twice a request. The first empty `to_bytes`
+    // on a thread allocates the buffer every later one shares.
+    drop(Baggage::new().to_bytes());
+    let mut client = Baggage::new();
+    let (n, header) = allocations(|| client.to_bytes());
+    assert_eq!(n, 0, "serializing an empty baggage allocated");
+    assert!(header.is_empty());
+    let (n, server) = allocations(|| Baggage::try_from_bytes(&header));
+    assert_eq!(n, 0, "adopting an empty header allocated");
+    assert!(server.expect("empty header decodes").is_empty());
+}
+
+#[test]
+fn q1_headers_serialize_in_one_allocation_and_decode_in_four_and_five() {
+    // `svc_q1`'s request: the client site packs First(1) of one string
+    // under the first query's first pack slot.
+    let slot = CompiledQuery::slot_id(Q, 0);
+    let request = || {
+        let mut client = Baggage::new();
+        client.pack(
+            slot,
+            &PackMode::First(1),
+            [Tuple::from_iter([Value::str("client-17")])],
+        );
+        client
+    };
+    // A thread's encode buffer grows to its headers' size while the first
+    // is serialized; a worker pays for that once, not per request.
+    drop(request().to_bytes());
+    let mut client = request();
+    let (n, request) = allocations(|| client.to_bytes());
+    assert!(n <= 1, "request header serialized in {n} allocations");
+    // The copy of the bytes, the entry map's node, the entry's `Vec` and
+    // the string; the tuple itself decodes into its inline representation.
+    let (n, server) = allocations(|| Baggage::try_from_bytes(&request));
+    assert!(n <= 4, "request header decoded in {n} allocations");
+    let mut server = server.expect("own bytes decode");
+
+    // The shard edge and back, then the response: the packed instance is
+    // retired by now, which is the one `Arc` more the response decodes.
+    let mut shard = Baggage::new();
+    shard.join(server.split());
+    server.join(shard.split());
+    let (n, response) = allocations(|| server.to_bytes());
+    assert!(n <= 1, "response header serialized in {n} allocations");
+    let (n, back) = allocations(|| Baggage::try_from_bytes(&response));
+    assert!(n <= 5, "response header decoded in {n} allocations");
+    assert_eq!(back.expect("own bytes decode").unpack_view(slot).len(), 1);
+    // `baggage.header_bytes` on `svc_q1`.
+    assert_eq!(request.len() + response.len(), 54);
 }
