@@ -216,3 +216,30 @@ fn event_counters_that_overflow_are_refused_in_every_profile() {
     bag.join(side);
     assert_eq!(bag.tuple_count(QueryId(1)), 1);
 }
+
+#[test]
+fn a_full_inline_string_ending_mid_character_is_bad_utf8_not_a_value() {
+    // Exactly the 22 bytes a `Value` holds inline, the last two the head
+    // of a three-byte character: the wire slice is validated before it is
+    // copied, so no inline string exists that is not UTF-8.
+    let honest = format!("{}é", "x".repeat(20));
+    assert_eq!(honest.len(), 22);
+    let mut bag = Baggage::new();
+    bag.pack(
+        QueryId(1),
+        &PackMode::All,
+        [Tuple::from_iter([Value::str(&honest)])],
+    );
+    let mut bytes = bag.to_bytes().to_vec();
+    let at = bytes
+        .windows(22)
+        .position(|w| w == honest.as_bytes())
+        .expect("the string travels verbatim");
+    assert!(Baggage::try_from_bytes(&bytes).is_ok());
+    bytes[at + 20..at + 22].copy_from_slice(&"€".as_bytes()[..2]);
+    assert_eq!(
+        Baggage::try_from_bytes(&bytes).err(),
+        Some(pivot_itc::DecodeError::BadUtf8)
+    );
+    assert_refused(&bytes);
+}

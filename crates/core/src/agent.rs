@@ -501,8 +501,8 @@ impl Agent {
             incarnation,
         });
         Agent {
-            host_value: Value::Str(intern(&info.host)),
-            procname_value: Value::Str(intern(&info.procname)),
+            host_value: intern(&info.host).into(),
+            procname_value: intern(&info.procname).into(),
             info,
             incarnation,
             registry: Registry::new(),

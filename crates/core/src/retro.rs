@@ -292,7 +292,7 @@ impl RetroRing {
             return i as u32;
         }
         let tp_sym = Sym::from(tracepoint);
-        let tp_value = Value::Str(Arc::clone(tp_sym.as_arc()));
+        let tp_value = tp_sym.as_arc().clone().into();
         self.shapes.push(NameShape {
             tracepoint: tp_sym,
             tp_value,

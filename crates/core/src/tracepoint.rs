@@ -207,7 +207,7 @@ impl Registry {
         for tp in &code.tracepoints {
             let (name, mut programs) = match map.get(tp) {
                 Some(site) => (site.name.clone(), site.programs.clone()),
-                None => (Value::Str(intern(tp)), Vec::new()),
+                None => (intern(tp).into(), Vec::new()),
             };
             programs.push(planned.clone());
             map.insert(tp.clone(), Arc::new(SitePlan::new(name, programs)));

@@ -1509,11 +1509,17 @@ fn a_string_key_is_cloned_once_per_group_born_and_never_per_row() {
         .install("From s In S GroupBy s.k Select s.k, COUNT, SUM(s.v), MAX(s.k)")
         .expect("installs");
     let code = fe.code(&handle).expect("code");
-    let keys: Vec<Arc<str>> = (0..3).map(|i| Arc::from(format!("key-{i}"))).collect();
+    // Longer than a `Value` holds inline, so every clone shares the key's
+    // allocation and shows in its count. A short key's birth is pinned by
+    // allocation count instead (root `tests/invoke_allocs.rs`,
+    // `a_batch_allocates_once_per_new_group_whatever_its_length`).
+    let keys: Vec<Arc<str>> = (0..3)
+        .map(|i| Arc::from(format!("key-{i}-longer-than-a-value-holds")))
+        .collect();
     let exports: Vec<[(&str, Value); 2]> = (0..12)
         .map(|i| {
             [
-                ("k", Value::Str(Arc::clone(&keys[i % 3]))),
+                ("k", Value::from(Arc::clone(&keys[i % 3]))),
                 ("v", Value::U64(i as u64)),
             ]
         })

@@ -40,7 +40,7 @@ fn drive_requests(client: &LiveAgent, server: &LiveAgent, client_tag: &str, n: u
             &[
                 ("client", Value::str(client_tag)),
                 ("op", Value::str("put")),
-                ("key", Value::Str(format!("key-{i:04}").into())),
+                ("key", Value::from(format!("key-{i:04}"))),
             ],
         );
         tracepoint(

@@ -25,6 +25,7 @@ use pivot_core::{
     Command, Frontend, ProcessInfo, QueryBudget, Report, ReportRows, RetroEvent, RetroReport,
     ThrottleReason, ThrottleStats, Throttled, TriggerKind,
 };
+use pivot_itc::{Decoder, Encoder};
 use pivot_live::proto::{decode_message, encode_message, Message, PROTO_VERSION};
 use pivot_model::colblock::MAX_BLOCK_ROWS;
 use pivot_model::{AggFunc, AggState, EncodedBlock, GroupKey, Sym, Tuple, Value};
@@ -591,4 +592,35 @@ fn nested_accumulators_are_refused_not_followed() {
     assert_eq!(retro.pop(), Some(0), "the frame ends with the Null value");
     retro.extend_from_slice(&bomb);
     assert!(decode_message(&retro).is_err());
+}
+
+/// The two-field lie the single-field sweep cannot tell: a row count at
+/// its cap *and* a run that long, each plausible alone. A dozen bytes
+/// that would have materialized 2^20 values per column, 1024 columns
+/// over.
+#[test]
+fn a_block_claiming_a_million_rows_of_a_thousand_one_run_columns_is_refused() {
+    let mut payload = Encoder::new();
+    payload.put_u8(1); // columnar
+    payload.put_varint(1024); // columns
+    payload.put_u8(1); // the first: run-length,
+    payload.put_varint(1); // one run
+    payload.put_varint(MAX_BLOCK_ROWS as u64); // of every row,
+    payload.put_u8(0); // all `Null`
+    let mut wire = Encoder::new();
+    wire.put_varint(MAX_BLOCK_ROWS as u64);
+    wire.put_bytes(&payload.finish());
+    let wire = wire.finish();
+    assert!(wire.len() <= 16, "{} bytes", wire.len());
+    let block = EncodedBlock::read_wire(&mut Decoder::new(&wire)).expect("the header is valid");
+    let (largest, rows) = largest_request(|| block.decode());
+    assert!(
+        rows.is_err(),
+        "decoded {} rows",
+        rows.map_or(0, |r| r.len())
+    );
+    assert!(
+        largest <= ALLOC_BOUND,
+        "refusing the block asked for {largest} bytes at once"
+    );
 }

@@ -69,7 +69,7 @@ fn scalar(tag: u8, dec: &mut Decoder<'_>) -> Result<Value, DecodeError> {
         3 => Value::I64(dec.take_varint_i64()?),
         4 => Value::U64(dec.take_varint()?),
         5 => Value::F64(dec.take_f64()?),
-        6 => Value::Str(Arc::from(dec.take_str()?)),
+        6 => Value::str(dec.take_str()?),
         t => return Err(DecodeError::BadTag("value", t)),
     })
 }

@@ -34,6 +34,14 @@ use crate::value::Value;
 /// a hostile length cannot force a large allocation).
 pub const MAX_BLOCK_ROWS: usize = 1 << 20;
 
+/// Upper bound on `rows × width` of a columnar block: what an agent's
+/// default streaming row cap (65 536 rows a flush) fills at 64 columns,
+/// or [`MAX_BLOCK_ROWS`] at four. A run-length track says "a million of
+/// these" in six bytes, so the row bound alone lets a dozen bytes ask for
+/// a million values per column, a thousand columns over; the encoder
+/// writes a batch beyond this row-major, where every value is a byte read.
+pub const MAX_BLOCK_CELLS: usize = 1 << 22;
+
 /// Block kind tag: rows encoded row-major via [`codec::encode_tuple`].
 const KIND_ROW_MAJOR: u8 = 0;
 /// Block kind tag: rows encoded column-major with per-column tracks.
@@ -67,7 +75,7 @@ impl EncodedBlock {
         let mut enc = Encoder::with_capacity(16 + rows.len() * 8);
         let width = rows.first().map_or(0, Tuple::len);
         let uniform = width > 0 && rows.iter().all(|t| t.len() == width);
-        if uniform && rows.len() >= 2 {
+        if uniform && rows.len() >= 2 && rows.len() * width <= MAX_BLOCK_CELLS {
             enc.put_u8(KIND_COLUMNAR);
             enc.put_varint(width as u64);
             for col in 0..width {
@@ -137,13 +145,19 @@ impl EncodedBlock {
                 if width == 0 || width > 1024 {
                     return Err(DecodeError::BadTag("block width", 0));
                 }
+                // Before any track is materialized.
+                if n.saturating_mul(width) > MAX_BLOCK_CELLS {
+                    return Err(DecodeError::BadTag("block cell count", 0));
+                }
                 let mut cols: Vec<Vec<Value>> = Vec::with_capacity(width.min(64));
                 for _ in 0..width {
                     cols.push(decode_track(&mut dec, n)?);
                 }
                 out.reserve(n.min(4096));
                 for r in 0..n {
-                    out.push(cols.iter().map(|c| c[r].clone()).collect());
+                    // Moved, not cloned: the column is dropped right
+                    // after, and a long string's count stays where it is.
+                    out.push(cols.iter_mut().map(|c| std::mem::take(&mut c[r])).collect());
                 }
             }
             t => return Err(DecodeError::BadTag("block kind", t)),

@@ -40,14 +40,6 @@ impl Sym {
     pub fn as_arc(&self) -> &Arc<str> {
         &self.0
     }
-
-    /// Wraps an already-shared allocation without consulting the pool —
-    /// the hot-path constructor for strings that came out of a
-    /// [`crate::Value::Str`] (typically already pooled, so symbol
-    /// equality still short-circuits on pointer identity).
-    pub fn from_arc(s: &Arc<str>) -> Sym {
-        Sym(Arc::clone(s))
-    }
 }
 
 impl Deref for Sym {

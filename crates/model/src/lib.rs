@@ -19,6 +19,7 @@ pub mod codec;
 pub mod colblock;
 pub mod expr;
 pub mod intern;
+pub mod text;
 pub mod tuple;
 pub mod value;
 
@@ -26,5 +27,6 @@ pub use agg::{AggFunc, AggState};
 pub use colblock::EncodedBlock;
 pub use expr::{BinOp, EvalError, Expr, UnOp};
 pub use intern::{intern, Sym};
+pub use text::Str;
 pub use tuple::{Cols, GroupKey, Row, Schema, Tuple};
 pub use value::Value;

@@ -4,6 +4,8 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::text::Str;
+
 /// A dynamically typed scalar exported by a tracepoint or computed by a
 /// query expression.
 ///
@@ -24,8 +26,9 @@ pub enum Value {
     U64(u64),
     /// A 64-bit float.
     F64(f64),
-    /// An immutable interned string.
-    Str(Arc<str>),
+    /// An immutable string: up to 22 bytes live in the value, a longer one
+    /// is a shared allocation ([`Str`]).
+    Str(Str),
     /// A partial aggregation state travelling inside a tuple.
     ///
     /// Produced when a packed group-by aggregate is unpacked from baggage:
@@ -42,7 +45,7 @@ impl Value {
     /// Builds a string value.
     #[inline]
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Str::new(s.as_ref()))
     }
 
     /// Returns a short name for this value's type.
@@ -332,13 +335,13 @@ impl From<&str> for Value {
 impl From<String> for Value {
     #[inline]
     fn from(v: String) -> Value {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Str::new(&v))
     }
 }
 impl From<Arc<str>> for Value {
     #[inline]
     fn from(v: Arc<str>) -> Value {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 

@@ -10,6 +10,7 @@
 
 use pivot_tracing::baggage::Baggage;
 use pivot_tracing::core::{set_trace, Agent, Frontend, ProcessInfo, QueryBudget};
+use pivot_tracing::live::{ctx, tracepoint};
 use pivot_tracing::model::{Tuple, Value};
 use pivot_tracing::query::bytecode::Inst;
 
@@ -67,26 +68,30 @@ fn five_query_agent() -> (Agent, Frontend) {
     (agent, fe)
 }
 
-fn client_exports(client: usize) -> [(&'static str, Value); 3] {
+/// The names the service formats once, as `benchmark/src/svc.rs` does.
+fn client_names() -> Vec<String> {
+    (0..CLIENTS).map(|c| format!("client-{c:02}")).collect()
+}
+
+/// Every string here fits in its `Value` (`pivot_model::text::INLINE`),
+/// so building the exports is part of what the pins below count.
+fn client_exports(client: &str) -> [(&'static str, Value); 3] {
     [
-        ("client", Value::str(format!("client-{client:02}"))),
+        ("client", Value::str(client)),
         ("op", Value::str("get")),
         ("key", Value::str("key-0001")),
     ]
 }
 
 /// The four export sets the benchmark's shard probe cycles through.
-fn shard_exports() -> Vec<[(&'static str, Value); 4]> {
-    (0..4u64)
-        .map(|i| {
-            [
-                ("shard", Value::U64(i % 2)),
-                ("op", Value::str(if i < 3 { "get" } else { "put" })),
-                ("bytes", Value::U64(if i == 0 { 0 } else { 64 * i })),
-                ("hit", Value::Bool(i != 0)),
-            ]
-        })
-        .collect()
+fn shard_exports(i: u64) -> [(&'static str, Value); 4] {
+    let i = i % 4;
+    [
+        ("shard", Value::U64(i % 2)),
+        ("op", Value::str(if i < 3 { "get" } else { "put" })),
+        ("bytes", Value::U64(if i == 0 { 0 } else { 64 * i })),
+        ("hit", Value::Bool(i != 0)),
+    ]
 }
 
 #[test]
@@ -95,34 +100,35 @@ fn five_governed_queries_with_hindsight_on_allocate_nothing_at_the_shard_site() 
     // One baggage per client, in the state a request's baggage has at the
     // shard: traced and packed at the client, serialized, strictly
     // deserialized, split and joined into a fresh scope.
-    let mut bags: Vec<Baggage> = (0..CLIENTS)
-        .map(|c| {
+    let mut bags: Vec<Baggage> = client_names()
+        .iter()
+        .enumerate()
+        .map(|(c, name)| {
             let mut bag = Baggage::new();
             set_trace(&mut bag, c as u64 + 1);
-            agent.invoke("KvClient.issueRequest", &mut bag, 1, &client_exports(c));
+            agent.invoke("KvClient.issueRequest", &mut bag, 1, &client_exports(name));
             let mut arrived = Baggage::try_from_bytes(&bag.to_bytes()).expect("own bytes decode");
             let mut scoped = Baggage::new();
             scoped.join(arrived.split());
             scoped
         })
         .collect();
-    let exports = shard_exports();
     // Warm-up: every group exists, the ring has wrapped, scratch is sized.
     for round in 0..8 {
         for (c, bag) in bags.iter_mut().enumerate() {
-            agent.invoke(
-                "KvShard.execute",
-                bag,
-                round,
-                &exports[(c + round as usize) % 4],
-            );
+            let exports = shard_exports(c as u64 + round);
+            agent.invoke("KvShard.execute", bag, round, &exports);
         }
     }
     let before = agent.stats();
     for round in 0..4 {
         for (c, bag) in bags.iter_mut().enumerate() {
-            let exports = &exports[(c + round) % 4];
-            let (n, ()) = allocations(|| agent.invoke("KvShard.execute", bag, 100, exports));
+            // The exports are the event's: built, read and dropped inside
+            // the count.
+            let (n, ()) = allocations(|| {
+                let exports = shard_exports(c as u64 + round);
+                agent.invoke("KvShard.execute", bag, 100, &exports)
+            });
             assert_eq!(
                 n, 0,
                 "client {c}, round {round}: a steady-state invoke allocated"
@@ -154,7 +160,7 @@ fn the_q1_client_site_allocates_exactly_what_the_pack_allocates() {
             _ => None,
         })
         .expect("Q1 packs at the client");
-    let exports = client_exports(3);
+    let exports = client_exports("client-03");
     let traced = || {
         let mut bag = Baggage::new();
         set_trace(&mut bag, 9);
@@ -168,12 +174,77 @@ fn the_q1_client_site_allocates_exactly_what_the_pack_allocates() {
     let tuple = Tuple::from_iter([exports[0].1.clone()]);
     let (pack, ()) = allocations(|| bag.pack(slot, &mode, [tuple]));
     let mut bag = traced();
-    let (invoke, ()) = allocations(|| agent.invoke("KvClient.issueRequest", &mut bag, 2, &exports));
+    let (invoke, ()) = allocations(|| {
+        let exports = client_exports("client-03");
+        agent.invoke("KvClient.issueRequest", &mut bag, 2, &exports)
+    });
     assert_eq!(invoke, pack, "the invoke allocated beyond its pack");
     // The number itself: the new entry's tuple vector. (Its place in the
     // instance's entry map is free here — the trace id already paid for
     // the map's node.)
     assert_eq!(pack, 1);
+}
+
+#[test]
+fn an_unwoven_request_never_calls_the_allocator() {
+    // One request of `benchmark/src/svc.rs` on `svc_unwoven`, call for
+    // call: ten exports (six of them strings), four tracepoints on an
+    // agent with nothing woven, the request and response header edges,
+    // the channel edge into the shard's scope and back.
+    let names = client_names();
+    let agent = agent();
+    let request = |client: &str| {
+        let client_scope = ctx::attach(Baggage::new());
+        let exports = client_exports(client);
+        tracepoint(&agent, "KvClient.issueRequest", &exports);
+        let header = ctx::snapshot_bytes();
+
+        let bag = Baggage::try_from_bytes(&header).expect("own bytes decode");
+        let server_scope = ctx::attach(bag);
+        let exports = [
+            ("op", Value::str("get")),
+            ("key", Value::str("key-0001")),
+            ("shard", Value::U64(1)),
+        ];
+        tracepoint(&agent, "KvServer.receiveRequest", &exports);
+
+        let branch = ctx::branch();
+        let shard_scope = ctx::attach(Baggage::new());
+        ctx::merge(branch);
+        tracepoint(&agent, "KvShard.execute", &shard_exports(1));
+        let reply = ctx::branch();
+        drop(shard_scope);
+        ctx::merge(reply);
+
+        tracepoint(
+            &agent,
+            "KvServer.sendResponse",
+            &[("bytes", Value::U64(64))],
+        );
+        let header = server_scope.detach().to_bytes();
+        ctx::merge(Baggage::try_from_bytes(&header).expect("own bytes decode"));
+        drop(client_scope);
+    };
+    // The thread's current baggage and its shared empty header exist
+    // after the first request.
+    request(&names[0]);
+    for name in &names {
+        let (n, ()) = allocations(|| request(name));
+        assert_eq!(n, 0, "{name}: an unwoven request allocated");
+    }
+}
+
+#[test]
+fn a_row_of_short_strings_is_cloned_without_allocating() {
+    // What `Unpack` does per produced row and a hindsight record per
+    // event; `tuple.rs::clone_owns_each_value_once_in_either_representation`
+    // witnesses the same clone on long strings by reference count.
+    let row = Tuple::from_iter(client_exports("client-03").map(|(_, v)| v));
+    for _ in 0..4 {
+        let (n, copy) = allocations(|| row.clone());
+        assert_eq!(n, 0, "cloning an inline row of inline strings allocated");
+        assert_eq!(copy, row);
+    }
 }
 
 #[test]
@@ -220,6 +291,10 @@ fn a_batch_allocates_once_per_new_group_whatever_its_length() {
 
     // The constant is zero: nothing is assembled per call or per event.
     assert_eq!(onto_existing, 0);
+    // A short key is copied into its group, not shared with the export, so
+    // no reference count can witness the birth (`vm_differential.rs` does
+    // that on long keys): what is left to count is that it allocates
+    // nothing of its own.
     assert_eq!(fresh_256, 16, "one accumulator vector per new group");
     assert_eq!(fresh_512, 16, "twice the events, the same groups");
     assert_eq!(fresh_512_more_groups, 40);

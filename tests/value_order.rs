@@ -44,6 +44,10 @@ fn keys() -> Vec<Value> {
         keys.push(Value::F64(i as f64 + 0.5));
         keys.push(Value::str(format!("s{i}")));
     }
+    // Strings on both sides of the 22 bytes a `Value` holds inline, one
+    // a prefix of the next, so the order interleaves the two arms.
+    keys.extend((20..=25).map(|len| Value::str("k".repeat(len))));
+    keys.push(Value::str(format!("{}z", "k".repeat(21))));
     keys
 }
 
@@ -164,6 +168,15 @@ fn a_mixed_key_column_sorts_by_the_one_order_at_every_tier() {
     assert!(at(&Value::U64(u64::MAX)) < at(&Value::F64(f64::INFINITY)));
     assert!(at(&Value::F64(f64::NAN)) < at(&Value::str("")));
     assert!(at(&Value::I64(9)) < at(&Value::I64(10)));
+    // A string sorts by its text, wherever it is held: the longest inline
+    // run directly below the shortest shared one, every shared one below
+    // the inline string that leaves their common prefix.
+    let run = |len: usize| Value::str("k".repeat(len));
+    assert_eq!(at(&run(22)) + 1, at(&run(23)));
+    assert_eq!(
+        at(&run(25)) + 1,
+        at(&Value::str(format!("{}z", "k".repeat(21))))
+    );
 
     // Digests: the same state reached in another order (and through other
     // hash seeds) digests alike.
