@@ -138,7 +138,9 @@ impl Buffer {
     /// fixed-size aggregation state and are never shed. A folded delivery
     /// is decided as a whole — every row of a refused new group is shed —
     /// which is what row-by-row delivery does too, since groups arrive in
-    /// first-seen order either way.
+    /// first-seen order either way. A new group whose key is of another
+    /// width than the table's — which only an `Emit` built outside the
+    /// compiler writes — is refused and shed the same way.
     ///
     /// One probe with the key as the VM reads it; the key is cloned into
     /// the table only when its group is born.
@@ -1341,7 +1343,7 @@ mod tests {
             ReportRows::Grouped(rows) => {
                 assert_eq!(rows.len(), 1);
                 let (key, states) = rows.iter().next().expect("one group");
-                assert_eq!(key.0.get(0), &Value::str("DataNode"));
+                assert_eq!(key, [Value::str("DataNode")]);
                 assert_eq!(states[0].finish(), Value::I64(150));
             }
             _ => panic!("expected grouped"),

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pivot_analyze::{Analyzer, Diagnostic};
 use pivot_baggage::QueryId;
-use pivot_model::{AggState, GroupKey, Tuple, Value};
+use pivot_model::{AggState, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::{
     compile, CompileError, CompiledCode, CompiledQuery, Groups, Options, OutputSpec, Query,
@@ -186,6 +186,7 @@ impl QueryResults {
         track.shed_cum = track.shed_cum.max(report.shed_cum);
         track.truncated_cum = track.truncated_cum.max(report.truncated_cum);
         self.throttles.extend(report.throttled);
+        let shape = (self.spec.key_names.len(), self.spec.aggs.len());
         match report.rows {
             ReportRows::RawEncoded(blocks) => {
                 // Blocks (possibly relayed without ever being decoded in
@@ -205,9 +206,10 @@ impl QueryResults {
                     }
                 }
             }
-            // A partial of another width than the query's is discarded
-            // whole; the tuples its envelope claimed are `dropped`.
-            ReportRows::Grouped(g) if !g.is_empty() && g.width() != self.spec.aggs.len() => {
+            // A partial of another shape than the query's — key width or
+            // accumulator count — is discarded whole; the tuples its
+            // envelope claimed are `dropped`.
+            ReportRows::Grouped(g) if !g.is_empty() && (g.key_width(), g.width()) != shape => {
                 delivered = 0;
             }
             // The first partial of an interval *is* that interval's table —
@@ -291,11 +293,11 @@ impl QueryResults {
     }
 }
 
-fn layout(spec: &OutputSpec, key: &GroupKey, states: &[AggState]) -> Vec<Value> {
+fn layout(spec: &OutputSpec, key: &[Value], states: &[AggState]) -> Vec<Value> {
     spec.columns
         .iter()
         .map(|c| match c {
-            ColumnRef::Key(i) => key.0.get(*i).clone(),
+            ColumnRef::Key(i) => key[*i].clone(),
             ColumnRef::Agg(i) => states.get(*i).map(AggState::finish).unwrap_or(Value::Null),
         })
         .collect()

@@ -69,6 +69,8 @@ pub(crate) fn write_groups(s: &mut String, groups: &pivot_query::Groups) {
     let mut groups: Vec<_> = groups.iter().collect();
     groups.sort_unstable_by_key(|&(key, _)| key);
     for (key, states) in groups {
+        // Printed as a `GroupKey`, the form the explorer's counts cover.
+        let key = pivot_model::GroupKey(key.iter().cloned().collect());
         let _ = write!(s, "g{key:?}={states:?};");
     }
 }

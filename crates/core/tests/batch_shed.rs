@@ -24,10 +24,7 @@ fn grouped_rows(reports: &[Report]) -> Vec<(Vec<Value>, Vec<Value>)> {
     for r in reports {
         if let ReportRows::Grouped(groups) = &r.rows {
             for (k, states) in groups.iter() {
-                out.push((
-                    k.0.values().to_vec(),
-                    states.iter().map(|s| s.finish()).collect(),
-                ));
+                out.push((k.to_vec(), states.iter().map(|s| s.finish()).collect()));
             }
         }
     }

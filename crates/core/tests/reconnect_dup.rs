@@ -28,7 +28,7 @@ use pivot_core::{
     Agent, Frontend, Ledger, ProcessInfo, QueryHandle, Report, ReportRows, RetroReport, TriggerKind,
 };
 use pivot_itc::{Decoder, Encoder};
-use pivot_model::{AggState, EncodedBlock, GroupKey, Tuple, Value};
+use pivot_model::{AggState, EncodedBlock, Tuple, Value};
 use pivot_query::Groups;
 
 const QUERY: &str = "From e In Exec GroupBy e.k Select e.k, SUM(e.v)";
@@ -224,9 +224,9 @@ fn hostile_envelope_counters_saturate() {
             shed_cum: u64::MAX,
             truncated_cum: u64::MAX,
             throttled: vec![],
-            rows: ReportRows::Grouped(Groups::from_parts(
+            rows: ReportRows::Grouped(Groups::from_flat(
                 1,
-                vec![GroupKey::default()],
+                vec![],
                 vec![AggState::Count(u64::MAX)],
             )),
         });
@@ -308,43 +308,55 @@ fn a_block_that_does_not_decode_is_dropped_not_delivered() {
     assert!(loss.is_degraded());
 }
 
-/// One width per query: a well-formed partial whose accumulator count is
-/// not the query's is discarded whole at the frontend — never zipped into
-/// the totals, never a panic — and the tuples its envelope claimed are
-/// `dropped`, not `delivered`.
+/// One shape per query: a well-formed partial whose key width or
+/// accumulator count is not the query's is discarded whole at the frontend
+/// — never zipped into the totals, never padded into rows, never a panic —
+/// and the tuples its envelope claimed are `dropped`, not `delivered`.
 #[test]
 fn a_partial_of_another_width_is_dropped_not_merged() {
-    let (mut fe, handle) = frontend_with_query();
-    let agent = fresh_agent(&fe);
-    for _ in 0..3 {
-        invoke(&agent, MS, "a");
+    for keys_twice in [false, true] {
+        let (mut fe, handle) = frontend_with_query();
+        let agent = fresh_agent(&fe);
+        for _ in 0..3 {
+            invoke(&agent, MS, "a");
+        }
+        let mut misfit = flush_one(&agent, MS);
+        let ReportRows::Grouped(groups) = &misfit.rows else {
+            panic!("a grouped query reports groups");
+        };
+        let (mut keys, mut states) = (Vec::new(), Vec::new());
+        for (k, s) in groups.iter() {
+            keys.extend_from_slice(&if keys_twice {
+                [k, k].concat()
+            } else {
+                k.to_vec()
+            });
+            states.extend_from_slice(&if keys_twice {
+                s.to_vec()
+            } else {
+                [s, s].concat()
+            });
+        }
+        misfit.rows = ReportRows::Grouped(Groups::from_flat(groups.len(), keys, states));
+        fe.accept(misfit);
+        invoke(&agent, 2 * MS, "a");
+        fe.accept(flush_one(&agent, 2 * MS));
+        let res = fe.results(&handle);
+        assert_eq!(total(&fe, &handle), 1, "only the fitting partial merged");
+        assert_eq!(res.series().len(), 1, "the misfit opened no interval");
+        let loss = res.loss();
+        assert_eq!(loss.reports_accepted, 2, "its envelope counts");
+        assert_eq!(
+            (
+                loss.tuples_emitted,
+                loss.tuples_delivered,
+                loss.tuples_dropped
+            ),
+            (4, 1, 3)
+        );
+        let mut books = Ledger::of_agent(&agent, &[handle.id]);
+        books += &Ledger::from(loss);
+        books.dropped = loss.tuples_dropped;
+        assert_eq!(books.balance(), Ok(()));
     }
-    let mut misfit = flush_one(&agent, MS);
-    let ReportRows::Grouped(groups) = &misfit.rows else {
-        panic!("a grouped query reports groups");
-    };
-    let wider = groups.iter().flat_map(|(_, s)| [s, s].concat()).collect();
-    let wider = Groups::from_parts(2 * groups.width(), groups.keys().to_vec(), wider);
-    misfit.rows = ReportRows::Grouped(wider);
-    fe.accept(misfit);
-    invoke(&agent, 2 * MS, "a");
-    fe.accept(flush_one(&agent, 2 * MS));
-
-    let res = fe.results(&handle);
-    assert_eq!(total(&fe, &handle), 1, "only the fitting partial merged");
-    assert_eq!(res.series().len(), 1, "the misfit opened no interval");
-    let loss = res.loss();
-    assert_eq!(loss.reports_accepted, 2, "its envelope counts");
-    assert_eq!(
-        (
-            loss.tuples_emitted,
-            loss.tuples_delivered,
-            loss.tuples_dropped
-        ),
-        (4, 1, 3)
-    );
-    let mut books = Ledger::of_agent(&agent, &[handle.id]);
-    books += &Ledger::from(loss);
-    books.dropped = loss.tuples_dropped;
-    assert_eq!(books.balance(), Ok(()));
 }

@@ -627,17 +627,18 @@ impl Reported {
                 }
                 ReportRows::Grouped(groups) => {
                     for (key, states) in groups.iter() {
+                        let key = GroupKey(key.iter().cloned().collect());
                         match self
                             .groups
                             .iter_mut()
-                            .find(|(q, k, _)| *q == r.query && k == key)
+                            .find(|(q, k, _)| *q == r.query && *k == key)
                         {
                             Some((_, _, into)) => {
                                 for (st, p) in into.iter_mut().zip(states) {
                                     st.merge(p);
                                 }
                             }
-                            None => self.groups.push((r.query, key.clone(), states.to_vec())),
+                            None => self.groups.push((r.query, key, states.to_vec())),
                         }
                     }
                 }

@@ -42,7 +42,7 @@ use pivot_core::{
     ThrottleStats, Throttled, TriggerKind,
 };
 use pivot_itc::{DecodeError, Decoder, Encoder};
-use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, GroupKey, Sym, UnOp};
+use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, Sym, UnOp};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{EInst, ExprProg, Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec, TemporalFilter};
@@ -806,7 +806,10 @@ fn encode_report(r: &Report, enc: &mut Encoder) {
             enc.put_u8(1);
             enc.put_varint(groups.len() as u64);
             for (key, states) in groups.iter() {
-                codec::encode_tuple(&key.0, enc);
+                enc.put_varint(key.len() as u64);
+                for v in key {
+                    codec::encode_value(v, enc);
+                }
                 enc.put_varint(states.len() as u64);
                 for s in states {
                     s.encode(enc);
@@ -858,26 +861,32 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<Report, DecodeError> {
     // retired, not reused.
     let rows = match dec.take_u8()? {
         1 => {
-            // Per group: the key, its accumulator count, the accumulators.
-            // The count is one per partial: groups that disagree are refused.
+            // Per group: the key's value count, the values, the
+            // accumulator count, the accumulators. Each count is one per
+            // partial: groups that disagree on either are refused.
             let n = dec.take_varint()? as usize;
-            let mut keys = Vec::with_capacity(n.min(4096).min(dec.remaining()));
-            let mut states = Vec::new();
-            let mut width = 0;
+            let (mut keys, mut states) = (Vec::new(), Vec::new());
+            let mut shape = (0, 0);
             for g in 0..n {
-                keys.push(GroupKey(codec::decode_tuple(dec)?));
+                let k = dec.take_varint()? as usize;
+                if g == 0 {
+                    keys.reserve((n.min(4096) * k.min(16)).min(dec.remaining()));
+                }
+                for _ in 0..k {
+                    keys.push(codec::decode_value(dec)?);
+                }
                 let m = dec.take_varint()? as usize;
                 if g == 0 {
-                    width = m;
+                    shape = (k, m);
                     states.reserve((n.min(4096) * m.min(16)).min(dec.remaining()));
-                } else if m != width {
-                    return Err(DecodeError::BadTag("group width", 0));
+                } else if (k, m) != shape {
+                    return Err(DecodeError::BadTag("group shape", 0));
                 }
                 for _ in 0..m {
                     states.push(AggState::decode(dec)?);
                 }
             }
-            ReportRows::Grouped(Groups::from_parts(width, keys, states))
+            ReportRows::Grouped(Groups::from_flat(n, keys, states))
         }
         2 => {
             let n = dec.take_varint()? as usize;
@@ -1179,9 +1188,9 @@ mod tests {
             shed_cum: 0,
             truncated_cum: 0,
             throttled: vec![],
-            rows: ReportRows::Grouped(Groups::from_parts(
-                2,
-                vec![GroupKey(Tuple::from_iter([Value::str("client-1")]))],
+            rows: ReportRows::Grouped(Groups::from_flat(
+                1,
+                vec![Value::str("client-1")],
                 vec![AggFunc::Sum.init(), AggFunc::Count.init()],
             )),
         };
@@ -1339,9 +1348,9 @@ mod tests {
                         trips: 1,
                     },
                 }],
-                rows: ReportRows::Grouped(Groups::from_parts(
+                rows: ReportRows::Grouped(Groups::from_flat(
                     1,
-                    vec![GroupKey(Tuple::from_iter([Value::str("k")]))],
+                    vec![Value::str("k")],
                     vec![AggFunc::Count.init()],
                 )),
             })),

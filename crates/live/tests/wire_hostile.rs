@@ -7,8 +7,9 @@
 //! Structure-aware, in the style of `crates/core/tests/vm_hostile.rs`:
 //! every message kind is built valid from a seed — real `Install`/`Sync`
 //! from a `Frontend`, reports with 0/1/64-row blocks and grouped bodies
-//! under 0/1/3 throttles, retro frames — and then damaged one field at a
-//! time, two ways. On the value, where the fields are public: the output
+//! (keys of 0, 2 and 5 values) under 0/1/3 throttles, retro frames — and
+//! then damaged one field at a time, two ways. On the value, where the
+//! fields are public: the output
 //! spec's lists and column refs and the lowered programs' ranges, which
 //! the encoder writes as given and the decoder must refuse. On the bytes,
 //! where they are not: at every offset the varint that starts there is
@@ -16,105 +17,24 @@
 //! and block row header in turn, a state a bit flip mostly decodes away
 //! from.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use pivot_baggage::QueryId;
 use pivot_core::{
-    Command, Frontend, ProcessInfo, QueryBudget, Report, ReportRows, RetroEvent, RetroReport,
-    ThrottleReason, ThrottleStats, Throttled, TriggerKind,
+    Command, Frontend, ProcessInfo, QueryBudget, ReportRows, RetroEvent, RetroReport, TriggerKind,
 };
 use pivot_itc::{Decoder, Encoder};
 use pivot_live::frame::{read_frame, MAX_FRAME};
-use pivot_live::proto::{decode_message, encode_message, Message, PROTO_VERSION};
+use pivot_live::proto::{decode_message, encode_message, Message};
 use pivot_model::colblock::MAX_BLOCK_ROWS;
-use pivot_model::{codec, AggFunc, AggState, EncodedBlock, GroupKey, Sym, Tuple, Value};
+use pivot_model::{AggFunc, AggState, EncodedBlock, Sym, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec};
 
-/// Remembers the largest single request this thread made of the allocator.
-struct Largest;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    LARGEST.with(|n| n.set(n.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a store to a const-initialised, destructor-free thread-local, which
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Largest {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Largest = Largest;
-
-/// Runs `f` and returns the largest single allocation it asked for.
-fn largest_request<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    LARGEST.with(|n| n.set(0));
-    let out = f();
-    (LARGEST.with(Cell::get), out)
-}
-
-/// No decode of a test frame (all under 4 KiB) has a reason to ask for
-/// more: the decoders' pre-sizing is capped (the widest is 4096 grouped
-/// rows, ~400 KiB), and everything else is sized by bytes actually read.
-const ALLOC_BOUND: usize = 1 << 20;
-
-/// splitmix64: the seed a message is built from.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// A counter as an envelope carries it: mostly small, sometimes at an
-    /// edge of its encoding or its type.
-    fn counter(&mut self) -> u64 {
-        match self.below(8) {
-            0 => 0,
-            1 => 127,
-            2 => 128,
-            3 => u64::from(u32::MAX),
-            4 => u64::MAX,
-            _ => self.below(100_000),
-        }
-    }
-
-    fn name(&mut self, stem: &str) -> String {
-        format!("{stem}-{}", self.below(1000))
-    }
-}
+#[path = "support/hostile.rs"]
+mod hostile;
+use hostile::{grouped_bodies, largest_request, report, sweep, Rng, ALLOC_BOUND};
 
 const QUERIES: [&str; 4] = [
     "From incr In DataNodeMetrics.incrBytesRead \
@@ -150,42 +70,6 @@ fn info(rng: &mut Rng) -> ProcessInfo {
     }
 }
 
-fn throttles(rng: &mut Rng, n: usize) -> Vec<Throttled> {
-    (0..n)
-        .map(|_| Throttled {
-            query: QueryId(rng.below(9)),
-            reason: [
-                ThrottleReason::Tuples,
-                ThrottleReason::Ops,
-                ThrottleReason::Bytes,
-            ][rng.below(3) as usize],
-            stats: ThrottleStats {
-                tuples: rng.counter(),
-                ops: rng.counter(),
-                bytes: rng.counter(),
-                trips: rng.below(40) as u32,
-            },
-        })
-        .collect()
-}
-
-fn report(rng: &mut Rng, throttled: usize, rows: ReportRows) -> Message {
-    Message::Report(Report {
-        query: QueryId(rng.below(9)),
-        host: rng.name("host"),
-        procid: rng.counter(),
-        incarnation: rng.counter(),
-        time: rng.counter(),
-        seq: rng.counter(),
-        tuples: rng.counter(),
-        emitted_cum: rng.counter(),
-        shed_cum: rng.counter(),
-        truncated_cum: rng.counter(),
-        throttled: throttles(rng, throttled),
-        rows,
-    })
-}
-
 /// A block of `n` streaming rows; two or more come out columnar, with a
 /// constant column (runs), a counting one (deltas) and a cycling one.
 fn block(rng: &mut Rng, n: u64) -> EncodedBlock {
@@ -201,27 +85,6 @@ fn block(rng: &mut Rng, n: u64) -> EncodedBlock {
         })
         .collect();
     EncodedBlock::encode(&rows)
-}
-
-fn groups(rng: &mut Rng, n: usize) -> ReportRows {
-    let (mut keys, mut states) = (Vec::new(), Vec::new());
-    for i in 0..n {
-        keys.push(GroupKey(Tuple::from_iter([
-            Value::str(rng.name("k")),
-            Value::from(i),
-        ])));
-        states.extend([
-            AggState::Count(rng.counter()),
-            AggFunc::Sum.init(),
-            AggState::Min(Value::I64(-(rng.below(50) as i64))),
-            AggState::Max(Value::F64(rng.below(50) as f64 + 0.5)),
-            AggState::Average {
-                sum: rng.below(1000) as f64,
-                count: rng.counter(),
-            },
-        ]);
-    }
-    ReportRows::Grouped(Groups::from_parts(5, keys, states))
 }
 
 fn retro(rng: &mut Rng, events: u64) -> Message {
@@ -290,7 +153,7 @@ fn messages(seed: u64) -> Vec<(String, Message)> {
         out.push((format!("install/{i}"), install));
     }
     for throttled in [0, 1, 3] {
-        let bodies: [(&str, ReportRows); 8] = [
+        let blocks = [
             ("no blocks", ReportRows::RawEncoded(vec![])),
             ("0-row block", ReportRows::RawEncoded(vec![block(rng, 0)])),
             ("1-row block", ReportRows::RawEncoded(vec![block(rng, 1)])),
@@ -299,11 +162,8 @@ fn messages(seed: u64) -> Vec<(String, Message)> {
                 "1+64+1-row blocks",
                 ReportRows::RawEncoded(vec![block(rng, 1), block(rng, 64), block(rng, 1)]),
             ),
-            ("no groups", groups(rng, 0)),
-            ("1 group", groups(rng, 1)),
-            ("5 groups", groups(rng, 5)),
         ];
-        for (what, rows) in bodies {
+        for (what, rows) in blocks.into_iter().chain(grouped_bodies(rng)) {
             out.push((
                 format!("report/{throttled} throttles/{what}"),
                 report(rng, throttled, rows),
@@ -313,103 +173,12 @@ fn messages(seed: u64) -> Vec<(String, Message)> {
     out
 }
 
-/// `Err`, or a message whose re-encoding decodes to itself — and nothing
-/// on the way asked the allocator for more than [`ALLOC_BOUND`].
-fn refused_or_fixed_point(bytes: &[u8], what: &dyn Fn() -> String) -> bool {
-    let (largest, decoded) = largest_request(|| decode_message(bytes));
-    assert!(
-        largest <= ALLOC_BOUND,
-        "{}: decoding asked for {largest} bytes at once",
-        what()
-    );
-    let Ok(msg) = decoded else {
-        return false;
-    };
-    let again = encode_message(&msg);
-    let back = decode_message(&again).unwrap_or_else(|e| {
-        panic!(
-            "{}: accepted, but its re-encoding is refused: {e:?}",
-            what()
-        )
-    });
-    assert_eq!(
-        encode_message(&back),
-        again,
-        "{}: not a decode fixed point",
-        what()
-    );
-    // What a frontend goes on to materialize is held to the same terms.
-    if let Message::Report(Report {
-        rows: ReportRows::RawEncoded(blocks),
-        ..
-    }) = &msg
-    {
-        for b in blocks {
-            let (largest, _) = largest_request(|| b.decode());
-            assert!(
-                largest <= ALLOC_BOUND,
-                "{}: materializing a block asked for {largest} bytes at once",
-                what()
-            );
-        }
-    }
-    true
-}
-
-/// Varints a field should not survive: the ends of one and two bytes, the
-/// edges of `u16`, `u32` and the block row cap, and the top of `u64`.
-const HOSTILE: [u64; 12] = [
-    0,
-    1,
-    0x7f,
-    0x80,
-    0xffff,
-    0x1_0000,
-    MAX_BLOCK_ROWS as u64,
-    MAX_BLOCK_ROWS as u64 + 1,
-    0xffff_ffff,
-    0x1_0000_0000,
-    1 << 63,
-    u64::MAX,
-];
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
 #[test]
 fn every_field_replaced_by_a_hostile_varint_is_refused_or_a_fixed_point() {
     let mut accepted = 0u64;
     for seed in 0..4 {
         for (name, msg) in messages(seed) {
-            let bytes = encode_message(&msg);
-            assert_eq!(bytes[0], PROTO_VERSION);
-            assert!(bytes.len() < 4096, "{name} is {} bytes", bytes.len());
-            assert!(
-                refused_or_fixed_point(&bytes, &|| format!("seed {seed} {name}, undamaged")),
-                "seed {seed} {name}: an honest frame decodes"
-            );
-            // Offset 0 is the version byte, which `proto`'s own tests sweep.
-            for at in 1..bytes.len() {
-                // The field that starts here ends at its first byte
-                // without a continuation bit.
-                let end = at
-                    + bytes[at..]
-                        .iter()
-                        .position(|b| b & 0x80 == 0)
-                        .map_or(1, |p| p + 1);
-                for to in HOSTILE {
-                    let mut damaged = bytes[..at].to_vec();
-                    put_varint(&mut damaged, to);
-                    damaged.extend_from_slice(&bytes[end..]);
-                    let what = || format!("seed {seed} {name}, offset {at} := {to:#x}");
-                    accepted += u64::from(refused_or_fixed_point(&damaged, &what));
-                }
-            }
+            accepted += sweep(&msg, &format!("seed {seed} {name}"));
         }
     }
     // The sweep is not vacuous: counters and ids take any value.
@@ -564,9 +333,9 @@ fn nested_accumulators_are_refused_not_followed() {
     let probe = report(
         rng,
         0,
-        ReportRows::Grouped(Groups::from_parts(
+        ReportRows::Grouped(Groups::from_flat(
             1,
-            vec![GroupKey::default()],
+            vec![],
             vec![AggState::Min(Value::Null)],
         )),
     );
@@ -624,44 +393,9 @@ fn a_block_claiming_a_million_rows_of_a_thousand_one_run_columns_is_refused() {
     );
 }
 
-/// A grouped body carries each group's accumulator count, but a partial
-/// has one width: groups that disagree on it are refused at decode, so no
-/// tier is ever handed a table it would have to zip ragged rows into.
 #[test]
-fn groups_that_disagree_on_their_width_are_refused() {
-    let rng = &mut Rng(11);
-    // The frame up to its grouped body, which for no groups is `1, 0`.
-    let none = groups(rng, 0);
-    let mut head = encode_message(&report(rng, 0, none));
-    assert_eq!(head.split_off(head.len() - 2), [1, 0]);
-    let framed = |widths: [usize; 2]| {
-        let mut body = Encoder::new();
-        body.put_u8(1);
-        body.put_varint(2);
-        for (g, width) in widths.into_iter().enumerate() {
-            codec::encode_tuple(&Tuple::from_iter([Value::from(g)]), &mut body);
-            body.put_varint(width as u64);
-            for _ in 0..width {
-                AggState::Count(1).encode(&mut body);
-            }
-        }
-        [&head[..], &body.finish()].concat()
-    };
-    for width in [0, 1, 3] {
-        let Ok(Message::Report(r)) = decode_message(&framed([width; 2])) else {
-            panic!("two groups of width {width} decode");
-        };
-        let ReportRows::Grouped(back) = r.rows else {
-            panic!("as groups");
-        };
-        assert_eq!((back.len(), back.width()), (2, width));
-    }
-    for widths in [[1, 2], [2, 1], [0, 1], [3, 0]] {
-        assert!(
-            decode_message(&framed(widths)).is_err(),
-            "groups of widths {widths:?} decoded"
-        );
-    }
+fn groups_that_disagree_on_a_width_are_refused() {
+    hostile::groups_that_disagree_on_a_width_are_refused();
 }
 
 /// A length prefix is a claim, not a payload: a peer that announces the

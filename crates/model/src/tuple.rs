@@ -1,6 +1,6 @@
 //! Tuples, schemas, and grouping keys.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -273,8 +273,7 @@ impl Hash for Tuple {
 /// A row presented column by column, each value read where it already is:
 /// the borrowed form of a [`Tuple`]. The advice VM hands its sinks group
 /// keys and aggregate arguments this way, so a row that folds into an
-/// existing group clones nothing; a map keyed by [`GroupKey`] is probed
-/// with `&dyn Cols` directly (`GroupKey: Borrow<dyn Cols>`).
+/// existing group clones nothing.
 pub trait Cols {
     /// Number of columns.
     fn width(&self) -> usize;
@@ -404,13 +403,6 @@ impl GroupKey {
     #[inline]
     pub fn project(tuple: &Tuple, indices: &[usize]) -> GroupKey {
         GroupKey(tuple.project(indices))
-    }
-}
-
-impl<'a> Borrow<dyn Cols + 'a> for GroupKey {
-    #[inline]
-    fn borrow(&self) -> &(dyn Cols + 'a) {
-        &self.0
     }
 }
 

@@ -2,10 +2,11 @@
 //! total, `==` is `cmp == Equal`, `Hash` agrees with it, the
 //! query-semantics `compare` is its restriction to one class, and a
 //! `Tuple`, its `GroupKey` and its borrowed `dyn Cols` view order and hash
-//! alike. Values are drawn mostly from the edges where the representations
-//! meet: the ends of `i64`/`u64`, `2^53 ± 1` held as integer and as float,
-//! both zeros, the infinities, NaNs of either sign and several payloads,
-//! empty and equal-prefix strings.
+//! alike — and hash as the run of values a group table stores. Values are
+//! drawn mostly from the edges where the representations meet: the ends
+//! of `i64`/`u64`, `2^53 ± 1` held as integer and as float, both zeros,
+//! the infinities, NaNs of either sign and several payloads, empty and
+//! equal-prefix strings.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -160,6 +161,8 @@ proptest! {
         prop_assert_eq!(va == vb, want == Ordering::Equal);
         prop_assert_eq!(hash_of(&ta), hash_of(&ka));
         prop_assert_eq!(hash_of(&ta), hash_of(va));
+        // And the run of values a group table stores the key as.
+        prop_assert_eq!(hash_of(&ta), hash_of(ta.values()));
         // The collected (inline-first) representation is the same tuple.
         let collected: Tuple = a.iter().cloned().collect();
         prop_assert_eq!(collected.cmp(&ta), Ordering::Equal);

@@ -10,20 +10,27 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::mem;
 
-use pivot_model::{AggFunc, AggState, Cols, GroupKey};
+use pivot_model::{AggFunc, AggState, Cols, Value};
 
 use crate::hash::Seeded;
 
 /// Grouped partial aggregates in first-seen order, with a hash index over
 /// the keys that a decoded partial, only ever folded *from*, never builds.
 ///
-/// One width per table: a partial of another width does not
-/// [`fit`](Groups::fits), and the tiers discard it whole. A table holding
-/// no groups takes the width of the first group folded into it.
+/// Group `g` is a run of `key_width` values in one vector and a run of
+/// `width` accumulators in another. One shape — both widths — per table: a
+/// partial of another shape does not [`fit`](Groups::fits), and the tiers
+/// discard it whole. A table holding no groups takes the shape of the
+/// first group folded into it.
 #[derive(Clone, Default)]
 pub struct Groups {
+    /// Groups held: a key of width 0 (a global aggregate) or a group of no
+    /// accumulators leaves its vector empty.
+    len: usize,
+    key_width: usize,
+    /// `key_width` values per group, in first-seen order.
+    keys: Vec<Value>,
     width: usize,
-    keys: Vec<GroupKey>,
     /// `width` accumulators per group, in the order of `keys`.
     states: Vec<AggState>,
     seed: Seeded,
@@ -37,19 +44,25 @@ pub struct Groups {
 }
 
 impl Groups {
-    /// The groups of a decoded frame, as they came: `keys[g]`'s
-    /// accumulators are `states[g * width..][..width]`. A hostile frame may
-    /// repeat a key; folding *from* this table merges the repeat.
+    /// The groups of a decoded frame, as they came: `len` groups split
+    /// `keys` and `states` into runs of one width each, group `g`'s key
+    /// first. A hostile frame may repeat a key; folding *from* this table
+    /// merges the repeat.
     ///
     /// # Panics
     ///
-    /// When `states` is not `width` accumulators per key.
-    pub fn from_parts(width: usize, keys: Vec<GroupKey>, states: Vec<AggState>) -> Groups {
-        let cells = keys.len().checked_mul(width);
-        assert_eq!(cells, Some(states.len()), "{width} accumulators a group");
+    /// When `len` groups do not split a vector evenly.
+    pub fn from_flat(len: usize, keys: Vec<Value>, states: Vec<AggState>) -> Groups {
+        let per_group = |cells: usize| {
+            let width = cells.checked_div(len).unwrap_or(0);
+            assert_eq!(width * len, cells, "{cells} cells over {len} groups");
+            width
+        };
         Groups {
-            width,
+            len,
+            key_width: per_group(keys.len()),
             keys,
+            width: per_group(states.len()),
             states,
             ..Groups::default()
         }
@@ -61,43 +74,45 @@ impl Groups {
         self.width
     }
 
+    /// Values per key.
+    #[inline]
+    pub fn key_width(&self) -> usize {
+        self.key_width
+    }
+
     /// Number of groups.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Returns `true` when the table holds no group.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
     /// The keys, in first-seen order.
-    #[inline]
-    pub fn keys(&self) -> &[GroupKey] {
-        &self.keys
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &[Value]> {
+        (0..self.len).map(|g| self.key(g))
     }
 
     /// Each group's key and accumulators, in first-seen order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&GroupKey, &[AggState])> {
-        (0..self.keys.len()).map(|g| (&self.keys[g], self.row(g)))
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&[Value], &[AggState])> {
+        (0..self.len).map(|g| (self.key(g), self.row(g)))
     }
 
-    /// Whether `other` may be folded in: one width per table, none yet in
+    /// Whether `other` may be folded in: one shape per table, none yet in
     /// an empty one.
     pub fn fits(&self, other: &Groups) -> bool {
-        self.width == other.width || self.is_empty() || other.is_empty()
+        other.is_empty() || self.takes(other.shape())
     }
 
     /// The accumulators of `key`'s group, after one probe. A key not seen
     /// yet is cloned in as a group born from `init` — unless the table
-    /// holds `cap` groups already, which refuses it (`None`): new groups
-    /// are refused in the order they arrive, existing ones never.
-    ///
-    /// # Panics
-    ///
-    /// When the table holds groups of another width than `init`'s.
+    /// holds `cap` groups already, or groups of another shape than `key`
+    /// and `init`, either of which refuses it (`None`): new groups are
+    /// refused in the order they arrive, existing ones never.
     pub fn fold(
         &mut self,
         key: &dyn Cols,
@@ -105,20 +120,17 @@ impl Groups {
         init: &[AggFunc],
     ) -> Option<&mut [AggState]> {
         let hash = self.hash(key);
-        // Virtual calls on the borrowed side only: the stored key is a tuple.
-        let same = |k: &GroupKey| {
-            let cols = k.0.values();
-            cols.len() == key.width() && cols.iter().zip(0..).all(|(v, i)| *v == *key.col(i))
-        };
+        let shape = (key.width(), init.len());
+        // Virtual calls on the borrowed side only: the stored key is a slice.
+        let same =
+            |k: &[Value]| k.len() == shape.0 && k.iter().zip(0..).all(|(v, i)| *v == *key.col(i));
         let group = match self.find(hash, same) {
             Ok(group) => group,
-            Err(_) if self.keys.len() >= cap => return None,
+            Err(_) if self.len >= cap || !self.takes(shape) => return None,
             Err(at) => {
-                let fits = self.is_empty() || init.len() == self.width;
-                assert!(fits, "one width per table");
-                self.width = init.len();
-                let born = init.iter().map(|f| f.init());
-                self.insert(at, hash, GroupKey(key.to_tuple()), born)
+                self.adopt(shape);
+                let cloned = (0..shape.0).map(|i| key.col(i).into_owned());
+                self.insert(at, hash, cloned, init.iter().map(|f| f.init()))
             }
         };
         Some(self.row_mut(group))
@@ -134,7 +146,9 @@ impl Groups {
     /// When `other` does not [`fit`](Groups::fits): a receiver checks
     /// that first and discards the partial.
     pub fn merge(&mut self, other: &Groups) -> bool {
-        self.adopt_width(other);
+        if !other.is_empty() {
+            self.adopt(other.shape());
+        }
         let mut met = mem::take(&mut self.met);
         let mut distinct = true;
         for (key, states) in other.iter() {
@@ -144,9 +158,9 @@ impl Groups {
                     merge_row(self.row_mut(group), states.iter());
                     group
                 }
-                Err(at) => self.insert(at, hash, key.clone(), states.iter().cloned()),
+                Err(at) => self.insert(at, hash, key.iter().cloned(), states.iter().cloned()),
             };
-            met.resize(self.keys.len(), false);
+            met.resize(self.len, false);
             distinct &= !mem::replace(&mut met[group], true);
         }
         met.fill(false);
@@ -160,15 +174,21 @@ impl Groups {
     /// # Panics
     ///
     /// When `other` does not [`fit`](Groups::fits).
-    pub fn absorb(&mut self, other: Groups) {
-        self.adopt_width(&other);
-        let width = other.width;
+    pub fn absorb(&mut self, mut other: Groups) {
+        let (key_width, width) = other.shape();
+        if !other.is_empty() {
+            self.adopt((key_width, width));
+        }
         let mut states = other.states.into_iter();
-        for key in other.keys {
-            let hash = self.hash(&key);
-            match self.find(hash, |k| *k == key) {
+        for g in 0..other.len {
+            let key = &mut other.keys[g * key_width..][..key_width];
+            let hash = self.hash(&*key);
+            match self.find(hash, |k| *k == *key) {
                 Ok(group) => merge_row(self.row_mut(group), states.by_ref().take(width)),
-                Err(at) => _ = self.insert(at, hash, key, states.by_ref().take(width)),
+                Err(at) => {
+                    let moved = key.iter_mut().map(mem::take);
+                    _ = self.insert(at, hash, moved, states.by_ref().take(width));
+                }
             }
         }
     }
@@ -176,31 +196,32 @@ impl Groups {
     /// Moves the groups out in first-seen order, leaving the index and
     /// vectors as large as the ones handed over for the next interval.
     pub fn take(&mut self) -> Groups {
-        let (groups, cells) = (self.keys.len(), self.states.len());
-        let keys = mem::replace(&mut self.keys, Vec::with_capacity(groups));
+        let (values, cells) = (self.keys.len(), self.states.len());
+        let keys = mem::replace(&mut self.keys, Vec::with_capacity(values));
         let states = mem::replace(&mut self.states, Vec::with_capacity(cells));
         self.slots.fill(0);
-        Groups::from_parts(self.width, keys, states)
+        Groups::from_flat(mem::take(&mut self.len), keys, states)
     }
 
-    /// Moves the groups out in key order (`pivot_model::Value`'s) by
-    /// sorting a permutation, not the groups; the table keeps its vectors
-    /// and index for the next window.
+    /// Moves the groups out in key order (`pivot_model::Value`'s, a shorter
+    /// key before one it begins) by sorting a permutation, not the groups;
+    /// the table keeps its vectors and index for the next window.
     pub fn take_sorted(&mut self) -> Groups {
-        let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&g| &self.keys[g as usize]);
-        let width = self.width;
-        let mut keys = Vec::with_capacity(order.len());
+        let mut order: Vec<u32> = (0..self.len as u32).collect();
+        order.sort_unstable_by_key(|&g| self.key(g as usize));
+        let (key_width, width) = self.shape();
+        let mut keys = Vec::with_capacity(self.keys.len());
         let mut states = Vec::with_capacity(self.states.len());
         for g in order.into_iter().map(|g| g as usize) {
-            keys.push(mem::take(&mut self.keys[g]));
+            let key = self.keys[g * key_width..][..key_width].iter_mut();
+            keys.extend(key.map(mem::take));
             let row = self.states[g * width..][..width].iter_mut();
             states.extend(row.map(|s| mem::replace(s, AggState::Count(0))));
         }
         self.keys.clear();
         self.states.clear();
         self.slots.fill(0);
-        Groups::from_parts(width, keys, states)
+        Groups::from_flat(mem::take(&mut self.len), keys, states)
     }
 
     /// Probes per lookup over the table's groups, 1 for a group filed where
@@ -212,7 +233,15 @@ impl Groups {
         let displaced: usize = filed
             .map(|(at, &s)| at.wrapping_sub((s >> 32) as usize) & mask)
             .sum();
-        1.0 + displaced as f64 / self.keys.len() as f64
+        1.0 + displaced as f64 / self.len as f64
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        (self.key_width, self.width)
+    }
+
+    fn key(&self, group: usize) -> &[Value] {
+        &self.keys[group * self.key_width..][..self.key_width]
     }
 
     fn row(&self, group: usize) -> &[AggState] {
@@ -223,15 +252,22 @@ impl Groups {
         &mut self.states[group * self.width..][..self.width]
     }
 
-    fn adopt_width(&mut self, other: &Groups) {
-        assert!(self.fits(other), "one width per table");
-        if self.is_empty() {
-            self.width = other.width;
-        }
+    /// Whether groups of `shape` may join: one shape per table.
+    fn takes(&self, shape: (usize, usize)) -> bool {
+        self.is_empty() || self.shape() == shape
     }
 
-    /// Both halves folded: one multiply-fold leaves the low half nearly alike
-    /// for integers that differ only above bit 32, clustering a probe.
+    /// Takes `shape`, which a table holding groups has already.
+    fn adopt(&mut self, shape: (usize, usize)) {
+        assert!(self.takes(shape), "one shape per table");
+        (self.key_width, self.width) = shape;
+    }
+
+    /// A stored `[Value]` key hashes as its width, then its values — the
+    /// sequence a `&dyn Cols` view of it hashes (`order_props.rs`), so a
+    /// probe by either finds the other. Both halves folded: one
+    /// multiply-fold leaves the low half nearly alike for integers that
+    /// differ only above bit 32, clustering a probe.
     fn hash(&self, key: impl Hash) -> u32 {
         let h = self.seed.hash_one(key);
         (h ^ (h >> 32)) as u32
@@ -239,7 +275,7 @@ impl Groups {
 
     /// The group `eq` accepts under `hash`, or the free slot that ends the
     /// probe; the index is built on the first probe.
-    fn find(&mut self, hash: u32, eq: impl Fn(&GroupKey) -> bool) -> Result<usize, usize> {
+    fn find(&mut self, hash: u32, eq: impl Fn(&[Value]) -> bool) -> Result<usize, usize> {
         if self.slots.is_empty() {
             self.grow();
         }
@@ -248,7 +284,7 @@ impl Groups {
         loop {
             match self.slots[at] {
                 0 => return Err(at),
-                slot if (slot >> 32) as u32 == hash && eq(&self.keys[slot as u32 as usize - 1]) => {
+                slot if (slot >> 32) as u32 == hash && eq(self.key(slot as u32 as usize - 1)) => {
                     return Ok(slot as u32 as usize - 1)
                 }
                 _ => at = (at + 1) & mask,
@@ -259,11 +295,11 @@ impl Groups {
     /// Doubles the index (16 slots at least), refiling each group by the
     /// hash its slot keeps; the first time, hashes what the table holds.
     fn grow(&mut self) {
-        let size = (2 * (self.keys.len() + 1)).next_power_of_two().max(16);
+        let size = (2 * (self.len + 1)).next_power_of_two().max(16);
         let mut old = mem::replace(&mut self.slots, vec![0; size]);
         if old.is_empty() {
-            old = (0..self.keys.len())
-                .map(|g| slot(self.hash(&self.keys[g]), g))
+            old = (0..self.len)
+                .map(|g| slot(self.hash(self.key(g)), g))
                 .collect();
         }
         for filed in old.into_iter().filter(|&s| s != 0) {
@@ -274,20 +310,22 @@ impl Groups {
         }
     }
 
-    /// Files a new group, `width` accumulators, at the free slot `at`, and
-    /// grows the index when that left it more than half full.
+    /// Files a new group — its key's values, its accumulators — at the
+    /// free slot `at`, and grows the index when that left it more than
+    /// half full.
     fn insert(
         &mut self,
         at: usize,
         hash: u32,
-        key: GroupKey,
+        key: impl Iterator<Item = Value>,
         states: impl Iterator<Item = AggState>,
     ) -> usize {
-        let group = self.keys.len();
+        let group = self.len;
         self.slots[at] = slot(hash, group);
-        self.keys.push(key);
+        self.keys.extend(key);
         self.states.extend(states);
-        if 2 * self.keys.len() > self.slots.len() {
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
             self.grow();
         }
         group
@@ -309,7 +347,7 @@ fn merge_row<S: Borrow<AggState>>(mine: &mut [AggState], theirs: impl Iterator<I
 /// Groups equal group by group, in order; the index is not compared.
 impl PartialEq for Groups {
     fn eq(&self, other: &Groups) -> bool {
-        self.keys == other.keys && self.states == other.states
+        self.len == other.len && self.keys == other.keys && self.states == other.states
     }
 }
 

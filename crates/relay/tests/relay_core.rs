@@ -345,27 +345,38 @@ fn specless_merge_matches_spec_merge() {
     assert_eq!(a.tuples, b.tuples);
 }
 
-/// The same groups with every accumulator twice: a well-formed partial
-/// that disagrees with the query on its shape.
-fn widened(mut report: Report) -> Report {
+/// The same groups with every key value, or every accumulator, twice: a
+/// well-formed partial that disagrees with the query on its shape.
+fn widened(mut report: Report, keys_twice: bool) -> Report {
     let ReportRows::Grouped(groups) = &report.rows else {
         panic!("a grouped query reports groups");
     };
-    let wider = groups.iter().flat_map(|(_, s)| [s, s].concat()).collect();
-    let wider = Groups::from_parts(2 * groups.width(), groups.keys().to_vec(), wider);
-    report.rows = ReportRows::Grouped(wider);
+    let (mut keys, mut states) = (Vec::new(), Vec::new());
+    for (k, s) in groups.iter() {
+        keys.extend_from_slice(&if keys_twice {
+            [k, k].concat()
+        } else {
+            k.to_vec()
+        });
+        states.extend_from_slice(&if keys_twice {
+            s.to_vec()
+        } else {
+            [s, s].concat()
+        });
+    }
+    report.rows = ReportRows::Grouped(Groups::from_flat(groups.len(), keys, states));
     report
 }
 
-/// One width per window: a partial whose accumulator count differs from
-/// the window's is discarded whole — never zipped into the groups it
-/// would corrupt, never a panic — while its envelope still counts, so
-/// upstream its tuples are `dropped` and the books balance. Whichever
-/// partial opens the window sets its width; the frontend, which knows the
-/// query's, then discards a window of the wrong one in turn.
+/// One shape per window: a partial whose key width or accumulator count
+/// differs from the window's is discarded whole — never zipped into the
+/// groups it would corrupt, never a panic — while its envelope still
+/// counts, so upstream its tuples are `dropped` and the books balance.
+/// Whichever partial opens the window sets its shape; the frontend, which
+/// knows the query's, then discards a window of the wrong one in turn.
 #[test]
 fn a_partial_of_another_width_is_dropped_through_the_hop() {
-    for misfit_first in [false, true] {
+    for (misfit_first, keys_twice) in [(false, false), (true, false), (false, true), (true, true)] {
         let (mut fe, handle) = frontend_with_query();
         let core = RelayCore::new(relay_info(0));
         core.sync(&fe.installed());
@@ -374,7 +385,10 @@ fn a_partial_of_another_width_is_dropped_through_the_hop() {
         for v in [2, 3] {
             invoke(&odd, MS, "a", v);
         }
-        let mut frames = [flush_one(&honest, MS), widened(flush_one(&odd, MS))];
+        let mut frames = [
+            flush_one(&honest, MS),
+            widened(flush_one(&odd, MS), keys_twice),
+        ];
         if misfit_first {
             frames.reverse();
         }
