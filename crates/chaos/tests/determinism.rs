@@ -5,8 +5,8 @@
 //! a CI failure log prints `CHAOS_SEED=<n>` and that seed replays the
 //! identical schedule locally. The test runs everything twice in one
 //! process — so anything leaking global state (the process-wide
-//! incarnation counter, interning tables, thread-local VM scratch) into
-//! the schedule or the outcome shows up as a diff here.
+//! incarnation counter, thread-local VM scratch) into the schedule or the
+//! outcome shows up as a diff here.
 
 use pivot_chaos::sim::{kv_sources, run_kv};
 use pivot_chaos::{FaultConfig, FaultPlan};

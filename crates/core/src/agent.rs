@@ -35,7 +35,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 use pivot_baggage::{Baggage, QueryId};
 use pivot_model::value::NULL;
-use pivot_model::{colblock, intern, AggState, Cols, EncodedBlock, Tuple, Value};
+use pivot_model::{colblock, AggState, Cols, EncodedBlock, Tuple, Value};
 use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, Exports, Groups, OutputSpec, Vm};
 
 use crate::bus::{Command, Report, ReportRows};
@@ -460,9 +460,9 @@ static NEXT_INCARNATION: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 /// The per-process agent.
 pub struct Agent {
     info: ProcessInfo,
-    /// `info.host` as an interned `Value`, built once.
+    /// `info.host` as a `Value`, built once.
     host_value: Value,
-    /// `info.procname` as an interned `Value`, built once.
+    /// `info.procname` as a `Value`, built once.
     procname_value: Value,
     incarnation: u64,
     registry: Registry,
@@ -499,8 +499,8 @@ impl Agent {
             incarnation,
         });
         Agent {
-            host_value: intern(&info.host).into(),
-            procname_value: intern(&info.procname).into(),
+            host_value: Value::str(&info.host),
+            procname_value: Value::str(&info.procname),
             info,
             incarnation,
             registry: Registry::new(),

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
-use pivot_model::{Sym, Tuple, Value};
+use pivot_model::{Tuple, Value};
 
 use crate::ledger::Ledger;
 use crate::tracepoint::names_match;
@@ -85,14 +85,14 @@ pub enum TriggerKind {
 /// One buffered tracepoint invocation: the raw export set, verbatim.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RetroEvent {
-    /// The tracepoint name (interned).
+    /// The tracepoint name.
     pub tracepoint: Value,
     /// Invocation time (nanoseconds).
     pub time: u64,
     /// The request's trace id at invocation time (0 = none).
     pub request: u64,
     /// Export names, shared across events of the same tracepoint shape.
-    pub names: Arc<Vec<Sym>>,
+    pub names: Arc<[Arc<str>]>,
     /// Export values, position-matched to `names`.
     pub values: Vec<Value>,
 }
@@ -179,14 +179,11 @@ pub struct RetroIdent {
     pub incarnation: u64,
 }
 
-/// Cached export-name vector for one `(tracepoint, export names)` shape.
+/// Cached export names for one `(tracepoint, export names)` shape.
 struct NameShape {
-    tracepoint: Sym,
-    /// The tracepoint name as an interned value, stamped onto flushed
-    /// events — so recording never touches the global intern pool (a
-    /// process-wide lock) from the hot path.
-    tp_value: Value,
-    names: Arc<Vec<Sym>>,
+    /// The tracepoint name, stamped onto flushed events.
+    tracepoint: Value,
+    names: Arc<[Arc<str>]>,
 }
 
 /// One ring slot. Stores a shape *index* instead of the shape's `Arc`s:
@@ -276,33 +273,27 @@ impl RetroRing {
         }
     }
 
-    /// Looks up (or builds) the shape — interned tracepoint value plus
-    /// shared name vector — of this export set. A hit is a short scan
-    /// validated with string compares (never a source of wrong names);
-    /// only a miss — the first event of a new shape — pays the global
-    /// intern lock. A woven site asks once and keeps the id in its plan
-    /// (`crate::tracepoint::Layout`); only events at unwoven tracepoints
-    /// come here every time.
+    /// Looks up (or builds) the shape — tracepoint value plus shared name
+    /// list — of this export set. A hit is a short scan validated with
+    /// string compares (never a source of wrong names); only a miss — the
+    /// first event of a new shape — allocates. A woven site asks once and
+    /// keeps the id in its plan (`crate::tracepoint::Layout`); only events
+    /// at unwoven tracepoints come here every time.
     pub(crate) fn shape_for(&mut self, tracepoint: &str, exports: &[(&str, Value)]) -> u32 {
-        if let Some(i) = self
-            .shapes
-            .iter()
-            .position(|s| s.tracepoint.as_str() == tracepoint && names_match(&s.names, exports))
-        {
+        if let Some(i) = self.shapes.iter().position(|s| {
+            s.tracepoint.as_str() == Some(tracepoint) && names_match(&s.names, exports)
+        }) {
             return i as u32;
         }
-        let tp_sym = Sym::from(tracepoint);
-        let tp_value = tp_sym.as_arc().clone().into();
         self.shapes.push(NameShape {
-            tracepoint: tp_sym,
-            tp_value,
-            names: Arc::new(exports.iter().map(|(n, _)| Sym::from(*n)).collect()),
+            tracepoint: Value::str(tracepoint),
+            names: exports.iter().map(|(n, _)| Arc::from(*n)).collect(),
         });
         (self.shapes.len() - 1) as u32
     }
 
     /// The export names of a shape [`RetroRing::shape_for`] returned.
-    pub(crate) fn shape_names(&self, shape: u32) -> &Arc<Vec<Sym>> {
+    pub(crate) fn shape_names(&self, shape: u32) -> &Arc<[Arc<str>]> {
         &self.shapes[shape as usize].names
     }
 
@@ -310,7 +301,7 @@ impl RetroRing {
     fn materialize(shapes: &[NameShape], slot: Slot) -> RetroEvent {
         let shape = &shapes[slot.shape as usize];
         RetroEvent {
-            tracepoint: shape.tp_value.clone(),
+            tracepoint: shape.tracepoint.clone(),
             time: slot.time,
             request: slot.request,
             names: Arc::clone(&shape.names),
@@ -596,8 +587,8 @@ mod tests {
         r.trigger(TriggerKind::Advice, QueryId(1), 1, 2);
         let reports = r.drain();
         let evs = &reports[0].events;
-        assert_eq!(evs[0].names[0].as_str(), "a");
-        assert_eq!(evs[1].names[0].as_str(), "c");
+        assert_eq!(&*evs[0].names[0], "a");
+        assert_eq!(&*evs[1].names[0], "c");
         // Same shape again: shared Arc with the first.
         rec(
             &mut r,

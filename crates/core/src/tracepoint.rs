@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use pivot_baggage::QueryId;
-use pivot_model::{intern, Sym, Value};
+use pivot_model::Value;
 use pivot_query::hash::SeededMap;
 use pivot_query::{AdviceByteCode, RunPlan};
 
@@ -101,7 +101,7 @@ pub(crate) struct Planned {
 #[derive(Debug)]
 pub(crate) struct Layout {
     /// The remembered names, shared with the hindsight ring's shape.
-    pub names: Arc<Vec<Sym>>,
+    pub names: Arc<[Arc<str>]>,
     /// That shape's id in the ring.
     pub shape: u32,
     /// Per program of the site, per column: the first position in `names`
@@ -111,8 +111,8 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Resolves every column of `site`'s programs against `names`.
-    pub fn new(site: &SitePlan, names: Arc<Vec<Sym>>, shape: u32) -> Layout {
-        let find = |want: &Sym| names.iter().position(|n| n == want).unwrap_or(usize::MAX);
+    pub fn new(site: &SitePlan, names: Arc<[Arc<str>]>, shape: u32) -> Layout {
+        let find = |want: &Arc<str>| names.iter().position(|n| n == want).unwrap_or(usize::MAX);
         let columns = |p: &Planned| p.run.code().names.iter().map(find).collect();
         let pos = site.programs.iter().map(columns).collect();
         Layout { names, shape, pos }
@@ -122,12 +122,8 @@ impl Layout {
 /// Name-by-name equality of a remembered export list and a live one: when
 /// it holds for a [`Layout`]'s names, every position in the layout is
 /// exact.
-pub(crate) fn names_match(names: &[Sym], exports: &[(&str, Value)]) -> bool {
-    names.len() == exports.len()
-        && names
-            .iter()
-            .zip(exports)
-            .all(|(n, (e, _))| n.as_str() == *e)
+pub(crate) fn names_match(names: &[Arc<str>], exports: &[(&str, Value)]) -> bool {
+    names.len() == exports.len() && names.iter().zip(exports).all(|(n, (e, _))| **n == **e)
 }
 
 /// Everything a woven invocation needs to know about its tracepoint,
@@ -135,7 +131,7 @@ pub(crate) fn names_match(names: &[Sym], exports: &[(&str, Value)]) -> bool {
 /// `Arc`: an event does one lookup and runs.
 #[derive(Debug)]
 pub(crate) struct SitePlan {
-    /// The tracepoint's interned name, for the `tracepoint` export.
+    /// The tracepoint's name, for the `tracepoint` export.
     pub name: Value,
     /// The advice woven here, in weave order.
     pub programs: Vec<Planned>,
@@ -206,7 +202,7 @@ impl Registry {
         for tp in &code.tracepoints {
             let (name, mut programs) = match map.get(tp) {
                 Some(site) => (site.name.clone(), site.programs.clone()),
-                None => (intern(tp).into(), Vec::new()),
+                None => (Value::str(tp), Vec::new()),
             };
             programs.push(planned.clone());
             map.insert(tp.clone(), Arc::new(SitePlan::new(name, programs)));

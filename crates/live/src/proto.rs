@@ -42,7 +42,7 @@ use pivot_core::{
     ThrottleStats, Throttled, TriggerKind,
 };
 use pivot_itc::{DecodeError, Decoder, Encoder};
-use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, Sym, UnOp};
+use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, UnOp};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{EInst, ExprProg, Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec, TemporalFilter};
@@ -262,7 +262,7 @@ fn encode_bytecode(code: &AdviceByteCode, enc: &mut Encoder) {
     }
     enc.put_varint(code.names.len() as u64);
     for s in &code.names {
-        enc.put_str(s.as_str());
+        enc.put_str(s);
     }
     enc.put_varint(code.einsts.len() as u64);
     for e in &code.einsts {
@@ -292,9 +292,9 @@ fn decode_bytecode(
         consts.push(codec::decode_value(dec)?);
     }
     let n = dec.take_varint()? as usize;
-    let mut names: Vec<Sym> = Vec::with_capacity(n.min(256));
+    let mut names = Vec::with_capacity(n.min(256));
     for _ in 0..n {
-        names.push(Sym::from(dec.take_str()?));
+        names.push(Arc::from(dec.take_str()?));
     }
     let n = dec.take_varint()? as usize;
     let mut einsts = Vec::with_capacity(n.min(1024));
@@ -544,7 +544,7 @@ fn encode_retro(r: &RetroReport, enc: &mut Encoder) {
         enc.put_varint(ev.request);
         enc.put_varint(ev.names.len() as u64);
         for n in ev.names.iter() {
-            enc.put_str(n.as_str());
+            enc.put_str(n);
         }
         // Invariant upheld at recording: names and values are
         // position-matched, so one length serves both.
@@ -574,10 +574,9 @@ fn decode_retro(dec: &mut Decoder<'_>) -> Result<RetroReport, DecodeError> {
         let time = dec.take_varint()?;
         let request = dec.take_varint()?;
         let w = dec.take_varint()? as usize;
-        let mut names = Vec::with_capacity(w.min(64));
-        for _ in 0..w {
-            names.push(Sym::from(dec.take_str()?));
-        }
+        let names = (0..w)
+            .map(|_| dec.take_str().map(Arc::from))
+            .collect::<Result<Arc<[Arc<str>]>, _>>()?;
         let mut values = Vec::with_capacity(w.min(64));
         for _ in 0..w {
             values.push(codec::decode_value(dec)?);
@@ -586,7 +585,7 @@ fn decode_retro(dec: &mut Decoder<'_>) -> Result<RetroReport, DecodeError> {
             tracepoint,
             time,
             request,
-            names: Arc::new(names),
+            names,
             values,
         });
     }
@@ -1421,9 +1420,9 @@ mod tests {
     }
 
     /// A hindsight flush shaped like a real agent's: two ring events
-    /// sharing one interned name layout, plus the retro loss envelope.
+    /// sharing one name list, plus the retro loss envelope.
     fn retro_frame() -> pivot_core::RetroReport {
-        let names = Arc::new(vec![Sym::from("op"), Sym::from("bytes")]);
+        let names: Arc<[Arc<str>]> = Arc::new(["op".into(), "bytes".into()]);
         pivot_core::RetroReport {
             host: "host-A".into(),
             procid: 31,

@@ -27,7 +27,7 @@ use pivot_itc::{Decoder, Encoder};
 use pivot_live::frame::{read_frame, MAX_FRAME};
 use pivot_live::proto::{decode_message, encode_message, Message};
 use pivot_model::colblock::MAX_BLOCK_ROWS;
-use pivot_model::{AggFunc, AggState, EncodedBlock, Sym, Tuple, Value};
+use pivot_model::{AggFunc, AggState, EncodedBlock, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec};
@@ -88,7 +88,7 @@ fn block(rng: &mut Rng, n: u64) -> EncodedBlock {
 }
 
 fn retro(rng: &mut Rng, events: u64) -> Message {
-    let names = Arc::new(vec![Sym::from("op"), Sym::from("bytes")]);
+    let names: Arc<[Arc<str>]> = Arc::new(["op".into(), "bytes".into()]);
     Message::Retro(RetroReport {
         host: rng.name("host"),
         procid: rng.counter(),
@@ -345,7 +345,7 @@ fn nested_accumulators_are_refused_not_followed() {
     assert!(decode_message(&grouped).is_err());
 
     // A retro event whose last value is the bomb.
-    let names = Arc::new(vec![Sym::from("v")]);
+    let names = Arc::new(["v".into()]);
     let Message::Retro(mut flush) = retro(rng, 0) else {
         unreachable!()
     };

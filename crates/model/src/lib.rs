@@ -18,7 +18,6 @@ pub mod agg;
 pub mod codec;
 pub mod colblock;
 pub mod expr;
-pub mod intern;
 pub mod text;
 pub mod tuple;
 pub mod value;
@@ -26,7 +25,6 @@ pub mod value;
 pub use agg::{AggFunc, AggState};
 pub use colblock::EncodedBlock;
 pub use expr::{BinOp, EvalError, Expr, UnOp};
-pub use intern::{intern, Sym};
 pub use text::Str;
 pub use tuple::{Cols, GroupKey, Row, Schema, Tuple};
 pub use value::Value;

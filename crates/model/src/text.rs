@@ -90,9 +90,8 @@ impl AsRef<str> for Str {
     }
 }
 
-/// A long string keeps sharing `s`'s allocation (an interned host or
-/// tracepoint name is one allocation however many values hold it); a
-/// short one is copied out of it.
+/// A long string keeps sharing `s`'s allocation; a short one is copied
+/// out of it.
 impl From<Arc<str>> for Str {
     #[inline]
     fn from(s: Arc<str>) -> Str {

@@ -6,7 +6,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::intern::intern;
 use crate::value::{Value, NULL};
 
 /// A field-name schema shared by all tuples of one dataset.
@@ -26,9 +25,7 @@ impl Schema {
         S: AsRef<str>,
     {
         Schema {
-            // Field names recur across every schema built for the same
-            // query, so they come from the intern pool.
-            fields: fields.into_iter().map(|s| intern(s.as_ref())).collect(),
+            fields: fields.into_iter().map(|s| Arc::from(s.as_ref())).collect(),
         }
     }
 
@@ -98,7 +95,7 @@ impl Schema {
                 .iter()
                 .map(|f| {
                     let base = f.rsplit('.').next().unwrap_or(f);
-                    intern(&format!("{alias}.{base}"))
+                    Arc::from(format!("{alias}.{base}"))
                 })
                 .collect(),
         }

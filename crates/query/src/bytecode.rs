@@ -45,7 +45,7 @@ use std::sync::Arc;
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::expr::{eval_binary, eval_unary};
 use pivot_model::value::NULL;
-use pivot_model::{AggState, BinOp, Cols, Expr, GroupKey, Schema, Sym, Tuple, UnOp, Value};
+use pivot_model::{AggState, BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
 
 use crate::advice::{AdviceOp, AdviceProgram, CompiledQuery, OutputSpec};
 use crate::ast::TemporalFilter;
@@ -218,8 +218,8 @@ pub struct AdviceByteCode {
     pub exprs: Vec<ExprProg>,
     /// Constant pool (representation-exact deduplicated literals).
     pub consts: Vec<Value>,
-    /// Export-name pool for `Observe` (interned).
-    pub names: Vec<Sym>,
+    /// Export-name pool for `Observe`.
+    pub names: Vec<Arc<str>>,
     /// Register-file size required to execute any expression.
     pub num_regs: u16,
 }
@@ -406,7 +406,7 @@ struct LowerCtx {
     einsts: Vec<EInst>,
     exprs: Vec<ExprProg>,
     consts: Vec<Value>,
-    names: Vec<Sym>,
+    names: Vec<Arc<str>>,
     num_regs: u16,
     notes: Vec<String>,
 }
@@ -566,7 +566,7 @@ pub fn lower_program(program: &AdviceProgram) -> Lowered {
         match op {
             AdviceOp::Observe { alias, fields } => {
                 let start = cx.names.len() as u32;
-                cx.names.extend(fields.iter().map(Sym::new));
+                cx.names.extend(fields.iter().map(|f| f.as_str().into()));
                 let obs = Schema::new(fields.iter().map(|f| format!("{alias}.{f}")));
                 schema = schema.concat(&obs);
                 insts.push(Inst::Observe {
@@ -1605,7 +1605,7 @@ fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized> {
 impl<'a, X: Exports + ?Sized> Pass<'a, X> {
     /// What invocation `inv` exports under `code.names[name]`.
     fn exported(&self, inv: usize, name: usize) -> Cow<'a, Value> {
-        self.batch.get(inv, name, self.code.names[name].as_str())
+        self.batch.get(inv, name, &self.code.names[name])
     }
 }
 

@@ -469,7 +469,7 @@ fn retro_duplicate_suppressed_across_restart() {
                     tracepoint: Value::str("Exec"),
                     time: MS + i as u64,
                     request: 42,
-                    names: Arc::new(Vec::new()),
+                    names: Arc::new([]),
                     values: Vec::new(),
                 })
                 .collect(),
