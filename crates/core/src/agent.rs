@@ -35,7 +35,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 use pivot_baggage::{Baggage, QueryId};
 use pivot_model::value::NULL;
-use pivot_model::{colblock, AggState, Cols, EncodedBlock, Tuple, Value};
+use pivot_model::{colblock, Cols, EncodedBlock, Tuple, Value};
 use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, Exports, Groups, OutputSpec, Vm};
 
 use crate::bus::{Command, Report, ReportRows};
@@ -130,38 +130,32 @@ impl Buffer {
         }
     }
 
-    /// Counts `rows` emitted rows of group `key` and hands `fold` the
-    /// accumulators they fold into, unless the row cap sheds them.
+    /// Counts one emitted row of group `key` and folds `args` into the
+    /// group's accumulators, unless the row cap sheds it.
     ///
     /// Grouped buffers shed by refusing *new* groups past the cap (a
     /// group-key explosion); updates to existing groups fold into
-    /// fixed-size aggregation state and are never shed. A folded delivery
-    /// is decided as a whole — every row of a refused new group is shed —
-    /// which is what row-by-row delivery does too, since groups arrive in
-    /// first-seen order either way. A new group whose key is of another
-    /// width than the table's — which only an `Emit` built outside the
-    /// compiler writes — is refused and shed the same way.
+    /// fixed-size aggregation state and are never shed. A new group whose
+    /// key is of another width than the table's — which only an `Emit`
+    /// built outside the compiler writes — is refused and shed the same
+    /// way.
     ///
     /// One probe with the key as the VM reads it; the key is cloned into
     /// the table only when its group is born.
-    fn group(
-        &mut self,
-        key: &dyn Cols,
-        rows: u64,
-        row_cap: usize,
-        fold: impl FnOnce(&mut [AggState]),
-    ) {
+    fn group(&mut self, key: &dyn Cols, args: &dyn Cols, row_cap: usize) {
         let Rows::Grouped(groups) = &mut self.rows else {
             return;
         };
-        self.emitted_cum += rows;
+        self.emitted_cum += 1;
         let Some(states) = groups.fold(key, row_cap, &self.spec.aggs) else {
-            self.shed_cum += rows;
+            self.shed_cum += 1;
             self.dirty = true;
             return;
         };
-        fold(states);
-        self.tuples_since_flush += rows;
+        for (st, i) in states.iter_mut().zip(0..args.width()) {
+            st.update(&args.col(i));
+        }
+        self.tuples_since_flush += 1;
     }
 }
 
@@ -362,15 +356,7 @@ impl EmitSink for AgentSink<'_> {
         args: &dyn Cols,
     ) {
         let row_cap = self.row_cap;
-        self.buf(query, spec).group(key, 1, row_cap, |states| {
-            for (st, i) in states.iter_mut().zip(0..args.width()) {
-                st.update(&args.col(i));
-            }
-        });
-    }
-
-    fn folds_grouped(&self) -> bool {
-        true
+        self.buf(query, spec).group(key, args, row_cap);
     }
 
     fn trigger(&mut self, query: QueryId) {
@@ -380,22 +366,6 @@ impl EmitSink for AgentSink<'_> {
         if !self.triggers.contains(&query) {
             self.triggers.push(query);
         }
-    }
-
-    fn grouped_fold(
-        &mut self,
-        query: QueryId,
-        spec: &Arc<OutputSpec>,
-        key: &dyn Cols,
-        states: &[AggState],
-        rows: u64,
-    ) {
-        let row_cap = self.row_cap;
-        self.buf(query, spec).group(key, rows, row_cap, |into| {
-            for (st, partial) in into.iter_mut().zip(states) {
-                st.merge(partial);
-            }
-        });
     }
 }
 

@@ -422,11 +422,6 @@ impl Frontend {
         self.define_tracepoint(TracepointDef::new(name, exports));
     }
 
-    /// Returns the known tracepoint definitions.
-    pub fn tracepoint_defs(&self) -> impl Iterator<Item = &TracepointDef> {
-        self.tracepoints.values()
-    }
-
     /// Enables or disables the static verifier gate in
     /// [`Frontend::install`] (on by default). Disabling is an escape
     /// hatch for experiments that deliberately install pathological

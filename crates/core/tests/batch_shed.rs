@@ -1,8 +1,9 @@
 //! Agent-level batched-execution equivalence under overload: with a tiny
 //! grouped row cap, `invoke_batch` must keep and shed exactly the same
 //! groups — and count exactly the same emitted/shed rows — as per-event
-//! `invoke`, both on the plain aggregation path (batch partial
-//! aggregation) and through the factorized join path.
+//! `invoke`, both on a plain aggregation and through a happened-before
+//! join. A batch's rows reach the buffers one at a time, in emit order,
+//! so even a float sum comes out bit for bit.
 
 use pivot_baggage::Baggage;
 use pivot_core::bus::{Report, ReportRows};
@@ -108,7 +109,7 @@ fn plain_aggregation_sheds_identically() {
 }
 
 #[test]
-fn factorized_join_sheds_identically() {
+fn join_sheds_identically() {
     // 6 distinct packed client names → 6 join groups against a cap of 2.
     let events: Vec<Vec<(&'static str, Value)>> =
         (0..12).map(|i| vec![("x", Value::I64(i))]).collect();
@@ -120,6 +121,25 @@ fn factorized_join_sheds_identically() {
                 let name = format!("client-{n}");
                 agent.invoke("C", bag, n, &[("name", Value::str(&name))]);
             }
+        },
+        &events,
+    );
+}
+
+#[test]
+fn float_join_sum_batches_bit_for_bit() {
+    // 1e16 + 1.0 is a tie that rounds back to 1e16, so adding the ones
+    // one at a time leaves the sum where it was. A batch that summed its
+    // ones first and added that to 1e16 would land a few units above.
+    let events: Vec<Vec<(&'static str, Value)>> = [1e16, 1.0, 1.0, 1.0, 1.0, 1.0]
+        .into_iter()
+        .map(|x| vec![("x", Value::F64(x))])
+        .collect();
+    assert_agents_agree(
+        "From s In S Join c In C On c -> s GroupBy c.name Select c.name, COUNT, SUM(s.x)",
+        16,
+        |agent, bag| {
+            agent.invoke("C", bag, 0, &[("name", Value::str("client-0"))]);
         },
         &events,
     );

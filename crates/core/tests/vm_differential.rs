@@ -6,8 +6,7 @@
 //!
 //! The VM has one execution loop, driven three ways here: against the
 //! tree-walk reference (`support/interp.rs`) one invocation at a time,
-//! and one-at-a-time against whole-batch, through a per-row sink and a
-//! folding one (which also selects the factorized join).
+//! and one-at-a-time against whole-batch.
 //!
 //! Two layers:
 //!
@@ -113,10 +112,9 @@ fn assert_engines_agree(
     Ok(())
 }
 
-/// An [`EmitSink`] that opts into folded grouped delivery and lands
-/// either delivery style in final per-group accumulator states, so
-/// per-row reference rows and folded/factorized deliveries become
-/// directly comparable.
+/// An [`EmitSink`] that lands grouped rows in final per-group
+/// accumulator states, so the VM's rows, the reference's and an agent's
+/// reports become directly comparable.
 #[derive(Default)]
 struct FoldSink {
     raw: Vec<(QueryId, Tuple)>,
@@ -176,30 +174,13 @@ impl EmitSink for FoldSink {
             st.update(&args.col(i));
         }
     }
-    fn folds_grouped(&self) -> bool {
-        true
-    }
-    fn grouped_fold(
-        &mut self,
-        query: QueryId,
-        spec: &Arc<OutputSpec>,
-        key: &dyn Cols,
-        partial: &[AggState],
-        rows: u64,
-    ) {
-        let (_, _, states, r) = self.slot(query, spec, key);
-        *r += rows;
-        for (st, p) in states.iter_mut().zip(partial) {
-            st.merge(p);
-        }
-    }
 }
 
 /// Whole-batch vs one-at-a-time: [`Vm::run_batch`] must reproduce N
 /// sequential [`Vm::run`]s exactly — rows in order, stats, and baggage —
-/// for arbitrary programs (batchable or not), and, when driven through a
-/// folding sink, land identical final aggregation states in identical
-/// first-seen group order.
+/// for arbitrary programs (batchable or not). Equal grouped rows in equal
+/// order fold into equal aggregation states in equal first-seen group
+/// order, whatever the sink.
 fn assert_batch_agrees(
     program: &AdviceProgram,
     batch_exports: &[Vec<(&'static str, Value)>],
@@ -261,34 +242,6 @@ fn assert_batch_agrees(
         "batch baggage diverges for {:?}",
         program
     );
-
-    // Folding delivery: identical final accumulators per group.
-    let mut bag_single = bag_seed.clone();
-    let mut fold_single = FoldSink::default();
-    for exports in &batch {
-        Vm::new().run(&lowered.code, exports, &mut bag_single, &mut fold_single);
-    }
-    let mut bag_fold = bag_seed.clone();
-    let mut fold_batch = FoldSink::default();
-    Vm::new().run_batch(&lowered.code, &batch, &mut bag_fold, &mut fold_batch);
-    prop_assert_eq!(
-        fold_batch.finished(),
-        fold_single.finished(),
-        "folded groups diverge for {:?}",
-        program
-    );
-    prop_assert_eq!(
-        &fold_batch.raw,
-        &fold_single.raw,
-        "folding streaming rows diverge for {:?}",
-        program
-    );
-    prop_assert_eq!(
-        bag_fold.to_bytes(),
-        bag_single.to_bytes(),
-        "folding baggage diverges for {:?}",
-        program
-    );
     Ok(())
 }
 
@@ -308,8 +261,8 @@ proptest! {
     }
 
     /// ≥1000 random advice programs driven as a batch: op-major execution
-    /// (including the factorized join and partial aggregation) must
-    /// reproduce one-at-a-time execution exactly.
+    /// (joins and grouped emits included) must reproduce one-at-a-time
+    /// execution exactly.
     #[test]
     fn random_programs_batch_matches_one_at_a_time(
         ops in prop::collection::vec(op_strategy(), 1..6),
@@ -360,9 +313,7 @@ fn query_strategy() -> impl Strategy<Value = String> {
 }
 
 /// Drives the tree-walk and the VM through the same linear execution of
-/// `query`, comparing emitted rows and final baggage — the VM twice,
-/// through a per-row sink and through a folding one (what an agent's sink
-/// is, and what lets a compiled join take the factorized shape).
+/// `query`, comparing emitted rows and final baggage.
 fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestCaseError> {
     let mut fe = Frontend::new();
     for tp in TRACEPOINTS {
@@ -379,13 +330,10 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
 
     let mut bag_tree = Baggage::new();
     let mut bag_vm = Baggage::new();
-    let mut bag_fold = Baggage::new();
     let mut tree_raw: Vec<(QueryId, Tuple)> = Vec::new();
     let mut tree_grouped: Vec<(QueryId, GroupKey, Vec<Value>)> = Vec::new();
     let mut sink = CollectSink::default();
-    let mut sink_fold = FoldSink::default();
     let mut vm = Vm::new();
-    let mut vm_fold = Vm::new();
 
     let mut tree_triggered = 0usize;
     for (i, &(tp, v)) in events.iter().enumerate() {
@@ -421,21 +369,6 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
                 query,
                 i
             );
-            let fs = vm_fold.run(lowered, &exports, &mut bag_fold, &mut sink_fold);
-            prop_assert_eq!(
-                (fs.packed, fs.unpacked, fs.emitted),
-                (vs.packed, vs.unpacked, vs.emitted),
-                "folding stats diverge on {} at event {}",
-                query,
-                i
-            );
-            prop_assert_eq!(
-                vm_fold.ops(),
-                vm.ops(),
-                "folding op metering diverges on {} at event {}",
-                query,
-                i
-            );
         }
     }
     prop_assert_eq!(&tree_raw, &sink.raw, "streaming rows diverge on {}", query);
@@ -449,29 +382,6 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
         bag_tree.to_bytes(),
         bag_vm.to_bytes(),
         "baggage diverges on {}",
-        query
-    );
-    // The reference rows, folded the way a per-row sink would fold them.
-    let mut tree_fold = FoldSink::default();
-    for (q, key, args) in &tree_grouped {
-        tree_fold.grouped_row(*q, &code.output, &key.0, &Tuple::new(args.clone()));
-    }
-    prop_assert_eq!(
-        &sink_fold.raw,
-        &tree_raw,
-        "folding streaming rows diverge on {}",
-        query
-    );
-    prop_assert_eq!(
-        sink_fold.finished(),
-        tree_fold.finished(),
-        "folded groups diverge on {}",
-        query
-    );
-    prop_assert_eq!(
-        bag_fold.to_bytes(),
-        bag_tree.to_bytes(),
-        "folding baggage diverges on {}",
         query
     );
     prop_assert_eq!(
@@ -1294,7 +1204,7 @@ fn edge_programs() -> Vec<(&'static str, Vec<AdviceOp>)> {
             ],
         ),
         (
-            "the factorized join",
+            "observe, then join, grouped by what was joined on",
             vec![
                 observe("x", &["a", "b"]),
                 unpack_as(&["p0"]),

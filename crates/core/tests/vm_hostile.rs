@@ -177,8 +177,8 @@ fn check(
         code
     );
 
-    // An agent's plan: weave-time resolution, the factorized shape, the
-    // capped buffers and the flush all see the same damaged program.
+    // An agent's plan: weave-time resolution, the capped buffers and the
+    // flush all see the same damaged program.
     let emits = code.insts.iter().find_map(|i| match i {
         Inst::Emit { query, spec, .. } => Some((*query, Arc::clone(spec))),
         _ => None,

@@ -93,14 +93,6 @@ pub fn snapshot_bytes() -> Arc<[u8]> {
     with_baggage(Baggage::to_bytes)
 }
 
-/// Replaces the current thread's baggage with the one returned in an RPC
-/// response: the callee's execution is a causal extension of the
-/// caller's, so its baggage supersedes the snapshot sent out.
-#[inline]
-pub fn adopt_bytes(bytes: &[u8]) {
-    with_baggage(|b| *b = Baggage::from_bytes(bytes));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

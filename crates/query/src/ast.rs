@@ -110,15 +110,4 @@ impl Query {
     pub fn main_alias(&self) -> &str {
         &self.from.alias
     }
-
-    /// Looks up a source (From or Join) by alias.
-    pub fn source_by_alias(&self, alias: &str) -> Option<&Source> {
-        if self.from.alias == alias {
-            return Some(&self.from);
-        }
-        self.joins
-            .iter()
-            .map(|j| &j.source)
-            .find(|s| s.alias == alias)
-    }
 }

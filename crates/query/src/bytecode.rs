@@ -45,7 +45,7 @@ use std::sync::Arc;
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::expr::{eval_binary, eval_unary};
 use pivot_model::value::NULL;
-use pivot_model::{AggState, BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
+use pivot_model::{BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
 
 use crate::advice::{AdviceOp, AdviceProgram, CompiledQuery, OutputSpec};
 use crate::ast::TemporalFilter;
@@ -306,8 +306,8 @@ pub trait EmitSink {
     /// One projected row of a streaming (no-aggregate) query.
     fn streaming_row(&mut self, query: QueryId, spec: &Arc<OutputSpec>, row: Tuple);
     /// One `(group key, aggregate arguments)` row of an aggregating query;
-    /// `args` has one column per `spec.aggs` entry. Every grouped row the
-    /// generic loop emits arrives here, in emit order.
+    /// `args` has one column per `spec.aggs` entry. Every grouped row
+    /// arrives here, in emit order.
     fn grouped_row(
         &mut self,
         query: QueryId,
@@ -315,38 +315,6 @@ pub trait EmitSink {
         key: &dyn Cols,
         args: &dyn Cols,
     );
-    /// `true` when this sink also accepts [`EmitSink::grouped_fold`],
-    /// which lets a program in the canonical join-aggregation shape run
-    /// factorized ([`Vm::run_planned`]).
-    ///
-    /// Opting in trades per-row delivery of that one shape for the
-    /// paper's `Combine`: the observed rows fold into one partial
-    /// [`AggState`] set that the sink merges once per joined group.
-    /// Results are identical for every aggregate whose combine is exact
-    /// (`COUNT`, integer `SUM`, `MIN`, `MAX`); float sums may differ from
-    /// per-row delivery in the last bit, exactly as relay-tier partial
-    /// aggregation already may.
-    fn folds_grouped(&self) -> bool {
-        false
-    }
-    /// A folded grouped delivery: `rows` emitted rows of `key` collapsed
-    /// into one partial accumulator per `spec.aggs` entry.
-    ///
-    /// Called only when [`EmitSink::folds_grouped`] returns `true`, once
-    /// per unpacked tuple of a factorized join, in unpacked order — the
-    /// generic loop's first-seen group order, so a sink that caps its
-    /// group count makes the same keep/shed decision per group as it
-    /// would under per-row delivery.
-    fn grouped_fold(
-        &mut self,
-        query: QueryId,
-        spec: &Arc<OutputSpec>,
-        key: &dyn Cols,
-        states: &[AggState],
-        rows: u64,
-    ) {
-        let _ = (query, spec, key, states, rows);
-    }
     /// A [`Inst::Trigger`] fired for `query` during this invocation: the
     /// embedding agent should retroactively flush its recent-event ring
     /// for the current request. Default: ignore (sinks that don't do
@@ -917,13 +885,11 @@ pub fn lookup<'a>(exports: &'a [(&str, Value)], name: &str) -> &'a Value {
 
 /// A program together with everything about *how* to run it that depends
 /// on the program alone — decided once, when advice is woven, instead of
-/// once per event: whether it has the factorized join shape, whether a
-/// multi-invocation batch may run op-major, and which of its expressions
-/// are read in place.
+/// once per event: whether a multi-invocation batch may run op-major,
+/// and which of its expressions are read in place.
 #[derive(Clone, Debug)]
 pub struct RunPlan {
     code: Arc<AdviceByteCode>,
-    shape: Option<Factorized>,
     batchable: bool,
     slots: Vec<Slot>,
 }
@@ -932,7 +898,6 @@ impl RunPlan {
     /// Plans `code`.
     pub fn new(code: Arc<AdviceByteCode>) -> RunPlan {
         RunPlan {
-            shape: factorized_shape(&code),
             batchable: code.batchable(),
             slots: Slot::all(&code).collect(),
             code,
@@ -950,16 +915,19 @@ impl RunPlan {
 /// it owns: the columns observed before any join are read from the
 /// batch's [`Exports`] in place (`prefix` names them, the same for every
 /// row), and only what an `Unpack` joined on — and anything observed
-/// after that — is copied, into the row's `suffix`.
+/// after that — is copied, into the row's suffix.
 #[derive(Default)]
 struct Rows {
     /// `src[r]` is the invocation row `r` belongs to.
     src: Vec<u32>,
     /// Name-pool index of each column the rows read from the batch.
     prefix: Vec<u32>,
-    /// `suffix[r]` is what row `r` owns, after its borrowed columns; left
-    /// empty until the first join gives the rows something to own.
-    suffix: Vec<Tuple>,
+    /// `owned[spans[r].0..spans[r].1]` is what row `r` owns, after its
+    /// borrowed columns; `spans` is empty until the first join gives the
+    /// rows something to own. A row that is rewritten or dropped leaves
+    /// its old values behind, unread, until the run ends.
+    owned: Vec<Value>,
+    spans: Vec<(usize, usize)>,
 }
 
 impl Rows {
@@ -969,8 +937,19 @@ impl Rows {
             pass,
             prefix: &self.prefix,
             inv: self.src[r] as usize,
-            suffix: self.suffix.get(r).map_or(&[], Tuple::values),
+            suffix: self.spans.get(r).map_or(&[], |&(s, e)| &self.owned[s..e]),
         }
+    }
+
+    /// Appends to `owned` a copy of what row `r` owns followed by `tail`,
+    /// and returns the new run for `spans`.
+    fn extend_row(&mut self, r: usize, tail: impl Iterator<Item = Value>) -> (usize, usize) {
+        let start = self.owned.len();
+        if let Some(&(s, e)) = self.spans.get(r) {
+            self.owned.extend_from_within(s..e);
+        }
+        self.owned.extend(tail);
+        (start, self.owned.len())
     }
 }
 
@@ -978,7 +957,6 @@ impl Rows {
 /// and the batch every row reads from.
 struct Pass<'a, X: ?Sized> {
     code: &'a AdviceByteCode,
-    shape: Option<&'a Factorized>,
     /// `slots[xi]` is how `code.exprs[xi]` gets its value.
     slots: &'a [Slot],
     batch: &'a X,
@@ -1010,8 +988,7 @@ impl Slot {
     }
 }
 
-/// One row as expressions and sinks read it — the accessor both
-/// [`Vm::exec_ops`] and [`Vm::run_factorized`] go through.
+/// One row as expressions and sinks read it.
 struct Row<'a, X: ?Sized> {
     pass: &'a Pass<'a, X>,
     prefix: &'a [u32],
@@ -1041,17 +1018,13 @@ impl<X: Exports + ?Sized> Cols for Projected<'_, X> {
 }
 
 /// The register VM. Holds reusable scratch (register file, working set,
-/// partial-aggregation state) so steady-state advice execution does not
+/// projection buffers) so steady-state advice execution does not
 /// allocate for the machinery itself — only for the tuples and rows it
 /// produces.
 #[derive(Default)]
 pub struct Vm {
     regs: Vec<Value>,
     rows: Rows,
-    /// Scratch twins of `rows.suffix` / `rows.src` for the join, which
-    /// rebuilds the set.
-    joined: Vec<Tuple>,
-    joined_src: Vec<u32>,
     projected: Vec<Tuple>,
     /// Where the named-slice entry, which has no [`RunPlan`], derives
     /// the program's [`Slot`]s.
@@ -1060,8 +1033,6 @@ pub struct Vm {
     /// run came to ([`Row::fill`]).
     key_vals: Vec<Value>,
     arg_vals: Vec<Value>,
-    /// The factorized join's one partial accumulator set.
-    fold_states: Vec<AggState>,
     ops: u64,
 }
 
@@ -1113,13 +1084,11 @@ impl Vm {
         sink: &mut impl EmitSink,
     ) -> VmStats {
         let batchable = batch.len() <= 1 || code.batchable();
-        let shape = factorized_shape(code);
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
         slots.extend(Slot::all(code));
         let pass = Pass {
             code,
-            shape: shape.as_ref(),
             slots: &slots,
             batch,
         };
@@ -1139,7 +1108,6 @@ impl Vm {
     ) -> VmStats {
         let pass = Pass {
             code: &plan.code,
-            shape: plan.shape.as_ref(),
             slots: &plan.slots,
             batch,
         };
@@ -1165,7 +1133,6 @@ impl Vm {
         for i in 0..n {
             let one = Pass {
                 code: pass.code,
-                shape: pass.shape,
                 slots: pass.slots,
                 batch: &One(pass.batch, i),
             };
@@ -1211,14 +1178,9 @@ impl Vm {
         if self.regs.len() < code.num_regs as usize {
             self.regs.resize(code.num_regs as usize, Value::Null);
         }
-        if let Some(shape) = pass.shape.filter(|_| sink.folds_grouped()) {
-            return self.run_factorized(pass, shape, baggage, sink);
-        }
         let Vm {
             regs,
             rows,
-            joined,
-            joined_src,
             projected,
             key_vals,
             arg_vals,
@@ -1228,7 +1190,8 @@ impl Vm {
         rows.src.clear();
         rows.src.extend(0..n as u32);
         rows.prefix.clear();
-        rows.suffix.clear();
+        rows.owned.clear();
+        rows.spans.clear();
         // Invocations that still have a row. `src` stays invocation-major,
         // so this is its number of distinct values; only `Filter` and
         // `Unpack` can change it. Each live invocation retires the next
@@ -1239,25 +1202,19 @@ impl Vm {
         for inst in &code.insts {
             *ops += live as u64;
             match inst {
-                Inst::Observe { names } if rows.suffix.is_empty() => {
+                Inst::Observe { names } if rows.spans.is_empty() => {
                     // Nothing is copied: the rows now also read these
                     // columns of their invocation's exports.
                     rows.prefix.extend(names.0..names.1);
                 }
                 Inst::Observe { names } => {
                     // After a join the rows own their tail, so the
-                    // observation is appended by value: built once per
-                    // live invocation, shared by all of its rows.
-                    let mut r = 0usize;
-                    while r < rows.src.len() {
-                        let inv = rows.src[r];
-                        let observed: Tuple = (names.0 as usize..names.1 as usize)
-                            .map(|name| pass.exported(inv as usize, name).into_owned())
-                            .collect();
-                        while r < rows.src.len() && rows.src[r] == inv {
-                            rows.suffix[r] = rows.suffix[r].concat(&observed);
-                            r += 1;
-                        }
+                    // observation is appended to each by value.
+                    for r in 0..rows.src.len() {
+                        let inv = rows.src[r] as usize;
+                        let observed = (names.0 as usize..names.1 as usize)
+                            .map(|name| pass.exported(inv, name).into_owned());
+                        rows.spans[r] = rows.extend_row(r, observed);
                     }
                 }
                 Inst::Unpack { slot, temporal, .. } => {
@@ -1272,23 +1229,25 @@ impl Vm {
                     let unpacked: &[Tuple] = &view;
                     stats.unpacked += unpacked.len() * live;
                     // Happened-before join: cross product with the tuples
-                    // packed earlier in this request's execution. Each
-                    // produced row owns its copy of the unpacked tuple.
-                    joined.clear();
-                    joined_src.clear();
-                    for (r, &inv) in rows.src.iter().enumerate() {
-                        for u in unpacked {
-                            joined.push(match rows.suffix.get(r) {
-                                Some(t) => t.concat(u),
-                                None => u.clone(),
-                            });
-                            joined_src.push(inv);
-                        }
+                    // packed earlier in this request's execution. Row `r`
+                    // becomes rows `r*k..(r+1)*k`, each a copy of what `r`
+                    // owned (nothing, before the first join) followed by
+                    // one unpacked tuple's values. `src` and `spans` widen
+                    // in place from the back, so a row is read before
+                    // anything lands on it.
+                    let (n, k) = (rows.src.len(), unpacked.len());
+                    if k == 0 {
+                        // Nothing to join with: every working set empties.
+                        break;
                     }
-                    std::mem::swap(&mut rows.suffix, joined);
-                    std::mem::swap(&mut rows.src, joined_src);
-                    if unpacked.is_empty() {
-                        live = 0;
+                    rows.src.resize(n * k, 0);
+                    rows.spans.resize(n * k, (0, 0));
+                    for r in (0..n).rev() {
+                        let inv = rows.src[r];
+                        rows.src[r * k..(r + 1) * k].fill(inv);
+                        for (j, u) in unpacked.iter().enumerate().rev() {
+                            rows.spans[r * k + j] = rows.extend_row(r, u.values().iter().cloned());
+                        }
                     }
                 }
                 Inst::Filter { pred } => {
@@ -1304,13 +1263,13 @@ impl Vm {
                             prev = inv;
                         }
                         rows.src[kept] = inv;
-                        if !rows.suffix.is_empty() {
-                            rows.suffix.swap(kept, r);
+                        if !rows.spans.is_empty() {
+                            rows.spans.swap(kept, r);
                         }
                         kept += 1;
                     }
                     rows.src.truncate(kept);
-                    rows.suffix.truncate(kept);
+                    rows.spans.truncate(kept);
                 }
                 Inst::Pack {
                     slot,
@@ -1416,190 +1375,10 @@ impl Vm {
             }
         }
         rows.src.clear();
-        rows.suffix.clear();
+        rows.owned.clear();
+        rows.spans.clear();
         stats
     }
-
-    /// Factorized execution of the canonical join-aggregation shape (see
-    /// [`factorized_shape`]; the paper's §2 query: `GroupBy cl.procName
-    /// Select cl.procName, SUM(incr.delta)`) into a sink that accepts
-    /// [`EmitSink::grouped_fold`]. Program shape and sink select it.
-    ///
-    /// The join's cross product is never materialized: all observed rows
-    /// fold into *one* partial accumulator set, which is then merged into
-    /// each unpacked tuple's group — `O(rows + unpacked)` instead of
-    /// `O(rows × unpacked)`. The decomposition is exact for every
-    /// aggregate: per group, the cross product contributes the same
-    /// observed rows once per matching unpacked tuple, which is exactly
-    /// `k` merges of the same partial (`COUNT`/`SUM` scale additively,
-    /// `MIN`/`MAX` are idempotent, `AVERAGE`'s ratio is unchanged).
-    ///
-    /// Group delivery is in unpacked-tuple order, which is the generic
-    /// loop's first-seen group order, so capped sinks shed the same
-    /// groups; stats and retired-op counts equal the generic loop's.
-    fn run_factorized<X: Exports + ?Sized>(
-        &mut self,
-        pass: &Pass<'_, X>,
-        shape: &Factorized,
-        baggage: &mut Baggage,
-        sink: &mut impl EmitSink,
-    ) -> VmStats {
-        let code = pass.code;
-        let Some(Inst::Emit { query, spec, .. }) = code.insts.last() else {
-            unreachable!("a factorized shape ends in its program's Emit");
-        };
-        let Vm {
-            regs,
-            rows,
-            key_vals,
-            fold_states,
-            ops,
-            ..
-        } = self;
-        let filters = &code.insts[1..1 + shape.filters];
-        let mut stats = VmStats::default();
-        let mut view = baggage.unpack_view(shape.slot);
-        if let Some(f) = shape.temporal {
-            f.apply(view.to_mut());
-        }
-        let unpacked: &[Tuple] = &view;
-        // Both sides read rows of the `Observe ++ Unpack` layout through
-        // the generic loop's accessor: the observed columns in place, an
-        // unpacked tuple as the suffix.
-        rows.prefix.clear();
-        rows.prefix.extend(shape.names.0..shape.names.1);
-        let prefix = &rows.prefix[..];
-        let row = |inv, suffix| Row {
-            pass,
-            prefix,
-            inv,
-            suffix,
-        };
-
-        // Observed-side pass: fold every invocation that survives the
-        // filters and the (observed-pure) pre-predicates into one shared
-        // partial accumulator set. Aggregate expressions only load
-        // observed columns, so a row with nothing joined on is a valid
-        // evaluation layout. Filter metering mirrors the generic loop: an
-        // invocation retires filters up to and including its first
-        // failing one, then nothing after.
-        fold_states.extend(spec.aggs.iter().map(|f| f.init()));
-        let mut filter_retired = 0u64;
-        let mut survivors = 0u64;
-        let mut contributors = 0u64;
-        let n = pass.batch.invocations();
-        'rows: for inv in 0..n {
-            let observed = row(inv, &[]);
-            for filter in filters {
-                let Inst::Filter { pred } = filter else {
-                    continue;
-                };
-                filter_retired += 1;
-                if !observed.holds(*pred, regs) {
-                    continue 'rows;
-                }
-            }
-            survivors += 1;
-            if unpacked.is_empty() || !observed.passes(shape.pre, regs) {
-                continue;
-            }
-            contributors += 1;
-            for (st, xi) in fold_states.iter_mut().zip(shape.aggs.0..shape.aggs.1) {
-                st.update(observed.eval(xi, regs).as_deref().unwrap_or(&NULL));
-            }
-        }
-        // Every invocation retires Observe; filter survivors retire
-        // Unpack; with nothing unpacked the working set then empties and
-        // Emit is never reached.
-        *ops += n as u64 + filter_retired + survivors;
-        stats.unpacked += unpacked.len() * survivors as usize;
-        if !unpacked.is_empty() {
-            *ops += survivors;
-            stats.emitted += contributors as usize * unpacked.len();
-        }
-        if contributors > 0 {
-            // Unpacked-side pass: key expressions only load unpacked
-            // columns, so whichever invocation stands behind the observed
-            // half of the layout is never read.
-            key_vals.resize((shape.keys.1 - shape.keys.0) as usize, Value::Null);
-            for u in unpacked {
-                let joined = row(0, u.values());
-                if joined.fill(shape.keys, regs, key_vals) {
-                    let key = joined.cols(shape.keys, key_vals);
-                    sink.grouped_fold(*query, spec, &key, fold_states, contributors);
-                }
-            }
-        }
-        fold_states.clear();
-        stats
-    }
-}
-
-/// Where the parts of a program in the canonical join-aggregation shape
-/// sit — `[Observe, Filter*, Unpack, Emit{grouped}]` where every group-key
-/// column reads the unpacked side and every aggregate argument and fused
-/// pre-predicate reads the observed side. Indices and copies only, so a
-/// [`RunPlan`] can keep it beside the code it was derived from.
-#[derive(Clone, Copy, Debug)]
-struct Factorized {
-    /// The `Observe`'s range in the name pool.
-    names: PoolRange,
-    /// Length of the `Filter` run between `Observe` and `Unpack`.
-    /// Lowering resolved these against the observed schema alone.
-    filters: usize,
-    slot: QueryId,
-    temporal: Option<TemporalFilter>,
-    pre: PoolRange,
-    keys: PoolRange,
-    aggs: PoolRange,
-}
-
-/// Recognizes the shape [`Vm::run_factorized`] executes; `None` leaves
-/// the program to the generic loop. Called when a [`RunPlan`] is built
-/// and by the named-slice entry, which has no plan to keep it in.
-fn factorized_shape(code: &AdviceByteCode) -> Option<Factorized> {
-    let (Inst::Observe { names }, rest) = code.insts.split_first()? else {
-        return None;
-    };
-    let filters = rest
-        .iter()
-        .take_while(|i| matches!(i, Inst::Filter { .. }))
-        .count();
-    let [Inst::Unpack { slot, temporal, .. }, Inst::Emit {
-        spec,
-        pre,
-        keys,
-        aggs,
-        ..
-    }] = &rest[filters..]
-    else {
-        return None;
-    };
-    if spec.streaming {
-        return None;
-    }
-    // `true` when every column an expression range loads lies on the
-    // wanted half of the `Observe ++ Unpack` concat layout (observed
-    // columns come first); constants read neither half.
-    let w_obs = (names.1 - names.0) as u16;
-    let reads_only = |range: PoolRange, observed: bool| {
-        (range.0..range.1).all(|xi| {
-            let prog = code.exprs[xi as usize];
-            code.einsts[prog.start as usize..(prog.start + prog.len) as usize]
-                .iter()
-                .all(|inst| !matches!(inst, EInst::Load { col, .. } if (*col < w_obs) != observed))
-        })
-    };
-    let qualifies = reads_only(*pre, true) && reads_only(*keys, false) && reads_only(*aggs, true);
-    qualifies.then_some(Factorized {
-        names: *names,
-        filters,
-        slot: *slot,
-        temporal: *temporal,
-        pre: *pre,
-        keys: *keys,
-        aggs: *aggs,
-    })
 }
 
 impl<'a, X: Exports + ?Sized> Pass<'a, X> {
@@ -2018,145 +1797,11 @@ mod tests {
         );
     }
 
-    /// An [`EmitSink`] that opts into folded grouped delivery and
-    /// aggregates either delivery style into final per-group states, so
-    /// however the rows were windowed they land in one comparable
-    /// representation.
-    #[derive(Default)]
-    struct FoldSink {
-        raw: Vec<(QueryId, Tuple)>,
-        /// `(query, key, states, rows)` in first-seen group order.
-        groups: Vec<(QueryId, GroupKey, Vec<AggState>, u64)>,
-    }
-
-    impl FoldSink {
-        fn slot(
-            &mut self,
-            query: QueryId,
-            spec: &Arc<OutputSpec>,
-            key: &dyn Cols,
-        ) -> &mut (QueryId, GroupKey, Vec<AggState>, u64) {
-            let key = GroupKey(key.to_tuple());
-            if let Some(i) = self
-                .groups
-                .iter()
-                .position(|(q, k, _, _)| *q == query && *k == key)
-            {
-                return &mut self.groups[i];
-            }
-            let states = spec.aggs.iter().map(|f| f.init()).collect();
-            self.groups.push((query, key, states, 0));
-            self.groups.last_mut().expect("just pushed")
-        }
-
-        /// `(query, key, finalized values, rows)` per group, in
-        /// first-seen order.
-        fn finished(&self) -> Vec<(QueryId, GroupKey, Vec<Value>, u64)> {
-            self.groups
-                .iter()
-                .map(|(q, k, states, rows)| {
-                    (
-                        *q,
-                        k.clone(),
-                        states.iter().map(AggState::finish).collect(),
-                        *rows,
-                    )
-                })
-                .collect()
-        }
-    }
-
-    impl EmitSink for FoldSink {
-        fn streaming_row(&mut self, query: QueryId, _spec: &Arc<OutputSpec>, row: Tuple) {
-            self.raw.push((query, row));
-        }
-        fn grouped_row(
-            &mut self,
-            query: QueryId,
-            spec: &Arc<OutputSpec>,
-            key: &dyn Cols,
-            args: &dyn Cols,
-        ) {
-            let (_, _, states, rows) = self.slot(query, spec, key);
-            *rows += 1;
-            for (st, i) in states.iter_mut().zip(0..args.width()) {
-                st.update(&args.col(i));
-            }
-        }
-        fn folds_grouped(&self) -> bool {
-            true
-        }
-        fn grouped_fold(
-            &mut self,
-            query: QueryId,
-            spec: &Arc<OutputSpec>,
-            key: &dyn Cols,
-            partial: &[AggState],
-            rows: u64,
-        ) {
-            let (_, _, states, r) = self.slot(query, spec, key);
-            *r += rows;
-            for (st, p) in states.iter_mut().zip(partial) {
-                st.merge(p);
-            }
-        }
-    }
-
-    /// Folding twin of [`assert_batch_matches_one_at_a_time`]: both runs'
-    /// sinks accept [`EmitSink::grouped_fold`] (exercising the factorized
-    /// join when the program qualifies, per-row delivery otherwise), and
-    /// the final per-group accumulators — in first-seen group order —
-    /// plus row counts, stats, op metering, and baggage must all match.
-    fn assert_batch_matches_one_at_a_time_folding(
-        code: &AdviceByteCode,
-        batch: &[&[(&str, Value)]],
-        bag: &Baggage,
-    ) {
-        let mut bag_single = bag.clone();
-        let mut vm_single = Vm::new();
-        let mut sink_single = FoldSink::default();
-        let mut single = VmStats::default();
-        for exports in batch {
-            let s = vm_single.run(code, exports, &mut bag_single, &mut sink_single);
-            single.unpacked += s.unpacked;
-            single.packed += s.packed;
-            single.emitted += s.emitted;
-        }
-
-        let mut bag_batch = bag.clone();
-        let mut vm_batch = Vm::new();
-        let mut sink_batch = FoldSink::default();
-        let batched = vm_batch.run_batch(code, batch, &mut bag_batch, &mut sink_batch);
-
-        assert_eq!(
-            (batched.unpacked, batched.packed, batched.emitted),
-            (single.unpacked, single.packed, single.emitted),
-            "stats diverge"
-        );
-        assert_eq!(
-            vm_batch.ops(),
-            vm_single.ops(),
-            "retired-op metering diverges"
-        );
-        assert_eq!(sink_batch.raw, sink_single.raw, "streaming rows diverge");
-        assert_eq!(
-            sink_batch.finished(),
-            sink_single.finished(),
-            "folded groups diverge"
-        );
-        assert_eq!(
-            bag_batch.to_bytes(),
-            bag_single.to_bytes(),
-            "baggage bytes diverge"
-        );
-    }
-
     #[test]
-    fn factorized_join_matches_one_at_a_time() {
-        // The canonical shape with a fan-out join: three packed client
-        // tuples, two sharing a group key (so one group receives the
-        // shared partial twice), a filtered-out row, and a row with a
-        // missing export.
+    fn batched_join_matches_one_at_a_time() {
+        // A grouped join with a fan-out: three packed client tuples, two
+        // sharing a group key (so one group receives each observed row
+        // twice), a filtered-out row, and a row with a missing export.
         let slot = QueryId(300);
         let emitter = lower_program(&emit_side(slot)).code;
         let mut bag = Baggage::new();
@@ -2175,17 +1820,17 @@ mod tests {
             &[("delta", Value::I64(2))],
             &[("other", Value::I64(1))],
         ];
-        assert_batch_matches_one_at_a_time_folding(&emitter, &batch, &bag);
+        assert_batch_matches_one_at_a_time(&emitter, &batch, &bag);
     }
 
     #[test]
-    fn factorized_join_empty_slot_and_dead_batch() {
+    fn batched_join_empty_slot_and_dead_batch() {
         let slot = QueryId(300);
         let emitter = lower_program(&emit_side(slot)).code;
         // Nothing packed: every invocation dies at the unpack.
         let batch: Vec<&[(&str, Value)]> =
             vec![&[("delta", Value::I64(1))], &[("delta", Value::I64(2))]];
-        assert_batch_matches_one_at_a_time_folding(&emitter, &batch, &Baggage::new());
+        assert_batch_matches_one_at_a_time(&emitter, &batch, &Baggage::new());
         // Everything filtered out before the join.
         let mut bag = Baggage::new();
         bag.pack(
@@ -2195,13 +1840,13 @@ mod tests {
         );
         let dead: Vec<&[(&str, Value)]> =
             vec![&[("delta", Value::I64(400))], &[("delta", Value::I64(500))]];
-        assert_batch_matches_one_at_a_time_folding(&emitter, &dead, &bag);
+        assert_batch_matches_one_at_a_time(&emitter, &dead, &bag);
     }
 
     #[test]
-    fn factorized_bails_on_observed_side_keys() {
-        // GroupBy over an *observed* column: the factorization condition
-        // fails and the generic loop's per-row delivery must still match.
+    fn batched_join_grouped_by_observed_column() {
+        // GroupBy over an *observed* column: each group's rows come from
+        // every unpacked tuple of the invocations that share its key.
         let slot = QueryId(300);
         let program = AdviceProgram {
             tracepoints: vec!["DataNodeMetrics.incrBytesRead".into()],
@@ -2245,7 +1890,7 @@ mod tests {
             &[("delta", Value::I64(7))],
             &[("delta", Value::I64(9))],
         ];
-        assert_batch_matches_one_at_a_time_folding(&code, &batch, &bag);
+        assert_batch_matches_one_at_a_time(&code, &batch, &bag);
     }
 
     #[test]

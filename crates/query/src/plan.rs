@@ -94,18 +94,4 @@ impl QueryPlan {
             })
             .sum()
     }
-
-    /// Returns `true` if any pack boundary carries a pushed-down
-    /// aggregation.
-    pub fn has_agg_pushdown(&self) -> bool {
-        self.stages.iter().any(|s| {
-            matches!(
-                &s.sink,
-                StageSink::Pack {
-                    mode: PackMode::GroupAgg { .. },
-                    ..
-                }
-            )
-        })
-    }
 }

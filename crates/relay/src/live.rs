@@ -172,11 +172,6 @@ impl RelayServer {
         self.up.reconnects()
     }
 
-    /// The last upstream install epoch observed in a `Sync` frame.
-    pub fn upstream_epoch(&self) -> u64 {
-        self.up.epoch()
-    }
-
     /// Blocks until the upstream link is connected and its observed
     /// epoch reaches `epoch`, or `timeout` elapses.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {

@@ -302,3 +302,38 @@ fn a_batch_allocates_nothing_per_new_group_whatever_its_length() {
     // keys and 48 → 192 accumulators, by doubling: four, not forty.
     assert_eq!(fresh_512_more_groups, 4);
 }
+
+#[test]
+fn a_batched_join_allocates_nothing_once_warm() {
+    let mut fe = Frontend::new();
+    fe.define("Join.client", ["name"]);
+    fe.define("Join.server", ["bytes"]);
+    let handle = fe
+        .install(
+            "From s In Join.server Join c In Join.client On c -> s \
+             GroupBy c.name Select c.name, COUNT, SUM(s.bytes)",
+        )
+        .expect("installs");
+    let agent = agent();
+    agent.install(&fe.code(&handle).expect("code"));
+
+    // Three clients packed under `All`: every event joins all three.
+    let mut bag = Baggage::new();
+    for name in &client_names()[..3] {
+        agent.invoke("Join.client", &mut bag, 1, &[("name", Value::str(name))]);
+    }
+    let exports: Vec<[(&'static str, Value); 1]> =
+        (0..64).map(|i| [("bytes", Value::U64(i))]).collect();
+    let events: Vec<(u64, &[(&str, Value)])> = exports.iter().map(|e| (2, e.as_slice())).collect();
+
+    // One sizing batch: the three groups exist and the VM's working set
+    // has held the 64 x 3 joined rows.
+    agent.invoke_batch("Join.server", &mut bag, &events);
+    let before = agent.stats();
+    for round in 0..4 {
+        let (n, ()) = allocations(|| agent.invoke_batch("Join.server", &mut bag, &events));
+        assert_eq!(n, 0, "round {round}: a warm batched join allocated");
+    }
+    let after = agent.stats();
+    assert_eq!(after.tuples_emitted - before.tuples_emitted, 4 * 64 * 3);
+}
