@@ -2,12 +2,13 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
 use std::sync::Arc;
+use std::{fmt, mem};
 
 use pivot_analyze::{Analyzer, Diagnostic};
 use pivot_baggage::QueryId;
-use pivot_model::{AggState, Tuple, Value};
+use pivot_itc::{Decoder, Encoder};
+use pivot_model::{AggState, EncodedBlock, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::{
     compile, CompileError, CompiledCode, CompiledQuery, Groups, Options, OutputSpec, Query,
@@ -138,16 +139,29 @@ struct RetroTrack {
 }
 
 /// Accumulated results for one query.
+///
+/// What arrives each interval is kept in the encoding it came in —
+/// streaming rows as their blocks, grouped partials as
+/// [`Groups::encode`] writes them — and decoded when it is read; only the
+/// totals are a live table.
 #[derive(Clone, Debug)]
 pub struct QueryResults {
     /// The query's output shape (shared with the compiled query).
     pub spec: Arc<OutputSpec>,
     /// Merged-over-all-time groups.
     cumulative: Groups,
-    /// Per-report-interval merged groups.
-    intervals: BTreeMap<u64, Groups>,
-    /// Raw rows of streaming queries, with report timestamps.
-    raw: Vec<(u64, Tuple)>,
+    /// Per report interval, its partials encoded end to end in arrival
+    /// order.
+    intervals: BTreeMap<u64, Vec<u8>>,
+    /// Blocks of streaming rows as received, with report timestamps;
+    /// each decoded once, at accept, to be let in.
+    raw: Vec<(u64, EncodedBlock)>,
+    /// Rows the blocks in `raw` hold.
+    raw_len: usize,
+    /// Where a block is decoded at accept, and a partial encoded: emptied
+    /// after each, kept for its room.
+    scratch_rows: Vec<Tuple>,
+    scratch_bytes: Vec<u8>,
     /// Per-agent-incarnation sequence tracking and loss accounting.
     sources: HashMap<SourceKey, SourceTrack>,
     /// Circuit-breaker trips reported by agents, in arrival order.
@@ -164,6 +178,9 @@ impl QueryResults {
             cumulative: Groups::default(),
             intervals: BTreeMap::new(),
             raw: Vec::new(),
+            raw_len: 0,
+            scratch_rows: Vec::new(),
+            scratch_bytes: Vec::new(),
             sources: HashMap::new(),
             throttles: Vec::new(),
             retro: Vec::new(),
@@ -181,48 +198,54 @@ impl QueryResults {
             track.duplicates += 1;
             return;
         }
-        let mut delivered = report.tuples;
         track.emitted_cum = track.emitted_cum.max(report.emitted_cum);
         track.shed_cum = track.shed_cum.max(report.shed_cum);
         track.truncated_cum = track.truncated_cum.max(report.truncated_cum);
         self.throttles.extend(report.throttled);
         let shape = (self.spec.key_names.len(), self.spec.aggs.len());
-        match report.rows {
-            ReportRows::RawEncoded(blocks) => {
-                // Blocks (possibly relayed without ever being decoded in
-                // between) are materialized only here. One that fails to
-                // decode is dropped whole and the rows its header claimed
-                // leave `delivered`, so they fall into `tuples_dropped`:
-                // corruption shows up as a degraded query, not a panic
-                // and not a silently short result.
-                let mut decoded: Vec<Tuple> = Vec::new();
-                for block in &blocks {
-                    if block.decode_into(&mut decoded).is_err() {
-                        decoded.clear();
+        let delivered = match report.rows {
+            ReportRows::RawEncoded(blocks) if self.spec.streaming => {
+                let mut delivered = report.tuples;
+                for block in blocks {
+                    // Relayed without ever being decoded in between, a
+                    // block is decoded here once, to be checked. One that
+                    // fails is dropped whole and the rows its header
+                    // claimed leave `delivered`, so they fall into
+                    // `tuples_dropped`: corruption shows up as a degraded
+                    // query, not a panic and not a silently short result.
+                    let valid = block.decode_into(&mut self.scratch_rows).is_ok();
+                    self.scratch_rows.clear();
+                    if valid {
+                        self.raw_len += block.rows();
+                        self.raw.push((report.time, block));
+                    } else {
                         delivered = delivered.saturating_sub(block.rows() as u64);
                     }
-                    for r in decoded.drain(..) {
-                        self.raw.push((report.time, r));
-                    }
                 }
+                delivered
             }
-            // A partial of another shape than the query's — key width or
-            // accumulator count — is discarded whole; the tuples its
-            // envelope claimed are `dropped`.
-            ReportRows::Grouped(g) if !g.is_empty() && (g.key_width(), g.width()) != shape => {
-                delivered = 0;
-            }
-            // The first partial of an interval *is* that interval's table —
-            // merging it into an empty one builds the same, since a vacant
-            // key takes a partial as it is — unless it repeats a key.
-            ReportRows::Grouped(groups) => {
-                let distinct = self.cumulative.merge(&groups);
+            ReportRows::Grouped(groups)
+                if !self.spec.streaming
+                    && (groups.is_empty() || (groups.key_width(), groups.width()) == shape) =>
+            {
+                self.cumulative.merge(&groups);
+                let mut enc = Encoder::reusing(mem::take(&mut self.scratch_bytes));
+                groups.encode(&mut enc);
+                let bytes = enc.finish();
                 match self.intervals.entry(report.time) {
-                    Entry::Vacant(interval) if distinct => _ = interval.insert(groups),
-                    interval => _ = interval.or_default().merge(&groups),
+                    // One allocation, the encoding's size.
+                    Entry::Vacant(interval) => _ = interval.insert(bytes.to_vec()),
+                    Entry::Occupied(mut interval) => interval.get_mut().extend_from_slice(&bytes),
                 }
+                self.scratch_bytes = bytes;
+                report.tuples
             }
-        }
+            // A body of the other kind than the query's, or a partial of
+            // another shape — key width or accumulator count — is
+            // discarded whole; the tuples its envelope claimed are
+            // `dropped`.
+            _ => 0,
+        };
         sat(&mut track.delivered_tuples, delivered);
     }
 
@@ -265,13 +288,22 @@ impl QueryResults {
     pub fn series(&self) -> Vec<(u64, Vec<ResultRow>)> {
         self.intervals
             .iter()
-            .map(|(t, groups)| (*t, sorted_rows(&self.spec, groups, *t)))
+            .map(|(t, partials)| (*t, sorted_rows(&self.spec, &merged(partials), *t)))
             .collect()
     }
 
-    /// Returns raw streaming rows with their report timestamps.
-    pub fn raw_rows(&self) -> &[(u64, Tuple)] {
-        &self.raw
+    /// Returns raw streaming rows with their report timestamps, in arrival
+    /// order.
+    pub fn raw_rows(&self) -> Vec<(u64, Tuple)> {
+        let mut rows = Vec::with_capacity(self.raw_len);
+        let mut block_rows = Vec::new();
+        for (t, block) in &self.raw {
+            block
+                .decode_into(&mut block_rows)
+                .expect("a kept block decoded when it was let in");
+            rows.extend(block_rows.drain(..).map(|row| (*t, row)));
+        }
+        rows
     }
 
     /// Retroactive-flush reports whose trigger named this query, in
@@ -284,7 +316,7 @@ impl QueryResults {
 
     /// Returns the total number of accumulated result rows.
     pub fn len(&self) -> usize {
-        self.cumulative.len() + self.raw.len()
+        self.cumulative.len() + self.raw_len
     }
 
     /// Returns `true` when no results have arrived.
@@ -301,6 +333,19 @@ fn layout(spec: &OutputSpec, key: &[Value], states: &[AggState]) -> Vec<Value> {
             ColumnRef::Agg(i) => states.get(*i).map(AggState::finish).unwrap_or(Value::Null),
         })
         .collect()
+}
+
+/// One interval's partials, merged into an empty table in arrival order:
+/// the rows, first-seen order and float rounding of merging them as they
+/// came.
+fn merged(partials: &[u8]) -> Groups {
+    let mut dec = Decoder::new(partials);
+    let mut groups = Groups::default();
+    while !dec.is_empty() {
+        let partial = Groups::decode(&mut dec).expect("the frontend decodes what it encoded");
+        groups.merge(&partial);
+    }
+    groups
 }
 
 /// `*sum += n`, saturating: the envelope counters of a decoded frame are
@@ -663,12 +708,12 @@ impl Frontend {
             let res = &self.results[&id];
             let _ = write!(s, "R{}:", id.0);
             crate::write_groups(&mut s, &res.cumulative);
-            for (t, row) in &res.raw {
+            for (t, row) in res.raw_rows() {
                 let _ = write!(s, "w{t}:{row:?};");
             }
-            for (t, groups) in res.intervals.iter() {
+            for (t, partials) in &res.intervals {
                 let _ = write!(s, "i{t}:");
-                crate::write_groups(&mut s, groups);
+                crate::write_groups(&mut s, &merged(partials));
             }
             write_tracks(&mut s, 's', &res.sources, remap_incarnation);
             let _ = write!(s, "t{:?};", res.throttles());

@@ -18,8 +18,8 @@
 //! envelope's counters, which a peer controls as it controls `seq`,
 //! saturate the books rather than overflow them, and that a block whose
 //! header the envelope was believed on — or a grouped partial of another
-//! width than the query's — is `dropped`, not `delivered`, when it turns
-//! out not to fit.
+//! width than the query's, or a body of the other kind — is `dropped`, not
+//! `delivered`, when it turns out not to fit.
 
 use std::sync::Arc;
 
@@ -301,7 +301,8 @@ fn a_block_that_does_not_decode_is_dropped_not_delivered() {
         rows: ReportRows::RawEncoded(vec![good, bad]),
     });
     let res = fe.results(&handle);
-    let got: Vec<&Tuple> = res.raw_rows().iter().map(|(_, row)| row).collect();
+    let raw = res.raw_rows();
+    let got: Vec<&Tuple> = raw.iter().map(|(_, row)| row).collect();
     assert_eq!(got, rows(0..3).iter().collect::<Vec<_>>());
     let loss = res.loss();
     assert_eq!((loss.tuples_delivered, loss.tuples_dropped), (3, 5));
@@ -353,6 +354,52 @@ fn a_partial_of_another_width_is_dropped_not_merged() {
                 loss.tuples_dropped
             ),
             (4, 1, 3)
+        );
+        let mut books = Ledger::of_agent(&agent, &[handle.id]);
+        books += &Ledger::from(loss);
+        books.dropped = loss.tuples_dropped;
+        assert_eq!(books.balance(), Ok(()));
+    }
+}
+
+/// One kind per query: streaming rows sent under a grouped query's id, or
+/// a grouped partial under a streaming query's, are refused whole — not
+/// filed as raw rows, not merged, no interval opened — and the tuples the
+/// envelope claimed are `dropped`.
+#[test]
+fn a_body_of_the_other_kind_is_dropped_not_kept() {
+    let (mut fe, grouped) = frontend_with_query();
+    let streaming = fe
+        .install_named("QS", "From e In Exec Select e.k, e.v")
+        .expect("streaming query installs");
+    let agent = fresh_agent(&fe);
+    for _ in 0..5 {
+        invoke(&agent, MS, "a");
+    }
+    let mut reports = agent.flush(MS);
+    reports.sort_unstable_by_key(|r| r.query.0);
+    let [as_grouped, as_streaming] = <[Report; 2]>::try_from(reports).expect("two queries");
+    assert_eq!((as_grouped.tuples, as_streaming.tuples), (5, 5));
+    // Each query's body under the other's id.
+    for (report, other) in [(as_streaming, &grouped), (as_grouped, &streaming)] {
+        fe.accept(Report {
+            query: other.id,
+            ..report
+        });
+    }
+    for handle in [&grouped, &streaming] {
+        let res = fe.results(handle);
+        assert_eq!(res.len(), 0, "{}: nothing kept", handle.name);
+        assert!(res.raw_rows().is_empty() && res.series().is_empty());
+        let loss = res.loss();
+        assert_eq!(loss.reports_accepted, 1, "its envelope counts");
+        assert_eq!(
+            (
+                loss.tuples_emitted,
+                loss.tuples_delivered,
+                loss.tuples_dropped
+            ),
+            (5, 0, 5)
         );
         let mut books = Ledger::of_agent(&agent, &[handle.id]);
         books += &Ledger::from(loss);

@@ -36,7 +36,7 @@
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -481,7 +481,10 @@ pub struct Uplink {
     epoch: AtomicU64,
     /// Successful reconnections.
     reconnects: AtomicU64,
-    stop: AtomicBool,
+    /// Set once by [`Uplink::close`] or [`Uplink::abort`], which wake every
+    /// tick and backoff sleep on `stopped` while they hold it.
+    stop: std::sync::Mutex<bool>,
+    stopped: Condvar,
     policy: ReconnectPolicy,
     /// The reader, and the owner's tick thread if it started one.
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -506,7 +509,8 @@ impl Uplink {
             status: Mutex::new(ConnStatus::Connected),
             epoch: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
+            stop: std::sync::Mutex::new(false),
+            stopped: Condvar::new(),
             policy,
             threads: Mutex::new(Vec::new()),
         });
@@ -559,13 +563,20 @@ impl Uplink {
         write_frames(&mut *self.writer.lock(), frames)
     }
 
-    /// Sleeps `d` in small slices, returning `true` (and early) once the
-    /// uplink has been closed or aborted — so neither a long tick interval
-    /// nor a reconnect backoff outlives a shutdown.
+    /// Sleeps `d`, returning `true` (and early) once the uplink has been
+    /// closed or aborted — so neither a long tick interval nor a reconnect
+    /// backoff outlives a shutdown.
     fn sleep_unless_stopped(&self, d: Duration) -> bool {
-        poll_until(d, Duration::from_millis(2), || {
-            self.stop.load(Ordering::SeqCst)
-        })
+        let stop = self.stop.lock().unwrap_or_else(PoisonError::into_inner);
+        let (stop, _) = self
+            .stopped
+            .wait_timeout_while(stop, d, |stop| !*stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        *stop
+    }
+
+    fn stopping(&self) -> bool {
+        *self.stop.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Orderly close: announces `Goodbye` (when connected), disconnects
@@ -587,8 +598,14 @@ impl Uplink {
     }
 
     fn hang_up(&self, orderly: bool) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
+        {
+            let mut stop = self.stop.lock().unwrap_or_else(PoisonError::into_inner);
+            if std::mem::replace(&mut *stop, true) {
+                return;
+            }
+            // Under the lock: a sleeper is either before its check of
+            // `stop` or waiting, so none misses this.
+            self.stopped.notify_all();
         }
         if orderly && self.status() == ConnStatus::Connected {
             let _ = self.send(&[encode_message(&Message::Goodbye)]);
@@ -651,7 +668,7 @@ fn read_session(read: &mut TcpStream, link: &Uplink, handler: &impl Fn(Downlink)
 fn reader_loop(mut read: TcpStream, link: &Uplink, handler: &impl Fn(Downlink)) {
     loop {
         let orderly = read_session(&mut read, link, handler);
-        if link.stop.load(Ordering::SeqCst) {
+        if link.stopping() {
             // Local close()/abort() chooses the final status.
             return;
         }

@@ -42,7 +42,7 @@ use pivot_core::{
     ThrottleStats, Throttled, TriggerKind,
 };
 use pivot_itc::{DecodeError, Decoder, Encoder};
-use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, UnOp};
+use pivot_model::{codec, AggFunc, BinOp, EncodedBlock, UnOp};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{EInst, ExprProg, Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec, TemporalFilter};
@@ -803,17 +803,7 @@ fn encode_report(r: &Report, enc: &mut Encoder) {
     match &r.rows {
         ReportRows::Grouped(groups) => {
             enc.put_u8(1);
-            enc.put_varint(groups.len() as u64);
-            for (key, states) in groups.iter() {
-                enc.put_varint(key.len() as u64);
-                for v in key {
-                    codec::encode_value(v, enc);
-                }
-                enc.put_varint(states.len() as u64);
-                for s in states {
-                    s.encode(enc);
-                }
-            }
+            groups.encode(enc);
         }
         ReportRows::RawEncoded(blocks) => {
             // The blocks' encoded bytes go on the wire as-is — this is
@@ -859,34 +849,7 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<Report, DecodeError> {
     // Two bodies, tags 1 and 2; tag 0 (version 7's row-by-row body) is
     // retired, not reused.
     let rows = match dec.take_u8()? {
-        1 => {
-            // Per group: the key's value count, the values, the
-            // accumulator count, the accumulators. Each count is one per
-            // partial: groups that disagree on either are refused.
-            let n = dec.take_varint()? as usize;
-            let (mut keys, mut states) = (Vec::new(), Vec::new());
-            let mut shape = (0, 0);
-            for g in 0..n {
-                let k = dec.take_varint()? as usize;
-                if g == 0 {
-                    keys.reserve((n.min(4096) * k.min(16)).min(dec.remaining()));
-                }
-                for _ in 0..k {
-                    keys.push(codec::decode_value(dec)?);
-                }
-                let m = dec.take_varint()? as usize;
-                if g == 0 {
-                    shape = (k, m);
-                    states.reserve((n.min(4096) * m.min(16)).min(dec.remaining()));
-                } else if (k, m) != shape {
-                    return Err(DecodeError::BadTag("group shape", 0));
-                }
-                for _ in 0..m {
-                    states.push(AggState::decode(dec)?);
-                }
-            }
-            ReportRows::Grouped(Groups::from_flat(n, keys, states))
-        }
+        1 => ReportRows::Grouped(Groups::decode(dec)?),
         2 => {
             let n = dec.take_varint()? as usize;
             let mut blocks = Vec::with_capacity(n.min(4096));

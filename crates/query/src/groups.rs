@@ -4,13 +4,18 @@
 //! is associative and commutative and every function's `init()` is its
 //! identity (`tests/merge_props.rs`), so a tier may fold in any order, and
 //! a key it has not seen takes a partial as it is.
+//!
+//! [`Groups::encode`] and [`Groups::decode`] are the one codec of a grouped
+//! partial: the report wire's grouped body, and what the frontend keeps of
+//! each interval.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::mem;
 
-use pivot_model::{AggFunc, AggState, Cols, Value};
+use pivot_itc::{DecodeError, Decoder, Encoder};
+use pivot_model::{codec, AggFunc, AggState, Cols, Value};
 
 use crate::hash::Seeded;
 
@@ -38,9 +43,6 @@ pub struct Groups {
     /// a power of two at least twice the groups. A slot is the key's hash
     /// and the group's position, `hash << 32 | group + 1`, or 0 when free.
     slots: Vec<u64>,
-    /// Set, while [`Groups::merge`] runs, on the groups it has met, to tell
-    /// a partial that repeats a key.
-    met: Vec<bool>,
 }
 
 impl Groups {
@@ -66,6 +68,52 @@ impl Groups {
             states,
             ..Groups::default()
         }
+    }
+
+    /// Writes the groups in order: their count, then per group the key's
+    /// value count, the values, the accumulator count, the accumulators.
+    /// Self-delimiting, so encodings may be laid end to end.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.len() as u64);
+        for (key, states) in self.iter() {
+            enc.put_varint(key.len() as u64);
+            for v in key {
+                codec::encode_value(v, enc);
+            }
+            enc.put_varint(states.len() as u64);
+            for s in states {
+                s.encode(enc);
+            }
+        }
+    }
+
+    /// Reads what [`Groups::encode`] wrote, in its order. Each count is one
+    /// per partial: groups that disagree on either are refused, and a
+    /// hostile count reserves no more than the bytes left could fill.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Groups, DecodeError> {
+        let n = dec.take_varint()? as usize;
+        let (mut keys, mut states) = (Vec::new(), Vec::new());
+        let mut shape = (0, 0);
+        for g in 0..n {
+            let k = dec.take_varint()? as usize;
+            if g == 0 {
+                keys.reserve((n.min(4096) * k.min(16)).min(dec.remaining()));
+            }
+            for _ in 0..k {
+                keys.push(codec::decode_value(dec)?);
+            }
+            let m = dec.take_varint()? as usize;
+            if g == 0 {
+                shape = (k, m);
+                states.reserve((n.min(4096) * m.min(16)).min(dec.remaining()));
+            } else if (k, m) != shape {
+                return Err(DecodeError::BadTag("group shape", 0));
+            }
+            for _ in 0..m {
+                states.push(AggState::decode(dec)?);
+            }
+        }
+        Ok(Groups::from_flat(n, keys, states))
     }
 
     /// Accumulators per group.
@@ -137,35 +185,24 @@ impl Groups {
     }
 
     /// Folds `other` in by reference, cloning a key only when its group is
-    /// born here. Returns whether `other`'s keys were distinct — `false`
-    /// when two met one group, which only a damaged or hostile frame holds
-    /// (the repeat merges as if it had come in a second partial).
+    /// born here. A key `other` repeats, which only a damaged or hostile
+    /// frame holds, merges as if it had come in a second partial.
     ///
     /// # Panics
     ///
     /// When `other` does not [`fit`](Groups::fits): a receiver checks
     /// that first and discards the partial.
-    pub fn merge(&mut self, other: &Groups) -> bool {
+    pub fn merge(&mut self, other: &Groups) {
         if !other.is_empty() {
             self.adopt(other.shape());
         }
-        let mut met = mem::take(&mut self.met);
-        let mut distinct = true;
         for (key, states) in other.iter() {
             let hash = self.hash(key);
-            let group = match self.find(hash, |k| k == key) {
-                Ok(group) => {
-                    merge_row(self.row_mut(group), states.iter());
-                    group
-                }
-                Err(at) => self.insert(at, hash, key.iter().cloned(), states.iter().cloned()),
-            };
-            met.resize(self.len, false);
-            distinct &= !mem::replace(&mut met[group], true);
+            match self.find(hash, |k| k == key) {
+                Ok(group) => merge_row(self.row_mut(group), states.iter()),
+                Err(at) => _ = self.insert(at, hash, key.iter().cloned(), states.iter().cloned()),
+            }
         }
-        met.fill(false);
-        self.met = met;
-        distinct
     }
 
     /// Folds `other` in by move: a key this table lacks moves in with its

@@ -380,14 +380,12 @@ proptest! {
                 }
                 Step::Merge(list) | Step::Absorb(list) => {
                     let partial = partial_of(aggs, kw, list);
-                    let mut seen = HashSet::new();
-                    let distinct = list.iter().all(|(g, _)| seen.insert(key(kw, *g)));
                     for (k, states) in partial.iter() {
                         oracle.merge(owned(k), states);
                     }
                     prop_assert!(table.fits(&partial));
                     if let Step::Merge(_) = step {
-                        prop_assert_eq!(table.merge(&partial), distinct);
+                        table.merge(&partial);
                     } else {
                         table.absorb(partial);
                     }
@@ -457,7 +455,7 @@ fn a_table_has_one_shape_and_an_empty_one_takes_the_first() {
     table.merge(&one(1, 5, 0));
     assert_eq!((table.len(), table.key_width(), table.width()), (1, 5, 0));
     // Zero-width groups are keys alone, and still merge as keys.
-    assert!(table.merge(&one(1, 5, 0)));
+    table.merge(&one(1, 5, 0));
     assert_eq!(table.len(), 1);
     // A key of no values is one group, which a global aggregate is.
     let mut global = Groups::default();

@@ -183,9 +183,9 @@ struct SourceState {
 /// One query's in-flight merge window plus its upstream stream state.
 #[derive(Default)]
 struct QueryWindow {
-    /// Output shape, learned from the `Install` command passing through.
-    /// The merge does not need it; it only says which empty body a
-    /// row-less frame carries.
+    /// Output shape, learned from the `Install` command passing through:
+    /// which kind of body, grouped or streaming, the window takes and
+    /// sends upstream.
     spec: Option<Arc<OutputSpec>>,
     /// The partially merged groups of the open window.
     groups: Groups,
@@ -209,6 +209,20 @@ struct QueryWindow {
     /// Whether anything (rows or counters) changed since the last flush.
     dirty: bool,
     sources: HashMap<SourceKey, SourceState>,
+}
+
+impl QueryWindow {
+    /// Which body the query reports in: the spec's kind, or, where the
+    /// `Install` did not come this way, the kind of the rows the window
+    /// holds; `None` for a window without either.
+    fn streaming(&self) -> Option<bool> {
+        match &self.spec {
+            Some(spec) => Some(spec.streaming),
+            None if !self.raw_blocks.is_empty() => Some(true),
+            None if !self.groups.is_empty() => Some(false),
+            None => None,
+        }
+    }
 }
 
 struct CoreState {
@@ -298,8 +312,8 @@ impl RelayCore {
 
     /// Absorbs one downstream report into its query's merge window.
     /// Duplicate and stale frames are refused (and tallied); everything
-    /// else merges, but for grouped rows of another width than the
-    /// window's, of which only the envelope counts.
+    /// else merges, but for a body of the other kind than the window's or
+    /// grouped rows of another shape, of which only the envelope counts.
     pub fn absorb(&self, report: Report) {
         let st = &mut *self.state.lock();
         let window = st.windows.entry(report.query).or_default();
@@ -343,18 +357,21 @@ impl RelayCore {
         sat(&mut window.cum_truncated, d_trunc);
         window.throttles.extend(report.throttled);
         let accepted = match report.rows {
-            ReportRows::RawEncoded(blocks) => {
+            ReportRows::RawEncoded(blocks) if window.streaming() != Some(false) => {
                 window.raw_blocks.extend(blocks);
                 report.tuples
             }
-            ReportRows::Grouped(groups) if window.groups.fits(&groups) => {
+            ReportRows::Grouped(groups)
+                if window.streaming() != Some(true) && window.groups.fits(&groups) =>
+            {
                 window.groups.absorb(groups);
                 report.tuples
             }
-            // One width per window: a partial of another shape is
-            // discarded whole. Its envelope still counts, so upstream its
-            // tuples are emitted and never delivered — `tuples_dropped`.
-            ReportRows::Grouped(_) => 0,
+            // One kind and one shape per window: a body of the other kind,
+            // or a partial of another shape, is discarded whole. Its
+            // envelope still counts, so upstream its tuples are emitted
+            // and never delivered — `tuples_dropped`.
+            _ => 0,
         };
         sat(&mut window.window_tuples, accepted);
         window.dirty = true;
@@ -374,13 +391,7 @@ impl RelayCore {
             if !window.dirty {
                 continue;
             }
-            // The spec says which body the query reports in; where the
-            // `Install` did not come this way, the rows themselves do.
-            let streaming = window
-                .spec
-                .as_ref()
-                .map_or(!window.raw_blocks.is_empty(), |s| s.streaming);
-            let rows = if streaming {
+            let rows = if window.streaming() == Some(true) {
                 ReportRows::RawEncoded(std::mem::take(&mut window.raw_blocks))
             } else {
                 // Frame content in key order, whatever order the window

@@ -421,6 +421,98 @@ fn a_partial_of_another_width_is_dropped_through_the_hop() {
     }
 }
 
+/// One kind per window: a body of the other kind than the window's is
+/// discarded whole — never stranded beside rows of the window's kind,
+/// never counted into its frame — while its envelope still counts, so its
+/// tuples are `dropped` upstream and the books balance. The window's kind
+/// is the query's, learned from the `Install`; a relay that has not seen
+/// it takes the kind of the first body it holds, and the frontend, which
+/// knows the query, then discards a window of the wrong one in turn.
+#[test]
+fn a_body_of_the_other_kind_is_dropped_through_the_hop() {
+    let two_queries = || {
+        let (mut fe, grouped) = frontend_with_query();
+        let streaming = fe
+            .install_named("QS", "From e In Exec Select e.k, e.v")
+            .expect("streaming query installs");
+        (fe, grouped, streaming)
+    };
+    let (fe, grouped, streaming) = two_queries();
+    let (honest, stray) = (fresh_agent(&fe, 0), fresh_agent(&fe, 1));
+    invoke(&honest, MS, "a", 1);
+    for v in 0..5 {
+        invoke(&stray, MS, "b", v);
+    }
+    // Per query: the honest agent's one tuple, then the stray agent's five
+    // in the body the *other* query reports in.
+    let (mut from_honest, mut from_stray) = (honest.flush(MS), stray.flush(MS));
+    from_honest.sort_unstable_by_key(|r| r.query.0);
+    from_stray.sort_unstable_by_key(|r| r.query.0);
+    from_stray.reverse();
+    for (handle, (mine, theirs)) in [&grouped, &streaming]
+        .into_iter()
+        .zip(from_honest.into_iter().zip(from_stray))
+    {
+        assert_ne!(mine.query, theirs.query);
+        let stray_frame = Report {
+            query: mine.query,
+            ..theirs
+        };
+        for (with_spec, stray_first) in [(true, false), (true, true), (false, false), (false, true)]
+        {
+            let (mut fe, _, _) = two_queries();
+            let core = RelayCore::new(relay_info(0));
+            if with_spec {
+                core.sync(&fe.installed());
+            }
+            let mut frames = [mine.clone(), stray_frame.clone()];
+            if stray_first {
+                frames.reverse();
+            }
+            for frame in frames {
+                core.absorb(frame);
+            }
+            let out = core.flush(2 * MS);
+            assert_eq!(out.len(), 1, "{}: one window, one frame", handle.name);
+            // Only a relay that never saw the `Install` lets the stray body
+            // open the window, and then the honest one is the misfit.
+            let opened_by_stray = !with_spec && stray_first;
+            let (relayed, rows) = match opened_by_stray {
+                true => (5, stray_frame.rows.len()),
+                false => (1, 1),
+            };
+            assert_eq!(
+                (out[0].tuples, out[0].rows.len()),
+                (relayed, rows),
+                "{}: the frame carries what it claims",
+                handle.name
+            );
+            assert_eq!(core.stats().reports_in, 2, "both envelopes count");
+            for r in out {
+                fe.accept(r);
+            }
+            let loss = fe.results(handle).loss();
+            let delivered = u64::from(!opened_by_stray);
+            assert_eq!(fe.results(handle).len() as u64, delivered);
+            assert_eq!(
+                (
+                    loss.tuples_emitted,
+                    loss.tuples_delivered,
+                    loss.tuples_dropped
+                ),
+                (6, delivered, 6 - delivered),
+                "{}",
+                handle.name
+            );
+            let mut books = Ledger::of_agent(&honest, &[handle.id]);
+            books += &Ledger::of_agent(&stray, &[handle.id]);
+            books += &Ledger::from(loss);
+            books.dropped = loss.tuples_dropped;
+            assert_eq!(books.balance(), Ok(()));
+        }
+    }
+}
+
 /// Streaming (raw-row) queries are coalesced, not merged: every row
 /// survives the hop, batched into one frame.
 #[test]

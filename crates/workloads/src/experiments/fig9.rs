@@ -169,7 +169,7 @@ pub fn run(cfg: &Config) -> Result {
         let blocked = v(5);
         let dn_gc = v(6);
         let nn_lock = v(7);
-        latencies.push((*t as f64 / 1e9, e2e));
+        latencies.push((t as f64 / 1e9, e2e));
         let d = Decomposition {
             rs_queue: (queue - rs_gc).max(0.0),
             rs_process: (process - xfer - nn_lock).max(0.0),

@@ -1,6 +1,6 @@
 //! Allocation counts of the report path.
 //!
-//! Agent, relay and frontend hold grouped partials in one table,
+//! Agent, relay and the frontend's totals hold grouped partials in one table,
 //! `pivot_query::Groups` (DESIGN.md "Group tables"): every key's values in
 //! one vector, accumulators in another, a group's birth a push. Handing a
 //! partial on, decoding one, or merging one into groups a tier already
@@ -183,7 +183,8 @@ fn a_relay_absorbs_groups_it_holds_at_the_same_cost_at_any_size() {
 
 #[test]
 fn a_frontend_takes_a_relayed_report_into_a_new_interval_at_the_same_cost_at_any_size() {
-    same_at_every_size("Frontend::accept", 0, |groups| {
+    // The interval's one buffer, sized to the partial's encoding.
+    same_at_every_size("Frontend::accept", 1, |groups| {
         let (mut fe, handle) = frontend(QUERY);
         let (agent, relay) = (agent(&fe), relay());
         for now in [MS, 2 * MS] {
