@@ -1,6 +1,5 @@
 //! The baggage container.
 
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -34,13 +33,6 @@ impl Live {
             active: Instance::new(Stamp::seed()),
             inactive: Retired::default(),
         }
-    }
-
-    /// Decodes a lazily adopted buffer. A malformed baggage (corruption
-    /// in transit) degrades to empty rather than failing the carrying
-    /// request.
-    fn adopt(bytes: &[u8]) -> Live {
-        wire::decode(bytes).unwrap_or_else(|_| Live::new())
     }
 
     #[inline]
@@ -197,14 +189,14 @@ thread_local! {
 
 /// A per-request container for packed tuples (paper Table 4).
 ///
-/// See the [crate documentation](crate) for the full model. `Baggage` is
-/// **lazy**: constructing it from bytes does not decode, and serializing an
-/// unmodified baggage reuses the original bytes, so pure forwarders pay
-/// almost nothing.
+/// See the [crate documentation](crate) for the full model. Bytes become
+/// a `Baggage` only through [`Baggage::try_from_bytes`], which validates
+/// them whole; serializing an unmodified baggage hands back those same
+/// bytes without encoding.
 #[derive(Clone, Debug)]
 pub struct Baggage {
-    /// Decoded state; `None` until first access after `from_bytes`.
-    live: Option<Live>,
+    /// Decoded state.
+    live: Live,
     /// Cached serialized form; invalidated by mutation.
     bytes: Option<Arc<[u8]>>,
     /// Pack-cost counters (local to this handle; excluded from equality
@@ -220,18 +212,11 @@ impl Default for Baggage {
 }
 
 impl PartialEq for Baggage {
+    /// Compares contents only: the byte cache and the meter are local to
+    /// the handle.
+    #[inline]
     fn eq(&self, other: &Baggage) -> bool {
-        // Compare decoded forms, decoding aside only a side that is still
-        // lazy (`eq` has no `&mut` to cache the result through).
-        fn decoded(bag: &Baggage) -> Cow<'_, Live> {
-            match &bag.live {
-                Some(live) => Cow::Borrowed(live),
-                None => Cow::Owned(Live::adopt(
-                    bag.bytes.as_ref().expect("live or bytes must be set"),
-                )),
-            }
-        }
-        decoded(self) == decoded(other)
+        self.live == other.live
     }
 }
 
@@ -240,38 +225,21 @@ impl Baggage {
     #[inline]
     pub fn new() -> Baggage {
         Baggage {
-            live: Some(Live::new()),
+            live: Live::new(),
             bytes: None,
             meter: PackMeter::default(),
         }
     }
 
-    /// Adopts a serialized baggage **without decoding it**.
+    /// Deserializes a baggage (paper Table 4's `Deserialize`), rejecting
+    /// malformed input whole: a bad version, a truncated or overlong
+    /// field, or bytes left over after the last instance.
     ///
-    /// Decoding happens lazily on the first [`Baggage::pack`],
-    /// [`Baggage::unpack`], [`Baggage::split`], or [`Baggage::join`]. Empty
-    /// input yields an empty baggage.
-    #[inline]
-    pub fn from_bytes(bytes: &[u8]) -> Baggage {
-        if bytes.is_empty() {
-            return Baggage::new();
-        }
-        Baggage {
-            live: None,
-            bytes: Some(Arc::from(bytes)),
-            meter: PackMeter::default(),
-        }
-    }
-
-    /// Adopts a serialized baggage, decoding it **eagerly** and rejecting
-    /// malformed input.
-    ///
-    /// [`Baggage::from_bytes`] is the right call on a request path — it is
-    /// lazy and degrades corruption to an empty baggage so the carrying
-    /// request survives. Transport boundaries that receive baggage from
-    /// untrusted peers (the live TCP runtime) instead want corruption
-    /// *surfaced*, so the connection can be closed and the fault counted
-    /// rather than silently dropping query state.
+    /// Empty input is the empty baggage. The bytes are kept, so a
+    /// forwarder that does not modify the baggage serializes it again
+    /// without encoding. A peer that sends garbage gets `Err`, which the
+    /// live runtime turns into a closed connection and a counted fault
+    /// rather than silently dropped query state.
     #[inline]
     pub fn try_from_bytes(bytes: &[u8]) -> Result<Baggage, pivot_itc::DecodeError> {
         if bytes.is_empty() {
@@ -279,7 +247,7 @@ impl Baggage {
         }
         let live = wire::decode(bytes)?;
         Ok(Baggage {
-            live: Some(live),
+            live,
             bytes: Some(Arc::from(bytes)),
             meter: PackMeter::default(),
         })
@@ -295,7 +263,7 @@ impl Baggage {
         if let Some(bytes) = &self.bytes {
             return Arc::clone(bytes);
         }
-        let live = self.live.as_ref().expect("live or bytes must be set");
+        let live = &self.live;
         if live.is_empty() {
             // Not cached in the handle: a second call finds the baggage
             // empty as cheaply as it would find cached bytes.
@@ -313,28 +281,6 @@ impl Baggage {
         bytes
     }
 
-    /// Returns the serialized size in bytes without caching side effects
-    /// beyond the internal encode cache.
-    #[inline]
-    pub fn serialized_len(&mut self) -> usize {
-        self.to_bytes().len()
-    }
-
-    #[inline]
-    pub(crate) fn ensure_live(&mut self) -> &mut Live {
-        if self.live.is_none() {
-            self.adopt();
-        }
-        self.live.as_mut().expect("just set")
-    }
-
-    /// The first access after [`Baggage::from_bytes`].
-    #[inline(never)]
-    fn adopt(&mut self) {
-        let bytes = self.bytes.as_ref().expect("live or bytes set");
-        self.live = Some(Live::adopt(bytes));
-    }
-
     #[inline]
     fn touch(&mut self) {
         self.bytes = None;
@@ -342,8 +288,8 @@ impl Baggage {
 
     /// Returns `true` if nothing is packed anywhere in this baggage.
     #[inline]
-    pub fn is_empty(&mut self) -> bool {
-        self.ensure_live().is_empty()
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
     }
 
     /// Packs tuples for `query` into the active instance (paper Table 2's
@@ -352,9 +298,8 @@ impl Baggage {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        self.ensure_live();
         self.touch();
-        let live = self.live.as_mut().expect("ensured");
+        let live = &mut self.live;
         // FIRST counts tuples already visible in the causal past (inactive
         // instances) so re-packing on a later branch cannot duplicate it.
         let already_first = match mode {
@@ -384,7 +329,7 @@ impl Baggage {
     /// Grouped entries come back as `(key…, Value::Agg(state)…)` rows whose
     /// partial states downstream aggregation must combine.
     #[inline]
-    pub fn unpack(&mut self, query: QueryId) -> Vec<Tuple> {
+    pub fn unpack(&self, query: QueryId) -> Vec<Tuple> {
         self.unpack_view(query).into_owned()
     }
 
@@ -397,13 +342,13 @@ impl Baggage {
     /// storage. Multi-instance combination and grouped merges still
     /// materialize ([`Unpacked::Owned`]); the result is identical to
     /// `unpack` either way.
-    pub fn unpack_view(&mut self, query: QueryId) -> Unpacked<'_> {
-        let live = self.ensure_live();
+    pub fn unpack_view(&self, query: QueryId) -> Unpacked<'_> {
         // Instances in causal order: inactive (oldest first), then active.
         // The iterator is consumed lazily so the hot path — zero or one
         // matching entry — never allocates; only the multi-instance slow
         // path collects.
-        let mut it = live
+        let mut it = self
+            .live
             .instances()
             .filter_map(|i| i.entries.get(&query))
             .filter(|e| !e.is_empty());
@@ -446,17 +391,18 @@ impl Baggage {
         })
     }
 
+    /// Public for tests in other crates.
+    ///
     /// Returns how many tuples are currently retained for `query`.
-    pub fn tuple_count(&mut self, query: QueryId) -> usize {
-        self.ensure_live()
-            .instances()
-            .map(|i| i.count_for(query))
-            .sum()
+    pub fn tuple_count(&self, query: QueryId) -> usize {
+        self.live.instances().map(|i| i.count_for(query)).sum()
     }
 
+    /// Public for integration tests.
+    ///
     /// Returns the total number of retained tuples across all queries.
-    pub fn total_tuples(&mut self) -> usize {
-        self.ensure_live()
+    pub fn total_tuples(&self) -> usize {
+        self.live
             .instances()
             .flat_map(|i| i.entries.values())
             .map(Entry::len)
@@ -471,9 +417,8 @@ impl Baggage {
     /// packed on one branch are invisible to the sibling until
     /// [`Baggage::join`].
     pub fn split(&mut self) -> Baggage {
-        self.ensure_live();
         self.touch();
-        let live = self.live.as_mut().expect("ensured");
+        let live = &mut self.live;
         let (mut s1, mut s2) = live.active.stamp.fork();
         // Record an event on each half so sibling stamps are distinct from
         // each other and from any ancestor.
@@ -488,10 +433,10 @@ impl Baggage {
             live.inactive.push(Arc::new(retired));
         }
         Baggage {
-            live: Some(Live {
+            live: Live {
                 active: Instance::new(s2),
                 inactive: live.inactive.clone(),
-            }),
+            },
             bytes: None,
             meter: PackMeter::default(),
         }
@@ -502,18 +447,16 @@ impl Baggage {
     /// The active instances merge (entry-wise, honouring pack modes) under
     /// the joined identity; inactive instances from both sides are unioned
     /// with duplicates discarded.
-    pub fn join(&mut self, mut other: Baggage) {
-        self.ensure_live();
+    pub fn join(&mut self, other: Baggage) {
         self.touch();
-        other.ensure_live();
-        let other_live = other.live.expect("ensured");
+        let other_live = other.live;
         // Fold the joining branch's pack costs into this handle so the
         // request's total is preserved across joins, and count any tuples
         // the All-cap truncates while the actives merge.
         self.meter.tuples += other.meter.tuples;
         self.meter.values += other.meter.values;
         self.meter.truncated += other.meter.truncated;
-        let live = self.live.as_mut().expect("ensured");
+        let live = &mut self.live;
         live.active.stamp = live.active.stamp.join(&other_live.active.stamp);
         self.meter.truncated += live.active.merge_entries(other_live.active) as u64;
         for instance in other_live.inactive.into_instances() {
@@ -525,9 +468,8 @@ impl Baggage {
 
     /// Drops every tuple packed for `query` (used on query uninstall).
     pub fn clear_query(&mut self, query: QueryId) {
-        self.ensure_live();
         self.touch();
-        let live = self.live.as_mut().expect("ensured");
+        let live = &mut self.live;
         live.active.entries.remove(&query);
         live.inactive.clear_query(query);
     }
@@ -563,20 +505,22 @@ mod tests {
         bag.pack(Q, &PackMode::First(1), [t(7)]);
         let bytes = bag.to_bytes();
         assert!(!bytes.is_empty());
-        let mut back = Baggage::from_bytes(&bytes);
+        let back = Baggage::try_from_bytes(&bytes).unwrap();
         assert_eq!(back.unpack(Q), vec![t(7)]);
     }
 
     #[test]
-    fn lazy_from_bytes_does_not_decode() {
+    fn unmodified_forward_keeps_the_received_bytes() {
         let mut bag = Baggage::new();
         bag.pack(Q, &PackMode::All, [t(1)]);
         let bytes = bag.to_bytes();
-        let mut fwd = Baggage::from_bytes(&bytes);
-        // Forwarding without access keeps the bytes cached verbatim.
-        assert!(fwd.live.is_none());
-        assert_eq!(fwd.to_bytes(), bytes);
-        assert!(fwd.live.is_none());
+        let mut fwd = Baggage::try_from_bytes(&bytes).unwrap();
+        // Reading does not invalidate the cache: the forwarder hands on
+        // the bytes it received, encoding nothing.
+        assert_eq!(fwd.unpack(Q), vec![t(1)]);
+        let out = fwd.to_bytes();
+        assert_eq!(out, bytes);
+        assert!(Arc::ptr_eq(&out, &fwd.to_bytes()));
     }
 
     #[test]
@@ -647,7 +591,7 @@ mod tests {
         let mut bag = Baggage::new();
         bag.pack(Q, &PackMode::Recent(1), [t(1)]);
         let bytes = bag.to_bytes();
-        let mut hop = Baggage::from_bytes(&bytes);
+        let mut hop = Baggage::try_from_bytes(&bytes).unwrap();
         hop.pack(Q, &PackMode::Recent(1), [t(2)]);
         assert_eq!(hop.unpack(Q), vec![t(2)]);
     }
@@ -687,14 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_bytes_degrade_to_empty() {
-        let mut bag = Baggage::from_bytes(&[0xff, 0x01, 0x02]);
-        assert!(bag.unpack(Q).is_empty());
+    fn corrupt_bytes_are_refused() {
+        assert!(Baggage::try_from_bytes(&[0xff, 0x01, 0x02]).is_err());
     }
 
     #[test]
     fn unpack_missing_query_is_empty() {
-        let mut bag = Baggage::new();
+        let bag = Baggage::new();
         assert!(bag.unpack(QueryId(99)).is_empty());
     }
 
@@ -782,7 +725,7 @@ mod tests {
         assert_eq!(bag.tuple_count(Q), ALL_TUPLE_CAP);
         // The meter is handle-local: it never reaches the wire.
         let bytes = bag.to_bytes();
-        let hop = Baggage::from_bytes(&bytes);
+        let hop = Baggage::try_from_bytes(&bytes).unwrap();
         assert_eq!(hop.meter(), PackMeter::default());
     }
 }

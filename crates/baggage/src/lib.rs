@@ -15,7 +15,7 @@
 //! | [`Baggage::pack`] | Pack tuples into the baggage for a query |
 //! | [`Baggage::unpack`] | Retrieve all tuples for a query |
 //! | [`Baggage::to_bytes`] | Serialize the baggage to bytes |
-//! | [`Baggage::from_bytes`] | Set the baggage by deserializing from bytes |
+//! | [`Baggage::try_from_bytes`] | Set the baggage by deserializing from bytes |
 //! | [`Baggage::split`] | Split the baggage for a branching execution |
 //! | [`Baggage::join`] | Merge baggage from two joining executions |
 //!
@@ -30,12 +30,14 @@
 //! fresh active instance; [`Baggage::join`] merges the two active instances
 //! and deduplicates the copied inactive ones.
 //!
-//! # Laziness
+//! # One strict decoder
 //!
-//! An empty baggage serializes to **0 bytes**, and [`Baggage::from_bytes`]
-//! does not decode: deserialization happens on first access, so processes
-//! that merely forward baggage (without packing or unpacking) never pay the
-//! decode cost — matching the prototype described in the paper's §5.
+//! An empty baggage serializes to **0 bytes**. [`Baggage::try_from_bytes`]
+//! is the only way bytes become a `Baggage`: it validates the whole buffer
+//! and refuses anything malformed, trailing bytes included, so a corrupt
+//! header is surfaced rather than silently read as empty. It keeps the
+//! bytes it was given, so a process that forwards baggage without packing
+//! into it serializes it again without encoding (paper §5).
 //!
 //! # Examples
 //!
@@ -52,7 +54,7 @@
 //! );
 //! // ... the request crosses a process boundary ...
 //! let bytes = bag.to_bytes();
-//! let mut remote = Baggage::from_bytes(&bytes);
+//! let remote = Baggage::try_from_bytes(&bytes).expect("bytes from to_bytes");
 //! let tuples = remote.unpack(q);
 //! assert_eq!(tuples[0].get(0), &Value::str("FSread4m"));
 //! ```

@@ -7,9 +7,9 @@
 //! instance := stamp entry_count:varint (query_id:varint entry)*
 //! ```
 //!
-//! The format is versioned so future layouts can coexist; decoding a
-//! malformed buffer returns an error and the caller degrades to an empty
-//! baggage rather than failing the request.
+//! The format is versioned so future layouts can coexist. [`decode`] is
+//! the one decoder: a malformed buffer, including one with bytes left
+//! over after the last instance, is an error the caller surfaces.
 
 use std::sync::Arc;
 
@@ -54,6 +54,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Live, DecodeError> {
     let mut inactive = Retired::default();
     for _ in 1..count {
         inactive.push(Arc::new(decode_instance(&mut dec)?));
+    }
+    if !dec.is_empty() {
+        return Err(DecodeError::BadTag("baggage trailing bytes", 0));
     }
     Ok(Live { active, inactive })
 }

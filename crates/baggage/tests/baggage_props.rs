@@ -77,7 +77,7 @@ fn run(acts: &[Act]) -> (Vec<Baggage>, Vec<Vec<i64>>) {
             Act::Hop(i) => {
                 let i = i % bags.len();
                 let bytes = bags[i].to_bytes();
-                bags[i] = Baggage::from_bytes(&bytes);
+                bags[i] = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
             }
         }
     }
@@ -114,7 +114,7 @@ proptest! {
         for bag in bags.iter_mut() {
             let before = bag.unpack(Q);
             let bytes = bag.to_bytes();
-            let mut back = Baggage::from_bytes(&bytes);
+            let back = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
             prop_assert_eq!(back.unpack(Q), before);
         }
     }
@@ -156,7 +156,7 @@ proptest! {
                 Act::Hop(i) => {
                     let i = i % bags.len();
                     let bytes = bags[i].to_bytes();
-                    bags[i] = Baggage::from_bytes(&bytes);
+                    bags[i] = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
                 }
             }
         }

@@ -85,7 +85,6 @@ fn random_baggage(seed: u64, packs: &mut Vec<(QueryId, u64)>) -> Baggage {
 
 /// The observable state of a baggage: per-query sorted tag multisets.
 fn observe(bag: &Baggage) -> BTreeMap<QueryId, Vec<u64>> {
-    let mut bag = bag.clone();
     QUERIES
         .iter()
         .map(|q| {
@@ -214,7 +213,6 @@ fn grouped_pack_join_is_commutative() {
     };
     let row = |k: &str| Tuple::from_iter([Value::str(k), Value::Null]);
     let finish = |bag: &Baggage| -> BTreeMap<String, Value> {
-        let mut bag = bag.clone();
         bag.unpack(QueryId(1))
             .iter()
             .map(|t| {

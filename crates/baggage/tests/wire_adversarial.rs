@@ -9,6 +9,9 @@
 use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::{Tuple, Value};
 
+#[path = "support/scripts.rs"]
+mod scripts;
+
 fn wide_tuple(arity: usize, salt: u64) -> Tuple {
     (0..arity)
         .map(|i| match i % 6 {
@@ -27,7 +30,7 @@ fn empty_bag_is_zero_bytes_and_strict_decodes() {
     let mut bag = Baggage::new();
     let bytes = bag.to_bytes();
     assert_eq!(bytes.len(), 0);
-    let mut back = Baggage::try_from_bytes(&bytes).expect("empty is valid");
+    let back = Baggage::try_from_bytes(&bytes).expect("empty is valid");
     assert!(back.is_empty());
 }
 
@@ -43,7 +46,7 @@ fn max_arity_tuples_round_trip() {
     );
     bag.pack(QueryId(2), &PackMode::First(2), [wide_tuple(1, 0)]);
     let bytes = bag.to_bytes();
-    let mut back = Baggage::try_from_bytes(&bytes).expect("valid encoding");
+    let back = Baggage::try_from_bytes(&bytes).expect("valid encoding");
     assert_eq!(back.unpack(QueryId(1)), vec![wide_tuple(512, 7)]);
     assert_eq!(back.unpack(QueryId(u64::MAX / 256)).len(), 3);
     assert_eq!(back.unpack(QueryId(2)), vec![wide_tuple(1, 0)]);
@@ -57,7 +60,7 @@ fn branched_bag_round_trips_through_strict_decode() {
     side.pack(QueryId(4), &PackMode::All, [wide_tuple(8, 2)]);
     main.join(side);
     let bytes = main.to_bytes();
-    let mut back = Baggage::try_from_bytes(&bytes).expect("valid encoding");
+    let back = Baggage::try_from_bytes(&bytes).expect("valid encoding");
     assert_eq!(back.unpack(QueryId(4)).len(), 2);
 }
 
@@ -95,7 +98,7 @@ fn bit_flips_never_panic() {
             mutated[pos] ^= 1 << bit;
             // Either outcome is legal; what matters is no panic and that a
             // successful decode stays internally consistent.
-            if let Ok(mut b) = Baggage::try_from_bytes(&mutated) {
+            if let Ok(b) = Baggage::try_from_bytes(&mutated) {
                 let _ = b.unpack(QueryId(3));
                 let _ = b.total_tuples();
             }
@@ -104,12 +107,34 @@ fn bit_flips_never_panic() {
 }
 
 #[test]
-fn lazy_path_degrades_where_strict_path_errors() {
-    let garbage = [0x01u8, 0xff, 0xff, 0xff];
-    assert!(Baggage::try_from_bytes(&garbage).is_err());
-    // The request-path constructor must keep the request alive instead.
-    let mut lazy = Baggage::from_bytes(&garbage);
-    assert!(lazy.unpack(QueryId(1)).is_empty());
+fn garbage_after_the_version_byte_is_refused() {
+    assert!(Baggage::try_from_bytes(&[0x01u8, 0xff, 0xff, 0xff]).is_err());
+}
+
+#[test]
+fn every_golden_step_with_trailing_bytes_is_refused() {
+    // A decoder that stopped at the last instance would accept these and
+    // forward the junk to the next hop inside the cached bytes.
+    let mut sent = 0;
+    let mut wire = |bag: &mut Baggage| {
+        let bytes = bag.to_bytes();
+        for junk in [[0xde, 0xad, 0xbe, 0xef], [0; 4]] {
+            for extra in 1..=junk.len() {
+                let mut padded = bytes.to_vec();
+                padded.extend_from_slice(&junk[..extra]);
+                assert!(
+                    Baggage::try_from_bytes(&padded).is_err(),
+                    "{} bytes plus {extra} trailing decoded",
+                    bytes.len()
+                );
+            }
+        }
+        sent += 1;
+        bytes
+    };
+    scripts::request_path(&mut wire);
+    scripts::fan_out(&mut wire);
+    assert_eq!(sent, 17 + 148);
 }
 
 /// A baggage holding one `All` tuple under the given raw stamp bytes.
@@ -127,9 +152,6 @@ fn bag_bytes_with_stamp(stamp: &[u8]) -> Vec<u8> {
 
 fn assert_refused(bytes: &[u8]) {
     assert!(Baggage::try_from_bytes(bytes).is_err());
-    let mut lazy = Baggage::from_bytes(bytes);
-    assert!(lazy.is_empty(), "the request path degrades to empty");
-    assert_eq!(lazy.to_bytes().len(), bytes.len(), "and forwards untouched");
 }
 
 // The two tests below run on the harness's default 2 MiB test threads: a

@@ -1,5 +1,6 @@
 //! Wire golden for baggage: `(len, fnv1a)` of `to_bytes()` after every
-//! step of two scripted pack / split / join / serialize / decode sequences.
+//! step of two scripted pack / split / join / serialize / decode sequences
+//! (`support/scripts.rs`).
 //!
 //! The tables were generated on commit ee30e75 — the recursive `Box`-tree
 //! ITC kernel and the deep-cloning `split` / `join` — and pin that moving
@@ -7,8 +8,10 @@
 //! byte any peer sees. A legitimate wire change has to bump the version
 //! byte and regenerate them (the failure message prints the new table).
 
-use pivot_baggage::{Baggage, PackMode, QueryId};
-use pivot_model::{AggFunc, Tuple, Value};
+use pivot_baggage::Baggage;
+
+#[path = "support/scripts.rs"]
+mod scripts;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -29,129 +32,17 @@ impl Steps {
     }
 }
 
-const TRACE_SLOT: QueryId = QueryId(0);
-const Q1: QueryId = QueryId(1);
-const PER_SHARD: QueryId = QueryId(2);
-
-/// One request of `benchmark/src/svc.rs::request` with Q1, a grouped
-/// aggregate and the retro trace id woven: client → header → server →
-/// branch into a fresh shard scope → branch back → header → client merge.
 #[test]
 fn request_path_bytes_match_the_golden() {
     let mut steps = Steps::default();
-    let grouped = PackMode::GroupAgg {
-        key_len: 1,
-        aggs: vec![AggFunc::Count, AggFunc::Sum],
-    };
-    let row = |shard: u64, bytes: u64| {
-        Tuple::from_iter([Value::U64(shard), Value::Null, Value::U64(bytes)])
-    };
-
-    // Client: fresh baggage, trace id at ingress, the Q1 `First(1)` pack.
-    let mut client = Baggage::new();
-    steps.wire(&mut client);
-    client.clear_query(TRACE_SLOT);
-    client.pack(
-        TRACE_SLOT,
-        &PackMode::First(1),
-        [Tuple::from_iter([Value::U64(0x0001_0000_0000_002a)])],
-    );
-    steps.wire(&mut client);
-    client.pack(
-        Q1,
-        &PackMode::First(1),
-        [Tuple::from_iter([Value::str("client-17")])],
-    );
-    let header = steps.wire(&mut client);
-
-    // Server: strict decode, a grouped pack at receive.
-    let mut server = Baggage::try_from_bytes(&header).expect("own header decodes");
-    steps.wire(&mut server);
-    server.pack(PER_SHARD, &grouped, [row(3, 0)]);
-    steps.wire(&mut server);
-
-    // The channel edge: a forked half joins the shard worker's fresh seed
-    // baggage (overlapping identities: the seed keeps its own).
-    let mut branch = server.split();
-    steps.wire(&mut server);
-    steps.wire(&mut branch);
-    let mut shard = Baggage::new();
-    shard.join(branch);
-    steps.wire(&mut shard);
-    assert_eq!(shard.unpack(Q1).len(), 1);
-    shard.pack(PER_SHARD, &grouped, [row(3, 4096), row(5, 1)]);
-    steps.wire(&mut shard);
-
-    // The reply edge back into the server scope.
-    let mut reply = shard.split();
-    steps.wire(&mut shard);
-    steps.wire(&mut reply);
-    server.join(reply);
-    steps.wire(&mut server);
-    server.pack(
-        Q1,
-        &PackMode::First(1),
-        [Tuple::from_iter([Value::str("late")])],
-    );
-    let header = steps.wire(&mut server);
-
-    // Client: the response's baggage merges into what was sent.
-    let back = Baggage::try_from_bytes(&header).expect("own header decodes");
-    client.join(back);
-    steps.wire(&mut client);
-    assert_eq!(
-        client.unpack(Q1),
-        vec![Tuple::from_iter([Value::str("client-17")])]
-    );
-    assert_eq!(client.unpack(PER_SHARD).len(), 2);
-    // A second hop of the merged bag, decoded lazily this time.
-    let mut again = Baggage::from_bytes(&steps.wire(&mut client));
-    again.pack(PER_SHARD, &grouped, [row(5, 7)]);
-    steps.wire(&mut again);
-    client.clear_query(TRACE_SLOT);
-    steps.wire(&mut client);
-
+    scripts::request_path(&mut |bag| steps.wire(bag));
     assert_eq!(steps.0, REQUEST_PATH, "request-path wire bytes changed");
 }
 
-/// 64 forks without a join: identities 64 levels deep (past the inline
-/// stamp cells), each branch packs, every fourth goes over the wire.
 #[test]
 fn fan_out_bytes_match_the_golden() {
     let mut steps = Steps::default();
-    let mut main = Baggage::new();
-    main.pack(Q1, &PackMode::All, [Tuple::from_iter([Value::I64(-1)])]);
-    let mut branches = Vec::new();
-    for i in 0..64u64 {
-        let mut branch = main.split();
-        branch.pack(Q1, &PackMode::All, [Tuple::from_iter([Value::U64(i)])]);
-        if i % 8 == 0 {
-            main.pack(
-                Q1,
-                &PackMode::All,
-                [Tuple::from_iter([Value::U64(1000 + i)])],
-            );
-        }
-        if i % 4 == 0 {
-            let bytes = steps.wire(&mut branch);
-            branch = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
-        }
-        steps.wire(&mut branch);
-        steps.wire(&mut main);
-        branches.push(branch);
-    }
-    // Join a few back out of order, then everything.
-    for i in [63usize, 0, 31] {
-        let branch = std::mem::take(&mut branches[i]);
-        main.join(branch);
-        steps.wire(&mut main);
-    }
-    for branch in branches {
-        main.join(branch);
-    }
-    steps.wire(&mut main);
-    assert_eq!(main.tuple_count(Q1), 1 + 8 + 64);
-
+    scripts::fan_out(&mut |bag| steps.wire(bag));
     let folded: Vec<(usize, u64)> = steps
         .0
         .chunks(16)

@@ -56,7 +56,7 @@ fn main() {
         // (b) unpack all tuples, the way the advice VM reads them: a view
         // over the entry's own storage (`unpack` would clone every tuple
         // out, which no query pays).
-        let mut bag = filled(n);
+        let bag = filled(n);
         let unpack = time_ns(iters, || {
             std::hint::black_box(bag.unpack_view(Q).len());
         });
@@ -69,11 +69,11 @@ fn main() {
             std::hint::black_box(bag.to_bytes());
         });
 
-        // (d) deserialize (decode happens on first access).
+        // (d) deserialize: the strict decode, then a read.
         let mut src = filled(n);
         let bytes = src.to_bytes();
         let deserialize = time_ns(iters, || {
-            let mut bag = Baggage::from_bytes(&bytes);
+            let bag = Baggage::try_from_bytes(&bytes).expect("own bytes decode strictly");
             std::hint::black_box(bag.unpack_view(Q).len());
         });
 

@@ -6,9 +6,9 @@
 //! ```
 
 use pivot_bench::print_table;
-use pivot_core::global::{evaluate, TraceLog, TracedCtx};
 use pivot_core::Frontend;
 use pivot_model::Value;
+use pivot_workloads::global::{evaluate, TraceLog, TracedCtx};
 
 fn main() {
     let mut fe = Frontend::new();

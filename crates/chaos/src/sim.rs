@@ -72,7 +72,7 @@ fn put(k: u64) -> [(&'static str, Value); 3] {
 /// The "RPC" to the shard: baggage crosses the process boundary by
 /// serialization, as it would on a real wire.
 fn rpc(bag: &mut Baggage) -> Baggage {
-    Baggage::from_bytes(&bag.to_bytes())
+    Baggage::try_from_bytes(&bag.to_bytes()).expect("own bytes decode strictly")
 }
 
 /// The two-process scenario every harness drives — frontend, client and

@@ -668,11 +668,6 @@ impl Agent {
         self.row_cap.store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// The per-query buffered-row cap currently in force.
-    pub fn row_cap(&self) -> usize {
-        self.row_cap.load(Ordering::Relaxed)
-    }
-
     /// Switches hindsight recording on or off (see [`crate::retro`]).
     /// Off (the default) costs one relaxed load per invocation;
     /// installing a query with `Trigger` advice switches it on
@@ -692,6 +687,8 @@ impl Agent {
         self.retro.lock().set_cap(cap);
     }
 
+    /// Public for integration tests (`pivot-live`'s outage test).
+    ///
     /// Sets the bound on flushed-but-undrained hindsight events.
     pub fn set_retro_pending_cap(&self, cap: usize) {
         self.retro.lock().set_pending_cap(cap);
@@ -1223,7 +1220,6 @@ mod tests {
             agg_names: vec!["SUM(incr.delta)".into()],
             columns: vec![ColumnRef::Key(0), ColumnRef::Agg(0)],
             streaming: false,
-            ..OutputSpec::default()
         });
         CompiledQuery {
             id: QueryId(1),

@@ -211,6 +211,8 @@ impl LocalBus {
         Bus::broadcast(self, cmd);
     }
 
+    /// Public for integration tests.
+    ///
     /// Flushes every agent and delivers the reports to `frontend`.
     pub fn pump(&self, now: u64, frontend: &mut crate::Frontend) {
         self.pump_into(now, frontend);

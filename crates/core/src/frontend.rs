@@ -76,6 +76,8 @@ pub struct LossStats {
 }
 
 impl LossStats {
+    /// Public for integration tests (core, relay, chaos).
+    ///
     /// Returns `true` when any report or tuple is known to be lost: the
     /// accumulated results are a lower bound, not the full picture.
     pub fn is_degraded(&self) -> bool {
@@ -405,9 +407,6 @@ struct Installed {
     ast: Query,
     compiled: Arc<CompiledQuery>,
     code: Arc<CompiledCode>,
-    /// Budget derived from the static verifier's baggage bound
-    /// (unlimited when the bound is infinite or analysis was skipped).
-    derived_budget: QueryBudget,
     /// The budget currently in force on the agents, if any was pushed.
     budget: Option<QueryBudget>,
 }
@@ -537,7 +536,6 @@ impl Frontend {
             ast,
             compiled,
             code,
-            derived_budget,
             budget,
         });
         Ok(handle)
@@ -559,15 +557,6 @@ impl Frontend {
             q.budget = Some(budget);
             self.commands.push(Command::SetBudget(handle.id, budget));
         }
-    }
-
-    /// The budget derived from the query's static baggage bound
-    /// (unlimited when the bound is infinite).
-    pub fn derived_budget(&self, handle: &QueryHandle) -> Option<QueryBudget> {
-        self.queries
-            .iter()
-            .find(|q| q.handle == *handle)
-            .map(|q| q.derived_budget)
     }
 
     /// Every installed query's budget currently in force, for transports
@@ -823,7 +812,7 @@ mod tests {
             );
             // "RPC" to the datanode: serialize and deserialize baggage.
             let bytes = bag.to_bytes();
-            let mut remote = pivot_baggage::Baggage::from_bytes(&bytes);
+            let mut remote = pivot_baggage::Baggage::try_from_bytes(&bytes).unwrap();
             datanode.invoke(
                 "DataNodeMetrics.incrBytesRead",
                 &mut remote,

@@ -92,7 +92,7 @@ impl QueryBudget {
 
     /// Backoff in windows after the `trips`-th trip: exponential from
     /// `backoff_base_windows`, capped at `max_backoff_doublings`.
-    pub fn backoff_windows(&self, trips: u32) -> u64 {
+    fn backoff_windows(&self, trips: u32) -> u64 {
         let doublings = trips.saturating_sub(1).min(self.max_backoff_doublings);
         u64::from(self.backoff_base_windows).saturating_mul(1u64 << doublings)
     }

@@ -24,15 +24,10 @@
 //! The embedding system (the simulated Hadoop stack in `pivot-hadoop`, or a
 //! plain test harness via [`bus::LocalBus`]) drives invocation, flushing,
 //! and message delivery.
-//!
-//! For differential testing, [`global`] provides the paper's *unoptimized*
-//! evaluation strategy (Figure 6a): materialize every tracepoint invocation
-//! with a causal stamp and evaluate the happened-before join centrally.
 
 pub mod agent;
 pub mod bus;
 pub mod frontend;
-pub mod global;
 pub mod governor;
 pub mod ledger;
 pub mod mutation;

@@ -87,6 +87,8 @@ pub fn set(m: Mutation, on: bool) -> bool {
     }
 }
 
+/// Public for integration tests (`pivot-explore`'s mutation checks).
+///
 /// Turns every mutation off.
 pub fn reset() {
     for m in Mutation::all() {

@@ -475,7 +475,7 @@ mod tests {
         assert_eq!(trace_of(&mut bag), Some(42));
         // Survives the wire.
         let bytes = bag.to_bytes();
-        let mut back = Baggage::from_bytes(&bytes);
+        let mut back = Baggage::try_from_bytes(&bytes).unwrap();
         assert_eq!(trace_of(&mut back), Some(42));
         // Replacement, not accumulation.
         set_trace(&mut bag, 43);

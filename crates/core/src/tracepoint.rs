@@ -229,11 +229,6 @@ impl Registry {
         });
     }
 
-    /// Returns the number of woven (tracepoint, program) pairs.
-    pub fn woven_count(&self) -> usize {
-        self.woven_count.load(Ordering::Relaxed)
-    }
-
     /// Returns `true` if any advice owned by `query` is woven. Weave-time
     /// only (takes the map lock), never on the invoke hot path.
     pub fn has_query(&self, query: QueryId) -> bool {
@@ -297,14 +292,14 @@ mod tests {
         assert!(reg.is_idle());
         assert!(reg.lookup("tp").is_none());
         reg.weave(QueryId(1), 0, &program(&["tp", "tp2"]));
-        assert_eq!(reg.woven_count(), 2);
+        assert_eq!(reg.woven_count.load(Ordering::Relaxed), 2);
         let site = reg.lookup("tp").unwrap();
         assert_eq!(site.name, Value::str("tp"));
         assert_eq!(site.programs.len(), 1);
         reg.weave(QueryId(2), 1, &program(&["tp"]));
         assert_eq!(reg.lookup("tp").unwrap().programs.len(), 2);
         reg.unweave(QueryId(1));
-        assert_eq!(reg.woven_count(), 1);
+        assert_eq!(reg.woven_count.load(Ordering::Relaxed), 1);
         assert_eq!(reg.lookup("tp").unwrap().programs.len(), 1);
         assert!(reg.lookup("tp2").is_none());
         reg.unweave(QueryId(2));

@@ -251,7 +251,6 @@ mod tests {
             agg_names: vec!["SUM(incr.delta)".into()],
             columns: vec![ColumnRef::Key(0), ColumnRef::Agg(0)],
             streaming: false,
-            ..OutputSpec::default()
         });
         let a2 = AdviceProgram {
             tracepoints: vec!["DataNodeMetrics.incrBytesRead".into()],
@@ -355,7 +354,6 @@ mod tests {
                         agg_names: vec![],
                         columns: vec![ColumnRef::Key(0), ColumnRef::Key(1)],
                         streaming: true,
-                        ..OutputSpec::default()
                     }),
                     keys: vec![Expr::field("e.x"), Expr::field("e.ghost")],
                     aggs: vec![],
@@ -446,7 +444,6 @@ mod tests {
                         agg_names: vec![],
                         columns: vec![ColumnRef::Key(0)],
                         streaming: true,
-                        ..OutputSpec::default()
                     }),
                     keys: vec![Expr::field("p.x")],
                     aggs: vec![],

@@ -162,7 +162,6 @@ pub fn op_strategy() -> impl Strategy<Value = AdviceOp> {
                     streaming: aggs.is_empty(),
                     aggs: funcs,
                     columns,
-                    ..OutputSpec::default()
                 };
                 AdviceOp::Emit {
                     query: QueryId(7),

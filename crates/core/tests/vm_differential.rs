@@ -1062,7 +1062,6 @@ fn emit(keys: Vec<Expr>, aggs: Vec<(AggFunc, Expr)>) -> AdviceOp {
             streaming: aggs.is_empty(),
             aggs: funcs,
             columns,
-            ..OutputSpec::default()
         }),
         keys,
         aggs,

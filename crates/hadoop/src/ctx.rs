@@ -29,11 +29,13 @@ impl Ctx {
         self.bag.to_bytes()
     }
 
-    /// Reconstructs a context on the far side of an RPC (lazily — the
-    /// bytes are not decoded until some advice packs or unpacks).
+    /// Reconstructs a context on the far side of an RPC. The bytes are a
+    /// [`Ctx::to_wire`] of this simulation, so they decode; the decoded
+    /// baggage keeps them, and a callee that packs nothing sends them
+    /// back without encoding.
     pub fn from_wire(bytes: &[u8]) -> Ctx {
         Ctx {
-            bag: Baggage::from_bytes(bytes),
+            bag: Baggage::try_from_bytes(bytes).expect("own to_wire bytes decode strictly"),
         }
     }
 
@@ -52,6 +54,6 @@ impl Ctx {
     /// Adopts the baggage returned with a synchronous RPC response: the
     /// callee's execution is a causal extension of the caller's.
     pub fn adopt_response(&mut self, bytes: &[u8]) {
-        self.bag = Baggage::from_bytes(bytes);
+        self.bag = Baggage::try_from_bytes(bytes).expect("own to_wire bytes decode strictly");
     }
 }

@@ -163,14 +163,14 @@ impl TcpBusServer {
     }
 
     /// Number of leaf agents that have completed registration (relay
-    /// peers are counted by [`TcpBusServer::relay_count`] instead).
+    /// peers are not counted).
     pub fn agent_count(&self) -> usize {
         self.registered(false)
     }
 
     /// Number of fan-in relays that have completed registration (via
     /// `HelloRelay`).
-    pub fn relay_count(&self) -> usize {
+    fn relay_count(&self) -> usize {
         self.registered(true)
     }
 
@@ -205,11 +205,15 @@ impl TcpBusServer {
         self.inner.epoch.load(Ordering::SeqCst)
     }
 
+    /// Public for integration tests.
+    ///
     /// Peers that disconnected orderly (with a `Goodbye`).
     pub fn peers_closed(&self) -> u64 {
         self.inner.peers_closed.load(Ordering::SeqCst)
     }
 
+    /// Public for integration tests.
+    ///
     /// Peers whose connection died without a `Goodbye` — crashed or
     /// killed agents, severed links, peers that sent a frame this build
     /// cannot decode.
@@ -520,8 +524,8 @@ impl Uplink {
         Ok(link)
     }
 
-    /// Starts a thread calling `tick` every `interval` until
-    /// [`Uplink::close`] or [`Uplink::abort`], which join it.
+    /// Starts a thread calling `tick` every `interval` until the link is
+    /// closed or aborted ([`Uplink::close`]), which joins it.
     pub fn every(self: &Arc<Self>, interval: Duration, tick: impl Fn(&Uplink) + Send + 'static) {
         let link = Arc::clone(self);
         let ticker = std::thread::spawn(move || {
@@ -587,7 +591,7 @@ impl Uplink {
 
     /// Kills the connection the way a crashing process would: no
     /// `Goodbye`, no reconnect; ends [`ConnStatus::Lost`].
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.hang_up(false);
     }
 
@@ -797,10 +801,12 @@ impl LiveAgent {
         self.link.close();
     }
 
+    /// Public for integration tests.
+    ///
     /// Kills the connection the way a crashing process would: no final
     /// flush, no `Goodbye`, socket torn down. Unflushed tuples are lost,
     /// the server tallies a *lost* peer, and this handle ends
-    /// [`ConnStatus::Lost`]. A chaos hook for recovery tests and benches.
+    /// [`ConnStatus::Lost`]. A chaos hook for recovery tests.
     pub fn abort(&self) {
         self.link.abort();
     }

@@ -112,7 +112,7 @@ mod tests {
         req.pack(Q, &PackMode::All, [t(2)]);
         let scope = attach(req);
         assert_eq!(with_baggage(|b| b.unpack(Q)), vec![t(2)]);
-        let mut back = scope.detach();
+        let back = scope.detach();
         assert_eq!(back.unpack(Q), vec![t(2)]);
         // The thread's own baggage is intact underneath.
         assert_eq!(with_baggage(|b| b.unpack(Q)), vec![t(1)]);

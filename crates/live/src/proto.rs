@@ -229,7 +229,6 @@ fn decode_code(dec: &mut Decoder<'_>) -> Result<CompiledCode, DecodeError> {
     let id = QueryId(dec.take_varint()?);
     let name = dec.take_str()?.to_owned();
     let output = Arc::new(decode_output_spec(dec)?);
-    output.warm();
     let n = dec.take_varint()? as usize;
     let mut programs = Vec::with_capacity(n.min(64));
     for _ in 0..n {
@@ -693,7 +692,6 @@ fn decode_output_spec(dec: &mut Decoder<'_>) -> Result<OutputSpec, DecodeError> 
         agg_names,
         columns,
         streaming,
-        ..OutputSpec::default()
     })
 }
 

@@ -480,6 +480,8 @@ impl LoadGen {
         })
     }
 
+    /// Public for integration tests.
+    ///
     /// Operations completed across all load threads.
     pub fn ops_done(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
@@ -556,14 +558,24 @@ mod tests {
         // 100 000 nested ITC identity nodes in a 100 KB header (far under
         // `MAX_FRAME`), and an event tree whose counters overflow: both
         // used to take the handler thread down — the first with it the
-        // process, by stack overflow — instead of failing the decode.
+        // process, by stack overflow — instead of failing the decode. A
+        // valid baggage with one byte after it used to be accepted, the
+        // byte forwarded to the next hop.
         let mut nested = vec![1u8, 1];
         nested.extend(std::iter::repeat_n(2u8, 100_000));
         let overflowing = [
             0x01, 0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
             0x00, 0x01, 0x00, 0x01, 0x00,
         ];
-        for header in [&nested[..], &overflowing[..]] {
+        let mut bag = Baggage::new();
+        bag.pack(
+            pivot_baggage::QueryId(1),
+            &pivot_baggage::PackMode::All,
+            [pivot_model::Tuple::from_iter([Value::I64(1)])],
+        );
+        let mut trailing = bag.to_bytes().to_vec();
+        trailing.push(0);
+        for header in [&nested[..], &overflowing[..], &trailing[..]] {
             let request = encode_request(header, &KvOp::Get { key: "k".into() });
             assert!(decode_request(&request).is_err());
             let mut conn = TcpStream::connect(server.addr()).expect("connects");

@@ -17,7 +17,6 @@
 //! [`join`]: pivot_baggage::Baggage::join
 
 use std::sync::mpsc;
-use std::time::Duration;
 
 use pivot_baggage::Baggage;
 
@@ -106,13 +105,6 @@ impl<T> Receiver<T> {
     /// Non-blocking [`Receiver::recv`].
     pub fn try_recv(&self) -> Result<T, mpsc::TryRecvError> {
         let (bag, value) = self.inner.try_recv()?;
-        ctx::merge(bag);
-        Ok(value)
-    }
-
-    /// [`Receiver::recv`] with a timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, mpsc::RecvTimeoutError> {
-        let (bag, value) = self.inner.recv_timeout(timeout)?;
         ctx::merge(bag);
         Ok(value)
     }

@@ -101,7 +101,7 @@ fn q1_streams_grouped_results_over_tcp() {
     // Uninstall propagates over TCP: agents unweave.
     stack.fe.uninstall(&q1);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while stack.server_live.agent().registry().woven_count() > 0 {
+    while !stack.server_live.agent().registry().is_idle() {
         assert!(Instant::now() < deadline, "server agent unweaves");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -118,7 +118,7 @@ fn late_joining_agent_receives_installed_queries() {
     let late = LiveAgent::connect(fe.addr(), info("late", 9), Duration::from_millis(20))
         .expect("late agent connects");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while late.agent().registry().woven_count() == 0 {
+    while late.agent().registry().is_idle() {
         assert!(Instant::now() < deadline, "late joiner gets the query");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -168,8 +168,8 @@ fn baggage_rides_kv_request_headers() {
     // The weave command travels asynchronously; wait until both process
     // agents have applied it before driving the traced request.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while stack.client_live.agent().registry().woven_count() == 0
-        || stack.server_live.agent().registry().woven_count() == 0
+    while stack.client_live.agent().registry().is_idle()
+        || stack.server_live.agent().registry().is_idle()
     {
         assert!(Instant::now() < deadline, "agents weave the query");
         std::thread::sleep(Duration::from_millis(5));
@@ -226,6 +226,6 @@ fn verifier_rejects_ill_typed_live_query_before_broadcast() {
 
     // ...and nothing was broadcast: the agent never weaves.
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(agent.agent().registry().woven_count(), 0);
+    assert!(agent.agent().registry().is_idle());
     agent.shutdown();
 }

@@ -124,6 +124,8 @@ impl Expr {
         Expr::Field(name.into())
     }
 
+    /// Public for tests in other crates.
+    ///
     /// Shorthand for a literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Lit(v.into())
@@ -203,6 +205,8 @@ impl Expr {
         }
     }
 
+    /// Public for integration tests (`pivot-query`'s round trips).
+    ///
     /// Rewrites every field reference with `f`.
     pub fn map_fields(&self, f: &impl Fn(&str) -> String) -> Expr {
         match self {

@@ -62,6 +62,8 @@ impl Value {
         }
     }
 
+    /// Public for tests in other crates.
+    ///
     /// Returns the aggregation state if this is an [`Value::Agg`].
     #[inline]
     pub fn as_agg(&self) -> Option<&crate::agg::AggState> {

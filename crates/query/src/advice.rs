@@ -12,7 +12,7 @@
 //! | `Pack`    | Make tuples available to later advice via the baggage |
 //! | `Emit`    | Output a tuple for global aggregation |
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pivot_baggage::{PackMode, QueryId};
 use pivot_model::{AggFunc, Expr, Schema};
@@ -32,7 +32,7 @@ pub enum ColumnRef {
 /// merges or tabulates them needs to know. How a row is *computed* — the
 /// key and aggregate-argument expressions — belongs to the emitting
 /// advice ([`AdviceOp::Emit`]) and never leaves the compiler.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct OutputSpec {
     /// Display names for the grouping keys (explicit `GroupBy` plus
     /// non-aggregate select items).
@@ -45,44 +45,6 @@ pub struct OutputSpec {
     pub columns: Vec<ColumnRef>,
     /// `true` when the query has no aggregates and emits raw rows.
     pub streaming: bool,
-    /// Cache for [`OutputSpec::column_names`]; populated once (at compile
-    /// time via [`OutputSpec::warm`]) so report ticks never rebuild the
-    /// name list. Excluded from equality.
-    pub names_cache: OnceLock<Box<[String]>>,
-}
-
-// Manual impl: the lazily-filled name cache is derived data and must not
-// participate in spec equality.
-impl PartialEq for OutputSpec {
-    fn eq(&self, other: &OutputSpec) -> bool {
-        self.key_names == other.key_names
-            && self.aggs == other.aggs
-            && self.agg_names == other.agg_names
-            && self.columns == other.columns
-            && self.streaming == other.streaming
-    }
-}
-
-impl OutputSpec {
-    /// Returns the column names in `Select` order (cached after the first
-    /// call).
-    pub fn column_names(&self) -> &[String] {
-        self.names_cache.get_or_init(|| {
-            self.columns
-                .iter()
-                .map(|c| match c {
-                    ColumnRef::Key(i) => self.key_names[*i].clone(),
-                    ColumnRef::Agg(i) => self.agg_names[*i].clone(),
-                })
-                .collect()
-        })
-    }
-
-    /// Populates the column-name cache eagerly (called by the compiler so
-    /// steady-state reporting never takes the init path).
-    pub fn warm(&self) {
-        let _ = self.column_names();
-    }
 }
 
 /// One advice operation.

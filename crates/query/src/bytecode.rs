@@ -261,7 +261,7 @@ impl AdviceByteCode {
     /// (one sink op, pack *or* unpack per slot per side of the join).
     /// The VM runs any other program as batches of one, so callers need
     /// not check.
-    pub fn batchable(&self) -> bool {
+    pub(crate) fn batchable(&self) -> bool {
         let mut emits = 0usize;
         self.insts.iter().enumerate().all(|(i, inst)| {
             let earlier = &self.insts[..i];
@@ -1569,7 +1569,6 @@ mod tests {
                             crate::advice::ColumnRef::Agg(0),
                         ],
                         streaming: false,
-                        ..OutputSpec::default()
                     }),
                     keys: vec![Expr::field("cl.procName")],
                     aggs: vec![Expr::field("incr.delta")],
@@ -1724,7 +1723,6 @@ mod tests {
                             crate::advice::ColumnRef::Agg(0),
                         ],
                         streaming: false,
-                        ..OutputSpec::default()
                     }),
                     keys: vec![Expr::field("cl.procName")],
                     aggs: vec![Expr::field("incr.delta")],
@@ -1868,7 +1866,6 @@ mod tests {
                             crate::advice::ColumnRef::Agg(0),
                         ],
                         streaming: false,
-                        ..OutputSpec::default()
                     }),
                     keys: vec![Expr::field("incr.delta")],
                     aggs: vec![Expr::lit(1)],

@@ -864,7 +864,6 @@ impl<'r> Builder<'r> {
             agg_names,
             columns,
             streaming: !has_aggs,
-            ..OutputSpec::default()
         };
 
         // Materialize stages in causal order (reverse creation order).
@@ -969,10 +968,8 @@ fn temporal_to_mode(t: Option<TemporalFilter>) -> PackMode {
 /// Lowers a plan into advice programs.
 fn lower(plan: QueryPlan, name: &str, text: &str, id: QueryId) -> CompiledQuery {
     // One shared spec for the emit advice, the compiled query, and (via
-    // install) the agent buffers; warm the column-name cache now so report
-    // ticks never rebuild it.
+    // install) the agent buffers.
     let output = std::sync::Arc::new(plan.output.clone());
-    output.warm();
     // Stage position → slot id. Stage `i` packs under slot `i`.
     let advice = plan
         .stages

@@ -80,18 +80,3 @@ pub struct QueryPlan {
     /// after its filters; `None` when the query has no trigger clause.
     pub trigger: Option<Expr>,
 }
-
-impl QueryPlan {
-    /// Returns the total number of packed columns across all boundaries —
-    /// the optimizer's cost metric (paper §4: "the number of tuples packed
-    /// during a request's execution").
-    pub fn packed_columns(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match &s.sink {
-                StageSink::Pack { names, .. } => names.len(),
-                StageSink::Emit { .. } => 0,
-            })
-            .sum()
-    }
-}

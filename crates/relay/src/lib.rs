@@ -467,6 +467,8 @@ impl RelayCore {
         out
     }
 
+    /// Public for integration tests.
+    ///
     /// Events currently queued in retro reports awaiting upstream (what
     /// a crash right now would destroy).
     pub fn buffered_retro_events(&self) -> u64 {

@@ -3,15 +3,14 @@
 //! This module implements the paper's *unoptimized* strategy (Figure 6a):
 //! record every tracepoint invocation together with a causal stamp, ship
 //! everything to one place, and evaluate `⋈→` as a θ-join whose condition
-//! is the happened-before relation. It exists for three reasons:
+//! is the happened-before relation. No product path runs it; it exists
+//! for two reasons:
 //!
 //! 1. **Differential testing** — the baggage-based inline evaluation must
 //!    produce identical results on every execution (the system's central
-//!    correctness property; exercised by property tests).
+//!    correctness property; exercised by `tests/differential.rs`).
 //! 2. **Figure 3** — the paper's worked example of `⋈→` semantics on a
-//!    branching execution.
-//! 3. **The ablation benches** — quantifying the tuple traffic the inline
-//!    strategy avoids.
+//!    branching execution (`pivot-bench`'s `fig3`).
 
 use pivot_itc::Stamp;
 use pivot_model::{GroupKey, Schema, Tuple, Value};
@@ -54,7 +53,7 @@ impl TraceLog {
 
     /// Returns `true` if `a` happened before `b` (same request, strictly
     /// ordered stamps).
-    pub fn happened_before(a: &TraceEvent, b: &TraceEvent) -> bool {
+    fn happened_before(a: &TraceEvent, b: &TraceEvent) -> bool {
         a.request == b.request && a.stamp.leq(&b.stamp) && a.seq != b.seq
     }
 }
@@ -83,7 +82,7 @@ impl<'l> TracedCtx<'l> {
 
     /// Records a tracepoint invocation (advances the causal stamp and logs
     /// the event). The caller separately runs any woven advice via an
-    /// [`crate::Agent`].
+    /// [`pivot_core::Agent`].
     pub fn record(&mut self, tracepoint: &str, exports: &[(&str, Value)]) {
         self.stamp.event();
         let seq = self.log.events.len() as u64;

@@ -17,9 +17,15 @@
 //! The [`experiments`] module contains one driver per paper figure/table;
 //! each returns structured results so the `pivot-bench` binaries print
 //! them and the integration tests assert on their shape.
+//!
+//! [`global`] is the paper's *unoptimized* evaluation strategy (Figure
+//! 6a): materialize every tracepoint invocation with a causal stamp and
+//! evaluate the happened-before join centrally. Figure 3 and the
+//! differential test against the inline evaluation use it.
 
 pub mod clients;
 pub mod experiments;
+pub mod global;
 pub mod stack;
 
 pub use stack::{SimStack, StackConfig};

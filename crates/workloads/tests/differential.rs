@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 
-use pivot_core::global::{evaluate, TraceLog, TracedCtx};
 use pivot_core::{Agent, Frontend, ProcessInfo, QueryHandle};
 use pivot_model::Value;
+use pivot_workloads::global::{evaluate, TraceLog, TracedCtx};
 
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ fn replay(steps: &[Step], requests: u64, agent: &Agent, log: &mut TraceLog, allo
                     } else {
                         let i = (*lane - 1) % branches.len();
                         // Split borrow: take the branch out briefly.
-                        let mut b: pivot_core::global::TracedCtxBranch = branches.remove(i);
+                        let mut b: pivot_workloads::global::TracedCtxBranch = branches.remove(i);
                         ctx.record_on(&mut b, name, &exports);
                         agent.invoke(name, &mut b.baggage, now, &exports);
                         branches.insert(i, b);

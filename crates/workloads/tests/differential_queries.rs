@@ -58,7 +58,7 @@ fn make_bus() -> LocalBus {
 /// Hop baggage across a (simulated) process boundary, the way an RPC
 /// envelope would carry it.
 fn hop(bag: &mut pivot_baggage::Baggage) -> pivot_baggage::Baggage {
-    pivot_baggage::Baggage::from_bytes(&bag.to_bytes())
+    pivot_baggage::Baggage::try_from_bytes(&bag.to_bytes()).expect("own bytes decode")
 }
 
 /// Replays a fixed multi-system request trace: every request starts at a
