@@ -69,32 +69,23 @@ impl fmt::Display for Bound {
     }
 }
 
-/// Constants of the byte-cost model. The model is nominal — values are
-/// variable-width on the wire — but consistent across plans, which is
-/// what the optimizer cross-check needs: the same model applied to the
-/// optimized and unoptimized plan of one query yields comparable bounds.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Nominal serialized size of one packed value (tag + varint/short
-    /// string).
-    pub bytes_per_value: u64,
-    /// Fixed per-slot overhead (slot id, mode tag, schema framing).
-    pub slot_overhead: u64,
-    /// Assumed distinct-key count for grouped-aggregation packs: the
-    /// per-request group cardinality is not statically knowable, so the
-    /// model charges a documented constant per group-aggregated boundary.
-    pub assumed_groups: u64,
-}
+// The byte-cost model. It is nominal — values are variable-width on the
+// wire — but the same for every plan, which is what the optimizer
+// cross-check needs: the optimized and unoptimized plan of one query
+// yield comparable bounds.
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            bytes_per_value: 12,
-            slot_overhead: 16,
-            assumed_groups: 16,
-        }
-    }
-}
+/// Nominal serialized size of one packed value (tag + varint/short
+/// string). The runtime governor charges packed values at this rate too,
+/// so statically derived budgets and runtime charges share a currency.
+pub const NOMINAL_BYTES_PER_VALUE: u64 = 12;
+
+/// Fixed per-slot overhead (slot id, mode tag, schema framing).
+const SLOT_OVERHEAD: u64 = 16;
+
+/// Assumed distinct-key count for grouped-aggregation packs: the
+/// per-request group cardinality is not statically knowable, so the model
+/// charges this constant per group-aggregated boundary.
+const ASSUMED_GROUPS: u64 = 16;
 
 /// The cost of one pack boundary.
 #[derive(Clone, PartialEq, Debug)]
@@ -122,8 +113,8 @@ pub struct PlanCost {
     pub total_bytes: Bound,
 }
 
-/// Computes the static baggage bound of `plan` under `model`.
-pub fn plan_cost(plan: &QueryPlan, model: &CostModel) -> PlanCost {
+/// Computes the static baggage bound of `plan`.
+pub fn plan_cost(plan: &QueryPlan) -> PlanCost {
     let mut stages = Vec::new();
     let mut total = Bound::Finite(0);
     for stage in &plan.stages {
@@ -133,12 +124,12 @@ pub fn plan_cost(plan: &QueryPlan, model: &CostModel) -> PlanCost {
         let tuples = match mode {
             PackMode::All => Bound::Unbounded,
             PackMode::First(n) | PackMode::Recent(n) => Bound::Finite(*n as u64),
-            PackMode::GroupAgg { .. } => Bound::Finite(model.assumed_groups),
+            PackMode::GroupAgg { .. } => Bound::Finite(ASSUMED_GROUPS),
         };
         let bytes = tuples
             .times(names.len() as u64)
-            .times(model.bytes_per_value)
-            .plus(Bound::Finite(model.slot_overhead));
+            .times(NOMINAL_BYTES_PER_VALUE)
+            .plus(Bound::Finite(SLOT_OVERHEAD));
         total = total.plus(bytes);
         stages.push(StageCost {
             alias: stage.alias.clone(),

@@ -2,11 +2,12 @@
 //!
 //! Queries may join the output of previously installed queries (the
 //! paper's Q9 joining Q8). The compiler inlines referenced queries
-//! recursively, so a cycle in the reference graph would recurse forever.
-//! The frontend's append-only installation order cannot create one, but
-//! a [`Resolver`] is an open trait — `pivot-lint` resolves from files,
-//! and embedders can resolve from anything — so the verifier walks the
-//! graph before ever handing the text to the compiler.
+//! recursively; on a cycle in the reference graph it gives up at 250
+//! stages with `TooManyStages`, which says nothing of the cycle. The
+//! frontend's append-only installation order cannot create one, but a
+//! [`Resolver`] is an open trait — `pivot-lint` resolves from files, and
+//! embedders can resolve from anything — so this pass walks the graph and
+//! names the cycle.
 
 use std::collections::HashSet;
 

@@ -25,8 +25,9 @@
 //!    and `PT010` when such a boundary feeds a `Trigger` clause, turning
 //!    the hindsight flush into a per-event firehose.
 //! 5. **Reference-cycle detection** (`PT005`, over the
-//!    [`SourceKind::QueryRef`](pivot_query::SourceKind) graph) — guards
-//!    the compiler's recursive inlining against open-world resolvers.
+//!    [`SourceKind::QueryRef`](pivot_query::SourceKind) graph) — names
+//!    the cycle an open-world resolver can describe (the compiler, for
+//!    its part, stops inlining at 250 stages).
 //! 6. **Lowering fidelity** (`PT008`) — the dataflow pass runs on the
 //!    *lowered bytecode* ([`CompiledCode::lower`]), the exact artifact
 //!    agents execute and the bus ships, not on the advice-op trees it
@@ -34,9 +35,13 @@
 //!    structural bytecode validation are install-blocking errors:
 //!    verify what you execute.
 //!
-//! The frontend runs this gate in `install_named` and surfaces failures
-//! as `InstallError::Rejected`; the standalone `pivot-lint` binary runs
-//! it over query files.
+//! There is one pipeline. The frontend's `install_named` parses, plans
+//! (the variant it executes), lowers to advice and lowers to bytecode,
+//! each once, and hands those artifacts to [`Analyzer::verify`], which
+//! compiles nothing of its own: the bytecode it checks is the bytecode
+//! `Command::Install` ships, under the query's real id. Failures surface
+//! as `InstallError::Rejected`. [`Analyzer::analyze`] runs the same
+//! pipeline over a text for the standalone `pivot-lint` binary.
 //!
 //! [`CompiledCode::lower`]: pivot_query::CompiledCode::lower
 
@@ -47,12 +52,14 @@ pub mod diag;
 mod scope;
 mod types;
 
-pub use cost::{plan_cost, Bound, CostModel, PlanCost, StageCost};
+pub use cost::{plan_cost, Bound, PlanCost, StageCost, NOMINAL_BYTES_PER_VALUE};
 pub use diag::{Code, Diagnostic, Severity};
 
 use pivot_baggage::QueryId;
+use pivot_query::plan::QueryPlan;
 use pivot_query::{
-    compile, locate, parse, plan_query, CompileError, CompiledCode, Options, Resolver,
+    compile, locate, parse, plan_query, CompileError, CompiledCode, CompiledQuery, Options, Query,
+    Resolver,
 };
 
 /// The verdict of the verifier on one query.
@@ -64,7 +71,9 @@ pub struct Analysis {
     /// not reached).
     pub optimized_cost: Option<PlanCost>,
     /// Baggage cost of the unoptimized plan, for the optimizer
-    /// cross-check: the optimized bound must never exceed this.
+    /// cross-check: the optimized bound must never exceed this. Set when
+    /// the unoptimized plan is the one installed, and by
+    /// [`Analyzer::analyze`].
     pub unoptimized_cost: Option<PlanCost>,
 }
 
@@ -75,91 +84,118 @@ impl Analysis {
         self.diagnostics.iter().any(Diagnostic::is_error)
     }
 
-    /// Returns the error-severity findings.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.is_error())
-    }
-
     /// Returns `true` when a diagnostic with `code` was reported.
     pub fn has_code(&self, code: Code) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
     }
+
+    /// The verdict of a query that stopped before its costs were known.
+    fn stopped(diagnostics: Vec<Diagnostic>) -> Analysis {
+        Analysis {
+            diagnostics,
+            optimized_cost: None,
+            unoptimized_cost: None,
+        }
+    }
+}
+
+/// One query as compiled for install: the artifacts [`Analyzer::verify`]
+/// checks, each the one its caller ships. The verifier compiles nothing
+/// of its own.
+pub struct Compiled<'a> {
+    /// The parsed query.
+    pub ast: &'a Query,
+    /// The options `plan` was planned under.
+    pub options: Options,
+    /// The plan `advice` was lowered from.
+    pub plan: &'a QueryPlan,
+    /// The advice lowered from `plan`, with the query's id, name and text.
+    pub advice: &'a CompiledQuery,
+    /// The bytecode lowered from `advice`: what agents are sent and run.
+    pub code: &'a CompiledCode,
+    /// The degradation notes of lowering `code`.
+    pub notes: &'a [String],
 }
 
 /// The static verifier. Construct one per resolver (usually the
-/// frontend) and [`Analyzer::analyze`] each query text.
+/// frontend) and [`Analyzer::verify`] each compiled query, or
+/// [`Analyzer::analyze`] a query text.
 pub struct Analyzer<'r> {
     resolver: &'r dyn Resolver,
-    cost_model: CostModel,
 }
 
 impl<'r> Analyzer<'r> {
     /// Creates a verifier resolving names through `resolver`.
     pub fn new(resolver: &'r dyn Resolver) -> Analyzer<'r> {
-        Analyzer {
-            resolver,
-            cost_model: CostModel::default(),
-        }
+        Analyzer { resolver }
     }
 
-    /// Overrides the byte-cost model.
-    pub fn with_cost_model(mut self, m: CostModel) -> Analyzer<'r> {
-        self.cost_model = m;
-        self
-    }
-
-    /// Runs every pass over `text` (to be installed under `name`).
+    /// Runs every pass over `text` (to be installed under `name`): parses,
+    /// plans and lowers it as an optimizing frontend would, then
+    /// [`verify`](Analyzer::verify)s the result.
     pub fn analyze(&self, text: &str, name: &str) -> Analysis {
-        let mut diags = Vec::new();
-        let analysis = |diags: Vec<Diagnostic>| Analysis {
-            diagnostics: diags,
-            optimized_cost: None,
-            unoptimized_cost: None,
-        };
-
-        // Parse.
         let ast = match parse(text) {
             Ok(ast) => ast,
             Err(e) => {
-                diags.push(Diagnostic::error(Code::ParseError, e.to_string()));
-                return analysis(diags);
+                let diag = Diagnostic::error(Code::ParseError, e.to_string());
+                return Analysis::stopped(vec![diag]);
             }
         };
-
-        // Reference cycles guard the recursive passes below.
-        if cycle::check(name, &ast, text, self.resolver, &mut diags) {
-            return analysis(diags);
-        }
-
-        // Names and types work on the AST and recover per-expression, so
-        // both always run (more findings per invocation).
-        scope::check(&ast, text, self.resolver, &mut diags);
-        types::check(&ast, text, &mut diags);
-        if diags.iter().any(Diagnostic::is_error) {
-            return analysis(diags);
-        }
-
-        // Compile both plans. The id is a placeholder — slot derivation
-        // is relative, so any id yields the same structure.
-        let id = QueryId(1);
-        let compiled = compile(text, name, id, self.resolver, Options::default());
-        let compiled = match compiled {
-            Ok(c) => c,
+        let options = Options::default();
+        let plan = match plan_query(&ast, self.resolver, options) {
+            Ok(plan) => plan,
             Err(e) => {
-                diags.push(compile_diag(&e, text));
-                return analysis(diags);
+                // The AST passes name most defects better, with spans.
+                let mut diags = Vec::new();
+                if !self.check_ast(name, text, &ast, &mut diags) {
+                    diags.push(compile_diag(&e, text));
+                }
+                return Analysis::stopped(diags);
             }
         };
+        // Nothing is installed, so there is no id to compile under; slots
+        // are numbered from the id, so any id yields the same structure.
+        let advice = compile::lower(&plan, name, text, QueryId(1));
+        let (code, notes) = CompiledCode::lower(&advice);
+        let mut analysis = self.verify(&Compiled {
+            ast: &ast,
+            options,
+            plan: &plan,
+            advice: &advice,
+            code: &code,
+            notes: &notes,
+        });
+        if analysis.optimized_cost.is_some() {
+            let unoptimized = plan_query(&ast, self.resolver, Options::unoptimized());
+            analysis.unoptimized_cost = unoptimized.ok().map(|p| plan_cost(&p));
+        }
+        analysis
+    }
+
+    /// Runs every pass over one compiled query: reference cycles, names
+    /// and types on its AST; dataflow and dead columns on its bytecode
+    /// and lowering notes; baggage cost on its plan.
+    pub fn verify(&self, unit: &Compiled<'_>) -> Analysis {
+        let text = &unit.advice.text;
+        let mut diags = Vec::new();
+        if self.check_ast(&unit.advice.name, text, unit.ast, &mut diags) {
+            return Analysis::stopped(diags);
+        }
+
         // Dataflow runs over the lowered bytecode — the artifact agents
         // execute — so lowering defects (PT008) surface here too.
-        let (code, lowering_notes) = CompiledCode::lower(&compiled);
-        dataflow::check(&code, &lowering_notes, &mut diags);
-        dataflow::check_dead_columns(&compiled, &code, &mut diags);
+        dataflow::check(unit.code, unit.notes, &mut diags);
+        dataflow::check_dead_columns(unit.advice, unit.code, &mut diags);
 
-        let optimized = plan_query(&ast, self.resolver, Options::default()).ok();
-        let unoptimized = plan_query(&ast, self.resolver, Options::unoptimized()).ok();
-        let optimized_cost = optimized.map(|p| plan_cost(&p, &self.cost_model));
-        let unoptimized_cost = unoptimized.map(|p| plan_cost(&p, &self.cost_model));
+        // PT006 and PT010 judge what the optimizer leaves of the query,
+        // so an unoptimized install plans the optimized variant for them.
+        let cost = plan_cost(unit.plan);
+        let (optimized_cost, unoptimized_cost) = if unit.options.optimize {
+            (Some(cost), None)
+        } else {
+            let optimized = plan_query(unit.ast, self.resolver, Options::default()).ok();
+            (optimized.map(|p| plan_cost(&p)), Some(cost))
+        };
 
         // Unbounded boundaries that survived optimization.
         if let Some(cost) = &optimized_cost {
@@ -192,7 +228,7 @@ impl<'r> Analyzer<'r> {
         // `Trigger` clause into a per-event firehose risk. Checked on the
         // lowered bytecode — the artifact agents execute — so a trigger
         // the compiler elided does not warn.
-        let has_trigger = code.programs.iter().any(|p| p.triggers());
+        let has_trigger = unit.code.programs.iter().any(|p| p.triggers());
         if has_trigger {
             if let Some(unbounded) = optimized_cost
                 .as_ref()
@@ -225,11 +261,19 @@ impl<'r> Analyzer<'r> {
             unoptimized_cost,
         }
     }
-}
 
-/// One-shot convenience over [`Analyzer`].
-pub fn analyze(text: &str, name: &str, resolver: &dyn Resolver) -> Analysis {
-    Analyzer::new(resolver).analyze(text, name)
+    /// The passes over the AST. Returns `true` when they found an error,
+    /// after which nothing compiled from the query is worth checking.
+    fn check_ast(&self, name: &str, text: &str, ast: &Query, diags: &mut Vec<Diagnostic>) -> bool {
+        if cycle::check(name, ast, text, self.resolver, diags) {
+            return true;
+        }
+        // Names and types recover per-expression, so both always run
+        // (more findings per invocation).
+        scope::check(ast, text, self.resolver, diags);
+        types::check(ast, text, diags);
+        diags.iter().any(Diagnostic::is_error)
+    }
 }
 
 /// Maps a compiler error the AST passes did not anticipate onto a

@@ -1,7 +1,7 @@
 //! Malformed-query corpus: each file under `corpus/` exhibits one defect
 //! class, and the verifier must report its exact diagnostic code.
 
-use pivot_analyze::{analyze, Analysis, Code, Severity};
+use pivot_analyze::{Analysis, Analyzer, Code, Severity};
 use pivot_query::{parse, Query, Resolver};
 
 /// A registry-backed resolver independent of the frontend, so the corpus
@@ -56,7 +56,7 @@ impl Resolver for TestResolver {
 }
 
 fn run(text: &str, name: &str) -> Analysis {
-    analyze(text, name, &TestResolver::new())
+    Analyzer::new(&TestResolver::new()).analyze(text, name)
 }
 
 /// Asserts `text` yields an error with `code`, carrying a span.

@@ -57,13 +57,7 @@ impl PackMode {
                 enc.put_varint(*key_len as u64);
                 enc.put_varint(aggs.len() as u64);
                 for a in aggs {
-                    enc.put_u8(match a {
-                        AggFunc::Count => 0,
-                        AggFunc::Sum => 1,
-                        AggFunc::Min => 2,
-                        AggFunc::Max => 3,
-                        AggFunc::Average => 4,
-                    });
+                    a.encode(enc);
                 }
             }
         }
@@ -80,14 +74,7 @@ impl PackMode {
                 let n = dec.take_varint()? as usize;
                 let mut aggs = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
-                    aggs.push(match dec.take_u8()? {
-                        0 => AggFunc::Count,
-                        1 => AggFunc::Sum,
-                        2 => AggFunc::Min,
-                        3 => AggFunc::Max,
-                        4 => AggFunc::Average,
-                        t => return Err(DecodeError::BadTag("agg func", t)),
-                    });
+                    aggs.push(AggFunc::decode(dec)?);
                 }
                 PackMode::GroupAgg { key_len, aggs }
             }

@@ -221,29 +221,17 @@ impl LocalBus {
 
 impl Bus for LocalBus {
     fn broadcast(&self, cmd: &Command) {
-        broadcast_to_agents(&self.agents, cmd);
+        for a in &self.agents {
+            a.apply(cmd);
+        }
     }
 
     fn drain(&self, now: u64) -> Drained {
         Drained {
-            reports: flush_agents(&self.agents, now),
+            reports: self.agents.iter().flat_map(|a| a.flush(now)).collect(),
             retro: self.agents.iter().flat_map(|a| a.drain_retro()).collect(),
         }
     }
-}
-
-/// Applies `cmd` to every agent — the one broadcast loop shared by
-/// [`LocalBus`] and the simulated cluster's bus.
-pub fn broadcast_to_agents(agents: &[Arc<crate::Agent>], cmd: &Command) {
-    for a in agents {
-        a.apply(cmd);
-    }
-}
-
-/// Flushes every agent at `now` and collects the reports — the one
-/// drain loop shared by [`LocalBus`] and the simulated cluster's bus.
-pub fn flush_agents(agents: &[Arc<crate::Agent>], now: u64) -> Vec<Report> {
-    agents.iter().flat_map(|a| a.flush(now)).collect()
 }
 
 /// The fate of one frame crossing a [`SchedBus`].

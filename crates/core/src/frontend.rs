@@ -5,14 +5,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::{fmt, mem};
 
-use pivot_analyze::{Analyzer, Diagnostic};
+use pivot_analyze::{Analyzer, Compiled, Diagnostic};
 use pivot_baggage::QueryId;
 use pivot_itc::{Decoder, Encoder};
 use pivot_model::{AggState, EncodedBlock, Tuple, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::{
-    compile, CompileError, CompiledCode, CompiledQuery, Groups, Options, OutputSpec, Query,
-    Resolver,
+    compile, parse, plan_query, CompileError, CompiledCode, CompiledQuery, Groups, Options,
+    OutputSpec, Query, Resolver,
 };
 
 use crate::bus::{Command, Report, ReportRows};
@@ -431,7 +431,6 @@ pub struct Frontend {
     next_id: u64,
     epoch: u64,
     optimize: bool,
-    skip_verify: bool,
     /// When set, every install also pushes the statically-derived
     /// [`QueryBudget`] to the agents (off by default).
     enforce_budgets: bool,
@@ -466,14 +465,6 @@ impl Frontend {
         self.define_tracepoint(TracepointDef::new(name, exports));
     }
 
-    /// Enables or disables the static verifier gate in
-    /// [`Frontend::install`] (on by default). Disabling is an escape
-    /// hatch for experiments that deliberately install pathological
-    /// queries.
-    pub fn set_verify(&mut self, on: bool) {
-        self.skip_verify = !on;
-    }
-
     /// Installs a query under an auto-assigned name (`Q<id>`).
     pub fn install(&mut self, text: &str) -> Result<QueryHandle, InstallError> {
         let name = format!("Q{}", self.next_id);
@@ -490,33 +481,43 @@ impl Frontend {
         let options = Options {
             optimize: self.optimize,
         };
-        let compiled = compile(text, name, id, &*self, options).map_err(InstallError::Compile)?;
+        // Each step runs once; what the verifier checks below is what
+        // ships.
+        let ast =
+            parse(text).map_err(|e| InstallError::Compile(CompileError::Parse(e.to_string())))?;
+        let plan = plan_query(&ast, &*self, options).map_err(InstallError::Compile)?;
+        let compiled = Arc::new(compile::lower(&plan, name, text, id));
+        // Bytecode is the one executable artifact: shipped to agents and
+        // checked by the verifier ("verify what you execute"). Lowering is
+        // total; notes record degradations such as fields that can never
+        // resolve (the verifier's PT008).
+        let (code, notes) = CompiledCode::lower(&compiled);
+        let code = Arc::new(code);
         // The static verifier (paper §5: advice must be safe to weave
         // into a live system). The compiler catches hard structural
         // defects above; the verifier additionally rejects type-incoherent
         // expressions and dataflow defects, with spans.
-        let analysis = Analyzer::new(&*self).analyze(text, name);
-        if !self.skip_verify && analysis.has_errors() {
+        let analysis = Analyzer::new(&*self).verify(&Compiled {
+            ast: &ast,
+            options,
+            plan: &plan,
+            advice: &compiled,
+            code: &code,
+            notes: &notes,
+        });
+        if analysis.has_errors() {
             return Err(InstallError::Rejected(analysis.diagnostics));
         }
         // Derive a default overload budget from the static baggage bound
-        // of the plan variant this frontend actually executes.
+        // of the plan this frontend executes.
         let static_bound = if self.optimize {
-            analysis.optimized_cost.as_ref()
+            analysis.optimized_cost
         } else {
-            analysis.unoptimized_cost.as_ref()
+            analysis.unoptimized_cost
         }
         .and_then(|c| c.total_bytes.as_finite());
         let derived_budget = QueryBudget::from_static_bound(static_bound);
-        let ast = pivot_query::parse(text).expect("compile re-parses successfully");
         self.next_id += 1;
-        let compiled = Arc::new(compiled);
-        // Lower the advice to bytecode: the one executable artifact that is
-        // shipped to agents and checked by the verifier ("verify what you
-        // execute"). Lowering is total; notes record degradations such as
-        // fields that can never resolve (surfaced by the verifier's PT008).
-        let (code, _lowering_notes) = CompiledCode::lower(&compiled);
-        let code = Arc::new(code);
         let handle = QueryHandle {
             id,
             name: name.to_owned(),
@@ -900,15 +901,6 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| { d.code == pivot_analyze::Code::TypeError && d.span.is_some() }));
-        // The escape hatch installs it anyway.
-        let (mut fe, _) = setup();
-        fe.set_verify(false);
-        fe.install(
-            "From e In ClientProtocols
-             Where e.procName && 5
-             Select COUNT",
-        )
-        .unwrap();
     }
 
     #[test]

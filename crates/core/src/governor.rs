@@ -16,10 +16,10 @@
 
 use pivot_baggage::QueryId;
 
-/// Nominal bytes charged per packed value, matching the static cost
-/// model's `bytes_per_value` so statically-derived budgets and runtime
-/// charges are in the same currency.
-pub const NOMINAL_BYTES_PER_VALUE: u64 = 12;
+/// Nominal bytes charged per packed value: the static cost model's
+/// rate, so statically-derived budgets and runtime charges are in the
+/// same currency.
+pub use pivot_analyze::NOMINAL_BYTES_PER_VALUE;
 
 /// Resource budget for one query on one agent, per accounting window.
 ///

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use pivot_core::frontend::InstallError;
-use pivot_core::{Agent, Bus, Command, Drained, Frontend, ProcessInfo, QueryHandle};
+use pivot_core::{Agent, Bus, Command, Drained, Frontend, LocalBus, ProcessInfo, QueryHandle};
 use pivot_simrt::{join2, Clock, Counter, FifoResource, Nanos, SimRt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -111,7 +111,7 @@ pub struct Cluster {
     pub hosts: Vec<Rc<Host>>,
     /// The Pivot Tracing frontend.
     pub frontend: Rc<RefCell<Frontend>>,
-    agents: Rc<RefCell<Vec<Arc<Agent>>>>,
+    agents: Rc<RefCell<LocalBus>>,
     agents_enabled: std::cell::Cell<bool>,
     next_procid: std::cell::Cell<u64>,
     /// Shared deterministic RNG.
@@ -157,7 +157,7 @@ impl Cluster {
             cfg,
             hosts,
             frontend: Rc::new(RefCell::new(frontend)),
-            agents: Rc::new(RefCell::new(Vec::new())),
+            agents: Rc::new(RefCell::new(LocalBus::new())),
             agents_enabled: std::cell::Cell::new(true),
             next_procid: std::cell::Cell::new(1),
             rng: Rc::new(RefCell::new(SmallRng::seed_from_u64(42))),
@@ -179,14 +179,9 @@ impl Cluster {
         self.rt.spawn(async move {
             loop {
                 clock.sleep(interval).await;
-                let now = clock.now();
-                let list = agents.borrow().clone();
-                let mut fe = frontend.borrow_mut();
-                for agent in &list {
-                    for report in agent.flush(now) {
-                        fe.accept(report);
-                    }
-                }
+                agents
+                    .borrow()
+                    .pump_into(clock.now(), &mut frontend.borrow_mut());
             }
         });
     }
@@ -207,7 +202,7 @@ impl Cluster {
         if !self.agents_enabled.get() {
             agent.set_enabled(false);
         }
-        self.agents.borrow_mut().push(Arc::clone(&agent));
+        self.agents.borrow_mut().register(Arc::clone(&agent));
         agent
     }
 
@@ -241,9 +236,7 @@ impl Cluster {
     /// Flushes all agents into the frontend immediately (used at the end
     /// of an experiment to collect the final partial interval).
     pub fn flush_now(&self) {
-        let now = self.clock.now();
-        let mut fe = self.frontend.borrow_mut();
-        self.pump_into(now, &mut fe);
+        self.pump_into(self.clock.now(), &mut self.frontend.borrow_mut());
     }
 
     /// Returns the worker hosts (excludes the NameNode host).
@@ -260,7 +253,7 @@ impl Cluster {
     /// later). The "unmodified system" baseline of Table 5.
     pub fn set_agents_enabled(&self, enabled: bool) {
         self.agents_enabled.set(enabled);
-        for a in self.agents.borrow().iter() {
+        for a in self.agents.borrow().agents() {
             a.set_enabled(enabled);
         }
     }
@@ -268,7 +261,7 @@ impl Cluster {
     /// Sums per-process advice-execution counters across all agents.
     pub fn agent_totals(&self) -> pivot_core::agent::AgentStats {
         let mut total = pivot_core::agent::AgentStats::default();
-        for a in self.agents.borrow().iter() {
+        for a in self.agents.borrow().agents() {
             let s = a.stats();
             total.idle_invocations += s.idle_invocations;
             total.advised_invocations += s.advised_invocations;
@@ -280,23 +273,16 @@ impl Cluster {
     }
 }
 
-/// The simulated cluster *is* a [`Bus`]: commands reach every simulated
-/// process's agent and flushing collects their partial reports, making the
-/// control plane interchangeable with [`pivot_core::LocalBus`] and the
-/// live TCP bus.
+/// The simulated cluster *is* a [`Bus`]: its simulated processes' agents
+/// sit on a [`LocalBus`], so commands reach every one of them and a drain
+/// collects both their partial reports and their hindsight flushes.
 impl Bus for Cluster {
     fn broadcast(&self, cmd: &Command) {
-        // Clone out of the RefCell first: advice may re-enter the cluster.
-        let agents = self.agents.borrow().clone();
-        pivot_core::bus::broadcast_to_agents(&agents, cmd);
+        self.agents.borrow().broadcast(cmd);
     }
 
     fn drain(&self, now: u64) -> Drained {
-        let agents = self.agents.borrow().clone();
-        Drained {
-            reports: pivot_core::bus::flush_agents(&agents, now),
-            ..Drained::default()
-        }
+        self.agents.borrow().drain(now)
     }
 }
 

@@ -432,7 +432,7 @@ fn encode_inst(inst: &Inst, enc: &mut Encoder) {
         } => {
             enc.put_u8(3);
             enc.put_varint(slot.0);
-            encode_pack_mode(mode, enc);
+            mode.encode(enc);
             encode_range(*pre, enc);
             encode_range(*exprs, enc);
         }
@@ -478,7 +478,7 @@ fn decode_inst(dec: &mut Decoder<'_>, output: &Arc<OutputSpec>) -> Result<Inst, 
         },
         3 => Inst::Pack {
             slot: QueryId(dec.take_varint()?),
-            mode: decode_pack_mode(dec)?,
+            mode: PackMode::decode(dec)?,
             pre: decode_range(dec)?,
             exprs: decode_range(dec)?,
         },
@@ -629,7 +629,7 @@ fn encode_output_spec(spec: &OutputSpec, enc: &mut Encoder) {
     encode_strs(&spec.key_names, enc);
     enc.put_varint(spec.aggs.len() as u64);
     for f in &spec.aggs {
-        enc.put_u8(agg_func_tag(*f));
+        f.encode(enc);
     }
     encode_strs(&spec.agg_names, enc);
     enc.put_varint(spec.columns.len() as u64);
@@ -653,7 +653,7 @@ fn decode_output_spec(dec: &mut Decoder<'_>) -> Result<OutputSpec, DecodeError> 
     let n = dec.take_varint()? as usize;
     let mut aggs = Vec::with_capacity(n.min(64));
     for _ in 0..n {
-        aggs.push(decode_agg_func(dec.take_u8()?)?);
+        aggs.push(AggFunc::decode(dec)?);
     }
     let agg_names = decode_strs(dec)?;
     let n = dec.take_varint()? as usize;
@@ -692,46 +692,6 @@ fn decode_output_spec(dec: &mut Decoder<'_>) -> Result<OutputSpec, DecodeError> 
         agg_names,
         columns,
         streaming,
-    })
-}
-
-fn encode_pack_mode(mode: &PackMode, enc: &mut Encoder) {
-    match mode {
-        PackMode::All => enc.put_u8(0),
-        PackMode::First(n) => {
-            enc.put_u8(1);
-            enc.put_varint(*n as u64);
-        }
-        PackMode::Recent(n) => {
-            enc.put_u8(2);
-            enc.put_varint(*n as u64);
-        }
-        PackMode::GroupAgg { key_len, aggs } => {
-            enc.put_u8(3);
-            enc.put_varint(*key_len as u64);
-            enc.put_varint(aggs.len() as u64);
-            for f in aggs {
-                enc.put_u8(agg_func_tag(*f));
-            }
-        }
-    }
-}
-
-fn decode_pack_mode(dec: &mut Decoder<'_>) -> Result<PackMode, DecodeError> {
-    Ok(match dec.take_u8()? {
-        0 => PackMode::All,
-        1 => PackMode::First(dec.take_varint()? as usize),
-        2 => PackMode::Recent(dec.take_varint()? as usize),
-        3 => {
-            let key_len = dec.take_varint()? as usize;
-            let n = dec.take_varint()? as usize;
-            let mut aggs = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                aggs.push(decode_agg_func(dec.take_u8()?)?);
-            }
-            PackMode::GroupAgg { key_len, aggs }
-        }
-        t => return Err(DecodeError::BadTag("pack mode", t)),
     })
 }
 
@@ -892,27 +852,6 @@ fn decode_strs(dec: &mut Decoder<'_>) -> Result<Vec<String>, DecodeError> {
         out.push(dec.take_str()?.to_owned());
     }
     Ok(out)
-}
-
-fn agg_func_tag(f: AggFunc) -> u8 {
-    match f {
-        AggFunc::Count => 0,
-        AggFunc::Sum => 1,
-        AggFunc::Min => 2,
-        AggFunc::Max => 3,
-        AggFunc::Average => 4,
-    }
-}
-
-fn decode_agg_func(tag: u8) -> Result<AggFunc, DecodeError> {
-    Ok(match tag {
-        0 => AggFunc::Count,
-        1 => AggFunc::Sum,
-        2 => AggFunc::Min,
-        3 => AggFunc::Max,
-        4 => AggFunc::Average,
-        t => return Err(DecodeError::BadTag("agg func", t)),
-    })
 }
 
 fn bin_op_tag(op: BinOp) -> u8 {

@@ -65,6 +65,32 @@ impl AggFunc {
             AggFunc::Average => "AVERAGE",
         }
     }
+
+    /// Encodes the function as its one-byte tag: the one tag table, used
+    /// by every codec that carries an `AggFunc`.
+    #[inline]
+    pub fn encode(self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            AggFunc::Count => 0,
+            AggFunc::Sum => 1,
+            AggFunc::Min => 2,
+            AggFunc::Max => 3,
+            AggFunc::Average => 4,
+        });
+    }
+
+    /// Decodes a function from its one-byte tag.
+    #[inline]
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<AggFunc, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => AggFunc::Count,
+            1 => AggFunc::Sum,
+            2 => AggFunc::Min,
+            3 => AggFunc::Max,
+            4 => AggFunc::Average,
+            t => return Err(DecodeError::BadTag("agg func", t)),
+        })
+    }
 }
 
 impl fmt::Display for AggFunc {

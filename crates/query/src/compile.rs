@@ -17,7 +17,6 @@ use pivot_model::{AggFunc, Expr, Value};
 
 use crate::advice::{AdviceOp, AdviceProgram, ColumnRef, CompiledQuery, OutputSpec};
 use crate::ast::{Query, SelectItem, Source, SourceKind, TemporalFilter};
-use crate::parser::parse;
 use crate::plan::{QueryPlan, Stage, StageSink, UnpackEdge};
 use pivot_baggage::QueryId;
 
@@ -120,26 +119,6 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compiles query text into advice programs.
-///
-/// `name` registers the query for reference by later queries; `id` is the
-/// installation identity assigned by the frontend.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] on parse failure or semantic problems.
-pub fn compile(
-    text: &str,
-    name: &str,
-    id: QueryId,
-    resolver: &dyn Resolver,
-    options: Options,
-) -> Result<CompiledQuery, CompileError> {
-    let ast = parse(text).map_err(|e| CompileError::Parse(e.to_string()))?;
-    let plan = plan_query(&ast, resolver, options)?;
-    Ok(lower(plan, name, text, id))
-}
-
 /// Compiles a parsed query into a plan (exposed for plan inspection and the
 /// optimizer ablation).
 pub fn plan_query(
@@ -212,6 +191,12 @@ impl<'r> Builder<'r> {
         ast: &Query,
         prefix: &str,
     ) -> Result<(usize, HashMap<String, usize>), CompileError> {
+        // Each level adds a node before it inlines a reference, so this
+        // also ends the recursion a reference cycle starts (a `Resolver`
+        // is open: nothing else stops one from describing a cycle).
+        if self.nodes.len() > 250 {
+            return Err(CompileError::TooManyStages);
+        }
         // Per-level scope: alias → node index.
         let mut scope: HashMap<String, usize> = HashMap::new();
 
@@ -965,8 +950,10 @@ fn temporal_to_mode(t: Option<TemporalFilter>) -> PackMode {
     }
 }
 
-/// Lowers a plan into advice programs.
-fn lower(plan: QueryPlan, name: &str, text: &str, id: QueryId) -> CompiledQuery {
+/// Lowers a plan into advice programs. `name` registers the query for
+/// reference by later queries; `id` is the installation identity the
+/// frontend assigned.
+pub fn lower(plan: &QueryPlan, name: &str, text: &str, id: QueryId) -> CompiledQuery {
     // One shared spec for the emit advice, the compiled query, and (via
     // install) the agent buffers.
     let output = std::sync::Arc::new(plan.output.clone());

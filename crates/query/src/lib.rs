@@ -25,8 +25,13 @@
 //! # Pipeline
 //!
 //! 1. [`parse`] — text → [`ast::Query`],
-//! 2. [`compile::compile`] — AST (+ a [`compile::Resolver`] for named
-//!    sub-queries) → [`plan::QueryPlan`] → [`advice::CompiledQuery`].
+//! 2. [`plan_query`] — AST (+ a [`compile::Resolver`] for named
+//!    sub-queries) → [`plan::QueryPlan`],
+//! 3. [`compile::lower`] — plan → [`advice::CompiledQuery`],
+//! 4. [`CompiledCode::lower`] — advice → the bytecode agents run.
+//!
+//! The frontend's install runs each step once and hands every artifact
+//! to the verifier.
 //!
 //! Disable the optimizer (for the paper's Figure 6 "unoptimized global
 //! evaluation" comparison and the ablation benches) with
@@ -49,7 +54,7 @@ pub use ast::{JoinClause, Query, SelectItem, Source, SourceKind, TemporalFilter}
 pub use bytecode::{
     AdviceByteCode, CollectSink, CompiledCode, EmitSink, Exports, RunPlan, Vm, VmStats,
 };
-pub use compile::{compile, plan_query, CompileError, Options, Resolver};
+pub use compile::{plan_query, CompileError, Options, Resolver};
 pub use groups::Groups;
 pub use parser::{parse, ParseError};
 pub use span::{locate, Span};

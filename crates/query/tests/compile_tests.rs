@@ -4,10 +4,10 @@
 use pivot_baggage::{PackMode, QueryId};
 use pivot_model::AggFunc;
 use pivot_query::advice::ColumnRef;
-use pivot_query::compile::plan_query;
+use pivot_query::compile::{lower, plan_query};
 use pivot_query::plan::StageSink;
 use pivot_query::{
-    compile, parse, AdviceOp, CompileError, CompiledQuery, Options, Query, Resolver, TemporalFilter,
+    parse, AdviceOp, CompileError, CompiledQuery, Options, Query, Resolver, TemporalFilter,
 };
 
 /// A resolver over a fixed tracepoint table plus registered queries.
@@ -59,6 +59,18 @@ impl Resolver for TestResolver {
             .find(|(n, _)| n == name)
             .map(|(_, q)| q.clone())
     }
+}
+
+/// Parses, plans and lowers `text` to advice, the steps of an install.
+fn compile(
+    text: &str,
+    name: &str,
+    id: QueryId,
+    resolver: &dyn Resolver,
+    options: Options,
+) -> Result<CompiledQuery, CompileError> {
+    let ast = parse(text).map_err(|e| CompileError::Parse(e.to_string()))?;
+    Ok(lower(&plan_query(&ast, resolver, options)?, name, text, id))
 }
 
 fn compile_ok(text: &str) -> CompiledQuery {
@@ -444,4 +456,23 @@ fn slot_ids_are_disjoint_per_query() {
     assert_ne!(a, b);
     assert_ne!(a, c);
     assert_ne!(QueryId(1), a);
+}
+
+#[test]
+fn a_reference_cycle_is_an_error_not_a_stack_overflow() {
+    // Each query joins the other: inlining never reaches a leaf.
+    let r = TestResolver::new()
+        .with_query(
+            "chicken",
+            "From e In RPCs Join egg In egg On egg -> e Select COUNT",
+        )
+        .with_query(
+            "egg",
+            "From e In RPCs Join chicken In chicken On chicken -> e Select COUNT",
+        );
+    let ast = parse("From e In RPCs Join c In chicken On c -> e Select COUNT").unwrap();
+    assert_eq!(
+        plan_query(&ast, &r, Options::default()).unwrap_err(),
+        CompileError::TooManyStages
+    );
 }

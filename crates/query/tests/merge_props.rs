@@ -27,7 +27,7 @@ use std::mem;
 
 use pivot_baggage::QueryId;
 use pivot_model::{AggFunc, AggState, GroupKey, Tuple};
-use pivot_query::{compile, Groups, Options, OutputSpec, Query, Resolver};
+use pivot_query::{compile, parse, plan_query, Groups, Options, OutputSpec, Query, Resolver};
 use proptest::prelude::*;
 
 use pivot_model::Value as V;
@@ -62,9 +62,10 @@ impl Resolver for RpcResolver {
 }
 
 fn spec() -> std::sync::Arc<OutputSpec> {
-    let cq = compile(QUERY, "props", QueryId(1), &RpcResolver, Options::default())
+    let ast = parse(QUERY).expect("the all-aggregates query parses");
+    let plan = plan_query(&ast, &RpcResolver, Options::default())
         .expect("the all-aggregates query compiles");
-    cq.output
+    compile::lower(&plan, "props", QUERY, QueryId(1)).output
 }
 
 /// The map the table replaced, as every tier held it.

@@ -108,12 +108,10 @@ fn main() -> ExitCode {
         if bound {
             report_bound(&name, &analysis);
         }
-        // Make the clean query referenceable by later files. The
-        // analyzer already vetted it, so skip the duplicate gate run.
-        frontend.set_verify(false);
-        let installed = frontend.install_named(&name, &text);
-        frontend.set_verify(true);
-        if let Err(e) = installed {
+        // Make the clean query referenceable by later files. The install
+        // runs the verifier again as its gate, over the same resolver, so
+        // it passes what the analysis above passed.
+        if let Err(e) = frontend.install_named(&name, &text) {
             println!("error: {path}: {e}");
             errors += 1;
         }
