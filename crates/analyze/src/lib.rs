@@ -41,7 +41,8 @@
 //! compiles nothing of its own: the bytecode it checks is the bytecode
 //! `Command::Install` ships, under the query's real id. Failures surface
 //! as `InstallError::Rejected`. [`Analyzer::analyze`] runs the same
-//! pipeline over a text for the standalone `pivot-lint` binary.
+//! pipeline over a text for the standalone `pivot-lint` binary, which
+//! resolves each later file against the queries it returns.
 //!
 //! [`CompiledCode::lower`]: pivot_query::CompiledCode::lower
 
@@ -132,13 +133,15 @@ impl<'r> Analyzer<'r> {
 
     /// Runs every pass over `text` (to be installed under `name`): parses,
     /// plans and lowers it as an optimizing frontend would, then
-    /// [`verify`](Analyzer::verify)s the result.
-    pub fn analyze(&self, text: &str, name: &str) -> Analysis {
+    /// [`verify`](Analyzer::verify)s the result. The query comes back
+    /// beside the verdict when it parsed, for a caller that resolves later
+    /// queries against it (`pivot-lint`).
+    pub fn analyze(&self, text: &str, name: &str) -> (Analysis, Option<Query>) {
         let ast = match parse(text) {
             Ok(ast) => ast,
             Err(e) => {
                 let diag = Diagnostic::error(Code::ParseError, e.to_string());
-                return Analysis::stopped(vec![diag]);
+                return (Analysis::stopped(vec![diag]), None);
             }
         };
         let options = Options::default();
@@ -150,7 +153,7 @@ impl<'r> Analyzer<'r> {
                 if !self.check_ast(name, text, &ast, &mut diags) {
                     diags.push(compile_diag(&e, text));
                 }
-                return Analysis::stopped(diags);
+                return (Analysis::stopped(diags), Some(ast));
             }
         };
         // Nothing is installed, so there is no id to compile under; slots
@@ -169,7 +172,7 @@ impl<'r> Analyzer<'r> {
             let unoptimized = plan_query(&ast, self.resolver, Options::unoptimized());
             analysis.unoptimized_cost = unoptimized.ok().map(|p| plan_cost(&p));
         }
-        analysis
+        (analysis, Some(ast))
     }
 
     /// Runs every pass over one compiled query: reference cycles, names

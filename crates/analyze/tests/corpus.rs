@@ -56,7 +56,7 @@ impl Resolver for TestResolver {
 }
 
 fn run(text: &str, name: &str) -> Analysis {
-    Analyzer::new(&TestResolver::new()).analyze(text, name)
+    Analyzer::new(&TestResolver::new()).analyze(text, name).0
 }
 
 /// Asserts `text` yields an error with `code`, carrying a span.

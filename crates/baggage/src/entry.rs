@@ -71,11 +71,7 @@ impl PackMode {
             2 => PackMode::Recent(dec.take_varint()? as usize),
             3 => {
                 let key_len = dec.take_varint()? as usize;
-                let n = dec.take_varint()? as usize;
-                let mut aggs = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    aggs.push(AggFunc::decode(dec)?);
-                }
+                let aggs = dec.take_list(64, AggFunc::decode)?;
                 PackMode::GroupAgg { key_len, aggs }
             }
             t => return Err(DecodeError::BadTag("pack mode", t)),
@@ -185,14 +181,14 @@ impl Entry {
                 groups,
             } => {
                 let key = GroupKey((0..*key_len).map(|i| tuple.get(i).clone()).collect());
-                let states = match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, states)) => states,
+                let at = match groups.iter().position(|(k, _)| *k == key) {
+                    Some(at) => at,
                     None => {
                         groups.push((key, aggs.iter().map(|a| a.init()).collect()));
-                        &mut groups.last_mut().expect("just pushed").1
+                        groups.len() - 1
                     }
                 };
-                for (i, st) in states.iter_mut().enumerate() {
+                for (i, st) in groups[at].1.iter_mut().enumerate() {
                     st.update(tuple.get(*key_len + i));
                 }
             }
@@ -346,25 +342,14 @@ impl Entry {
         let mode = PackMode::decode(dec)?;
         match mode {
             PackMode::GroupAgg { .. } => {
-                let n = dec.take_varint()? as usize;
-                let mut groups = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
+                let groups = dec.take_list(1024, |dec| {
                     let key = GroupKey(codec::decode_tuple(dec)?);
-                    let k = dec.take_varint()? as usize;
-                    let mut states = Vec::with_capacity(k.min(64));
-                    for _ in 0..k {
-                        states.push(AggState::decode(dec)?);
-                    }
-                    groups.push((key, states));
-                }
+                    Ok((key, dec.take_list(64, AggState::decode)?))
+                })?;
                 Ok(Entry::Grouped { mode, groups })
             }
             mode => {
-                let n = dec.take_varint()? as usize;
-                let mut tuples = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    tuples.push(codec::decode_tuple(dec)?);
-                }
+                let mut tuples = dec.take_list(4096, codec::decode_tuple)?;
                 // Trust boundary: a peer (or corruption) may claim an
                 // over-cap `All` entry; clamp it on the way in so the cap
                 // is an invariant, not a local courtesy.

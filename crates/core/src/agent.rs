@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use pivot_baggage::{Baggage, QueryId};
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_model::value::NULL;
 use pivot_model::{colblock, Cols, EncodedBlock, Tuple, Value};
 use pivot_query::{AdviceByteCode, CompiledCode, EmitSink, Exports, Groups, OutputSpec, Vm};
@@ -61,6 +62,24 @@ pub struct ProcessInfo {
     pub procid: u64,
     /// Process name, e.g. `"DataNode"` or `"MRsort10g"`.
     pub procname: String,
+}
+
+impl ProcessInfo {
+    /// Encodes the identity as `Hello` and `HelloRelay` frames carry it.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.host);
+        enc.put_varint(self.procid);
+        enc.put_str(&self.procname);
+    }
+
+    /// Decodes an identity.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<ProcessInfo, DecodeError> {
+        Ok(ProcessInfo {
+            host: dec.take_str()?.to_owned(),
+            procid: dec.take_varint()?,
+            procname: dec.take_str()?.to_owned(),
+        })
+    }
 }
 
 /// Cumulative counters (drives the paper's overhead ablations).

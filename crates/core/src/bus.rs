@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use pivot_baggage::QueryId;
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_model::EncodedBlock;
 use pivot_query::{CompiledCode, Groups};
 
@@ -138,6 +139,69 @@ pub struct Report {
     pub throttled: Vec<crate::governor::Throttled>,
     /// The partial rows.
     pub rows: ReportRows,
+}
+
+impl Report {
+    /// Encodes the report as a `Report` frame carries it: the envelope,
+    /// the trips, then the body after a tag byte — 1 grouped, 2 blocks.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.query.0);
+        enc.put_str(&self.host);
+        enc.put_varint(self.procid);
+        enc.put_varint(self.incarnation);
+        enc.put_varint(self.time);
+        enc.put_varint(self.seq);
+        enc.put_varint(self.tuples);
+        enc.put_varint(self.emitted_cum);
+        enc.put_varint(self.shed_cum);
+        enc.put_varint(self.truncated_cum);
+        enc.put_varint(self.throttled.len() as u64);
+        for t in &self.throttled {
+            t.encode(enc);
+        }
+        match &self.rows {
+            ReportRows::Grouped(groups) => {
+                enc.put_u8(1);
+                groups.encode(enc);
+            }
+            ReportRows::RawEncoded(blocks) => {
+                // The blocks' encoded bytes go on the wire as-is — this is
+                // the zero-copy path relays exercise on every re-origination.
+                enc.put_u8(2);
+                enc.put_varint(blocks.len() as u64);
+                for b in blocks {
+                    b.write_wire(enc);
+                }
+            }
+        }
+    }
+
+    /// Decodes a report. Body tag 0, version 7's row-by-row body, is
+    /// retired, not reused.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Report, DecodeError> {
+        Ok(Report {
+            query: QueryId(dec.take_varint()?),
+            host: dec.take_str()?.to_owned(),
+            procid: dec.take_varint()?,
+            incarnation: dec.take_varint()?,
+            time: dec.take_varint()?,
+            seq: dec.take_varint()?,
+            tuples: dec.take_varint()?,
+            emitted_cum: dec.take_varint()?,
+            shed_cum: dec.take_varint()?,
+            truncated_cum: dec.take_varint()?,
+            throttled: dec.take_list(64, crate::governor::Throttled::decode)?,
+            rows: match dec.take_u8()? {
+                1 => ReportRows::Grouped(Groups::decode(dec)?),
+                // `read_wire` validates the row-count header (which the
+                // receiver trusts for loss accounting) but keeps the
+                // payload opaque — relays forward it without a per-value
+                // parse; the frontend validates when it decodes.
+                2 => ReportRows::RawEncoded(dec.take_list(4096, EncodedBlock::read_wire)?),
+                t => return Err(DecodeError::BadTag("report rows", t)),
+            },
+        })
+    }
 }
 
 /// Rows inside a report.

@@ -300,6 +300,9 @@ impl QueryResults {
         let mut rows = Vec::with_capacity(self.raw_len);
         let mut block_rows = Vec::new();
         for (t, block) in &self.raw {
+            // `accept` keeps a block only once it has decoded
+            // (`reconnect_dup.rs`'s
+            // `a_block_that_does_not_decode_is_dropped_not_delivered`).
             block
                 .decode_into(&mut block_rows)
                 .expect("a kept block decoded when it was let in");
@@ -344,6 +347,8 @@ fn merged(partials: &[u8]) -> Groups {
     let mut dec = Decoder::new(partials);
     let mut groups = Groups::default();
     while !dec.is_empty() {
+        // The frontend's own `Groups::encode` output (`frontend_archive.rs`'s
+        // `an_accepted_report_leaves_its_wire_bytes_and_reads_back_as_sent`).
         let partial = Groups::decode(&mut dec).expect("the frontend decodes what it encoded");
         groups.merge(&partial);
     }

@@ -15,6 +15,7 @@
 //! is what lets the chaos suite assert "same seed ⇒ same trip sequence".
 
 use pivot_baggage::QueryId;
+use pivot_itc::{DecodeError, Decoder, Encoder};
 
 /// Nominal bytes charged per packed value: the static cost model's
 /// rate, so statically-derived budgets and runtime charges are in the
@@ -101,6 +102,28 @@ impl QueryBudget {
     pub fn backoff_ns(&self, trips: u32) -> u64 {
         self.backoff_windows(trips).saturating_mul(self.window_ns)
     }
+
+    /// Encodes the budget as `SetBudget` and `Sync` frames carry it.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.tuples_per_window);
+        enc.put_varint(self.ops_per_window);
+        enc.put_varint(self.bytes_per_window);
+        enc.put_varint(self.window_ns);
+        enc.put_varint(u64::from(self.backoff_base_windows));
+        enc.put_varint(u64::from(self.max_backoff_doublings));
+    }
+
+    /// Decodes a budget.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<QueryBudget, DecodeError> {
+        Ok(QueryBudget {
+            tuples_per_window: dec.take_varint()?,
+            ops_per_window: dec.take_varint()?,
+            bytes_per_window: dec.take_varint()?,
+            window_ns: dec.take_varint()?,
+            backoff_base_windows: dec.take_u32()?,
+            max_backoff_doublings: dec.take_u32()?,
+        })
+    }
 }
 
 impl Default for QueryBudget {
@@ -118,27 +141,6 @@ pub enum ThrottleReason {
     Ops,
     /// `bytes_per_window` exceeded.
     Bytes,
-}
-
-impl ThrottleReason {
-    /// Wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            ThrottleReason::Tuples => 0,
-            ThrottleReason::Ops => 1,
-            ThrottleReason::Bytes => 2,
-        }
-    }
-
-    /// Decodes a wire tag.
-    pub fn from_tag(tag: u8) -> Option<ThrottleReason> {
-        Some(match tag {
-            0 => ThrottleReason::Tuples,
-            1 => ThrottleReason::Ops,
-            2 => ThrottleReason::Bytes,
-            _ => return None,
-        })
-    }
 }
 
 /// The charge counters of the window that tripped.
@@ -163,6 +165,44 @@ pub struct Throttled {
     pub reason: ThrottleReason,
     /// The tripping window's counters.
     pub stats: ThrottleStats,
+}
+
+impl Throttled {
+    /// Encodes the trip as a report carries it; the reason is one tag
+    /// byte, 0 `Tuples`, 1 `Ops`, 2 `Bytes`.
+    #[inline]
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.query.0);
+        enc.put_u8(match self.reason {
+            ThrottleReason::Tuples => 0,
+            ThrottleReason::Ops => 1,
+            ThrottleReason::Bytes => 2,
+        });
+        enc.put_varint(self.stats.tuples);
+        enc.put_varint(self.stats.ops);
+        enc.put_varint(self.stats.bytes);
+        enc.put_varint(u64::from(self.stats.trips));
+    }
+
+    /// Decodes a trip.
+    #[inline]
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Throttled, DecodeError> {
+        Ok(Throttled {
+            query: QueryId(dec.take_varint()?),
+            reason: match dec.take_u8()? {
+                0 => ThrottleReason::Tuples,
+                1 => ThrottleReason::Ops,
+                2 => ThrottleReason::Bytes,
+                t => return Err(DecodeError::BadTag("throttle reason", t)),
+            },
+            stats: ThrottleStats {
+                tuples: dec.take_varint()?,
+                ops: dec.take_varint()?,
+                bytes: dec.take_varint()?,
+                trips: dec.take_u32()?,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -201,17 +241,5 @@ mod tests {
         assert_eq!(b.backoff_windows(5), 16, "doublings cap");
         assert_eq!(b.backoff_windows(100), 16);
         assert_eq!(b.backoff_ns(1), 2 * b.window_ns);
-    }
-
-    #[test]
-    fn reason_tags_round_trip() {
-        for r in [
-            ThrottleReason::Tuples,
-            ThrottleReason::Ops,
-            ThrottleReason::Bytes,
-        ] {
-            assert_eq!(ThrottleReason::from_tag(r.tag()), Some(r));
-        }
-        assert_eq!(ThrottleReason::from_tag(9), None);
     }
 }

@@ -28,7 +28,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
-use pivot_model::{Tuple, Value};
+use pivot_itc::{DecodeError, Decoder, Encoder};
+use pivot_model::{codec, Tuple, Value};
 
 use crate::ledger::Ledger;
 use crate::tracepoint::names_match;
@@ -80,6 +81,31 @@ pub enum TriggerKind {
     /// A fault-injection site (or other embedding-level event) asked for
     /// hindsight explicitly.
     Fault,
+}
+
+impl TriggerKind {
+    /// Encodes the kind as its one-byte tag.
+    #[inline]
+    pub(crate) fn encode(self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            TriggerKind::Advice => 0,
+            TriggerKind::Breaker => 1,
+            TriggerKind::LatencyOutlier => 2,
+            TriggerKind::Fault => 3,
+        });
+    }
+
+    /// Decodes a kind from its one-byte tag.
+    #[inline]
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<TriggerKind, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => TriggerKind::Advice,
+            1 => TriggerKind::Breaker,
+            2 => TriggerKind::LatencyOutlier,
+            3 => TriggerKind::Fault,
+            t => return Err(DecodeError::BadTag("trigger kind", t)),
+        })
+    }
 }
 
 /// One buffered tracepoint invocation: the raw export set, verbatim.
@@ -134,6 +160,76 @@ pub struct RetroReport {
     /// Cumulative flushed events evicted from the bounded pending queue
     /// before the transport drained them.
     pub shed_cum: u64,
+}
+
+impl RetroReport {
+    /// Encodes the flush as a `Retro` frame carries it.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.host);
+        enc.put_varint(self.procid);
+        enc.put_varint(self.incarnation);
+        enc.put_varint(self.time);
+        enc.put_varint(self.seq);
+        enc.put_varint(self.query.0);
+        self.kind.encode(enc);
+        enc.put_varint(self.request);
+        enc.put_varint(self.recorded_cum);
+        enc.put_varint(self.sampled_out_cum);
+        enc.put_varint(self.shed_cum);
+        enc.put_varint(self.events.len() as u64);
+        for ev in &self.events {
+            codec::encode_value(&ev.tracepoint, enc);
+            enc.put_varint(ev.time);
+            enc.put_varint(ev.request);
+            enc.put_varint(ev.names.len() as u64);
+            for n in ev.names.iter() {
+                enc.put_str(n);
+            }
+            // Invariant upheld at recording: names and values are
+            // position-matched, so one length serves both.
+            debug_assert_eq!(ev.names.len(), ev.values.len());
+            for v in &ev.values {
+                codec::encode_value(v, enc);
+            }
+        }
+    }
+
+    /// Decodes a flush.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<RetroReport, DecodeError> {
+        Ok(RetroReport {
+            host: dec.take_str()?.to_owned(),
+            procid: dec.take_varint()?,
+            incarnation: dec.take_varint()?,
+            time: dec.take_varint()?,
+            seq: dec.take_varint()?,
+            query: QueryId(dec.take_varint()?),
+            kind: TriggerKind::decode(dec)?,
+            request: dec.take_varint()?,
+            recorded_cum: dec.take_varint()?,
+            sampled_out_cum: dec.take_varint()?,
+            shed_cum: dec.take_varint()?,
+            events: dec.take_list(1024, |dec| {
+                let tracepoint = codec::decode_value(dec)?;
+                let time = dec.take_varint()?;
+                let request = dec.take_varint()?;
+                let w = dec.take_varint()? as usize;
+                let names = (0..w)
+                    .map(|_| dec.take_str().map(Arc::from))
+                    .collect::<Result<Arc<[Arc<str>]>, _>>()?;
+                let mut values = Vec::with_capacity(w.min(64));
+                for _ in 0..w {
+                    values.push(codec::decode_value(dec)?);
+                }
+                Ok(RetroEvent {
+                    tracepoint,
+                    time,
+                    request,
+                    names,
+                    values,
+                })
+            })?,
+        })
+    }
 }
 
 /// A snapshot of one ring's cumulative event accounting.
@@ -248,7 +344,9 @@ impl RetroRing {
     pub fn set_cap(&mut self, cap: usize) {
         self.cap = cap.max(1);
         while self.ring.len() > self.cap {
-            let slot = self.ring.pop_front().expect("non-empty");
+            let Some(slot) = self.ring.pop_front() else {
+                break;
+            };
             self.recycle(slot);
             self.sampled_out_cum += 1;
         }
@@ -320,10 +418,14 @@ impl RetroRing {
         exports: &[(&str, Value)],
     ) {
         self.recorded_cum += 1;
-        if self.ring.len() >= self.cap {
+        let oldest = if self.ring.len() >= self.cap {
+            self.ring.pop_front()
+        } else {
+            None
+        };
+        if let Some(mut slot) = oldest {
             // Steady state: overwrite the oldest slot in place, reusing
             // its `values` allocation — no spare-pool traffic at all.
-            let mut slot = self.ring.pop_front().expect("non-empty");
             slot.values.clear();
             slot.values.extend(exports.iter().map(|(_, v)| v.clone()));
             slot.shape = shape;

@@ -201,7 +201,7 @@ fn crashed_incarnation_loss_stays_visible_past_the_restart() {
     assert!(fe.results(&handle).loss().is_degraded());
 }
 
-/// `decode_report` accepts any `u64` in the envelope: frames claiming
+/// `Report::decode` accepts any `u64` in the envelope: frames claiming
 /// `u64::MAX` of everything saturate the books, per source and summed
 /// over sources, where `+=` panicked (dev) or wrapped (release).
 #[test]

@@ -229,6 +229,35 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Reads a varint that must fit a `u16`.
+    #[inline]
+    pub fn take_u16(&mut self) -> Result<u16, DecodeError> {
+        u16::try_from(self.take_varint()?).map_err(|_| DecodeError::BadTag("u16 overflow", 0))
+    }
+
+    /// Reads a varint that must fit a `u32`.
+    #[inline]
+    pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.take_varint()?).map_err(|_| DecodeError::BadTag("u32 overflow", 0))
+    }
+
+    /// Reads a varint count, then that many items with `item`. The vector
+    /// is pre-sized to at most `cap` items: a count is only a claim until
+    /// its items have been read.
+    #[inline]
+    pub fn take_list<T>(
+        &mut self,
+        cap: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.take_varint()? as usize;
+        let mut out = Vec::with_capacity(n.min(cap));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     /// Reads a zigzag-encoded signed integer.
     #[inline]
     pub fn take_varint_i64(&mut self) -> Result<i64, DecodeError> {

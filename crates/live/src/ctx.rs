@@ -59,6 +59,8 @@ impl BaggageScope {
     /// that was attached.
     #[inline]
     pub fn detach(mut self) -> Baggage {
+        // Only `detach` and `drop` take `prev`, and each consumes the scope
+        // (`ctx::tests::attach_detach_restores_previous`).
         let prev = self.prev.take().expect("scope detached once");
         CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
     }

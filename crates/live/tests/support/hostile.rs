@@ -1,23 +1,33 @@
-//! The hostile-frame generator of `wire_hostile.rs`, pulled in with
-//! `#[path]` there and by the root `tests/wire_hostile_slice.rs`, which runs
-//! a budgeted slice of it under `cargo test -q`: a seeded message builder,
-//! the sweep that replaces every field of a frame by a hostile varint, and
-//! the decoder's one-shape-per-partial rule for grouped bodies. Each binary
-//! that includes it gets its allocator, which remembers the largest single
-//! request a decode makes.
+//! The wire's one frame corpus and its damage harness, pulled in with
+//! `#[path]` by `wire_hostile.rs` and by the root `tests/wire_hostile_slice.rs`,
+//! which runs a budgeted slice of it under `cargo test -q`.
+//!
+//! The [`corpus`] is [`all_frames`], the fixed frames the v8 golden pins,
+//! and [`messages`], one of every message kind and report body built from
+//! a seed. [`damage`] cuts, pads, flips and inflates a frame; every damaged
+//! frame goes through [`refused_or_fixed_point`]. [`variants_in`] names
+//! what a message holds, so a test can require every variant of the wire's
+//! enums to have a sample. Each binary that includes this module gets its
+//! allocator, which remembers the largest single request a decode makes.
 
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use pivot_baggage::QueryId;
-use pivot_core::{Report, ReportRows, ThrottleReason, ThrottleStats, Throttled};
+use pivot_core::{
+    Command, Frontend, ProcessInfo, QueryBudget, Report, ReportRows, RetroEvent, RetroReport,
+    ThrottleReason, ThrottleStats, Throttled, TriggerKind,
+};
 use pivot_itc::Encoder;
 use pivot_live::proto::{decode_message, encode_message, Message, PROTO_VERSION};
 use pivot_model::colblock::MAX_BLOCK_ROWS;
-use pivot_model::{codec, AggFunc, AggState, Value};
-use pivot_query::Groups;
+use pivot_model::{codec, AggFunc, AggState, BinOp, EncodedBlock, Tuple, UnOp, Value};
+use pivot_query::bytecode::{EInst, ExprProg, Inst};
+use pivot_query::{AdviceByteCode, CompiledCode, Groups};
 
 /// Remembers the largest single request this thread made of the allocator.
 struct Largest;
@@ -101,15 +111,279 @@ impl Rng {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The golden frames
+// ---------------------------------------------------------------------------
+
+/// A frontend that knows the two tracepoints the corpus queries read.
+fn frontend() -> Frontend {
+    let mut fe = Frontend::new();
+    fe.define("ClientProtocols", ["procName"]);
+    fe.define("DataNodeMetrics.incrBytesRead", ["delta"]);
+    fe
+}
+
+/// The query `text`'s lowered form, installed first on a [`frontend`].
+fn code(text: &str) -> Arc<CompiledCode> {
+    let mut fe = frontend();
+    let handle = fe.install(text).expect("the corpus queries install");
+    fe.code(&handle).expect("bytecode available")
+}
+
+/// The frames `wire_bytes_match_the_v8_golden` pins, in its order: one of
+/// each kind, a relay-re-originated report (a one-row block beside a
+/// columnar one), a batched flush, a hindsight flush and a
+/// `Trigger`-carrying install.
+pub fn all_frames() -> Vec<Message> {
+    let q2 = code(QUERIES[0]);
+    let names: Arc<[Arc<str>]> = Arc::new(["op".into(), "bytes".into()]);
+    // (host, procid, incarnation, time, seq, tuples)
+    type Envelope = (&'static str, u64, u64, u64, u64, u64);
+    let report = |(host, procid, incarnation, time, seq, tuples): Envelope, rows| Report {
+        query: QueryId(5),
+        host: host.into(),
+        procid,
+        incarnation,
+        time,
+        seq,
+        tuples,
+        emitted_cum: tuples,
+        shed_cum: 0,
+        truncated_cum: 0,
+        throttled: vec![],
+        rows,
+    };
+    let tuples = |v: &[(&str, i64)]| -> Vec<Tuple> {
+        v.iter()
+            .map(|(s, i)| Tuple::from_iter([Value::str(*s), Value::I64(*i)]))
+            .collect()
+    };
+    let batch: Vec<Tuple> = (0..64)
+        .map(|i| Tuple::from_iter([Value::str("GET"), Value::U64(i), Value::U64(512)]))
+        .collect();
+    vec![
+        Message::Command(Command::Install(Arc::clone(&q2))),
+        Message::Command(Command::Uninstall(QueryId(3))),
+        Message::Hello(ProcessInfo {
+            host: "host-C".into(),
+            procid: 8,
+            procname: "kvnode".into(),
+        }),
+        Message::Report(Report {
+            emitted_cum: 11,
+            shed_cum: 1,
+            truncated_cum: 2,
+            throttled: vec![Throttled {
+                query: QueryId(5),
+                reason: ThrottleReason::Tuples,
+                stats: ThrottleStats {
+                    tuples: 9,
+                    ops: 81,
+                    bytes: 108,
+                    trips: 1,
+                },
+            }],
+            ..report(
+                ("host-A", 31, 2, 9, 3, 5),
+                ReportRows::Grouped(Groups::from_flat(
+                    1,
+                    vec![Value::str("k")],
+                    vec![AggFunc::Count.init()],
+                )),
+            )
+        }),
+        Message::Sync {
+            epoch: 7,
+            queries: vec![q2],
+            budgets: vec![(QueryId(1), QueryBudget::from_static_bound(Some(60)))],
+        },
+        Message::Goodbye,
+        Message::Command(Command::SetBudget(
+            QueryId(2),
+            QueryBudget::from_static_bound(Some(48)),
+        )),
+        Message::HelloRelay(ProcessInfo {
+            host: "rack-7".into(),
+            procid: 1,
+            procname: "pivot-relay".into(),
+        }),
+        Message::Report(report(
+            ("rack-7", 1, 3, 10, 0, 3),
+            ReportRows::RawEncoded(vec![
+                EncodedBlock::encode(&tuples(&[("a", 1)])),
+                EncodedBlock::encode(&tuples(&[("b", 2), ("c", 3)])),
+            ]),
+        )),
+        Message::Report(report(
+            ("host-B", 12, 1, 20, 4, 64),
+            ReportRows::RawEncoded(vec![EncodedBlock::encode(&batch)]),
+        )),
+        Message::Retro(RetroReport {
+            host: "host-A".into(),
+            procid: 31,
+            incarnation: 2,
+            time: 99,
+            seq: 4,
+            query: QueryId(5),
+            kind: TriggerKind::Advice,
+            request: 17,
+            events: (0..2)
+                .map(|i| RetroEvent {
+                    tracepoint: Value::str("KvShard.execute"),
+                    time: 90 + i,
+                    request: 17,
+                    names: Arc::clone(&names),
+                    values: vec![Value::str("put"), Value::U64(512 + i)],
+                })
+                .collect(),
+            recorded_cum: 40,
+            sampled_out_cum: 6,
+            shed_cum: 1,
+        }),
+        Message::Command(Command::Install(code(QUERIES[3]))),
+    ]
+}
+
+// ---------------------------------------------------------------------------
+// The seeded messages
+// ---------------------------------------------------------------------------
+
+/// A join with a filter and three aggregates; a grouped query of two
+/// extrema; a streaming query; a `Trigger` query.
+pub const QUERIES: [&str; 4] = [
+    "From incr In DataNodeMetrics.incrBytesRead \
+     Join cl In First(ClientProtocols) On cl -> incr \
+     Where incr.delta > 0 && incr.delta != 13 \
+     GroupBy cl.procName \
+     Select cl.procName, SUM(incr.delta), COUNT, AVERAGE(incr.delta)",
+    "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host \
+     Select incr.host, MIN(incr.delta), MAX(incr.delta)",
+    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 1 \
+     Select incr.delta, incr.procname, incr.tracepoint",
+    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 90 Trigger Select incr.delta",
+];
+
+/// The lowered form of [`QUERIES`] and the budgets in force, from a real
+/// frontend (verifier included).
+pub fn installed() -> (Vec<Arc<CompiledCode>>, Vec<(QueryId, QueryBudget)>) {
+    let mut fe = frontend();
+    fe.set_enforce_budgets(true);
+    for text in QUERIES {
+        fe.install(text).expect("the fixture queries install");
+    }
+    (fe.installed(), fe.budgets())
+}
+
+/// One valid program holding every expression instruction, which no
+/// query of the language lowers to at once (`Fail` is an unresolvable
+/// field, which the verifier refuses).
+fn every_expression_instruction() -> Arc<CompiledCode> {
+    let einsts = vec![
+        EInst::Load { dst: 0, col: 0 },
+        EInst::Const { dst: 1, idx: 0 },
+        EInst::Binary {
+            dst: 0,
+            op: BinOp::Add,
+            lhs: 0,
+            rhs: 1,
+        },
+        EInst::Unary {
+            dst: 0,
+            op: UnOp::Neg,
+            src: 0,
+        },
+        EInst::CoerceBool { dst: 0, src: 0 },
+        EInst::SkipIfBool {
+            src: 0,
+            when: false,
+            skip: 1,
+        },
+        EInst::Fail,
+    ];
+    let program = AdviceByteCode {
+        tracepoints: vec!["DataNodeMetrics.incrBytesRead".into()],
+        insts: vec![Inst::Observe { names: (0, 1) }, Inst::Filter { pred: 0 }],
+        exprs: vec![ExprProg {
+            start: 0,
+            len: einsts.len() as u32,
+            result: 0,
+        }],
+        einsts,
+        consts: vec![Value::I64(1)],
+        names: vec!["delta".into()],
+        num_regs: 2,
+    };
+    program.validate().expect("the program is valid");
+    Arc::new(CompiledCode {
+        id: QueryId(9),
+        name: "every-einst".into(),
+        programs: vec![Arc::new(program)],
+        output: Arc::default(),
+    })
+}
+
+fn info(rng: &mut Rng) -> ProcessInfo {
+    ProcessInfo {
+        host: rng.name("host"),
+        procid: rng.counter(),
+        procname: rng.name("proc"),
+    }
+}
+
+/// A block of `n` streaming rows; two or more come out columnar, with a
+/// constant column (runs), a counting one (deltas) and a cycling one.
+fn block(rng: &mut Rng, n: u64) -> EncodedBlock {
+    let base = rng.below(1 << 40);
+    let rows: Vec<Tuple> = (0..n)
+        .map(|i| {
+            Tuple::from_iter([
+                Value::str("GET"),
+                Value::U64(base + i),
+                Value::I64(-(i as i64)),
+                Value::str(["a", "b", "c"][(i % 3) as usize]),
+            ])
+        })
+        .collect();
+    EncodedBlock::encode(&rows)
+}
+
+pub fn retro(rng: &mut Rng, kind: TriggerKind, events: u64) -> Message {
+    let names: Arc<[Arc<str>]> = Arc::new(["op".into(), "bytes".into()]);
+    Message::Retro(RetroReport {
+        host: rng.name("host"),
+        procid: rng.counter(),
+        incarnation: rng.counter(),
+        time: rng.counter(),
+        seq: rng.counter(),
+        query: QueryId(rng.below(9)),
+        kind,
+        request: rng.counter(),
+        events: (0..events)
+            .map(|i| RetroEvent {
+                tracepoint: Value::str("KvShard.execute"),
+                time: i,
+                request: rng.counter(),
+                names: Arc::clone(&names),
+                values: vec![Value::str("put"), Value::U64(rng.counter())],
+            })
+            .collect(),
+        recorded_cum: rng.counter(),
+        sampled_out_cum: rng.counter(),
+        shed_cum: rng.counter(),
+    })
+}
+
+/// `n` trips, their reasons in turn.
 pub fn throttles(rng: &mut Rng, n: usize) -> Vec<Throttled> {
+    let reasons = [
+        ThrottleReason::Tuples,
+        ThrottleReason::Ops,
+        ThrottleReason::Bytes,
+    ];
     (0..n)
-        .map(|_| Throttled {
+        .map(|i| Throttled {
             query: QueryId(rng.below(9)),
-            reason: [
-                ThrottleReason::Tuples,
-                ThrottleReason::Ops,
-                ThrottleReason::Bytes,
-            ][rng.below(3) as usize],
+            reason: reasons[i % 3],
             stats: ThrottleStats {
                 tuples: rng.counter(),
                 ops: rng.counter(),
@@ -172,6 +446,147 @@ pub fn grouped_bodies(rng: &mut Rng) -> [(&'static str, ReportRows); 5] {
         ("3 groups, 5-value keys", groups(rng, 3, 5)),
     ]
 }
+
+/// One of every message kind, and of every body shape a report has.
+pub fn messages(seed: u64) -> Vec<(String, Message)> {
+    let rng = &mut Rng(seed);
+    let (codes, budgets) = installed();
+    let mut out: Vec<(String, Message)> = vec![
+        ("hello".into(), Message::Hello(info(rng))),
+        ("hello-relay".into(), Message::HelloRelay(info(rng))),
+        ("goodbye".into(), Message::Goodbye),
+        (
+            "uninstall".into(),
+            Message::Command(Command::Uninstall(QueryId(rng.counter()))),
+        ),
+        (
+            "set-budget".into(),
+            Message::Command(Command::SetBudget(
+                QueryId(rng.counter()),
+                QueryBudget::from_static_bound(Some(rng.below(4096))),
+            )),
+        ),
+        (
+            "set-budget/unlimited".into(),
+            Message::Command(Command::SetBudget(
+                QueryId(rng.counter()),
+                QueryBudget::unlimited(),
+            )),
+        ),
+        (
+            "sync".into(),
+            Message::Sync {
+                epoch: rng.counter(),
+                queries: codes.clone(),
+                budgets,
+            },
+        ),
+    ];
+    let kinds = [
+        TriggerKind::Advice,
+        TriggerKind::Breaker,
+        TriggerKind::LatencyOutlier,
+        TriggerKind::Fault,
+    ];
+    for (events, kind) in kinds.into_iter().enumerate() {
+        out.push((format!("retro/{events}"), retro(rng, kind, events as u64)));
+    }
+    let every = every_expression_instruction();
+    for (i, code) in codes.iter().chain([&every]).enumerate() {
+        let install = Message::Command(Command::Install(Arc::clone(code)));
+        out.push((format!("install/{i}"), install));
+    }
+    for throttled in [0, 1, 3] {
+        let blocks = [
+            ("no blocks", ReportRows::RawEncoded(vec![])),
+            ("0-row block", ReportRows::RawEncoded(vec![block(rng, 0)])),
+            ("1-row block", ReportRows::RawEncoded(vec![block(rng, 1)])),
+            ("64-row block", ReportRows::RawEncoded(vec![block(rng, 64)])),
+            (
+                "1+64+1-row blocks",
+                ReportRows::RawEncoded(vec![block(rng, 1), block(rng, 64), block(rng, 1)]),
+            ),
+        ];
+        for (what, rows) in blocks.into_iter().chain(grouped_bodies(rng)) {
+            out.push((
+                format!("report/{throttled} throttles/{what}"),
+                report(rng, throttled, rows),
+            ));
+        }
+    }
+    out
+}
+
+/// The corpus: the golden frames, then the seeded messages of seeds `0..4`.
+pub fn corpus() -> impl Iterator<Item = (String, Message)> {
+    let golden = all_frames().into_iter().enumerate();
+    let golden = golden.map(|(i, m)| (format!("golden/{i}"), m));
+    golden.chain((0..4).flat_map(|seed| {
+        let seeded = messages(seed).into_iter();
+        seeded.map(move |(name, m)| (format!("seed {seed} {name}"), m))
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// Variant coverage
+// ---------------------------------------------------------------------------
+
+/// `$name` names a value's variant through a `match` with no wildcard
+/// arm, and `$all` lists every name it can return. A variant added to the
+/// type fails to compile here until it is listed, and then fails
+/// `every_variant_of_the_wire_has_a_sample` until the corpus holds one.
+macro_rules! variants {
+    ($name:ident, $all:ident, $ty:ident: $($v:ident),+) => {
+        pub const $all: &[&str] = &[$(concat!(stringify!($ty), "::", stringify!($v))),+];
+
+        fn $name(x: &$ty) -> &'static str {
+            match x {
+                $($ty::$v { .. } => concat!(stringify!($ty), "::", stringify!($v)),)+
+            }
+        }
+    };
+}
+
+variants!(message, MESSAGE, Message: Hello, Command, Report, Sync, Goodbye, HelloRelay, Retro);
+variants!(command, COMMAND, Command: Install, Uninstall, SetBudget);
+variants!(rows, ROWS, ReportRows: Grouped, RawEncoded);
+variants!(inst, INST, Inst: Observe, Unpack, Filter, Pack, Trigger, Emit);
+variants!(einst, EINST, EInst: Load, Const, Unary, Binary, CoerceBool, SkipIfBool, Fail);
+variants!(trigger, TRIGGER, TriggerKind: Advice, Breaker, LatencyOutlier, Fault);
+variants!(reason, REASON, ThrottleReason: Tuples, Ops, Bytes);
+
+/// Every variant name of the wire's enums.
+pub const VARIANTS: [&[&str]; 7] = [MESSAGE, COMMAND, ROWS, INST, EINST, TRIGGER, REASON];
+
+/// Adds the name of every variant `msg` holds to `out`.
+pub fn variants_in(msg: &Message, out: &mut BTreeSet<&'static str>) {
+    fn code(code: &CompiledCode, out: &mut BTreeSet<&'static str>) {
+        for p in &code.programs {
+            out.extend(p.insts.iter().map(inst));
+            out.extend(p.einsts.iter().map(einst));
+        }
+    }
+    out.insert(message(msg));
+    match msg {
+        Message::Command(c) => {
+            out.insert(command(c));
+            if let Command::Install(c) = c {
+                code(c, out);
+            }
+        }
+        Message::Sync { queries, .. } => queries.iter().for_each(|c| code(c, out)),
+        Message::Report(r) => {
+            out.insert(rows(&r.rows));
+            out.extend(r.throttled.iter().map(|t| reason(&t.reason)));
+        }
+        Message::Retro(r) => _ = out.insert(trigger(&r.kind)),
+        Message::Hello(_) | Message::HelloRelay(_) | Message::Goodbye => {}
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Damage
+// ---------------------------------------------------------------------------
 
 /// `Err`, or a message whose re-encoding decodes to itself — and nothing
 /// on the way asked the allocator for more than [`ALLOC_BOUND`].
@@ -241,19 +656,47 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Encodes `msg`, requires it to decode, then replaces the varint at every
-/// offset by each of [`HOSTILE`] and requires each damaged frame to be
-/// refused or a fixed point. Returns how many damaged frames decoded.
-pub fn sweep(msg: &Message, name: &str) -> u64 {
+/// Encodes `msg` and requires it to decode to itself, then damages the
+/// frame every way there is to judge:
+/// - every strict prefix, and the frame followed by one to three more
+///   bytes, must be refused;
+/// - every single-bit flip, a `^ 0x55` of every byte, and the varint at
+///   every offset replaced by each of [`HOSTILE`] must be refused or a
+///   fixed point ([`refused_or_fixed_point`]).
+///
+/// Returns how many damaged frames decoded.
+pub fn damage(msg: &Message, name: &str) -> u64 {
     let bytes = encode_message(msg);
     assert_eq!(bytes[0], PROTO_VERSION);
     assert!(bytes.len() < 4096, "{name} is {} bytes", bytes.len());
-    assert!(
-        refused_or_fixed_point(&bytes, &|| format!("{name}, undamaged")),
-        "{name}: an honest frame decodes"
-    );
+    let back = decode_message(&bytes).unwrap_or_else(|e| panic!("{name} is refused: {e:?}"));
+    assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{name} round trip");
+    assert_eq!(encode_message(&back), bytes, "{name} re-encodes");
+    let refused = |damaged: &[u8], what: &str| {
+        let what = || format!("{name}, {what}");
+        assert!(
+            !refused_or_fixed_point(damaged, &what),
+            "{} decoded",
+            what()
+        );
+    };
+    for cut in 0..bytes.len() {
+        refused(&bytes[..cut], &format!("cut at {cut}"));
+    }
+    for tail in [&[0u8][..], &[0x80, 0], &[0xff, 0xff, 0x7f]] {
+        refused(&[&bytes[..], tail].concat(), &format!("{tail:?} appended"));
+    }
     let mut accepted = 0;
-    // Offset 0 is the version byte, which `proto`'s own tests sweep.
+    for at in 0..bytes.len() {
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0x55]) {
+            let mut damaged = bytes.clone();
+            damaged[at] ^= mask;
+            let what = || format!("{name}, byte {at} ^ {mask:#04x}");
+            accepted += u64::from(refused_or_fixed_point(&damaged, &what));
+        }
+    }
+    // Offset 0 is the version byte, which the skew sweep holds to an
+    // exact error.
     for at in 1..bytes.len() {
         // The field that starts here ends at its first byte without a
         // continuation bit.

@@ -2,9 +2,9 @@
 //! [`PROTO_VERSION`], and a frame stamped with anything else ends the
 //! connection as *lost* on whichever side reads it — the server hangs up
 //! and tallies the peer, the client goes `Reconnecting` — instead of the
-//! frame being misparsed or quietly skipped. (`proto`'s unit tests pin the
-//! decoder for all 255 foreign version bytes; this pins what the two
-//! socket loops do with that error.)
+//! frame being misparsed or quietly skipped. (`wire_hostile.rs`'s skew
+//! sweep pins the decoder for all 255 foreign version bytes on every frame
+//! of the corpus; this pins what the two socket loops do with that error.)
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};

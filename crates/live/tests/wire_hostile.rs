@@ -4,184 +4,110 @@
 //! fixed point — never a panic, never an allocation sized by a count
 //! nobody checked.
 //!
-//! Structure-aware, in the style of `crates/core/tests/vm_hostile.rs`:
-//! every message kind is built valid from a seed — real `Install`/`Sync`
-//! from a `Frontend`, reports with 0/1/64-row blocks and grouped bodies
-//! (keys of 0, 2 and 5 values) under 0/1/3 throttles, retro frames — and
-//! then damaged one field at a time, two ways. On the value, where the
-//! fields are public: the output
-//! spec's lists and column refs and the lowered programs' ranges, which
-//! the encoder writes as given and the decoder must refuse. On the bytes,
-//! where they are not: at every offset the varint that starts there is
-//! replaced by a hostile one, which reaches each length, tag, count, range
-//! and block row header in turn, a state a bit flip mostly decodes away
-//! from.
+//! Every test reads one corpus (`support/hostile.rs`): the golden frames
+//! pin the v8 layout, the skew sweep stamps each with every foreign
+//! version, and the damage harness cuts, pads, flips and inflates each of
+//! them and of the seeded messages — real `Install`/`Sync` from a
+//! `Frontend`, reports with 0/1/64-row blocks and grouped bodies (keys of
+//! 0, 2 and 5 values) under 0/1/3 throttles, a retro frame of each trigger
+//! kind. Where the fields are public, frames are also damaged on the
+//! value: the output spec's lists and column refs and the lowered
+//! programs' ranges, which the encoder writes as given and the decoder
+//! must refuse.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use pivot_baggage::QueryId;
-use pivot_core::{
-    Command, Frontend, ProcessInfo, QueryBudget, ReportRows, RetroEvent, RetroReport, TriggerKind,
-};
-use pivot_itc::{Decoder, Encoder};
+use pivot_core::{Command, ReportRows, RetroEvent, TriggerKind};
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_live::frame::{read_frame, MAX_FRAME};
-use pivot_live::proto::{decode_message, encode_message, Message};
+use pivot_live::proto::{decode_message, encode_message, Message, PROTO_VERSION};
 use pivot_model::colblock::MAX_BLOCK_ROWS;
-use pivot_model::{AggFunc, AggState, EncodedBlock, Tuple, Value};
+use pivot_model::{AggFunc, AggState, EncodedBlock, Value};
 use pivot_query::advice::ColumnRef;
 use pivot_query::bytecode::{Inst, PoolRange};
 use pivot_query::{AdviceByteCode, CompiledCode, Groups, OutputSpec};
 
 #[path = "support/hostile.rs"]
 mod hostile;
-use hostile::{grouped_bodies, largest_request, report, sweep, Rng, ALLOC_BOUND};
+use hostile::{
+    all_frames, corpus, damage, installed, largest_request, report, retro, variants_in, Rng,
+    ALLOC_BOUND, VARIANTS,
+};
 
-const QUERIES: [&str; 4] = [
-    "From incr In DataNodeMetrics.incrBytesRead \
-     Join cl In First(ClientProtocols) On cl -> incr \
-     Where incr.delta > 0 && incr.delta != 13 \
-     GroupBy cl.procName \
-     Select cl.procName, SUM(incr.delta), COUNT, AVERAGE(incr.delta)",
-    "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host \
-     Select incr.host, MIN(incr.delta), MAX(incr.delta)",
-    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 1 \
-     Select incr.delta, incr.procname, incr.tracepoint",
-    "From incr In DataNodeMetrics.incrBytesRead Where incr.delta > 90 Trigger Select incr.delta",
-];
-
-/// The lowered form of [`QUERIES`] and the budgets in force, from a real
-/// frontend (verifier included).
-fn installed() -> (Vec<Arc<CompiledCode>>, Vec<(QueryId, QueryBudget)>) {
-    let mut fe = Frontend::new();
-    fe.define("ClientProtocols", ["procName"]);
-    fe.define("DataNodeMetrics.incrBytesRead", ["delta"]);
-    fe.set_enforce_budgets(true);
-    for text in QUERIES {
-        fe.install(text).expect("the fixture queries install");
-    }
-    (fe.installed(), fe.budgets())
-}
-
-fn info(rng: &mut Rng) -> ProcessInfo {
-    ProcessInfo {
-        host: rng.name("host"),
-        procid: rng.counter(),
-        procname: rng.name("proc"),
-    }
-}
-
-/// A block of `n` streaming rows; two or more come out columnar, with a
-/// constant column (runs), a counting one (deltas) and a cycling one.
-fn block(rng: &mut Rng, n: u64) -> EncodedBlock {
-    let base = rng.below(1 << 40);
-    let rows: Vec<Tuple> = (0..n)
-        .map(|i| {
-            Tuple::from_iter([
-                Value::str("GET"),
-                Value::U64(base + i),
-                Value::I64(-(i as i64)),
-                Value::str(["a", "b", "c"][(i % 3) as usize]),
-            ])
-        })
-        .collect();
-    EncodedBlock::encode(&rows)
-}
-
-fn retro(rng: &mut Rng, events: u64) -> Message {
-    let names: Arc<[Arc<str>]> = Arc::new(["op".into(), "bytes".into()]);
-    Message::Retro(RetroReport {
-        host: rng.name("host"),
-        procid: rng.counter(),
-        incarnation: rng.counter(),
-        time: rng.counter(),
-        seq: rng.counter(),
-        query: QueryId(rng.below(9)),
-        kind: [
-            TriggerKind::Advice,
-            TriggerKind::Breaker,
-            TriggerKind::LatencyOutlier,
-            TriggerKind::Fault,
-        ][rng.below(4) as usize],
-        request: rng.counter(),
-        events: (0..events)
-            .map(|i| RetroEvent {
-                tracepoint: Value::str("KvShard.execute"),
-                time: i,
-                request: rng.counter(),
-                names: Arc::clone(&names),
-                values: vec![Value::str("put"), Value::U64(rng.counter())],
-            })
-            .collect(),
-        recorded_cum: rng.counter(),
-        sampled_out_cum: rng.counter(),
-        shed_cum: rng.counter(),
+/// FNV-1a (64-bit): enough to pin bytes without a dependency.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// One of every message kind, and of every body shape a report has.
-fn messages(seed: u64) -> Vec<(String, Message)> {
-    let rng = &mut Rng(seed);
-    let (codes, budgets) = installed();
-    let mut out: Vec<(String, Message)> = vec![
-        ("hello".into(), Message::Hello(info(rng))),
-        ("hello-relay".into(), Message::HelloRelay(info(rng))),
-        ("goodbye".into(), Message::Goodbye),
-        (
-            "uninstall".into(),
-            Message::Command(Command::Uninstall(QueryId(rng.counter()))),
-        ),
-        (
-            "set-budget".into(),
-            Message::Command(Command::SetBudget(
-                QueryId(rng.counter()),
-                QueryBudget::from_static_bound(Some(rng.below(4096))),
-            )),
-        ),
-        (
-            "sync".into(),
-            Message::Sync {
-                epoch: rng.counter(),
-                queries: codes.clone(),
-                budgets,
-            },
-        ),
-        ("retro/0".into(), retro(rng, 0)),
-        ("retro/3".into(), retro(rng, 3)),
+#[test]
+fn wire_bytes_match_the_v8_golden() {
+    // `(len, fnv1a)` of every frame in `all_frames()` as the commit
+    // that introduced version 8 encoded it: a version-8 capture taken
+    // by any build since then decodes today. A deliberate layout
+    // change bumps `PROTO_VERSION` and regenerates this table.
+    const GOLDEN: [(usize, u64); 12] = [
+        (250, 0xb990_78d5_1b41_55f7),
+        (3, 0x1e92_1b18_9349_59a4),
+        (17, 0x3788_595f_1e7f_8c68),
+        (34, 0xb335_1239_aa44_c748),
+        (269, 0x5b9f_d4b1_f4e2_dcfe),
+        (2, 0x084d_b307_b502_80b6),
+        (18, 0x58ab_3b55_e5e2_130d),
+        (22, 0xb0e6_c68d_542c_c6e3),
+        (44, 0xe8b8_f0c4_0640_6899),
+        (104, 0xc1a4_8aee_09a0_6a2f),
+        (94, 0x33f5_2956_be21_f13a),
+        (107, 0x831d_e682_9c3d_3c15),
     ];
-    for (i, code) in codes.iter().enumerate() {
-        let install = Message::Command(Command::Install(Arc::clone(code)));
-        out.push((format!("install/{i}"), install));
-    }
-    for throttled in [0, 1, 3] {
-        let blocks = [
-            ("no blocks", ReportRows::RawEncoded(vec![])),
-            ("0-row block", ReportRows::RawEncoded(vec![block(rng, 0)])),
-            ("1-row block", ReportRows::RawEncoded(vec![block(rng, 1)])),
-            ("64-row block", ReportRows::RawEncoded(vec![block(rng, 64)])),
-            (
-                "1+64+1-row blocks",
-                ReportRows::RawEncoded(vec![block(rng, 1), block(rng, 64), block(rng, 1)]),
-            ),
-        ];
-        for (what, rows) in blocks.into_iter().chain(grouped_bodies(rng)) {
-            out.push((
-                format!("report/{throttled} throttles/{what}"),
-                report(rng, throttled, rows),
-            ));
-        }
-    }
-    out
+    let got: Vec<(usize, u64)> = all_frames()
+        .iter()
+        .map(encode_message)
+        .map(|f| (f.len(), fnv1a(&f)))
+        .collect();
+    assert_eq!(got, GOLDEN);
 }
 
 #[test]
-fn every_field_replaced_by_a_hostile_varint_is_refused_or_a_fixed_point() {
-    let mut accepted = 0u64;
-    for seed in 0..4 {
-        for (name, msg) in messages(seed) {
-            accepted += sweep(&msg, &format!("seed {seed} {name}"));
+fn every_frame_rejects_version_skew() {
+    // Exactly one version byte is spoken. Every other one — older,
+    // newer, zero, 0xFF — fails loudly on every frame, instead of
+    // misparsing or being quietly down-read.
+    for (name, msg) in corpus() {
+        let bytes = encode_message(&msg);
+        assert_eq!(bytes[0], PROTO_VERSION);
+        for skew in (0..=u8::MAX).filter(|v| *v != PROTO_VERSION) {
+            let mut skewed = bytes.clone();
+            skewed[0] = skew;
+            assert_eq!(
+                decode_message(&skewed).err(),
+                Some(DecodeError::BadTag("protocol version", skew)),
+                "{name}: version byte {skew} must be refused"
+            );
         }
     }
-    // The sweep is not vacuous: counters and ids take any value.
+}
+
+#[test]
+fn every_variant_of_the_wire_has_a_sample() {
+    let mut seen = BTreeSet::new();
+    for (_, msg) in corpus() {
+        variants_in(&msg, &mut seen);
+    }
+    let missing: Vec<_> = VARIANTS
+        .concat()
+        .into_iter()
+        .filter(|v| !seen.contains(v))
+        .collect();
+    assert!(missing.is_empty(), "no sample of {missing:?}");
+}
+
+#[test]
+fn every_frame_damaged_every_way_is_refused_or_a_fixed_point() {
+    let accepted: u64 = corpus().map(|(name, msg)| damage(&msg, &name)).sum();
+    // The harness is not vacuous: counters and ids take any value.
     assert!(accepted > 1000, "only {accepted} damaged frames decoded");
 }
 
@@ -346,7 +272,7 @@ fn nested_accumulators_are_refused_not_followed() {
 
     // A retro event whose last value is the bomb.
     let names = Arc::new(["v".into()]);
-    let Message::Retro(mut flush) = retro(rng, 0) else {
+    let Message::Retro(mut flush) = retro(rng, TriggerKind::Fault, 0) else {
         unreachable!()
     };
     flush.events.push(RetroEvent {

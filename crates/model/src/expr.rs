@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use pivot_itc::{DecodeError, Decoder, Encoder};
+
 use crate::tuple::Row;
 use crate::value::Value;
 
@@ -60,6 +62,47 @@ impl BinOp {
             BinOp::Or => "||",
         }
     }
+
+    /// Encodes the operator as its one-byte tag.
+    #[inline]
+    pub fn encode(self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            BinOp::Add => 0,
+            BinOp::Sub => 1,
+            BinOp::Mul => 2,
+            BinOp::Div => 3,
+            BinOp::Mod => 4,
+            BinOp::Eq => 5,
+            BinOp::Ne => 6,
+            BinOp::Lt => 7,
+            BinOp::Le => 8,
+            BinOp::Gt => 9,
+            BinOp::Ge => 10,
+            BinOp::And => 11,
+            BinOp::Or => 12,
+        });
+    }
+
+    /// Decodes an operator from its one-byte tag.
+    #[inline]
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<BinOp, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => BinOp::Add,
+            1 => BinOp::Sub,
+            2 => BinOp::Mul,
+            3 => BinOp::Div,
+            4 => BinOp::Mod,
+            5 => BinOp::Eq,
+            6 => BinOp::Ne,
+            7 => BinOp::Lt,
+            8 => BinOp::Le,
+            9 => BinOp::Gt,
+            10 => BinOp::Ge,
+            11 => BinOp::And,
+            12 => BinOp::Or,
+            t => return Err(DecodeError::BadTag("bin op", t)),
+        })
+    }
 }
 
 /// A unary operator.
@@ -69,6 +112,27 @@ pub enum UnOp {
     Neg,
     /// Logical not.
     Not,
+}
+
+impl UnOp {
+    /// Encodes the operator as its one-byte tag.
+    #[inline]
+    pub fn encode(self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            UnOp::Neg => 0,
+            UnOp::Not => 1,
+        });
+    }
+
+    /// Decodes an operator from its one-byte tag.
+    #[inline]
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<UnOp, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => UnOp::Neg,
+            1 => UnOp::Not,
+            t => return Err(DecodeError::BadTag("un op", t)),
+        })
+    }
 }
 
 /// Errors raised during expression evaluation.

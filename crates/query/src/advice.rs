@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use pivot_baggage::{PackMode, QueryId};
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_model::{AggFunc, Expr, Schema};
 
 use crate::ast::TemporalFilter;
@@ -45,6 +46,73 @@ pub struct OutputSpec {
     pub columns: Vec<ColumnRef>,
     /// `true` when the query has no aggregates and emits raw rows.
     pub streaming: bool,
+}
+
+impl OutputSpec {
+    /// Encodes the spec as an `Install` carries it.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        put_strs(&self.key_names, enc);
+        enc.put_varint(self.aggs.len() as u64);
+        for f in &self.aggs {
+            f.encode(enc);
+        }
+        put_strs(&self.agg_names, enc);
+        enc.put_varint(self.columns.len() as u64);
+        for c in &self.columns {
+            let (tag, i) = match c {
+                ColumnRef::Key(i) => (0, i),
+                ColumnRef::Agg(i) => (1, i),
+            };
+            enc.put_u8(tag);
+            enc.put_varint(*i as u64);
+        }
+        enc.put_u8(u8::from(self.streaming));
+    }
+
+    /// Decodes a spec, refusing a column that names no key or aggregate,
+    /// so the spec can be used without bounds anxiety. That the name lists
+    /// are as wide as what the advice computes is `validate`'s check on
+    /// the `Emit` that carries this spec.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<OutputSpec, DecodeError> {
+        let key_names = take_strs(dec)?;
+        let aggs = dec.take_list(64, AggFunc::decode)?;
+        let agg_names = take_strs(dec)?;
+        let columns = dec.take_list(64, |dec| {
+            let tag = dec.take_u8()?;
+            let i = dec.take_varint()? as usize;
+            Ok(match tag {
+                0 if i < key_names.len() => ColumnRef::Key(i),
+                1 if i < agg_names.len() => ColumnRef::Agg(i),
+                0 | 1 => return Err(DecodeError::BadTag("column ref range", 0)),
+                t => return Err(DecodeError::BadTag("column ref", t)),
+            })
+        })?;
+        let streaming = match dec.take_u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(DecodeError::BadTag("streaming flag", t)),
+        };
+        Ok(OutputSpec {
+            key_names,
+            aggs,
+            agg_names,
+            columns,
+            streaming,
+        })
+    }
+}
+
+/// Writes a length-prefixed list of strings.
+pub(crate) fn put_strs(strs: &[String], enc: &mut Encoder) {
+    enc.put_varint(strs.len() as u64);
+    for s in strs {
+        enc.put_str(s);
+    }
+}
+
+/// Reads a list [`put_strs`] wrote.
+pub(crate) fn take_strs(dec: &mut Decoder<'_>) -> Result<Vec<String>, DecodeError> {
+    dec.take_list(256, |dec| Ok(dec.take_str()?.to_owned()))
 }
 
 /// One advice operation.

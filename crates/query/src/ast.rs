@@ -1,5 +1,6 @@
 //! Abstract syntax for Pivot Tracing queries.
 
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_model::{AggFunc, Expr};
 
 /// A temporal filter restricting which tuples of a source participate in a
@@ -27,6 +28,32 @@ impl TemporalFilter {
                 }
             }
         }
+    }
+
+    /// Encodes an optional filter: one tag byte — 0 none, 1 `First`, 2
+    /// `MostRecent` — then the window.
+    pub(crate) fn encode(filter: Option<TemporalFilter>, enc: &mut Encoder) {
+        match filter {
+            None => enc.put_u8(0),
+            Some(TemporalFilter::First(n)) => {
+                enc.put_u8(1);
+                enc.put_varint(n as u64);
+            }
+            Some(TemporalFilter::MostRecent(n)) => {
+                enc.put_u8(2);
+                enc.put_varint(n as u64);
+            }
+        }
+    }
+
+    /// Decodes what [`TemporalFilter::encode`] wrote.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Option<TemporalFilter>, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => None,
+            1 => Some(TemporalFilter::First(dec.take_varint()? as usize)),
+            2 => Some(TemporalFilter::MostRecent(dec.take_varint()? as usize)),
+            t => return Err(DecodeError::BadTag("temporal filter", t)),
+        })
     }
 }
 

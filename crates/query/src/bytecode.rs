@@ -43,11 +43,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, PackMode, QueryId};
+use pivot_itc::{DecodeError, Decoder, Encoder};
 use pivot_model::expr::{eval_binary, eval_unary};
 use pivot_model::value::NULL;
-use pivot_model::{BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
+use pivot_model::{codec, BinOp, Cols, Expr, GroupKey, Schema, Tuple, UnOp, Value};
 
-use crate::advice::{AdviceOp, AdviceProgram, CompiledQuery, OutputSpec};
+use crate::advice::{put_strs, take_strs, AdviceOp, AdviceProgram, CompiledQuery, OutputSpec};
 use crate::ast::TemporalFilter;
 
 /// A register index.
@@ -682,6 +683,288 @@ impl CompiledCode {
             .iter()
             .flat_map(|p| p.tracepoints.iter().map(String::as_str))
     }
+}
+
+// ---------------------------------------------------------------------------
+// Wire codec
+// ---------------------------------------------------------------------------
+
+impl CompiledCode {
+    /// Encodes the query as an `Install` or `Sync` frame carries it. The
+    /// output spec is written once: in the canonical lowered form every
+    /// `Emit`'s spec *is* the query's, and [`CompiledCode::decode`] hands
+    /// that one `Arc` back to each.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.id.0);
+        enc.put_str(&self.name);
+        self.output.encode(enc);
+        enc.put_varint(self.programs.len() as u64);
+        for program in &self.programs {
+            program.encode(enc);
+        }
+    }
+
+    /// Decodes a query and [validates](AdviceByteCode::validate) every
+    /// program, so no decoded bytecode reaches a VM unchecked: the check
+    /// at the trust boundary is what lets the VM index registers, pools
+    /// and skips unchecked on the hot path.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<CompiledCode, DecodeError> {
+        let id = QueryId(dec.take_varint()?);
+        let name = dec.take_str()?.to_owned();
+        let output = Arc::new(OutputSpec::decode(dec)?);
+        let programs = dec.take_list(64, |dec| {
+            let code = AdviceByteCode::decode(dec, &output)?;
+            match code.validate() {
+                Ok(()) => Ok(Arc::new(code)),
+                Err(_) => Err(DecodeError::BadTag("bytecode validation", 0)),
+            }
+        })?;
+        Ok(CompiledCode {
+            id,
+            name,
+            programs,
+            output,
+        })
+    }
+}
+
+impl AdviceByteCode {
+    fn encode(&self, enc: &mut Encoder) {
+        put_strs(&self.tracepoints, enc);
+        enc.put_varint(u64::from(self.num_regs));
+        enc.put_varint(self.consts.len() as u64);
+        for v in &self.consts {
+            codec::encode_value(v, enc);
+        }
+        enc.put_varint(self.names.len() as u64);
+        for s in &self.names {
+            enc.put_str(s);
+        }
+        enc.put_varint(self.einsts.len() as u64);
+        for e in &self.einsts {
+            e.encode(enc);
+        }
+        enc.put_varint(self.exprs.len() as u64);
+        for p in &self.exprs {
+            enc.put_varint(u64::from(p.start));
+            enc.put_varint(u64::from(p.len));
+            enc.put_varint(u64::from(p.result));
+        }
+        enc.put_varint(self.insts.len() as u64);
+        for inst in &self.insts {
+            inst.encode(enc);
+        }
+    }
+
+    /// Decodes a program whose `Emit` shares `output`, unvalidated.
+    fn decode(dec: &mut Decoder<'_>, output: &Arc<OutputSpec>) -> Result<Self, DecodeError> {
+        Ok(AdviceByteCode {
+            tracepoints: take_strs(dec)?,
+            num_regs: dec.take_u16()?,
+            consts: dec.take_list(256, codec::decode_value)?,
+            names: dec.take_list(256, |dec| Ok(Arc::from(dec.take_str()?)))?,
+            einsts: dec.take_list(1024, EInst::decode)?,
+            exprs: dec.take_list(1024, |dec| {
+                Ok(ExprProg {
+                    start: dec.take_u32()?,
+                    len: dec.take_u32()?,
+                    result: dec.take_u16()?,
+                })
+            })?,
+            insts: dec.take_list(64, |dec| Inst::decode(dec, output))?,
+        })
+    }
+}
+
+impl EInst {
+    fn encode(&self, enc: &mut Encoder) {
+        let reg = |enc: &mut Encoder, r: Reg| enc.put_varint(u64::from(r));
+        match *self {
+            EInst::Load { dst, col } => {
+                enc.put_u8(0);
+                reg(enc, dst);
+                reg(enc, col);
+            }
+            EInst::Const { dst, idx } => {
+                enc.put_u8(1);
+                reg(enc, dst);
+                reg(enc, idx);
+            }
+            EInst::Unary { dst, op, src } => {
+                enc.put_u8(2);
+                reg(enc, dst);
+                op.encode(enc);
+                reg(enc, src);
+            }
+            EInst::Binary { dst, op, lhs, rhs } => {
+                enc.put_u8(3);
+                reg(enc, dst);
+                op.encode(enc);
+                reg(enc, lhs);
+                reg(enc, rhs);
+            }
+            EInst::CoerceBool { dst, src } => {
+                enc.put_u8(4);
+                reg(enc, dst);
+                reg(enc, src);
+            }
+            EInst::SkipIfBool { src, when, skip } => {
+                enc.put_u8(5);
+                reg(enc, src);
+                enc.put_u8(u8::from(when));
+                reg(enc, skip);
+            }
+            EInst::Fail => enc.put_u8(6),
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<EInst, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => EInst::Load {
+                dst: dec.take_u16()?,
+                col: dec.take_u16()?,
+            },
+            1 => EInst::Const {
+                dst: dec.take_u16()?,
+                idx: dec.take_u16()?,
+            },
+            2 => EInst::Unary {
+                dst: dec.take_u16()?,
+                op: UnOp::decode(dec)?,
+                src: dec.take_u16()?,
+            },
+            3 => EInst::Binary {
+                dst: dec.take_u16()?,
+                op: BinOp::decode(dec)?,
+                lhs: dec.take_u16()?,
+                rhs: dec.take_u16()?,
+            },
+            4 => EInst::CoerceBool {
+                dst: dec.take_u16()?,
+                src: dec.take_u16()?,
+            },
+            5 => EInst::SkipIfBool {
+                src: dec.take_u16()?,
+                when: match dec.take_u8()? {
+                    0 => false,
+                    1 => true,
+                    t => return Err(DecodeError::BadTag("skip flag", t)),
+                },
+                skip: dec.take_u16()?,
+            },
+            6 => EInst::Fail,
+            t => return Err(DecodeError::BadTag("expr inst", t)),
+        })
+    }
+}
+
+impl Inst {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            Inst::Observe { names } => {
+                enc.put_u8(0);
+                put_range(*names, enc);
+            }
+            Inst::Unpack {
+                slot,
+                width,
+                temporal,
+            } => {
+                enc.put_u8(1);
+                enc.put_varint(slot.0);
+                enc.put_varint(u64::from(*width));
+                TemporalFilter::encode(*temporal, enc);
+            }
+            Inst::Filter { pred } => {
+                enc.put_u8(2);
+                enc.put_varint(u64::from(*pred));
+            }
+            Inst::Pack {
+                slot,
+                mode,
+                pre,
+                exprs,
+            } => {
+                enc.put_u8(3);
+                enc.put_varint(slot.0);
+                mode.encode(enc);
+                put_range(*pre, enc);
+                put_range(*exprs, enc);
+            }
+            Inst::Emit {
+                query,
+                spec: _, // the query's own, written once by `CompiledCode::encode`
+                pre,
+                keys,
+                aggs,
+            } => {
+                enc.put_u8(4);
+                enc.put_varint(query.0);
+                put_range(*pre, enc);
+                put_range(*keys, enc);
+                put_range(*aggs, enc);
+            }
+            Inst::Trigger { query, pred } => {
+                enc.put_u8(5);
+                enc.put_varint(query.0);
+                match pred {
+                    None => enc.put_u8(0),
+                    Some(p) => {
+                        enc.put_u8(1);
+                        enc.put_varint(u64::from(*p));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decodes an instruction; an `Emit` gets `output` as its spec.
+    fn decode(dec: &mut Decoder<'_>, output: &Arc<OutputSpec>) -> Result<Inst, DecodeError> {
+        Ok(match dec.take_u8()? {
+            0 => Inst::Observe {
+                names: take_range(dec)?,
+            },
+            1 => Inst::Unpack {
+                slot: QueryId(dec.take_varint()?),
+                width: dec.take_u16()?,
+                temporal: TemporalFilter::decode(dec)?,
+            },
+            2 => Inst::Filter {
+                pred: dec.take_u32()?,
+            },
+            3 => Inst::Pack {
+                slot: QueryId(dec.take_varint()?),
+                mode: PackMode::decode(dec)?,
+                pre: take_range(dec)?,
+                exprs: take_range(dec)?,
+            },
+            4 => Inst::Emit {
+                query: QueryId(dec.take_varint()?),
+                spec: Arc::clone(output),
+                pre: take_range(dec)?,
+                keys: take_range(dec)?,
+                aggs: take_range(dec)?,
+            },
+            5 => Inst::Trigger {
+                query: QueryId(dec.take_varint()?),
+                pred: match dec.take_u8()? {
+                    0 => None,
+                    1 => Some(dec.take_u32()?),
+                    t => return Err(DecodeError::BadTag("trigger pred flag", t)),
+                },
+            },
+            t => return Err(DecodeError::BadTag("bytecode inst", t)),
+        })
+    }
+}
+
+fn put_range((start, end): PoolRange, enc: &mut Encoder) {
+    enc.put_varint(u64::from(start));
+    enc.put_varint(u64::from(end));
+}
+
+fn take_range(dec: &mut Decoder<'_>) -> Result<PoolRange, DecodeError> {
+    Ok((dec.take_u32()?, dec.take_u32()?))
 }
 
 // ---------------------------------------------------------------------------

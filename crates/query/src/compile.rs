@@ -204,11 +204,10 @@ impl<'r> Builder<'r> {
         let SourceKind::Tracepoints(names) = &ast.from.kind else {
             return Err(CompileError::FromMustBeTracepoints);
         };
-        let names = self.classify(names)?;
-        let SourceKind::Tracepoints(tps) = names else {
+        if self.query_ref(names)?.is_some() {
             return Err(CompileError::FromMustBeTracepoints);
-        };
-        let sink = self.new_node(&ast.from, prefix, tps, None, &mut scope)?;
+        }
+        let sink = self.new_node(&ast.from, prefix, names.clone(), None, &mut scope)?;
 
         // Joins, in declaration order.
         for join in &ast.joins {
@@ -227,13 +226,13 @@ impl<'r> Builder<'r> {
                 // QueryRef already classified below.
                 unreachable!("parser only produces tracepoint sources")
             };
-            match self.classify(names)? {
-                SourceKind::Tracepoints(tps) => {
+            match self.query_ref(names)? {
+                None => {
+                    let tps = names.clone();
                     let n = self.new_node(&join.source, prefix, tps, Some(later), &mut scope)?;
                     self.nodes[later].preds.push(n);
                 }
-                SourceKind::QueryRef(qname) => {
-                    let sub = self.resolver.query_ast(&qname).expect("classify checked");
+                Some(sub) => {
                     let sub_prefix = format!("{prefix}{}::", join.source.alias);
                     let (sub_sink, sub_scope) = self.add_query(&sub, &sub_prefix)?;
                     // Convert the sub-query's emit stage into a pack stage
@@ -311,17 +310,20 @@ impl<'r> Builder<'r> {
         Ok(idx)
     }
 
-    /// Decides whether a single-name source refers to an installed query.
-    fn classify(&self, names: &[String]) -> Result<SourceKind, CompileError> {
-        if names.len() == 1 && self.resolver.query_ast(&names[0]).is_some() {
-            return Ok(SourceKind::QueryRef(names[0].clone()));
+    /// The installed query a single-name source refers to, or `None` when
+    /// every name is a defined tracepoint.
+    fn query_ref(&self, names: &[String]) -> Result<Option<Query>, CompileError> {
+        if let [name] = names {
+            if let Some(ast) = self.resolver.query_ast(name) {
+                return Ok(Some(ast));
+            }
         }
         for n in names {
             if self.resolver.tracepoint_exports(n).is_none() {
                 return Err(CompileError::UnknownTracepoint(n.clone()));
             }
         }
-        Ok(SourceKind::Tracepoints(names.to_vec()))
+        Ok(None)
     }
 
     /// Canonicalizes an expression against `scope`: every field reference
@@ -911,6 +913,9 @@ impl<'r> Builder<'r> {
                 observe,
                 unpacks,
                 filters: node.filters.clone(),
+                // Set for every node: by the pack loop, and for the emit
+                // stage after pushdown (any join, e.g. `compile_tests`'s
+                // `q2_compiles_to_paper_advice_a1_a2`, fails without it).
                 sink: sinks[idx].clone().expect("sink set"),
             });
         }

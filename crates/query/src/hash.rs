@@ -56,13 +56,13 @@ impl Hasher for FoldHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.write_u64(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        let mut tail = bytes;
+        while let Some((word, rest)) = tail.split_first_chunk() {
+            self.write_u64(u64::from_le_bytes(*word));
+            tail = rest;
         }
         // The tail, zero-padded, with its length on top so "a" and "a\0"
         // differ.
-        let tail = words.remainder();
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
         last[7] = tail.len() as u8;

@@ -387,10 +387,9 @@ impl RelayCore {
         let mut qids: Vec<QueryId> = st.windows.keys().copied().collect();
         qids.sort_unstable_by_key(|q| q.0);
         for qid in qids {
-            let window = st.windows.get_mut(&qid).expect("window exists");
-            if !window.dirty {
+            let Some(window) = st.windows.get_mut(&qid).filter(|w| w.dirty) else {
                 continue;
-            }
+            };
             let rows = if window.streaming() == Some(true) {
                 ReportRows::RawEncoded(std::mem::take(&mut window.raw_blocks))
             } else {
@@ -441,7 +440,9 @@ impl RelayCore {
         st.retro.push_back(report);
         st.stats.retro_in += 1;
         while st.retro_events > RETRO_QUEUE_CAP && st.retro.len() > 1 {
-            let shed = st.retro.pop_front().expect("len > 1");
+            let Some(shed) = st.retro.pop_front() else {
+                break;
+            };
             let n = shed.events.len() as u64;
             st.retro_events -= n;
             st.stats.retro_events_shed += n;

@@ -597,7 +597,7 @@ fn retro_duplicate_suppressed_across_restart() {
     assert_eq!(out[0].seq, 1);
 }
 
-/// Any `u64` survives `decode_report`, so a hostile or corrupted frame can
+/// Any `u64` survives `Report::decode`, so a hostile or corrupted frame can
 /// carry `seq == u64::MAX`. Both receivers must stay total: no overflow
 /// panic in the frontend's gap arithmetic, no wrapped `next_contig` in the
 /// relay turning every later frame from that source stale.

@@ -257,7 +257,7 @@ fn verifier_accepts_experiment_queries_and_bounds_are_monotone() {
     let fe = make_frontend(true);
     let analyzer = Analyzer::new(&fe);
     for (name, text) in QUERIES {
-        let a = analyzer.analyze(text, name);
+        let (a, _) = analyzer.analyze(text, name);
         assert!(
             !a.has_errors(),
             "{name}: verifier rejected an experiment query: {:?}",

@@ -3,7 +3,9 @@
 //! Each argument is a query file (conventionally `.pt`); `#` starts a
 //! comment. Files are checked in order against the simulated stack's
 //! tracepoint vocabulary (unless `--no-builtin`), and a clean query is
-//! installed under its file stem so later files may join it by name.
+//! registered under its file stem so later files may join it by name.
+//! Each file is analyzed once: what later files resolve is the query the
+//! analysis parsed.
 //!
 //! ```text
 //! pivot-lint [--defs FILE] [--no-builtin] [--bound] [--strict] FILE...
@@ -12,11 +14,15 @@
 //! Exit status is 1 when any file has an error-severity diagnostic
 //! (or, with `--strict`, any diagnostic at all).
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 use pivot_analyze::{Analyzer, Severity};
+use pivot_core::frontend::InstallError;
 use pivot_core::Frontend;
+use pivot_query::{Query, Resolver};
 
 const USAGE: &str = "\
 usage: pivot-lint [options] FILE...
@@ -79,6 +85,7 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut queries = HashMap::new();
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for path in &files {
@@ -93,7 +100,11 @@ fn main() -> ExitCode {
             .unwrap_or(path)
             .to_owned();
 
-        let analysis = Analyzer::new(&frontend).analyze(&text, &name);
+        let scope = Scope {
+            tracepoints: &frontend,
+            queries: &queries,
+        };
+        let (analysis, ast) = Analyzer::new(&scope).analyze(&text, &name);
         for d in &analysis.diagnostics {
             println!("{}", d.render(path));
             match d.severity {
@@ -108,12 +119,15 @@ fn main() -> ExitCode {
         if bound {
             report_bound(&name, &analysis);
         }
-        // Make the clean query referenceable by later files. The install
-        // runs the verifier again as its gate, over the same resolver, so
-        // it passes what the analysis above passed.
-        if let Err(e) = frontend.install_named(&name, &text) {
-            println!("error: {path}: {e}");
-            errors += 1;
+        // Make the clean query referenceable by later files.
+        match (queries.entry(name), ast) {
+            (Entry::Vacant(slot), Some(ast)) => _ = slot.insert(ast),
+            (Entry::Vacant(_), None) => {}
+            (Entry::Occupied(taken), _) => {
+                let name = taken.key().clone();
+                println!("error: {path}: {}", InstallError::DuplicateName(name));
+                errors += 1;
+            }
         }
     }
 
@@ -129,6 +143,23 @@ fn main() -> ExitCode {
         }
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// What a file is checked against: the tracepoint vocabulary and the
+/// earlier clean files' queries, by file stem.
+struct Scope<'a> {
+    tracepoints: &'a Frontend,
+    queries: &'a HashMap<String, Query>,
+}
+
+impl Resolver for Scope<'_> {
+    fn tracepoint_exports(&self, name: &str) -> Option<Vec<String>> {
+        self.tracepoints.tracepoint_exports(name)
+    }
+
+    fn query_ast(&self, name: &str) -> Option<Query> {
+        self.queries.get(name).cloned()
     }
 }
 
