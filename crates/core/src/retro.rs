@@ -194,8 +194,10 @@ impl RetroReport {
         }
     }
 
-    /// Decodes a flush.
+    /// Decodes a flush. Events whose export names equal those of an
+    /// earlier event in the report share that event's `names`.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<RetroReport, DecodeError> {
+        let mut shapes = Vec::new();
         Ok(RetroReport {
             host: dec.take_str()?.to_owned(),
             procid: dec.take_varint()?,
@@ -213,9 +215,7 @@ impl RetroReport {
                 let time = dec.take_varint()?;
                 let request = dec.take_varint()?;
                 let w = dec.take_varint()? as usize;
-                let names = (0..w)
-                    .map(|_| dec.take_str().map(Arc::from))
-                    .collect::<Result<Arc<[Arc<str>]>, _>>()?;
+                let names = take_names(dec, w, &mut shapes)?;
                 let mut values = Vec::with_capacity(w.min(64));
                 for _ in 0..w {
                     values.push(codec::decode_value(dec)?);
@@ -230,6 +230,36 @@ impl RetroReport {
             })?,
         })
     }
+}
+
+/// How many distinct name lists one [`RetroReport::decode`] remembers.
+const SHAPES_SHARED: usize = 8;
+
+/// Reads `w` export names. A list equal to one in `shapes` (the first
+/// [`SHAPES_SHARED`] distinct lists this report decoded) is that list,
+/// shared; any other is decoded into a new one.
+fn take_names(
+    dec: &mut Decoder<'_>,
+    w: usize,
+    shapes: &mut Vec<Arc<[Arc<str>]>>,
+) -> Result<Arc<[Arc<str>]>, DecodeError> {
+    for shape in shapes.iter().filter(|s| s.len() == w) {
+        let mut ahead = dec.clone();
+        if shape
+            .iter()
+            .all(|n| ahead.take_str().is_ok_and(|s| s == &**n))
+        {
+            *dec = ahead;
+            return Ok(Arc::clone(shape));
+        }
+    }
+    let names = (0..w)
+        .map(|_| dec.take_str().map(Arc::from))
+        .collect::<Result<Arc<[Arc<str>]>, _>>()?;
+    if shapes.len() < SHAPES_SHARED {
+        shapes.push(Arc::clone(&names));
+    }
+    Ok(names)
 }
 
 /// A snapshot of one ring's cumulative event accounting.

@@ -137,9 +137,9 @@ impl Cluster {
             hosts.push(Rc::new(Host {
                 idx,
                 name: name.clone(),
-                nic_in: FifoResource::new(clock.clone(), format!("{name}/nic-in"), cfg.nic_rate),
-                nic_out: FifoResource::new(clock.clone(), format!("{name}/nic-out"), cfg.nic_rate),
-                disk: FifoResource::new(clock.clone(), format!("{name}/disk"), cfg.disk_rate),
+                nic_in: FifoResource::new(clock.clone(), cfg.nic_rate),
+                nic_out: FifoResource::new(clock.clone(), cfg.nic_rate),
+                disk: FifoResource::new(clock.clone(), cfg.disk_rate),
                 net_tx: Counter::new(clock.clone()),
                 net_rx: Counter::new(clock.clone()),
                 disk_read: Counter::new(clock.clone()),

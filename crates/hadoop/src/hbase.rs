@@ -125,11 +125,7 @@ impl HBase {
                 cluster: Rc::clone(cluster),
                 host: Rc::clone(h),
                 agent: Arc::clone(&agent),
-                handler: FifoResource::new(
-                    cluster.clock.clone(),
-                    format!("{}/rs-handler", h.name),
-                    5_000.0,
-                ),
+                handler: FifoResource::new(cluster.clock.clone(), 5_000.0),
                 dfs: hdfs.client(h, &agent, "RegionServer"),
                 gc: RefCell::new(None),
                 regions: RefCell::new(Vec::new()),

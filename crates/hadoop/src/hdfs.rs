@@ -91,7 +91,7 @@ impl NameNode {
         let agent = cluster.new_agent(&host, "NameNode");
         Rc::new(NameNode {
             cluster: Rc::clone(cluster),
-            lock: FifoResource::new(cluster.clock.clone(), "nn/lock", Self::LOCK_RATE),
+            lock: FifoResource::new(cluster.clock.clone(), Self::LOCK_RATE),
             host,
             agent,
             files: RefCell::new(HashMap::new()),

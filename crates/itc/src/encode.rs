@@ -158,7 +158,9 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A cursor over a byte slice.
+/// A cursor over a byte slice. A clone reads ahead without moving the
+/// original.
+#[derive(Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -14,13 +14,6 @@ use crate::clock::{Clock, Nanos};
 
 type BoxedFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Global diagnostics: total task polls across all runtimes (relaxed).
-pub static POLLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Global diagnostics: total timer firings across all runtimes (relaxed).
-pub static TIMER_FIRES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Global diagnostics: last observed virtual now (nanoseconds).
-pub static LAST_NOW: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 #[derive(Default)]
 struct ReadyState {
     queue: VecDeque<u64>,
@@ -149,7 +142,6 @@ impl SimRt {
                     ready: Arc::clone(&self.ready),
                 }));
                 let mut cx = Context::from_waker(&waker);
-                POLLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if task.as_mut().poll(&mut cx).is_pending() {
                     self.tasks.borrow_mut().insert(id, task);
                 }
@@ -164,13 +156,11 @@ impl SimRt {
                 break;
             }
             self.clock.now.store(t, Ordering::Relaxed);
-            LAST_NOW.store(t, Ordering::Relaxed);
             while let Some(e) = timers.heap.peek() {
                 if e.0.deadline > t {
                     break;
                 }
                 let entry = timers.heap.pop().expect("peek succeeded").0;
-                TIMER_FIRES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 entry.waker.wake();
             }
             drop(timers);

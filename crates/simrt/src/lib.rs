@@ -55,44 +55,3 @@ pub use executor::{JoinHandle, SimRt};
 pub use metrics::{Counter, Gauge};
 pub use resource::FifoResource;
 pub use util::{join2, join_all, mix64};
-
-/// Diagnostics: total task polls across all runtimes in this process.
-pub fn diag_polls() -> u64 {
-    executor::POLLS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Diagnostics: total timer firings.
-pub fn diag_timer_fires() -> u64 {
-    executor::TIMER_FIRES.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Diagnostics: last virtual time a runtime advanced to (nanoseconds).
-pub fn diag_last_now() -> u64 {
-    executor::LAST_NOW.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Diagnostics: count and last culprit of sub-microsecond acquires.
-pub static TINY_ACQUIRES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static TINY_NAME: parking_lot::Mutex<String> = parking_lot::Mutex::new(String::new());
-
-// Called from the tiny-acquire check in `resource.rs` on every acquire
-// whose service time falls below one microsecond.
-pub(crate) fn diag_record_tiny(name: &str, amount: f64) {
-    TINY_ACQUIRES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut n = TINY_NAME.lock();
-    if n.is_empty()
-        || TINY_ACQUIRES
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .is_multiple_of(100_000)
-    {
-        *n = format!("{name} amount={amount}");
-    }
-}
-
-/// Diagnostics: describes the most recent tiny acquire.
-pub fn diag_tiny() -> (u64, String) {
-    (
-        TINY_ACQUIRES.load(std::sync::atomic::Ordering::Relaxed),
-        TINY_NAME.lock().clone(),
-    )
-}

@@ -20,7 +20,6 @@ pub struct FifoResource {
 }
 
 struct Inner {
-    name: String,
     rate: Cell<f64>,
     busy_until: Cell<Nanos>,
     served_bytes: Cell<f64>,
@@ -33,23 +32,17 @@ impl FifoResource {
     /// # Panics
     ///
     /// Panics if `rate` is not strictly positive.
-    pub fn new(clock: Clock, name: impl Into<String>, rate: f64) -> FifoResource {
+    pub fn new(clock: Clock, rate: f64) -> FifoResource {
         assert!(rate > 0.0, "resource rate must be positive");
         FifoResource {
             clock,
             inner: Rc::new(Inner {
-                name: name.into(),
                 rate: Cell::new(rate),
                 busy_until: Cell::new(0),
                 served_bytes: Cell::new(0.0),
                 served_ops: Cell::new(0),
             }),
         }
-    }
-
-    /// Returns the resource name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
     }
 
     /// Returns the current service rate (units per second).
@@ -69,9 +62,6 @@ impl FifoResource {
     /// in nanoseconds.
     pub async fn acquire(&self, amount: f64) -> Nanos {
         let raw_service = amount / self.inner.rate.get();
-        if raw_service < 1e-6 {
-            crate::diag_record_tiny(&self.inner.name, amount);
-        }
         let now = self.clock.now();
         let start = self.inner.busy_until.get().max(now);
         let service = (raw_service * NANOS_PER_SEC as f64) as Nanos;
@@ -109,7 +99,7 @@ mod tests {
     #[test]
     fn service_time_follows_rate() {
         let rt = SimRt::new();
-        let disk = FifoResource::new(rt.clock(), "disk", 100.0);
+        let disk = FifoResource::new(rt.clock(), 100.0);
         let h = rt.spawn(async move { disk.acquire(50.0).await });
         rt.run_until_idle();
         // 50 units at 100/s = 0.5 s.
@@ -119,7 +109,7 @@ mod tests {
     #[test]
     fn fifo_queueing_adds_delay() {
         let rt = SimRt::new();
-        let disk = FifoResource::new(rt.clock(), "disk", 100.0);
+        let disk = FifoResource::new(rt.clock(), 100.0);
         let mut handles = Vec::new();
         for _ in 0..3 {
             let disk = disk.clone();
@@ -136,7 +126,7 @@ mod tests {
     #[test]
     fn rate_degradation_slows_service() {
         let rt = SimRt::new();
-        let nic = FifoResource::new(rt.clock(), "nic", 1000.0);
+        let nic = FifoResource::new(rt.clock(), 1000.0);
         nic.set_rate(100.0);
         let h = rt.spawn(async move { nic.acquire(100.0).await });
         rt.run_until_idle();
@@ -147,6 +137,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let rt = SimRt::new();
-        let _ = FifoResource::new(rt.clock(), "x", 0.0);
+        let _ = FifoResource::new(rt.clock(), 0.0);
     }
 }

@@ -10,7 +10,9 @@
 use pivot_hadoop::cluster::{ClusterConfig, MB};
 
 use crate::clients;
-use crate::experiments::{rows_with_value, series_by_key, Series};
+use crate::experiments::{
+    downsample, fixed, rows_with_value, series_by_key, sparkline, table, Series,
+};
 use crate::stack::{SimStack, StackConfig};
 
 /// The paper's Q1 (§2.1).
@@ -39,8 +41,7 @@ fn pivot_query(stream: &str, client: &str) -> String {
 pub struct Config {
     /// RNG seed.
     pub seed: u64,
-    /// Virtual duration in seconds (the paper plots ~15 minutes; the
-    /// default keeps the harness quick while preserving the shape).
+    /// Virtual duration in seconds (the paper plots ~15 minutes).
     pub duration_secs: f64,
     /// Worker host count.
     pub workers: usize,
@@ -52,7 +53,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             seed: 42,
-            duration_secs: 120.0,
+            duration_secs: 400.0,
             workers: 8,
             sort_gb: (10.0, 100.0),
         }
@@ -175,4 +176,74 @@ pub fn run(cfg: &Config) -> Result {
         pivot,
         interval_secs: interval,
     }
+}
+
+/// Renders Figures 1a, 1b and 1c at [`Config::default`]: `results/fig1.txt`.
+pub fn render() -> String {
+    let cfg = Config::default();
+    let r = run(&cfg);
+    let mut out = format!(
+        "running figure 1 workload mix for {}s of virtual time ...\n",
+        cfg.duration_secs
+    );
+
+    let series_rows = |series: &[Series]| -> Vec<Vec<String>> {
+        series
+            .iter()
+            .map(|s| {
+                let avg = s.points.iter().sum::<f64>() / s.points.len().max(1) as f64;
+                let peak = s.points.iter().cloned().fold(0.0, f64::max);
+                vec![
+                    s.label.clone(),
+                    fixed(avg, 1),
+                    fixed(peak, 1),
+                    sparkline(&downsample(&s.points, 40)),
+                ]
+            })
+            .collect()
+    };
+    table(
+        &mut out,
+        "Figure 1a: HDFS DataNode throughput per machine (MB/s)",
+        &["host", "avg", "peak", "over time"],
+        &series_rows(&r.per_host),
+    );
+    table(
+        &mut out,
+        "Figure 1b: HDFS throughput grouped by client application (MB/s)",
+        &["client", "avg", "peak", "over time"],
+        &series_rows(&r.per_client),
+    );
+
+    // Figure 1c pivot table: rows = hosts, columns = phases.
+    let phases = ["HDFS", "Map", "Shuffle", "Reduce"];
+    let mut hosts: Vec<&str> = r.pivot.iter().map(|c| c.host.as_str()).collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    let mut rows = Vec::new();
+    let mut col_total = [0.0f64; 4];
+    for host in hosts {
+        let mut row = vec![host.to_owned()];
+        let mut total = 0.0;
+        for (i, phase) in phases.iter().enumerate() {
+            let cell = r.pivot.iter().find(|c| c.host == host && c.phase == *phase);
+            let (rd, wr) = cell.map_or((0.0, 0.0), |c| (c.read_mb, c.write_mb));
+            row.push(format!("{}r/{}w", fixed(rd, 0), fixed(wr, 0)));
+            total += rd + wr;
+            col_total[i] += rd + wr;
+        }
+        row.push(fixed(total, 0));
+        rows.push(row);
+    }
+    let mut totals = vec!["Σcluster".to_owned()];
+    totals.extend(col_total.iter().map(|t| fixed(*t, 0)));
+    totals.push(fixed(col_total.iter().sum(), 0));
+    rows.push(totals);
+    table(
+        &mut out,
+        "Figure 1c: MRsort10g disk IO pivot (MB read/written, host x phase)",
+        &["host", "HDFS", "Map", "Shuffle", "Reduce", "Σmachine"],
+        &rows,
+    );
+    out
 }

@@ -11,7 +11,7 @@
 use pivot_hadoop::cluster::{ClusterConfig, MB};
 
 use crate::clients::{self, ClientHandle};
-use crate::experiments::{host_index, rows_with_value};
+use crate::experiments::{fixed, host_index, rows_with_value, table};
 use crate::stack::{SimStack, StackConfig};
 
 /// Paper Q3: DataNode request throughput.
@@ -257,4 +257,99 @@ fn normalize_rows(m: &mut [Vec<f64>]) {
             }
         }
     }
+}
+
+/// Renders Figures 8a–g at [`Config::default`], with the HDFS-6268 bug
+/// present (`results/fig8.txt`) or fixed (`results/fig8_fixed.txt`).
+pub fn render(bug: bool) -> String {
+    let cfg = Config {
+        bug,
+        ..Config::default()
+    };
+    let r = run(&cfg);
+    let mut out = format!(
+        "running {} stress clients for {}s (HDFS-6268 bug {}) ...\n",
+        cfg.clients_per_host * cfg.workers,
+        cfg.duration_secs,
+        if cfg.bug { "PRESENT" } else { "fixed" }
+    );
+    let per_host = |v: &[(String, f64)], digits: usize| -> Vec<Vec<String>> {
+        v.iter()
+            .map(|(h, v)| vec![h.clone(), fixed(*v, digits)])
+            .collect()
+    };
+    table(
+        &mut out,
+        "Figure 8a: stress client request throughput (req/s per client)",
+        &["client host", "req/s"],
+        &per_host(&r.client_rate, 1),
+    );
+    table(
+        &mut out,
+        "Figure 8b: network transmit per host (MB/s)",
+        &["host", "MB/s"],
+        &per_host(&r.network_mbps, 2),
+    );
+    table(
+        &mut out,
+        "Figure 8c: DataNode request throughput (ops/s), query Q3",
+        &["host", "ops/s"],
+        &per_host(&r.dn_ops, 1),
+    );
+    table(
+        &mut out,
+        "Figure 8d: per-client file read distribution, query Q4",
+        &["client host", "files", "mean reads", "cv"],
+        &r.read_dist
+            .iter()
+            .map(|d| {
+                vec![
+                    d.host.clone(),
+                    d.files.to_string(),
+                    fixed(d.mean, 2),
+                    fixed(d.cv, 2),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
+    let matrix = |m: &[Vec<f64>]| -> Vec<Vec<String>> {
+        m.iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut out = vec![format!("client {}", (b'A' + i as u8) as char)];
+                out.extend(row.iter().map(|v| {
+                    if v.is_nan() {
+                        "-".to_owned()
+                    } else {
+                        fixed(*v, 2)
+                    }
+                }));
+                out
+            })
+            .collect()
+    };
+    let dn_headers: Vec<String> = std::iter::once(String::new())
+        .chain((0..cfg.workers).map(|i| format!("DN {}", (b'A' + i as u8) as char)))
+        .collect();
+    let dn_headers: Vec<&str> = dn_headers.iter().map(String::as_str).collect();
+    table(
+        &mut out,
+        "Figure 8e: replica-location frequency (row-normalized), query Q5",
+        &dn_headers,
+        &matrix(&r.replica_freq),
+    );
+    table(
+        &mut out,
+        "Figure 8f: DataNode selection frequency (row-normalized), query Q6",
+        &dn_headers,
+        &matrix(&r.selection_freq),
+    );
+    table(
+        &mut out,
+        "Figure 8g: P(row chosen over column | both non-local), query Q7",
+        &dn_headers,
+        &matrix(&r.preference),
+    );
+    out
 }

@@ -12,6 +12,7 @@
 //! - [`Case::NnLock`] — a metadata-write flood overloads the NameNode's
 //!   exclusive write lock (the paper's replication of the Retro case).
 
+use std::fmt::Write;
 use std::rc::Rc;
 
 use pivot_hadoop::cluster::{ClusterConfig, MB};
@@ -19,6 +20,7 @@ use pivot_hadoop::ctx::Ctx;
 use pivot_hadoop::gc::Gc;
 
 use crate::clients;
+use crate::experiments::{fixed, sparkline, table};
 use crate::stack::{SimStack, StackConfig};
 
 /// The latency-decomposition query (the paper's Q8 pattern, extended with
@@ -238,4 +240,83 @@ fn finish(acc: &mut Decomposition) {
     acc.dn_blocked /= n;
     acc.gc /= n;
     acc.nn_lock /= n;
+}
+
+/// Renders Figures 9a–c at [`Config::default`] with `case` injected:
+/// `results/fig9_limplock.txt`, `fig9_gc.txt` and `fig9_nnlock.txt`.
+pub fn render(case: Case) -> String {
+    let cfg = Config {
+        case,
+        ..Config::default()
+    };
+    let r = run(&cfg);
+    let mut out = format!(
+        "running HBase scan workload with {case:?} injected for {}s ...\n",
+        cfg.duration_secs
+    );
+
+    // 9a: the slowest request of each of 50 windows.
+    let buckets = 50usize;
+    let max_t = r
+        .latencies
+        .iter()
+        .map(|(t, _)| *t)
+        .fold(0.0f64, f64::max)
+        .max(1.0);
+    let mut lat_max = vec![0.0f64; buckets];
+    for (t, l) in &r.latencies {
+        let idx = (((t / max_t) * buckets as f64) as usize).min(buckets - 1);
+        lat_max[idx] = lat_max[idx].max(*l);
+    }
+    let peak = r.latencies.iter().map(|(_, l)| *l).fold(0.0f64, f64::max);
+    let _ = write!(
+        out,
+        "\n== Figure 9a: request latencies over time ==\n\
+         max latency per window (s): {}\n\
+         requests: {}   peak latency: {peak:.2}s   slow threshold: {:.2}s\n",
+        sparkline(&lat_max),
+        r.latencies.len(),
+        r.slow_threshold_secs
+    );
+
+    // 9b: decomposition, average vs slow.
+    let row = |label: &str, d: &Decomposition| -> Vec<String> {
+        vec![
+            label.to_owned(),
+            d.count.to_string(),
+            fixed(d.rs_queue, 3),
+            fixed(d.rs_process, 3),
+            fixed(d.dn_transfer, 3),
+            fixed(d.dn_blocked, 3),
+            fixed(d.gc, 3),
+            fixed(d.nn_lock, 3),
+        ]
+    };
+    table(
+        &mut out,
+        "Figure 9b: per-component latency decomposition (seconds)",
+        &[
+            "bucket",
+            "requests",
+            "RS queue",
+            "RS process",
+            "DN transfer",
+            "DN blocked",
+            "GC",
+            "NN lock",
+        ],
+        &[row("average", &r.avg), row("slow", &r.slow)],
+    );
+
+    // 9c: per-machine network throughput.
+    table(
+        &mut out,
+        "Figure 9c: per-machine network transmit (MB/s)",
+        &["host", "MB/s"],
+        &r.network_mbps
+            .iter()
+            .map(|(h, v)| vec![h.clone(), fixed(*v, 2)])
+            .collect::<Vec<_>>(),
+    );
+    out
 }

@@ -24,8 +24,7 @@ use pivot_hadoop::cluster::ClusterConfig;
 use pivot_model::{Tuple, Value};
 
 use crate::clients::NnOp;
-use crate::experiments::fig8;
-use crate::experiments::fig9;
+use crate::experiments::{fig8, fig9, fixed, table};
 use crate::stack::{SimStack, StackConfig};
 
 /// The measured configurations, in paper order.
@@ -84,7 +83,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             seed: 42,
-            requests: 400,
+            requests: 300,
             workers: 8,
         }
     }
@@ -139,6 +138,53 @@ pub fn run(cfg: &Config) -> Result {
         cells,
         overhead_pct,
     }
+}
+
+/// Renders Table 5 at [`Config::default`]: `results/table5.txt`. The
+/// first table times wall-clock loops, so it differs from run to run.
+pub fn render() -> String {
+    let cfg = Config::default();
+    let r = run(&cfg);
+    let mut out = format!(
+        "measuring {} requests per cell across 6 setups x 4 ops ...\n",
+        cfg.requests
+    );
+    let headers: Vec<&str> = std::iter::once("setup")
+        .chain(NnOp::ALL.iter().map(|op| op.name()))
+        .collect();
+    let pct = |v: f64| -> String {
+        if v.abs() < 0.05 {
+            "0%".to_owned()
+        } else {
+            format!("{v:.1}%")
+        }
+    };
+    let rows = |cell: &dyn Fn(usize, usize) -> String| -> Vec<Vec<String>> {
+        Setup::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                std::iter::once(s.name().to_owned())
+                    .chain((0..NnOp::ALL.len()).map(|j| cell(i, j)))
+                    .collect()
+            })
+            .collect()
+    };
+    table(
+        &mut out,
+        "Table 5: wall-clock overhead of the Pivot Tracing machinery \
+         (vs. unmodified)",
+        &headers,
+        &rows(&|i, j| pct(r.overhead_pct[i][j])),
+    );
+    table(
+        &mut out,
+        "Table 5 (auxiliary): virtual request latency (µs) — captures \
+         baggage bytes on the wire",
+        &headers,
+        &rows(&|i, j| fixed(r.cells[i][j].virtual_ns_per_req / 1000.0, 1)),
+    );
+    out
 }
 
 fn measure(cfg: &Config, setup: Setup, op: NnOp) -> Cell {

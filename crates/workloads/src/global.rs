@@ -10,7 +10,7 @@
 //!    produce identical results on every execution (the system's central
 //!    correctness property; exercised by `tests/differential.rs`).
 //! 2. **Figure 3** — the paper's worked example of `⋈→` semantics on a
-//!    branching execution (`pivot-bench`'s `fig3`).
+//!    branching execution ([`crate::experiments::fig3`]).
 
 use pivot_itc::Stamp;
 use pivot_model::{GroupKey, Schema, Tuple, Value};

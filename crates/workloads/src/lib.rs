@@ -15,8 +15,9 @@
 //! | NNBench-derived | `Read8k`, `Open`, `Create`, `Rename` (§6.3) |
 //!
 //! The [`experiments`] module contains one driver per paper figure/table;
-//! each returns structured results so the `pivot-bench` binaries print
-//! them and the integration tests assert on their shape.
+//! each returns structured results the integration tests assert on, and
+//! renders itself as the text of its `results/` file, which the
+//! `pivot-figures <stem>` binary prints.
 //!
 //! [`global`] is the paper's *unoptimized* evaluation strategy (Figure
 //! 6a): materialize every tracepoint invocation with a causal stamp and

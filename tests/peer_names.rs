@@ -5,8 +5,9 @@
 //! Decoding makes each an `Arc<str>` owned by the decoded message, and
 //! nothing outlives the message: a peer that sends a new name in every
 //! frame costs memory for as long as the frames are held, not for the life
-//! of the process. This binary pins that with the counting allocator of
-//! `support/counting_alloc.rs`.
+//! of the process. Within one hindsight frame, events that export the same
+//! names share one decoded list. This binary pins both with the counting
+//! allocator of `support/counting_alloc.rs`.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use pivot_tracing::model::Value;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::retained;
+use counting_alloc::{allocations, retained};
 
 /// Stands for the digits of a name in a template frame.
 const DIGITS: &str = "zqzqzq";
@@ -104,4 +105,27 @@ fn a_peer_s_names_are_freed_with_the_frames_that_carried_them() {
             frames.len()
         );
     }
+}
+
+#[test]
+fn events_of_one_shape_share_one_decoded_name_list() {
+    let name = template_name();
+    let decode = |events: u64| -> (u64, RetroReport) {
+        let frame = retro(["op", &name], events);
+        let (n, decoded) = allocations(|| decode_message(&frame));
+        let Ok(Message::Retro(report)) = decoded else {
+            panic!("a retro frame decodes as one");
+        };
+        (n, report)
+    };
+    let (one, _) = decode(1);
+    let (hundred, report) = decode(100);
+    let first = &report.events[0].names;
+    assert!(
+        report.events.iter().all(|e| Arc::ptr_eq(&e.names, first)),
+        "100 events of one shape decode into more than one name list"
+    );
+    // The list (its slice and its two names) is allocated once; each
+    // further event costs its values' vector alone.
+    assert_eq!(hundred, one + 99, "allocations decoding 1 and 100 events");
 }
