@@ -77,6 +77,12 @@ impl Retired {
     }
 
     #[inline]
+    fn is_empty(&self) -> bool {
+        // Filled front to back, so the first slot is taken if any is.
+        self.head[0].is_none()
+    }
+
+    #[inline]
     pub(crate) fn push(&mut self, instance: Arc<Instance>) {
         match self.head.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => *slot = Some(instance),
@@ -419,18 +425,21 @@ impl Baggage {
     pub fn split(&mut self) -> Baggage {
         self.touch();
         let live = &mut self.live;
-        let (mut s1, mut s2) = live.active.stamp.fork();
-        // Record an event on each half so sibling stamps are distinct from
-        // each other and from any ancestor.
-        s1.event();
-        s2.event();
-        let mut retired = std::mem::replace(&mut live.active, Instance::new(s1));
-        if !retired.is_empty() {
-            // Anonymize the retired instance's identity: once copies of
-            // it cross the wire they carry the identical peek stamp,
-            // making post-join dedup exact.
-            retired.stamp = retired.stamp.peek();
-            live.inactive.push(Arc::new(retired));
+        // An event on each half keeps sibling stamps distinct from each
+        // other and from any ancestor.
+        let (s1, s2) = live.active.stamp.fork_event();
+        if live.active.entries.is_empty() {
+            // Nothing to retire: the active instance only changes stamp.
+            live.active.stamp = s1;
+        } else {
+            let mut retired = std::mem::replace(&mut live.active, Instance::new(s1));
+            if !retired.is_empty() {
+                // Anonymize the retired instance's identity: once copies of
+                // it cross the wire they carry the identical peek stamp,
+                // making post-join dedup exact.
+                retired.stamp = retired.stamp.peek();
+                live.inactive.push(Arc::new(retired));
+            }
         }
         Baggage {
             live: Live {
@@ -458,6 +467,10 @@ impl Baggage {
         self.meter.truncated += other.meter.truncated;
         let live = &mut self.live;
         live.active.stamp = live.active.stamp.join(&other_live.active.stamp);
+        if other_live.active.entries.is_empty() && other_live.inactive.is_empty() {
+            // Only the stamps had anything to merge.
+            return;
+        }
         self.meter.truncated += live.active.merge_entries(other_live.active) as u64;
         for instance in other_live.inactive.into_instances() {
             if !live.inactive.holds(&instance) {

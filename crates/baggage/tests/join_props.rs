@@ -242,6 +242,29 @@ fn grouped_pack_join_is_commutative() {
     assert_eq!(finish(&ab)["z"], Value::U64(1));
 }
 
+/// An in-process fan-out from a baggage that holds nothing: two branches
+/// pack the same tuple, each hands its baggage through a branch and back
+/// (retiring the packed instance under its own stamp), and both rejoin
+/// the root. The two retired instances are equal in content, so only the
+/// branches' distinct identities keep `join` from folding them into one:
+/// a split that skipped the fork while nothing was packed would lose a
+/// tuple here.
+#[test]
+fn fan_out_from_an_empty_baggage_keeps_both_branches_equal_tuples() {
+    let mut root = Baggage::new();
+    assert!(root.is_empty());
+    let mut a = root.split();
+    let mut b = root.split();
+    for branch in [&mut a, &mut b] {
+        branch.pack(QueryId(1), &PackMode::All, [tuple(7)]);
+        let hand_off = branch.split();
+        branch.join(hand_off);
+    }
+    root.join(a);
+    root.join(b);
+    assert_eq!(root.unpack(QueryId(1)), vec![tuple(7), tuple(7)]);
+}
+
 /// `Baggage` values cross real thread boundaries in the live runtime;
 /// compile-time proof they are `Send`.
 #[test]

@@ -57,6 +57,15 @@ impl<T: Cell, const N: usize> Buf<T, N> {
         buf
     }
 
+    /// A buffer of `cells`, which must fit inline.
+    #[inline]
+    pub(crate) fn of_inline(cells: &[T]) -> Self {
+        let mut buf = Self::new();
+        buf.inline[..cells.len()].copy_from_slice(cells);
+        buf.len = cells.len() as u8;
+        buf
+    }
+
     #[inline]
     pub(crate) fn push(&mut self, cell: T) {
         if self.spilled.is_none() && (self.len as usize) < N {

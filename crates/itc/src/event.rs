@@ -136,9 +136,10 @@ impl Event {
     /// Merges two event trees, taking the pointwise maximum (ITC *join*).
     #[inline]
     pub fn join(&self, other: &Event) -> Event {
-        let mut out = Cells::new();
-        join_at(&self.0, &mut 0, 0, &other.0, &mut 0, 0, 0, &mut out);
-        Event(out)
+        if let (Some([a, b]), Some([c, d])) = (self.halves(), other.halves()) {
+            return Event::of_halves([a.max(c), b.max(d)]);
+        }
+        join_tree(self, other)
     }
 
     /// Inflates this event tree by one event, as witnessed by identity `id`.
@@ -147,13 +148,34 @@ impl Event {
     /// sub-intervals); if that changes nothing, performs the cost-minimizing
     /// *grow*.
     pub fn event(&self, id: &Id) -> Event {
-        let mut out = Cells::new();
-        fill_at(id.cells(), &mut 0, &self.0, &mut 0, &mut out);
-        if out == self.0 {
-            out.truncate(0);
-            grow_at(id.cells(), &mut 0, &self.0, &mut 0, 0, &mut out);
+        if let (Some(owned), Some(counts)) = (id.halves(), self.halves()) {
+            if owned != [false; 2] {
+                return Event::of_halves(event_halves(owned, counts));
+            }
         }
-        Event(out)
+        event_tree(self, id)
+    }
+
+    /// The counts of the two halves of a one-level tree — a leaf `n` is
+    /// `[n, n]`, a node over two leaves `(n, a, b)` is `[n + a, n + b]` —
+    /// or `None` for a deeper one.
+    #[inline]
+    pub(crate) fn halves(&self) -> Option<[u64; 2]> {
+        match *self.0 {
+            [leaf] => Some([count(leaf); 2]),
+            [n, a, b] => Some([count(n) + count(a), count(n) + count(b)]),
+            _ => None,
+        }
+    }
+
+    /// The one-level tree, in normal form, whose halves have these counts.
+    #[inline]
+    pub(crate) fn of_halves([l, r]: [u64; 2]) -> Event {
+        if l == r {
+            return Event(Cells::of(leaf(l)));
+        }
+        let n = l.min(r);
+        Event(Cells::of_inline(&[node(n), leaf(l - n), leaf(r - n)]))
     }
 
     /// Encodes this event tree into `enc`.
@@ -178,6 +200,43 @@ impl Event {
         let mut out = Cells::new();
         decode_at(dec, &mut out, 0)?;
         Ok(Event(out))
+    }
+}
+
+/// [`Event::join`] of any two trees.
+fn join_tree(a: &Event, b: &Event) -> Event {
+    let mut out = Cells::new();
+    join_at(&a.0, &mut 0, 0, &b.0, &mut 0, 0, 0, &mut out);
+    Event(out)
+}
+
+/// [`Event::event`] of any tree under any identity.
+fn event_tree(e: &Event, id: &Id) -> Event {
+    let mut out = Cells::new();
+    fill_at(id.cells(), &mut 0, &e.0, &mut 0, &mut out);
+    if out == e.0 {
+        out.truncate(0);
+        grow_at(id.cells(), &mut 0, &e.0, &mut 0, 0, &mut out);
+    }
+    Event(out)
+}
+
+/// [`Event::event`] in closed form, on the counts of a one-level tree's
+/// halves under an identity owning at least one of them (a one-level
+/// identity, [`Id::halves`]).
+///
+/// An owned half below the other is *filled* up to it. Otherwise an event
+/// is *grown*: a `1` raises both halves, `(1,0)` or `(0,1)` its own half,
+/// by one — or by nothing once that half holds [`MAX_COUNT`], where
+/// `grow_at` stops too.
+#[inline]
+pub(crate) fn event_halves(owned: [bool; 2], [l, r]: [u64; 2]) -> [u64; 2] {
+    let grown = |n: u64| n + u64::from(n < MAX_COUNT);
+    match owned {
+        [true, true] if l != r => [l.max(r); 2],
+        [true, true] => [grown(l); 2],
+        [true, false] => [if l < r { r } else { grown(l) }, r],
+        _ => [l, if r < l { l } else { grown(r) }],
     }
 }
 
@@ -526,6 +585,24 @@ mod tests {
             format!("{:?}", Event::zero().event(&quarters)),
             "(0,0,(0,0,1))"
         );
+    }
+
+    #[test]
+    fn one_level_closed_forms_match_the_general_walks() {
+        let counts = [0, 1, 2, 3, MAX_COUNT - 1, MAX_COUNT];
+        let events: Vec<Event> = counts
+            .iter()
+            .flat_map(|&l| counts.map(|r| Event::of_halves([l, r])))
+            .collect();
+        let (a, b) = Id::one().split();
+        for e in &events {
+            for id in [Id::one(), a.clone(), b.clone()] {
+                assert_eq!(e.event(&id), event_tree(e, &id), "{e:?} under {id:?}");
+            }
+            for f in &events {
+                assert_eq!(e.join(f), join_tree(e, f), "{e:?} join {f:?}");
+            }
+        }
     }
 
     #[test]

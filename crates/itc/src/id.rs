@@ -87,6 +87,26 @@ impl Id {
         &self.0
     }
 
+    /// Which halves a one-level identity — `0`, `1`, `(1,0)` or `(0,1)`
+    /// — owns, left then right; `None` for a deeper one.
+    #[inline]
+    pub(crate) fn halves(&self) -> Option<[bool; 2]> {
+        match *self.0 {
+            [leaf] => Some([leaf == ONE; 2]),
+            [_, left, right] => Some([left == ONE, right == ONE]),
+            _ => None,
+        }
+    }
+
+    /// The one-level identity that owns `halves`.
+    #[inline]
+    pub(crate) fn of_halves(halves: [bool; 2]) -> Id {
+        match halves {
+            [left, right] if left == right => Id(Cells::of(u8::from(left))),
+            [left, right] => Id(Cells::of_inline(&[NODE, u8::from(left), u8::from(right)])),
+        }
+    }
+
     /// Returns `true` if this identity owns nothing (is anonymous).
     #[inline]
     pub fn is_zero(&self) -> bool {
@@ -104,6 +124,11 @@ impl Id {
     /// The two returned identities are non-overlapping and together own
     /// exactly the interval owned by `self`.
     pub fn split(&self) -> (Id, Id) {
+        // The split of `1`, which every branch of a request that has not
+        // branched yet takes, in closed form.
+        if self.is_whole() {
+            return (Id::of_halves([true, false]), Id::of_halves([false, true]));
+        }
         let cells = &*self.0;
         // While one half is unowned the split happens inside the other;
         // everything around the subtree it lands on is copied as is.
@@ -151,9 +176,14 @@ impl Id {
     /// protocol violation.
     #[inline]
     pub fn sum(&self, other: &Id) -> Result<Id, OverlapError> {
-        let mut out = Cells::new();
-        sum_at(&self.0, &mut 0, &other.0, &mut 0, &mut out)?;
-        Ok(Id(out))
+        // Two one-level identities sum half by half.
+        if let (Some([a, b]), Some([c, d])) = (self.halves(), other.halves()) {
+            if (a && c) || (b && d) {
+                return Err(OverlapError);
+            }
+            return Ok(Id::of_halves([a || c, b || d]));
+        }
+        sum_tree(self, other)
     }
 
     /// Returns `true` if the two identities own overlapping intervals.
@@ -188,6 +218,13 @@ impl Id {
         decode_at(dec, &mut out, 0)?;
         Ok(Id(out))
     }
+}
+
+/// [`Id::sum`] of any two identities.
+fn sum_tree(a: &Id, b: &Id) -> Result<Id, OverlapError> {
+    let mut out = Cells::new();
+    sum_at(&a.0, &mut 0, &b.0, &mut 0, &mut out)?;
+    Ok(Id(out))
 }
 
 fn sum_at(
@@ -325,6 +362,21 @@ mod tests {
         let both = Id::node(Id::node(Id::zero(), Id::one()), Id::one());
         let (a, b) = both.split();
         assert_eq!(format!("{a:?} {b:?}"), "((0,1),0) (0,1)");
+    }
+
+    #[test]
+    fn one_level_sum_matches_the_general_walk() {
+        let ids = [
+            Id::zero(),
+            Id::one(),
+            Id::node(Id::one(), Id::zero()),
+            Id::node(Id::zero(), Id::one()),
+        ];
+        for x in &ids {
+            for y in &ids {
+                assert_eq!(x.sum(y), sum_tree(x, y), "{x:?} + {y:?}");
+            }
+        }
     }
 
     #[test]

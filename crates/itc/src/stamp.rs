@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::event::Event;
+use crate::event::{self, Event};
 use crate::id::Id;
 
 /// An interval tree clock stamp: `(identity, event history)`.
@@ -64,6 +64,32 @@ impl Stamp {
                 event: self.event.clone(),
             },
         )
+    }
+
+    /// Forks this stamp and records one event on each half: what a branch
+    /// point does, so sibling stamps differ from each other and from every
+    /// ancestor.
+    ///
+    /// The same stamps as [`Stamp::fork`] followed by [`Stamp::event`] on
+    /// both halves; a one-level history under the whole identity, which
+    /// is where every branch of a request that has not branched yet
+    /// starts, takes a closed form that builds each half once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stamp is anonymous, as [`Stamp::event`] does.
+    pub fn fork_event(&self) -> (Stamp, Stamp) {
+        if let (true, Some(counts)) = (self.id.is_whole(), self.event.halves()) {
+            let half = |owned| Stamp {
+                id: Id::of_halves(owned),
+                event: Event::of_halves(event::event_halves(owned, counts)),
+            };
+            return (half([true, false]), half([false, true]));
+        }
+        let (mut a, mut b) = self.fork();
+        a.event();
+        b.event();
+        (a, b)
     }
 
     /// Returns an anonymous *peek* of this stamp: identity zero, same events.
@@ -174,6 +200,28 @@ mod tests {
         b.event();
         let j = a.join(&b);
         assert!(a.leq(&j) && b.leq(&j));
+    }
+
+    #[test]
+    fn fork_event_is_a_fork_and_an_event_on_each_half() {
+        let (mut half, _) = Stamp::seed().fork();
+        half.event();
+        let (mut quarter, _) = half.fork();
+        quarter.event();
+        let behind = half.join(&Stamp::seed().fork().1);
+        // The seed, a one-level history under `1`, and the general walks.
+        for s in [Stamp::seed(), behind, half, quarter] {
+            let (mut a, mut b) = s.fork();
+            a.event();
+            b.event();
+            assert_eq!(s.fork_event(), (a, b), "fork_event of {s:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "anonymous")]
+    fn anonymous_fork_event_panics() {
+        let _ = Stamp::seed().peek().fork_event();
     }
 
     #[test]

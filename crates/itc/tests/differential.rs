@@ -7,6 +7,10 @@
 //! Unlike `itc_props.rs`, joins here may pick stamps whose identities
 //! overlap (a stamp and a copy of it that went over the wire): the join
 //! must then keep `self`'s identity on both sides.
+//!
+//! Stamps one level deep, which the kernel computes in closed form, are
+//! also checked exhaustively: every such stamp with small counts and
+//! counts at the 63-bit limit, through every operation.
 
 use pivot_itc::{Decoder, Encoder, Stamp};
 use proptest::prelude::*;
@@ -202,4 +206,108 @@ fn deep_chain_matches_the_tree_kernel() {
         pair.check(last / 2, &Op::Join(last / 2, last)).unwrap();
     }
     assert!(pair.new[0].id().is_whole());
+}
+
+/// The largest count the kernel holds; `event` stops there, where the
+/// oracle's unchecked arithmetic goes on counting.
+const MAX_COUNT: u64 = u64::MAX >> 1;
+
+/// Both kernels' view of one stamp, decoded from the same bytes.
+struct Both {
+    new: Stamp,
+    old: tree::Stamp,
+}
+
+/// Every one-level stamp: each of the four one-level identities over
+/// each event tree whose two halves hold counts from 0..4 or the top two
+/// counts — a leaf where they are equal, a node over two leaves otherwise.
+fn one_level_stamps() -> Vec<Both> {
+    let counts = [0, 1, 2, 3, MAX_COUNT - 1, MAX_COUNT];
+    let ids: [&[u8]; 4] = [&[0], &[1], &[2, 1, 0], &[2, 0, 1]];
+    let mut stamps = Vec::new();
+    for id in ids {
+        for l in counts {
+            for r in counts {
+                let mut enc = Encoder::new();
+                for &cell in id {
+                    enc.put_u8(cell);
+                }
+                let base = l.min(r);
+                if l == r {
+                    enc.put_u8(0);
+                    enc.put_varint(l);
+                } else {
+                    for (tag, n) in [(1, base), (0, l - base), (0, r - base)] {
+                        enc.put_u8(tag);
+                        enc.put_varint(n);
+                    }
+                }
+                let bytes = enc.finish();
+                let new = Stamp::decode(&mut Decoder::new(&bytes)).expect("in range");
+                assert_eq!(bytes_of(&new), bytes, "built in normal form");
+                let old = tree::Stamp::decode(&mut Decoder::new(&bytes)).expect("oracle decodes");
+                stamps.push(Both { new, old });
+            }
+        }
+    }
+    stamps
+}
+
+/// One event on the oracle's stamp, stopped where the kernel stops: an
+/// event that would count past [`MAX_COUNT`] leaves the stamp as it was.
+fn oracle_event(s: &tree::Stamp) -> tree::Stamp {
+    let mut grown = s.clone();
+    grown.event();
+    if grown.event_tree().max() > MAX_COUNT {
+        s.clone()
+    } else {
+        grown
+    }
+}
+
+/// `new` and `old` have the same `Debug` text and the same bytes.
+fn same(new: &Stamp, old: &tree::Stamp, what: &str) {
+    assert_eq!(format!("{new:?}"), format!("{old:?}"), "{what}");
+    assert_eq!(bytes_of(new), oracle_bytes_of(old), "{what}");
+}
+
+#[test]
+fn one_level_stamps_match_the_tree_kernel_exhaustively() {
+    let stamps = one_level_stamps();
+    assert_eq!(stamps.len(), 4 * 36);
+    for s in &stamps {
+        let name = format!("{:?}", s.new);
+        let (a, b) = s.new.fork();
+        let (oa, ob) = s.old.fork();
+        same(&a, &oa, &format!("fork of {name}"));
+        same(&b, &ob, &format!("fork of {name}"));
+        same(&s.new.peek(), &s.old.peek(), &format!("peek of {name}"));
+        let back = Stamp::decode(&mut Decoder::new(&bytes_of(&s.new))).expect("round trip");
+        same(&back, &s.old, &format!("hop of {name}"));
+        if !s.new.id().is_zero() {
+            let mut evented = s.new.clone();
+            evented.event();
+            let oe = oracle_event(&s.old);
+            same(&evented, &oe, &format!("event of {name}"));
+            assert_eq!(s.new.leq(&evented), s.old.leq(&oe));
+            assert_eq!(evented.leq(&s.new), oe.leq(&s.old));
+            let (a, b) = s.new.fork_event();
+            let (oa, ob) = (oracle_event(&oa), oracle_event(&ob));
+            same(&a, &oa, &format!("fork_event of {name}"));
+            same(&b, &ob, &format!("fork_event of {name}"));
+            assert_eq!(a.leq(&b), oa.leq(&ob), "fork_event of {name}");
+            assert_eq!(b.leq(&a), ob.leq(&oa), "fork_event of {name}");
+        }
+        // Every ordered pair: both orders, overlapping identities included.
+        for t in &stamps {
+            let what = format!("{name} join {:?}", t.new);
+            same(&s.new.join(&t.new), &s.old.join(&t.old), &what);
+            assert_eq!(s.new.leq(&t.new), s.old.leq(&t.old), "{what}");
+            assert_eq!(
+                s.new.id().overlaps(t.new.id()),
+                s.old.id().overlaps(t.old.id()),
+                "{what}"
+            );
+        }
+    }
 }
