@@ -7,115 +7,9 @@ use pivot_itc::{Encoder, Stamp};
 use pivot_model::Tuple;
 
 use crate::entry::{Entry, PackMode};
-use crate::instance::Instance;
+use crate::instance::{Entries, Instance};
 use crate::wire;
 use crate::QueryId;
-
-/// The decoded representation: one active instance per branch plus the
-/// inactive instances inherited from earlier branch points.
-///
-/// Only the active instance is ever packed into. An instance is frozen
-/// when [`Baggage::split`] retires it, and from then on every branch that
-/// descends from the split holds the *same* allocation: splitting and
-/// joining move reference counts, never tuples. The one writer a retired
-/// instance can still meet is [`Baggage::clear_query`], which copies it
-/// first if another handle shares it.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) struct Live {
-    pub(crate) active: Instance,
-    pub(crate) inactive: Retired,
-}
-
-impl Live {
-    #[inline]
-    fn new() -> Live {
-        Live {
-            active: Instance::new(Stamp::seed()),
-            inactive: Retired::default(),
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.active.is_empty() && self.inactive.iter().all(|i| i.is_empty())
-    }
-
-    /// Every visible instance in causal order: retired (oldest first),
-    /// then the active one.
-    #[inline]
-    fn instances(&self) -> impl Iterator<Item = &Instance> {
-        self.inactive
-            .iter()
-            .map(|i| &**i)
-            .chain(std::iter::once(&self.active))
-    }
-}
-
-/// The retired instances of one baggage, oldest first.
-///
-/// The first [`Retired::INLINE`] sit in the handle itself, so the request
-/// paths measured in DESIGN.md §5l — one retired instance alive at a
-/// time — branch and join without allocating a list.
-#[derive(Clone, Default, PartialEq, Debug)]
-pub(crate) struct Retired {
-    /// Filled front to back; `tail` is used only once these are full.
-    head: [Option<Arc<Instance>>; Retired::INLINE],
-    tail: Vec<Arc<Instance>>,
-}
-
-impl Retired {
-    const INLINE: usize = 2;
-
-    #[inline]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Instance>> {
-        self.head.iter().flatten().chain(&self.tail)
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        // Filled front to back, so the first slot is taken if any is.
-        self.head[0].is_none()
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, instance: Arc<Instance>) {
-        match self.head.iter_mut().find(|slot| slot.is_none()) {
-            Some(slot) => *slot = Some(instance),
-            None => self.tail.push(instance),
-        }
-    }
-
-    /// Whether this exact allocation, or after a wire hop an equal copy
-    /// of it, is already held.
-    fn holds(&self, instance: &Arc<Instance>) -> bool {
-        self.iter()
-            .any(|mine| Arc::ptr_eq(mine, instance) || mine == instance)
-    }
-
-    /// Drops `query` from every instance (copying an instance another
-    /// handle shares) and forgets the instances left empty.
-    fn clear_query(&mut self, query: QueryId) {
-        let mut kept = Retired::default();
-        for mut instance in std::mem::take(self).into_instances() {
-            if instance.entries.contains_key(&query) {
-                Arc::make_mut(&mut instance).entries.remove(&query);
-            }
-            if !instance.is_empty() {
-                kept.push(instance);
-            }
-        }
-        *self = kept;
-    }
-
-    fn into_instances(self) -> impl Iterator<Item = Arc<Instance>> {
-        self.head.into_iter().flatten().chain(self.tail)
-    }
-}
 
 /// Pack-side cost counters for one baggage handle.
 ///
@@ -133,6 +27,15 @@ pub struct PackMeter {
     /// Tuples truncated by the `All`-mode hard cap
     /// ([`crate::entry::ALL_TUPLE_CAP`]), on pack or on join-merge.
     pub truncated: u64,
+}
+
+impl PackMeter {
+    #[inline]
+    fn absorb(&mut self, other: PackMeter) {
+        self.tuples += other.tuples;
+        self.values += other.values;
+        self.truncated += other.truncated;
+    }
 }
 
 /// The result of [`Baggage::unpack_view`]: unpacked tuples, borrowed
@@ -193,21 +96,55 @@ thread_local! {
     static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
+/// The active entries of a baggage that has no [`Rest`].
+static NO_ENTRIES: Entries = Entries::new();
+
+/// What a baggage holds once something is packed into it, decoded into
+/// it or retired past its first instance. An empty baggage has none of
+/// it, which is what keeps the handle a stamp and two pointers.
+#[derive(Clone, Default, Debug)]
+struct Rest {
+    /// The active instance's entries (its stamp is the handle's).
+    entries: Entries,
+    /// The retired instances past [`Baggage::retired`], oldest first.
+    retired: Vec<Arc<Instance>>,
+    /// Cached serialized form; invalidated by mutation.
+    bytes: Option<Arc<[u8]>>,
+    /// Pack-cost counters (local to this handle; excluded from equality
+    /// and from the wire form).
+    meter: PackMeter,
+}
+
 /// A per-request container for packed tuples (paper Table 4).
 ///
 /// See the [crate documentation](crate) for the full model. Bytes become
 /// a `Baggage` only through [`Baggage::try_from_bytes`], which validates
 /// them whole; serializing an unmodified baggage hands back those same
 /// bytes without encoding.
+///
+/// A baggage is one *active* instance per branch plus the *retired*
+/// instances inherited from earlier branch points. Only the active
+/// instance is ever packed into. An instance is frozen when
+/// [`Baggage::split`] retires it, and from then on every branch that
+/// descends from the split holds the *same* allocation: splitting and
+/// joining move reference counts, never tuples. The one writer a retired
+/// instance can still meet is [`Baggage::clear_query`], which copies it
+/// first if another handle shares it.
+///
+/// The handle itself is the active stamp, the oldest retired instance and
+/// one box for everything else (DESIGN.md §5l), so creating, moving,
+/// splitting, joining and dropping an empty one touches the stamp and two
+/// null pointers.
 #[derive(Clone, Debug)]
 pub struct Baggage {
-    /// Decoded state.
-    live: Live,
-    /// Cached serialized form; invalidated by mutation.
-    bytes: Option<Arc<[u8]>>,
-    /// Pack-cost counters (local to this handle; excluded from equality
-    /// and from the wire form).
-    meter: PackMeter,
+    /// The active instance's stamp.
+    stamp: Stamp,
+    /// The oldest retired instance; [`Rest::retired`] holds the others,
+    /// and is empty while this is `None`.
+    retired: Option<Arc<Instance>>,
+    /// The active entries, the other retired instances, the byte cache
+    /// and the meter.
+    rest: Option<Box<Rest>>,
 }
 
 impl Default for Baggage {
@@ -222,7 +159,9 @@ impl PartialEq for Baggage {
     /// the handle.
     #[inline]
     fn eq(&self, other: &Baggage) -> bool {
-        self.live == other.live
+        self.stamp == other.stamp
+            && self.entries() == other.entries()
+            && self.retired().eq(other.retired())
     }
 }
 
@@ -231,9 +170,9 @@ impl Baggage {
     #[inline]
     pub fn new() -> Baggage {
         Baggage {
-            live: Live::new(),
-            bytes: None,
-            meter: PackMeter::default(),
+            stamp: Stamp::seed(),
+            retired: None,
+            rest: None,
         }
     }
 
@@ -251,12 +190,23 @@ impl Baggage {
         if bytes.is_empty() {
             return Ok(Baggage::new());
         }
-        let live = wire::decode(bytes)?;
-        Ok(Baggage {
-            live,
-            bytes: Some(Arc::from(bytes)),
-            meter: PackMeter::default(),
-        })
+        let mut bag = wire::decode(bytes)?;
+        bag.rest_mut().bytes = Some(Arc::from(bytes));
+        Ok(bag)
+    }
+
+    /// A baggage whose active instance is `active`, as the wire carries
+    /// it; the retired instances follow through [`Baggage::retire`].
+    #[inline]
+    pub(crate) fn decoded(active: Instance) -> Baggage {
+        Baggage {
+            stamp: active.stamp,
+            retired: None,
+            rest: Some(Box::new(Rest {
+                entries: active.entries,
+                ..Rest::default()
+            })),
+        }
     }
 
     /// Serializes the baggage, reusing the cached encoding when the baggage
@@ -266,36 +216,98 @@ impl Baggage {
     /// Pivot Tracing propagates an empty baggage with a serialized size of
     /// 0 bytes").
     pub fn to_bytes(&mut self) -> Arc<[u8]> {
-        if let Some(bytes) = &self.bytes {
+        if let Some(bytes) = self.rest.as_ref().and_then(|rest| rest.bytes.as_ref()) {
             return Arc::clone(bytes);
         }
-        let live = &self.live;
-        if live.is_empty() {
+        if self.is_empty() {
             // Not cached in the handle: a second call finds the baggage
             // empty as cheaply as it would find cached bytes.
             return EMPTY.with(Arc::clone);
         }
         let bytes: Arc<[u8]> = SCRATCH.with(|scratch| {
             let mut enc = Encoder::reusing(scratch.take());
-            wire::encode(live, &mut enc);
+            wire::encode(self, &mut enc);
             let buf = enc.finish();
             let bytes = Arc::from(&buf[..]);
             scratch.set(buf);
             bytes
         });
-        self.bytes = Some(Arc::clone(&bytes));
+        // Cached only where the box already is: a box made for the cache
+        // would cost the allocation a second call saves.
+        if let Some(rest) = self.rest.as_deref_mut() {
+            rest.bytes = Some(Arc::clone(&bytes));
+        }
         bytes
     }
 
     #[inline]
     fn touch(&mut self) {
-        self.bytes = None;
+        if let Some(rest) = self.rest.as_deref_mut() {
+            rest.bytes = None;
+        }
+    }
+
+    #[inline]
+    fn rest_mut(&mut self) -> &mut Rest {
+        self.rest.get_or_insert_with(Box::default)
+    }
+
+    /// The active stamp.
+    #[inline]
+    pub(crate) fn stamp(&self) -> &Stamp {
+        &self.stamp
+    }
+
+    /// The active instance's entries.
+    #[inline]
+    pub(crate) fn entries(&self) -> &Entries {
+        self.rest.as_ref().map_or(&NO_ENTRIES, |rest| &rest.entries)
+    }
+
+    /// The retired instances, oldest first.
+    #[inline]
+    pub(crate) fn retired(&self) -> impl Iterator<Item = &Arc<Instance>> {
+        self.retired
+            .iter()
+            .chain(self.rest.iter().flat_map(|rest| &rest.retired))
+    }
+
+    /// Every visible entry map in causal order: the retired instances'
+    /// (oldest first), then the active one's.
+    #[inline]
+    fn entry_maps(&self) -> impl Iterator<Item = &Entries> {
+        self.retired()
+            .map(|instance| &instance.entries)
+            .chain(std::iter::once(self.entries()))
+    }
+
+    /// Appends `instance` to the retired instances, as the newest.
+    #[inline]
+    pub(crate) fn retire(&mut self, instance: Arc<Instance>) {
+        match self.retired {
+            None => self.retired = Some(instance),
+            Some(_) => self.rest_mut().retired.push(instance),
+        }
+    }
+
+    /// Retires `instance` unless this exact allocation, or after a wire
+    /// hop an equal copy of it, is already held.
+    fn adopt(&mut self, instance: Arc<Instance>) {
+        let held = self
+            .retired()
+            .any(|mine| Arc::ptr_eq(mine, &instance) || mine == &instance);
+        if !held {
+            self.retire(instance);
+        }
     }
 
     /// Returns `true` if nothing is packed anywhere in this baggage.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.rest
+            .as_ref()
+            .is_none_or(|rest| rest.entries.holds_no_tuples())
+            && self.retired().all(|instance| instance.is_empty())
     }
 
     /// Packs tuples for `query` into the active instance (paper Table 2's
@@ -305,28 +317,26 @@ impl Baggage {
         I: IntoIterator<Item = Tuple>,
     {
         self.touch();
-        let live = &mut self.live;
-        // FIRST counts tuples already visible in the causal past (inactive
+        // FIRST counts tuples already visible in the causal past (retired
         // instances) so re-packing on a later branch cannot duplicate it.
         let already_first = match mode {
-            PackMode::First(_) => live
-                .inactive
-                .iter()
-                .map(|i| i.count_for(query))
-                .sum::<usize>(),
+            PackMode::First(_) => self.retired().map(|i| i.count_for(query)).sum::<usize>(),
             _ => 0,
         };
         for t in tuples {
-            self.meter.tuples += 1;
-            self.meter.values += t.len() as u64;
-            self.meter.truncated += live.active.pack(query, mode, t, already_first) as u64;
+            let rest = self.rest_mut();
+            rest.meter.tuples += 1;
+            rest.meter.values += t.len() as u64;
+            rest.meter.truncated += rest.entries.pack(query, mode, t, already_first) as u64;
         }
     }
 
     /// Returns this handle's pack-cost counters (see [`PackMeter`]).
     #[inline]
     pub fn meter(&self) -> PackMeter {
-        self.meter
+        self.rest
+            .as_ref()
+            .map_or_else(PackMeter::default, |rest| rest.meter)
     }
 
     /// Retrieves all tuples packed for `query`, combined across every
@@ -349,14 +359,13 @@ impl Baggage {
     /// materialize ([`Unpacked::Owned`]); the result is identical to
     /// `unpack` either way.
     pub fn unpack_view(&self, query: QueryId) -> Unpacked<'_> {
-        // Instances in causal order: inactive (oldest first), then active.
+        // Instances in causal order: retired (oldest first), then active.
         // The iterator is consumed lazily so the hot path — zero or one
         // matching entry — never allocates; only the multi-instance slow
         // path collects.
         let mut it = self
-            .live
-            .instances()
-            .filter_map(|i| i.entries.get(&query))
+            .entry_maps()
+            .filter_map(|entries| entries.get(query))
             .filter(|e| !e.is_empty());
         let Some(first) = it.next() else {
             return Unpacked::Owned(Vec::new());
@@ -401,16 +410,18 @@ impl Baggage {
     ///
     /// Returns how many tuples are currently retained for `query`.
     pub fn tuple_count(&self, query: QueryId) -> usize {
-        self.live.instances().map(|i| i.count_for(query)).sum()
+        self.entry_maps()
+            .filter_map(|entries| entries.get(query))
+            .map(Entry::len)
+            .sum()
     }
 
     /// Public for integration tests.
     ///
     /// Returns the total number of retained tuples across all queries.
     pub fn total_tuples(&self) -> usize {
-        self.live
-            .instances()
-            .flat_map(|i| i.entries.values())
+        self.entry_maps()
+            .flat_map(Entries::values)
             .map(Entry::len)
             .sum()
     }
@@ -423,31 +434,38 @@ impl Baggage {
     /// packed on one branch are invisible to the sibling until
     /// [`Baggage::join`].
     pub fn split(&mut self) -> Baggage {
-        self.touch();
-        let live = &mut self.live;
         // An event on each half keeps sibling stamps distinct from each
         // other and from any ancestor.
-        let (s1, s2) = live.active.stamp.fork_event();
-        if live.active.entries.is_empty() {
-            // Nothing to retire: the active instance only changes stamp.
-            live.active.stamp = s1;
-        } else {
-            let mut retired = std::mem::replace(&mut live.active, Instance::new(s1));
-            if !retired.is_empty() {
-                // Anonymize the retired instance's identity: once copies of
-                // it cross the wire they carry the identical peek stamp,
-                // making post-join dedup exact.
-                retired.stamp = retired.stamp.peek();
-                live.inactive.push(Arc::new(retired));
+        let (s1, s2) = self.stamp.fork_event();
+        let stamp = std::mem::replace(&mut self.stamp, s1);
+        let entries = match self.rest.as_deref_mut() {
+            Some(rest) => {
+                rest.bytes = None;
+                std::mem::take(&mut rest.entries)
             }
+            None => Entries::new(),
+        };
+        // With nothing packed, the active instance only changes stamp.
+        if !entries.holds_no_tuples() {
+            // Anonymize the retired instance's identity: once copies of it
+            // cross the wire they carry the identical peek stamp, making
+            // post-join dedup exact.
+            let stamp = stamp.peek();
+            self.retire(Arc::new(Instance { stamp, entries }));
         }
         Baggage {
-            live: Live {
-                active: Instance::new(s2),
-                inactive: live.inactive.clone(),
-            },
-            bytes: None,
-            meter: PackMeter::default(),
+            stamp: s2,
+            retired: self.retired.clone(),
+            rest: self
+                .rest
+                .as_ref()
+                .filter(|rest| !rest.retired.is_empty())
+                .map(|rest| {
+                    Box::new(Rest {
+                        retired: rest.retired.clone(),
+                        ..Rest::default()
+                    })
+                }),
         }
     }
 
@@ -458,34 +476,70 @@ impl Baggage {
     /// with duplicates discarded.
     pub fn join(&mut self, other: Baggage) {
         self.touch();
-        let other_live = other.live;
-        // Fold the joining branch's pack costs into this handle so the
-        // request's total is preserved across joins, and count any tuples
-        // the All-cap truncates while the actives merge.
-        self.meter.tuples += other.meter.tuples;
-        self.meter.values += other.meter.values;
-        self.meter.truncated += other.meter.truncated;
-        let live = &mut self.live;
-        live.active.stamp = live.active.stamp.join(&other_live.active.stamp);
-        if other_live.active.entries.is_empty() && other_live.inactive.is_empty() {
-            // Only the stamps had anything to merge.
-            return;
+        let Baggage {
+            stamp,
+            retired,
+            rest,
+        } = other;
+        self.stamp = self.stamp.join(&stamp);
+        if let Some(instance) = retired {
+            self.adopt(instance);
         }
-        self.meter.truncated += live.active.merge_entries(other_live.active) as u64;
-        for instance in other_live.inactive.into_instances() {
-            if !live.inactive.holds(&instance) {
-                live.inactive.push(instance);
+        let Some(mut theirs) = rest else {
+            // Nothing was packed on the other side, and at most one
+            // instance retired.
+            return;
+        };
+        let tail = std::mem::take(&mut theirs.retired);
+        match self.rest.as_deref_mut() {
+            None => {
+                // Nothing packed here: the joined entries and pack costs
+                // are theirs, box and all.
+                theirs.bytes = None;
+                self.rest = Some(theirs);
             }
+            Some(mine) => {
+                // Fold the joining branch's pack costs into this handle so
+                // the request's total is preserved across joins, and count
+                // any tuples the All-cap truncates while the actives merge.
+                mine.meter.absorb(theirs.meter);
+                mine.meter.truncated += mine.entries.merge(theirs.entries) as u64;
+            }
+        }
+        for instance in tail {
+            self.adopt(instance);
         }
     }
 
     /// Drops every tuple packed for `query` (used on query uninstall).
     pub fn clear_query(&mut self, query: QueryId) {
-        self.touch();
-        let live = &mut self.live;
-        live.active.entries.remove(&query);
-        live.inactive.clear_query(query);
+        if let Some(rest) = self.rest.as_deref_mut() {
+            rest.bytes = None;
+            rest.entries.remove(query);
+            rest.retired.retain_mut(|instance| clear(instance, query));
+        }
+        if self
+            .retired
+            .as_mut()
+            .is_some_and(|instance| !clear(instance, query))
+        {
+            // The oldest instance left moves into the handle.
+            self.retired = self
+                .rest
+                .as_deref_mut()
+                .filter(|rest| !rest.retired.is_empty())
+                .map(|rest| rest.retired.remove(0));
+        }
     }
+}
+
+/// Drops `query` from a retired instance (copying it first if another
+/// handle shares it) and says whether anything is left in it.
+fn clear(instance: &mut Arc<Instance>, query: QueryId) -> bool {
+    if instance.entries.get(query).is_some() {
+        Arc::make_mut(instance).entries.remove(query);
+    }
+    !instance.is_empty()
 }
 
 #[cfg(test)]

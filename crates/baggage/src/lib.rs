@@ -66,7 +66,6 @@ mod wire;
 
 pub use bag::{Baggage, PackMeter, Unpacked};
 pub use entry::{Entry, PackMode, ALL_TUPLE_CAP};
-pub use instance::Instance;
 
 /// Identifies an installed query across the whole system.
 ///

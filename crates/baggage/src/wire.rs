@@ -15,32 +15,32 @@ use std::sync::Arc;
 
 use pivot_itc::{DecodeError, Decoder, Encoder, Stamp};
 
-use crate::bag::{Live, Retired};
+use crate::bag::Baggage;
 use crate::entry::Entry;
-use crate::instance::Instance;
+use crate::instance::{Entries, Instance};
 use crate::QueryId;
 
 const VERSION: u8 = 1;
 
-pub(crate) fn encode(live: &Live, enc: &mut Encoder) {
+pub(crate) fn encode(bag: &Baggage, enc: &mut Encoder) {
     enc.put_u8(VERSION);
-    enc.put_varint(1 + live.inactive.len() as u64);
-    encode_instance(&live.active, enc);
-    for inst in live.inactive.iter() {
-        encode_instance(inst, enc);
+    enc.put_varint(1 + bag.retired().count() as u64);
+    encode_instance(bag.stamp(), bag.entries(), enc);
+    for inst in bag.retired() {
+        encode_instance(&inst.stamp, &inst.entries, enc);
     }
 }
 
-fn encode_instance(inst: &Instance, enc: &mut Encoder) {
-    inst.stamp.encode(enc);
-    enc.put_varint(inst.entries.len() as u64);
-    for (q, entry) in &inst.entries {
+fn encode_instance(stamp: &Stamp, entries: &Entries, enc: &mut Encoder) {
+    stamp.encode(enc);
+    enc.put_varint(entries.len() as u64);
+    for (q, entry) in entries.iter() {
         enc.put_varint(q.0);
         entry.encode(enc);
     }
 }
 
-pub(crate) fn decode(bytes: &[u8]) -> Result<Live, DecodeError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Baggage, DecodeError> {
     let mut dec = Decoder::new(bytes);
     let version = dec.take_u8()?;
     if version != VERSION {
@@ -50,27 +50,26 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Live, DecodeError> {
     if count == 0 {
         return Err(DecodeError::Truncated);
     }
-    let active = decode_instance(&mut dec)?;
-    let mut inactive = Retired::default();
+    let mut bag = Baggage::decoded(decode_instance(&mut dec)?);
     for _ in 1..count {
-        inactive.push(Arc::new(decode_instance(&mut dec)?));
+        bag.retire(Arc::new(decode_instance(&mut dec)?));
     }
     if !dec.is_empty() {
         return Err(DecodeError::BadTag("baggage trailing bytes", 0));
     }
-    Ok(Live { active, inactive })
+    Ok(bag)
 }
 
 fn decode_instance(dec: &mut Decoder<'_>) -> Result<Instance, DecodeError> {
     let stamp = Stamp::decode(dec)?;
     let n = dec.take_varint()? as usize;
-    let mut inst = Instance::new(stamp);
+    let mut entries = Entries::new();
     for _ in 0..n {
         let q = QueryId(dec.take_varint()?);
         let entry = Entry::decode(dec)?;
-        inst.entries.insert(q, entry);
+        entries.insert(q, entry);
     }
-    Ok(inst)
+    Ok(Instance { stamp, entries })
 }
 
 #[cfg(test)]
@@ -79,67 +78,82 @@ mod tests {
     use crate::entry::PackMode;
     use pivot_model::{Tuple, Value};
 
-    fn encode(live: &Live) -> Vec<u8> {
+    fn encode(bag: &Baggage) -> Vec<u8> {
         let mut enc = Encoder::new();
-        super::encode(live, &mut enc);
+        super::encode(bag, &mut enc);
         enc.finish()
     }
 
     #[test]
-    fn live_round_trip_with_branches() {
-        let mut retired = Instance::new(Stamp::seed().peek());
-        retired.pack(
+    fn round_trip_with_branches() {
+        let mut entries = Entries::new();
+        entries.pack(
             QueryId(9),
             &PackMode::Recent(2),
             Tuple::from_iter([Value::U64(42)]),
             0,
         );
-        let mut live = Live {
-            active: Instance::new(Stamp::seed()),
-            inactive: Retired::default(),
-        };
-        live.inactive.push(Arc::new(retired));
-        live.active.pack(
+        let mut bag = Baggage::new();
+        bag.retire(Arc::new(Instance {
+            stamp: Stamp::seed().peek(),
+            entries,
+        }));
+        bag.pack(
             QueryId(3),
             &PackMode::All,
-            Tuple::from_iter([Value::str("x"), Value::I64(1)]),
-            0,
+            [Tuple::from_iter([Value::str("x"), Value::I64(1)])],
         );
-        let bytes = encode(&live);
+        let bytes = encode(&bag);
         let back = decode(&bytes).unwrap();
-        assert_eq!(back, live);
+        assert_eq!(back, bag);
+    }
+
+    #[test]
+    fn repeated_and_unsorted_query_ids_decode_as_map_inserts() {
+        // Hand-built: the seed stamp, then entries for queries 5, 2 and 5
+        // again. The later 5 wins, and the keys come back ascending.
+        let t = |v: i64| Tuple::from_iter([Value::I64(v)]);
+        let mut enc = Encoder::new();
+        enc.put_u8(VERSION);
+        enc.put_varint(1);
+        Stamp::seed().encode(&mut enc);
+        enc.put_varint(3);
+        for (q, v) in [(5, 1), (2, 2), (5, 3)] {
+            let mut entry = Entry::new(&PackMode::All);
+            entry.pack(t(v), 0);
+            enc.put_varint(q);
+            entry.encode(&mut enc);
+        }
+        let back = decode(&enc.finish()).unwrap();
+        let mut want = Baggage::new();
+        want.pack(QueryId(2), &PackMode::All, [t(2)]);
+        want.pack(QueryId(5), &PackMode::All, [t(3)]);
+        assert_eq!(back, want);
+        assert_eq!(encode(&back), encode(&want));
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let mut live = Live {
-            active: Instance::new(Stamp::seed()),
-            inactive: Retired::default(),
-        };
-        live.active.pack(
+        let mut bag = Baggage::new();
+        bag.pack(
             QueryId(1),
             &PackMode::All,
-            Tuple::from_iter([Value::I64(1)]),
-            0,
+            [Tuple::from_iter([Value::I64(1)])],
         );
-        let mut bytes = encode(&live);
+        let mut bytes = encode(&bag);
         bytes[0] = 99;
         assert!(decode(&bytes).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
-        let mut live = Live {
-            active: Instance::new(Stamp::seed()),
-            inactive: Retired::default(),
-        };
-        live.active.pack(
+        let mut bag = Baggage::new();
+        bag.pack(
             QueryId(1),
             &PackMode::All,
-            Tuple::from_iter([Value::str("abcdefgh")]),
-            0,
+            [Tuple::from_iter([Value::str("abcdefgh")])],
         );
-        let bytes = encode(&live);
+        let bytes = encode(&bag);
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }

@@ -8,6 +8,10 @@ use pivot_baggage::{Baggage, PackMode, QueryId};
 use pivot_model::{Tuple, Value};
 use proptest::prelude::*;
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
+
 const Q: QueryId = QueryId(1);
 
 fn t(v: i64) -> Tuple {
@@ -84,7 +88,131 @@ fn run(acts: &[Act]) -> (Vec<Baggage>, Vec<Vec<i64>>) {
     (bags, visible)
 }
 
+/// A script over a stack of branches that packs under several queries
+/// and clears them again, for [`an_emptied_baggage_is_an_empty_baggage`].
+#[derive(Debug, Clone)]
+enum Step {
+    /// Pack a fresh tuple for query `q` on branch `i`.
+    Pack(usize, u64),
+    /// Split branch `i`, pushing the new branch.
+    Split(usize),
+    /// Join the last branch into branch `i` (if distinct).
+    Join(usize),
+    /// Serialize + deserialize branch `i` (a process hop).
+    Hop(usize),
+    /// Drop query `q` from branch `i`.
+    Clear(usize, u64),
+}
+
+/// More queries than an entry map holds inline, so the spill is exercised.
+const QUERIES: u64 = 4;
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0usize..6, 1..QUERIES + 1).prop_map(|(i, q)| Step::Pack(i, q)),
+        2 => (0usize..6).prop_map(Step::Split),
+        2 => (0usize..6).prop_map(Step::Join),
+        1 => (0usize..6).prop_map(Step::Hop),
+        1 => (0usize..6, 1..QUERIES + 1).prop_map(|(i, q)| Step::Clear(i, q)),
+    ]
+}
+
+/// Runs `steps` twice over: on baggages that pack and clear, and on
+/// never-packed twins that make the same splits and joins. A hop takes
+/// the twin's stamp with it only when the header was empty, since only a
+/// non-empty header carries one.
+fn run_with_twins(steps: &[Step]) -> (Vec<Baggage>, Vec<Baggage>) {
+    let mut bags = vec![Baggage::new()];
+    let mut twins = vec![Baggage::new()];
+    let mut next = 0i64;
+    for step in steps {
+        match *step {
+            Step::Pack(i, q) => {
+                let i = i % bags.len();
+                bags[i].pack(QueryId(q), &PackMode::All, [t(next)]);
+                next += 1;
+            }
+            Step::Split(i) => {
+                if bags.len() >= 8 {
+                    continue;
+                }
+                let i = i % bags.len();
+                let side = bags[i].split();
+                bags.push(side);
+                let side = twins[i].split();
+                twins.push(side);
+            }
+            Step::Join(i) => {
+                if bags.len() < 2 {
+                    continue;
+                }
+                let i = i % (bags.len() - 1);
+                let side = bags.pop().expect("len >= 2");
+                bags[i].join(side);
+                let side = twins.pop().expect("len >= 2");
+                twins[i].join(side);
+            }
+            Step::Hop(i) => {
+                let i = i % bags.len();
+                let bytes = bags[i].to_bytes();
+                bags[i] = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
+                if bytes.is_empty() {
+                    let bytes = twins[i].to_bytes();
+                    twins[i] = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
+                }
+            }
+            Step::Clear(i, q) => {
+                let i = i % bags.len();
+                bags[i].clear_query(QueryId(q));
+            }
+        }
+    }
+    (bags, twins)
+}
+
+/// The shard edge and back (`benchmark/src/svc.rs::request`): a split
+/// joined into a fresh baggage, which splits again to be joined back.
+/// Returns the allocations of the four calls.
+fn split_join(bag: &mut Baggage) -> [u64; 4] {
+    let (split, side) = allocations(|| bag.split());
+    let mut fresh = Baggage::new();
+    let (join, ()) = allocations(|| fresh.join(side));
+    let (reply, back) = allocations(|| fresh.split());
+    let (join_back, ()) = allocations(|| bag.join(back));
+    [split, join, reply, join_back]
+}
+
 proptest! {
+    /// Once every query is cleared, nothing is left of having packed: the
+    /// baggage equals its never-packed twin, its header is 0 bytes, and
+    /// it splits and joins with the allocations of the twin — none, while
+    /// the stamp fits inline — whatever state its packs, retirements and
+    /// decodes left behind the handle.
+    #[test]
+    fn an_emptied_baggage_is_an_empty_baggage(
+        steps in prop::collection::vec(step_strategy(), 0..60)
+    ) {
+        let (mut bags, mut twins) = run_with_twins(&steps);
+        // The thread's shared empty header exists before anything counts.
+        drop(Baggage::new().to_bytes());
+        for (bag, twin) in bags.iter_mut().zip(&mut twins) {
+            for q in 1..=QUERIES {
+                bag.clear_query(QueryId(q));
+            }
+            prop_assert!(bag.is_empty());
+            prop_assert_eq!(&*bag, &*twin);
+            prop_assert_eq!(bag.to_bytes().len(), 0);
+            for round in 0..2 {
+                // A stamp the script left deeper than its inline cells
+                // allocates in the kernel, on both sides alike; the
+                // baggage may not add to that.
+                let (twin_n, bag_n) = (split_join(twin), split_join(bag));
+                prop_assert_eq!(bag_n, twin_n, "round {}", round);
+                prop_assert_eq!(&*bag, &*twin);
+            }
+        }
+    }
+
     /// Every branch sees exactly its causal past: no sibling leakage, no
     /// duplication, no loss — across arbitrary split/join/hop interleavings.
     #[test]

@@ -39,7 +39,7 @@ pub fn with_baggage<R>(f: impl FnOnce(&mut Baggage) -> R) -> R {
 /// and hands the scoped one back (e.g. to serialize into a response).
 #[must_use = "dropping the scope immediately would detach the baggage again"]
 pub struct BaggageScope {
-    prev: Option<Baggage>,
+    prev: Baggage,
     /// Scopes pin a specific thread's state; keep them off other threads.
     _not_send: PhantomData<*const ()>,
 }
@@ -49,7 +49,7 @@ pub struct BaggageScope {
 pub fn attach(bag: Baggage) -> BaggageScope {
     let prev = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), bag));
     BaggageScope {
-        prev: Some(prev),
+        prev,
         _not_send: PhantomData,
     }
 }
@@ -59,9 +59,11 @@ impl BaggageScope {
     /// that was attached.
     #[inline]
     pub fn detach(mut self) -> Baggage {
-        // Only `detach` and `drop` take `prev`, and each consumes the scope
-        // (`ctx::tests::attach_detach_restores_previous`).
-        let prev = self.prev.take().expect("scope detached once");
+        let prev = std::mem::take(&mut self.prev);
+        // What `take` left is an empty baggage, which owns no memory, so
+        // forgetting the scope leaks nothing and skips the restore `drop`
+        // would make (`ctx::tests::attach_detach_restores_previous`).
+        std::mem::forget(self);
         CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
     }
 }
@@ -69,9 +71,8 @@ impl BaggageScope {
 impl Drop for BaggageScope {
     #[inline]
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
+        // The scoped baggage lands in `self.prev` and is dropped with it.
+        CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), &mut self.prev));
     }
 }
 

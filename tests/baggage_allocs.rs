@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use pivot_tracing::baggage::{Baggage, PackMode, QueryId};
+use pivot_tracing::live::BaggageScope;
 use pivot_tracing::model::{Tuple, Value};
 use pivot_tracing::query::CompiledQuery;
 
@@ -17,6 +18,22 @@ mod counting_alloc;
 use counting_alloc::allocations;
 
 const Q: QueryId = QueryId(1);
+
+#[test]
+fn the_handle_is_a_stamp_and_two_pointers() {
+    // Every scope, branch and join moves the handle by value, so its
+    // size is part of the cost of a request nothing is woven into.
+    assert_eq!(
+        std::mem::size_of::<Baggage>(),
+        120,
+        "a Baggage is its active stamp (104 B), the first retired instance \
+         and one box for the rest (DESIGN.md §5l)"
+    );
+    assert!(
+        std::mem::size_of::<BaggageScope>() <= std::mem::size_of::<Baggage>(),
+        "a BaggageScope holds the baggage it restores and nothing more (DESIGN.md §5l)"
+    );
+}
 
 #[test]
 fn empty_baggage_branches_and_joins_without_allocating() {
