@@ -3,11 +3,11 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pivot_itc::{Encoder, Stamp};
+use pivot_itc::Encoder;
 use pivot_model::Tuple;
 
 use crate::entry::{Entry, PackMode};
-use crate::instance::{Entries, Instance};
+use crate::instance::{Entries, Id, Instance};
 use crate::wire;
 use crate::QueryId;
 
@@ -101,10 +101,10 @@ static NO_ENTRIES: Entries = Entries::new();
 
 /// What a baggage holds once something is packed into it, decoded into
 /// it or retired past its first instance. An empty baggage has none of
-/// it, which is what keeps the handle a stamp and two pointers.
+/// it, which is what keeps the handle two pointers.
 #[derive(Clone, Default, Debug)]
 struct Rest {
-    /// The active instance's entries (its stamp is the handle's).
+    /// The active instance's entries.
     entries: Entries,
     /// The retired instances past [`Baggage::retired`], oldest first.
     retired: Vec<Arc<Instance>>,
@@ -131,14 +131,12 @@ struct Rest {
 /// instance can still meet is [`Baggage::clear_query`], which copies it
 /// first if another handle shares it.
 ///
-/// The handle itself is the active stamp, the oldest retired instance and
-/// one box for everything else (DESIGN.md §5l), so creating, moving,
-/// splitting, joining and dropping an empty one touches the stamp and two
-/// null pointers.
-#[derive(Clone, Debug)]
+/// The handle itself is the oldest retired instance and one box for
+/// everything else (DESIGN.md §5l), so creating, moving, splitting,
+/// joining and dropping an empty one touches two null pointers. The
+/// active instance has no identity: an instance gets one when it retires.
+#[derive(Clone, Default, Debug)]
 pub struct Baggage {
-    /// The active instance's stamp.
-    stamp: Stamp,
     /// The oldest retired instance; [`Rest::retired`] holds the others,
     /// and is empty while this is `None`.
     retired: Option<Arc<Instance>>,
@@ -147,30 +145,20 @@ pub struct Baggage {
     rest: Option<Box<Rest>>,
 }
 
-impl Default for Baggage {
-    #[inline]
-    fn default() -> Baggage {
-        Baggage::new()
-    }
-}
-
 impl PartialEq for Baggage {
     /// Compares contents only: the byte cache and the meter are local to
     /// the handle.
     #[inline]
     fn eq(&self, other: &Baggage) -> bool {
-        self.stamp == other.stamp
-            && self.entries() == other.entries()
-            && self.retired().eq(other.retired())
+        self.entries() == other.entries() && self.retired().eq(other.retired())
     }
 }
 
 impl Baggage {
     /// Creates an empty baggage for a new request.
     #[inline]
-    pub fn new() -> Baggage {
+    pub const fn new() -> Baggage {
         Baggage {
-            stamp: Stamp::seed(),
             retired: None,
             rest: None,
         }
@@ -195,15 +183,14 @@ impl Baggage {
         Ok(bag)
     }
 
-    /// A baggage whose active instance is `active`, as the wire carries
-    /// it; the retired instances follow through [`Baggage::retire`].
+    /// A baggage whose active entries are `entries`, as the wire carries
+    /// them; the retired instances follow through [`Baggage::retire`].
     #[inline]
-    pub(crate) fn decoded(active: Instance) -> Baggage {
+    pub(crate) fn decoded(entries: Entries) -> Baggage {
         Baggage {
-            stamp: active.stamp,
             retired: None,
             rest: Some(Box::new(Rest {
-                entries: active.entries,
+                entries,
                 ..Rest::default()
             })),
         }
@@ -252,12 +239,6 @@ impl Baggage {
         self.rest.get_or_insert_with(Box::default)
     }
 
-    /// The active stamp.
-    #[inline]
-    pub(crate) fn stamp(&self) -> &Stamp {
-        &self.stamp
-    }
-
     /// The active instance's entries.
     #[inline]
     pub(crate) fn entries(&self) -> &Entries {
@@ -291,11 +272,11 @@ impl Baggage {
     }
 
     /// Retires `instance` unless this exact allocation, or after a wire
-    /// hop an equal copy of it, is already held.
+    /// hop a copy of it (the same id), is already held.
     fn adopt(&mut self, instance: Arc<Instance>) {
         let held = self
             .retired()
-            .any(|mine| Arc::ptr_eq(mine, &instance) || mine == &instance);
+            .any(|mine| Arc::ptr_eq(mine, &instance) || mine.id == instance.id);
         if !held {
             self.retire(instance);
         }
@@ -428,33 +409,24 @@ impl Baggage {
 
     /// Splits this baggage for a branching execution (paper §5).
     ///
-    /// The current active instance is retired to the inactive set (visible
-    /// to both branches); each branch gets a fresh active instance whose
-    /// interval tree identity is one half of the divided identity. Tuples
-    /// packed on one branch are invisible to the sibling until
-    /// [`Baggage::join`].
+    /// The current active instance, if anything is packed in it, is
+    /// retired to the inactive set (visible to both branches) under an id
+    /// minted here; each branch gets a fresh active instance. Tuples packed
+    /// on one branch are invisible to the sibling until [`Baggage::join`].
+    /// With nothing packed, nothing is retired and no id is minted.
     pub fn split(&mut self) -> Baggage {
-        // An event on each half keeps sibling stamps distinct from each
-        // other and from any ancestor.
-        let (s1, s2) = self.stamp.fork_event();
-        let stamp = std::mem::replace(&mut self.stamp, s1);
-        let entries = match self.rest.as_deref_mut() {
-            Some(rest) => {
-                rest.bytes = None;
-                std::mem::take(&mut rest.entries)
+        if let Some(rest) = self.rest.as_deref_mut() {
+            rest.bytes = None;
+            let entries = std::mem::take(&mut rest.entries);
+            if !entries.holds_no_tuples() {
+                // Every copy of the retired instance, here or past a wire
+                // hop, carries this id, so a join tells it from another
+                // branch's instance with equal contents.
+                let id = Id::mint();
+                self.retire(Arc::new(Instance { id, entries }));
             }
-            None => Entries::new(),
-        };
-        // With nothing packed, the active instance only changes stamp.
-        if !entries.holds_no_tuples() {
-            // Anonymize the retired instance's identity: once copies of it
-            // cross the wire they carry the identical peek stamp, making
-            // post-join dedup exact.
-            let stamp = stamp.peek();
-            self.retire(Arc::new(Instance { stamp, entries }));
         }
         Baggage {
-            stamp: s2,
             retired: self.retired.clone(),
             rest: self
                 .rest
@@ -471,17 +443,16 @@ impl Baggage {
 
     /// Merges baggage from two joining executions (paper §5).
     ///
-    /// The active instances merge (entry-wise, honouring pack modes) under
-    /// the joined identity; inactive instances from both sides are unioned
-    /// with duplicates discarded.
+    /// The active instances merge (entry-wise, honouring pack modes);
+    /// retired instances from both sides are unioned, a copy of one
+    /// already held (the same id) discarded.
     pub fn join(&mut self, other: Baggage) {
+        let Baggage { retired, rest } = other;
+        if retired.is_none() && rest.is_none() {
+            // Nothing packed and nothing retired on the other side.
+            return;
+        }
         self.touch();
-        let Baggage {
-            stamp,
-            retired,
-            rest,
-        } = other;
-        self.stamp = self.stamp.join(&stamp);
         if let Some(instance) = retired {
             self.adopt(instance);
         }

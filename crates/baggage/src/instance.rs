@@ -1,6 +1,11 @@
-//! Versioned baggage instances and their entry maps.
+//! Retired baggage instances, their identities and their entry maps.
 
-use pivot_itc::Stamp;
+use std::cell::Cell;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use pivot_itc::{DecodeError, Decoder, Encoder};
 
 use crate::entry::{Entry, PackMode};
 use crate::QueryId;
@@ -8,16 +13,17 @@ use crate::QueryId;
 /// One retired instance of a request's baggage.
 ///
 /// Baggage holds one *active* instance per execution branch plus zero or
-/// more *inactive* instances inherited from before the most recent branch
-/// points (paper §5). Each instance is identified by an interval tree clock
-/// stamp; sibling copies of the same inactive instance carry identical
-/// stamps and contents, which is what makes post-join deduplication exact.
-/// The active instance is not one of these: its stamp sits in the
-/// [`crate::Baggage`] handle and its entries behind the handle's box.
+/// more *retired* instances inherited from before the most recent branch
+/// points (paper §5). An instance gets its [`Id`] when [`crate::Baggage::split`]
+/// retires it; every copy of it — shared by reference count in one
+/// process, decoded from a header in another — carries that id, which is
+/// what makes post-join deduplication exact. The active instance is not
+/// one of these and has no identity: its entries sit behind the
+/// [`crate::Baggage`] handle's box.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct Instance {
-    /// The instance's version identity.
-    pub(crate) stamp: Stamp,
+    /// Who retired the instance (DESIGN.md §5l "Instance identity").
+    pub(crate) id: Id,
     /// Per-query packed tuples.
     pub(crate) entries: Entries,
 }
@@ -34,6 +40,72 @@ impl Instance {
     pub(crate) fn count_for(&self, query: QueryId) -> usize {
         self.entries.get(query).map_or(0, Entry::len)
     }
+}
+
+/// A retired instance's identity: the location (one thread of one
+/// process) that retired it, and how many instances that location had
+/// retired before.
+///
+/// Within a process two ids never meet: locations are handed out by one
+/// counter, and a location retires at most 2³² instances before its
+/// thread takes a fresh one. Across processes the locations start at a
+/// random point, so two processes' ranges overlap with probability about
+/// `(threads of both) / 2⁶⁴` (DESIGN.md §5l "Instance identity").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Id {
+    location: u64,
+    counter: u32,
+}
+
+thread_local! {
+    /// This thread's location and its next counter; a counter of 0 takes
+    /// a fresh location first, so a location serves 2³² ids and no more.
+    static MINT: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
+}
+
+impl Id {
+    /// Bytes an id takes on the wire, whatever its value.
+    pub(crate) const LEN: usize = 12;
+
+    /// A new id, unique in this process and, but for the chance above,
+    /// across processes.
+    pub(crate) fn mint() -> Id {
+        MINT.with(|mint| {
+            let (mut location, counter) = mint.get();
+            if counter == 0 {
+                location = fresh_location();
+            }
+            mint.set((location, counter.wrapping_add(1)));
+            Id { location, counter }
+        })
+    }
+
+    #[inline]
+    pub(crate) fn encode(self, enc: &mut Encoder) {
+        enc.put_raw(&self.location.to_le_bytes());
+        enc.put_raw(&self.counter.to_le_bytes());
+    }
+
+    #[inline]
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Id, DecodeError> {
+        let raw = dec.take_raw(Id::LEN)?;
+        let (location, counter) = raw.split_at(8);
+        Ok(Id {
+            location: u64::from_le_bytes(location.try_into().expect("8 of 12 bytes")),
+            counter: u32::from_le_bytes(counter.try_into().expect("4 of 12 bytes")),
+        })
+    }
+}
+
+/// The next location of this process: a random start, drawn once, plus
+/// one more for every location handed out before.
+#[cold]
+fn fresh_location() -> u64 {
+    static START: OnceLock<u64> = OnceLock::new();
+    static HANDED_OUT: AtomicU64 = AtomicU64::new(0);
+    // `RandomState` is keyed from the operating system's entropy.
+    let start = *START.get_or_init(|| RandomState::new().hash_one(std::process::id()));
+    start.wrapping_add(HANDED_OUT.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Per-query entries, in ascending [`QueryId`] order (the wire order).
@@ -246,6 +318,29 @@ mod tests {
                 assert_eq!(map, Entries::new());
             }
         }
+    }
+
+    #[test]
+    fn ids_are_distinct_across_threads_and_survive_the_wire() {
+        let mut all: Vec<Id> = (0..4).map(|_| Id::mint()).collect();
+        let there: Vec<Id> = std::thread::spawn(|| (0..4).map(|_| Id::mint()).collect())
+            .join()
+            .expect("minting thread");
+        all.extend(&there);
+        for (i, a) in all.iter().enumerate() {
+            assert!(all[i + 1..].iter().all(|b| a != b), "{a:?} minted twice");
+        }
+        let mut enc = Encoder::new();
+        for id in &all {
+            id.encode(&mut enc);
+        }
+        let bytes = enc.finish();
+        assert_eq!(bytes.len(), all.len() * Id::LEN);
+        let mut dec = Decoder::new(&bytes);
+        for id in &all {
+            assert_eq!(Id::decode(&mut dec), Ok(*id));
+        }
+        assert!(Id::decode(&mut Decoder::new(&bytes[..Id::LEN - 1])).is_err());
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //! To preserve the happened-before relation within a request, tuples packed
 //! by one branch of a parallel execution must be invisible to sibling
 //! branches until the branches rejoin (paper §5). Baggage therefore holds
-//! one or more *versioned instances*, each identified by an interval tree
-//! clock stamp ([`pivot_itc::Stamp`]); exactly one instance is *active* per
-//! branch. [`Baggage::split`] forks the active stamp and gives each side a
-//! fresh active instance; [`Baggage::join`] merges the two active instances
-//! and deduplicates the copied inactive ones.
+//! one *active* instance per branch and the *retired* instances inherited
+//! from earlier branch points. [`Baggage::split`] retires the active
+//! instance, if anything is packed in it, under an identity minted there
+//! (the retiring thread's location and a counter), and gives each side a
+//! fresh active instance; [`Baggage::join`] merges the two active
+//! instances and keeps one copy of each retired identity. A baggage with
+//! nothing packed has no identity to fork or join, so it is two null
+//! pointers and [`Baggage::new`] is `const`.
 //!
 //! # One strict decoder
 //!

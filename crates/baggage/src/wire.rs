@@ -1,38 +1,44 @@
 //! Baggage wire format.
 //!
-//! Layout (all integers LEB128):
+//! Layout (integers LEB128 unless fixed):
 //!
 //! ```text
-//! baggage  := version:u8 count:varint instance*        (active first)
-//! instance := stamp entry_count:varint (query_id:varint entry)*
+//! baggage := version:u8 retired:varint id{retired} entries entries{retired}
+//! entries := count:varint (query_id:varint entry)*
+//! id      := location:u64le counter:u32le
 //! ```
 //!
-//! The format is versioned so future layouts can coexist. [`decode`] is
-//! the one decoder: a malformed buffer, including one with bytes left
-//! over after the last instance, is an error the caller surfaces.
+//! The active instance's entries come first, then the retired instances'
+//! oldest first, in the order of the ids ahead of them. Only retired
+//! instances carry an id: the active one has no identity (DESIGN.md §5l).
+//! [`decode`] is the one decoder, and it accepts this version alone: a
+//! malformed buffer, including one with bytes left over after the last
+//! instance, is an error the caller surfaces.
 
 use std::sync::Arc;
 
-use pivot_itc::{DecodeError, Decoder, Encoder, Stamp};
+use pivot_itc::{DecodeError, Decoder, Encoder};
 
 use crate::bag::Baggage;
 use crate::entry::Entry;
-use crate::instance::{Entries, Instance};
+use crate::instance::{Entries, Id, Instance};
 use crate::QueryId;
 
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 pub(crate) fn encode(bag: &Baggage, enc: &mut Encoder) {
     enc.put_u8(VERSION);
-    enc.put_varint(1 + bag.retired().count() as u64);
-    encode_instance(bag.stamp(), bag.entries(), enc);
+    enc.put_varint(bag.retired().count() as u64);
     for inst in bag.retired() {
-        encode_instance(&inst.stamp, &inst.entries, enc);
+        inst.id.encode(enc);
+    }
+    encode_entries(bag.entries(), enc);
+    for inst in bag.retired() {
+        encode_entries(&inst.entries, enc);
     }
 }
 
-fn encode_instance(stamp: &Stamp, entries: &Entries, enc: &mut Encoder) {
-    stamp.encode(enc);
+fn encode_entries(entries: &Entries, enc: &mut Encoder) {
     enc.put_varint(entries.len() as u64);
     for (q, entry) in entries.iter() {
         enc.put_varint(q.0);
@@ -46,13 +52,19 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Baggage, DecodeError> {
     if version != VERSION {
         return Err(DecodeError::BadTag("baggage version", version));
     }
-    let count = dec.take_varint()? as usize;
-    if count == 0 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut bag = Baggage::decoded(decode_instance(&mut dec)?);
-    for _ in 1..count {
-        bag.retire(Arc::new(decode_instance(&mut dec)?));
+    let retired = dec.take_varint()?;
+    // The ids are read where they lie, so a count is checked against the
+    // bytes before anything is sized by it.
+    let id_bytes = usize::try_from(retired)
+        .ok()
+        .and_then(|n| n.checked_mul(Id::LEN))
+        .ok_or(DecodeError::Truncated)?;
+    let mut ids = Decoder::new(dec.take_raw(id_bytes)?);
+    let mut bag = Baggage::decoded(decode_entries(&mut dec)?);
+    for _ in 0..retired {
+        let id = Id::decode(&mut ids)?;
+        let entries = decode_entries(&mut dec)?;
+        bag.retire(Arc::new(Instance { id, entries }));
     }
     if !dec.is_empty() {
         return Err(DecodeError::BadTag("baggage trailing bytes", 0));
@@ -60,8 +72,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Baggage, DecodeError> {
     Ok(bag)
 }
 
-fn decode_instance(dec: &mut Decoder<'_>) -> Result<Instance, DecodeError> {
-    let stamp = Stamp::decode(dec)?;
+fn decode_entries(dec: &mut Decoder<'_>) -> Result<Entries, DecodeError> {
     let n = dec.take_varint()? as usize;
     let mut entries = Entries::new();
     for _ in 0..n {
@@ -69,7 +80,7 @@ fn decode_instance(dec: &mut Decoder<'_>) -> Result<Instance, DecodeError> {
         let entry = Entry::decode(dec)?;
         entries.insert(q, entry);
     }
-    Ok(Instance { stamp, entries })
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -95,7 +106,7 @@ mod tests {
         );
         let mut bag = Baggage::new();
         bag.retire(Arc::new(Instance {
-            stamp: Stamp::seed().peek(),
+            id: Id::mint(),
             entries,
         }));
         bag.pack(
@@ -110,13 +121,13 @@ mod tests {
 
     #[test]
     fn repeated_and_unsorted_query_ids_decode_as_map_inserts() {
-        // Hand-built: the seed stamp, then entries for queries 5, 2 and 5
-        // again. The later 5 wins, and the keys come back ascending.
+        // Hand-built: no retired instance, then active entries for queries
+        // 5, 2 and 5 again. The later 5 wins, and the keys come back
+        // ascending.
         let t = |v: i64| Tuple::from_iter([Value::I64(v)]);
         let mut enc = Encoder::new();
         enc.put_u8(VERSION);
-        enc.put_varint(1);
-        Stamp::seed().encode(&mut enc);
+        enc.put_varint(0);
         enc.put_varint(3);
         for (q, v) in [(5, 1), (2, 2), (5, 3)] {
             let mut entry = Entry::new(&PackMode::All);
@@ -141,8 +152,10 @@ mod tests {
             [Tuple::from_iter([Value::I64(1)])],
         );
         let mut bytes = encode(&bag);
-        bytes[0] = 99;
-        assert!(decode(&bytes).is_err());
+        for version in [0, 1, 3, 99] {
+            bytes[0] = version;
+            assert!(decode(&bytes).is_err(), "version {version} accepted");
+        }
     }
 
     #[test]

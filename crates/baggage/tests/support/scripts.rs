@@ -47,8 +47,8 @@ pub fn request_path(wire: &mut impl FnMut(&mut Baggage) -> Arc<[u8]>) {
     server.pack(PER_SHARD, &grouped, [row(3, 0)]);
     wire(&mut server);
 
-    // The channel edge: a forked half joins the shard worker's fresh seed
-    // baggage (overlapping identities: the seed keeps its own).
+    // The channel edge: a forked half joins the shard worker's fresh
+    // baggage.
     let mut branch = server.split();
     wire(&mut server);
     wire(&mut branch);
@@ -90,8 +90,8 @@ pub fn request_path(wire: &mut impl FnMut(&mut Baggage) -> Arc<[u8]>) {
     wire(&mut client);
 }
 
-/// 64 forks without a join: identities 64 levels deep (past the inline
-/// stamp cells), each branch packs, every fourth goes over the wire.
+/// 64 forks without a join: each branch packs, every fourth goes over the
+/// wire, and the root retires an instance at every eighth.
 pub fn fan_out(wire: &mut impl FnMut(&mut Baggage) -> Arc<[u8]>) {
     let mut main = Baggage::new();
     main.pack(Q1, &PackMode::All, [Tuple::from_iter([Value::I64(-1)])]);

@@ -108,7 +108,7 @@ fn bit_flips_never_panic() {
 
 #[test]
 fn garbage_after_the_version_byte_is_refused() {
-    assert!(Baggage::try_from_bytes(&[0x01u8, 0xff, 0xff, 0xff]).is_err());
+    assert!(Baggage::try_from_bytes(&[0x02u8, 0xff, 0xff, 0xff]).is_err());
 }
 
 #[test]
@@ -137,106 +137,94 @@ fn every_golden_step_with_trailing_bytes_is_refused() {
     assert_eq!(sent, 17 + 148);
 }
 
-/// A baggage holding one `All` tuple under the given raw stamp bytes.
-fn bag_bytes_with_stamp(stamp: &[u8]) -> Vec<u8> {
+/// A baggage that packed one `All` tuple, retired it at a split and
+/// packed another: one id, then two entry maps.
+fn retired_bag_bytes() -> Vec<u8> {
     let mut bag = Baggage::new();
     bag.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 1)]);
-    let own = bag.to_bytes();
-    // version, instance count, then the seed stamp `1;0` = [1, 0, 0].
-    assert_eq!(own[..5], [1, 1, 1, 0, 0]);
-    let mut bytes = vec![1, 1];
-    bytes.extend_from_slice(stamp);
-    bytes.extend_from_slice(&own[5..]);
+    drop(bag.split());
+    bag.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 2)]);
+    let bytes = bag.to_bytes().to_vec();
+    // Version 2, one retired instance, then its 12-byte id.
+    assert_eq!(bytes[..2], [2, 1]);
     bytes
 }
+
+/// Where the entry maps start in [`retired_bag_bytes`].
+const ENTRIES_AT: usize = 2 + 12;
 
 fn assert_refused(bytes: &[u8]) {
     assert!(Baggage::try_from_bytes(bytes).is_err());
 }
 
-// The two tests below run on the harness's default 2 MiB test threads: a
-// decoder that followed the nesting would overflow them and abort the
-// process instead of failing.
 #[test]
-fn nesting_past_the_bound_is_refused_not_followed() {
-    // The reproduced header: 100 000 nested identity nodes in 100 KB.
+fn a_version_1_header_is_refused() {
+    // The interval-tree-clock layout this one replaced: the first request
+    // header of `scripts::request_path` as version 1 encoded it (the
+    // seed stamp `1;0`, then one entry), and the reproduced nesting bombs
+    // of that layout's stamp decoder. One version is accepted, as on the
+    // bus.
+    let v1 = [1u8, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 3];
+    assert_refused(&v1);
     let mut id_bomb = vec![1u8, 1];
     id_bomb.extend(std::iter::repeat_n(2u8, 100_000));
     assert_refused(&id_bomb);
-    // The same through the event tree, behind a well-formed identity.
     let mut event_bomb = vec![1u8, 1, 1];
     event_bomb.extend(std::iter::repeat_n([1u8, 0], 100_000).flatten());
     assert_refused(&event_bomb);
-    // Complete, well-formed trees one level past the bound.
-    let too_deep = 1025;
-    let mut id = vec![2u8; too_deep];
-    id.push(1);
-    id.extend(vec![0u8; too_deep]);
-    id.extend([0, 0]);
-    assert_refused(&bag_bytes_with_stamp(&id));
-    let mut event = vec![1u8];
-    event.extend(std::iter::repeat_n([1u8, 0, 0, 1], too_deep).flatten());
-    event.extend([0, 0]);
-    assert_refused(&bag_bytes_with_stamp(&event));
+    // A well-formed version 2 header, relabelled, is refused too.
+    let mut relabelled = retired_bag_bytes();
+    assert!(Baggage::try_from_bytes(&relabelled).is_ok());
+    relabelled[0] = 1;
+    assert_refused(&relabelled);
 }
 
 #[test]
-fn the_deepest_accepted_stamp_is_safe_to_operate_on() {
-    // Identity and event trees both 1024 levels deep: the identity owns
-    // the innermost left sliver, the event tree has one more event at
-    // every level on the way down to it.
-    let depth = 1024;
-    let mut stamp = vec![2u8; depth];
-    stamp.push(1);
-    stamp.extend(vec![0u8; depth]);
-    stamp.extend(std::iter::repeat_n([1u8, 0], depth).flatten());
-    stamp.extend([0, 1]);
-    stamp.extend(std::iter::repeat_n([0u8, 0], depth).flatten());
-    let bytes = bag_bytes_with_stamp(&stamp);
-    let mut bag = Baggage::try_from_bytes(&bytes).expect("at the bound, not past it");
-    assert_eq!(bag.to_bytes()[..], bytes[..], "already in normal form");
-    // Every recursive kernel walk, at full depth: fork + event (fill and
-    // grow) on both halves, join of the deep halves, peek on retirement.
-    let mut side = bag.split();
-    let mut inner = side.split();
-    inner.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 2)]);
-    side.join(inner);
-    bag.join(side);
+fn an_id_cut_short_is_refused() {
+    let bytes = retired_bag_bytes();
+    // The id table ends inside the input: every cut within it.
+    for cut in 2..ENTRIES_AT {
+        assert_refused(&bytes[..cut]);
+    }
+    // The header keeps its length, but claims one id more than it holds:
+    // the last id's bytes are read as the entries, which then run short.
+    let mut more = bytes;
+    more[1] = 2;
+    assert_refused(&more);
+}
+
+#[test]
+fn an_id_count_past_the_bytes_is_refused() {
+    // Counts whose ids cannot fit the input, up to one whose byte length
+    // overflows a `usize`: each is refused before anything is sized by it.
+    let tail = &retired_bag_bytes()[2..];
+    for count in [3u64, 1 << 20, u64::MAX / 12 + 1, u64::MAX] {
+        let mut enc = pivot_itc::Encoder::new();
+        enc.put_u8(2);
+        enc.put_varint(count);
+        enc.put_raw(tail);
+        assert_eq!(
+            Baggage::try_from_bytes(&enc.finish()).err(),
+            Some(pivot_itc::DecodeError::Truncated),
+            "count {count}"
+        );
+    }
+}
+
+#[test]
+fn trailing_bytes_after_the_last_entry_map_are_refused() {
+    // Hand-built: no retired instance and no active entry is a complete
+    // (if unusual) header; one byte more is not.
+    assert!(Baggage::try_from_bytes(&[2, 0, 0])
+        .expect("complete")
+        .is_empty());
+    assert_refused(&[2, 0, 0, 0]);
+    let mut bytes = retired_bag_bytes();
+    let mut bag = Baggage::try_from_bytes(&bytes).expect("own bytes");
     assert_eq!(bag.tuple_count(QueryId(1)), 2);
-    // Forking took the identity one level past what a peer accepts.
-    let mut deeper = bag.split();
-    deeper.pack(QueryId(1), &PackMode::All, [wide_tuple(2, 3)]);
-    assert!(Baggage::try_from_bytes(&deeper.to_bytes()).is_err());
-}
-
-#[test]
-fn event_counters_that_overflow_are_refused_in_every_profile() {
-    // The reproduced header: event tree (u64::MAX, 1, 1). Unchecked, its
-    // normal form adds 1 to u64::MAX — a panic under debug assertions, a
-    // silent wrap to a stamp that breaks `leq` without them.
-    let header = [
-        0x01, 0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00,
-        0x01, 0x00, 0x01, 0x00,
-    ];
-    assert_refused(&header);
-    // Spread over two levels so no single counter is out of range:
-    // (2^62, (2^62 - 1, 0, 1), 0) sums to 2^63 at its deepest leaf.
-    let mut event = vec![1u8];
-    event.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
-    event.push(1);
-    event.extend([0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f]);
-    event.extend([0, 0, 0, 1, 0, 0]);
-    let mut stamp = vec![1u8];
-    stamp.extend(&event);
-    assert_refused(&bag_bytes_with_stamp(&stamp));
-    // One event fewer is the largest history there is, and it works.
-    let last = stamp.len() - 3;
-    stamp[last] = 0;
-    let at_the_limit = bag_bytes_with_stamp(&stamp);
-    let mut bag = Baggage::try_from_bytes(&at_the_limit).expect("2^63 - 1 fits");
-    let side = bag.split();
-    bag.join(side);
-    assert_eq!(bag.tuple_count(QueryId(1)), 1);
+    assert_eq!(bag.to_bytes()[..], bytes[..]);
+    bytes.push(0);
+    assert_refused(&bytes);
 }
 
 #[test]

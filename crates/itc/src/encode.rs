@@ -1,5 +1,5 @@
-//! Minimal binary encoding primitives shared by the ITC and baggage wire
-//! formats.
+//! Minimal binary encoding primitives shared by every wire format in the
+//! workspace.
 //!
 //! The format is deliberately simple: single tag bytes, LEB128 varints for
 //! integers, and length-prefixed byte strings. It exists so that baggage
@@ -8,14 +8,6 @@
 //! serializer.
 
 use std::fmt;
-
-/// Deepest identity or event tree [`crate::Stamp::decode`] accepts.
-///
-/// The kernel walks trees recursively, so nesting is what a hostile header
-/// could turn into stack: at this bound the deepest walk needs about
-/// 128 KiB of a 2 MiB thread stack, and it is sixteen times the deepest
-/// tree anything in this repository builds (a chain of 64 unjoined forks).
-pub(crate) const MAX_DEPTH: usize = 1024;
 
 /// An append-only byte sink.
 #[derive(Default)]
@@ -54,7 +46,7 @@ impl Encoder {
 
     /// Appends bytes as they are (no length prefix).
     #[inline]
-    pub(crate) fn put_raw(&mut self, b: &[u8]) {
+    pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
@@ -132,14 +124,10 @@ pub enum DecodeError {
     Truncated,
     /// A tag byte had an unexpected value; carries the context and the tag.
     BadTag(&'static str, u8),
-    /// A varint exceeded 64 bits, or ITC event counters summed past the
-    /// 63 bits a stamp keeps.
+    /// A varint exceeded 64 bits.
     VarintOverflow,
     /// A byte string was not valid UTF-8 where a string was required.
     BadUtf8,
-    /// An ITC identity or event tree was nested deeper than any stamp this
-    /// implementation produces.
-    TooDeep,
 }
 
 impl fmt::Display for DecodeError {
@@ -151,7 +139,6 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::VarintOverflow => write!(f, "integer overflows its range"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string"),
-            DecodeError::TooDeep => write!(f, "itc tree nested too deeply"),
         }
     }
 }
@@ -277,15 +264,21 @@ impl<'a> Decoder<'a> {
         Ok(v)
     }
 
-    /// Reads a length-prefixed byte slice.
+    /// Reads `len` bytes as they are (no length prefix).
     #[inline]
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.take_varint()? as usize;
+    pub fn take_raw(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
         let rest = self.buf.get(self.pos..);
         let split = rest.and_then(|rest| rest.split_at_checked(len));
         let (out, _) = split.ok_or_else(truncated)?;
         self.pos += len;
         Ok(out)
+    }
+
+    /// Reads a length-prefixed byte slice.
+    #[inline]
+    pub fn take_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.take_varint()? as usize;
+        self.take_raw(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.

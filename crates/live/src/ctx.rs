@@ -19,7 +19,11 @@ use std::sync::Arc;
 use pivot_baggage::Baggage;
 
 thread_local! {
-    static CURRENT: RefCell<Baggage> = RefCell::new(Baggage::new());
+    /// `const`-initialised: an empty baggage is two null pointers, so no
+    /// access checks whether the slot was set up first. The `RefCell`
+    /// still refuses a reentrant borrow (advice reaching the baggage from
+    /// inside [`with_baggage`]).
+    static CURRENT: RefCell<Baggage> = const { RefCell::new(Baggage::new()) };
 }
 
 /// Runs `f` with mutable access to the current thread's baggage.

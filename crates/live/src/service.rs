@@ -555,12 +555,12 @@ mod tests {
     #[test]
     fn hostile_baggage_header_closes_the_connection_not_the_process() {
         let server = KvServer::start(1, test_agent("kvserver")).expect("server starts");
-        // 100 000 nested ITC identity nodes in a 100 KB header (far under
-        // `MAX_FRAME`), and an event tree whose counters overflow: both
-        // used to take the handler thread down — the first with it the
-        // process, by stack overflow — instead of failing the decode. A
-        // valid baggage with one byte after it used to be accepted, the
-        // byte forwarded to the next hop.
+        // Two headers of the version-1 layout, with interval tree clock
+        // stamps: 100 000 nested identity nodes in 100 KB (far under
+        // `MAX_FRAME`), and an event tree whose counters overflow. Both
+        // once took the handler thread down; the one version accepted now
+        // is 2. A valid baggage with one byte after it used to be
+        // accepted, the byte forwarded to the next hop.
         let mut nested = vec![1u8, 1];
         nested.extend(std::iter::repeat_n(2u8, 100_000));
         let overflowing = [

@@ -4,7 +4,7 @@
 //! tuple it emits lands in the query's buffer, which outlives the weave.
 //! The ThreadSanitizer job runs this with the rest of the crate's tests.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use pivot_baggage::Baggage;
@@ -13,6 +13,8 @@ use pivot_model::Value;
 
 const INVOKERS: usize = 2;
 const EVENTS: u64 = 20_000;
+/// Weave cycles every run completes, however the threads are scheduled.
+const MIN_CYCLES: u64 = 16;
 
 #[test]
 fn reweaving_under_two_invokers_keeps_the_books() {
@@ -29,19 +31,26 @@ fn reweaving_under_two_invokers_keeps_the_books() {
     });
     agent.install(&code);
 
-    // All three start together; the weaver keeps going until both
-    // invokers are through, so every invocation races a weave.
+    // All three start together. The weaver keeps going until both
+    // invokers are through, and an invoker is through only once it has
+    // made its events *and* the weaver has completed `MIN_CYCLES` cycles,
+    // so weaves and invocations overlap by construction, not by timing.
     let start = Barrier::new(INVOKERS + 1);
     let running = AtomicUsize::new(INVOKERS);
+    let woven = AtomicU64::new(0);
+    let offered = AtomicU64::new(0);
     let (mut delivered, mut cycles) = (0u64, 0u64);
     std::thread::scope(|s| {
         for _ in 0..INVOKERS {
             s.spawn(|| {
                 start.wait();
                 let mut bag = Baggage::new();
-                for i in 0..EVENTS {
+                let mut i = 0;
+                while i < EVENTS || woven.load(Ordering::SeqCst) < MIN_CYCLES {
                     agent.invoke("Race.site", &mut bag, i, &[("k", Value::U64(i % 8))]);
+                    i += 1;
                 }
+                offered.fetch_add(i, Ordering::SeqCst);
                 running.fetch_sub(1, Ordering::SeqCst);
             });
         }
@@ -51,6 +60,7 @@ fn reweaving_under_two_invokers_keeps_the_books() {
             delivered += agent.flush(cycles).iter().map(|r| r.tuples).sum::<u64>();
             agent.install(&code);
             cycles += 1;
+            woven.store(cycles, Ordering::SeqCst);
         }
     });
     delivered += agent.flush(cycles).iter().map(|r| r.tuples).sum::<u64>();
@@ -65,6 +75,9 @@ fn reweaving_under_two_invokers_keeps_the_books() {
     let stats = agent.stats();
     assert_eq!(stats.tuples_emitted, books.produced);
     assert_eq!(stats.advised_invocations, books.produced);
-    assert!(stats.advised_invocations + stats.idle_invocations <= INVOKERS as u64 * EVENTS);
+    let offered = offered.into_inner();
+    assert!(offered >= INVOKERS as u64 * EVENTS);
+    assert!(stats.advised_invocations + stats.idle_invocations <= offered);
     assert!(cycles > 0);
+    assert!(cycles >= MIN_CYCLES);
 }

@@ -18,16 +18,16 @@ pub fn render() -> String {
 
     // The execution graph of Figure 3.
     let mut log = TraceLog::new();
-    let mut ctx = TracedCtx::new(&mut log, 0);
-    ctx.record("A", &[("x", Value::str("a1"))]);
+    let mut ctx = TracedCtx::new(0);
+    ctx.record(&mut log, "A", &[("x", Value::str("a1"))]);
     let mut branch = ctx.split();
-    ctx.record("B", &[("x", Value::str("b1"))]);
-    ctx.record("C", &[("x", Value::str("c1"))]);
-    ctx.record_on(&mut branch, "A", &[("x", Value::str("a2"))]);
-    ctx.record_on(&mut branch, "B", &[("x", Value::str("b2"))]);
+    ctx.record(&mut log, "B", &[("x", Value::str("b1"))]);
+    ctx.record(&mut log, "C", &[("x", Value::str("c1"))]);
+    branch.record(&mut log, "A", &[("x", Value::str("a2"))]);
+    branch.record(&mut log, "B", &[("x", Value::str("b2"))]);
     ctx.join(branch);
-    ctx.record("C", &[("x", Value::str("c2"))]);
-    ctx.record("A", &[("x", Value::str("a3"))]);
+    ctx.record(&mut log, "C", &[("x", Value::str("c2"))]);
+    ctx.record(&mut log, "A", &[("x", Value::str("a3"))]);
 
     let mut out = "Execution: a1 -> [ b1 -> c1 | a2 -> b2 ] -> c2 -> a3\n".to_owned();
     for (title, text) in [

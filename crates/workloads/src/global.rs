@@ -1,18 +1,21 @@
 //! Ground-truth global evaluation of happened-before joins.
 //!
 //! This module implements the paper's *unoptimized* strategy (Figure 6a):
-//! record every tracepoint invocation together with a causal stamp, ship
-//! everything to one place, and evaluate `⋈→` as a θ-join whose condition
-//! is the happened-before relation. No product path runs it; it exists
-//! for two reasons:
+//! record every tracepoint invocation together with its causal
+//! predecessors, ship everything to one place, and evaluate `⋈→` as a
+//! θ-join whose condition is the happened-before relation — reachability
+//! in the recorded graph. No product path runs it, and it shares no
+//! causality code with the baggage it checks; it exists for two reasons:
 //!
 //! 1. **Differential testing** — the baggage-based inline evaluation must
 //!    produce identical results on every execution (the system's central
-//!    correctness property; exercised by `tests/differential.rs`).
+//!    correctness property; exercised by `tests/differential.rs` and
+//!    `tests/shapes.rs`).
 //! 2. **Figure 3** — the paper's worked example of `⋈→` semantics on a
 //!    branching execution ([`crate::experiments::fig3`]).
 
-use pivot_itc::Stamp;
+use std::sync::Arc;
+
 use pivot_model::{GroupKey, Schema, Tuple, Value};
 use pivot_query::ast::{Query, SelectItem, SourceKind, TemporalFilter};
 use pivot_query::Resolver;
@@ -22,14 +25,16 @@ use pivot_baggage::Baggage;
 /// A recorded tracepoint invocation.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
-    /// Global capture sequence (total order used for recency ties).
+    /// Global capture sequence (total order used for recency ties); the
+    /// event's index in its [`TraceLog`].
     pub seq: u64,
     /// The request this event belongs to.
     pub request: u64,
     /// Tracepoint name.
     pub tracepoint: String,
-    /// Anonymous causal stamp at the time of the event.
-    pub stamp: Stamp,
+    /// The latest events of the request that this one causally follows:
+    /// its immediate predecessors in the happened-before graph.
+    pub preds: Vec<u64>,
     /// Exported variables (including defaults).
     pub exports: Vec<(String, Value)>,
 }
@@ -51,99 +56,161 @@ impl TraceLog {
         &self.events
     }
 
-    /// Returns `true` if `a` happened before `b` (same request, strictly
-    /// ordered stamps).
-    fn happened_before(a: &TraceEvent, b: &TraceEvent) -> bool {
-        a.request == b.request && a.stamp.leq(&b.stamp) && a.seq != b.seq
+    /// For every event, the set of events that happened before it, as a
+    /// bit set over sequence numbers. A predecessor is always logged
+    /// before its successor, so one pass in log order builds them all.
+    pub fn ancestry(&self) -> Ancestry {
+        let words = self.events.len().div_ceil(64);
+        let mut sets: Vec<u64> = vec![0; words * self.events.len()];
+        for (at, event) in self.events.iter().enumerate() {
+            for &p in &event.preds {
+                let p = p as usize;
+                let (done, mine) = sets.split_at_mut(at * words);
+                let theirs = &done[p * words..(p + 1) * words];
+                for (m, t) in mine[..words].iter_mut().zip(theirs) {
+                    *m |= t;
+                }
+                mine[p / 64] |= 1 << (p % 64);
+            }
+        }
+        Ancestry { words, sets }
+    }
+
+    fn record(
+        &mut self,
+        request: u64,
+        tracepoint: &str,
+        exports: &[(&str, Value)],
+        preds: Vec<u64>,
+    ) -> u64 {
+        let seq = self.events.len() as u64;
+        self.events.push(TraceEvent {
+            seq,
+            request,
+            tracepoint: tracepoint.to_owned(),
+            preds,
+            exports: exports
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .collect(),
+        });
+        seq
+    }
+}
+
+/// The happened-before relation of one [`TraceLog`] (see
+/// [`TraceLog::ancestry`]).
+pub struct Ancestry {
+    words: usize,
+    sets: Vec<u64>,
+}
+
+impl Ancestry {
+    /// Returns `true` if event `a` happened before event `b`: `b` reaches
+    /// `a` through recorded predecessors. Only events of one request are
+    /// ever linked, and no event happened before itself.
+    pub fn happened_before(&self, a: u64, b: u64) -> bool {
+        let (a, b) = (a as usize, b as usize);
+        self.sets[b * self.words + a / 64] & (1 << (a % 64)) != 0
     }
 }
 
 /// A request context for tests and harnesses: carries baggage (for the
-/// inline strategy) *and* an interval tree clock stamp (for the global
+/// inline strategy) *and* the request's causal frontier (for the global
 /// strategy), so both evaluation strategies observe the same execution.
-pub struct TracedCtx<'l> {
+///
+/// The frontier is the set of latest events this context has seen; the
+/// next event it records follows all of them.
+pub struct TracedCtx {
     /// The request's baggage.
     pub baggage: Baggage,
-    stamp: Stamp,
+    frontier: Vec<u64>,
     request: u64,
-    log: &'l mut TraceLog,
 }
 
-impl<'l> TracedCtx<'l> {
-    /// Starts a new request against `log`.
-    pub fn new(log: &'l mut TraceLog, request: u64) -> TracedCtx<'l> {
+/// What crosses an RPC edge between two [`TracedCtx`]s: the baggage's
+/// bytes, as a transport carries them, and — out of band, for the oracle
+/// only — the sender's causal frontier.
+pub struct Wire {
+    /// The serialized baggage.
+    pub bytes: Arc<[u8]>,
+    frontier: Vec<u64>,
+    request: u64,
+}
+
+impl TracedCtx {
+    /// Starts request `request`.
+    pub fn new(request: u64) -> TracedCtx {
         TracedCtx {
             baggage: Baggage::new(),
-            stamp: Stamp::seed(),
+            frontier: Vec::new(),
             request,
-            log,
         }
     }
 
-    /// Records a tracepoint invocation (advances the causal stamp and logs
-    /// the event). The caller separately runs any woven advice via an
-    /// [`pivot_core::Agent`].
-    pub fn record(&mut self, tracepoint: &str, exports: &[(&str, Value)]) {
-        self.stamp.event();
-        let seq = self.log.events.len() as u64;
-        self.log.events.push(TraceEvent {
-            seq,
-            request: self.request,
-            tracepoint: tracepoint.to_owned(),
-            stamp: self.stamp.peek(),
-            exports: exports
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                .collect(),
-        });
+    /// Records a tracepoint invocation into `log`: the event follows this
+    /// context's frontier and becomes it. The caller separately runs any
+    /// woven advice via an [`pivot_core::Agent`].
+    pub fn record(&mut self, log: &mut TraceLog, tracepoint: &str, exports: &[(&str, Value)]) {
+        let preds = std::mem::take(&mut self.frontier);
+        let seq = log.record(self.request, tracepoint, exports, preds);
+        self.frontier.push(seq);
     }
 
-    /// Branches the execution: baggage splits, the stamp forks.
-    pub fn split(&mut self) -> TracedCtxBranch {
-        let baggage = self.baggage.split();
-        let (a, b) = self.stamp.fork();
-        self.stamp = a;
-        TracedCtxBranch {
-            baggage,
-            stamp: b,
+    /// Branches the execution: the baggage splits, and both sides follow
+    /// the same frontier.
+    pub fn split(&mut self) -> TracedCtx {
+        TracedCtx {
+            baggage: self.baggage.split(),
+            frontier: self.frontier.clone(),
             request: self.request,
         }
     }
 
-    /// Rejoins a branch created by [`TracedCtx::split`].
-    pub fn join(&mut self, branch: TracedCtxBranch) {
+    /// Rejoins a branch created by [`TracedCtx::split`]: the baggages
+    /// join, and the frontiers unite.
+    pub fn join(&mut self, branch: TracedCtx) {
         self.baggage.join(branch.baggage);
-        self.stamp = self.stamp.join(&branch.stamp);
+        self.absorb(&branch.frontier);
     }
 
-    /// Runs one step on a branch (the branch borrows the same log).
-    pub fn record_on(
-        &mut self,
-        branch: &mut TracedCtxBranch,
-        tracepoint: &str,
-        exports: &[(&str, Value)],
-    ) {
-        branch.stamp.event();
-        let seq = self.log.events.len() as u64;
-        self.log.events.push(TraceEvent {
-            seq,
-            request: branch.request,
-            tracepoint: tracepoint.to_owned(),
-            stamp: branch.stamp.peek(),
-            exports: exports
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                .collect(),
-        });
+    fn absorb(&mut self, frontier: &[u64]) {
+        for seq in frontier {
+            if !self.frontier.contains(seq) {
+                self.frontier.push(*seq);
+            }
+        }
     }
-}
 
-/// A branched execution context (see [`TracedCtx::split`]).
-pub struct TracedCtxBranch {
-    /// The branch's baggage.
-    pub baggage: Baggage,
-    stamp: Stamp,
-    request: u64,
+    /// Serializes the context for an RPC envelope, as
+    /// `pivot_hadoop::Ctx::to_wire` does.
+    pub fn to_wire(&mut self) -> Wire {
+        Wire {
+            bytes: self.baggage.to_bytes(),
+            frontier: self.frontier.clone(),
+            request: self.request,
+        }
+    }
+
+    /// Reconstructs a context on the far side of an RPC, as
+    /// `pivot_hadoop::Ctx::from_wire` does: the bytes are a
+    /// [`TracedCtx::to_wire`]'s, so they decode.
+    pub fn from_wire(wire: &Wire) -> TracedCtx {
+        TracedCtx {
+            baggage: Baggage::try_from_bytes(&wire.bytes).expect("own to_wire bytes decode"),
+            frontier: wire.frontier.clone(),
+            request: wire.request,
+        }
+    }
+
+    /// Adopts the context returned with a synchronous RPC response, as
+    /// `pivot_hadoop::Ctx::adopt_response` does: the callee's execution
+    /// is a causal extension of the caller's, so its baggage and its
+    /// frontier replace this context's.
+    pub fn adopt_response(&mut self, wire: &Wire) {
+        self.baggage = Baggage::try_from_bytes(&wire.bytes).expect("own to_wire bytes decode");
+        self.frontier.clone_from(&wire.frontier);
+    }
 }
 
 /// Evaluates `query` globally over `log`, returning result rows in
@@ -153,6 +220,10 @@ pub struct TracedCtxBranch {
 /// one row per join result. Query references are not supported here —
 /// the evaluator exists to validate tracepoint queries.
 pub fn evaluate(query: &Query, resolver: &dyn Resolver, log: &TraceLog) -> Vec<Vec<Value>> {
+    let ancestry = log.ancestry();
+    let happened_before = |a: &TraceEvent, b: &TraceEvent| {
+        a.request == b.request && ancestry.happened_before(a.seq, b.seq)
+    };
     // Alias → (tracepoints, schema fields).
     let alias_events = |kind: &SourceKind| -> Vec<&TraceEvent> {
         let SourceKind::Tracepoints(names) = kind else {
@@ -223,7 +294,7 @@ pub fn evaluate(query: &Query, resolver: &dyn Resolver, log: &TraceLog) -> Vec<V
             let mut cands: Vec<&TraceEvent> = cands_all
                 .iter()
                 .copied()
-                .filter(|c| TraceLog::happened_before(c, later))
+                .filter(|c| happened_before(c, later))
                 .collect();
             cands.sort_by_key(|c| c.seq);
             match join.source.filter {

@@ -20,9 +20,10 @@
 //! `pivot-figures <stem>` binary prints.
 //!
 //! [`global`] is the paper's *unoptimized* evaluation strategy (Figure
-//! 6a): materialize every tracepoint invocation with a causal stamp and
-//! evaluate the happened-before join centrally. Figure 3 and the
-//! differential test against the inline evaluation use it.
+//! 6a): materialize every tracepoint invocation with its causal
+//! predecessors and evaluate the happened-before join centrally. Figure 3
+//! and the differential and request-shape tests against the inline
+//! evaluation use it.
 
 pub mod clients;
 pub mod experiments;

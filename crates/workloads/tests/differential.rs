@@ -52,25 +52,22 @@ fn make_frontend(optimized: bool) -> Frontend {
 fn replay(steps: &[Step], requests: u64, agent: &Agent, log: &mut TraceLog, allow_branches: bool) {
     let mut now = 0u64;
     for req in 0..requests {
-        let mut ctx = TracedCtx::new(log, req);
-        let mut branches = Vec::new();
+        let mut ctx = TracedCtx::new(req);
+        let mut branches: Vec<TracedCtx> = Vec::new();
         for step in steps {
             now += 1;
             match step {
                 Step::Invoke { tp, v, lane } => {
                     let name = TRACEPOINTS[*tp];
                     let exports = [("x", Value::I64(*v + req as i64))];
-                    if branches.is_empty() || *lane == 0 {
-                        ctx.record(name, &exports);
-                        agent.invoke(name, &mut ctx.baggage, now, &exports);
+                    let on = if branches.is_empty() || *lane == 0 {
+                        &mut ctx
                     } else {
                         let i = (*lane - 1) % branches.len();
-                        // Split borrow: take the branch out briefly.
-                        let mut b: pivot_workloads::global::TracedCtxBranch = branches.remove(i);
-                        ctx.record_on(&mut b, name, &exports);
-                        agent.invoke(name, &mut b.baggage, now, &exports);
-                        branches.insert(i, b);
-                    }
+                        &mut branches[i]
+                    };
+                    on.record(log, name, &exports);
+                    agent.invoke(name, &mut on.baggage, now, &exports);
                 }
                 Step::Split if allow_branches && branches.len() < 3 => {
                     branches.push(ctx.split());
@@ -243,16 +240,16 @@ fn figure_3_semantics() {
     //   branch 1: a1 ─ b1 ─ c1
     //   branch 2: a2 ─ b2 (forked after a1, joined before c2)
     //   main:     a1 ─ [fork] ... [join] ─ c2 ─ a3
-    let mut ctx = TracedCtx::new(&mut log, 0);
-    ctx.record("A", &[("x", Value::str("a1"))]);
+    let mut ctx = TracedCtx::new(0);
+    ctx.record(&mut log, "A", &[("x", Value::str("a1"))]);
     let mut b2 = ctx.split();
-    ctx.record("B", &[("x", Value::str("b1"))]);
-    ctx.record("C", &[("x", Value::str("c1"))]);
-    ctx.record_on(&mut b2, "A", &[("x", Value::str("a2"))]);
-    ctx.record_on(&mut b2, "B", &[("x", Value::str("b2"))]);
+    ctx.record(&mut log, "B", &[("x", Value::str("b1"))]);
+    ctx.record(&mut log, "C", &[("x", Value::str("c1"))]);
+    b2.record(&mut log, "A", &[("x", Value::str("a2"))]);
+    b2.record(&mut log, "B", &[("x", Value::str("b2"))]);
     ctx.join(b2);
-    ctx.record("C", &[("x", Value::str("c2"))]);
-    ctx.record("A", &[("x", Value::str("a3"))]);
+    ctx.record(&mut log, "C", &[("x", Value::str("c2"))]);
+    ctx.record(&mut log, "A", &[("x", Value::str("a3"))]);
 
     let rows = |text: &str| -> Vec<Vec<String>> {
         let ast = pivot_query::parse(text).unwrap();

@@ -11,7 +11,7 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! - [`itc`] — interval tree clocks, used to version baggage across branches.
+//! - [`itc`] — the binary codec every wire format is written with.
 //! - [`model`] — dynamic values, tuples, schemas, aggregations, expressions.
 //! - [`baggage`] — the baggage abstraction (pack/unpack/serialize/split/join).
 //! - [`query`] — the LINQ-like query language, optimizer, and advice compiler.

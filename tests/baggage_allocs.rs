@@ -2,8 +2,8 @@
 //!
 //! A request crosses a branch or join point at every thread and channel
 //! edge (paper §5), tracing on or off, so that path must not pay the
-//! allocator: ITC stamps live in inline buffers and retired instances are
-//! shared by reference count. This binary installs the counting global
+//! allocator: an empty baggage is two null pointers and retired instances
+//! are shared by reference count. This binary installs the counting global
 //! allocator of `support/counting_alloc.rs` and pins the counts.
 
 use std::sync::Arc;
@@ -20,14 +20,14 @@ use counting_alloc::allocations;
 const Q: QueryId = QueryId(1);
 
 #[test]
-fn the_handle_is_a_stamp_and_two_pointers() {
+fn the_handle_is_two_pointers() {
     // Every scope, branch and join moves the handle by value, so its
     // size is part of the cost of a request nothing is woven into.
     assert_eq!(
         std::mem::size_of::<Baggage>(),
-        120,
-        "a Baggage is its active stamp (104 B), the first retired instance \
-         and one box for the rest (DESIGN.md §5l)"
+        16,
+        "a Baggage is the first retired instance and one box for the rest \
+         (DESIGN.md §5l)"
     );
     assert!(
         std::mem::size_of::<BaggageScope>() <= std::mem::size_of::<Baggage>(),
@@ -38,9 +38,9 @@ fn the_handle_is_a_stamp_and_two_pointers() {
 #[test]
 fn empty_baggage_branches_and_joins_without_allocating() {
     // The shapes `benchmark/src/svc.rs::request` goes through: a scope's
-    // baggage splits, the half joins a fresh seed baggage in the worker's
+    // baggage splits, the half joins a fresh baggage in the worker's
     // scope, that splits again and the half joins back — over and over on
-    // one long-lived baggage, so its stamp reaches its steady-state size.
+    // one long-lived baggage.
     let mut server = Baggage::new();
     for round in 0..32 {
         let (n, branch) = allocations(|| server.split());
@@ -89,8 +89,8 @@ fn a_packed_tuple_is_retired_once_and_never_copied() {
     split_join_round(&mut server);
     assert_eq!(Arc::strong_count(&client), 2, "a split or a join copied it");
 
-    // A copy that crossed the wire is a different allocation with equal
-    // contents: it still deduplicates, by value.
+    // A copy that crossed the wire is a different allocation with the
+    // same id: it still deduplicates.
     let bytes = server.to_bytes();
     let hop = Baggage::try_from_bytes(&bytes).expect("own bytes decode");
     server.join(hop);
@@ -139,9 +139,19 @@ fn q1_headers_serialize_in_one_allocation_and_decode_in_three_and_four() {
         );
         client
     };
+    // The shard edge and back, which retires the packed instance.
+    let respond = |server: &mut Baggage| {
+        let mut shard = Baggage::new();
+        shard.join(server.split());
+        server.join(shard.split());
+    };
     // A thread's encode buffer grows to its headers' size while the first
-    // is serialized; a worker pays for that once, not per request.
-    drop(request().to_bytes());
+    // request's are serialized; a worker pays for that once, not per
+    // request.
+    let mut warm = request();
+    drop(warm.to_bytes());
+    respond(&mut warm);
+    drop(warm.to_bytes());
     let mut client = request();
     let (n, request) = allocations(|| client.to_bytes());
     assert!(n <= 1, "request header serialized in {n} allocations");
@@ -154,14 +164,13 @@ fn q1_headers_serialize_in_one_allocation_and_decode_in_three_and_four() {
 
     // The shard edge and back, then the response: the packed instance is
     // retired by now, which is the one `Arc` more the response decodes.
-    let mut shard = Baggage::new();
-    shard.join(server.split());
-    server.join(shard.split());
+    respond(&mut server);
     let (n, response) = allocations(|| server.to_bytes());
     assert!(n <= 1, "response header serialized in {n} allocations");
     let (n, back) = allocations(|| Baggage::try_from_bytes(&response));
     assert!(n <= 4, "response header decoded in {n} allocations");
     assert_eq!(back.expect("own bytes decode").unpack_view(slot).len(), 1);
-    // `baggage.header_bytes` on `svc_q1`.
-    assert_eq!(request.len() + response.len(), 54);
+    // `baggage.header_bytes` on `svc_q1`: 20 B out, and 33 back, 12 of
+    // them the retired instance's id.
+    assert_eq!((request.len(), response.len()), (20, 33));
 }
